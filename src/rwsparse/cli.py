@@ -191,13 +191,7 @@ def main(argv=None) -> int:
         return 0 if exc.code == 0 else 1
     try:
         return _COMMANDS[args.command](args)
-    except ConfigurationError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except ValueError as exc:
-        print(f"configuration error: {exc}", file=sys.stderr)
-        return 1
-    except OSError as exc:
+    except (ValueError, OSError) as exc:  # ConfigurationError is a ValueError
         print(f"configuration error: {exc}", file=sys.stderr)
         return 1
 

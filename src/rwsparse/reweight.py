@@ -1,27 +1,28 @@
-"""Outer reweighting loops.
+"""Outer reweighting algorithms: one shared loop, six rule pairs.
 
-Two families are implemented over the shared inner solvers:
-
-* dual-ascent updates, where the weights move along a supergradient of a
-  Lagrange dual with a zero-target stepsize and are projected back onto
-  the nonnegative orthant (oracle and non-oracle variants, plus the noisy
-  variant that also carries a data-fit multiplier);
-* inverse-magnitude updates w_i = 1 / (|x_i| + eps), the classical
-  baseline, in noiseless and noisy versions.
-
-Every algorithm starts from unit weights, re-solves the inner problem with
-a warm restart after each weight update, and returns the final iterate
-together with a per-iteration trace.
+Every algorithm runs the same outer loop: solve at unit weights, then up
+to ``cfg.rw_iter`` times update the weights, re-solve with a warm restart
+and record a trace row. An algorithm is a re-solve rule (weighted basis
+pursuit, weighted LASSO at the current data-fit multiplier, or the
+quadratically constrained problem at the noise budget) paired with an
+update rule: dual ascent along a supergradient of a Lagrange dual with a
+zero-target stepsize and a nonnegative projection (oracle, non-oracle, or
+jointly in the weights and the data-fit multiplier), or the classical
+inverse-magnitude baseline w_i = 1 / (|x_i| + eps). Plain l1 is the loop
+at budget zero. An update rule ends a run early by raising the
+``ZeroSubgradientError`` or ``ZeroIterateError`` of :mod:`rwsparse.duality`.
 """
 
 from __future__ import annotations
 
 import csv
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
 from .duality import (
+    ZeroIterateError,
+    ZeroSubgradientError,
     lambda_subgradient,
     polyak_step_lasso,
     polyak_step_nonoracle,
@@ -111,15 +112,75 @@ def _row(k, w, alpha, report: InnerSolveReport, x_star) -> RwTraceRow:
     )
 
 
-def _finish(algo, instance, w, lam, k, x, alpha, rows, exit_reason):
+# Re-solve rules (instance, w, lam, warm, cfg) -> report. They look the solvers
+# up as module globals at call time, so wrappers bound there see every solve.
+
+
+def _bp(instance, w, lam, warm, cfg):
+    return weighted_basis_pursuit(instance, w, warm, cfg)
+
+
+def _lasso(instance, w, lam, warm, cfg):
+    return weighted_lasso_fista(instance, w, lam, warm, cfg)
+
+
+def _constrained(instance, w, lam, warm, cfg):
+    return constrained_weighted_l1(instance, w, instance.eta, cfg)
+
+
+# Update rules (k, w, lam, x, instance, cfg) -> (alpha, w, lam), x solved at (w, lam).
+
+
+def _oracle_ascent(k, w, lam, x, instance, cfg):
+    step = polyak_step_oracle(w, x, instance.x_star)
+    g = subgradient_oracle(x, instance.x_star)
+    return step.alpha, project_nonneg(w + step.alpha * g).w, lam
+
+
+def _nonoracle_ascent(k, w, lam, x, instance, cfg):
+    eps = cfg.eps_at(k - 1, SUBGRADIENT_DEFAULT_EPS)
+    alpha = polyak_step_nonoracle(w, x, eps)
+    g = subgradient_nonoracle(x, eps)
+    return alpha, project_nonneg(w + alpha * g).w, lam
+
+
+def _joint_ascent(k, w, lam, x, instance, cfg):
+    eps = cfg.eps_at(k - 1, SUBGRADIENT_DEFAULT_EPS)
+    g_w = subgradient_nonoracle(x, eps)
+    g_lam = lambda_subgradient(x, instance)
+    if cfg.alpha_schedule is not None:
+        alpha = float(cfg.alpha_schedule(k - 1))
+    else:
+        alpha = polyak_step_lasso(w, lam, x, eps, instance)
+    return alpha, project_nonneg(w + alpha * g_w).w, max(0.0, lam + alpha * g_lam)
+
+
+def _inverse_magnitude(k, w, lam, x, instance, cfg):
+    eps = cfg.eps_at(k - 1, CWB_DEFAULT_EPS)
+    return float("nan"), 1.0 / (np.abs(x) + eps), lam
+
+
+def _drive(algo, instance, cfg, solve, update, lam=None, alpha=0.0):
+    """The outer loop shared by every algorithm. ``alpha`` is the stepsize
+    reported before the first update (NaN for rules that take no step)."""
+    w = np.ones(instance.n)
+    report = solve(instance, w, lam, None, cfg)
+    x = report.x
+    rows = [_row(0, w, alpha, report, instance.x_star)]
+    reason = "budget"
+    k = 0
+    for k in range(1, cfg.rw_iter + 1):
+        try:
+            alpha, w, lam = update(k, w, lam, x, instance, cfg)
+        except (ZeroSubgradientError, ZeroIterateError) as stop:
+            k -= 1
+            reason = "zero_iterate" if isinstance(stop, ZeroIterateError) else "zero_subgradient"
+            break
+        report = solve(instance, w, lam, x, cfg)
+        x = report.x
+        rows.append(_row(k, w, alpha, report, instance.x_star))
     state = DualState(w=Weights(w), lam=lam, k=k, x_k=x, alpha_k=alpha)
-    return x, RwTrace(
-        algo=algo,
-        seed=instance.seed,
-        rows=rows,
-        exit_reason=exit_reason,
-        final_state=state,
-    )
+    return x, RwTrace(algo, instance.seed, rows, reason, state)
 
 
 def rw_l1_oracle(instance: ProblemInstance, cfg: SolverConfig = _DEFAULT_CFG):
@@ -132,27 +193,7 @@ def rw_l1_oracle(instance: ProblemInstance, cfg: SolverConfig = _DEFAULT_CFG):
     """
     if instance.x_star is None:
         raise OracleRequiredError("oracle reweighting requires instance.x_star")
-    x_star = instance.x_star
-    w = np.ones(instance.n)
-    report = weighted_basis_pursuit(instance, w, None, cfg)
-    x = report.x
-    rows = [_row(0, w, 0.0, report, x_star)]
-    alpha = 0.0
-    exit_reason = "budget"
-    k = 0
-    for k in range(1, cfg.rw_iter + 1):
-        g = subgradient_oracle(x, x_star)
-        if not np.any(g):
-            k -= 1
-            exit_reason = "zero_subgradient"
-            break
-        step = polyak_step_oracle(w, x, x_star)
-        alpha = step.alpha
-        w = project_nonneg(w + alpha * g).w
-        report = weighted_basis_pursuit(instance, w, warm=x, cfg=cfg)
-        x = report.x
-        rows.append(_row(k, w, alpha, report, x_star))
-    return _finish("oracle", instance, w, None, k, x, alpha, rows, exit_reason)
+    return _drive("oracle", instance, cfg, _bp, _oracle_ascent)
 
 
 def rw_l1_subgradient(instance: ProblemInstance, cfg: SolverConfig = _DEFAULT_CFG):
@@ -163,47 +204,14 @@ def rw_l1_subgradient(instance: ProblemInstance, cfg: SolverConfig = _DEFAULT_CF
     zero-target stepsize makes the combined update independent of eps_k.
     Stops early on an identically zero iterate.
     """
-    x_star = instance.x_star
-    w = np.ones(instance.n)
-    report = weighted_basis_pursuit(instance, w, None, cfg)
-    x = report.x
-    rows = [_row(0, w, 0.0, report, x_star)]
-    alpha = 0.0
-    exit_reason = "budget"
-    k = 0
-    for k in range(1, cfg.rw_iter + 1):
-        eps = cfg.eps_at(k - 1, SUBGRADIENT_DEFAULT_EPS)
-        if not np.any(x):
-            k -= 1
-            exit_reason = "zero_iterate"
-            break
-        alpha = polyak_step_nonoracle(w, x, eps)
-        g = subgradient_nonoracle(x, eps)
-        w = project_nonneg(w + alpha * g).w
-        report = weighted_basis_pursuit(instance, w, warm=x, cfg=cfg)
-        x = report.x
-        rows.append(_row(k, w, alpha, report, x_star))
-    return _finish("rw-sub", instance, w, None, k, x, alpha, rows, exit_reason)
+    return _drive("rw-sub", instance, cfg, _bp, _nonoracle_ascent)
 
 
 def cwb_rw_l1(instance: ProblemInstance, cfg: SolverConfig = _DEFAULT_CFG):
     """Inverse-magnitude reweighting baseline (noise free):
     w_i = 1 / (|x_i| + eps_k) followed by a weighted basis pursuit re-solve.
     """
-    x_star = instance.x_star
-    w = np.ones(instance.n)
-    report = weighted_basis_pursuit(instance, w, None, cfg)
-    x = report.x
-    rows = [_row(0, w, float("nan"), report, x_star)]
-    exit_reason = "budget"
-    k = 0
-    for k in range(1, cfg.rw_iter + 1):
-        eps = cfg.eps_at(k - 1, CWB_DEFAULT_EPS)
-        w = 1.0 / (np.abs(x) + eps)
-        report = weighted_basis_pursuit(instance, w, warm=x, cfg=cfg)
-        x = report.x
-        rows.append(_row(k, w, float("nan"), report, x_star))
-    return _finish("rw-cwb", instance, w, None, k, x, float("nan"), rows, exit_reason)
+    return _drive("rw-cwb", instance, cfg, _bp, _inverse_magnitude, alpha=float("nan"))
 
 
 def rw_lasso_subgradient(instance: ProblemInstance, cfg: SolverConfig = _DEFAULT_CFG):
@@ -212,38 +220,17 @@ def rw_lasso_subgradient(instance: ProblemInstance, cfg: SolverConfig = _DEFAULT
     Joint ascent in (w, lambda): the weight supergradient is -eps_k |x_k|,
     the multiplier supergradient is (1/2)(||phi x - b||^2 - eta^2), and one
     shared zero-target stepsize drives both updates. The multiplier starts
-    at n / ||z||_1 with z the minimum-l2-norm solution of phi x = b.
+    at n / ||z||_1 with z the minimum-l2-norm solution of phi x = b, so
+    b = 0 (z = 0) is rejected.
     """
     if instance.eta is None:
         raise ConfigurationError("noisy reweighting requires instance.eta")
-    x_star = instance.x_star
-    z = min_l2_solution(instance)
-    lam = instance.n / float(np.sum(np.abs(z)))
-    w = np.ones(instance.n)
-    report = weighted_lasso_fista(instance, w, lam, None, cfg)
-    x = report.x
-    rows = [_row(0, w, 0.0, report, x_star)]
-    alpha = 0.0
-    exit_reason = "budget"
-    k = 0
-    for k in range(1, cfg.rw_iter + 1):
-        eps = cfg.eps_at(k - 1, SUBGRADIENT_DEFAULT_EPS)
-        g_w = subgradient_nonoracle(x, eps)
-        g_lam = lambda_subgradient(x, instance)
-        if cfg.alpha_schedule is not None:
-            alpha = float(cfg.alpha_schedule(k - 1))
-        else:
-            if not np.any(x) and g_lam == 0.0:
-                k -= 1
-                exit_reason = "zero_subgradient"
-                break
-            alpha = polyak_step_lasso(w, lam, x, eps, instance)
-        w = project_nonneg(w + alpha * g_w).w
-        lam = max(0.0, lam + alpha * g_lam)
-        report = weighted_lasso_fista(instance, w, lam, warm=x, cfg=cfg)
-        x = report.x
-        rows.append(_row(k, w, alpha, report, x_star))
-    return _finish("rw-lasso", instance, w, lam, k, x, alpha, rows, exit_reason)
+    z_l1 = float(np.sum(np.abs(min_l2_solution(instance))))
+    if z_l1 == 0.0:
+        raise ConfigurationError(
+            "noisy reweighting requires b != 0: lambda0 = n / ||z||_1 is undefined for z = 0"
+        )
+    return _drive("rw-lasso", instance, cfg, _lasso, _joint_ascent, lam=instance.n / z_l1)
 
 
 def cwb_rw_l1_noisy(instance: ProblemInstance, cfg: SolverConfig = _DEFAULT_CFG):
@@ -251,33 +238,14 @@ def cwb_rw_l1_noisy(instance: ProblemInstance, cfg: SolverConfig = _DEFAULT_CFG)
     (1/2)||phi x - b||^2 <= eta^2 / 2 solved at every iteration."""
     if instance.eta is None:
         raise ConfigurationError("noisy reweighting requires instance.eta")
-    x_star = instance.x_star
-    w = np.ones(instance.n)
-    report = constrained_weighted_l1(instance, w, instance.eta, cfg)
-    x = report.x
-    rows = [_row(0, w, float("nan"), report, x_star)]
-    exit_reason = "budget"
-    k = 0
-    for k in range(1, cfg.rw_iter + 1):
-        eps = cfg.eps_at(k - 1, CWB_DEFAULT_EPS)
-        w = 1.0 / (np.abs(x) + eps)
-        report = constrained_weighted_l1(instance, w, instance.eta, cfg)
-        x = report.x
-        rows.append(_row(k, w, float("nan"), report, x_star))
-    return _finish("cwb-noisy", instance, w, None, k, x, float("nan"), rows, exit_reason)
+    return _drive("cwb-noisy", instance, cfg, _constrained, _inverse_magnitude, alpha=float("nan"))
 
 
 def l1_baseline(instance: ProblemInstance, cfg: SolverConfig = _DEFAULT_CFG):
     """Plain l1 minimization: equality constrained for noiseless instances,
     quadratically constrained (the noisy baseline) when a budget is set."""
-    x_star = instance.x_star
-    w = np.ones(instance.n)
-    if instance.eta is not None and instance.eta > 0:
-        report = constrained_weighted_l1(instance, w, instance.eta, cfg)
-    else:
-        report = weighted_basis_pursuit(instance, w, None, cfg)
-    rows = [_row(0, w, 0.0, report, x_star)]
-    return _finish("l1", instance, w, None, 0, report.x, 0.0, rows, "budget")
+    solve = _constrained if instance.eta is not None and instance.eta > 0 else _bp
+    return _drive("l1", instance, replace(cfg, rw_iter=0), solve, None)
 
 
 ALGORITHMS = {
@@ -300,37 +268,38 @@ def run_algorithm(name: str, instance: ProblemInstance, cfg: SolverConfig = _DEF
     return fn(instance, cfg)
 
 
-def trace_to_csv(traces, path) -> None:
-    """Write outer-iteration rows as ``algo,seed,k,alpha,obj,l0,linf_err``."""
+def _write_rows(traces, path, header, cells) -> None:
     if isinstance(traces, RwTrace):
         traces = [traces]
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
-        writer.writerow(["algo", "seed", "k", "alpha", "obj", "l0", "linf_err"])
-        for tr in traces:
-            for row in tr.rows:
-                writer.writerow(
-                    [
-                        tr.algo,
-                        tr.seed,
-                        row.k,
-                        repr(row.alpha),
-                        repr(row.objective),
-                        row.l0,
-                        repr(row.linf_err),
-                    ]
-                )
+        writer.writerow(header)
+        writer.writerows(cells(tr, row) for tr in traces for row in tr.rows)
+
+
+def trace_to_csv(traces, path) -> None:
+    """Write outer-iteration rows as ``algo,seed,k,alpha,obj,l0,linf_err``."""
+    _write_rows(
+        traces,
+        path,
+        ["algo", "seed", "k", "alpha", "obj", "l0", "linf_err"],
+        lambda tr, row: [
+            tr.algo,
+            tr.seed,
+            row.k,
+            repr(row.alpha),
+            repr(row.objective),
+            row.l0,
+            repr(row.linf_err),
+        ],
+    )
 
 
 def inner_trace_to_csv(traces, path) -> None:
     """Write the inner-solve reports as ``k,inner_iters,objective,residual``."""
-    if isinstance(traces, RwTrace):
-        traces = [traces]
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["k", "inner_iters", "objective", "residual"])
-        for tr in traces:
-            for row in tr.rows:
-                writer.writerow(
-                    [row.k, row.inner_iterations, repr(row.objective), repr(row.residual)]
-                )
+    _write_rows(
+        traces,
+        path,
+        ["k", "inner_iters", "objective", "residual"],
+        lambda tr, row: [row.k, row.inner_iterations, repr(row.objective), repr(row.residual)],
+    )

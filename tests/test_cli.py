@@ -69,6 +69,12 @@ class TestSolve:
     def test_unknown_algo_exit_1(self, small_instance):
         assert main(["solve", "--algo", "magic", "--instance", str(small_instance)]) == 1
 
+    def test_zero_observation_noisy_exit_1(self, tmp_path):
+        # rw-lasso cannot start its multiplier at b = 0: unusable instance
+        phi = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        ProblemInstance(phi=phi, b=np.zeros(2), eta=0.1).save(tmp_path / "zero.json")
+        assert main(["solve", "--algo", "rw-lasso", "--instance", str(tmp_path / "zero.json")]) == 1
+
     def test_solver_failure_exit_2(self, tmp_path):
         # duplicated rows make phi phi^T singular: factorization fails
         phi = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])

@@ -1,8 +1,10 @@
 import csv
+import inspect
 
 import numpy as np
 import pytest
 
+import rwsparse.reweight as reweight
 from rwsparse.duality import polyak_step_nonoracle, project_nonneg, subgradient_nonoracle
 from rwsparse.model import (
     ConfigurationError,
@@ -13,6 +15,7 @@ from rwsparse.model import (
 )
 from rwsparse.probgen import EnsembleSpec, gen_noiseless, gen_noisy
 from rwsparse.reweight import (
+    ALGORITHMS,
     cwb_rw_l1,
     cwb_rw_l1_noisy,
     inner_trace_to_csv,
@@ -36,11 +39,13 @@ def _exact_instance():
 
 
 class TestOracleAlgorithm:
-    def test_zero_budget_is_plain_l1(self):
+    @pytest.mark.parametrize("algo", ["l1", "oracle", "rw-sub", "rw-cwb"])
+    def test_zero_budget_is_plain_l1(self, algo):
+        # every noiseless algorithm starts from the same unit-weight solve
         inst = gen_noiseless(EnsembleSpec(n=24, m=12, s=3, seed=0))
-        x, trace = rw_l1_oracle(inst, SolverConfig(rw_iter=0))
+        x, trace = run_algorithm(algo, inst, SolverConfig(rw_iter=0))
         plain = weighted_basis_pursuit(inst, np.ones(24), None, CFG)
-        assert np.allclose(x, plain.x, atol=1e-10)
+        assert np.array_equal(x, plain.x)
         assert len(trace.rows) == 1
         assert trace.final_state.k == 0
 
@@ -79,7 +84,7 @@ class TestSubgradientAlgorithm:
         inst = gen_noiseless(EnsembleSpec(n=24, m=12, s=3, seed=1))
         x, trace = rw_l1_subgradient(inst, SolverConfig(rw_iter=0))
         plain = weighted_basis_pursuit(inst, np.ones(24), None, CFG)
-        assert np.allclose(x, plain.x, atol=1e-10)
+        assert np.array_equal(x, plain.x)
 
     def test_eps_invariance_of_final_iterate(self):
         for seed in (0, 3):
@@ -175,6 +180,14 @@ class TestRwLasso:
         with pytest.raises(ConfigurationError):
             rw_lasso_subgradient(inst, CFG)
 
+    @pytest.mark.parametrize("eta", [0.0, 0.1])
+    def test_zero_observation_rejected(self, eta):
+        # b = 0 makes the minimum-l2 solution z zero, so n / ||z||_1 has no value
+        phi = np.array([[1.0, 1.0, 0.0], [0.0, 1.0, 1.0]])
+        inst = ProblemInstance(phi=phi, b=np.zeros(2), eta=eta)
+        with pytest.raises(ConfigurationError, match="b != 0"):
+            rw_lasso_subgradient(inst, CFG)
+
     def test_residual_decreases_on_zero_budget_embedding(self):
         # noiseless system declared noisy with a zero budget: the data-fit
         # multiplier ascends and the residual shrinks across iterations
@@ -206,7 +219,7 @@ class TestCwbNoisy:
         inst = gen_noisy(EnsembleSpec(n=24, m=12, s=3, sigma=0.02, seed=5))
         x, _ = cwb_rw_l1_noisy(inst, SolverConfig(rw_iter=0))
         base = constrained_weighted_l1(inst, np.ones(24), inst.eta, CFG)
-        assert np.allclose(x, base.x, atol=1e-10)
+        assert np.array_equal(x, base.x)
 
     def test_huge_budget_keeps_zero(self):
         phi = np.array([[1.0, 1.0, 0.0]])
@@ -231,7 +244,7 @@ class TestRegistryAndTraces:
         noisy = gen_noisy(EnsembleSpec(n=24, m=12, s=3, sigma=0.02, seed=7))
         x, trace = l1_baseline(noisy, CFG)
         base = constrained_weighted_l1(noisy, np.ones(24), noisy.eta, CFG)
-        assert np.allclose(x, base.x, atol=1e-10)
+        assert np.array_equal(x, base.x)
         assert trace.algo == "l1"
 
     def test_trace_length_bound(self):
@@ -267,3 +280,69 @@ class TestRegistryAndTraces:
             cold = weighted_basis_pursuit(inst, w_final, None, CFG)
             warm_obj = trace.rows[-1].objective
             assert abs(cold.objective - warm_obj) <= 10 * CFG.inner_tol * (1 + abs(warm_obj))
+
+
+def _same(a, b):
+    """Exact equality, with NaN equal to NaN."""
+    return a == b or (a != a and b != b)
+
+
+@pytest.fixture()
+def inner_solves(monkeypatch):
+    """Log (w, lam, x) of every inner solve an outer run makes, through the
+    module globals the outer loop calls the solvers by."""
+    log = []
+
+    def logged(fn):
+        sig = inspect.signature(fn)
+
+        def solve(*args, **kwargs):
+            report = fn(*args, **kwargs)
+            bound = sig.bind(*args, **kwargs).arguments
+            log.append((np.array(bound["w"]), bound.get("lam"), report.x))
+            return report
+
+        return solve
+
+    for name in ("weighted_basis_pursuit", "weighted_lasso_fista", "constrained_weighted_l1"):
+        monkeypatch.setattr(reweight, name, logged(getattr(reweight, name)))
+    return log
+
+
+_PREFIX_INSTANCES = {
+    "noiseless": lambda: gen_noiseless(EnsembleSpec(n=32, m=16, s=5, seed=11)),
+    "noisy": lambda: gen_noisy(EnsembleSpec(n=32, m=16, s=4, sigma=0.05, seed=11)),
+    "exact": _exact_instance,  # oracle: zero subgradient at k = 1
+    "zero-b": lambda: ProblemInstance(phi=np.array([[1.0, 1.0, 0.0]]), b=np.array([0.0])),
+}
+
+
+class TestBudgetPrefixes:
+    @pytest.mark.parametrize(
+        "algo,kind",
+        [(algo, "noiseless") for algo in ("l1", "oracle", "rw-sub", "rw-cwb")]
+        + [(algo, "noisy") for algo in sorted(ALGORITHMS)]
+        + [("oracle", "exact"), ("rw-sub", "zero-b")],
+    )
+    def test_smaller_budget_is_prefix_of_largest(self, algo, kind, inner_solves):
+        # a run at budget r makes exactly the first solves of the run at
+        # budget 3: same rows, iterate, weights, multiplier and solve count
+        inst = _PREFIX_INSTANCES[kind]()
+        _, full = run_algorithm(algo, inst, SolverConfig(rw_iter=3))
+        states = list(inner_solves)
+        assert len(states) == len(full.rows)
+        for r in range(3):
+            inner_solves.clear()
+            x, trace = run_algorithm(algo, inst, SolverConfig(rw_iter=r))
+            n_rows = min(r + 1, len(full.rows))
+            assert len(trace.rows) == len(inner_solves) == n_rows
+            for row, ref in zip(trace.rows, full.rows):
+                assert all(_same(a, b) for a, b in zip(vars(row).values(), vars(ref).values()))
+            w, lam, x_r = states[n_rows - 1]
+            state = trace.final_state
+            assert np.array_equal(x, x_r) and np.array_equal(state.x_k, x_r)
+            assert np.array_equal(state.w.w, w)
+            assert np.array_equal(state.lam, lam)
+            assert state.k == n_rows - 1
+            assert _same(state.alpha_k, trace.rows[-1].alpha)
+            assert trace.exit_reason == (full.exit_reason if r >= len(full.rows) else "budget")
