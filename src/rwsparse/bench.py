@@ -5,12 +5,16 @@ Trials are independent work items; seeds are paired across algorithms
 (seed = base_seed + trial index), so every algorithm sees the identical
 instance and per-seed comparisons are meaningful. Workers > 1 dispatches
 trials to a process pool; results are re-ordered by trial index before
-aggregation, so the output is identical to a serial run.
+aggregation, so the output is identical to a serial run. Serial and pooled
+trials both run with one BLAS thread: the thread count then cannot change
+the bits, and pool workers do not contend for the cores with BLAS threads.
 """
 
 from __future__ import annotations
 
 import csv
+import ctypes
+import itertools
 import logging
 import math
 from concurrent.futures import ProcessPoolExecutor
@@ -104,11 +108,46 @@ def _recovery_trial(args):
     return digest, outcomes, errors
 
 
+def _blas_thread_controls():
+    """(get, set) thread-count functions of each OpenBLAS loaded in this
+    process; numpy and scipy wheels each bundle their own copy."""
+    try:
+        with open("/proc/self/maps") as maps:
+            paths = sorted(
+                {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line.lower()}
+            )
+    except OSError:  # no /proc: BLAS threading is left as it is
+        return []
+    controls = []
+    for path in paths:
+        lib = ctypes.CDLL(path)
+        for stem, suffix in itertools.product(("openblas", "scipy_openblas"), ("", "64_")):
+            get = getattr(lib, f"{stem}_get_num_threads{suffix}", None)
+            set_ = getattr(lib, f"{stem}_set_num_threads{suffix}", None)
+            if get is not None and set_ is not None:
+                controls.append((get, set_))
+                break
+    return controls
+
+
+def _single_blas_thread():
+    for _, set_threads in _blas_thread_controls():
+        set_threads(1)
+
+
 def _map_ordered(fn, items, workers: int):
-    if workers <= 1:
-        return [fn(item) for item in items]
-    with ProcessPoolExecutor(max_workers=workers) as pool:
-        return list(pool.map(fn, items))
+    controls = _blas_thread_controls()
+    previous = [get() for get, _ in controls]
+    for _, set_threads in controls:
+        set_threads(1)
+    try:
+        if workers <= 1:
+            return [fn(item) for item in items]
+        with ProcessPoolExecutor(max_workers=workers, initializer=_single_blas_thread) as pool:
+            return list(pool.map(fn, items))
+    finally:
+        for (_, set_threads), count in zip(controls, previous):
+            set_threads(count)
 
 
 def run_recovery_sweep(

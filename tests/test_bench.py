@@ -24,6 +24,11 @@ TINY = SweepConfig(
     m=16,
 )
 
+
+def _blas_threads(_item=None):
+    return [get() for get, _ in bench._blas_thread_controls()]
+
+
 NOISY_TINY = SweepConfig(
     algorithms=("rw-lasso", "cwb-noisy"),
     s_values=(4,),
@@ -67,6 +72,12 @@ class TestRecoverySweep:
 
         parallel = dataclasses.replace(TINY, parallelism=2)
         assert run_recovery_sweep(TINY) == run_recovery_sweep(parallel)
+
+    @pytest.mark.parametrize("workers", [1, 2])
+    def test_trials_run_with_one_blas_thread(self, workers):
+        before = _blas_threads()
+        assert bench._map_ordered(_blas_threads, range(3), workers) == [[1] * len(before)] * 3
+        assert _blas_threads() == before
 
     def test_single_trial_rate_binary(self):
         import dataclasses
