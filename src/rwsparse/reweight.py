@@ -10,12 +10,21 @@ zero-target stepsize and a nonnegative projection (oracle, non-oracle, or
 jointly in the weights and the data-fit multiplier), or the classical
 inverse-magnitude baseline w_i = 1 / (|x_i| + eps). Plain l1 is the loop
 at budget zero. An update rule ends a run early by raising the
-``ZeroSubgradientError`` or ``ZeroIterateError`` of :mod:`rwsparse.duality`.
+``ZeroSubgradientError`` or ``ZeroIterateError`` of :mod:`rwsparse.duality`,
+or, for the oracle ascent, on a zero stepsize, which leaves the weights
+where they are.
+
+The unit-weight start depends only on the instance, the re-solve rule, the
+starting multiplier and the inner solver settings, so it is solved once per
+instance and shared: on one noiseless instance, plain l1, both dual ascents
+and the inverse-magnitude baseline make one start solve between them. Each
+run gets its own copy of the iterate.
 """
 
 from __future__ import annotations
 
 import csv
+import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -128,11 +137,18 @@ def _constrained(instance, w, lam, warm, cfg):
     return constrained_weighted_l1(instance, w, instance.eta, cfg)
 
 
+class _ZeroStepError(ArithmeticError):
+    """The stepsize is zero, so the weights cannot move and a re-solve
+    would repeat the last one."""
+
+
 # Update rules (k, w, lam, x, instance, cfg) -> (alpha, w, lam), x solved at (w, lam).
 
 
 def _oracle_ascent(k, w, lam, x, instance, cfg):
     step = polyak_step_oracle(w, x, instance.x_star)
+    if step.alpha == 0.0:
+        raise _ZeroStepError("zero-target stepsize is zero")
     g = subgradient_oracle(x, instance.x_star)
     return step.alpha, project_nonneg(w + step.alpha * g).w, lam
 
@@ -160,11 +176,33 @@ def _inverse_magnitude(k, w, lam, x, instance, cfg):
     return float("nan"), 1.0 / (np.abs(x) + eps), lam
 
 
+_EARLY_EXITS = {
+    ZeroSubgradientError: "zero_subgradient",
+    ZeroIterateError: "zero_iterate",
+    _ZeroStepError: "zero_step",
+}
+
+# {instance: {(re-solve rule, lam, inner settings): report}} of unit-weight solves
+_STARTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _start(instance, cfg, solve, lam):
+    """The unit-weight solve a run begins with, made once per instance and
+    key; each caller gets its own copy of the iterate. The key drops the
+    settings only update rules read (which may be unhashable callables)."""
+    starts = _STARTS.setdefault(instance, {})
+    key = (solve, lam, replace(cfg, rw_iter=0, eps_k=None, alpha_schedule=None))
+    report = starts.get(key)
+    if report is None:
+        report = starts[key] = solve(instance, np.ones(instance.n), lam, None, cfg)
+    return replace(report, x=report.x.copy())
+
+
 def _drive(algo, instance, cfg, solve, update, lam=None, alpha=0.0):
     """The outer loop shared by every algorithm. ``alpha`` is the stepsize
     reported before the first update (NaN for rules that take no step)."""
     w = np.ones(instance.n)
-    report = solve(instance, w, lam, None, cfg)
+    report = _start(instance, cfg, solve, lam)
     x = report.x
     rows = [_row(0, w, alpha, report, instance.x_star)]
     reason = "budget"
@@ -172,9 +210,9 @@ def _drive(algo, instance, cfg, solve, update, lam=None, alpha=0.0):
     for k in range(1, cfg.rw_iter + 1):
         try:
             alpha, w, lam = update(k, w, lam, x, instance, cfg)
-        except (ZeroSubgradientError, ZeroIterateError) as stop:
+        except tuple(_EARLY_EXITS) as stop:
             k -= 1
-            reason = "zero_iterate" if isinstance(stop, ZeroIterateError) else "zero_subgradient"
+            reason = _EARLY_EXITS[type(stop)]
             break
         report = solve(instance, w, lam, x, cfg)
         x = report.x
@@ -189,7 +227,9 @@ def rw_l1_oracle(instance: ProblemInstance, cfg: SolverConfig = _DEFAULT_CFG):
     Each iteration takes the supergradient g_i = |x_i| - |x*_i| at the
     current weights, a zero-target stepsize, a nonnegative projection, and
     a warm-restarted weighted basis pursuit re-solve. Stops early when the
-    supergradient vanishes (the iterate magnitudes match the target).
+    supergradient vanishes (the iterate magnitudes match the target), or
+    when the stepsize is zero (``"zero_step"``: clamped at zero, the
+    weights would not move and the re-solve would repeat the last one).
     """
     if instance.x_star is None:
         raise OracleRequiredError("oracle reweighting requires instance.x_star")

@@ -12,10 +12,13 @@ affine projection with a coordinate-wise weighted shrinkage; the LASSO
 solver is an accelerated proximal gradient method with adaptive restart.
 Both periodically attempt a support polish: solve exactly on the current
 support and accept only when the full optimality conditions certify the
-candidate. The constrained problem is reduced to LASSO solves by bisection
+candidate. The basis pursuit polish depends only on the weights and the
+support, so within one solve the support it last rejected is not tried
+again. The constrained problem is reduced to LASSO solves by bisection
 on the data-fit multiplier. Cholesky factors of phi phi^T, the squared
 spectral norm and the minimum-norm solution are computed once per problem
-instance and cached.
+instance and cached; a phi whose Gram matrix has no Cholesky factor is
+rejected with ``RankDeficientError``.
 """
 
 from __future__ import annotations
@@ -26,11 +29,12 @@ from dataclasses import dataclass
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve
 
-from .model import ProblemInstance, SolverConfig, as_weight_array
+from .model import ConfigurationError, ProblemInstance, SolverConfig, as_weight_array
 
 __all__ = [
     "InnerSolveReport",
     "NoConvergenceError",
+    "RankDeficientError",
     "soft_threshold",
     "spectral_norm_sq",
     "min_l2_solution",
@@ -50,6 +54,12 @@ _RELAX = 1.8
 
 class NoConvergenceError(RuntimeError):
     """An iterative solve failed to reach its stopping criterion."""
+
+
+class RankDeficientError(ConfigurationError, np.linalg.LinAlgError):
+    """phi does not have full row rank, so phi phi^T has no Cholesky factor
+    for the affine projection and the minimum-norm solution. It is also a
+    ``LinAlgError``, the error this case raised before it was typed."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -110,10 +120,17 @@ _MIN_L2: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _gram_cholesky(instance: ProblemInstance):
-    """Cached Cholesky factor of phi phi^T (raises LinAlgError if singular)."""
+    """Cached Cholesky factor of phi phi^T (raises RankDeficientError when
+    the factorization breaks down)."""
     chol = _GRAM_CHOL.get(instance)
     if chol is None:
-        chol = cho_factor(instance.phi @ instance.phi.T)
+        try:
+            chol = cho_factor(instance.phi @ instance.phi.T)
+        except np.linalg.LinAlgError as exc:
+            raise RankDeficientError(
+                f"phi ({instance.m}x{instance.n}) is rank deficient: the Cholesky factorization "
+                f"of phi phi^T failed ({exc})"
+            ) from None
         _GRAM_CHOL[instance] = chol
     return chol
 
@@ -216,6 +233,9 @@ def weighted_basis_pursuit(
 
     z = np.zeros(instance.n) if warm is None else np.asarray(warm, dtype=float).copy()
     u = np.zeros(instance.n)
+    # the polish is a pure function of (w, support), so the support it last
+    # rejected is not retried (an empty support never polishes)
+    rejected = np.empty(0, dtype=np.intp)
     residual = np.inf
     converged = False
     it = 0
@@ -225,12 +245,15 @@ def weighted_basis_pursuit(
         z = soft_threshold(xr + u, thresh)
         u = u + xr - z
         if it == 1 or it % _POLISH_EVERY == 0:
-            polished = _bp_polish(instance, w, np.flatnonzero(z), cfg.inner_tol)
-            if polished is not None:
-                z = polished
-                residual = np.linalg.norm(instance.phi @ z - b) / (1.0 + norm_b)
-                converged = True
-                break
+            support = np.flatnonzero(z)
+            if not np.array_equal(support, rejected):
+                polished = _bp_polish(instance, w, support, cfg.inner_tol)
+                if polished is not None:
+                    z = polished
+                    residual = np.linalg.norm(instance.phi @ z - b) / (1.0 + norm_b)
+                    converged = True
+                    break
+                rejected = support
         affine_rel = np.linalg.norm(instance.phi @ z - b) / (1.0 + norm_b)
         consensus_rel = np.linalg.norm(x - z) / (1.0 + np.linalg.norm(z))
         residual = max(affine_rel, consensus_rel)

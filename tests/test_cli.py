@@ -6,9 +6,11 @@ import sys
 import numpy as np
 import pytest
 
+import rwsparse.cli as cli
 from rwsparse.cli import main
 from rwsparse.model import ProblemInstance
 from rwsparse.probgen import EnsembleSpec, gen_noiseless
+from rwsparse.solvers import NoConvergenceError
 
 
 @pytest.fixture()
@@ -75,11 +77,18 @@ class TestSolve:
         ProblemInstance(phi=phi, b=np.zeros(2), eta=0.1).save(tmp_path / "zero.json")
         assert main(["solve", "--algo", "rw-lasso", "--instance", str(tmp_path / "zero.json")]) == 1
 
-    def test_solver_failure_exit_2(self, tmp_path):
-        # duplicated rows make phi phi^T singular: factorization fails
+    def test_rank_deficient_exit_1(self, tmp_path):
+        # duplicated rows make phi phi^T singular: unusable instance
         phi = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         ProblemInstance(phi=phi, b=np.array([1.0, 1.0])).save(tmp_path / "bad.json")
-        assert main(["solve", "--algo", "l1", "--instance", str(tmp_path / "bad.json")]) == 2
+        assert main(["solve", "--algo", "l1", "--instance", str(tmp_path / "bad.json")]) == 1
+
+    def test_solver_failure_exit_2(self, small_instance, monkeypatch):
+        def no_convergence(*args, **kwargs):
+            raise NoConvergenceError("no multiplier bracket found")
+
+        monkeypatch.setattr(cli, "run_algorithm", no_convergence)
+        assert main(["solve", "--algo", "l1", "--instance", str(small_instance)]) == 2
 
 
 class TestSweep:

@@ -5,7 +5,13 @@ import numpy as np
 import pytest
 
 import rwsparse.reweight as reweight
-from rwsparse.duality import polyak_step_nonoracle, project_nonneg, subgradient_nonoracle
+import rwsparse.solvers as solvers
+from rwsparse.duality import (
+    polyak_step_nonoracle,
+    polyak_step_oracle,
+    project_nonneg,
+    subgradient_nonoracle,
+)
 from rwsparse.model import (
     ConfigurationError,
     OracleRequiredError,
@@ -26,7 +32,7 @@ from rwsparse.reweight import (
     rw_lasso_subgradient,
     trace_to_csv,
 )
-from rwsparse.solvers import constrained_weighted_l1, weighted_basis_pursuit
+from rwsparse.solvers import RankDeficientError, constrained_weighted_l1, weighted_basis_pursuit
 
 CFG = SolverConfig()
 
@@ -59,6 +65,18 @@ class TestOracleAlgorithm:
         inst = ProblemInstance(phi=np.array([[1.0, 1.0]]), b=np.array([1.0]))
         with pytest.raises(OracleRequiredError):
             rw_l1_oracle(inst, CFG)
+
+    def test_zero_step_ends_run(self, inner_solves):
+        # the zero-target step clamps to zero at k = 2: the weights cannot
+        # move, so the run stops instead of re-solving the same problem
+        inst = gen_noiseless(EnsembleSpec(n=64, m=32, s=10, seed=1))
+        x, trace = rw_l1_oracle(inst, SolverConfig(rw_iter=3))
+        assert trace.exit_reason == "zero_step"
+        assert len(trace.rows) == len(inner_solves) == 2
+        assert all(row.alpha > 0.0 for row in trace.rows[1:])
+        state = trace.final_state
+        assert state.k == 1 and np.array_equal(state.x_k, x)
+        assert polyak_step_oracle(state.w.w, x, inst.x_star).alpha == 0.0
 
     def test_small_ensemble_recovery(self):
         # the zero-target step often lands exactly on the dual optimal set
@@ -314,6 +332,7 @@ _PREFIX_INSTANCES = {
     "noisy": lambda: gen_noisy(EnsembleSpec(n=32, m=16, s=4, sigma=0.05, seed=11)),
     "exact": _exact_instance,  # oracle: zero subgradient at k = 1
     "zero-b": lambda: ProblemInstance(phi=np.array([[1.0, 1.0, 0.0]]), b=np.array([0.0])),
+    "zero-step": lambda: gen_noiseless(EnsembleSpec(n=64, m=32, s=10, seed=1)),  # oracle at k = 2
 }
 
 
@@ -322,18 +341,19 @@ class TestBudgetPrefixes:
         "algo,kind",
         [(algo, "noiseless") for algo in ("l1", "oracle", "rw-sub", "rw-cwb")]
         + [(algo, "noisy") for algo in sorted(ALGORITHMS)]
-        + [("oracle", "exact"), ("rw-sub", "zero-b")],
+        + [("oracle", "exact"), ("rw-sub", "zero-b"), ("oracle", "zero-step")],
     )
     def test_smaller_budget_is_prefix_of_largest(self, algo, kind, inner_solves):
         # a run at budget r makes exactly the first solves of the run at
         # budget 3: same rows, iterate, weights, multiplier and solve count
-        inst = _PREFIX_INSTANCES[kind]()
-        _, full = run_algorithm(algo, inst, SolverConfig(rw_iter=3))
+        # (each run gets a fresh copy of the instance, so that none of them
+        # reuses another's unit-weight start)
+        _, full = run_algorithm(algo, _PREFIX_INSTANCES[kind](), SolverConfig(rw_iter=3))
         states = list(inner_solves)
         assert len(states) == len(full.rows)
         for r in range(3):
             inner_solves.clear()
-            x, trace = run_algorithm(algo, inst, SolverConfig(rw_iter=r))
+            x, trace = run_algorithm(algo, _PREFIX_INSTANCES[kind](), SolverConfig(rw_iter=r))
             n_rows = min(r + 1, len(full.rows))
             assert len(trace.rows) == len(inner_solves) == n_rows
             for row, ref in zip(trace.rows, full.rows):
@@ -346,3 +366,103 @@ class TestBudgetPrefixes:
             assert state.k == n_rows - 1
             assert _same(state.alpha_k, trace.rows[-1].alpha)
             assert trace.exit_reason == (full.exit_reason if r >= len(full.rows) else "budget")
+
+
+def _small_instance():
+    return gen_noiseless(EnsembleSpec(n=64, m=32, s=10, seed=0))
+
+
+def _assert_same_run(a, b):
+    (x_a, tr_a), (x_b, tr_b) = a, b
+    assert np.array_equal(x_a, x_b)
+    assert tr_a.exit_reason == tr_b.exit_reason and len(tr_a.rows) == len(tr_b.rows)
+    for row, ref in zip(tr_a.rows, tr_b.rows):
+        assert all(_same(u, v) for u, v in zip(vars(row).values(), vars(ref).values()))
+    assert np.array_equal(tr_a.final_state.w.w, tr_b.final_state.w.w)
+
+
+_FIG1_RUNS = (("l1", 0), ("rw-sub", 2), ("rw-cwb", 2))
+
+
+@pytest.fixture()
+def bp_calls(monkeypatch):
+    """Arguments of every basis pursuit solve the outer loop makes."""
+    calls = []
+    bp = reweight.weighted_basis_pursuit
+
+    def counted(*args, **kwargs):
+        calls.append(args)
+        return bp(*args, **kwargs)
+
+    monkeypatch.setattr(reweight, "weighted_basis_pursuit", counted)
+    return calls
+
+
+class TestSharedStart:
+    def test_one_start_solve_per_instance(self, bp_calls):
+        # l1, rw-sub and rw-cwb on one instance share the unit-weight solve:
+        # 1 + 2 + 2 solves instead of 1 + 3 + 3, with unchanged results
+        inst = _small_instance()
+        shared = [run_algorithm(a, inst, SolverConfig(rw_iter=r)) for a, r in _FIG1_RUNS]
+        assert len(bp_calls) == 5
+        for (algo, r), run in zip(_FIG1_RUNS, shared):
+            _assert_same_run(run, run_algorithm(algo, _small_instance(), SolverConfig(rw_iter=r)))
+
+    def test_outer_loop_settings_do_not_split_the_start(self, bp_calls):
+        # eps schedules only steer the updates; an unhashable one is fine
+        class Schedule:
+            __hash__ = None
+
+            def __call__(self, k):
+                return 0.5
+
+        inst = _small_instance()
+        for eps_k in (None, 7.0, Schedule()):
+            run_algorithm("rw-cwb", inst, SolverConfig(rw_iter=1, eps_k=eps_k))
+        assert len(bp_calls) == 1 + 3  # the shared start and one re-solve per run
+
+    def test_callers_cannot_change_the_shared_start(self):
+        inst = _small_instance()
+        x, trace = l1_baseline(inst, CFG)
+        x += 1.0
+        trace.final_state.x_k[:] = -1.0
+        _assert_same_run(
+            rw_l1_subgradient(inst, SolverConfig(rw_iter=2)),
+            rw_l1_subgradient(_small_instance(), SolverConfig(rw_iter=2)),
+        )
+
+    def test_rejected_support_is_not_polished_again(self, bp_calls, monkeypatch):
+        # the polish is a pure function of (w, support): within one solve,
+        # no attempt repeats the support of the attempt just rejected
+        attempts = []  # (solve number, support, rejected)
+        polish = solvers._bp_polish
+
+        def recorded(instance, w, support, tol):
+            out = polish(instance, w, support, tol)
+            attempts.append((len(bp_calls), support.copy(), out is None))
+            return out
+
+        monkeypatch.setattr(solvers, "_bp_polish", recorded)
+        run_algorithm("rw-cwb", gen_noiseless(EnsembleSpec(n=256, m=100, s=40, seed=0)),
+                      SolverConfig(rw_iter=2))
+        pairs = [(a, b) for a, b in zip(attempts, attempts[1:]) if a[0] == b[0]]
+        assert sum(a[2] for a, _ in pairs) >= 10
+        assert not any(a[2] and np.array_equal(a[1], b[1]) for a, b in pairs)
+
+
+def _duplicated_row_instance():
+    """A consistent 10x30 system whose last row repeats the first."""
+    rng = np.random.default_rng(0)
+    phi = rng.standard_normal((10, 30))
+    phi[9] = phi[0]
+    x = np.zeros(30)
+    x[[2, 11, 25]] = [1.0, -2.0, 0.5]
+    return ProblemInstance(phi=phi, b=phi @ x, x_star=x)
+
+
+class TestRankDeficientPhi:
+    @pytest.mark.parametrize("algo", ["l1", "rw-sub"])
+    def test_typed_configuration_error(self, algo):
+        with pytest.raises(RankDeficientError, match="rank deficient") as info:
+            run_algorithm(algo, _duplicated_row_instance(), SolverConfig(rw_iter=2))
+        assert isinstance(info.value, ConfigurationError)

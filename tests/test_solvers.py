@@ -6,9 +6,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from scipy.optimize import linprog, minimize
 
-from rwsparse.model import ProblemInstance, SolverConfig
+from rwsparse.model import ConfigurationError, ProblemInstance, SolverConfig
 from rwsparse.probgen import EnsembleSpec, gen_noiseless
 from rwsparse.solvers import (
+    RankDeficientError,
     constrained_weighted_l1,
     min_l2_solution,
     soft_threshold,
@@ -104,6 +105,16 @@ class TestMinL2Solution:
         inst = ProblemInstance(phi=phi, b=np.array([1.0, 2.0]))
         with pytest.raises(np.linalg.LinAlgError):
             min_l2_solution(inst)
+
+    def test_duplicated_row_is_typed_configuration_error(self):
+        # a consistent 10x30 system whose last row repeats the first
+        rng = np.random.default_rng(0)
+        phi = rng.standard_normal((10, 30))
+        phi[9] = phi[0]
+        inst = ProblemInstance(phi=phi, b=phi @ np.eye(30)[2])
+        with pytest.raises(RankDeficientError, match="rank deficient") as info:
+            min_l2_solution(inst)
+        assert isinstance(info.value, ConfigurationError)
 
 
 class TestWeightedBasisPursuit:
