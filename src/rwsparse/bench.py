@@ -33,7 +33,9 @@ from .model import (
 )
 from .probgen import EnsembleSpec, gen_noiseless, gen_noisy
 from .reweight import ALGORITHMS, run_algorithm
-from .solvers import constrained_weighted_l1
+# not called here; kept importable because tracing harnesses bind their
+# spans to rwsparse.bench.constrained_weighted_l1
+from .solvers import constrained_weighted_l1  # noqa: F401
 
 __all__ = [
     "SweepConfig",
@@ -195,9 +197,9 @@ def _improvement_trial(args):
     )
     pcts = {name: float("nan") for name in algos}
     try:
-        baseline = constrained_weighted_l1(
-            instance, np.ones(instance.n), instance.eta, solver_cfg
-        ).x
+        # the constrained l1 solve at unit weights, which cwb-noisy's
+        # unit-weight start then takes from the shared start cache
+        baseline, _ = run_algorithm("l1", instance, solver_cfg)
     except Exception as exc:
         errors.append(f"l1 baseline failed on seed={seed}: {exc!r}")
         return seed, pcts, errors

@@ -12,13 +12,17 @@ affine projection with a coordinate-wise weighted shrinkage; the LASSO
 solver is an accelerated proximal gradient method with adaptive restart.
 Both periodically attempt a support polish: solve exactly on the current
 support and accept only when the full optimality conditions certify the
-candidate. The basis pursuit polish depends only on the weights and the
-support, so within one solve the support it last rejected is not tried
-again. The constrained problem is reduced to LASSO solves by bisection
-on the data-fit multiplier. Cholesky factors of phi phi^T, the squared
-spectral norm and the minimum-norm solution are computed once per problem
-instance and cached; a phi whose Gram matrix has no Cholesky factor is
-rejected with ``RankDeficientError``.
+candidate. The basis pursuit polish factors the support columns once (QR)
+for both the candidate and its dual certificate, rejects a numerically
+rank-deficient support, and depends only on the weights and the support,
+so within one solve the support it last rejected is not tried again. The
+constrained problem is reduced to LASSO solves by bisection on the
+data-fit multiplier. Cholesky factors of phi phi^T, the squared spectral
+norm and the minimum-norm solution are computed once per problem instance
+and cached; a basis pursuit solve fetches the factor once and applies it
+with LAPACK ``potrs`` at every iteration. A phi whose Gram matrix has no
+Cholesky factor, or only one with a rounding-level pivot, is rejected
+with ``RankDeficientError``.
 """
 
 from __future__ import annotations
@@ -27,7 +31,8 @@ import weakref
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
+from scipy.linalg.lapack import dpotrs
 
 from .model import ConfigurationError, ProblemInstance, SolverConfig, as_weight_array
 
@@ -50,6 +55,11 @@ _CERT_TOL = 1e-9
 _POLISH_EVERY = 10
 # over-relaxation factor of the splitting iteration
 _RELAX = 1.8
+# smallest accepted min/max ratio of the Gram Cholesky pivots diag(L); the
+# ratio is at least 1 / cond(phi), so a phi is rejected only if its
+# condition number is at least 1e6, while a duplicated row leaves a ratio
+# at rounding level (about 2e-8 and below)
+_GRAM_PIVOT_RATIO = 1e-6
 
 
 class NoConvergenceError(RuntimeError):
@@ -57,8 +67,10 @@ class NoConvergenceError(RuntimeError):
 
 
 class RankDeficientError(ConfigurationError, np.linalg.LinAlgError):
-    """phi does not have full row rank, so phi phi^T has no Cholesky factor
-    for the affine projection and the minimum-norm solution. It is also a
+    """phi does not have full row rank, numerically: phi phi^T has no
+    Cholesky factor, or one with a pivot ratio min/max diag(L) of at most
+    ``_GRAM_PIVOT_RATIO``, so the affine projection and the minimum-norm
+    solution are undefined or dominated by rounding. It is also a
     ``LinAlgError``, the error this case raised before it was typed."""
 
 
@@ -120,8 +132,9 @@ _MIN_L2: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _gram_cholesky(instance: ProblemInstance):
-    """Cached Cholesky factor of phi phi^T (raises RankDeficientError when
-    the factorization breaks down)."""
+    """Cached Cholesky factor ``(L, lower)`` of phi phi^T (raises
+    RankDeficientError when the factorization breaks down or its pivot
+    ratio is at most ``_GRAM_PIVOT_RATIO``)."""
     chol = _GRAM_CHOL.get(instance)
     if chol is None:
         try:
@@ -131,6 +144,13 @@ def _gram_cholesky(instance: ProblemInstance):
                 f"phi ({instance.m}x{instance.n}) is rank deficient: the Cholesky factorization "
                 f"of phi phi^T failed ({exc})"
             ) from None
+        pivots = np.abs(np.diag(chol[0]))
+        ratio = float(pivots.min() / pivots.max())
+        if ratio <= _GRAM_PIVOT_RATIO:
+            raise RankDeficientError(
+                f"phi ({instance.m}x{instance.n}) is rank deficient: the Cholesky factor of "
+                f"phi phi^T has pivot ratio {ratio:.3e} <= {_GRAM_PIVOT_RATIO:.0e}"
+            )
         _GRAM_CHOL[instance] = chol
     return chol
 
@@ -160,35 +180,44 @@ def min_l2_solution(instance: ProblemInstance) -> np.ndarray:
     return z.copy()
 
 
-def _affine_project(instance: ProblemInstance, v: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of v onto {x : phi x = b}."""
-    phi = instance.phi
-    return v - phi.T @ cho_solve(_gram_cholesky(instance), phi @ v - instance.b)
+def _affine_project(phi, b, chol, v: np.ndarray) -> np.ndarray:
+    """Orthogonal projection of v onto {x : phi x = b}, given the Cholesky
+    factor ``chol = (L, lower)`` of phi phi^T. Calls LAPACK ``potrs``
+    directly: the same solve ``cho_solve`` makes, without its argument
+    checks, which cost more than the solve at these sizes."""
+    return v - phi.T @ dpotrs(chol[0], phi @ v - b, lower=chol[1], overwrite_b=True)[0]
 
 
 def _bp_polish(instance, w, support, tol):
     """Exact solve on a candidate support, accepted only with a verified
     dual certificate.
 
-    Solves phi_S x_S = b by least squares, then builds the minimum-norm
-    multiplier nu with (phi^T nu)_S = w_S sign(x_S) and accepts when the
-    correlation phi^T nu matches the subdifferential of the weighted l1
-    norm at x on every coordinate (equality on the support, magnitude at
-    most w_i off it). A certified candidate is the solver-tolerance-exact
-    minimizer.
+    Factors phi_S = QR once (economic QR). The candidate is
+    x_S = R^{-1} Q^T b, and the minimum-norm multiplier with
+    (phi^T nu)_S = w_S sign(x_S) is nu = Q R^{-T} w_S sign(x_S). The
+    candidate is accepted when it solves phi x = b and the correlation
+    phi^T nu matches the subdifferential of the weighted l1 norm at x on
+    every coordinate (equality on the support, magnitude at most w_i off
+    it). A support whose columns are numerically dependent
+    (min |diag R| <= |S| eps max |diag R|) is rejected. A certified
+    candidate is the solver-tolerance-exact minimizer.
     """
     phi, b = instance.phi, instance.b
     m, n = phi.shape
-    if support.size == 0 or support.size > m:
+    k = support.size
+    if k == 0 or k > m:
         return None
-    phi_s = phi[:, support]
-    x_s, *_ = np.linalg.lstsq(phi_s, b, rcond=None)
+    q, r = qr(phi[:, support], mode="economic", overwrite_a=True, check_finite=False)
+    pivots = np.abs(np.diag(r))
+    if pivots.min() <= k * np.finfo(float).eps * pivots.max():
+        return None
+    x_s = solve_triangular(r, q.T @ b, check_finite=False)
     x = np.zeros(n)
     x[support] = x_s
     if np.linalg.norm(phi @ x - b) > tol * (1.0 + np.linalg.norm(b)):
         return None
     target = w[support] * np.sign(x_s)
-    nu, *_ = np.linalg.lstsq(phi_s.T, target, rcond=None)
+    nu = q @ solve_triangular(r, target, trans="T", check_finite=False)
     corr = phi.T @ nu
     slack = _CERT_TOL * (1.0 + float(np.max(w, initial=0.0)))
     if np.max(np.abs(corr[support] - target), initial=0.0) > slack:
@@ -209,8 +238,8 @@ def weighted_basis_pursuit(
     """Minimize sum_i w_i |x_i| subject to phi x = b.
 
     Operator splitting: the feasibility block is an affine projection
-    (cached Cholesky of phi phi^T), the sparsity block a weighted soft
-    threshold. The problem is scale invariant in both w and b, so the
+    (cached Cholesky of phi phi^T, fetched once per solve), the sparsity
+    block a weighted soft threshold. The problem is scale invariant in both w and b, so the
     penalty is set to cfg.admm_rho * max(w) / ||z||_inf with z the
     minimum-norm solution, which keeps the shrinkage threshold a fixed
     fraction of the solution scale. Every few iterations the current
@@ -221,7 +250,8 @@ def weighted_basis_pursuit(
     iterate, which lets outer reweighting loops restart cheaply.
     """
     w = as_weight_array(w, instance.n)
-    b = instance.b
+    phi, b = instance.phi, instance.b
+    chol = _gram_cholesky(instance)
     norm_b = np.linalg.norm(b)
     wmax = float(np.max(w))
     if wmax > 0.0:
@@ -240,7 +270,7 @@ def weighted_basis_pursuit(
     converged = False
     it = 0
     for it in range(1, cfg.inner_max_iter + 1):
-        x = _affine_project(instance, z - u)
+        x = _affine_project(phi, b, chol, z - u)
         xr = _RELAX * x + (1.0 - _RELAX) * z
         z = soft_threshold(xr + u, thresh)
         u = u + xr - z
@@ -250,11 +280,11 @@ def weighted_basis_pursuit(
                 polished = _bp_polish(instance, w, support, cfg.inner_tol)
                 if polished is not None:
                     z = polished
-                    residual = np.linalg.norm(instance.phi @ z - b) / (1.0 + norm_b)
+                    residual = np.linalg.norm(phi @ z - b) / (1.0 + norm_b)
                     converged = True
                     break
                 rejected = support
-        affine_rel = np.linalg.norm(instance.phi @ z - b) / (1.0 + norm_b)
+        affine_rel = np.linalg.norm(phi @ z - b) / (1.0 + norm_b)
         consensus_rel = np.linalg.norm(x - z) / (1.0 + np.linalg.norm(z))
         residual = max(affine_rel, consensus_rel)
         if residual <= cfg.inner_tol:

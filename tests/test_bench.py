@@ -1,10 +1,12 @@
 import csv
+import dataclasses
 import math
 
 import numpy as np
 import pytest
 
 import rwsparse.bench as bench
+import rwsparse.reweight as reweight
 from rwsparse.bench import (
     SweepConfig,
     emit_csv,
@@ -150,6 +152,23 @@ class TestNoisyImprovement:
         cfg = dataclasses.replace(NOISY_TINY, algorithms=("rw-sub",))
         with pytest.raises(ConfigurationError):
             run_noisy_improvement(cfg, sigma=0.02)
+
+    def test_baseline_is_the_shared_cwb_noisy_start(self, monkeypatch):
+        # the l1 baseline and cwb-noisy's unit-weight start are one
+        # constrained solve: 1 start + 4 re-solves, not 1 + (1 + 4)
+        calls = []
+        for module in (bench, reweight):
+            solve = module.constrained_weighted_l1
+
+            def counted(*args, _solve=solve, **kwargs):
+                calls.append(args)
+                return _solve(*args, **kwargs)
+
+            monkeypatch.setattr(module, "constrained_weighted_l1", counted)
+        cfg = dataclasses.replace(NOISY_TINY, trials=1)
+        res = run_noisy_improvement(cfg, sigma=0.02)
+        assert len(calls) == 1 + SolverConfig().rw_iter
+        assert all(math.isfinite(p) for pcts in res.improvements.values() for p in pcts)
 
     def test_degenerate_baseline_skipped_and_logged(self, monkeypatch, caplog):
         def fake_improvement(x_rw, x_l1, x_star):

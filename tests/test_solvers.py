@@ -4,12 +4,18 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import linprog, minimize
 
 from rwsparse.model import ConfigurationError, ProblemInstance, SolverConfig
 from rwsparse.probgen import EnsembleSpec, gen_noiseless
+from rwsparse.reweight import run_algorithm
 from rwsparse.solvers import (
+    _CERT_TOL,
     RankDeficientError,
+    _affine_project,
+    _bp_polish,
+    _gram_cholesky,
     constrained_weighted_l1,
     min_l2_solution,
     soft_threshold,
@@ -115,6 +121,116 @@ class TestMinL2Solution:
         with pytest.raises(RankDeficientError, match="rank deficient") as info:
             min_l2_solution(inst)
         assert isinstance(info.value, ConfigurationError)
+
+
+class TestGramPivotRatio:
+    def test_duplicated_row_raises_even_when_cholesky_finishes(self):
+        # a duplicated row often leaves cho_factor with a rounding-level
+        # pivot instead of a breakdown; both cases are rank deficient
+        finished = 0
+        for seed in range(2000):
+            rng = np.random.default_rng(seed)
+            phi = rng.standard_normal((10, 30))
+            phi[9] = phi[0]
+            x = np.zeros(30)
+            x[rng.choice(30, 3, replace=False)] = rng.standard_normal(3)
+            try:
+                cho_factor(phi @ phi.T)
+                finished += 1
+            except np.linalg.LinAlgError:
+                pass
+            with pytest.raises(RankDeficientError, match="rank deficient"):
+                run_algorithm("l1", ProblemInstance(phi=phi, b=phi @ x, x_star=x))
+            with pytest.raises(RankDeficientError, match="rank deficient"):
+                min_l2_solution(ProblemInstance(phi=phi, b=phi @ x))
+        assert finished >= 500
+
+
+def lstsq_polish(instance, w, support, tol):
+    """Reference polish: the candidate and the minimum-norm multiplier
+    from two SVD least-squares solves."""
+    phi, b = instance.phi, instance.b
+    m, n = phi.shape
+    if support.size == 0 or support.size > m:
+        return None
+    phi_s = phi[:, support]
+    x_s, *_ = np.linalg.lstsq(phi_s, b, rcond=None)
+    x = np.zeros(n)
+    x[support] = x_s
+    if np.linalg.norm(phi @ x - b) > tol * (1.0 + np.linalg.norm(b)):
+        return None
+    target = w[support] * np.sign(x_s)
+    nu, *_ = np.linalg.lstsq(phi_s.T, target, rcond=None)
+    corr = phi.T @ nu
+    slack = _CERT_TOL * (1.0 + float(np.max(w, initial=0.0)))
+    if np.max(np.abs(corr[support] - target), initial=0.0) > slack:
+        return None
+    off = np.ones(n, dtype=bool)
+    off[support] = False
+    if np.max(np.abs(corr[off]) - w[off], initial=0.0) > slack:
+        return None
+    return x
+
+
+class TestBpPolish:
+    @pytest.mark.parametrize("k", [5, 20, 60, 100])
+    def test_matches_least_squares_reference(self, k):
+        # full-column-rank supports; b in or out of their range, and weights
+        # that make the certificate hold or fail
+        m, n = 100, 256
+        accepted = rejected = 0
+        for seed in range(8):
+            rng = np.random.default_rng(seed)
+            phi = rng.standard_normal((m, n)) / np.sqrt(m)
+            support = np.sort(rng.choice(n, k, replace=False))
+            x0 = np.zeros(n)
+            x0[support] = rng.standard_normal(k)
+            heavy_off = np.full(n, 1e3)
+            heavy_off[support] = 1.0
+            for b, w in (
+                (phi @ x0, heavy_off),
+                (phi @ x0, np.ones(n)),
+                (rng.standard_normal(m), np.ones(n)),
+            ):
+                inst = ProblemInstance(phi=phi, b=b)
+                ref = lstsq_polish(inst, w, support, CFG.inner_tol)
+                got = _bp_polish(inst, w, support, CFG.inner_tol)
+                assert (got is None) == (ref is None)
+                if got is None:
+                    rejected += 1
+                else:
+                    accepted += 1
+                    assert np.max(np.abs(got - ref)) <= 1e-12
+        assert accepted >= 8 and rejected >= 8
+
+    def test_duplicated_column_is_rejected(self):
+        # columns 3 and 5 coincide: least squares certifies the min-norm
+        # split of x_3 between them, the QR polish rejects the support and
+        # the splitting iteration still reaches the optimum
+        rng = np.random.default_rng(0)
+        phi = rng.standard_normal((20, 40))
+        phi[:, 5] = phi[:, 3]
+        x = np.zeros(40)
+        x[[3, 7, 11]] = [1.0, -2.0, 0.5]
+        inst = ProblemInstance(phi=phi, b=phi @ x)
+        support = np.array([3, 5, 7, 11])
+        w = np.full(40, 1e3)
+        w[support] = 1.0
+        assert lstsq_polish(inst, w, support, CFG.inner_tol) is not None
+        assert _bp_polish(inst, w, support, CFG.inner_tol) is None
+        rep = weighted_basis_pursuit(inst, w, None, CFG)
+        assert rep.converged
+        oracle = lp_basis_pursuit(phi, inst.b, w)
+        assert rep.objective == pytest.approx(oracle, rel=1e-6)
+
+    def test_projection_matches_cho_solve(self):
+        inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=30, seed=3))
+        chol = _gram_cholesky(inst)
+        rng = np.random.default_rng(4)
+        for _ in range(5):
+            v = rng.standard_normal(inst.n)
+            ref = v - inst.phi.T @ cho_solve(chol, inst.phi @ v - inst.b)
+            assert np.array_equal(_affine_project(inst.phi, inst.b, chol, v), ref)
 
 
 class TestWeightedBasisPursuit:
