@@ -12,27 +12,26 @@ affine projection with a coordinate-wise weighted shrinkage; the LASSO
 solver is an accelerated proximal gradient method with adaptive restart.
 Both periodically attempt a support polish: solve exactly on the current
 support and accept only when the full optimality conditions certify the
-candidate. The basis pursuit polish factors the support columns once (QR)
-for both the candidate and its dual certificate, rejects a numerically
-rank-deficient support, and depends only on the weights and the support,
-so within one solve the support it last rejected is not tried again. The
-constrained problem is reduced to LASSO solves by bisection on the
-data-fit multiplier. Cholesky factors of phi phi^T, the squared spectral
-norm and the minimum-norm solution are computed once per problem instance
-and cached; a basis pursuit solve fetches the factor once and applies it
-with LAPACK ``potrs`` at every iteration. A phi whose Gram matrix has no
-Cholesky factor, or only one with a rounding-level pivot, is rejected
-with ``RankDeficientError``.
+candidate. The basis pursuit polish ignores rounding-level coordinates,
+factors the support columns once (QR) for both the candidate and its dual
+certificate, rejects a numerically rank-deficient support, and depends
+only on the weights and the support, so within one solve the support it
+last rejected is not tried again. The constrained problem is reduced to
+LASSO solves by bisection on the data-fit multiplier. Each instance has
+one cached operator that builds, on first use, the minimum-norm solution,
+an orthonormal basis of the row space of phi (for the basis pursuit
+projection) and the squared spectral norm. A phi without full row rank,
+numerically, is rejected with ``RankDeficientError``.
 """
 
 from __future__ import annotations
 
 import weakref
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
-from scipy.linalg.lapack import dpotrs
+from scipy.linalg import cho_factor, cho_solve, eigvalsh, qr, solve_triangular
 
 from .model import ConfigurationError, ProblemInstance, SolverConfig, as_weight_array
 
@@ -99,93 +98,89 @@ def soft_threshold(v, t):
 
 
 def spectral_norm_sq(phi) -> float:
-    """Largest eigenvalue of phi^T phi, by power iteration on the smaller
-    Gram matrix from a fixed seeded start vector (relative accuracy 1e-8)."""
+    """Largest eigenvalue of phi^T phi, from a symmetric eigensolver on the
+    smaller Gram matrix."""
     phi = np.asarray(phi, dtype=float)
     if not np.any(phi):
         return 0.0
     gram = phi @ phi.T if phi.shape[0] <= phi.shape[1] else phi.T @ phi
-    rng = np.random.default_rng(12345)
-    v = rng.standard_normal(gram.shape[0])
-    v /= np.linalg.norm(v)
-    lam_prev = 0.0
-    lam = 0.0
-    for _ in range(100_000):
-        u = gram @ v
-        lam = float(v @ u)
-        norm_u = np.linalg.norm(u)
-        if norm_u == 0.0:
-            # start vector landed in the kernel; re-draw
-            v = rng.standard_normal(gram.shape[0])
-            v /= np.linalg.norm(v)
-            continue
-        v = u / norm_u
-        if abs(lam - lam_prev) <= 1e-9 * max(abs(lam), 1e-300):
-            break
-        lam_prev = lam
-    return lam
+    return float(eigvalsh(gram)[-1])
 
 
-_GRAM_CHOL: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_SPECTRAL: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-_MIN_L2: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+class _Operator:
+    """The linear algebra of one instance, each piece built on first use:
+    the minimum-norm solution ``x0`` (which applies the rank guard), Q^T of
+    the economic QR phi^T = Q R as one contiguous m x n array ``qt``, and
+    the squared spectral norm. A run without basis pursuit never builds Q."""
 
+    def __init__(self, instance: ProblemInstance):
+        self.phi, self.b = instance.phi, instance.b
 
-def _gram_cholesky(instance: ProblemInstance):
-    """Cached Cholesky factor ``(L, lower)`` of phi phi^T (raises
-    RankDeficientError when the factorization breaks down or its pivot
-    ratio is at most ``_GRAM_PIVOT_RATIO``)."""
-    chol = _GRAM_CHOL.get(instance)
-    if chol is None:
+    @cached_property
+    def x0(self) -> np.ndarray:
+        """phi^T (phi phi^T)^{-1} b by a Cholesky solve with one step of
+        iterative refinement, which keeps the residual near machine precision
+        for moderately conditioned Gram matrices; the factor is not kept.
+        Raises RankDeficientError when the factorization breaks down or its
+        pivot ratio is at most ``_GRAM_PIVOT_RATIO``."""
+        phi, b = self.phi, self.b
+        m, n = phi.shape
         try:
-            chol = cho_factor(instance.phi @ instance.phi.T)
+            chol = cho_factor(phi @ phi.T)
         except np.linalg.LinAlgError as exc:
             raise RankDeficientError(
-                f"phi ({instance.m}x{instance.n}) is rank deficient: the Cholesky factorization "
+                f"phi ({m}x{n}) is rank deficient: the Cholesky factorization "
                 f"of phi phi^T failed ({exc})"
             ) from None
         pivots = np.abs(np.diag(chol[0]))
         ratio = float(pivots.min() / pivots.max())
         if ratio <= _GRAM_PIVOT_RATIO:
             raise RankDeficientError(
-                f"phi ({instance.m}x{instance.n}) is rank deficient: the Cholesky factor of "
+                f"phi ({m}x{n}) is rank deficient: the Cholesky factor of "
                 f"phi phi^T has pivot ratio {ratio:.3e} <= {_GRAM_PIVOT_RATIO:.0e}"
             )
-        _GRAM_CHOL[instance] = chol
-    return chol
+        y = cho_solve(chol, b)
+        y += cho_solve(chol, b - phi @ (phi.T @ y))
+        return phi.T @ y
+
+    @cached_property
+    def qt(self) -> np.ndarray:
+        q = qr(self.phi.T, mode="economic", check_finite=False)[0]
+        return np.ascontiguousarray(q.T)
+
+    @cached_property
+    def spectral_sq(self) -> float:
+        return spectral_norm_sq(self.phi)
+
+    def project(self, v: np.ndarray) -> np.ndarray:
+        """Orthogonal projection of v onto {x : phi x = b}:
+        v - Q Q^T v + x0 (x0 lies in the row space, so Q Q^T x0 = x0)."""
+        x0 = self.x0  # the rank guard runs before the QR
+        qt = self.qt
+        return v - np.dot(qt.T, np.dot(qt, v)) + x0
 
 
-def _spectral_sq(instance: ProblemInstance) -> float:
-    val = _SPECTRAL.get(instance)
-    if val is None:
-        val = spectral_norm_sq(instance.phi)
-        _SPECTRAL[instance] = val
-    return val
+_OPERATORS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
+
+
+def _operator(instance: ProblemInstance) -> _Operator:
+    if instance not in _OPERATORS:
+        _OPERATORS[instance] = _Operator(instance)
+    return _OPERATORS[instance]
 
 
 def min_l2_solution(instance: ProblemInstance) -> np.ndarray:
-    """Minimum-l2-norm solution of phi x = b: phi^T (phi phi^T)^{-1} b.
-
-    One step of iterative refinement keeps the residual near machine
-    precision even for moderately conditioned Gram matrices.
-    """
-    z = _MIN_L2.get(instance)
-    if z is None:
-        phi, b = instance.phi, instance.b
-        chol = _gram_cholesky(instance)
-        y = cho_solve(chol, b)
-        y += cho_solve(chol, b - phi @ (phi.T @ y))
-        z = phi.T @ y
-        _MIN_L2[instance] = z
-    return z.copy()
+    """Minimum-l2-norm solution of phi x = b: phi^T (phi phi^T)^{-1} b,
+    computed once per instance (see ``_Operator.x0``)."""
+    return _operator(instance).x0.copy()
 
 
-def _affine_project(phi, b, chol, v: np.ndarray) -> np.ndarray:
-    """Orthogonal projection of v onto {x : phi x = b}, given the Cholesky
-    factor ``chol = (L, lower)`` of phi phi^T. Calls LAPACK ``potrs``
-    directly: the same solve ``cho_solve`` makes, without its argument
-    checks, which cost more than the solve at these sizes."""
-    return v - phi.T @ dpotrs(chol[0], phi @ v - b, lower=chol[1], overwrite_b=True)[0]
+def _polish_support(z):
+    """The nonzeros S of z above rounding level, |z_i| > |S| eps max|z|, so
+    that no certificate hinges on the signs of rounding errors."""
+    support = np.flatnonzero(z)
+    mags = np.abs(z[support])
+    return support[mags > support.size * np.finfo(float).eps * mags.max(initial=0.0)]
 
 
 def _bp_polish(instance, w, support, tol):
@@ -238,7 +233,7 @@ def weighted_basis_pursuit(
     """Minimize sum_i w_i |x_i| subject to phi x = b.
 
     Operator splitting: the feasibility block is an affine projection
-    (cached Cholesky of phi phi^T, fetched once per solve), the sparsity
+    (through the instance's cached orthonormal row basis), the sparsity
     block a weighted soft threshold. The problem is scale invariant in both w and b, so the
     penalty is set to cfg.admm_rho * max(w) / ||z||_inf with z the
     minimum-norm solution, which keeps the shrinkage threshold a fixed
@@ -246,16 +241,17 @@ def weighted_basis_pursuit(
     support is polished by an exact solve and accepted only with a
     verified optimality certificate. Stops when both the affine residual
     ||phi x - b|| / (1 + ||b||) and the consensus residual of the split
-    variables fall below ``cfg.inner_tol``. ``warm`` seeds the split
-    iterate, which lets outer reweighting loops restart cheaply.
+    variables fall below ``cfg.inner_tol`` (the larger is reported).
+    ``warm`` seeds the split iterate, which lets outer reweighting loops
+    restart cheaply.
     """
     w = as_weight_array(w, instance.n)
     phi, b = instance.phi, instance.b
-    chol = _gram_cholesky(instance)
+    op = _operator(instance)
     norm_b = np.linalg.norm(b)
     wmax = float(np.max(w))
     if wmax > 0.0:
-        xscale = max(float(np.max(np.abs(min_l2_solution(instance)))), 1e-12)
+        xscale = max(float(np.max(np.abs(op.x0))), 1e-12)
         rho = cfg.admm_rho * wmax / xscale
     else:
         rho = cfg.admm_rho
@@ -270,12 +266,12 @@ def weighted_basis_pursuit(
     converged = False
     it = 0
     for it in range(1, cfg.inner_max_iter + 1):
-        x = _affine_project(phi, b, chol, z - u)
+        x = op.project(z - u)
         xr = _RELAX * x + (1.0 - _RELAX) * z
         z = soft_threshold(xr + u, thresh)
         u = u + xr - z
         if it == 1 or it % _POLISH_EVERY == 0:
-            support = np.flatnonzero(z)
+            support = _polish_support(z)
             if not np.array_equal(support, rejected):
                 polished = _bp_polish(instance, w, support, cfg.inner_tol)
                 if polished is not None:
@@ -284,12 +280,14 @@ def weighted_basis_pursuit(
                     converged = True
                     break
                 rejected = support
-        affine_rel = np.linalg.norm(phi @ z - b) / (1.0 + norm_b)
-        consensus_rel = np.linalg.norm(x - z) / (1.0 + np.linalg.norm(z))
-        residual = max(affine_rel, consensus_rel)
-        if residual <= cfg.inner_tol:
-            converged = True
-            break
+        # both residuals must pass, so the affine one (a matvec with phi)
+        # waits for the consensus one to pass, or for the last iteration
+        residual = np.linalg.norm(x - z) / (1.0 + np.linalg.norm(z))
+        if residual <= cfg.inner_tol or it == cfg.inner_max_iter:
+            residual = max(np.linalg.norm(phi @ z - b) / (1.0 + norm_b), residual)
+            if residual <= cfg.inner_tol:
+                converged = True
+                break
 
     return InnerSolveReport(
         x=z,
@@ -381,7 +379,8 @@ def weighted_lasso_fista(
     solve, accepted only if it satisfies the optimality conditions. Stops
     when the coordinate-wise optimality conditions hold at
     ``cfg.inner_tol``, or when the objective has moved by less than it
-    (relative) over the last 10 iterations.
+    (relative) over the last 10 iterations; a stop of the second kind
+    without a certified polish is reported as not converged.
 
     lam = 0 removes the data-fit term entirely: the minimizer is x = 0,
     and the solve is flagged degenerate if any weight vanishes (those
@@ -391,7 +390,8 @@ def weighted_lasso_fista(
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     phi, b = instance.phi, instance.b
-    if lam == 0.0 or _spectral_sq(instance) == 0.0:
+    spectral_sq = _operator(instance).spectral_sq
+    if lam == 0.0 or spectral_sq == 0.0:
         x = np.zeros(instance.n)
         return InnerSolveReport(
             x=x,
@@ -401,7 +401,7 @@ def weighted_lasso_fista(
             converged=True,
             degenerate=bool(np.any(w == 0.0)),
         )
-    lip = lam * _spectral_sq(instance)
+    lip = lam * spectral_sq
 
     x_prev = np.zeros(instance.n) if warm is None else np.asarray(warm, dtype=float).copy()
     y = x_prev.copy()
@@ -447,8 +447,7 @@ def weighted_lasso_fista(
                 residual = cand_viol
                 converged = True
                 break
-        if stalled:
-            converged = True
+        if stalled:  # no certificate: the solve stops unconverged
             break
         obj_history.append(obj)
         if len(obj_history) > 10:

@@ -7,15 +7,15 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import linprog, minimize
 
+from rwsparse import solvers
 from rwsparse.model import ConfigurationError, ProblemInstance, SolverConfig
-from rwsparse.probgen import EnsembleSpec, gen_noiseless
+from rwsparse.probgen import EnsembleSpec, gen_noiseless, gen_noisy
 from rwsparse.reweight import run_algorithm
 from rwsparse.solvers import (
     _CERT_TOL,
     RankDeficientError,
-    _affine_project,
     _bp_polish,
-    _gram_cholesky,
+    _operator,
     constrained_weighted_l1,
     min_l2_solution,
     soft_threshold,
@@ -224,13 +224,100 @@ class TestBpPolish:
         assert rep.objective == pytest.approx(oracle, rel=1e-6)
 
     def test_projection_matches_cho_solve(self):
+        # the projection through the row basis lands on phi x = b, is
+        # idempotent, and agrees with the Gram-Cholesky projection
         inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=30, seed=3))
-        chol = _gram_cholesky(inst)
+        phi, b = inst.phi, inst.b
+        op = _operator(inst)
+        chol = cho_factor(phi @ phi.T)
         rng = np.random.default_rng(4)
         for _ in range(5):
             v = rng.standard_normal(inst.n)
-            ref = v - inst.phi.T @ cho_solve(chol, inst.phi @ v - inst.b)
-            assert np.array_equal(_affine_project(inst.phi, inst.b, chol, v), ref)
+            x = op.project(v)
+            ref = v - phi.T @ cho_solve(chol, phi @ v - b)
+            assert np.linalg.norm(phi @ x - b) <= 1e-12 * np.linalg.norm(b)
+            assert np.linalg.norm(op.project(x) - x) <= 1e-12 * np.linalg.norm(x)
+            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_rounding_level_coordinates_leave_the_support(self):
+        z = np.zeros(10)
+        z[[1, 4, 7]] = [2.0, -1e-15, 0.5]
+        assert np.array_equal(solvers._polish_support(z), [1, 7])
+        assert solvers._polish_support(np.zeros(10)).size == 0
+
+
+def eager_basis_pursuit(instance, w, cfg):
+    """Reference loop: weighted basis pursuit with both stopping residuals
+    computed at every iteration. Returns (x, iterations, residual)."""
+    phi, b = instance.phi, instance.b
+    op = _operator(instance)
+    norm_b = np.linalg.norm(b)
+    wmax = float(np.max(w))
+    rho = cfg.admm_rho * wmax / max(float(np.max(np.abs(op.x0))), 1e-12)
+    thresh = w / rho
+    z = np.zeros(instance.n)
+    u = np.zeros(instance.n)
+    rejected = np.empty(0, dtype=np.intp)
+    for it in range(1, cfg.inner_max_iter + 1):
+        x = op.project(z - u)
+        xr = solvers._RELAX * x + (1.0 - solvers._RELAX) * z
+        z = soft_threshold(xr + u, thresh)
+        u = u + xr - z
+        if it == 1 or it % solvers._POLISH_EVERY == 0:
+            support = solvers._polish_support(z)
+            if not np.array_equal(support, rejected):
+                polished = solvers._bp_polish(instance, w, support, cfg.inner_tol)
+                if polished is not None:
+                    return polished, it, np.linalg.norm(phi @ polished - b) / (1.0 + norm_b)
+                rejected = support
+        affine_rel = np.linalg.norm(phi @ z - b) / (1.0 + norm_b)
+        consensus_rel = np.linalg.norm(x - z) / (1.0 + np.linalg.norm(z))
+        residual = max(affine_rel, consensus_rel)
+        if residual <= cfg.inner_tol:
+            break
+    return z, it, residual
+
+
+class TestOperator:
+    def test_min_norm_solution_is_the_refined_cholesky_formula(self):
+        inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=30, seed=3))
+        phi, b = inst.phi, inst.b
+        chol = cho_factor(phi @ phi.T)
+        y = cho_solve(chol, b)
+        y += cho_solve(chol, b - phi @ (phi.T @ y))
+        assert np.array_equal(min_l2_solution(inst), phi.T @ y)
+
+    def test_lasso_runs_never_build_the_row_basis(self, monkeypatch):
+        shapes = []
+        real_qr = solvers.qr
+
+        def counted(a, *args, **kwargs):
+            shapes.append(np.shape(a))
+            return real_qr(a, *args, **kwargs)
+
+        monkeypatch.setattr(solvers, "qr", counted)
+        inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=0))
+        for algo in ("l1", "rw-lasso", "cwb-noisy"):
+            run_algorithm(algo, inst, SolverConfig(rw_iter=2))
+        assert (inst.n, inst.m) not in shapes
+        weighted_basis_pursuit(inst, np.ones(inst.n), None, CFG)
+        assert shapes.count((inst.n, inst.m)) == 1
+
+    @pytest.mark.parametrize("polish", [True, False])
+    @pytest.mark.parametrize("max_iter", [37, 50_000])
+    def test_lazy_stop_matches_eager_reference(self, monkeypatch, polish, max_iter):
+        # with the polish switched off every solve stops on the residuals
+        if not polish:
+            monkeypatch.setattr(solvers, "_bp_polish", lambda *args: None)
+        cfg = SolverConfig(inner_max_iter=max_iter)
+        for seed in range(3):
+            inst = gen_noiseless(EnsembleSpec(n=128, m=48, s=12, seed=seed))
+            w = np.random.default_rng(seed).uniform(0.1, 2.0, size=inst.n)
+            x, iterations, residual = eager_basis_pursuit(inst, w, cfg)
+            rep = weighted_basis_pursuit(inst, w, None, cfg)
+            assert rep.iterations == iterations
+            assert rep.primal_residual == residual
+            assert rep.x.tobytes() == x.tobytes()
 
 
 class TestWeightedBasisPursuit:
@@ -356,6 +443,19 @@ class TestWeightedLassoFista:
                 assert abs(grad[i] + w[i] * np.sign(rep.x[i])) <= tol * (1 + w[i])
             else:
                 assert abs(grad[i]) <= w[i] + tol
+
+    def test_uncertified_stall_is_not_converged(self, monkeypatch):
+        rng = np.random.default_rng(0)
+        phi = rng.standard_normal((12, 30)) / np.sqrt(12)
+        inst = ProblemInstance(phi=phi, b=rng.standard_normal(12))
+        assert weighted_lasso_fista(inst, np.ones(30), 10.0, None, CFG).converged
+        # without the polish no stop is certified, and the objective stalls
+        # before the optimality conditions reach the tolerance
+        monkeypatch.setattr(solvers, "_lasso_polish", lambda *args: None)
+        rep = weighted_lasso_fista(inst, np.ones(30), 10.0, None, CFG)
+        assert rep.iterations < CFG.inner_max_iter
+        assert rep.primal_residual > CFG.inner_tol
+        assert not rep.converged
 
     def test_warm_start_converges_fast(self):
         inst = gen_noiseless(EnsembleSpec(n=40, m=20, s=5, seed=2))
