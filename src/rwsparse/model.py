@@ -83,6 +83,10 @@ class ProblemInstance:
             raise ValueError(f"b has length {b.shape[0]}, expected {m}")
         if not np.all(np.isfinite(b)):
             raise ValueError("b has non-finite entries")
+        # read-only copies: the per-instance caches (the solvers' operator,
+        # the outer loop's start solves) hold only while phi and b cannot move
+        phi, b = phi.copy(order="K"), b.copy(order="K")
+        phi.flags.writeable = b.flags.writeable = False
         object.__setattr__(self, "phi", phi)
         object.__setattr__(self, "b", b)
         if self.x_star is not None:
@@ -218,6 +222,11 @@ class SolverConfig:
     solver; the effective penalty is admm_rho * max(w) / (solution scale),
     which the equality-constrained problem's invariance to rescaling of w
     and b makes a meaningful constant.
+
+    ``bisect_tol`` is the relative band around the noise budget in which
+    the constrained solver's fallback bisection on the data-fit multiplier
+    stops; it plays no part when the closed-form multiplier on a LASSO
+    support is certified, which then meets the budget up to rounding.
 
     ``alpha_schedule`` optionally overrides the noisy-run stepsize rule
     (e.g. a diminishing ``lambda k: c / (k + 1)``); by default the

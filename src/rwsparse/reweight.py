@@ -121,20 +121,24 @@ def _row(k, w, alpha, report: InnerSolveReport, x_star) -> RwTraceRow:
     )
 
 
-# Re-solve rules (instance, w, lam, warm, cfg) -> report. They look the solvers
-# up as module globals at call time, so wrappers bound there see every solve.
+# Re-solve rules (instance, w, lam, warm, cfg) -> report, where warm is the
+# report of the previous solve of the run (None for the start). They look the
+# solvers up as module globals at call time, so wrappers bound there see
+# every solve.
 
 
 def _bp(instance, w, lam, warm, cfg):
-    return weighted_basis_pursuit(instance, w, warm, cfg)
+    return weighted_basis_pursuit(instance, w, None if warm is None else warm.x, cfg)
 
 
 def _lasso(instance, w, lam, warm, cfg):
-    return weighted_lasso_fista(instance, w, lam, warm, cfg)
+    return weighted_lasso_fista(instance, w, lam, None if warm is None else warm.x, cfg)
 
 
 def _constrained(instance, w, lam, warm, cfg):
-    return constrained_weighted_l1(instance, w, instance.eta, cfg)
+    # the multiplier search starts where the previous solve's ended
+    lam_start = 1.0 if warm is None else warm.multiplier
+    return constrained_weighted_l1(instance, w, instance.eta, cfg, lam_start)
 
 
 class _ZeroStepError(ArithmeticError):
@@ -214,7 +218,7 @@ def _drive(algo, instance, cfg, solve, update, lam=None, alpha=0.0):
             k -= 1
             reason = _EARLY_EXITS[type(stop)]
             break
-        report = solve(instance, w, lam, x, cfg)
+        report = solve(instance, w, lam, report, cfg)
         x = report.x
         rows.append(_row(k, w, alpha, report, instance.x_star))
     state = DualState(w=Weights(w), lam=lam, k=k, x_k=x, alpha_k=alpha)

@@ -17,7 +17,12 @@ factors the support columns once (QR) for both the candidate and its dual
 certificate, rejects a numerically rank-deficient support, and depends
 only on the weights and the support, so within one solve the support it
 last rejected is not tried again. The constrained problem is reduced to
-LASSO solves by bisection on the data-fit multiplier. Each instance has
+LASSO solves in the data-fit multiplier lam: once a LASSO solve has found
+its support S and signs, the path on S is affine in 1/lam, and the lam at
+which the residual norm meets the budget has a closed form, accepted only
+when the LASSO optimality conditions certify it (the same QR of the
+support columns as the basis pursuit polish). Bisection on lam remains as
+the fallback, until a solve identifies a certified root. Each instance has
 one cached operator that builds, on first use, the minimum-norm solution,
 an orthonormal basis of the row space of phi (for the basis pursuit
 projection) and the squared spectral norm. A phi without full row rank,
@@ -82,6 +87,10 @@ class InnerSolveReport:
     pursuit, worst-case optimality-condition violation for LASSO, relative
     distance of the data-fit norm from its budget for the constrained
     problem). ``degenerate`` marks solves whose solution set is unbounded.
+    ``multiplier`` is the data-fit multiplier lam the solve ended at: the
+    LASSO's own lam, the constrained problem's multiplier of its budget
+    (0 when the budget is inactive), and infinity for basis pursuit, whose
+    data fit is a hard constraint.
     """
 
     x: np.ndarray
@@ -90,6 +99,7 @@ class InnerSolveReport:
     objective: float
     converged: bool
     degenerate: bool = False
+    multiplier: float = np.inf
 
 
 def soft_threshold(v, t):
@@ -183,6 +193,20 @@ def _polish_support(z):
     return support[mags > support.size * np.finfo(float).eps * mags.max(initial=0.0)]
 
 
+def _support_qr(phi, support):
+    """Economic QR of the support columns phi_S, or None when S is empty,
+    larger than m, or numerically rank deficient
+    (min |diag R| <= |S| eps max |diag R|)."""
+    k = support.size
+    if k == 0 or k > phi.shape[0]:
+        return None
+    q, r = qr(phi[:, support], mode="economic", overwrite_a=True, check_finite=False)
+    pivots = np.abs(np.diag(r))
+    if pivots.min() <= k * np.finfo(float).eps * pivots.max():
+        return None
+    return q, r
+
+
 def _bp_polish(instance, w, support, tol):
     """Exact solve on a candidate support, accepted only with a verified
     dual certificate.
@@ -198,14 +222,11 @@ def _bp_polish(instance, w, support, tol):
     candidate is the solver-tolerance-exact minimizer.
     """
     phi, b = instance.phi, instance.b
-    m, n = phi.shape
-    k = support.size
-    if k == 0 or k > m:
+    factors = _support_qr(phi, support)
+    if factors is None:
         return None
-    q, r = qr(phi[:, support], mode="economic", overwrite_a=True, check_finite=False)
-    pivots = np.abs(np.diag(r))
-    if pivots.min() <= k * np.finfo(float).eps * pivots.max():
-        return None
+    q, r = factors
+    n = phi.shape[1]
     x_s = solve_triangular(r, q.T @ b, check_finite=False)
     x = np.zeros(n)
     x[support] = x_s
@@ -400,6 +421,7 @@ def weighted_lasso_fista(
             objective=_lasso_objective(w, lam, x, phi @ x - b),
             converged=True,
             degenerate=bool(np.any(w == 0.0)),
+            multiplier=float(lam),
         )
     lip = lam * spectral_sq
 
@@ -470,60 +492,68 @@ def weighted_lasso_fista(
         primal_residual=float(residual),
         objective=_lasso_objective(w, lam, x, resid),
         converged=converged,
+        multiplier=float(lam),
     )
 
 
-def constrained_weighted_l1(
-    instance: ProblemInstance,
-    w,
-    eta: float,
-    cfg: SolverConfig = _DEFAULT_CFG,
-) -> InnerSolveReport:
-    """Minimize sum_i w_i |x_i| subject to (1/2)||phi x - b||^2 <= eta^2 / 2.
+def _constrained_root(instance, w, eta, x, tol):
+    """The multiplier at which the LASSO path on the support and signs of x
+    meets the budget, with its minimizer, or None.
 
-    Solved by bisection on the LASSO multiplier: the data-fit norm of the
-    LASSO minimizer decreases in lam, so lam is doubled while the residual
-    norm exceeds eta and halved while it falls below eta (1 - bisect_tol),
-    then the bracket is bisected until the residual norm is within
-    ``cfg.bisect_tol`` of eta (relative) or the bracket collapses.
+    With S and sigma fixed and phi_S = QR, the LASSO minimizer at lam = 1/t
+    is x_S(t) = R^{-1}(Q^T b - t g) with g = R^{-T} w_S sigma, and its
+    residual b - Q Q^T b + t Q g has the squared norm r0^2 + t^2 ||g||^2,
+    r0^2 = ||b||^2 - ||Q^T b||^2 (the cross term vanishes: b - Q Q^T b is
+    orthogonal to range(phi_S)). So ||phi x - b|| = eta at
+    t = sqrt((eta^2 - r0^2) / ||g||^2). The candidate is returned only when
+    its signs match sigma on the penalized coordinates and the full LASSO
+    optimality conditions hold at lam within ``tol``; by duality it is then
+    the constrained minimizer and lam its multiplier.
     """
-    w = as_weight_array(w, instance.n)
-    if eta < 0:
-        raise ValueError("eta must be nonnegative")
-    if eta == 0.0:
-        return weighted_basis_pursuit(instance, w, None, cfg)
-    norm_b = np.linalg.norm(instance.b)
-    if norm_b <= eta:
-        # zero is feasible and already has the smallest possible objective
-        return InnerSolveReport(
-            x=np.zeros(instance.n),
-            iterations=0,
-            primal_residual=0.0,
-            objective=0.0,
-            converged=True,
-        )
+    phi, b = instance.phi, instance.b
+    support = np.flatnonzero(x)
+    factors = _support_qr(phi, support)
+    if factors is None:
+        return None
+    q, r = factors
+    sigma = np.sign(x[support])
+    c = q.T @ b
+    g = solve_triangular(r, w[support] * sigma, trans="T", check_finite=False)
+    slack = eta * eta - (float(b @ b) - float(c @ c))
+    gg = float(g @ g)
+    if slack <= 0.0 or gg == 0.0:
+        return None
+    t = np.sqrt(slack / gg)
+    x_s = solve_triangular(r, c - t * g, check_finite=False)
+    # a sign change fails the certificate below as well (unless w_i is near
+    # the tolerance); checked first because it needs no product with phi
+    penalized = w[support] > 0.0
+    if np.any(np.sign(x_s[penalized]) != sigma[penalized]):
+        return None
+    cand = np.zeros(instance.n)
+    cand[support] = x_s
+    lam = 1.0 / t
+    if _lasso_optimality(w, lam * (phi.T @ (phi @ cand - b)), cand) > tol:
+        return None
+    return cand, lam
 
-    total_iters = 0
-    warm = None
 
-    def solve(lam):
-        nonlocal total_iters, warm
-        rep = weighted_lasso_fista(instance, w, lam, warm, cfg)
-        total_iters += rep.iterations
-        warm = rep.x
-        return rep, float(np.linalg.norm(instance.phi @ rep.x - instance.b))
+def _bisect_multiplier(lam, eta, tol):
+    """Bracket and bisect the LASSO multiplier, as a coroutine: it yields
+    each multiplier to solve at and is sent that solve's residual norm.
 
-    def in_band(res):
-        return abs(res - eta) <= cfg.bisect_tol * eta
-
-    lam = 1.0
-    rep, res = solve(lam)
+    The data-fit norm of the LASSO minimizer decreases in lam, so lam is
+    doubled while the residual norm exceeds eta and halved while it falls
+    below eta (1 - tol), then the bracket is bisected until the residual
+    norm is within ``tol`` of eta (relative) or the bracket collapses.
+    """
+    res = yield lam
     lam_lo = lam_hi = None  # lam_lo: residual above eta, lam_hi: at or below
     if res > eta:
         lam_lo = lam
         for _ in range(60):
             lam *= 2.0
-            rep, res = solve(lam)
+            res = yield lam
             if res <= eta:
                 lam_hi = lam
                 break
@@ -533,39 +563,96 @@ def constrained_weighted_l1(
                 f"no multiplier bracket found below residual {eta:.3e} "
                 f"after 60 doublings"
             )
-    elif res < eta * (1.0 - cfg.bisect_tol):
+    elif res < eta * (1.0 - tol):
         lam_hi = lam
         for _ in range(60):
             lam /= 2.0
-            rep, res = solve(lam)
+            res = yield lam
             if res > eta:
                 lam_lo = lam
                 break
             lam_hi = lam
-            if res >= eta * (1.0 - cfg.bisect_tol):
+            if res >= eta * (1.0 - tol):
                 break
-        if lam_lo is None and not in_band(res):
+        if lam_lo is None and abs(res - eta) > tol * eta:
             raise NoConvergenceError(
                 f"no multiplier bracket found above residual {eta:.3e} "
                 f"after 60 halvings"
             )
 
-    while not in_band(res) and lam_lo is not None and lam_hi is not None:
+    while abs(res - eta) > tol * eta and lam_lo is not None and lam_hi is not None:
         if lam_hi - lam_lo < 1e-12:
             if res > eta:  # land on the feasible side of the bracket
-                rep, res = solve(lam_hi)
-            break
+                yield lam_hi
+            return
         lam = 0.5 * (lam_lo + lam_hi)
-        rep, res = solve(lam)
+        res = yield lam
         if res > eta:
             lam_lo = lam
         else:
             lam_hi = lam
 
+
+def constrained_weighted_l1(
+    instance: ProblemInstance,
+    w,
+    eta: float,
+    cfg: SolverConfig = _DEFAULT_CFG,
+    lam_start: float = 1.0,
+) -> InnerSolveReport:
+    """Minimize sum_i w_i |x_i| subject to (1/2)||phi x - b||^2 <= eta^2 / 2.
+
+    Solved through LASSO solves in the data-fit multiplier lam, the first
+    at ``lam_start`` (an outer loop passes the multiplier its previous
+    solve ended at). After each converged LASSO solve, the closed-form
+    multiplier on its support and signs (``_constrained_root``) ends the
+    search when the optimality conditions certify it, with
+    ||phi x - b|| = eta up to rounding; until then lam is bracketed and
+    bisected (``_bisect_multiplier``, to within ``cfg.bisect_tol`` of eta).
+    The report's ``multiplier`` is the lam the solve ended at.
+    """
+    w = as_weight_array(w, instance.n)
+    if eta < 0:
+        raise ValueError("eta must be nonnegative")
+    if eta == 0.0:
+        return weighted_basis_pursuit(instance, w, None, cfg)
+    phi, b = instance.phi, instance.b
+    if np.linalg.norm(b) <= eta:
+        # zero is feasible and already has the smallest possible objective
+        return InnerSolveReport(
+            x=np.zeros(instance.n),
+            iterations=0,
+            primal_residual=0.0,
+            objective=0.0,
+            converged=True,
+            multiplier=0.0,
+        )
+    if not 0.0 < lam_start < np.inf:
+        raise ValueError("lam_start must be positive and finite")
+
+    total_iters = 0
+    x = None  # each LASSO solve is warm-started at the previous one's x
+    search = _bisect_multiplier(lam_start, eta, cfg.bisect_tol)
+    lam = next(search)
+    while True:
+        rep = weighted_lasso_fista(instance, w, lam, x, cfg)
+        total_iters += rep.iterations
+        x = rep.x
+        root = _constrained_root(instance, w, eta, x, cfg.inner_tol) if rep.converged else None
+        if root is not None:
+            x, lam = root
+            break
+        try:
+            lam = search.send(float(np.linalg.norm(phi @ x - b)))
+        except StopIteration:
+            break
+
+    res = float(np.linalg.norm(phi @ x - b))
     return InnerSolveReport(
-        x=rep.x,
+        x=x,
         iterations=total_iters,
         primal_residual=abs(res - eta) / eta,
-        objective=float(w @ np.abs(rep.x)),
+        objective=float(w @ np.abs(x)),
         converged=rep.converged,
+        multiplier=float(lam),
     )

@@ -17,6 +17,7 @@ from rwsparse.model import (
     l0_reporting_tol,
     recovered,
 )
+from rwsparse.solvers import min_l2_solution
 
 
 def _vectors(n=None, maxval=1e6):
@@ -157,6 +158,21 @@ class TestProblemInstance:
         assert doc["sigma"] == 0.1 and doc["x_star"] is None
         back = ProblemInstance.load(path)
         assert back.content_digest() == inst.content_digest()
+
+    def test_arrays_are_read_only_copies(self):
+        # the solvers cache per instance, so the caller's arrays must not be
+        # able to move phi and b under a cached minimum-norm solution
+        rng = np.random.default_rng(0)
+        phi, b = rng.standard_normal((5, 12)), rng.standard_normal(5)
+        inst = ProblemInstance(phi=phi, b=b)
+        min_l2_solution(inst)
+        phi *= 2.0
+        b += 1.0
+        x0 = min_l2_solution(inst)
+        assert np.linalg.norm(inst.phi @ x0 - inst.b) <= 1e-12
+        for arr in (inst.phi, inst.b):
+            with pytest.raises(ValueError, match="read-only"):
+                arr[0] = 1.0
 
     def test_digest_distinguishes(self):
         phi = np.array([[1.0, 2.0]])

@@ -251,6 +251,24 @@ class TestCwbNoisy:
         with pytest.raises(ConfigurationError):
             cwb_rw_l1_noisy(inst, CFG)
 
+    def test_resolves_start_at_the_last_multiplier(self, monkeypatch):
+        # each re-solve's multiplier search starts where the previous solve
+        # of the run ended; the outer state itself keeps no multiplier
+        calls = []
+        solve = reweight.constrained_weighted_l1
+
+        def logged(instance, w, eta, cfg, lam_start):
+            report = solve(instance, w, eta, cfg, lam_start)
+            calls.append((lam_start, report.multiplier))
+            return report
+
+        monkeypatch.setattr(reweight, "constrained_weighted_l1", logged)
+        inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
+        _, trace = cwb_rw_l1_noisy(inst, SolverConfig(rw_iter=3))
+        assert len(calls) == 4
+        assert [start for start, _ in calls] == [1.0] + [end for _, end in calls[:-1]]
+        assert trace.final_state.lam is None
+
 
 class TestRegistryAndTraces:
     def test_unknown_algorithm(self):

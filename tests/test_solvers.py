@@ -412,10 +412,12 @@ class TestWeightedLassoFista:
     def test_large_multiplier(self):
         rep = weighted_lasso_fista(self._scalar(), np.array([1.0]), 100.0, None, CFG)
         assert rep.x[0] == pytest.approx(2.99, abs=1e-8)
+        assert rep.multiplier == 100.0
 
     def test_lam_zero_returns_zero(self):
         rep = weighted_lasso_fista(self._scalar(), np.array([1.0]), 0.0, None, CFG)
         assert np.all(rep.x == 0.0) and rep.converged and not rep.degenerate
+        assert rep.multiplier == 0.0
 
     def test_lam_zero_with_zero_weight_flagged(self):
         rep = weighted_lasso_fista(self._scalar(), np.array([0.0]), 0.0, None, CFG)
@@ -494,6 +496,7 @@ class TestConstrainedWeightedL1:
         inst = ProblemInstance(phi=np.array([[1.0, 2.0]]), b=np.array([1.0]))
         rep = constrained_weighted_l1(inst, np.array([1.0, 1.0]), 2.0, CFG)
         assert np.all(rep.x == 0.0) and rep.converged
+        assert rep.multiplier == 0.0  # the budget is inactive
 
     def test_zero_budget_delegates_to_equality(self):
         inst = ProblemInstance(phi=np.array([[1.0, 1.0]]), b=np.array([1.0]))
@@ -506,7 +509,7 @@ class TestConstrainedWeightedL1:
         # min |x| s.t. |x - 3| <= 1 has solution x = 2
         inst = ProblemInstance(phi=np.array([[1.0]]), b=np.array([3.0]))
         rep = constrained_weighted_l1(inst, np.array([1.0]), 1.0, CFG)
-        assert rep.x[0] == pytest.approx(2.0, abs=5e-3)
+        assert rep.x[0] == pytest.approx(2.0, abs=1e-12)
         assert rep.converged
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
@@ -518,13 +521,13 @@ class TestConstrainedWeightedL1:
         eta = 0.4 * np.linalg.norm(b)
         inst = ProblemInstance(phi=phi, b=b)
         oracle = slsqp_constrained_l1(phi, b, np.ones(n), float(eta))
-        # the default residual band (bisect_tol=1e-3) allows an objective
-        # slack of the same order; tighten it for the 1e-4 comparison
+        # the closed-form root meets the budget exactly, so the default
+        # bisection band (bisect_tol=1e-3) no longer sets the objective slack
         tight = SolverConfig(bisect_tol=1e-7)
         rep = constrained_weighted_l1(inst, np.ones(n), float(eta), tight)
         assert rep.objective == pytest.approx(oracle, abs=1e-4)
         loose = constrained_weighted_l1(inst, np.ones(n), float(eta), CFG)
-        assert loose.objective == pytest.approx(oracle, abs=1e-2)
+        assert loose.objective == pytest.approx(oracle, abs=1e-6)
 
     def test_negative_budget_rejected(self):
         inst = ProblemInstance(phi=np.array([[1.0, 1.0]]), b=np.array([1.0]))
@@ -537,3 +540,56 @@ class TestConstrainedWeightedL1:
         rep = constrained_weighted_l1(inst, np.ones(32), float(eta), CFG)
         res = np.linalg.norm(inst.phi @ rep.x - inst.b)
         assert abs(res - eta) <= CFG.bisect_tol * eta
+
+    def test_bisection_fallback_lands_in_band(self, monkeypatch):
+        inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
+        monkeypatch.setattr(solvers, "_constrained_root", lambda *args: None)
+        rep = constrained_weighted_l1(inst, np.ones(64), inst.eta, CFG)
+        res = np.linalg.norm(inst.phi @ rep.x - inst.b)
+        assert abs(res - inst.eta) <= CFG.bisect_tol * inst.eta
+        assert rep.primal_residual > 1e-12  # the root did not certify it
+        assert rep.converged
+
+    def test_multiplier_satisfies_lasso_conditions(self):
+        # the reported multiplier lam makes x a LASSO minimizer, and the
+        # budget is met with equality (complementary slackness, lam > 0)
+        inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
+        w = np.random.default_rng(3).uniform(0.5, 2.0, 64)
+        rep = constrained_weighted_l1(inst, w, inst.eta, CFG)
+        lam = rep.multiplier
+        assert 0.0 < lam < np.inf
+        resid = inst.phi @ rep.x - inst.b
+        assert abs(np.linalg.norm(resid) - inst.eta) <= 1e-12 * inst.eta
+        grad = lam * (inst.phi.T @ resid)
+        on = rep.x != 0.0
+        assert np.all(np.abs(grad[on] + w[on] * np.sign(rep.x[on])) <= CFG.inner_tol * (1 + w[on]))
+        assert np.all(np.abs(grad[~on]) <= w[~on] + CFG.inner_tol)
+
+    def test_carried_multiplier_gives_the_cold_answer(self, monkeypatch):
+        # a re-solve at new weights started from the multiplier of the
+        # unit-weight solve lands on the same point as a start at lam = 1,
+        # and a start at the exact multiplier takes one LASSO solve
+        inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
+        first = constrained_weighted_l1(inst, np.ones(64), inst.eta, CFG)
+        w = 1.0 / (np.abs(first.x) + 0.1)
+        cold = constrained_weighted_l1(inst, w, inst.eta, CFG)
+        carried = constrained_weighted_l1(inst, w, inst.eta, CFG, first.multiplier)
+        assert np.allclose(carried.x, cold.x, rtol=0.0, atol=1e-10)
+        assert carried.multiplier == pytest.approx(cold.multiplier, rel=1e-8)
+        lams = []
+        fista = solvers.weighted_lasso_fista
+
+        def logged(instance, w, lam, *args):
+            lams.append(lam)
+            return fista(instance, w, lam, *args)
+
+        monkeypatch.setattr(solvers, "weighted_lasso_fista", logged)
+        exact = constrained_weighted_l1(inst, w, inst.eta, CFG, cold.multiplier)
+        assert lams == [cold.multiplier]
+        assert np.allclose(exact.x, cold.x, rtol=0.0, atol=1e-10)
+
+    @pytest.mark.parametrize("lam_start", [0.0, -1.0, np.inf, np.nan])
+    def test_invalid_start_rejected(self, lam_start):
+        inst = gen_noisy(EnsembleSpec(n=32, m=16, s=3, sigma=0.05, seed=0))
+        with pytest.raises(ValueError):
+            constrained_weighted_l1(inst, np.ones(32), inst.eta, CFG, lam_start)
