@@ -12,11 +12,14 @@ affine projection with a coordinate-wise weighted shrinkage; the LASSO
 solver is an accelerated proximal gradient method with adaptive restart.
 Both periodically attempt a support polish: solve exactly on the current
 support and accept only when the full optimality conditions certify the
-candidate. The basis pursuit polish ignores rounding-level coordinates,
-factors the support columns once (QR) for both the candidate and its dual
-certificate, rejects a numerically rank-deficient support, and depends
-only on the weights and the support, so within one solve the support it
-last rejected is not tried again. The constrained problem is reduced to
+candidate. The basis pursuit polish ignores rounding-level coordinates
+and has two parts. The candidate (a QR of the support columns, the exact
+solve and its residual test; a numerically rank-deficient support fails)
+depends only on the support, so within one solve no support is factored
+twice. The dual certificate starts from the splitting's current scaled
+dual, an estimate of the multiplier, so a support whose first certificate
+fails is retried at later checkpoints against its kept factors, with no
+new QR. The constrained problem is reduced to
 LASSO solves in the data-fit multiplier lam: once a LASSO solve has found
 its support S and signs, the path on S is affine in 1/lam, and the lam at
 which the residual norm meets the budget has a closed form, accepted only
@@ -86,7 +89,13 @@ class InnerSolveReport:
     (the larger of affine feasibility and splitting consensus for basis
     pursuit, worst-case optimality-condition violation for LASSO, relative
     distance of the data-fit norm from its budget for the constrained
-    problem). ``degenerate`` marks solves whose solution set is unbounded.
+    problem). ``exit`` says how the solve stopped: ``"certified"`` (an
+    exact solve or closed form whose optimality conditions were verified),
+    ``"tol"`` (the iterate met the stopping measure at the tolerance, or
+    the constrained search its budget band), ``"stall"`` (the LASSO
+    objective stopped moving without a certificate) or ``"max_iter"``
+    (the iteration budget ran out); the first two are ``converged``.
+    ``degenerate`` marks solves whose solution set is unbounded.
     ``multiplier`` is the data-fit multiplier lam the solve ended at: the
     LASSO's own lam, the constrained problem's multiplier of its budget
     (0 when the budget is inactive), and infinity for basis pursuit, whose
@@ -97,9 +106,13 @@ class InnerSolveReport:
     iterations: int
     primal_residual: float
     objective: float
-    converged: bool
+    exit: str
     degenerate: bool = False
     multiplier: float = np.inf
+
+    @property
+    def converged(self) -> bool:
+        return self.exit in ("certified", "tol")
 
 
 def soft_threshold(v, t):
@@ -119,9 +132,10 @@ def spectral_norm_sq(phi) -> float:
 
 class _Operator:
     """The linear algebra of one instance, each piece built on first use:
-    the minimum-norm solution ``x0`` (which applies the rank guard), Q^T of
-    the economic QR phi^T = Q R as one contiguous m x n array ``qt``, and
-    the squared spectral norm. A run without basis pursuit never builds Q."""
+    the minimum-norm solution ``x0`` (which applies the rank guard), the
+    economic QR phi^T = Q R as Q^T, one contiguous m x n array, and R
+    (``row_qr``), and the squared spectral norm. A run without basis
+    pursuit never builds the QR."""
 
     def __init__(self, instance: ProblemInstance):
         self.phi, self.b = instance.phi, instance.b
@@ -154,9 +168,9 @@ class _Operator:
         return phi.T @ y
 
     @cached_property
-    def qt(self) -> np.ndarray:
-        q = qr(self.phi.T, mode="economic", check_finite=False)[0]
-        return np.ascontiguousarray(q.T)
+    def row_qr(self) -> tuple[np.ndarray, np.ndarray]:
+        q, r = qr(self.phi.T, mode="economic", check_finite=False)
+        return np.ascontiguousarray(q.T), r
 
     @cached_property
     def spectral_sq(self) -> float:
@@ -166,7 +180,7 @@ class _Operator:
         """Orthogonal projection of v onto {x : phi x = b}:
         v - Q Q^T v + x0 (x0 lies in the row space, so Q Q^T x0 = x0)."""
         x0 = self.x0  # the rank guard runs before the QR
-        qt = self.qt
+        qt = self.row_qr[0]
         return v - np.dot(qt.T, np.dot(qt, v)) + x0
 
 
@@ -207,42 +221,52 @@ def _support_qr(phi, support):
     return q, r
 
 
-def _bp_polish(instance, w, support, tol):
-    """Exact solve on a candidate support, accepted only with a verified
-    dual certificate.
-
-    Factors phi_S = QR once (economic QR). The candidate is
-    x_S = R^{-1} Q^T b, and the minimum-norm multiplier with
-    (phi^T nu)_S = w_S sign(x_S) is nu = Q R^{-T} w_S sign(x_S). The
-    candidate is accepted when it solves phi x = b and the correlation
-    phi^T nu matches the subdifferential of the weighted l1 norm at x on
-    every coordinate (equality on the support, magnitude at most w_i off
-    it). A support whose columns are numerically dependent
-    (min |diag R| <= |S| eps max |diag R|) is rejected. A certified
-    candidate is the solver-tolerance-exact minimizer.
-    """
+def _bp_candidate(instance, support, tol):
+    """The exact solve on a candidate support: (q, r, x) with phi_S = q r
+    (economic QR) and x_S = r^{-1} q^T b, or None when the support has no
+    usable QR (see ``_support_qr``) or x misses phi x = b by more than
+    tol (1 + ||b||). A pure function of the support."""
     phi, b = instance.phi, instance.b
     factors = _support_qr(phi, support)
     if factors is None:
         return None
     q, r = factors
-    n = phi.shape[1]
-    x_s = solve_triangular(r, q.T @ b, check_finite=False)
-    x = np.zeros(n)
-    x[support] = x_s
+    x = np.zeros(phi.shape[1])
+    x[support] = solve_triangular(r, q.T @ b, check_finite=False)
     if np.linalg.norm(phi @ x - b) > tol * (1.0 + np.linalg.norm(b)):
         return None
-    target = w[support] * np.sign(x_s)
-    nu = q @ solve_triangular(r, target, trans="T", check_finite=False)
+    return q, r, x
+
+
+def _bp_certified(op, w, support, candidate, v) -> bool:
+    """Whether a dual certificate built from the estimate v of phi^T nu
+    proves the candidate x of ``_bp_candidate`` a minimizer.
+
+    With phi^T = Q R (``op.row_qr``), the multiplier starts at
+    nu0 = R^{-1} Q^T v, whose correlation phi^T nu0 is the projection of v
+    onto the row space of phi, and is corrected on the support:
+    nu = nu0 + q r^{-T} (w_S sign(x_S) - phi_S^T nu0), so that
+    (phi^T nu)_S = w_S sign(x_S). v = 0 gives the minimum-norm multiplier;
+    the splitting passes its scaled dual, which converges to the row space
+    of phi. x is certified when the correlation phi^T nu matches
+    the subdifferential of the weighted l1 norm at x on every coordinate
+    (equality on the support, magnitude at most w_i off it) within
+    ``_CERT_TOL``. Any nu that passes certifies x, whatever v was.
+    """
+    phi = op.phi
+    q, r, x = candidate
+    target = w[support] * np.sign(x[support])
+    qt_row, r_row = op.row_qr
+    nu = solve_triangular(r_row, qt_row @ v, check_finite=False)
+    # phi_S^T nu0 through the support factors, without copying the columns
+    nu += q @ solve_triangular(r, target - r.T @ (q.T @ nu), trans="T", check_finite=False)
     corr = phi.T @ nu
     slack = _CERT_TOL * (1.0 + float(np.max(w, initial=0.0)))
     if np.max(np.abs(corr[support] - target), initial=0.0) > slack:
-        return None
-    off = np.ones(n, dtype=bool)
+        return False
+    off = np.ones(phi.shape[1], dtype=bool)
     off[support] = False
-    if np.max(np.abs(corr[off]) - w[off], initial=0.0) > slack:
-        return None
-    return x
+    return not np.max(np.abs(corr[off]) - w[off], initial=0.0) > slack
 
 
 def weighted_basis_pursuit(
@@ -255,16 +279,19 @@ def weighted_basis_pursuit(
 
     Operator splitting: the feasibility block is an affine projection
     (through the instance's cached orthonormal row basis), the sparsity
-    block a weighted soft threshold. The problem is scale invariant in both w and b, so the
-    penalty is set to cfg.admm_rho * max(w) / ||z||_inf with z the
-    minimum-norm solution, which keeps the shrinkage threshold a fixed
-    fraction of the solution scale. Every few iterations the current
-    support is polished by an exact solve and accepted only with a
-    verified optimality certificate. Stops when both the affine residual
+    block a weighted soft threshold. The problem is scale invariant in both
+    w and b, so the penalty is set to cfg.admm_rho * max(w) / ||z||_inf
+    with z the minimum-norm solution, which keeps the shrinkage threshold
+    a fixed fraction of the solution scale. Every few iterations the
+    current support is polished by an exact solve (``_bp_candidate``, at
+    most once per support) and accepted only with a verified optimality
+    certificate built from the current scaled dual (``_bp_certified``),
+    which ends the solve with exit ``"certified"``. Otherwise it stops
+    with exit ``"tol"`` when both the affine residual
     ||phi x - b|| / (1 + ||b||) and the consensus residual of the split
-    variables fall below ``cfg.inner_tol`` (the larger is reported).
-    ``warm`` seeds the split iterate, which lets outer reweighting loops
-    restart cheaply.
+    variables fall below ``cfg.inner_tol`` (the larger is reported), or
+    with ``"max_iter"``. ``warm`` seeds the split iterate, which lets outer
+    reweighting loops restart cheaply.
     """
     w = as_weight_array(w, instance.n)
     phi, b = instance.phi, instance.b
@@ -280,11 +307,12 @@ def weighted_basis_pursuit(
 
     z = np.zeros(instance.n) if warm is None else np.asarray(warm, dtype=float).copy()
     u = np.zeros(instance.n)
-    # the polish is a pure function of (w, support), so the support it last
-    # rejected is not retried (an empty support never polishes)
-    rejected = np.empty(0, dtype=np.intp)
+    # the candidate is a pure function of the support, so no support is
+    # factored twice in one solve: a failed one maps to None, and a passed
+    # one keeps its factors for certificate retries with later duals
+    candidates = {}
     residual = np.inf
-    converged = False
+    stop = "max_iter"
     it = 0
     for it in range(1, cfg.inner_max_iter + 1):
         x = op.project(z - u)
@@ -293,21 +321,23 @@ def weighted_basis_pursuit(
         u = u + xr - z
         if it == 1 or it % _POLISH_EVERY == 0:
             support = _polish_support(z)
-            if not np.array_equal(support, rejected):
-                polished = _bp_polish(instance, w, support, cfg.inner_tol)
-                if polished is not None:
-                    z = polished
-                    residual = np.linalg.norm(phi @ z - b) / (1.0 + norm_b)
-                    converged = True
-                    break
-                rejected = support
+            key = support.tobytes()
+            if key not in candidates:
+                candidates[key] = _bp_candidate(instance, support, cfg.inner_tol)
+            candidate = candidates[key]
+            # rho u is a subgradient of the weighted l1 norm at z
+            if candidate is not None and _bp_certified(op, w, support, candidate, rho * u):
+                z = candidate[2]
+                residual = np.linalg.norm(phi @ z - b) / (1.0 + norm_b)
+                stop = "certified"
+                break
         # both residuals must pass, so the affine one (a matvec with phi)
         # waits for the consensus one to pass, or for the last iteration
         residual = np.linalg.norm(x - z) / (1.0 + np.linalg.norm(z))
         if residual <= cfg.inner_tol or it == cfg.inner_max_iter:
             residual = max(np.linalg.norm(phi @ z - b) / (1.0 + norm_b), residual)
             if residual <= cfg.inner_tol:
-                converged = True
+                stop = "tol"
                 break
 
     return InnerSolveReport(
@@ -315,7 +345,7 @@ def weighted_basis_pursuit(
         iterations=it,
         primal_residual=float(residual),
         objective=float(w @ np.abs(z)),
-        converged=converged,
+        exit=stop,
     )
 
 
@@ -419,7 +449,7 @@ def weighted_lasso_fista(
             iterations=0,
             primal_residual=0.0,
             objective=_lasso_objective(w, lam, x, phi @ x - b),
-            converged=True,
+            exit="certified",
             degenerate=bool(np.any(w == 0.0)),
             multiplier=float(lam),
         )
@@ -432,7 +462,7 @@ def weighted_lasso_fista(
     step_thresh = w / lip
     obj_history = [obj_prev]
     residual = np.inf
-    converged = False
+    stop = "max_iter"
     x = x_prev
     it = 0
 
@@ -454,7 +484,7 @@ def weighted_lasso_fista(
         grad_x = lam * (phi.T @ resid)
         residual = _lasso_optimality(w, grad_x, x)
         if residual <= cfg.inner_tol:
-            converged = True
+            stop = "tol"
             break
         obj = _lasso_objective(w, lam, x, resid)
         # stall: the objective moved less than inner_tol over 10 iterations
@@ -467,9 +497,10 @@ def weighted_lasso_fista(
             if cand is not None:
                 x = cand
                 residual = cand_viol
-                converged = True
+                stop = "certified"
                 break
         if stalled:  # no certificate: the solve stops unconverged
+            stop = "stall"
             break
         obj_history.append(obj)
         if len(obj_history) > 10:
@@ -491,7 +522,7 @@ def weighted_lasso_fista(
         iterations=it,
         primal_residual=float(residual),
         objective=_lasso_objective(w, lam, x, resid),
-        converged=converged,
+        exit=stop,
         multiplier=float(lam),
     )
 
@@ -624,7 +655,7 @@ def constrained_weighted_l1(
             iterations=0,
             primal_residual=0.0,
             objective=0.0,
-            converged=True,
+            exit="certified",
             multiplier=0.0,
         )
     if not 0.0 < lam_start < np.inf:
@@ -641,10 +672,13 @@ def constrained_weighted_l1(
         root = _constrained_root(instance, w, eta, x, cfg.inner_tol) if rep.converged else None
         if root is not None:
             x, lam = root
+            stop = "certified"
             break
         try:
             lam = search.send(float(np.linalg.norm(phi @ x - b)))
         except StopIteration:
+            # the budget band is met, or the bracket collapsed around it
+            stop = "tol" if rep.converged else rep.exit
             break
 
     res = float(np.linalg.norm(phi @ x - b))
@@ -653,6 +687,6 @@ def constrained_weighted_l1(
         iterations=total_iters,
         primal_residual=abs(res - eta) / eta,
         objective=float(w @ np.abs(x)),
-        converged=rep.converged,
+        exit=stop,
         multiplier=float(lam),
     )

@@ -2,6 +2,7 @@ import csv
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +12,8 @@ from rwsparse.cli import main
 from rwsparse.model import ProblemInstance
 from rwsparse.probgen import EnsembleSpec, gen_noiseless
 from rwsparse.solvers import NoConvergenceError
+
+DATA = Path(__file__).parent / "data"
 
 
 @pytest.fixture()
@@ -105,6 +108,16 @@ class TestSweep:
         assert rows[0] == ["algorithm", "s", "trials", "recovered", "rate"]
         algos = {r[0] for r in rows[1:]}
         assert algos == {"l1", "rw-sub"}
+
+    def test_reproduces_the_committed_sweep(self, tmp_path):
+        # the yardstick for solver changes: this sweep's CSV stays
+        # byte-identical (regenerate the file only with a justified change
+        # of recovery outcomes)
+        out = tmp_path / "sweep.csv"
+        args = ["sweep", "--algos", "oracle,rw-sub,rw-cwb", "--s-min", "20", "--s-max", "40",
+                "--trials", "3", "--rw-iter", "2", "--seed", "0", "--out", str(out)]
+        assert main(args) == 0
+        assert out.read_bytes() == (DATA / "sweep_fig1_s20-40_seed0.csv").read_bytes()
 
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"

@@ -69,7 +69,7 @@ class TestOracleAlgorithm:
     def test_zero_step_ends_run(self, inner_solves):
         # the zero-target step clamps to zero at k = 2: the weights cannot
         # move, so the run stops instead of re-solving the same problem
-        inst = gen_noiseless(EnsembleSpec(n=64, m=32, s=10, seed=1))
+        inst = gen_noiseless(EnsembleSpec(n=64, m=32, s=10, seed=3))
         x, trace = rw_l1_oracle(inst, SolverConfig(rw_iter=3))
         assert trace.exit_reason == "zero_step"
         assert len(trace.rows) == len(inner_solves) == 2
@@ -450,22 +450,36 @@ class TestSharedStart:
         )
 
     def test_rejected_support_is_not_polished_again(self, bp_calls, monkeypatch):
-        # the polish is a pure function of (w, support): within one solve,
-        # no attempt repeats the support of the attempt just rejected
-        attempts = []  # (solve number, support, rejected)
-        polish = solvers._bp_polish
+        # the candidate is a pure function of the support: within one solve
+        # no support is QR-factored twice, and a support that failed the
+        # residual test is not tried again
+        factored, candidates, certificates = [], [], []
+        support_qr, candidate, certified = (
+            solvers._support_qr, solvers._bp_candidate, solvers._bp_certified)
 
-        def recorded(instance, w, support, tol):
-            out = polish(instance, w, support, tol)
-            attempts.append((len(bp_calls), support.copy(), out is None))
+        def factor(phi, support):
+            factored.append((len(bp_calls), support.tobytes()))
+            return support_qr(phi, support)
+
+        def candidate_logged(instance, support, tol):
+            out = candidate(instance, support, tol)
+            candidates.append((len(bp_calls), support.tobytes(), out is None))
             return out
 
-        monkeypatch.setattr(solvers, "_bp_polish", recorded)
+        def certified_logged(op, w, support, cand, v):
+            certificates.append((len(bp_calls), support.tobytes()))
+            return certified(op, w, support, cand, v)
+
+        monkeypatch.setattr(solvers, "_support_qr", factor)
+        monkeypatch.setattr(solvers, "_bp_candidate", candidate_logged)
+        monkeypatch.setattr(solvers, "_bp_certified", certified_logged)
         run_algorithm("rw-cwb", gen_noiseless(EnsembleSpec(n=256, m=100, s=40, seed=0)),
                       SolverConfig(rw_iter=2))
-        pairs = [(a, b) for a, b in zip(attempts, attempts[1:]) if a[0] == b[0]]
-        assert sum(a[2] for a, _ in pairs) >= 10
-        assert not any(a[2] and np.array_equal(a[1], b[1]) for a, b in pairs)
+        assert len(set(factored)) == len(factored) == len(candidates)
+        failed = {(solve, key) for solve, key, rejected in candidates if rejected}
+        assert len(failed) >= 10
+        tried = [(solve, key) for solve, key, _ in candidates] + certificates
+        assert all(tried.count(attempt) == 1 for attempt in failed)
 
 
 def _duplicated_row_instance():

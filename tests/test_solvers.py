@@ -14,7 +14,8 @@ from rwsparse.reweight import run_algorithm
 from rwsparse.solvers import (
     _CERT_TOL,
     RankDeficientError,
-    _bp_polish,
+    _bp_candidate,
+    _bp_certified,
     _operator,
     constrained_weighted_l1,
     min_l2_solution,
@@ -172,6 +173,17 @@ def lstsq_polish(instance, w, support, tol):
     return x
 
 
+def min_norm_polish(instance, w, support, tol):
+    """The polish with the minimum-norm multiplier: the certificate seeded
+    with the dual estimate v = 0."""
+    candidate = _bp_candidate(instance, support, tol)
+    if candidate is None:
+        return None
+    if not _bp_certified(_operator(instance), w, support, candidate, np.zeros(instance.n)):
+        return None
+    return candidate[2]
+
+
 class TestBpPolish:
     @pytest.mark.parametrize("k", [5, 20, 60, 100])
     def test_matches_least_squares_reference(self, k):
@@ -194,7 +206,7 @@ class TestBpPolish:
             ):
                 inst = ProblemInstance(phi=phi, b=b)
                 ref = lstsq_polish(inst, w, support, CFG.inner_tol)
-                got = _bp_polish(inst, w, support, CFG.inner_tol)
+                got = min_norm_polish(inst, w, support, CFG.inner_tol)
                 assert (got is None) == (ref is None)
                 if got is None:
                     rejected += 1
@@ -217,7 +229,7 @@ class TestBpPolish:
         w = np.full(40, 1e3)
         w[support] = 1.0
         assert lstsq_polish(inst, w, support, CFG.inner_tol) is not None
-        assert _bp_polish(inst, w, support, CFG.inner_tol) is None
+        assert _bp_candidate(inst, support, CFG.inner_tol) is None
         rep = weighted_basis_pursuit(inst, w, None, CFG)
         assert rep.converged
         oracle = lp_basis_pursuit(phi, inst.b, w)
@@ -248,7 +260,8 @@ class TestBpPolish:
 
 def eager_basis_pursuit(instance, w, cfg):
     """Reference loop: weighted basis pursuit with both stopping residuals
-    computed at every iteration. Returns (x, iterations, residual)."""
+    computed at every iteration, and every polish checkpoint's candidate
+    solved afresh. Returns (x, iterations, residual)."""
     phi, b = instance.phi, instance.b
     op = _operator(instance)
     norm_b = np.linalg.norm(b)
@@ -257,7 +270,6 @@ def eager_basis_pursuit(instance, w, cfg):
     thresh = w / rho
     z = np.zeros(instance.n)
     u = np.zeros(instance.n)
-    rejected = np.empty(0, dtype=np.intp)
     for it in range(1, cfg.inner_max_iter + 1):
         x = op.project(z - u)
         xr = solvers._RELAX * x + (1.0 - solvers._RELAX) * z
@@ -265,11 +277,10 @@ def eager_basis_pursuit(instance, w, cfg):
         u = u + xr - z
         if it == 1 or it % solvers._POLISH_EVERY == 0:
             support = solvers._polish_support(z)
-            if not np.array_equal(support, rejected):
-                polished = solvers._bp_polish(instance, w, support, cfg.inner_tol)
-                if polished is not None:
-                    return polished, it, np.linalg.norm(phi @ polished - b) / (1.0 + norm_b)
-                rejected = support
+            candidate = solvers._bp_candidate(instance, support, cfg.inner_tol)
+            if candidate is not None and solvers._bp_certified(op, w, support, candidate, rho * u):
+                x = candidate[2]
+                return x, it, np.linalg.norm(phi @ x - b) / (1.0 + norm_b)
         affine_rel = np.linalg.norm(phi @ z - b) / (1.0 + norm_b)
         consensus_rel = np.linalg.norm(x - z) / (1.0 + np.linalg.norm(z))
         residual = max(affine_rel, consensus_rel)
@@ -306,9 +317,11 @@ class TestOperator:
     @pytest.mark.parametrize("polish", [True, False])
     @pytest.mark.parametrize("max_iter", [37, 50_000])
     def test_lazy_stop_matches_eager_reference(self, monkeypatch, polish, max_iter):
-        # with the polish switched off every solve stops on the residuals
+        # with the candidate switched off no certificate is tried, and every
+        # solve stops on the residuals
         if not polish:
-            monkeypatch.setattr(solvers, "_bp_polish", lambda *args: None)
+            monkeypatch.setattr(solvers, "_bp_candidate", lambda *args: None)
+            monkeypatch.setattr(solvers, "_bp_certified", None)
         cfg = SolverConfig(inner_max_iter=max_iter)
         for seed in range(3):
             inst = gen_noiseless(EnsembleSpec(n=128, m=48, s=12, seed=seed))
@@ -318,6 +331,81 @@ class TestOperator:
             assert rep.iterations == iterations
             assert rep.primal_residual == residual
             assert rep.x.tobytes() == x.tobytes()
+            if not polish:
+                assert rep.exit == ("max_iter" if max_iter == 37 else "tol")
+
+
+class TestDualSeededCertificate:
+    def test_splitting_dual_certifies_what_the_minimum_norm_multiplier_rejects(self):
+        # the unit-weight start of a Fig-1 instance finds its final support
+        # within 20 iterations; the minimum-norm multiplier does not certify
+        # it (so the solve used to run 436 iterations to the tolerance),
+        # while the splitting's scaled dual does at that checkpoint
+        inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=20, seed=0))
+        w = np.ones(inst.n)
+        rep = weighted_basis_pursuit(inst, w, None, CFG)
+        assert rep.exit == "certified" and rep.converged
+        assert rep.iterations % solvers._POLISH_EVERY == 0 and rep.iterations <= 50
+        support = solvers._polish_support(rep.x)
+        candidate = _bp_candidate(inst, support, CFG.inner_tol)
+        assert candidate[2].tobytes() == rep.x.tobytes()
+        assert not _bp_certified(_operator(inst), w, support, candidate, np.zeros(inst.n))
+
+    def test_certificate_retries_reuse_the_support_factor(self, monkeypatch):
+        # while the support stays put, later checkpoints retry only the
+        # certificate, with the dual of their own iteration
+        factored, certificates = [], []
+        support_qr, certified = solvers._support_qr, solvers._bp_certified
+
+        def factor(phi, support):
+            factored.append(support.tobytes())
+            return support_qr(phi, support)
+
+        def certified_logged(op, w, support, candidate, v):
+            certificates.append((support.tobytes(), v.copy()))
+            return certified(op, w, support, candidate, v)
+
+        monkeypatch.setattr(solvers, "_support_qr", factor)
+        monkeypatch.setattr(solvers, "_bp_certified", certified_logged)
+        inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=30, seed=1))
+        rep = weighted_basis_pursuit(inst, np.ones(inst.n), None, CFG)
+        assert rep.exit == "certified"
+        assert len(set(factored)) == len(factored)
+        keys = [key for key, _ in certificates]
+        retried = max(keys, key=keys.count)
+        retries = [v for key, v in certificates if key == retried]
+        assert len(retries) >= 2
+        assert not np.array_equal(retries[0], retries[-1])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_no_dual_estimate_certifies_a_suboptimal_point(self, seed):
+        # a certificate is a proof whatever multiplier seeds it: on every
+        # support of the LP-oracle instances, random dual estimates accept
+        # no candidate whose objective is above the LP optimum
+        rng = np.random.default_rng(seed)
+        phi = rng.standard_normal((4, 9))
+        b = rng.standard_normal(4)
+        w = rng.uniform(0.1, 2.0, size=9)
+        inst = ProblemInstance(phi=phi, b=b)
+        op = _operator(inst)
+        oracle = lp_basis_pursuit(phi, b, w)
+        probe = np.random.default_rng(100 + seed)
+        accepted = suboptimal = 0
+        for k in range(1, 5):
+            for support in itertools.combinations(range(9), k):
+                support = np.array(support)
+                candidate = _bp_candidate(inst, support, CFG.inner_tol)
+                if candidate is None:
+                    continue
+                objective = w @ np.abs(candidate[2])
+                suboptimal += objective > oracle + 1e-6 * (1 + oracle)
+                for scale in (0.0, 0.1, 1.0, 10.0):
+                    for _ in range(10):
+                        v = scale * probe.standard_normal(9)
+                        if _bp_certified(op, w, support, candidate, v):
+                            accepted += 1
+                            assert objective <= oracle + 1e-9 * (1 + oracle)
+        assert accepted >= 1 and suboptimal >= 10
 
 
 class TestWeightedBasisPursuit:
@@ -395,6 +483,20 @@ class TestWeightedBasisPursuit:
         rep = weighted_basis_pursuit(inst, np.ones(64), None, cfg)
         assert not rep.converged
         assert rep.iterations == 3
+        assert rep.exit == "max_iter"
+
+    def test_exit_says_how_the_solve_stopped(self, monkeypatch):
+        # a certified polish, or the residuals at tolerance once no
+        # candidate is available; the splitting has no stall exit
+        inst = gen_noiseless(EnsembleSpec(n=64, m=24, s=6, seed=4))
+        certified = weighted_basis_pursuit(inst, np.ones(64), None, CFG)
+        assert certified.exit == "certified" and certified.converged
+        monkeypatch.setattr(solvers, "_bp_candidate", lambda *args: None)
+        tol = weighted_basis_pursuit(inst, np.ones(64), None, CFG)
+        assert tol.exit == "tol" and tol.converged
+        assert tol.primal_residual <= CFG.inner_tol
+        assert tol.iterations > certified.iterations
+        assert np.allclose(tol.x, certified.x, atol=1e-6)
 
 
 class TestWeightedLassoFista:
@@ -458,6 +560,22 @@ class TestWeightedLassoFista:
         assert rep.iterations < CFG.inner_max_iter
         assert rep.primal_residual > CFG.inner_tol
         assert not rep.converged
+        assert rep.exit == "stall"
+
+    def test_exit_says_how_the_solve_stopped(self):
+        # the iterate itself at tolerance, a certified polish, the budget
+        rep = weighted_lasso_fista(self._scalar(), np.array([1.0]), 1.0, None, CFG)
+        assert rep.exit == "tol" and rep.converged
+        rng = np.random.default_rng(0)
+        phi = rng.standard_normal((12, 30)) / np.sqrt(12)
+        inst = ProblemInstance(phi=phi, b=rng.standard_normal(12))
+        rep = weighted_lasso_fista(inst, np.ones(30), 10.0, None, CFG)
+        assert rep.exit == "certified" and rep.converged
+        capped = weighted_lasso_fista(inst, np.ones(30), 10.0, None, SolverConfig(inner_max_iter=3))
+        assert capped.exit == "max_iter" and not capped.converged
+        assert capped.iterations == 3
+        closed_form = weighted_lasso_fista(inst, np.ones(30), 0.0, None, CFG)
+        assert closed_form.exit == "certified"
 
     def test_warm_start_converges_fast(self):
         inst = gen_noiseless(EnsembleSpec(n=40, m=20, s=5, seed=2))
@@ -548,7 +666,7 @@ class TestConstrainedWeightedL1:
         res = np.linalg.norm(inst.phi @ rep.x - inst.b)
         assert abs(res - inst.eta) <= CFG.bisect_tol * inst.eta
         assert rep.primal_residual > 1e-12  # the root did not certify it
-        assert rep.converged
+        assert rep.converged and rep.exit == "tol"
 
     def test_multiplier_satisfies_lasso_conditions(self):
         # the reported multiplier lam makes x a LASSO minimizer, and the
@@ -556,6 +674,7 @@ class TestConstrainedWeightedL1:
         inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
         w = np.random.default_rng(3).uniform(0.5, 2.0, 64)
         rep = constrained_weighted_l1(inst, w, inst.eta, CFG)
+        assert rep.exit == "certified"
         lam = rep.multiplier
         assert 0.0 < lam < np.inf
         resid = inst.phi @ rep.x - inst.b
