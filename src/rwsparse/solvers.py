@@ -9,7 +9,10 @@ Four problems are covered, all over a dense underdetermined matrix:
 
 The basis pursuit solver is an operator-splitting iteration alternating an
 affine projection with a coordinate-wise weighted shrinkage; the LASSO
-solver is an accelerated proximal gradient method with adaptive restart.
+solver is an accelerated proximal gradient method with adaptive restart,
+at two products with phi per iteration (the gradient at the extrapolated
+point follows from the two latest gradients), and returns x = 0 without
+iterating when the optimality conditions hold there.
 Both periodically attempt a support polish: solve exactly on the current
 support and accept only when the full optimality conditions certify the
 candidate. The basis pursuit polish ignores rounding-level coordinates
@@ -24,11 +27,14 @@ LASSO solves in the data-fit multiplier lam: once a LASSO solve has found
 its support S and signs, the path on S is affine in 1/lam, and the lam at
 which the residual norm meets the budget has a closed form, accepted only
 when the LASSO optimality conditions certify it (the same QR of the
-support columns as the basis pursuit polish). Bisection on lam remains as
-the fallback, until a solve identifies a certified root. Each instance has
-one cached operator that builds, on first use, the minimum-norm solution,
-an orthonormal basis of the row space of phi (for the basis pursuit
-projection) and the squared spectral norm. A phi without full row rank,
+support columns as the basis pursuit polish). A root that fails its
+certificate is still a Newton step on the Pareto curve, and is the next
+lam to solve at when it lies inside the bracket and, after another such
+step, is at most half as long; bisection on lam remains as the fallback,
+until a solve identifies a certified root. Each instance has one cached operator
+that builds, on first use, the minimum-norm solution, an orthonormal basis
+of the row space of phi (for the basis pursuit projection), the squared
+spectral norm and |phi^T b|. A phi without full row rank,
 numerically, is rejected with ``RankDeficientError``.
 """
 
@@ -134,8 +140,8 @@ class _Operator:
     """The linear algebra of one instance, each piece built on first use:
     the minimum-norm solution ``x0`` (which applies the rank guard), the
     economic QR phi^T = Q R as Q^T, one contiguous m x n array, and R
-    (``row_qr``), and the squared spectral norm. A run without basis
-    pursuit never builds the QR."""
+    (``row_qr``), the squared spectral norm and |phi^T b|. A run without
+    basis pursuit never builds the QR."""
 
     def __init__(self, instance: ProblemInstance):
         self.phi, self.b = instance.phi, instance.b
@@ -175,6 +181,11 @@ class _Operator:
     @cached_property
     def spectral_sq(self) -> float:
         return spectral_norm_sq(self.phi)
+
+    @cached_property
+    def abs_corr_b(self) -> np.ndarray:
+        """|phi^T b|, the LASSO gradient magnitude at x = 0 per unit lam."""
+        return np.abs(self.phi.T @ self.b)
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Orthogonal projection of v onto {x : phi x = b}:
@@ -359,10 +370,11 @@ def _lasso_optimality(w, grad, x) -> float:
     |grad_i + w_i sign(x_i)| / (1 + w_i) on the support, and
     max(|grad_i| - w_i, 0) off it.
     """
-    nz = x != 0.0
-    viol = np.empty_like(grad)
-    viol[nz] = np.abs(grad[nz] + w[nz] * np.sign(x[nz])) / (1.0 + w[nz])
-    viol[~nz] = np.maximum(np.abs(grad[~nz]) - w[~nz], 0.0)
+    viol = np.where(
+        x != 0.0,
+        np.abs(grad + w * np.sign(x)) / (1.0 + w),
+        np.maximum(np.abs(grad) - w, 0.0),
+    )
     return float(np.max(viol, initial=0.0))
 
 
@@ -426,6 +438,10 @@ def weighted_lasso_fista(
 
     Accelerated proximal gradient with step 1 / (lam * ||phi||_2^2) and
     restart of the momentum sequence whenever the objective increases.
+    Each iteration makes two products with phi, for the residual and the
+    gradient at the new iterate: the gradient is affine in x, so the one
+    at the extrapolated point y = x + beta (x - x_prev) is
+    grad_x + beta (grad_x - grad_prev), and grad_x itself after a restart.
     Every few iterations the support is polished by an exact reduced
     solve, accepted only if it satisfies the optimality conditions. Stops
     when the coordinate-wise optimality conditions hold at
@@ -433,32 +449,38 @@ def weighted_lasso_fista(
     (relative) over the last 10 iterations; a stop of the second kind
     without a certified polish is reported as not converged.
 
-    lam = 0 removes the data-fit term entirely: the minimizer is x = 0,
-    and the solve is flagged degenerate if any weight vanishes (those
-    coordinates are then unconstrained by the objective).
+    When lam |phi^T b|_i <= w_i for every i, x = 0 satisfies the
+    optimality conditions exactly and is returned certified after 0
+    iterations. This covers lam = 0, which removes the data-fit term
+    entirely, and phi = 0; in those two cases the solve is flagged
+    degenerate if any weight vanishes (those coordinates are then
+    unconstrained by the objective).
     """
     w = as_weight_array(w, instance.n)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     phi, b = instance.phi, instance.b
-    spectral_sq = _operator(instance).spectral_sq
-    if lam == 0.0 or spectral_sq == 0.0:
+    op = _operator(instance)
+    if np.all(lam * op.abs_corr_b <= w):
         x = np.zeros(instance.n)
         return InnerSolveReport(
             x=x,
             iterations=0,
             primal_residual=0.0,
-            objective=_lasso_objective(w, lam, x, phi @ x - b),
+            objective=_lasso_objective(w, lam, x, -b),
             exit="certified",
-            degenerate=bool(np.any(w == 0.0)),
+            degenerate=(lam == 0.0 or op.spectral_sq == 0.0) and bool(np.any(w == 0.0)),
             multiplier=float(lam),
         )
-    lip = lam * spectral_sq
+    lip = lam * op.spectral_sq
 
     x_prev = np.zeros(instance.n) if warm is None else np.asarray(warm, dtype=float).copy()
-    y = x_prev.copy()
+    resid = phi @ x_prev - b
+    grad_prev = lam * (phi.T @ resid)
+    grad_y = grad_prev
+    y = x_prev
     t = 1.0
-    obj_prev = _lasso_objective(w, lam, x_prev, phi @ x_prev - b)
+    obj_prev = _lasso_objective(w, lam, x_prev, resid)
     step_thresh = w / lip
     obj_history = [obj_prev]
     residual = np.inf
@@ -474,11 +496,10 @@ def weighted_lasso_fista(
             cand_resid = phi @ cand - b
             cand_viol = _lasso_optimality(w, lam * (phi.T @ cand_resid), cand)
             if cand_viol <= cfg.inner_tol:
-                return cand, cand_viol
-        return None, None
+                return cand, cand_resid, cand_viol
+        return None
 
     for it in range(1, cfg.inner_max_iter + 1):
-        grad_y = lam * (phi.T @ (phi @ y - b))
         x = soft_threshold(y - grad_y / lip, step_thresh)
         resid = phi @ x - b
         grad_x = lam * (phi.T @ resid)
@@ -493,10 +514,9 @@ def weighted_lasso_fista(
             and abs(obj - obj_history[-10]) <= cfg.inner_tol * max(1.0, abs(obj))
         )
         if stalled or it % _POLISH_EVERY == 0:
-            cand, cand_viol = polished(x, grad_x, residual)
-            if cand is not None:
-                x = cand
-                residual = cand_viol
+            found = polished(x, grad_x, residual)
+            if found is not None:
+                x, resid, residual = found
                 stop = "certified"
                 break
         if stalled:  # no certificate: the solve stops unconverged
@@ -508,15 +528,16 @@ def weighted_lasso_fista(
         if obj > obj_prev:
             # adaptive restart: drop momentum when the objective rises
             t = 1.0
-            y = x.copy()
+            y, grad_y = x, grad_x
         else:
             t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            y = x + ((t - 1.0) / t_next) * (x - x_prev)
+            beta = (t - 1.0) / t_next
+            y = x + beta * (x - x_prev)
+            grad_y = grad_x + beta * (grad_x - grad_prev)
             t = t_next
-        x_prev = x
+        x_prev, grad_prev = x, grad_x
         obj_prev = obj
 
-    resid = phi @ x - b
     return InnerSolveReport(
         x=x,
         iterations=it,
@@ -528,18 +549,22 @@ def weighted_lasso_fista(
 
 
 def _constrained_root(instance, w, eta, x, tol):
-    """The multiplier at which the LASSO path on the support and signs of x
-    meets the budget, with its minimizer, or None.
+    """The multiplier lam at which the LASSO path on the support and signs
+    of x meets the budget, as (minimizer, lam); the minimizer is None when
+    it fails its checks, and the whole result None when the path on this
+    support never meets the budget.
 
     With S and sigma fixed and phi_S = QR, the LASSO minimizer at lam = 1/t
     is x_S(t) = R^{-1}(Q^T b - t g) with g = R^{-T} w_S sigma, and its
     residual b - Q Q^T b + t Q g has the squared norm r0^2 + t^2 ||g||^2,
     r0^2 = ||b||^2 - ||Q^T b||^2 (the cross term vanishes: b - Q Q^T b is
     orthogonal to range(phi_S)). So ||phi x - b|| = eta at
-    t = sqrt((eta^2 - r0^2) / ||g||^2). The candidate is returned only when
+    t = sqrt((eta^2 - r0^2) / ||g||^2). The minimizer is returned only when
     its signs match sigma on the penalized coordinates and the full LASSO
     optimality conditions hold at lam within ``tol``; by duality it is then
-    the constrained minimizer and lam its multiplier.
+    the constrained minimizer and lam its multiplier. Otherwise lam is
+    still a prediction of the multiplier (a Newton step on the Pareto
+    curve), which the search may solve at next.
     """
     phi, b = instance.phi, instance.b
     support = np.flatnonzero(x)
@@ -555,73 +580,78 @@ def _constrained_root(instance, w, eta, x, tol):
     if slack <= 0.0 or gg == 0.0:
         return None
     t = np.sqrt(slack / gg)
+    lam = 1.0 / t
     x_s = solve_triangular(r, c - t * g, check_finite=False)
     # a sign change fails the certificate below as well (unless w_i is near
     # the tolerance); checked first because it needs no product with phi
     penalized = w[support] > 0.0
     if np.any(np.sign(x_s[penalized]) != sigma[penalized]):
-        return None
+        return None, lam
     cand = np.zeros(instance.n)
     cand[support] = x_s
-    lam = 1.0 / t
     if _lasso_optimality(w, lam * (phi.T @ (phi @ cand - b)), cand) > tol:
-        return None
+        return None, lam
     return cand, lam
 
 
 def _bisect_multiplier(lam, eta, tol):
     """Bracket and bisect the LASSO multiplier, as a coroutine: it yields
-    each multiplier to solve at and is sent that solve's residual norm.
+    each multiplier to solve at and is sent (residual norm, guess) for that
+    solve, where guess is a predicted multiplier or None.
 
-    The data-fit norm of the LASSO minimizer decreases in lam, so lam is
-    doubled while the residual norm exceeds eta and halved while it falls
-    below eta (1 - tol), then the bracket is bisected until the residual
-    norm is within ``tol`` of eta (relative) or the bracket collapses.
+    The data-fit norm of the LASSO minimizer decreases in lam, so the
+    multipliers solved at bracket the root between lo, the largest with a
+    residual norm above eta, and hi, the smallest at or below it. Until
+    both exist lam is doubled (no hi yet) or halved (no lo yet); then the
+    bracket is bisected. The search ends when the residual norm is within
+    ``tol`` of eta (relative; above eta only once the bracket is closed)
+    or the bracket collapses. A guess strictly inside the bracket is solved
+    at instead of the plain step (a safeguarded Newton step), but right
+    after another guess only if it is at most half as long a step: Newton
+    steps on this curve close in on the root from one side, shrinking the
+    step but not the bracket, and a guess that does not halve the step is
+    replaced by the plain one. So a run of guesses ends after finitely many
+    steps, and the 60-step and collapse bounds on the plain steps still end
+    the search.
     """
-    res = yield lam
-    lam_lo = lam_hi = None  # lam_lo: residual above eta, lam_hi: at or below
-    if res > eta:
-        lam_lo = lam
-        for _ in range(60):
-            lam *= 2.0
-            res = yield lam
-            if res <= eta:
-                lam_hi = lam
-                break
-            lam_lo = lam
-        if lam_hi is None:
-            raise NoConvergenceError(
-                f"no multiplier bracket found below residual {eta:.3e} "
-                f"after 60 doublings"
-            )
-    elif res < eta * (1.0 - tol):
-        lam_hi = lam
-        for _ in range(60):
-            lam /= 2.0
-            res = yield lam
-            if res > eta:
-                lam_lo = lam
-                break
-            lam_hi = lam
-            if res >= eta * (1.0 - tol):
-                break
-        if lam_lo is None and abs(res - eta) > tol * eta:
-            raise NoConvergenceError(
-                f"no multiplier bracket found above residual {eta:.3e} "
-                f"after 60 halvings"
-            )
-
-    while abs(res - eta) > tol * eta and lam_lo is not None and lam_hi is not None:
-        if lam_hi - lam_lo < 1e-12:
-            if res > eta:  # land on the feasible side of the bracket
-                yield lam_hi
-            return
-        lam = 0.5 * (lam_lo + lam_hi)
-        res = yield lam
+    lo, hi = 0.0, np.inf  # 0 and infinity: that side is not found yet
+    doublings = halvings = 0
+    step = np.inf  # length of the last step if it was a guess
+    while True:
+        res, guess = yield lam
         if res > eta:
-            lam_lo = lam
+            lo = lam
         else:
-            lam_hi = lam
+            hi = lam
+        if abs(res - eta) <= tol * eta and (res <= eta or hi < np.inf):
+            return
+        if lo > 0.0 and hi - lo < 1e-12:
+            if res > eta:  # land on the feasible side of the bracket
+                yield hi
+            return
+        if guess is not None and lo < guess < hi and abs(guess - lam) <= 0.5 * step:
+            step = abs(guess - lam)
+            lam = guess
+            continue
+        step = np.inf
+        if hi == np.inf:
+            if doublings == 60:
+                raise NoConvergenceError(
+                    f"no multiplier bracket found below residual {eta:.3e} "
+                    f"after 60 doublings"
+                )
+            doublings += 1
+            lam = 2.0 * lo
+        elif lo == 0.0:
+            if halvings == 60:
+                raise NoConvergenceError(
+                    f"no multiplier bracket found above residual {eta:.3e} "
+                    f"after 60 halvings"
+                )
+            halvings += 1
+            lam = 0.5 * hi
+        else:
+            lam = 0.5 * (lo + hi)
 
 
 def constrained_weighted_l1(
@@ -639,7 +669,9 @@ def constrained_weighted_l1(
     multiplier on its support and signs (``_constrained_root``) ends the
     search when the optimality conditions certify it, with
     ||phi x - b|| = eta up to rounding; until then lam is bracketed and
-    bisected (``_bisect_multiplier``, to within ``cfg.bisect_tol`` of eta).
+    bisected (``_bisect_multiplier``, to within ``cfg.bisect_tol`` of eta),
+    and a closed-form multiplier that failed its checks is the next lam
+    to solve at when it lies inside the bracket, a safeguarded Newton step.
     The report's ``multiplier`` is the lam the solve ended at.
     """
     w = as_weight_array(w, instance.n)
@@ -670,12 +702,15 @@ def constrained_weighted_l1(
         total_iters += rep.iterations
         x = rep.x
         root = _constrained_root(instance, w, eta, x, cfg.inner_tol) if rep.converged else None
+        guess = None
         if root is not None:
-            x, lam = root
-            stop = "certified"
-            break
+            cand, guess = root
+            if cand is not None:
+                x, lam = cand, guess
+                stop = "certified"
+                break
         try:
-            lam = search.send(float(np.linalg.norm(phi @ x - b)))
+            lam = search.send((float(np.linalg.norm(phi @ x - b)), guess))
         except StopIteration:
             # the budget band is met, or the bracket collapsed around it
             stop = "tol" if rep.converged else rep.exit

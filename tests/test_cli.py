@@ -119,6 +119,15 @@ class TestSweep:
         assert main(args) == 0
         assert out.read_bytes() == (DATA / "sweep_fig1_s20-40_seed0.csv").read_bytes()
 
+    def test_reproduces_the_committed_noisy_bench(self, tmp_path):
+        # the same yardstick for the noisy path: LASSO and constrained
+        # solver changes leave these improvements byte-identical
+        out = tmp_path / "noisy.csv"
+        args = ["noisy-bench", "--n", "64", "--m", "32", "--s", "6", "--trials", "3",
+                "--seed", "0", "--out", str(out)]
+        assert main(args) == 0
+        assert out.read_bytes() == (DATA / "noisy_n64_m32_s6_seed0.csv").read_bytes()
+
     def test_config_file_with_flag_override(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({

@@ -577,6 +577,65 @@ class TestWeightedLassoFista:
         closed_form = weighted_lasso_fista(inst, np.ones(30), 0.0, None, CFG)
         assert closed_form.exit == "certified"
 
+    @pytest.mark.parametrize("max_iter", [7, 25, 5000])
+    def test_reported_violation_matches_a_fresh_gradient(self, max_iter):
+        inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
+        w = np.random.default_rng(4).uniform(0.5, 2.0, 64)
+        lam = 40.0
+        rep = weighted_lasso_fista(inst, w, lam, None, SolverConfig(inner_max_iter=max_iter))
+        grad = lam * (inst.phi.T @ (inst.phi @ rep.x - inst.b))
+        fresh = solvers._lasso_optimality(w, grad, rep.x)
+        assert rep.primal_residual == pytest.approx(fresh, rel=1e-12, abs=1e-15)
+        resid = inst.phi @ rep.x - inst.b
+        assert rep.objective == pytest.approx(0.5 * lam * resid @ resid + w @ np.abs(rep.x), rel=1e-14)
+
+    def test_iterates_match_a_gradient_recomputed_at_y(self, monkeypatch):
+        # the gradient at the extrapolated point comes from the affine
+        # recurrence; the iterates equal those of the textbook iteration,
+        # which computes it from scratch, to rounding
+        inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
+        phi, b = inst.phi, inst.b
+        w = np.random.default_rng(4).uniform(0.5, 2.0, 64)
+        lam, iters = 40.0, 60
+        monkeypatch.setattr(solvers, "_lasso_polish", lambda *args: None)
+        rep = weighted_lasso_fista(inst, w, lam, None, SolverConfig(inner_max_iter=iters))
+        assert rep.exit == "max_iter"
+
+        def objective(x):
+            r = phi @ x - b
+            return 0.5 * lam * r @ r + w @ np.abs(x)
+
+        lip = lam * spectral_norm_sq(phi)
+        x_prev = y = np.zeros(64)
+        obj_prev, t = objective(x_prev), 1.0
+        for _ in range(iters):
+            x = soft_threshold(y - lam * (phi.T @ (phi @ y - b)) / lip, w / lip)
+            obj = objective(x)
+            if obj > obj_prev:
+                t, y = 1.0, x
+            else:
+                t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+                y = x + ((t - 1.0) / t_next) * (x - x_prev)
+                t = t_next
+            x_prev, obj_prev = x, obj
+        assert np.allclose(rep.x, x, rtol=0.0, atol=1e-12 * np.max(np.abs(x)))
+
+    def test_zero_is_returned_below_the_first_breakpoint(self):
+        inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
+        w = np.random.default_rng(4).uniform(0.5, 2.0, 64)
+        corr = np.abs(inst.phi.T @ inst.b)
+        lam_zero = float(np.min(w / corr))  # x = 0 is optimal up to here
+        below = weighted_lasso_fista(inst, w, lam_zero * (1.0 - 1e-9), np.ones(64), CFG)
+        assert np.all(below.x == 0.0) and below.iterations == 0
+        assert below.exit == "certified" and not below.degenerate
+        assert below.objective == pytest.approx(0.5 * lam_zero * (1.0 - 1e-9) * inst.b @ inst.b)
+        above = weighted_lasso_fista(inst, w, lam_zero * 1.01, None, CFG)
+        assert above.iterations > 0 and np.count_nonzero(above.x) > 0
+        # a zero weight where phi^T b vanishes: x = 0 is the unique minimizer
+        inst = ProblemInstance(phi=np.eye(2), b=np.array([1.0, 0.0]))
+        rep = weighted_lasso_fista(inst, np.array([2.0, 0.0]), 1.0, None, CFG)
+        assert np.all(rep.x == 0.0) and rep.iterations == 0 and not rep.degenerate
+
     def test_warm_start_converges_fast(self):
         inst = gen_noiseless(EnsembleSpec(n=40, m=20, s=5, seed=2))
         w = np.ones(40)
@@ -707,8 +766,78 @@ class TestConstrainedWeightedL1:
         assert lams == [cold.multiplier]
         assert np.allclose(exact.x, cold.x, rtol=0.0, atol=1e-10)
 
+    def test_rejected_root_is_the_next_multiplier(self, monkeypatch):
+        # this unit-weight start took 9 LASSO solves and ended by bisection
+        # when the search ignored the closed-form roots that failed their
+        # certificate; solving at them instead lands on a certified root
+        inst = gen_noisy(EnsembleSpec(n=256, m=128, s=38, sigma=0.05, seed=2))
+        lams = []
+        fista = solvers.weighted_lasso_fista
+
+        def logged(instance, w, lam, *args):
+            lams.append(lam)
+            return fista(instance, w, lam, *args)
+
+        monkeypatch.setattr(solvers, "weighted_lasso_fista", logged)
+        rep = constrained_weighted_l1(inst, np.ones(256), inst.eta, CFG)
+        assert rep.exit == "certified"
+        res = np.linalg.norm(inst.phi @ rep.x - inst.b)
+        assert abs(res - inst.eta) <= 1e-12 * inst.eta
+        assert len(lams) < 9
+        assert lams[:4] == [1.0, 2.0, 4.0, 8.0]  # doubling until a guess exists
+
     @pytest.mark.parametrize("lam_start", [0.0, -1.0, np.inf, np.nan])
     def test_invalid_start_rejected(self, lam_start):
         inst = gen_noisy(EnsembleSpec(n=32, m=16, s=3, sigma=0.05, seed=0))
         with pytest.raises(ValueError):
             constrained_weighted_l1(inst, np.ones(32), inst.eta, CFG, lam_start)
+
+
+class TestBisectMultiplier:
+    """The multiplier search alone: sent (residual norm, guess) after each
+    solve, with eta = 1 and a residual of 2 above the budget, 0.5 below."""
+
+    ABOVE, BELOW = 2.0, 0.5
+
+    def _search(self, lam):
+        search = solvers._bisect_multiplier(lam, 1.0, 1e-3)
+        assert next(search) == lam
+        return search
+
+    def test_guess_outside_the_bracket_is_ignored(self):
+        search = self._search(1.0)
+        assert search.send((self.ABOVE, 0.5)) == 2.0  # below lo = 1: doubled
+        assert search.send((self.BELOW, 5.0)) == 1.5  # above hi = 2: bisected
+        search = self._search(4.0)
+        assert search.send((self.BELOW, 4.0)) == 2.0  # hi itself: halved
+
+    def test_guess_inside_the_bracket_is_taken(self):
+        search = self._search(1.0)
+        assert search.send((self.ABOVE, 3.0)) == 3.0  # inside (1, inf)
+        search = self._search(4.0)
+        assert search.send((self.BELOW, 0.1)) == 0.1  # inside (0, 4)
+
+    def test_guess_that_does_not_halve_the_step_is_followed_by_a_bisection(self):
+        search = self._search(2.0)
+        assert search.send((self.ABOVE, None)) == 4.0
+        assert search.send((self.BELOW, None)) == 3.0  # bracket (2, 4)
+        assert search.send((self.BELOW, 2.5)) == 2.5  # a guess after a plain step
+        # a step of 0.3 after one of 0.5: not halved, so the plain step
+        assert search.send((self.BELOW, 2.2)) == 2.25
+        assert search.send((self.ABOVE, 2.4)) == 2.4  # after a plain step again
+        # a step of 0.05 after one of 0.15: halved, so the guess is taken
+        assert search.send((self.BELOW, 2.35)) == 2.35
+
+    def test_guesses_leave_the_bounds_in_place(self):
+        # guesses that never halve their step cannot hold off the collapse
+        search = self._search(1.0)
+        lam = search.send((self.ABOVE, None))
+        assert lam == 2.0
+        seen = 0
+        with pytest.raises(StopIteration):
+            while True:
+                seen += 1
+                assert seen < 200
+                lam = search.send((self.BELOW, None if seen % 2 else 1.0 + 1e-3 * seen))
+        # without a certified root, the bracket (1, 2) collapsed
+        assert 1.0 < lam < 1.0 + 1e-11
