@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import csv
 import ctypes
+import functools
 import itertools
 import logging
 import math
@@ -110,16 +111,20 @@ def _recovery_trial(args):
     return digest, outcomes, errors
 
 
+@functools.cache
 def _blas_thread_controls():
     """(get, set) thread-count functions of each OpenBLAS loaded in this
-    process; numpy and scipy wheels each bundle their own copy."""
+    process; numpy and scipy wheels each bundle their own copy. Looked up
+    once per process: both are loaded by the time this package is
+    imported, and reading the memory map costs about as much as a short
+    sweep call's own overhead."""
     try:
         with open("/proc/self/maps") as maps:
             paths = sorted(
                 {line.split(maxsplit=5)[5].strip() for line in maps if "openblas" in line.lower()}
             )
     except OSError:  # no /proc: BLAS threading is left as it is
-        return []
+        return ()
     controls = []
     for path in paths:
         lib = ctypes.CDLL(path)
@@ -129,7 +134,7 @@ def _blas_thread_controls():
             if get is not None and set_ is not None:
                 controls.append((get, set_))
                 break
-    return controls
+    return tuple(controls)
 
 
 def _single_blas_thread():

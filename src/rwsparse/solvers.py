@@ -19,10 +19,13 @@ candidate. The basis pursuit polish ignores rounding-level coordinates
 and has two parts. The candidate (a QR of the support columns, the exact
 solve and its residual test; a numerically rank-deficient support fails)
 depends only on the support, so within one solve no support is factored
-twice. The dual certificate starts from the splitting's current scaled
-dual, an estimate of the multiplier, so a support whose first certificate
+twice, and a support is factored only once it persists from one
+checkpoint to the next (or at the first iteration, for a warm start).
+The dual certificate starts from the splitting's current scaled dual, an
+estimate of the multiplier, so a thin support whose first certificate
 fails is retried at later checkpoints against its kept factors, with no
-new QR. The constrained problem is reduced to
+new QR; a square support's certificate does not depend on that estimate
+and is tried once. The constrained problem is reduced to
 LASSO solves in the data-fit multiplier lam: once a LASSO solve has found
 its support S and signs, the path on S is affine in 1/lam, and the lam at
 which the residual norm meets the budget has a closed form, accepted only
@@ -40,6 +43,7 @@ numerically, is rejected with ``RankDeficientError``.
 
 from __future__ import annotations
 
+import math
 import weakref
 from dataclasses import dataclass
 from functools import cached_property
@@ -262,7 +266,11 @@ def _bp_certified(op, w, support, candidate, v) -> bool:
     of phi. x is certified when the correlation phi^T nu matches
     the subdifferential of the weighted l1 norm at x on every coordinate
     (equality on the support, magnitude at most w_i off it) within
-    ``_CERT_TOL``. Any nu that passes certifies x, whatever v was.
+    ``_CERT_TOL``. Any nu that passes certifies x, whatever v was. When
+    |S| = m, q is square and q q^T = I, so nu = q r^{-T} w_S sign(x_S) for
+    every v (up to rounding): a failed certificate on a square support
+    fails for every later dual too, and the solver drops that support's
+    factors.
     """
     phi = op.phi
     q, r, x = candidate
@@ -295,9 +303,13 @@ def weighted_basis_pursuit(
     with z the minimum-norm solution, which keeps the shrinkage threshold
     a fixed fraction of the solution scale. Every few iterations the
     current support is polished by an exact solve (``_bp_candidate``, at
-    most once per support) and accepted only with a verified optimality
-    certificate built from the current scaled dual (``_bp_certified``),
-    which ends the solve with exit ``"certified"``. Otherwise it stops
+    most once per support, and only for a support that is also the
+    previous checkpoint's, or at iteration 1) and accepted only with a
+    verified optimality certificate built from the current scaled dual
+    (``_bp_certified``; retried on later checkpoints only for a thin
+    support), which ends the solve with exit ``"certified"``. The screen
+    moves only the checkpoint at which a certified solve stops: its x is
+    still the exact solve on the support it certifies. Otherwise it stops
     with exit ``"tol"`` when both the affine residual
     ||phi x - b|| / (1 + ||b||) and the consensus residual of the split
     variables fall below ``cfg.inner_tol`` (the larger is reported), or
@@ -320,8 +332,10 @@ def weighted_basis_pursuit(
     u = np.zeros(instance.n)
     # the candidate is a pure function of the support, so no support is
     # factored twice in one solve: a failed one maps to None, and a passed
-    # one keeps its factors for certificate retries with later duals
+    # one keeps its factors for certificate retries with later duals (a
+    # square one only until its certificate fails)
     candidates = {}
+    last_key = None
     residual = np.inf
     stop = "max_iter"
     it = 0
@@ -333,18 +347,28 @@ def weighted_basis_pursuit(
         if it == 1 or it % _POLISH_EVERY == 0:
             support = _polish_support(z)
             key = support.tobytes()
-            if key not in candidates:
+            # most supports of a moving iterate never recur, so a new one is
+            # factored only once it persists to a second checkpoint; at
+            # iteration 1 a warm start's support may already certify
+            if key not in candidates and (it == 1 or key == last_key):
                 candidates[key] = _bp_candidate(instance, support, cfg.inner_tol)
-            candidate = candidates[key]
-            # rho u is a subgradient of the weighted l1 norm at z
-            if candidate is not None and _bp_certified(op, w, support, candidate, rho * u):
-                z = candidate[2]
-                residual = np.linalg.norm(phi @ z - b) / (1.0 + norm_b)
-                stop = "certified"
-                break
+            last_key = key
+            candidate = candidates.get(key)
+            if candidate is not None:
+                # rho u is a subgradient of the weighted l1 norm at z
+                if _bp_certified(op, w, support, candidate, rho * u):
+                    z = candidate[2]
+                    residual = np.linalg.norm(phi @ z - b) / (1.0 + norm_b)
+                    stop = "certified"
+                    break
+                if support.size == instance.m:
+                    # a square support's certificate ignores the dual
+                    candidates[key] = None
         # both residuals must pass, so the affine one (a matvec with phi)
-        # waits for the consensus one to pass, or for the last iteration
-        residual = np.linalg.norm(x - z) / (1.0 + np.linalg.norm(z))
+        # waits for the consensus one to pass, or for the last iteration;
+        # the norms are np.linalg.norm's own formula, without its overhead
+        d = x - z
+        residual = math.sqrt(d @ d) / (1.0 + math.sqrt(z @ z))
         if residual <= cfg.inner_tol or it == cfg.inner_max_iter:
             residual = max(np.linalg.norm(phi @ z - b) / (1.0 + norm_b), residual)
             if residual <= cfg.inner_tol:

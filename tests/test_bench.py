@@ -81,6 +81,20 @@ class TestRecoverySweep:
         assert bench._map_ordered(_blas_threads, range(3), workers) == [[1] * len(before)] * 3
         assert _blas_threads() == before
 
+    def test_blas_controls_are_looked_up_once(self, monkeypatch):
+        # the OpenBLAS copies are loaded with the package, so sweeps read the
+        # process memory map for their thread controls at most once
+        reads = []
+
+        def logged_open(path, *args, **kwargs):
+            reads.append(path)
+            return open(path, *args, **kwargs)
+
+        monkeypatch.setattr(bench, "open", logged_open, raising=False)
+        tiny = dataclasses.replace(TINY, trials=1, s_values=(3,))
+        assert run_recovery_sweep(tiny) == run_recovery_sweep(tiny)
+        assert reads.count("/proc/self/maps") <= 1
+
     def test_single_trial_rate_binary(self):
         import dataclasses
 

@@ -452,7 +452,8 @@ class TestSharedStart:
     def test_rejected_support_is_not_polished_again(self, bp_calls, monkeypatch):
         # the candidate is a pure function of the support: within one solve
         # no support is QR-factored twice, and a support that failed the
-        # residual test is not tried again
+        # residual test is not tried again; nor is a square support whose
+        # certificate failed, since that certificate ignores the dual
         factored, candidates, certificates = [], [], []
         support_qr, candidate, certified = (
             solvers._support_qr, solvers._bp_candidate, solvers._bp_certified)
@@ -467,19 +468,24 @@ class TestSharedStart:
             return out
 
         def certified_logged(op, w, support, cand, v):
-            certificates.append((len(bp_calls), support.tobytes()))
-            return certified(op, w, support, cand, v)
+            out = certified(op, w, support, cand, v)
+            certificates.append((len(bp_calls), support.tobytes(), support.size, out))
+            return out
 
         monkeypatch.setattr(solvers, "_support_qr", factor)
         monkeypatch.setattr(solvers, "_bp_candidate", candidate_logged)
         monkeypatch.setattr(solvers, "_bp_certified", certified_logged)
-        run_algorithm("rw-cwb", gen_noiseless(EnsembleSpec(n=256, m=100, s=40, seed=0)),
-                      SolverConfig(rw_iter=2))
+        inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=50, seed=0))
+        run_algorithm("rw-cwb", inst, SolverConfig(rw_iter=4))
         assert len(set(factored)) == len(factored) == len(candidates)
         failed = {(solve, key) for solve, key, rejected in candidates if rejected}
         assert len(failed) >= 10
-        tried = [(solve, key) for solve, key, _ in candidates] + certificates
+        tried = [(solve, key) for solve, key, _ in candidates]
+        tried += [(solve, key) for solve, key, _, _ in certificates]
         assert all(tried.count(attempt) == 1 for attempt in failed)
+        square = [(solve, key) for solve, key, size, _ in certificates if size == inst.m]
+        assert len(set(square)) == len(square)
+        assert any(size == inst.m and not out for _, _, size, out in certificates)
 
 
 def _duplicated_row_instance():

@@ -7,7 +7,7 @@ from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import linprog, minimize
 
-from rwsparse import solvers
+from rwsparse import reweight, solvers
 from rwsparse.model import ConfigurationError, ProblemInstance, SolverConfig
 from rwsparse.probgen import EnsembleSpec, gen_noiseless, gen_noisy
 from rwsparse.reweight import run_algorithm
@@ -260,8 +260,11 @@ class TestBpPolish:
 
 def eager_basis_pursuit(instance, w, cfg):
     """Reference loop: weighted basis pursuit with both stopping residuals
-    computed at every iteration, and every polish checkpoint's candidate
-    solved afresh. Returns (x, iterations, residual)."""
+    computed at every iteration, and a checkpoint's candidate solved afresh
+    whenever the schedule tries it: at iteration 1, on the support of the
+    previous checkpoint, or on a support tried before in the solve. A
+    square support is re-certified each time. Returns
+    (x, iterations, residual)."""
     phi, b = instance.phi, instance.b
     op = _operator(instance)
     norm_b = np.linalg.norm(b)
@@ -270,6 +273,7 @@ def eager_basis_pursuit(instance, w, cfg):
     thresh = w / rho
     z = np.zeros(instance.n)
     u = np.zeros(instance.n)
+    tried, last = set(), None
     for it in range(1, cfg.inner_max_iter + 1):
         x = op.project(z - u)
         xr = solvers._RELAX * x + (1.0 - solvers._RELAX) * z
@@ -277,10 +281,15 @@ def eager_basis_pursuit(instance, w, cfg):
         u = u + xr - z
         if it == 1 or it % solvers._POLISH_EVERY == 0:
             support = solvers._polish_support(z)
-            candidate = solvers._bp_candidate(instance, support, cfg.inner_tol)
-            if candidate is not None and solvers._bp_certified(op, w, support, candidate, rho * u):
-                x = candidate[2]
-                return x, it, np.linalg.norm(phi @ x - b) / (1.0 + norm_b)
+            key = support.tobytes()
+            if it == 1 or key == last or key in tried:
+                tried.add(key)
+                candidate = solvers._bp_candidate(instance, support, cfg.inner_tol)
+                if candidate is not None and solvers._bp_certified(
+                        op, w, support, candidate, rho * u):
+                    x = candidate[2]
+                    return x, it, np.linalg.norm(phi @ x - b) / (1.0 + norm_b)
+            last = key
         affine_rel = np.linalg.norm(phi @ z - b) / (1.0 + norm_b)
         consensus_rel = np.linalg.norm(x - z) / (1.0 + np.linalg.norm(z))
         residual = max(affine_rel, consensus_rel)
@@ -352,30 +361,93 @@ class TestDualSeededCertificate:
         assert not _bp_certified(_operator(inst), w, support, candidate, np.zeros(inst.n))
 
     def test_certificate_retries_reuse_the_support_factor(self, monkeypatch):
-        # while the support stays put, later checkpoints retry only the
-        # certificate, with the dual of their own iteration
-        factored, certificates = [], []
-        support_qr, certified = solvers._support_qr, solvers._bp_certified
+        # while a thin support stays put, later checkpoints retry only the
+        # certificate, with the dual of their own iteration; the rw-sub
+        # re-solve of this instance retries one twice
+        solves = []
+        bp, support_qr, certified = (
+            reweight.weighted_basis_pursuit, solvers._support_qr, solvers._bp_certified)
+
+        def solve_logged(*args, **kwargs):
+            solves.append(([], []))
+            return bp(*args, **kwargs)
 
         def factor(phi, support):
-            factored.append(support.tobytes())
+            solves[-1][0].append(support.tobytes())
             return support_qr(phi, support)
 
         def certified_logged(op, w, support, candidate, v):
-            certificates.append((support.tobytes(), v.copy()))
+            solves[-1][1].append((support.tobytes(), v.copy()))
             return certified(op, w, support, candidate, v)
 
+        monkeypatch.setattr(reweight, "weighted_basis_pursuit", solve_logged)
         monkeypatch.setattr(solvers, "_support_qr", factor)
         monkeypatch.setattr(solvers, "_bp_certified", certified_logged)
-        inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=30, seed=1))
-        rep = weighted_basis_pursuit(inst, np.ones(inst.n), None, CFG)
-        assert rep.exit == "certified"
-        assert len(set(factored)) == len(factored)
-        keys = [key for key, _ in certificates]
-        retried = max(keys, key=keys.count)
-        retries = [v for key, v in certificates if key == retried]
-        assert len(retries) >= 2
-        assert not np.array_equal(retries[0], retries[-1])
+        inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=30, seed=2))
+        run_algorithm("rw-sub", inst, SolverConfig(rw_iter=2))
+        retried = 0
+        for factored, certificates in solves:
+            assert len(set(factored)) == len(factored)
+            keys = [key for key, _ in certificates]
+            for key in set(keys):
+                retries = [v for k, v in certificates if k == key]
+                if len(retries) >= 2 and len(key) // 8 < inst.m:
+                    assert not np.array_equal(retries[0], retries[-1])
+                    retried += 1
+        assert retried >= 1
+
+    def test_square_support_certificate_ignores_the_dual_estimate(self):
+        # with |S| = m the support factor q is square, so the corrected
+        # multiplier is q r^-T (w_S sign x_S) whatever v seeds it: on every
+        # square support of the LP-oracle instances, random dual estimates
+        # give the decision of v = 0
+        accepted = rejected = 0
+        for seed in range(3):
+            rng = np.random.default_rng(seed)
+            phi = rng.standard_normal((4, 9))
+            inst = ProblemInstance(phi=phi, b=rng.standard_normal(4))
+            w = rng.uniform(0.1, 2.0, size=9)
+            op = _operator(inst)
+            probe = np.random.default_rng(100 + seed)
+            for support in itertools.combinations(range(9), 4):
+                support = np.array(support)
+                candidate = _bp_candidate(inst, support, CFG.inner_tol)
+                decision = _bp_certified(op, w, support, candidate, np.zeros(9))
+                accepted += decision
+                rejected += not decision
+                for scale in (0.1, 1.0, 10.0):
+                    for _ in range(10):
+                        v = scale * probe.standard_normal(9)
+                        assert _bp_certified(op, w, support, candidate, v) == decision
+        assert accepted >= 3 and rejected >= 100
+
+    def test_no_support_is_factored_at_its_first_sighting(self, monkeypatch):
+        # after iteration 1 a support is factored only at the second of two
+        # consecutive checkpoints on it
+        sightings, factored = [], []
+        polish_support, support_qr = solvers._polish_support, solvers._support_qr
+
+        def sighted(z):
+            support = polish_support(z)
+            sightings.append(support.tobytes())
+            return support
+
+        def factor(phi, support):
+            factored.append((len(sightings), support.tobytes()))
+            return support_qr(phi, support)
+
+        monkeypatch.setattr(solvers, "_polish_support", sighted)
+        monkeypatch.setattr(solvers, "_support_qr", factor)
+        total = 0
+        for s, seed in ((30, 1), (40, 0), (40, 5)):
+            inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=s, seed=seed))
+            sightings.clear()
+            factored.clear()
+            rep = weighted_basis_pursuit(inst, np.ones(inst.n), None, CFG)
+            assert rep.exit == "certified"
+            assert all(at == 1 or key == sightings[at - 2] for at, key in factored)
+            total += len(factored)
+        assert total >= 3
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_no_dual_estimate_certifies_a_suboptimal_point(self, seed):
