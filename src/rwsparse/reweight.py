@@ -136,7 +136,7 @@ def _lasso(instance, w, lam, warm, cfg):
 
 
 def _constrained(instance, w, lam, warm, cfg):
-    # the multiplier search starts where the previous solve's ended
+    # a fallback multiplier search starts where the previous solve's ended
     lam_start = 1.0 if warm is None else warm.multiplier
     return constrained_weighted_l1(instance, w, instance.eta, cfg, lam_start)
 

@@ -7,37 +7,25 @@ Four problems are covered, all over a dense underdetermined matrix:
 * constrained weighted l1     min sum_i w_i |x_i|  s.t.  ||phi x - b|| <= eta
 * minimum-l2-norm solution    argmin ||x||  s.t.  phi x = b
 
-The basis pursuit solver is an operator-splitting iteration alternating an
-affine projection with a coordinate-wise weighted shrinkage; the LASSO
-solver is an accelerated proximal gradient method with adaptive restart,
-at two products with phi per iteration (the gradient at the extrapolated
-point follows from the two latest gradients), and returns x = 0 without
-iterating when the optimality conditions hold there.
-Both periodically attempt a support polish: solve exactly on the current
-support and accept only when the full optimality conditions certify the
-candidate. The basis pursuit polish ignores rounding-level coordinates
-and has two parts. The candidate (a QR of the support columns, the exact
-solve and its residual test; a numerically rank-deficient support fails)
-depends only on the support, so within one solve no support is factored
-twice, and a support is factored only once it persists from one
-checkpoint to the next (or at the first iteration, for a warm start).
-The dual certificate starts from the splitting's current scaled dual, an
-estimate of the multiplier, so a thin support whose first certificate
-fails is retried at later checkpoints against its kept factors, with no
-new QR; a square support's certificate does not depend on that estimate
-and is tried once. The constrained problem is reduced to
-LASSO solves in the data-fit multiplier lam: once a LASSO solve has found
-its support S and signs, the path on S is affine in 1/lam, and the lam at
-which the residual norm meets the budget has a closed form, accepted only
-when the LASSO optimality conditions certify it (the same QR of the
-support columns as the basis pursuit polish). A root that fails its
-certificate is still a Newton step on the Pareto curve, and is the next
-lam to solve at when it lies inside the bracket and, after another such
-step, is at most half as long; bisection on lam remains as the fallback,
-until a solve identifies a certified root. Each instance has one cached operator
-that builds, on first use, the minimum-norm solution, an orthonormal basis
-of the row space of phi (for the basis pursuit projection), the squared
-spectral norm and |phi^T b|. A phi without full row rank,
+Basis pursuit is an operator-splitting iteration (an affine projection and
+a weighted shrinkage) that stops on a certified support polish: the exact
+solve on a support, accepted only with a verified dual certificate.
+
+The two noisy problems follow the weighted-LASSO homotopy (``_path``): the
+minimizer is piecewise linear in the effective weights w / lam, and an
+active-set path finds its support and signs breakpoint by breakpoint. The
+LASSO ends on the exact solve on that support; the constrained problem
+follows the path in 1/lam until the residual norm meets eta and ends on
+the closed-form multiplier on that segment's support. Both answers are
+returned only when the LASSO optimality conditions certify them. When the
+path fails (a rank loss, a tie it cannot resolve, its breakpoint budget)
+or its answer does not certify, the LASSO falls back to accelerated
+proximal gradient and the constrained problem to a search over lam
+through LASSO solves.
+
+Each instance has one cached operator that builds, on first use, the
+minimum-norm solution, an orthonormal basis of the row space of phi, the
+squared spectral norm and phi^T b. A phi without full row rank,
 numerically, is rejected with ``RankDeficientError``.
 """
 
@@ -77,6 +65,9 @@ _RELAX = 1.8
 # condition number is at least 1e6, while a duplicated row leaves a ratio
 # at rounding level (about 2e-8 and below)
 _GRAM_PIVOT_RATIO = 1e-6
+# the LASSO path gives up on a support column whose squared sine to the
+# span of the others is at most this
+_PATH_RANK_TOL = 1e-10
 
 
 class NoConvergenceError(RuntimeError):
@@ -105,7 +96,10 @@ class InnerSolveReport:
     the constrained search its budget band), ``"stall"`` (the LASSO
     objective stopped moving without a certificate) or ``"max_iter"``
     (the iteration budget ran out); the first two are ``converged``.
-    ``degenerate`` marks solves whose solution set is unbounded.
+    ``iterations`` counts the solver's steps: breakpoints of the LASSO
+    path (the first entry included), or iterations of the splitting and
+    the FISTA fallback, summed over the LASSO solves of a constrained
+    search. ``degenerate`` marks solves whose solution set is unbounded.
     ``multiplier`` is the data-fit multiplier lam the solve ended at: the
     LASSO's own lam, the constrained problem's multiplier of its budget
     (0 when the budget is inactive), and infinity for basis pursuit, whose
@@ -144,7 +138,7 @@ class _Operator:
     """The linear algebra of one instance, each piece built on first use:
     the minimum-norm solution ``x0`` (which applies the rank guard), the
     economic QR phi^T = Q R as Q^T, one contiguous m x n array, and R
-    (``row_qr``), the squared spectral norm and |phi^T b|. A run without
+    (``row_qr``), the squared spectral norm and phi^T b. A run without
     basis pursuit never builds the QR."""
 
     def __init__(self, instance: ProblemInstance):
@@ -187,9 +181,9 @@ class _Operator:
         return spectral_norm_sq(self.phi)
 
     @cached_property
-    def abs_corr_b(self) -> np.ndarray:
-        """|phi^T b|, the LASSO gradient magnitude at x = 0 per unit lam."""
-        return np.abs(self.phi.T @ self.b)
+    def corr_b(self) -> np.ndarray:
+        """phi^T b, minus the LASSO gradient at x = 0 per unit lam."""
+        return self.phi.T @ self.b
 
     def project(self, v: np.ndarray) -> np.ndarray:
         """Orthogonal projection of v onto {x : phi x = b}:
@@ -451,6 +445,207 @@ def _lasso_polish_candidates(instance, w, lam, x, grad, viol):
         yield active, -np.sign(grad[active])
 
 
+def _lasso_certified(instance, w, lam, support, sigma, tol):
+    """The exact solve on a support (``_lasso_polish``) as (x, residual
+    phi x - b, optimality violation), or None unless the LASSO optimality
+    conditions hold there within ``tol``."""
+    cand = _lasso_polish(instance, w, lam, support, sigma)
+    if cand is None:
+        return None
+    phi, b = instance.phi, instance.b
+    resid = phi @ cand - b
+    viol = _lasso_optimality(w, lam * (phi.T @ resid), cand)
+    return (cand, resid, viol) if viol <= tol else None
+
+
+def _path(instance, c, max_breakpoints, warm=None, eta=None):
+    """The weighted-LASSO homotopy: follow the minimizer of
+    (1/2)||phi x - b||^2 + sum_i c_i(t) |x_i| while the weights move
+    linearly from c(0) to c(1), and return the support and signs it ends
+    on as (support, sigma, breakpoints), support sorted and sigma 0 where
+    the weight is zero throughout; None when the path cannot be followed.
+
+    The minimizer is piecewise linear in t. With a = phi^T (b - phi x), a
+    segment keeps its support S and signs sigma, on which
+    phi_S^T phi_S x_S = phi_S^T b - c_S sigma (a_S = c_S sigma), and ends
+    at a breakpoint: a coordinate off S reaches |a_i| = c_i and enters
+    with the sign of a_i, or one of S reaches zero and leaves. A coordinate
+    leaves only while it moves toward zero, at once if rounding has already
+    put it past zero; one whose weight is zero throughout never leaves,
+    and one that just left cannot enter again with the same sign on the
+    next segment.
+
+    * Cold (``warm`` None): c(t) = mu(t) c. The zero weights of c start
+      active at their least-squares solve (x = 0 when there are none), and
+      mu falls linearly from mu0 = max |a_i| / c_i, the first entry, to 1,
+      or with ``eta`` to 0, stopping on the first segment on which
+      ||phi x - b|| = eta (the path ending first gives None).
+    * Warm (without ``eta``): from the point ``warm``, c(0) the weights it
+      solves, read off a: |a_i| on its support, max(|a_i|, c_i) off it, and
+      c(1) = c. A sign of a_S that contradicts x_S beyond rounding gives
+      None.
+
+    Per segment it keeps the inverse Gram of phi_S (bordered on each entry,
+    downdated on each exit), the rows phi_S^T phi in one m x n buffer, the
+    gaps c - a and c + a, |x_S| and ||phi x - b||^2, each updated along
+    the segment, so a breakpoint costs one product with phi^T, and only
+    when a coordinate enters. The path also gives None on a numerically
+    rank-deficient support, an entry when |S| = m, or more than
+    ``max_breakpoints`` breakpoints, the first entry included.
+    """
+    phi, b = instance.phi, instance.b
+    m, n = phi.shape
+    corr = _operator(instance).corr_b
+    start = np.flatnonzero(c == 0.0 if warm is None else warm)
+    k = start.size
+    if k > m or (warm is not None and k == 0):
+        return None
+    idx = np.empty(m, dtype=np.intp)  # the support, in the order of entry
+    sig = np.empty(m)
+    mag = np.empty(m)  # sigma_S x_S, |x_S| while the signs hold
+    rows = np.empty((m, n))  # rows[j] = phi_i^T phi for i = idx[j]
+    ginv = np.empty((m, m))  # inverse Gram of the support columns
+    idx[:k] = start
+    a = corr.copy()
+    if k:
+        rows[:k] = phi[:, start].T @ phi
+        gram = rows[:k, start]
+        try:
+            chol = np.linalg.cholesky(gram)
+        except np.linalg.LinAlgError:
+            return None
+        # each squared pivot over its diagonal entry is the squared sine of
+        # that column's angle to the span of the columns before it
+        if np.min(np.diag(chol) ** 2 / np.diag(gram)) <= _PATH_RANK_TOL:
+            return None
+        ginv[:k, :k] = cho_solve((chol, True), np.eye(k), check_finite=False)
+        xs = ginv[:k, :k] @ corr[start] if warm is None else warm[start]
+        a -= xs @ rows[:k]
+    if warm is None:
+        pen = c > 0.0
+        c0 = float(np.max(np.abs(a[pen]) / c[pen], initial=0.0)) * c
+        c1 = c if eta is None else np.zeros(n)
+    else:
+        # a_S = c_S sigma_S, within the certificate slack of rounding
+        sa = np.sign(xs) * a[start]
+        slack = _CERT_TOL * float(np.max(np.abs(a), initial=0.0))
+        if np.any(sa < -slack):
+            return None
+        c0 = np.maximum(np.abs(a), c)
+        c0[start] = np.where(sa > slack, sa, 0.0)
+        c1 = c
+    dc = c1 - c0
+    free = (c0 == 0.0) & (dc == 0.0)
+    if k:
+        sig[:k] = np.where(free[start], 0.0, np.sign(xs))
+        mag[:k] = sig[:k] * xs
+    nsdc = np.empty(m)  # -sigma_S dc_S, so that d x_S / dt = ginv nsdc
+    nsdc[:k] = -sig[:k] * dc[start]
+    csig = np.empty(m)  # c_S sigma_S = a_S
+    csig[:k] = sig[:k] * c0[start]
+    if eta is not None:
+        r = b - phi[:, start] @ xs if k else b
+        rho, eta_sq = float(r @ r), eta * eta
+    off = np.ones(n, dtype=bool)
+    off[start] = False
+    # gap[0] = c - a and gap[1] = c + a, nonnegative off the support, close
+    # at the speeds q; an entry is a gap reaching zero, with sign +1 from
+    # row 0 and -1 from row 1
+    gap = np.stack([c0 - a, c0 + a])
+    ndc = -dc
+    q = np.empty((2, n))
+    s_in = np.empty((2, n))
+    closing = np.empty((2, n), dtype=bool)
+    s_out = np.empty(m)
+    falling = np.empty(m, dtype=bool)
+
+    t = 0.0
+    left = None
+    breakpoints = 0
+    while True:
+        xdot = ginv[:k, :k] @ nsdc[:k]
+        v = xdot @ rows[:k]  # -d a / dt
+        np.subtract(ndc, v, out=q[0])
+        np.add(ndc, v, out=q[1])
+        np.greater(q, 0.0, out=closing)
+        closing &= off
+        s_in.fill(np.inf)
+        np.divide(gap, q, out=s_in, where=closing)
+        if left is not None:
+            s_in[left] = np.inf
+        enter = int(s_in.argmin())
+        step, event = s_in.flat[enter], "enter"
+        if k:
+            # exits: sigma_i x_i falling to zero; s_out holds minus the
+            # step to the exit
+            mdot = sig[:k] * xdot
+            np.less(mdot, 0.0, out=falling[:k])
+            s_out[:k].fill(-np.inf)
+            np.divide(mag[:k], mdot, out=s_out[:k], where=falling[:k])
+            leave = int(s_out[:k].argmax())
+            if -s_out[leave] <= step:
+                step, event = -s_out[leave], "leave"
+        step = max(step, 0.0)
+        if not step < 1.0 - t:  # a NaN step ends the path too
+            step, event = 1.0 - t, "end"
+        if eta is not None:
+            # ||r - s phi_S xdot||^2, where phi_S^T r = c_S sigma_S and
+            # phi_S^T phi_S xdot = nsdc
+            rho_next = rho - step * (2.0 * (csig[:k] @ xdot) - step * (xdot @ nsdc[:k]))
+            if rho_next <= eta_sq:
+                break
+            if event == "end":
+                return None
+            rho = rho_next
+        gap -= step * q
+        if k:
+            mag[:k] += step * mdot
+            csig[:k] -= step * nsdc[:k]
+        t += step
+        if event == "end":
+            break
+        breakpoints += 1
+        if breakpoints > max_breakpoints:
+            return None
+        if event == "leave":
+            i = idx[leave]
+            left = (0 if sig[leave] > 0.0 else 1, i)
+            off[i] = True
+            last = k - 1
+            if leave != last:
+                swap, back = [leave, last], [last, leave]
+                for arr in (idx, sig, mag, nsdc, csig):
+                    arr[swap] = arr[back]
+                rows[leave] = rows[last]
+                ginv[swap, :k] = ginv[back, :k]
+                ginv[:k, swap] = ginv[:k, back]
+            e = ginv[:last, last].copy()
+            ginv[:last, :last] -= e[:, None] * (e / ginv[last, last])
+            k = last
+        else:
+            if k == m:
+                return None
+            side, i = divmod(enter, n)
+            rows[k] = phi[:, i] @ phi
+            g = rows[:k, i]
+            gamma = rows[k, i]
+            u = ginv[:k, :k] @ g
+            delta = gamma - g @ u
+            if not delta > _PATH_RANK_TOL * gamma:
+                return None
+            ginv[:k, :k] += u[:, None] * (u / delta)
+            ginv[:k, k] = ginv[k, :k] = -u / delta
+            ginv[k, k] = 1.0 / delta
+            s = 0.0 if free[i] else 1.0 - 2.0 * side
+            idx[k], sig[k], mag[k] = i, s, 0.0
+            nsdc[k], csig[k] = -s * dc[i], s * (c0[i] + t * dc[i])
+            off[i] = False
+            k += 1
+            left = None
+    order = np.argsort(idx[:k])
+    return idx[:k][order], sig[:k][order], breakpoints
+
+
 def weighted_lasso_fista(
     instance: ProblemInstance,
     w,
@@ -460,18 +655,15 @@ def weighted_lasso_fista(
 ) -> InnerSolveReport:
     """Minimize (lam/2) ||phi x - b||^2 + sum_i w_i |x_i|.
 
-    Accelerated proximal gradient with step 1 / (lam * ||phi||_2^2) and
-    restart of the momentum sequence whenever the objective increases.
-    Each iteration makes two products with phi, for the residual and the
-    gradient at the new iterate: the gradient is affine in x, so the one
-    at the extrapolated point y = x + beta (x - x_prev) is
-    grad_x + beta (grad_x - grad_prev), and grad_x itself after a restart.
-    Every few iterations the support is polished by an exact reduced
-    solve, accepted only if it satisfies the optimality conditions. Stops
-    when the coordinate-wise optimality conditions hold at
-    ``cfg.inner_tol``, or when the objective has moved by less than it
-    (relative) over the last 10 iterations; a stop of the second kind
-    without a certified polish is reported as not converged.
+    The minimizer is that of the weights c = w / lam at unit lam, found
+    along the homotopy ``_path``: cold from x = 0, or warm from ``warm``
+    through the weights it solves, and cold again when the warm path
+    fails. The exact solve on the support and signs the path ends on
+    (``_lasso_polish``) is returned with exit ``"certified"`` when the
+    optimality conditions hold there within ``cfg.inner_tol``;
+    ``iterations`` counts the path's breakpoints. When the path fails or
+    its answer does not certify, the solve falls back to accelerated
+    proximal gradient (``_fista``), started from ``warm``.
 
     When lam |phi^T b|_i <= w_i for every i, x = 0 satisfies the
     optimality conditions exactly and is returned certified after 0
@@ -483,20 +675,56 @@ def weighted_lasso_fista(
     w = as_weight_array(w, instance.n)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
-    phi, b = instance.phi, instance.b
     op = _operator(instance)
-    if np.all(lam * op.abs_corr_b <= w):
+    if np.all(lam * np.abs(op.corr_b) <= w):
         x = np.zeros(instance.n)
         return InnerSolveReport(
             x=x,
             iterations=0,
             primal_residual=0.0,
-            objective=_lasso_objective(w, lam, x, -b),
+            objective=_lasso_objective(w, lam, x, -instance.b),
             exit="certified",
             degenerate=(lam == 0.0 or op.spectral_sq == 0.0) and bool(np.any(w == 0.0)),
             multiplier=float(lam),
         )
-    lip = lam * op.spectral_sq
+    c = w / lam
+    found = None if warm is None else _path(instance, c, cfg.inner_max_iter, np.asarray(warm, dtype=float))
+    if found is None:
+        found = _path(instance, c, cfg.inner_max_iter)
+    if found is not None:
+        support, sigma, breakpoints = found
+        certified = _lasso_certified(instance, w, lam, support, sigma, cfg.inner_tol)
+        if certified is not None:
+            x, resid, viol = certified
+            return InnerSolveReport(
+                x=x,
+                iterations=breakpoints,
+                primal_residual=viol,
+                objective=_lasso_objective(w, lam, x, resid),
+                exit="certified",
+                multiplier=float(lam),
+            )
+    return _fista(instance, w, lam, warm, cfg)
+
+
+def _fista(instance, w, lam, warm, cfg) -> InnerSolveReport:
+    """The weighted LASSO by accelerated proximal gradient, the fallback of
+    ``weighted_lasso_fista`` when the path fails.
+
+    Step 1 / (lam * ||phi||_2^2) and restart of the momentum sequence
+    whenever the objective increases. Each iteration makes two products
+    with phi, for the residual and the gradient at the new iterate: the
+    gradient is affine in x, so the one at the extrapolated point
+    y = x + beta (x - x_prev) is grad_x + beta (grad_x - grad_prev), and
+    grad_x itself after a restart. Every few iterations the support is
+    polished by an exact reduced solve, accepted only if it satisfies the
+    optimality conditions. Stops when the coordinate-wise optimality
+    conditions hold at ``cfg.inner_tol``, or when the objective has moved
+    by less than it (relative) over the last 10 iterations; a stop of the
+    second kind without a certified polish is reported as not converged.
+    """
+    phi, b = instance.phi, instance.b
+    lip = lam * _operator(instance).spectral_sq
 
     x_prev = np.zeros(instance.n) if warm is None else np.asarray(warm, dtype=float).copy()
     resid = phi @ x_prev - b
@@ -514,13 +742,9 @@ def weighted_lasso_fista(
 
     def polished(x_now, grad_now, viol_now):
         for support, sigma in _lasso_polish_candidates(instance, w, lam, x_now, grad_now, viol_now):
-            cand = _lasso_polish(instance, w, lam, support, sigma)
-            if cand is None:
-                continue
-            cand_resid = phi @ cand - b
-            cand_viol = _lasso_optimality(w, lam * (phi.T @ cand_resid), cand)
-            if cand_viol <= cfg.inner_tol:
-                return cand, cand_resid, cand_viol
+            found = _lasso_certified(instance, w, lam, support, sigma, cfg.inner_tol)
+            if found is not None:
+                return found
         return None
 
     for it in range(1, cfg.inner_max_iter + 1):
@@ -572,13 +796,13 @@ def weighted_lasso_fista(
     )
 
 
-def _constrained_root(instance, w, eta, x, tol):
-    """The multiplier lam at which the LASSO path on the support and signs
-    of x meets the budget, as (minimizer, lam); the minimizer is None when
+def _constrained_root(instance, w, eta, support, sigma, tol):
+    """The multiplier lam at which the LASSO path on support S and signs
+    sigma meets the budget, as (minimizer, lam); the minimizer is None when
     it fails its checks, and the whole result None when the path on this
     support never meets the budget.
 
-    With S and sigma fixed and phi_S = QR, the LASSO minimizer at lam = 1/t
+    With phi_S = QR, the LASSO minimizer at lam = 1/t
     is x_S(t) = R^{-1}(Q^T b - t g) with g = R^{-T} w_S sigma, and its
     residual b - Q Q^T b + t Q g has the squared norm r0^2 + t^2 ||g||^2,
     r0^2 = ||b||^2 - ||Q^T b||^2 (the cross term vanishes: b - Q Q^T b is
@@ -591,12 +815,10 @@ def _constrained_root(instance, w, eta, x, tol):
     curve), which the search may solve at next.
     """
     phi, b = instance.phi, instance.b
-    support = np.flatnonzero(x)
     factors = _support_qr(phi, support)
     if factors is None:
         return None
     q, r = factors
-    sigma = np.sign(x[support])
     c = q.T @ b
     g = solve_triangular(r, w[support] * sigma, trans="T", check_finite=False)
     slack = eta * eta - (float(b @ b) - float(c @ c))
@@ -687,16 +909,16 @@ def constrained_weighted_l1(
 ) -> InnerSolveReport:
     """Minimize sum_i w_i |x_i| subject to (1/2)||phi x - b||^2 <= eta^2 / 2.
 
-    Solved through LASSO solves in the data-fit multiplier lam, the first
-    at ``lam_start`` (an outer loop passes the multiplier its previous
-    solve ended at). After each converged LASSO solve, the closed-form
-    multiplier on its support and signs (``_constrained_root``) ends the
-    search when the optimality conditions certify it, with
-    ||phi x - b|| = eta up to rounding; until then lam is bracketed and
-    bisected (``_bisect_multiplier``, to within ``cfg.bisect_tol`` of eta),
-    and a closed-form multiplier that failed its checks is the next lam
-    to solve at when it lies inside the bracket, a safeguarded Newton step.
-    The report's ``multiplier`` is the lam the solve ended at.
+    The weighted-LASSO path (``_path``) runs cold in 1/lam, from x = 0 to
+    the segment on which ||phi x - b|| = eta, and the closed-form
+    multiplier on that segment's support and signs (``_constrained_root``)
+    is returned with exit ``"certified"`` when the LASSO optimality
+    conditions certify it, with ||phi x - b|| = eta up to rounding;
+    ``iterations`` counts the path's breakpoints. Otherwise the solve falls
+    back to a search in lam through LASSO solves (``_constrained_search``),
+    the first at ``lam_start`` (an outer loop passes the multiplier its
+    previous solve ended at). The report's ``multiplier`` is the lam the
+    solve ended at.
     """
     w = as_weight_array(w, instance.n)
     if eta < 0:
@@ -717,6 +939,35 @@ def constrained_weighted_l1(
     if not 0.0 < lam_start < np.inf:
         raise ValueError("lam_start must be positive and finite")
 
+    found = _path(instance, w, cfg.inner_max_iter, eta=eta)
+    root = None if found is None else _constrained_root(instance, w, eta, found[0], found[1], cfg.inner_tol)
+    if root is not None and root[0] is not None:
+        (x, lam), iterations, stop = root, found[2], "certified"
+    else:
+        x, lam, iterations, stop = _constrained_search(instance, w, eta, cfg, lam_start)
+    res = float(np.linalg.norm(phi @ x - b))
+    return InnerSolveReport(
+        x=x,
+        iterations=iterations,
+        primal_residual=abs(res - eta) / eta,
+        objective=float(w @ np.abs(x)),
+        exit=stop,
+        multiplier=float(lam),
+    )
+
+
+def _constrained_search(instance, w, eta, cfg, lam_start):
+    """The constrained problem by LASSO solves in the data-fit multiplier
+    lam, the fallback of ``constrained_weighted_l1``, as (x, lam, LASSO
+    iterations, exit). The first solve is at ``lam_start``. After each
+    converged LASSO solve, the closed-form multiplier on its support and
+    signs (``_constrained_root``) ends the search when the optimality
+    conditions certify it; until then lam is bracketed and bisected
+    (``_bisect_multiplier``, to within ``cfg.bisect_tol`` of eta), and a
+    closed-form multiplier that failed its checks is the next lam to solve
+    at when it lies inside the bracket, a safeguarded Newton step.
+    """
+    phi, b = instance.phi, instance.b
     total_iters = 0
     x = None  # each LASSO solve is warm-started at the previous one's x
     search = _bisect_multiplier(lam_start, eta, cfg.bisect_tol)
@@ -725,7 +976,10 @@ def constrained_weighted_l1(
         rep = weighted_lasso_fista(instance, w, lam, x, cfg)
         total_iters += rep.iterations
         x = rep.x
-        root = _constrained_root(instance, w, eta, x, cfg.inner_tol) if rep.converged else None
+        support = np.flatnonzero(x)
+        root = None
+        if rep.converged:
+            root = _constrained_root(instance, w, eta, support, np.sign(x[support]), cfg.inner_tol)
         guess = None
         if root is not None:
             cand, guess = root
@@ -740,12 +994,4 @@ def constrained_weighted_l1(
             stop = "tol" if rep.converged else rep.exit
             break
 
-    res = float(np.linalg.norm(phi @ x - b))
-    return InnerSolveReport(
-        x=x,
-        iterations=total_iters,
-        primal_residual=abs(res - eta) / eta,
-        objective=float(w @ np.abs(x)),
-        exit=stop,
-        multiplier=float(lam),
-    )
+    return x, lam, total_iters, stop

@@ -10,6 +10,7 @@ import itertools
 
 import numpy as np
 import pytest
+from scipy.linalg import block_diag
 
 from rwsparse.bench import SweepConfig, emit_csv, improvement_stats, run_noisy_improvement, run_recovery_sweep
 from rwsparse.duality import dual_function_oracle
@@ -220,16 +221,25 @@ def test_criterion_8_noise_budget_calibration():
     _verdict("8", 0.95 <= freq <= 0.99, f"frequency {freq:.4f} (band [0.95, 0.99], ref 0.971)")
 
 
-def _ista_oracle(phi, b, w, lam, iters=1_000_000):
-    """Plain proximal gradient, no momentum, no restarts, fixed count."""
-    gram = phi.T @ phi
-    corr = phi.T @ b
-    lip = lam * float(np.linalg.eigvalsh(gram)[-1])
-    x = np.zeros(phi.shape[1])
+def _ista_oracles(problems, iters=1_000_000):
+    """Plain proximal gradient, no momentum, no restarts, fixed count, on
+    each (phi, b, w, lam): one stacked iteration over the block-diagonal
+    Gram, so every block takes its own problem's steps. Returns the final
+    objectives."""
+    blocks = [(phi.T @ phi, phi.T @ b, lam) for phi, b, _, lam in problems]
+    lips = [lam * float(np.linalg.eigvalsh(gram)[-1]) for gram, _, lam in blocks]
+    gram = block_diag(*(g for g, _, _ in blocks))
+    corr = np.concatenate([c for _, c, _ in blocks])
+    step = np.concatenate([np.full(g.shape[0], lam / lip) for (g, _, lam), lip in zip(blocks, lips)])
+    thresh = np.concatenate([w / lip for (_, _, w, _), lip in zip(problems, lips)])
+    x = np.zeros(corr.size)
     for _ in range(iters):
-        v = x - (lam / lip) * (gram @ x - corr)
-        x = np.sign(v) * np.maximum(np.abs(v) - w / lip, 0.0)
-    return 0.5 * lam * float(np.sum((phi @ x - b) ** 2)) + float(w @ np.abs(x))
+        v = x - step * (gram @ x - corr)
+        x = np.sign(v) * np.maximum(np.abs(v) - thresh, 0.0)
+    objectives = []
+    for (phi, b, w, lam), xp in zip(problems, np.split(x, np.cumsum([p[0].shape[1] for p in problems])[:-1])):
+        objectives.append(0.5 * lam * float(np.sum((phi @ xp - b) ** 2)) + float(w @ np.abs(xp)))
+    return objectives
 
 
 def test_criterion_9_lasso_optimality_and_oracle_objective():
@@ -239,7 +249,7 @@ def test_criterion_9_lasso_optimality_and_oracle_objective():
     rng = np.random.default_rng(99)
     sizes = [5, 6, 7, 8, 9, 10] + [int(rng.integers(11, 51)) for _ in range(94)]
     bad_conditions = 0
-    oracle_gaps = []
+    small, objectives = [], []
     for idx, n in enumerate(sizes):
         m = int(rng.integers(max(2, n // 2), n + 1))
         phi = rng.standard_normal((m, n)) / np.sqrt(m)
@@ -258,9 +268,9 @@ def test_criterion_9_lasso_optimality_and_oracle_objective():
                 bad_conditions += 1
                 break
         if n <= 10:
-            oracle = _ista_oracle(phi, b, w, lam)
-            obj = 0.5 * lam * float(np.sum((phi @ rep.x - b) ** 2)) + float(w @ np.abs(rep.x))
-            oracle_gaps.append(abs(obj - oracle) / (1 + abs(oracle)))
+            small.append((phi, b, w, lam))
+            objectives.append(0.5 * lam * float(np.sum((phi @ rep.x - b) ** 2)) + float(w @ np.abs(rep.x)))
+    oracle_gaps = [abs(obj - oracle) / (1 + abs(oracle)) for obj, oracle in zip(objectives, _ista_oracles(small))]
     worst_gap = max(oracle_gaps)
     ok = bad_conditions == 0 and worst_gap <= 1e-6
     _verdict(

@@ -28,6 +28,12 @@ from rwsparse.solvers import (
 CFG = SolverConfig()
 
 
+def no_path(*args, **kwargs):
+    """Stands in for ``solvers._path`` to run the FISTA and multiplier-search
+    fallbacks explicitly."""
+    return None
+
+
 def lp_basis_pursuit(phi, b, w):
     """Independent LP oracle: min w^T t s.t. -t <= x <= t, phi x = b."""
     m, n = phi.shape
@@ -634,8 +640,10 @@ class TestWeightedLassoFista:
         assert not rep.converged
         assert rep.exit == "stall"
 
-    def test_exit_says_how_the_solve_stopped(self):
-        # the iterate itself at tolerance, a certified polish, the budget
+    def test_exit_says_how_the_solve_stopped(self, monkeypatch):
+        # the FISTA fallback: the iterate itself at tolerance, a certified
+        # polish, the budget
+        monkeypatch.setattr(solvers, "_path", no_path)
         rep = weighted_lasso_fista(self._scalar(), np.array([1.0]), 1.0, None, CFG)
         assert rep.exit == "tol" and rep.converged
         rng = np.random.default_rng(0)
@@ -692,7 +700,8 @@ class TestWeightedLassoFista:
             x_prev, obj_prev = x, obj
         assert np.allclose(rep.x, x, rtol=0.0, atol=1e-12 * np.max(np.abs(x)))
 
-    def test_zero_is_returned_below_the_first_breakpoint(self):
+    def test_zero_is_returned_below_the_first_breakpoint(self, monkeypatch):
+        monkeypatch.setattr(solvers, "_path", no_path)  # FISTA above it
         inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
         w = np.random.default_rng(4).uniform(0.5, 2.0, 64)
         corr = np.abs(inst.phi.T @ inst.b)
@@ -816,9 +825,11 @@ class TestConstrainedWeightedL1:
         assert np.all(np.abs(grad[~on]) <= w[~on] + CFG.inner_tol)
 
     def test_carried_multiplier_gives_the_cold_answer(self, monkeypatch):
-        # a re-solve at new weights started from the multiplier of the
-        # unit-weight solve lands on the same point as a start at lam = 1,
-        # and a start at the exact multiplier takes one LASSO solve
+        # the multiplier search: a re-solve at new weights started from the
+        # multiplier of the unit-weight solve lands on the same point as a
+        # start at lam = 1, and a start at the exact multiplier takes one
+        # LASSO solve
+        monkeypatch.setattr(solvers, "_path", no_path)
         inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
         first = constrained_weighted_l1(inst, np.ones(64), inst.eta, CFG)
         w = 1.0 / (np.abs(first.x) + 0.1)
@@ -839,9 +850,11 @@ class TestConstrainedWeightedL1:
         assert np.allclose(exact.x, cold.x, rtol=0.0, atol=1e-10)
 
     def test_rejected_root_is_the_next_multiplier(self, monkeypatch):
-        # this unit-weight start took 9 LASSO solves and ended by bisection
-        # when the search ignored the closed-form roots that failed their
-        # certificate; solving at them instead lands on a certified root
+        # in the multiplier search, this unit-weight start took 9 LASSO
+        # solves and ended by bisection when the search ignored the
+        # closed-form roots that failed their certificate; solving at them
+        # instead lands on a certified root
+        monkeypatch.setattr(solvers, "_path", no_path)
         inst = gen_noisy(EnsembleSpec(n=256, m=128, s=38, sigma=0.05, seed=2))
         lams = []
         fista = solvers.weighted_lasso_fista
@@ -913,3 +926,197 @@ class TestBisectMultiplier:
                 lam = search.send((self.BELOW, None if seen % 2 else 1.0 + 1e-3 * seen))
         # without a certified root, the bracket (1, 2) collapsed
         assert 1.0 < lam < 1.0 + 1e-11
+
+
+def criterion_9_problems():
+    """The 100 random weighted-LASSO problems of acceptance criterion 9, in
+    its order: (instance, w, lam)."""
+    rng = np.random.default_rng(99)
+    sizes = [5, 6, 7, 8, 9, 10] + [int(rng.integers(11, 51)) for _ in range(94)]
+    for n in sizes:
+        m = int(rng.integers(max(2, n // 2), n + 1))
+        phi = rng.standard_normal((m, n)) / np.sqrt(m)
+        b = rng.standard_normal(m)
+        w = rng.uniform(0.05, 1.5, size=n)
+        lam = float(rng.uniform(0.5, 30.0))
+        yield ProblemInstance(phi=phi, b=b), w, lam
+
+
+def fallbacks(monkeypatch):
+    """Count the calls of the FISTA and multiplier-search fallbacks."""
+    calls = []
+    for name in ("_fista", "_constrained_search"):
+        original = getattr(solvers, name)
+
+        def counted(*args, _original=original, _name=name):
+            calls.append(_name)
+            return _original(*args)
+
+        monkeypatch.setattr(solvers, name, counted)
+    return calls
+
+
+class TestLassoPath:
+    """The weighted-LASSO homotopy behind both noisy solvers."""
+
+    def test_exit_and_breakpoints(self, monkeypatch):
+        # the path side of TestWeightedLassoFista's exit test: one
+        # breakpoint for a scalar, a certified support solve, and a cap
+        # below the breakpoint count hands the solve to FISTA
+        calls = fallbacks(monkeypatch)
+        scalar = ProblemInstance(phi=np.array([[1.0]]), b=np.array([3.0]))
+        rep = weighted_lasso_fista(scalar, np.array([1.0]), 1.0, None, CFG)
+        assert rep.exit == "certified" and rep.iterations == 1 and rep.x[0] == 2.0
+        rng = np.random.default_rng(0)
+        phi = rng.standard_normal((12, 30)) / np.sqrt(12)
+        inst = ProblemInstance(phi=phi, b=rng.standard_normal(12))
+        rep = weighted_lasso_fista(inst, np.ones(30), 10.0, None, CFG)
+        assert rep.exit == "certified" and rep.iterations > 3
+        assert calls == []
+        capped = weighted_lasso_fista(inst, np.ones(30), 10.0, None, SolverConfig(inner_max_iter=3))
+        assert calls == ["_fista"]
+        assert capped.exit == "max_iter" and capped.iterations == 3
+
+    def test_first_breakpoint_is_one_entry(self):
+        # the path side of the test on x = 0 below the first breakpoint:
+        # just above it, the first entry is the only breakpoint
+        inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
+        w = np.random.default_rng(4).uniform(0.5, 2.0, 64)
+        corr = inst.phi.T @ inst.b
+        first = int(np.argmin(w / np.abs(corr)))
+        lam_zero = float(w[first] / abs(corr[first]))
+        above = weighted_lasso_fista(inst, w, lam_zero * 1.01, None, CFG)
+        assert above.exit == "certified" and above.iterations == 1
+        assert np.flatnonzero(above.x).tolist() == [first]
+        assert np.sign(above.x[first]) == np.sign(corr[first])
+
+    @pytest.mark.parametrize("seed", [0, 1, 2, 3])
+    def test_cold_answers_match_the_fallback_bit_for_bit(self, monkeypatch, seed):
+        # both routes end on the exact solve of the support they find, so
+        # where the supports agree the answers share every bit
+        inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=seed))
+        w = np.random.default_rng(seed).uniform(0.2, 2.0, 64)
+        w[:3] = 0.0  # free coordinates, active from the start
+        path_lasso = weighted_lasso_fista(inst, w, 30.0, None, CFG)
+        path_constrained = constrained_weighted_l1(inst, w + 0.1, inst.eta, CFG)
+        monkeypatch.setattr(solvers, "_path", no_path)
+        fista = weighted_lasso_fista(inst, w, 30.0, None, CFG)
+        search = constrained_weighted_l1(inst, w + 0.1, inst.eta, CFG)
+        for path, fallback in ((path_lasso, fista), (path_constrained, search)):
+            assert path.exit == fallback.exit == "certified"
+            assert np.array_equal(np.flatnonzero(path.x), np.flatnonzero(fallback.x))
+            assert np.array_equal(path.x, fallback.x)
+            assert path.multiplier == fallback.multiplier
+
+    def test_warm_start_from_an_exact_point(self):
+        inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
+        w = np.random.default_rng(4).uniform(0.5, 2.0, 64)
+        cold = weighted_lasso_fista(inst, w, 40.0, None, CFG)
+        again = weighted_lasso_fista(inst, w, 40.0, cold.x, CFG)
+        assert again.iterations == 0 and np.array_equal(again.x, cold.x)
+        # at new weights and multiplier the warm path moves from the weights
+        # cold.x solves, and ends where a cold path does
+        w2, lam2 = w * np.random.default_rng(5).uniform(0.5, 1.0, 64), 60.0
+        resolve = weighted_lasso_fista(inst, w2, lam2, cold.x, CFG)
+        fresh = weighted_lasso_fista(inst, w2, lam2, None, CFG)
+        assert resolve.exit == "certified" and np.array_equal(resolve.x, fresh.x)
+        assert resolve.iterations < fresh.iterations
+
+    def test_warm_start_from_a_non_optimal_point_takes_the_cold_path(self):
+        inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
+        w = np.random.default_rng(4).uniform(0.5, 2.0, 64)
+        cold = weighted_lasso_fista(inst, w, 40.0, None, CFG)
+        flipped = cold.x.copy()
+        i = np.flatnonzero(flipped)[0]
+        flipped[i] = -flipped[i]  # no weights make this point optimal
+        for warm in (flipped, np.ones(64)):  # |S| = 64 > m as well
+            rep = weighted_lasso_fista(inst, w, 40.0, warm, CFG)
+            assert np.array_equal(rep.x, cold.x) and rep.iterations == cold.iterations
+
+    def test_constrained_path_makes_no_lasso_solve(self, monkeypatch):
+        # the path side of the carried-multiplier test: the path runs cold
+        # in 1/lam, so the start multiplier does not matter
+        inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
+        first = constrained_weighted_l1(inst, np.ones(64), inst.eta, CFG)
+        w = 1.0 / (np.abs(first.x) + 0.1)
+        monkeypatch.setattr(solvers, "weighted_lasso_fista", None)
+        cold = constrained_weighted_l1(inst, w, inst.eta, CFG)
+        carried = constrained_weighted_l1(inst, w, inst.eta, CFG, first.multiplier)
+        assert cold.exit == "certified" and cold.iterations > 0
+        assert np.array_equal(carried.x, cold.x) and carried.multiplier == cold.multiplier
+
+    def test_constrained_path_meets_the_budget(self, monkeypatch):
+        # the path side of the rejected-root test, on the same start
+        inst = gen_noisy(EnsembleSpec(n=256, m=128, s=38, sigma=0.05, seed=2))
+        calls = fallbacks(monkeypatch)
+        rep = constrained_weighted_l1(inst, np.ones(256), inst.eta, CFG)
+        assert calls == [] and rep.exit == "certified"
+        res = np.linalg.norm(inst.phi @ rep.x - inst.b)
+        assert abs(res - inst.eta) <= 1e-12 * inst.eta
+        monkeypatch.setattr(solvers, "_path", no_path)
+        assert np.array_equal(constrained_weighted_l1(inst, np.ones(256), inst.eta, CFG).x, rep.x)
+
+    def test_no_fallback_on_the_noisy_seeds_and_criterion_9(self, monkeypatch):
+        calls = fallbacks(monkeypatch)
+        for seed in range(3):
+            inst = gen_noisy(EnsembleSpec(n=256, m=128, s=38, sigma=0.05, seed=seed))
+            for algo in ("l1", "rw-lasso", "cwb-noisy"):
+                run_algorithm(algo, inst, CFG)
+        for inst, w, lam in criterion_9_problems():
+            assert weighted_lasso_fista(inst, w, lam, None, CFG).exit == "certified"
+        assert calls == []
+
+    def test_tie_ends_certified_or_in_the_fallback(self):
+        # phi^T b ties all three coordinates, and two columns are equal
+        inst = ProblemInstance(phi=np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), b=np.array([1.0, 1.0]))
+        rep = weighted_lasso_fista(inst, np.ones(3), 5.0, None, CFG)
+        assert rep.exit == "certified"
+        # every minimizer has x_0 + x_1 = x_2 = 0.8
+        assert rep.objective == pytest.approx(1.8, rel=1e-12)
+        assert rep.x[0] + rep.x[1] == pytest.approx(0.8) and rep.x[2] == pytest.approx(0.8)
+
+    def test_duplicated_column_ends_certified_or_in_the_fallback(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        phi = rng.standard_normal((8, 16))
+        phi[:, 5] = phi[:, 3]
+        inst = ProblemInstance(phi=phi, b=rng.standard_normal(8))
+        lasso = weighted_lasso_fista(inst, np.ones(16), 20.0, None, CFG)
+        constrained = constrained_weighted_l1(inst, np.ones(16), 0.3, CFG)
+        monkeypatch.setattr(solvers, "_path", no_path)
+        assert lasso.converged and constrained.converged
+        assert lasso.objective == pytest.approx(
+            weighted_lasso_fista(inst, np.ones(16), 20.0, None, CFG).objective, rel=1e-9
+        )
+        assert constrained.objective == pytest.approx(
+            constrained_weighted_l1(inst, np.ones(16), 0.3, CFG).objective, rel=1e-6
+        )
+
+    @pytest.mark.parametrize("algo", ["l1", "cwb-noisy"])
+    def test_rank_deficient_consistent_phi_with_a_budget(self, algo):
+        rng = np.random.default_rng(3)
+        phi = rng.standard_normal((8, 20))
+        phi[7] = phi[6]  # a repeated measurement
+        x_star = np.zeros(20)
+        x_star[[1, 4, 9]] = [1.0, -2.0, 0.5]
+        inst = ProblemInstance(phi=phi, b=phi @ x_star, x_star=x_star, sigma=0.01, eta=0.1)
+        x, trace = run_algorithm(algo, inst, CFG)
+        assert np.linalg.norm(phi @ x - inst.b) <= inst.eta * (1.0 + 1e-9)
+        assert len(trace.rows) == (1 if algo == "l1" else CFG.rw_iter + 1)
+
+    def test_zero_weights_on_m_or_more_coordinates(self, monkeypatch):
+        rng = np.random.default_rng(3)
+        inst = ProblemInstance(phi=rng.standard_normal((6, 12)), b=rng.standard_normal(6))
+        calls = fallbacks(monkeypatch)
+        w = np.ones(12)
+        w[:6] = 0.0  # m free coordinates solve phi x = b at zero cost
+        rep = weighted_lasso_fista(inst, w, 3.0, None, CFG)
+        assert calls == [] and rep.exit == "certified" and rep.iterations == 0
+        assert np.linalg.norm(inst.phi @ rep.x - inst.b) < 1e-12
+        # the budget is met at zero cost, so it has no positive multiplier:
+        # the search fails with its typed error
+        with pytest.raises(solvers.NoConvergenceError):
+            constrained_weighted_l1(inst, w, 0.5, CFG)
+        assert calls == ["_constrained_search"]
+        w[6] = 0.0  # more than m: no least-squares start, FISTA solves it
+        rep = weighted_lasso_fista(inst, w, 3.0, None, CFG)
+        assert calls[-1] == "_fista" and rep.converged
