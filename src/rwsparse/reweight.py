@@ -193,12 +193,21 @@ _STARTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 def _start(instance, cfg, solve, lam):
     """The unit-weight solve a run begins with, made once per instance and
     key; each caller gets its own copy of the iterate. The key drops the
-    settings only update rules read (which may be unhashable callables)."""
+    settings only update rules read (which may be unhashable callables).
+
+    The unit-weight LASSO starts warm from the unit-weight constrained
+    start when that is already cached (the l1 baseline and cwb-noisy make
+    it): both solve the LASSO at uniform weights, so its path continues
+    from the budget's multiplier to ``lam`` instead of walking from x = 0
+    again. Its answer is the same exact support solve either way; no
+    constrained solve is made for it."""
     starts = _STARTS.setdefault(instance, {})
-    key = (solve, lam, replace(cfg, rw_iter=0, eps_k=None, alpha_schedule=None))
+    settings = replace(cfg, rw_iter=0, eps_k=None, alpha_schedule=None)
+    key = (solve, lam, settings)
     report = starts.get(key)
     if report is None:
-        report = starts[key] = solve(instance, np.ones(instance.n), lam, None, cfg)
+        warm = starts.get((_constrained, None, settings)) if solve is _lasso else None
+        report = starts[key] = solve(instance, np.ones(instance.n), lam, warm, cfg)
     return replace(report, x=report.x.copy())
 
 
@@ -265,7 +274,10 @@ def rw_lasso_subgradient(instance: ProblemInstance, cfg: SolverConfig = _DEFAULT
     the multiplier supergradient is (1/2)(||phi x - b||^2 - eta^2), and one
     shared zero-target stepsize drives both updates. The multiplier starts
     at n / ||z||_1 with z the minimum-l2-norm solution of phi x = b, so
-    b = 0 (z = 0) is rejected.
+    b = 0 (z = 0) is rejected. The unit-weight start runs warm from the
+    instance's constrained unit-weight start when an earlier l1 or
+    cwb-noisy run made one (see ``_start``); each re-solve runs warm from
+    the previous iterate.
     """
     if instance.eta is None:
         raise ConfigurationError("noisy reweighting requires instance.eta")

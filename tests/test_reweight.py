@@ -488,6 +488,41 @@ class TestSharedStart:
         assert any(size == inst.m and not out for _, _, size, out in certificates)
 
 
+def _noisy_panel_instance(seed):
+    return gen_noisy(EnsembleSpec(n=256, m=128, s=38, sigma=0.05, seed=seed))
+
+
+class TestNoisyStart:
+    def test_rw_lasso_start_continues_the_constrained_start(self):
+        # after l1, rw-lasso's unit-weight LASSO runs warm from l1's
+        # constrained start: the same bits, fewer breakpoints
+        for seed in range(3):
+            x_cold, cold = run_algorithm("rw-lasso", _noisy_panel_instance(seed), SolverConfig(rw_iter=0))
+            inst = _noisy_panel_instance(seed)
+            run_algorithm("l1", inst, CFG)
+            x_warm, warm = run_algorithm("rw-lasso", inst, SolverConfig(rw_iter=0))
+            assert np.array_equal(x_warm, x_cold)
+            assert warm.rows[0].inner_iterations < cold.rows[0].inner_iterations
+
+    def test_standalone_rw_lasso_makes_no_constrained_solve(self, monkeypatch):
+        monkeypatch.setattr(reweight, "constrained_weighted_l1", None)
+        x, trace = run_algorithm("rw-lasso", _noisy_panel_instance(0), CFG)
+        assert len(trace.rows) == CFG.rw_iter + 1 and np.any(x)
+
+    def test_path_breakpoints_on_the_noisy_seeds(self):
+        # a count, not a time: with one BLAS thread the breakpoints are
+        # deterministic, and the bound (the count when the warm rw-lasso
+        # start landed, 604, plus a small margin) fails if that start
+        # silently walks from x = 0 again (705 breakpoints)
+        total = 0
+        for seed in range(3):
+            inst = _noisy_panel_instance(seed)
+            for algo in ("l1", "rw-lasso", "cwb-noisy"):
+                _, trace = run_algorithm(algo, inst, CFG)
+                total += sum(row.inner_iterations for row in trace.rows)
+        assert total <= 620
+
+
 def _duplicated_row_instance():
     """A consistent 10x30 system whose last row repeats the first."""
     rng = np.random.default_rng(0)

@@ -1066,6 +1066,45 @@ class TestLassoPath:
             assert weighted_lasso_fista(inst, w, lam, None, CFG).exit == "certified"
         assert calls == []
 
+    def test_warm_path_from_uniform_weights_continues_the_cold_path(self):
+        # a point solved at uniform weights 1/lam1 starts the warm path at
+        # those weights, so it walks only the cold path's breakpoints
+        # between 1/lam1 and 1/lam2, and ends where the cold path ends
+        for seed in range(3):
+            inst = gen_noisy(EnsembleSpec(n=256, m=128, s=38, sigma=0.05, seed=seed))
+            for lam1, lam2 in ((5.0, 20.0), (20.0, 80.0)):
+                first = weighted_lasso_fista(inst, np.ones(256), lam1, None, CFG)
+                cold = weighted_lasso_fista(inst, np.ones(256), lam2, None, CFG)
+                warm = weighted_lasso_fista(inst, np.ones(256), lam2, first.x, CFG)
+                assert warm.exit == cold.exit == "certified"
+                assert np.array_equal(warm.x, cold.x)
+                assert warm.iterations == cold.iterations - first.iterations
+
+    def test_gram_rows_are_computed_once_per_instance(self, monkeypatch):
+        inst = gen_noisy(EnsembleSpec(n=256, m=128, s=38, sigma=0.05, seed=0))
+        rows, calls = {}, []
+        gram_row = solvers._Operator.gram_row
+
+        def logged(op, i):
+            row = gram_row(op, i)
+            assert rows.setdefault(i, row) is row  # never computed again
+            calls.append(i)
+            return row
+
+        monkeypatch.setattr(solvers._Operator, "gram_row", logged)
+        for algo in ("l1", "rw-lasso", "cwb-noisy"):
+            run_algorithm(algo, inst, CFG)
+        memo = solvers._operator(inst).gram_rows
+        assert memo.keys() == rows.keys() and len(memo) < inst.n // 2 < len(calls)
+        for i, row in memo.items():
+            assert np.array_equal(row, inst.phi[:, i] @ inst.phi)
+
+    def test_basis_pursuit_builds_no_gram_row(self):
+        inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=30, seed=0))
+        for algo in ("l1", "rw-sub", "rw-cwb"):
+            run_algorithm(algo, inst, SolverConfig(rw_iter=2))
+        assert solvers._operator(inst).gram_rows == {}
+
     def test_tie_ends_certified_or_in_the_fallback(self):
         # phi^T b ties all three coordinates, and two columns are equal
         inst = ProblemInstance(phi=np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), b=np.array([1.0, 1.0]))
@@ -1112,11 +1151,18 @@ class TestLassoPath:
         rep = weighted_lasso_fista(inst, w, 3.0, None, CFG)
         assert calls == [] and rep.exit == "certified" and rep.iterations == 0
         assert np.linalg.norm(inst.phi @ rep.x - inst.b) < 1e-12
-        # the budget is met at zero cost, so it has no positive multiplier:
-        # the search fails with its typed error
-        with pytest.raises(solvers.NoConvergenceError):
-            constrained_weighted_l1(inst, w, 0.5, CFG)
-        assert calls == ["_constrained_search"]
+        # the budget is met at zero cost: the least-squares point is the
+        # answer, at multiplier 0
+        rep = constrained_weighted_l1(inst, w, 0.5, CFG)
+        assert calls == [] and rep.exit == "certified" and not rep.degenerate
+        assert np.linalg.norm(inst.phi @ rep.x - inst.b) <= 0.5
+        assert rep.objective == 0.0 and rep.multiplier == 0.0
         w[6] = 0.0  # more than m: no least-squares start, FISTA solves it
         rep = weighted_lasso_fista(inst, w, 3.0, None, CFG)
-        assert calls[-1] == "_fista" and rep.converged
+        assert calls == ["_fista"] and rep.converged
+        # the constrained answer is a least-squares point again, one of an
+        # unbounded set
+        rep = constrained_weighted_l1(inst, w, 0.5, CFG)
+        assert calls == ["_fista"] and rep.exit == "certified" and rep.degenerate
+        assert np.linalg.norm(inst.phi @ rep.x - inst.b) <= 0.5
+        assert rep.objective == 0.0 and rep.multiplier == 0.0
