@@ -297,6 +297,17 @@ def _bp_certified(op, w, support, candidate, v) -> bool:
     return not np.max(np.abs(corr[off]) - w[off], initial=0.0) > slack
 
 
+def _warm_start(warm, n: int) -> np.ndarray:
+    """A float copy of a warm start, which must be a finite 1-D vector of
+    length n; anything else raises ConfigurationError."""
+    arr = np.array(warm, dtype=float)
+    if arr.shape != (n,):
+        raise ConfigurationError(f"warm start must have shape ({n},), got {arr.shape}")
+    if not np.all(np.isfinite(arr)):
+        raise ConfigurationError("warm start must be finite")
+    return arr
+
+
 def weighted_basis_pursuit(
     instance: ProblemInstance,
     w,
@@ -318,27 +329,39 @@ def weighted_basis_pursuit(
     (``_bp_certified``; retried on later checkpoints only for a thin
     support), which ends the solve with exit ``"certified"``. The screen
     moves only the checkpoint at which a certified solve stops: its x is
-    still the exact solve on the support it certifies. Otherwise it stops
-    with exit ``"tol"`` when both the affine residual
-    ||phi x - b|| / (1 + ||b||) and the consensus residual of the split
-    variables fall below ``cfg.inner_tol`` (the larger is reported), or
-    with ``"max_iter"``. ``warm`` seeds the split iterate, which lets outer
-    reweighting loops restart cheaply.
+    still the exact solve on the support it certifies. Otherwise, at the
+    same checkpoints and at the last iteration, it stops with exit
+    ``"tol"`` when both the affine residual ||phi x - b|| / (1 + ||b||)
+    and the consensus residual of the split variables are at most
+    ``cfg.inner_tol`` (the larger is reported), so a ``"tol"`` exit's
+    ``iterations`` is a checkpoint or ``cfg.inner_max_iter``; else it
+    ends with ``"max_iter"``. ``warm`` seeds the split iterate, which lets
+    outer reweighting loops restart cheaply; it must be a finite vector of
+    length n (``ConfigurationError`` otherwise).
     """
     w = as_weight_array(w, instance.n)
+    n = instance.n
+    z = np.zeros(n) if warm is None else _warm_start(warm, n)
     phi, b = instance.phi, instance.b
     op = _operator(instance)
     norm_b = np.linalg.norm(b)
     wmax = float(np.max(w))
+    x0 = op.x0  # the rank guard runs before the QR
     if wmax > 0.0:
-        xscale = max(float(np.max(np.abs(op.x0))), 1e-12)
+        xscale = max(float(np.max(np.abs(x0))), 1e-12)
         rho = cfg.admm_rho * wmax / xscale
     else:
         rho = cfg.admm_rho
     thresh = w / rho
+    lower = -thresh
+    qt = op.row_qr[0]
+    q = qt.T
 
-    z = np.zeros(instance.n) if warm is None else np.asarray(warm, dtype=float).copy()
-    u = np.zeros(instance.n)
+    u = np.zeros(n)
+    # each iteration writes these in place; none is written after the loop,
+    # so the report may hold z
+    x, v, t = np.empty(n), np.empty(n), np.empty(n)
+    y = np.empty(instance.m)
     # the candidate is a pure function of the support, so no support is
     # factored twice in one solve: a failed one maps to None, and a passed
     # one keeps its factors for certificate retries with later duals (a
@@ -349,11 +372,25 @@ def weighted_basis_pursuit(
     stop = "max_iter"
     it = 0
     for it in range(1, cfg.inner_max_iter + 1):
-        x = op.project(z - u)
-        xr = _RELAX * x + (1.0 - _RELAX) * z
-        z = soft_threshold(xr + u, thresh)
-        u = u + xr - z
-        if it == 1 or it % _POLISH_EVERY == 0:
+        # x = v - Q Q^T v + x0 with v = z - u (``_Operator.project``)
+        np.subtract(z, u, out=v)
+        np.dot(qt, v, out=y)
+        np.dot(q, y, out=x)
+        np.subtract(v, x, out=x)
+        x += x0
+        # over-relaxed ADMM (Boyd et al. 2011, 3.4.3): with
+        # t = relaxed x + u, the shrinkage z = soft_threshold(t, thresh)
+        # and the dual update u + relaxed x - z come to u = clip(t) and
+        # z = t - u
+        np.multiply(z, 1.0 - _RELAX, out=v)
+        np.multiply(x, _RELAX, out=t)
+        t += v
+        t += u
+        np.maximum(t, lower, out=u)
+        np.minimum(u, thresh, out=u)
+        np.subtract(t, u, out=z)
+        checkpoint = it == 1 or it % _POLISH_EVERY == 0
+        if checkpoint:
             support = _polish_support(z)
             key = support.tobytes()
             # most supports of a moving iterate never recur, so a new one is
@@ -373,16 +410,18 @@ def weighted_basis_pursuit(
                 if support.size == instance.m:
                     # a square support's certificate ignores the dual
                     candidates[key] = None
-        # both residuals must pass, so the affine one (a matvec with phi)
-        # waits for the consensus one to pass, or for the last iteration;
-        # the norms are np.linalg.norm's own formula, without its overhead
-        d = x - z
-        residual = math.sqrt(d @ d) / (1.0 + math.sqrt(z @ z))
-        if residual <= cfg.inner_tol or it == cfg.inner_max_iter:
-            residual = max(np.linalg.norm(phi @ z - b) / (1.0 + norm_b), residual)
-            if residual <= cfg.inner_tol:
-                stop = "tol"
-                break
+        if checkpoint or it == cfg.inner_max_iter:
+            # both residuals must pass, so the affine one (a matvec with
+            # phi) waits for the consensus one to pass, or for the last
+            # iteration; the norms are np.linalg.norm's own formula,
+            # without its overhead
+            np.subtract(x, z, out=v)
+            residual = math.sqrt(v @ v) / (1.0 + math.sqrt(z @ z))
+            if residual <= cfg.inner_tol or it == cfg.inner_max_iter:
+                residual = max(np.linalg.norm(phi @ z - b) / (1.0 + norm_b), residual)
+                if residual <= cfg.inner_tol:
+                    stop = "tol"
+                    break
 
     return InnerSolveReport(
         x=z,
@@ -689,7 +728,8 @@ def weighted_lasso_fista(
     optimality conditions hold there within ``cfg.inner_tol``;
     ``iterations`` counts the path's breakpoints. When the path fails or
     its answer does not certify, the solve falls back to accelerated
-    proximal gradient (``_fista``), started from ``warm``.
+    proximal gradient (``_fista``), started from ``warm``, which must be a
+    finite vector of length n (``ConfigurationError`` otherwise).
 
     When lam |phi^T b|_i <= w_i for every i, x = 0 satisfies the
     optimality conditions exactly and is returned certified after 0
@@ -701,6 +741,8 @@ def weighted_lasso_fista(
     w = as_weight_array(w, instance.n)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
+    if warm is not None:
+        warm = _warm_start(warm, instance.n)
     op = _operator(instance)
     if np.all(lam * np.abs(op.corr_b) <= w):
         x = np.zeros(instance.n)
@@ -714,7 +756,7 @@ def weighted_lasso_fista(
             multiplier=float(lam),
         )
     c = w / lam
-    found = None if warm is None else _path(instance, c, cfg.inner_max_iter, np.asarray(warm, dtype=float))
+    found = None if warm is None else _path(instance, c, cfg.inner_max_iter, warm)
     if found is None:
         found = _path(instance, c, cfg.inner_max_iter)
     if found is not None:
@@ -735,7 +777,8 @@ def weighted_lasso_fista(
 
 def _fista(instance, w, lam, warm, cfg) -> InnerSolveReport:
     """The weighted LASSO by accelerated proximal gradient, the fallback of
-    ``weighted_lasso_fista`` when the path fails.
+    ``weighted_lasso_fista`` when the path fails, started from ``warm`` (a
+    validated copy, see ``_warm_start``) or x = 0.
 
     Step 1 / (lam * ||phi||_2^2) and restart of the momentum sequence
     whenever the objective increases. Each iteration makes two products
@@ -752,7 +795,7 @@ def _fista(instance, w, lam, warm, cfg) -> InnerSolveReport:
     phi, b = instance.phi, instance.b
     lip = lam * _operator(instance).spectral_sq
 
-    x_prev = np.zeros(instance.n) if warm is None else np.asarray(warm, dtype=float).copy()
+    x_prev = np.zeros(instance.n) if warm is None else warm
     resid = phi @ x_prev - b
     grad_prev = lam * (phi.T @ resid)
     grad_y = grad_prev

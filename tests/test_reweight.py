@@ -523,6 +523,30 @@ class TestNoisyStart:
         assert total <= 620
 
 
+class TestFig1Counts:
+    def test_bp_iterations_on_the_fig1_serial_panel(self, monkeypatch):
+        # a count, not a time, over the benchmark's Fig-1 panel: 5 basis
+        # pursuit solves per trial, all certified, and a bound (the count
+        # when the clip recurrence landed, 16 032, plus a small margin)
+        # that a slower-converging or uncertified splitting exceeds
+        reports = []
+        bp = reweight.weighted_basis_pursuit
+
+        def counted(*args, **kwargs):
+            reports.append(bp(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(reweight, "weighted_basis_pursuit", counted)
+        for s in (20, 30, 40, 50):
+            for seed in range(4):
+                inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=s, seed=seed))
+                for algo in ("l1", "rw-sub", "rw-cwb"):
+                    run_algorithm(algo, inst, SolverConfig(rw_iter=2))
+        assert len(reports) == 80
+        assert all(rep.exit == "certified" for rep in reports)
+        assert sum(rep.iterations for rep in reports) <= 16_200
+
+
 def _duplicated_row_instance():
     """A consistent 10x30 system whose last row repeats the first."""
     rng = np.random.default_rng(0)

@@ -70,6 +70,18 @@ class TestSoftThreshold:
         assert abs(out) == pytest.approx(max(abs(v) - t, 0.0))
         assert out * v >= 0.0
 
+    @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
+                              st.floats(0.0, allow_infinity=False)), min_size=1))
+    def test_is_the_remainder_of_a_clip(self, pairs):
+        # the splitting's shrinkage: t - clip(t, -theta, theta) has the bits
+        # of soft_threshold(t, theta), up to the sign of a zero
+        t, theta = np.array(pairs).T
+        clipped = t - np.minimum(np.maximum(t, -theta), theta)
+        ref = soft_threshold(t, theta)
+        assert np.array_equal(clipped, ref)
+        nonzero = ref != 0.0
+        assert clipped[nonzero].tobytes() == ref[nonzero].tobytes()
+
 
 class TestSpectralNormSq:
     def test_identity(self):
@@ -265,11 +277,12 @@ class TestBpPolish:
 
 
 def eager_basis_pursuit(instance, w, cfg):
-    """Reference loop: weighted basis pursuit with both stopping residuals
-    computed at every iteration, and a checkpoint's candidate solved afresh
-    whenever the schedule tries it: at iteration 1, on the support of the
-    previous checkpoint, or on a support tried before in the solve. A
-    square support is re-certified each time. Returns
+    """Reference loop: weighted basis pursuit by the clip recurrence, with
+    both stopping residuals computed at every checkpoint (iteration 1,
+    every ``_POLISH_EVERY``-th and the last), and a checkpoint's candidate
+    solved afresh whenever the schedule tries it: at iteration 1, on the
+    support of the previous checkpoint, or on a support tried before in the
+    solve. A square support is re-certified each time. Returns
     (x, iterations, residual)."""
     phi, b = instance.phi, instance.b
     op = _operator(instance)
@@ -282,10 +295,11 @@ def eager_basis_pursuit(instance, w, cfg):
     tried, last = set(), None
     for it in range(1, cfg.inner_max_iter + 1):
         x = op.project(z - u)
-        xr = solvers._RELAX * x + (1.0 - solvers._RELAX) * z
-        z = soft_threshold(xr + u, thresh)
-        u = u + xr - z
-        if it == 1 or it % solvers._POLISH_EVERY == 0:
+        t = solvers._RELAX * x + (1.0 - solvers._RELAX) * z + u
+        u = np.minimum(np.maximum(t, -thresh), thresh)
+        z = t - u
+        checkpoint = it == 1 or it % solvers._POLISH_EVERY == 0
+        if checkpoint:
             support = solvers._polish_support(z)
             key = support.tobytes()
             if it == 1 or key == last or key in tried:
@@ -296,12 +310,51 @@ def eager_basis_pursuit(instance, w, cfg):
                     x = candidate[2]
                     return x, it, np.linalg.norm(phi @ x - b) / (1.0 + norm_b)
             last = key
-        affine_rel = np.linalg.norm(phi @ z - b) / (1.0 + norm_b)
-        consensus_rel = np.linalg.norm(x - z) / (1.0 + np.linalg.norm(z))
-        residual = max(affine_rel, consensus_rel)
-        if residual <= cfg.inner_tol:
-            break
+        if checkpoint or it == cfg.inner_max_iter:
+            affine_rel = np.linalg.norm(phi @ z - b) / (1.0 + norm_b)
+            consensus_rel = np.linalg.norm(x - z) / (1.0 + np.linalg.norm(z))
+            residual = max(affine_rel, consensus_rel)
+            if residual <= cfg.inner_tol:
+                break
     return z, it, residual
+
+
+def legacy_basis_pursuit(instance, w, warm, cfg):
+    """The splitting loop as it was before the clip recurrence: a soft
+    threshold and a separate dual update, allocating at every step, and
+    the stopping residuals tested at every iteration. Returns
+    (x, iterations, exit)."""
+    phi, b = instance.phi, instance.b
+    op = _operator(instance)
+    norm_b = np.linalg.norm(b)
+    rho = cfg.admm_rho * float(np.max(w)) / max(float(np.max(np.abs(op.x0))), 1e-12)
+    thresh = w / rho
+    z = np.zeros(instance.n) if warm is None else warm.copy()
+    u = np.zeros(instance.n)
+    candidates, last_key = {}, None
+    for it in range(1, cfg.inner_max_iter + 1):
+        x = op.project(z - u)
+        xr = solvers._RELAX * x + (1.0 - solvers._RELAX) * z
+        z = soft_threshold(xr + u, thresh)
+        u = u + xr - z
+        if it == 1 or it % solvers._POLISH_EVERY == 0:
+            support = solvers._polish_support(z)
+            key = support.tobytes()
+            if key not in candidates and (it == 1 or key == last_key):
+                candidates[key] = _bp_candidate(instance, support, cfg.inner_tol)
+            last_key = key
+            candidate = candidates.get(key)
+            if candidate is not None:
+                if _bp_certified(op, w, support, candidate, rho * u):
+                    return candidate[2], it, "certified"
+                if support.size == instance.m:
+                    candidates[key] = None
+        residual = np.linalg.norm(x - z) / (1.0 + np.linalg.norm(z))
+        if residual <= cfg.inner_tol or it == cfg.inner_max_iter:
+            residual = max(np.linalg.norm(phi @ z - b) / (1.0 + norm_b), residual)
+            if residual <= cfg.inner_tol:
+                return z, it, "tol"
+    return z, it, "max_iter"
 
 
 class TestOperator:
@@ -348,6 +401,31 @@ class TestOperator:
             assert rep.x.tobytes() == x.tobytes()
             if not polish:
                 assert rep.exit == ("max_iter" if max_iter == 37 else "tol")
+
+    def test_certified_solves_match_the_legacy_loop(self, monkeypatch):
+        # the unit-weight start and the rw-sub and rw-cwb re-solves of
+        # Fig-1 instances, replayed through the loop before the clip
+        # recurrence: a certified x is the exact solve on its support, and
+        # both loops certify it at the same checkpoint
+        calls = []
+        bp = reweight.weighted_basis_pursuit
+
+        def recorded(instance, w, warm, cfg):
+            calls.append((instance, w.copy(), None if warm is None else warm.copy()))
+            return bp(instance, w, warm, cfg)
+
+        monkeypatch.setattr(reweight, "weighted_basis_pursuit", recorded)
+        for s, seed in itertools.product((20, 30, 40, 50), (4, 5)):
+            inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=s, seed=seed))
+            for algo in ("rw-sub", "rw-cwb"):
+                run_algorithm(algo, inst, SolverConfig(rw_iter=2))
+        assert len(calls) == 40
+        for inst, w, warm in calls:
+            x, iterations, stop = legacy_basis_pursuit(inst, w, warm, CFG)
+            rep = weighted_basis_pursuit(inst, w, warm, CFG)
+            assert stop == rep.exit == "certified"
+            assert rep.iterations == iterations
+            assert rep.x.tobytes() == x.tobytes()
 
 
 class TestDualSeededCertificate:
@@ -576,6 +654,20 @@ class TestWeightedBasisPursuit:
         assert tol.iterations > certified.iterations
         assert np.allclose(tol.x, certified.x, atol=1e-6)
 
+    @pytest.mark.parametrize("warm", [np.ones(1), np.full(64, np.nan), np.ones((64, 1)), np.ones(65)])
+    def test_malformed_warm_start_is_rejected(self, warm):
+        # a length that broadcasts, NaN entries, a column, one entry too many
+        inst = gen_noiseless(EnsembleSpec(n=64, m=32, s=6, seed=0))
+        with pytest.raises(ConfigurationError, match="warm start"):
+            weighted_basis_pursuit(inst, np.ones(64), warm, CFG)
+
+    def test_warm_start_is_not_modified(self):
+        inst = gen_noiseless(EnsembleSpec(n=64, m=32, s=6, seed=0))
+        warm = min_l2_solution(inst)
+        before = warm.copy()
+        rep = weighted_basis_pursuit(inst, np.ones(64), warm, SolverConfig(inner_max_iter=3))
+        assert np.array_equal(warm, before) and rep.x is not warm
+
 
 class TestWeightedLassoFista:
     def _scalar(self):
@@ -716,6 +808,12 @@ class TestWeightedLassoFista:
         inst = ProblemInstance(phi=np.eye(2), b=np.array([1.0, 0.0]))
         rep = weighted_lasso_fista(inst, np.array([2.0, 0.0]), 1.0, None, CFG)
         assert np.all(rep.x == 0.0) and rep.iterations == 0 and not rep.degenerate
+
+    @pytest.mark.parametrize("warm", [np.ones(1), np.full(64, np.inf), np.ones((64, 1)), np.ones(65)])
+    def test_malformed_warm_start_is_rejected(self, warm):
+        inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=0))
+        with pytest.raises(ConfigurationError, match="warm start"):
+            weighted_lasso_fista(inst, np.ones(64), 10.0, warm, CFG)
 
     def test_warm_start_converges_fast(self):
         inst = gen_noiseless(EnsembleSpec(n=40, m=20, s=5, seed=2))
