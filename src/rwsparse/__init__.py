@@ -16,7 +16,6 @@ from .model import (
     ProblemInstance,
     SolverConfig,
     SweepResult,
-    Weights,
     improvement,
     l0_norm,
     recovered,
@@ -43,7 +42,6 @@ __all__ = [
     "ProblemInstance",
     "SolverConfig",
     "SweepResult",
-    "Weights",
     "cwb_rw_l1",
     "cwb_rw_l1_noisy",
     "improvement",

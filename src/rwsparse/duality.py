@@ -19,7 +19,6 @@ from .model import (
     OracleRequiredError,
     ProblemInstance,
     SolverConfig,
-    Weights,
     as_weight_array,
 )
 from .solvers import weighted_basis_pursuit
@@ -131,9 +130,9 @@ def polyak_step_nonoracle(w_k, x_k, eps: float) -> float:
     return float(w_k @ np.abs(x_k)) / (eps * l2_sq)
 
 
-def project_nonneg(w) -> Weights:
+def project_nonneg(w) -> np.ndarray:
     """Projection onto the dual-feasible set: coordinate-wise max(0, w_i)."""
-    return Weights(np.maximum(np.asarray(w, dtype=float), 0.0))
+    return np.maximum(np.asarray(w, dtype=float), 0.0)
 
 
 def lambda_subgradient(x_k, instance: ProblemInstance) -> float:

@@ -16,7 +16,6 @@ import numpy as np
 
 __all__ = [
     "ProblemInstance",
-    "Weights",
     "DualState",
     "SolverConfig",
     "SweepResult",
@@ -160,8 +159,9 @@ class ProblemInstance:
 
 
 def as_weight_array(w, n: Optional[int] = None) -> np.ndarray:
-    """Coerce ``Weights`` or array-like weights to a validated float vector."""
-    arr = _as_vector(w.w if isinstance(w, Weights) else w, "weights")
+    """Coerce array-like weights to a validated float vector: finite,
+    nonnegative, and of length n when n is given."""
+    arr = _as_vector(w, "weights")
     if not np.all(np.isfinite(arr)):
         raise ValueError("weights must be finite")
     if np.any(arr < 0):
@@ -172,36 +172,20 @@ def as_weight_array(w, n: Optional[int] = None) -> np.ndarray:
 
 
 @dataclass(frozen=True, eq=False)
-class Weights:
-    """Nonnegative per-coordinate weights: the multipliers of the relaxed
-    magnitude constraints."""
+class DualState:
+    """Snapshot of a subgradient ascent run: weights (the multipliers of
+    the relaxed magnitude constraints, validated by ``as_weight_array``),
+    the quadratic-penalty multiplier (noisy runs only), iteration counter,
+    latest primal minimizer and the last stepsize applied."""
 
     w: np.ndarray
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", as_weight_array(self.w))
-
-    def __len__(self) -> int:
-        return self.w.shape[0]
-
-    @classmethod
-    def ones(cls, n: int) -> "Weights":
-        return cls(np.ones(n))
-
-
-@dataclass(frozen=True, eq=False)
-class DualState:
-    """Snapshot of a subgradient ascent run: weights, the quadratic-penalty
-    multiplier (noisy runs only), iteration counter, latest primal minimizer
-    and the last stepsize applied."""
-
-    w: Weights
     lam: Optional[float]
     k: int
     x_k: np.ndarray
     alpha_k: float
 
     def __post_init__(self):
+        object.__setattr__(self, "w", as_weight_array(self.w))
         if self.k < 0:
             raise ValueError("iteration counter must be >= 0")
         if self.lam is not None and self.lam < 0:
@@ -218,15 +202,15 @@ class SolverConfig:
     inverse-magnitude update). A float gives a constant schedule; a callable
     maps the iteration index to a value.
 
+    ``inner_tol`` is the splitting's stopping tolerance and the slack of
+    the LASSO optimality conditions that certify a noisy answer.
+    ``inner_max_iter`` is the budget of every inner solve: iterations of
+    the splitting, breakpoints of the weighted-LASSO path.
+
     ``admm_rho`` is the dimensionless penalty scale of the splitting
     solver; the effective penalty is admm_rho * max(w) / (solution scale),
     which the equality-constrained problem's invariance to rescaling of w
     and b makes a meaningful constant.
-
-    ``bisect_tol`` is the relative band around the noise budget in which
-    the constrained solver's fallback bisection on the data-fit multiplier
-    stops; it plays no part when the closed-form multiplier on a LASSO
-    support is certified, which then meets the budget up to rounding.
 
     ``alpha_schedule`` optionally overrides the noisy-run stepsize rule
     (e.g. a diminishing ``lambda k: c / (k + 1)``); by default the
@@ -239,13 +223,12 @@ class SolverConfig:
     inner_max_iter: int = 50_000
     admm_rho: float = 10.0
     recovery_tol: float = 1e-3
-    bisect_tol: float = 1e-3
     alpha_schedule: Optional[Callable[[int], float]] = None
 
     def __post_init__(self):
         if self.rw_iter < 0:
             raise ValueError("rw_iter must be >= 0")
-        for name in ("inner_tol", "admm_rho", "recovery_tol", "bisect_tol"):
+        for name in ("inner_tol", "admm_rho", "recovery_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if self.inner_max_iter <= 0:

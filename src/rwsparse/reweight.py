@@ -46,7 +46,6 @@ from .model import (
     OracleRequiredError,
     ProblemInstance,
     SolverConfig,
-    Weights,
     l0_norm,
     l0_reporting_tol,
 )
@@ -136,9 +135,7 @@ def _lasso(instance, w, lam, warm, cfg):
 
 
 def _constrained(instance, w, lam, warm, cfg):
-    # a fallback multiplier search starts where the previous solve's ended
-    lam_start = 1.0 if warm is None else warm.multiplier
-    return constrained_weighted_l1(instance, w, instance.eta, cfg, lam_start)
+    return constrained_weighted_l1(instance, w, instance.eta, cfg)
 
 
 class _ZeroStepError(ArithmeticError):
@@ -154,14 +151,14 @@ def _oracle_ascent(k, w, lam, x, instance, cfg):
     if step.alpha == 0.0:
         raise _ZeroStepError("zero-target stepsize is zero")
     g = subgradient_oracle(x, instance.x_star)
-    return step.alpha, project_nonneg(w + step.alpha * g).w, lam
+    return step.alpha, project_nonneg(w + step.alpha * g), lam
 
 
 def _nonoracle_ascent(k, w, lam, x, instance, cfg):
     eps = cfg.eps_at(k - 1, SUBGRADIENT_DEFAULT_EPS)
     alpha = polyak_step_nonoracle(w, x, eps)
     g = subgradient_nonoracle(x, eps)
-    return alpha, project_nonneg(w + alpha * g).w, lam
+    return alpha, project_nonneg(w + alpha * g), lam
 
 
 def _joint_ascent(k, w, lam, x, instance, cfg):
@@ -172,7 +169,7 @@ def _joint_ascent(k, w, lam, x, instance, cfg):
         alpha = float(cfg.alpha_schedule(k - 1))
     else:
         alpha = polyak_step_lasso(w, lam, x, eps, instance)
-    return alpha, project_nonneg(w + alpha * g_w).w, max(0.0, lam + alpha * g_lam)
+    return alpha, project_nonneg(w + alpha * g_w), max(0.0, lam + alpha * g_lam)
 
 
 def _inverse_magnitude(k, w, lam, x, instance, cfg):
@@ -230,7 +227,7 @@ def _drive(algo, instance, cfg, solve, update, lam=None, alpha=0.0):
         report = solve(instance, w, lam, report, cfg)
         x = report.x
         rows.append(_row(k, w, alpha, report, instance.x_star))
-    state = DualState(w=Weights(w), lam=lam, k=k, x_k=x, alpha_k=alpha)
+    state = DualState(w=w, lam=lam, k=k, x_k=x, alpha_k=alpha)
     return x, RwTrace(algo, instance.seed, rows, reason, state)
 
 

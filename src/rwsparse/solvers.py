@@ -18,16 +18,14 @@ LASSO ends on the exact solve on that support; the constrained problem
 follows the path in 1/lam until the residual norm meets eta and ends on
 the closed-form multiplier on that segment's support. Both answers are
 returned only when the LASSO optimality conditions certify them. When the
-path fails (a rank loss, a tie it cannot resolve, its breakpoint budget)
-or its answer does not certify, the LASSO falls back to accelerated
-proximal gradient and the constrained problem to a search over lam
-through LASSO solves.
+path runs out of breakpoints, the exact minimizer at the weights it
+reached is returned as not converged; any other failure of the path or of
+the certificate raises ``NoConvergenceError``.
 
 Each instance has one cached operator that builds, on first use, the
-minimum-norm solution, an orthonormal basis of the row space of phi, the
-squared spectral norm, phi^T b and the Gram rows phi_i^T phi the path
-enters. A phi without full row rank, numerically, is rejected with
-``RankDeficientError``.
+minimum-norm solution, an orthonormal basis of the row space of phi,
+phi^T b and the Gram rows phi_i^T phi the path enters. A phi without full
+row rank, numerically, is rejected with ``RankDeficientError``.
 """
 
 from __future__ import annotations
@@ -38,7 +36,7 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, eigvalsh, qr, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
 from scipy.linalg.lapack import dpotri
 
 from .model import ConfigurationError, ProblemInstance, SolverConfig, as_weight_array
@@ -47,8 +45,6 @@ __all__ = [
     "InnerSolveReport",
     "NoConvergenceError",
     "RankDeficientError",
-    "soft_threshold",
-    "spectral_norm_sq",
     "min_l2_solution",
     "weighted_basis_pursuit",
     "weighted_lasso_fista",
@@ -94,17 +90,16 @@ class InnerSolveReport:
     distance of the data-fit norm from its budget for the constrained
     problem). ``exit`` says how the solve stopped: ``"certified"`` (an
     exact solve or closed form whose optimality conditions were verified),
-    ``"tol"`` (the iterate met the stopping measure at the tolerance, or
-    the constrained search its budget band), ``"stall"`` (the LASSO
-    objective stopped moving without a certificate) or ``"max_iter"``
-    (the iteration budget ran out); the first two are ``converged``.
-    ``iterations`` counts the solver's steps: breakpoints of the LASSO
-    path (the first entry included), or iterations of the splitting and
-    the FISTA fallback, summed over the LASSO solves of a constrained
-    search. ``degenerate`` marks solves whose solution set is unbounded.
+    ``"tol"`` (the splitting met its stopping measure at the tolerance) or
+    ``"max_iter"`` (the iteration or breakpoint budget ran out); the first
+    two are ``converged``. ``iterations`` counts the solver's steps:
+    iterations of the splitting for basis pursuit, breakpoints of the
+    LASSO path (the first entry included) for the two noisy problems.
+    ``degenerate`` marks solves whose solution set is unbounded.
     ``multiplier`` is the data-fit multiplier lam the solve ended at: the
     LASSO's own lam, the constrained problem's multiplier of its budget
-    (0 when the budget is inactive), and infinity for basis pursuit, whose
+    (0 when the budget is inactive, NaN when the path ran out of
+    breakpoints before meeting it), and infinity for basis pursuit, whose
     data fit is a hard constraint.
     """
 
@@ -121,29 +116,14 @@ class InnerSolveReport:
         return self.exit in ("certified", "tol")
 
 
-def soft_threshold(v, t):
-    """Shrink toward zero: sign(v) * max(|v| - t, 0), elementwise."""
-    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
-def spectral_norm_sq(phi) -> float:
-    """Largest eigenvalue of phi^T phi, from a symmetric eigensolver on the
-    smaller Gram matrix."""
-    phi = np.asarray(phi, dtype=float)
-    if not np.any(phi):
-        return 0.0
-    gram = phi @ phi.T if phi.shape[0] <= phi.shape[1] else phi.T @ phi
-    return float(eigvalsh(gram)[-1])
-
-
 class _Operator:
     """The linear algebra of one instance, each piece built on first use:
     the minimum-norm solution ``x0`` (which applies the rank guard), the
     economic QR phi^T = Q R as Q^T, one contiguous m x n array, and R
-    (``row_qr``), the squared spectral norm, phi^T b, and the Gram rows
-    phi_i^T phi of the coordinates the LASSO path has touched
-    (``gram_row``). A run without basis pursuit never builds the QR, and
-    one without a noisy solve holds no Gram row."""
+    (``row_qr``), phi^T b, and the Gram rows phi_i^T phi of the
+    coordinates the LASSO path has touched (``gram_row``). A run without
+    basis pursuit never builds the QR, and one without a noisy solve holds
+    no Gram row."""
 
     def __init__(self, instance: ProblemInstance):
         self.phi, self.b = instance.phi, instance.b
@@ -182,10 +162,6 @@ class _Operator:
         return np.ascontiguousarray(q.T), r
 
     @cached_property
-    def spectral_sq(self) -> float:
-        return spectral_norm_sq(self.phi)
-
-    @cached_property
     def corr_b(self) -> np.ndarray:
         """phi^T b, minus the LASSO gradient at x = 0 per unit lam."""
         return self.phi.T @ self.b
@@ -199,13 +175,6 @@ class _Operator:
         if row is None:
             row = self.gram_rows[i] = self.phi[:, i] @ self.phi
         return row
-
-    def project(self, v: np.ndarray) -> np.ndarray:
-        """Orthogonal projection of v onto {x : phi x = b}:
-        v - Q Q^T v + x0 (x0 lies in the row space, so Q Q^T x0 = x0)."""
-        x0 = self.x0  # the rank guard runs before the QR
-        qt = self.row_qr[0]
-        return v - np.dot(qt.T, np.dot(qt, v)) + x0
 
 
 _OPERATORS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -372,16 +341,17 @@ def weighted_basis_pursuit(
     stop = "max_iter"
     it = 0
     for it in range(1, cfg.inner_max_iter + 1):
-        # x = v - Q Q^T v + x0 with v = z - u (``_Operator.project``)
+        # x = v - Q Q^T v + x0 with v = z - u, the projection of v onto
+        # phi x = b (x0 lies in the row space, so Q Q^T x0 = x0)
         np.subtract(z, u, out=v)
         np.dot(qt, v, out=y)
         np.dot(q, y, out=x)
         np.subtract(v, x, out=x)
         x += x0
         # over-relaxed ADMM (Boyd et al. 2011, 3.4.3): with
-        # t = relaxed x + u, the shrinkage z = soft_threshold(t, thresh)
-        # and the dual update u + relaxed x - z come to u = clip(t) and
-        # z = t - u
+        # t = relaxed x + u, the shrinkage
+        # z = sign(t) max(|t| - thresh, 0) and the dual update
+        # u + relaxed x - z come to u = clip(t) and z = t - u
         np.multiply(z, 1.0 - _RELAX, out=v)
         np.multiply(x, _RELAX, out=t)
         t += v
@@ -478,46 +448,16 @@ def _lasso_polish(instance, w, lam, support, sigma):
     return cand
 
 
-def _lasso_polish_candidates(instance, w, lam, x, grad, viol):
-    """Candidate supports for the exact reduced solve: the support of the
-    current iterate, and the dual-active set {i : |grad_i| close to w_i}
-    with signs read off the gradient (which identifies the optimal
-    support before the iterate sheds its last spurious coordinates).
-    The activity band widens with the current optimality violation, and
-    trimmed supports (dropping the smallest magnitudes) cover spurious
-    coordinates that shrink toward zero for many iterations."""
-    support = np.flatnonzero(x)
-    yield support, np.sign(x[support])
-    if support.size > 1:
-        by_magnitude = support[np.argsort(np.abs(x[support]))]
-        for drop in range(1, min(3, support.size - 1) + 1):
-            trimmed = np.sort(by_magnitude[drop:])
-            yield trimmed, np.sign(x[trimmed])
-    margin = np.maximum(1e-3 * w, 2.0 * viol * (1.0 + w))
-    active = np.flatnonzero(np.abs(grad) >= w - margin)
-    if active.size and not np.array_equal(active, support):
-        yield active, -np.sign(grad[active])
-
-
-def _lasso_certified(instance, w, lam, support, sigma, tol):
-    """The exact solve on a support (``_lasso_polish``) as (x, residual
-    phi x - b, optimality violation), or None unless the LASSO optimality
-    conditions hold there within ``tol``."""
-    cand = _lasso_polish(instance, w, lam, support, sigma)
-    if cand is None:
-        return None
-    phi, b = instance.phi, instance.b
-    resid = phi @ cand - b
-    viol = _lasso_optimality(w, lam * (phi.T @ resid), cand)
-    return (cand, resid, viol) if viol <= tol else None
-
-
 def _path(instance, c, max_breakpoints, warm=None, eta=None):
     """The weighted-LASSO homotopy: follow the minimizer of
     (1/2)||phi x - b||^2 + sum_i c_i(t) |x_i| while the weights move
     linearly from c(0) to c(1), and return the support and signs it ends
-    on as (support, sigma, breakpoints), support sorted and sigma 0 where
-    the weight is zero throughout; None when the path cannot be followed.
+    on as (support, sigma, breakpoints, None), support sorted and sigma 0
+    where the weight is zero throughout; None when the path cannot be
+    followed. When a breakpoint past ``max_breakpoints`` comes due, it
+    returns (None, None, max_breakpoints, x) instead, with x the minimizer
+    at the weights c(t) reached, x_S = G_S^{-1} (phi_S^T b - c_S sigma_S)
+    (G_S the Gram matrix of the support).
 
     The minimizer is piecewise linear in t. With a = phi^T (b - phi x), a
     segment keeps its support S and signs sigma, on which
@@ -550,8 +490,8 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     |x_S| and ||phi x - b||^2, each updated along the segment, so a
     breakpoint makes no product with phi beyond the first computation of a
     Gram row. The path also gives None on a numerically rank-deficient
-    support, an entry when |S| = m, or more than ``max_breakpoints``
-    breakpoints, the first entry included.
+    support or an entry when |S| = m. Its breakpoints include the first
+    entry.
     """
     phi, b = instance.phi, instance.b
     m, n = phi.shape
@@ -671,7 +611,9 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
             break
         breakpoints += 1
         if breakpoints > max_breakpoints:
-            return None
+            x = np.zeros(n)
+            x[idx[:k]] = ginv[:k, :k] @ (corr[idx[:k]] - csig[:k])
+            return None, None, max_breakpoints, x
         if event == "leave":
             i = idx[leave]
             left = (0 if sig[leave] > 0.0 else 1, i)
@@ -708,7 +650,23 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
             k += 1
             left = None
     order = np.argsort(idx[:k])
-    return idx[:k][order], sig[:k][order], breakpoints
+    return idx[:k][order], sig[:k][order], breakpoints, None
+
+
+def _zero_weight_fit(instance, w):
+    """The least-squares fit on the zero-weight coordinates (x = 0 when no
+    weight is zero) as (x, b - phi x, degenerate): its weighted l1 norm is
+    0, the least possible, and it is one of an unbounded set (degenerate)
+    when those columns have a null space."""
+    phi, b = instance.phi, instance.b
+    x = np.zeros(instance.n)
+    resid, degenerate = b, False
+    free = np.flatnonzero(w == 0.0)
+    if free.size:
+        x[free], _, rank, _ = np.linalg.lstsq(phi[:, free], b, rcond=None)
+        resid = b - phi[:, free] @ x[free]
+        degenerate = rank < free.size  # phi_Z has a null space
+    return x, resid, degenerate
 
 
 def weighted_lasso_fista(
@@ -721,155 +679,84 @@ def weighted_lasso_fista(
     """Minimize (lam/2) ||phi x - b||^2 + sum_i w_i |x_i|.
 
     The minimizer is that of the weights c = w / lam at unit lam, found
-    along the homotopy ``_path``: cold from x = 0, or warm from ``warm``
-    through the weights it solves, and cold again when the warm path
-    fails. The exact solve on the support and signs the path ends on
+    along the homotopy ``_path``: cold from x = 0, or warm from ``warm`` (a
+    finite vector of length n, ``ConfigurationError`` otherwise) through
+    the weights it solves, and cold when the warm path fails or runs out of
+    breakpoints. The exact solve on the support and signs the path ends on
     (``_lasso_polish``) is returned with exit ``"certified"`` when the
     optimality conditions hold there within ``cfg.inner_tol``;
-    ``iterations`` counts the path's breakpoints. When the path fails or
-    its answer does not certify, the solve falls back to accelerated
-    proximal gradient (``_fista``), started from ``warm``, which must be a
-    finite vector of length n (``ConfigurationError`` otherwise).
+    ``iterations`` counts the path's breakpoints. When the cold path would
+    pass ``cfg.inner_max_iter`` breakpoints, the minimizer at the weights
+    it reached is returned with exit ``"max_iter"`` and, as
+    ``primal_residual``, its violation of the optimality conditions at
+    (w, lam). A path that cannot be followed, or an answer that does not
+    certify, raises ``NoConvergenceError``.
 
-    When lam |phi^T b|_i <= w_i for every i, x = 0 satisfies the
-    optimality conditions exactly and is returned certified after 0
-    iterations. This covers lam = 0, which removes the data-fit term
-    entirely, and phi = 0; in those two cases the solve is flagged
-    degenerate if any weight vanishes (those coordinates are then
-    unconstrained by the objective).
+    When lam |phi^T b|_i <= w_i for every i, x = 0 is returned certified
+    after 0 iterations. This covers lam = 0 and phi = 0, where the solve is
+    flagged degenerate if any weight vanishes (those coordinates are then
+    unconstrained by the objective). More than m zero weights, more than
+    the path holds, give the least-squares fit on their columns, certified
+    and flagged degenerate.
     """
     w = as_weight_array(w, instance.n)
     if lam < 0:
         raise ValueError("lam must be nonnegative")
     if warm is not None:
         warm = _warm_start(warm, instance.n)
-    op = _operator(instance)
-    if np.all(lam * np.abs(op.corr_b) <= w):
+    phi, b = instance.phi, instance.b
+    if np.all(lam * np.abs(_operator(instance).corr_b) <= w):
         x = np.zeros(instance.n)
         return InnerSolveReport(
             x=x,
             iterations=0,
             primal_residual=0.0,
-            objective=_lasso_objective(w, lam, x, -instance.b),
+            objective=_lasso_objective(w, lam, x, -b),
             exit="certified",
-            degenerate=(lam == 0.0 or op.spectral_sq == 0.0) and bool(np.any(w == 0.0)),
+            degenerate=(lam == 0.0 or not np.any(phi)) and bool(np.any(w == 0.0)),
             multiplier=float(lam),
         )
-    c = w / lam
-    found = None if warm is None else _path(instance, c, cfg.inner_max_iter, warm)
-    if found is None:
-        found = _path(instance, c, cfg.inner_max_iter)
-    if found is not None:
-        support, sigma, breakpoints = found
-        certified = _lasso_certified(instance, w, lam, support, sigma, cfg.inner_tol)
-        if certified is not None:
-            x, resid, viol = certified
-            return InnerSolveReport(
-                x=x,
-                iterations=breakpoints,
-                primal_residual=viol,
-                objective=_lasso_objective(w, lam, x, resid),
-                exit="certified",
-                multiplier=float(lam),
+    breakpoints, stop, degenerate = 0, "certified", False
+    if np.count_nonzero(w == 0.0) > instance.m:
+        x, _, degenerate = _zero_weight_fit(instance, w)
+    else:
+        c = w / lam
+        found = None if warm is None else _path(instance, c, cfg.inner_max_iter, warm)
+        if found is None or found[3] is not None:
+            found = _path(instance, c, cfg.inner_max_iter)
+        if found is None:
+            raise NoConvergenceError(
+                "the weighted-LASSO path cannot be followed: a numerically "
+                "rank-deficient support, or an entry at |S| = m"
             )
-    return _fista(instance, w, lam, warm, cfg)
-
-
-def _fista(instance, w, lam, warm, cfg) -> InnerSolveReport:
-    """The weighted LASSO by accelerated proximal gradient, the fallback of
-    ``weighted_lasso_fista`` when the path fails, started from ``warm`` (a
-    validated copy, see ``_warm_start``) or x = 0.
-
-    Step 1 / (lam * ||phi||_2^2) and restart of the momentum sequence
-    whenever the objective increases. Each iteration makes two products
-    with phi, for the residual and the gradient at the new iterate: the
-    gradient is affine in x, so the one at the extrapolated point
-    y = x + beta (x - x_prev) is grad_x + beta (grad_x - grad_prev), and
-    grad_x itself after a restart. Every few iterations the support is
-    polished by an exact reduced solve, accepted only if it satisfies the
-    optimality conditions. Stops when the coordinate-wise optimality
-    conditions hold at ``cfg.inner_tol``, or when the objective has moved
-    by less than it (relative) over the last 10 iterations; a stop of the
-    second kind without a certified polish is reported as not converged.
-    """
-    phi, b = instance.phi, instance.b
-    lip = lam * _operator(instance).spectral_sq
-
-    x_prev = np.zeros(instance.n) if warm is None else warm
-    resid = phi @ x_prev - b
-    grad_prev = lam * (phi.T @ resid)
-    grad_y = grad_prev
-    y = x_prev
-    t = 1.0
-    obj_prev = _lasso_objective(w, lam, x_prev, resid)
-    step_thresh = w / lip
-    obj_history = [obj_prev]
-    residual = np.inf
-    stop = "max_iter"
-    x = x_prev
-    it = 0
-
-    def polished(x_now, grad_now, viol_now):
-        for support, sigma in _lasso_polish_candidates(instance, w, lam, x_now, grad_now, viol_now):
-            found = _lasso_certified(instance, w, lam, support, sigma, cfg.inner_tol)
-            if found is not None:
-                return found
-        return None
-
-    for it in range(1, cfg.inner_max_iter + 1):
-        x = soft_threshold(y - grad_y / lip, step_thresh)
-        resid = phi @ x - b
-        grad_x = lam * (phi.T @ resid)
-        residual = _lasso_optimality(w, grad_x, x)
-        if residual <= cfg.inner_tol:
-            stop = "tol"
-            break
-        obj = _lasso_objective(w, lam, x, resid)
-        # stall: the objective moved less than inner_tol over 10 iterations
-        stalled = (
-            len(obj_history) >= 10
-            and abs(obj - obj_history[-10]) <= cfg.inner_tol * max(1.0, abs(obj))
-        )
-        if stalled or it % _POLISH_EVERY == 0:
-            found = polished(x, grad_x, residual)
-            if found is not None:
-                x, resid, residual = found
-                stop = "certified"
-                break
-        if stalled:  # no certificate: the solve stops unconverged
-            stop = "stall"
-            break
-        obj_history.append(obj)
-        if len(obj_history) > 10:
-            del obj_history[0]
-        if obj > obj_prev:
-            # adaptive restart: drop momentum when the objective rises
-            t = 1.0
-            y, grad_y = x, grad_x
+        support, sigma, breakpoints, x = found
+        if x is None:
+            x = _lasso_polish(instance, w, lam, support, sigma)
         else:
-            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-            beta = (t - 1.0) / t_next
-            y = x + beta * (x - x_prev)
-            grad_y = grad_x + beta * (grad_x - grad_prev)
-            t = t_next
-        x_prev, grad_prev = x, grad_x
-        obj_prev = obj
-
+            stop = "max_iter"
+    if x is not None:
+        resid = phi @ x - b
+        viol = _lasso_optimality(w, lam * (phi.T @ resid), x)
+    if x is None or (stop == "certified" and viol > cfg.inner_tol):
+        raise NoConvergenceError(
+            "the weighted-LASSO answer (the exact solve on the path's support, "
+            "or the zero-weight least-squares fit) does not certify"
+        )
     return InnerSolveReport(
         x=x,
-        iterations=it,
-        primal_residual=float(residual),
+        iterations=breakpoints,
+        primal_residual=viol,
         objective=_lasso_objective(w, lam, x, resid),
         exit=stop,
+        degenerate=degenerate,
         multiplier=float(lam),
     )
 
 
 def _constrained_root(instance, w, eta, support, sigma, tol):
     """The multiplier lam at which the LASSO path on support S and signs
-    sigma meets the budget, as (minimizer, lam); the minimizer is None when
-    it fails its checks, and the whole result None when the path on this
-    support never meets the budget.
+    sigma meets the budget, as (minimizer, lam), or None when the path on
+    this support never meets the budget or its minimizer fails its checks.
 
     With phi_S = QR, the LASSO minimizer at lam = 1/t
     is x_S(t) = R^{-1}(Q^T b - t g) with g = R^{-T} w_S sigma, and its
@@ -879,9 +766,7 @@ def _constrained_root(instance, w, eta, support, sigma, tol):
     t = sqrt((eta^2 - r0^2) / ||g||^2). The minimizer is returned only when
     its signs match sigma on the penalized coordinates and the full LASSO
     optimality conditions hold at lam within ``tol``; by duality it is then
-    the constrained minimizer and lam its multiplier. Otherwise lam is
-    still a prediction of the multiplier (a Newton step on the Pareto
-    curve), which the search may solve at next.
+    the constrained minimizer and lam its multiplier.
     """
     phi, b = instance.phi, instance.b
     factors = _support_qr(phi, support)
@@ -901,72 +786,12 @@ def _constrained_root(instance, w, eta, support, sigma, tol):
     # the tolerance); checked first because it needs no product with phi
     penalized = w[support] > 0.0
     if np.any(np.sign(x_s[penalized]) != sigma[penalized]):
-        return None, lam
+        return None
     cand = np.zeros(instance.n)
     cand[support] = x_s
     if _lasso_optimality(w, lam * (phi.T @ (phi @ cand - b)), cand) > tol:
-        return None, lam
+        return None
     return cand, lam
-
-
-def _bisect_multiplier(lam, eta, tol):
-    """Bracket and bisect the LASSO multiplier, as a coroutine: it yields
-    each multiplier to solve at and is sent (residual norm, guess) for that
-    solve, where guess is a predicted multiplier or None.
-
-    The data-fit norm of the LASSO minimizer decreases in lam, so the
-    multipliers solved at bracket the root between lo, the largest with a
-    residual norm above eta, and hi, the smallest at or below it. Until
-    both exist lam is doubled (no hi yet) or halved (no lo yet); then the
-    bracket is bisected. The search ends when the residual norm is within
-    ``tol`` of eta (relative; above eta only once the bracket is closed)
-    or the bracket collapses. A guess strictly inside the bracket is solved
-    at instead of the plain step (a safeguarded Newton step), but right
-    after another guess only if it is at most half as long a step: Newton
-    steps on this curve close in on the root from one side, shrinking the
-    step but not the bracket, and a guess that does not halve the step is
-    replaced by the plain one. So a run of guesses ends after finitely many
-    steps, and the 60-step and collapse bounds on the plain steps still end
-    the search.
-    """
-    lo, hi = 0.0, np.inf  # 0 and infinity: that side is not found yet
-    doublings = halvings = 0
-    step = np.inf  # length of the last step if it was a guess
-    while True:
-        res, guess = yield lam
-        if res > eta:
-            lo = lam
-        else:
-            hi = lam
-        if abs(res - eta) <= tol * eta and (res <= eta or hi < np.inf):
-            return
-        if lo > 0.0 and hi - lo < 1e-12:
-            if res > eta:  # land on the feasible side of the bracket
-                yield hi
-            return
-        if guess is not None and lo < guess < hi and abs(guess - lam) <= 0.5 * step:
-            step = abs(guess - lam)
-            lam = guess
-            continue
-        step = np.inf
-        if hi == np.inf:
-            if doublings == 60:
-                raise NoConvergenceError(
-                    f"no multiplier bracket found below residual {eta:.3e} "
-                    f"after 60 doublings"
-                )
-            doublings += 1
-            lam = 2.0 * lo
-        elif lo == 0.0:
-            if halvings == 60:
-                raise NoConvergenceError(
-                    f"no multiplier bracket found above residual {eta:.3e} "
-                    f"after 60 halvings"
-                )
-            halvings += 1
-            lam = 0.5 * hi
-        else:
-            lam = 0.5 * (lo + hi)
 
 
 def constrained_weighted_l1(
@@ -974,7 +799,6 @@ def constrained_weighted_l1(
     w,
     eta: float,
     cfg: SolverConfig = _DEFAULT_CFG,
-    lam_start: float = 1.0,
 ) -> InnerSolveReport:
     """Minimize sum_i w_i |x_i| subject to (1/2)||phi x - b||^2 <= eta^2 / 2.
 
@@ -983,11 +807,13 @@ def constrained_weighted_l1(
     multiplier on that segment's support and signs (``_constrained_root``)
     is returned with exit ``"certified"`` when the LASSO optimality
     conditions certify it, with ||phi x - b|| = eta up to rounding;
-    ``iterations`` counts the path's breakpoints. Otherwise the solve falls
-    back to a search in lam through LASSO solves (``_constrained_search``),
-    the first at ``lam_start`` (an outer loop passes the multiplier its
-    previous solve ended at). The report's ``multiplier`` is the lam the
-    solve ended at.
+    ``iterations`` counts the path's breakpoints, and ``multiplier`` is the
+    budget's. When the path would pass ``cfg.inner_max_iter`` breakpoints
+    before it meets the budget, the LASSO minimizer at the weights it
+    reached, whose residual norm is still above eta, is returned with exit
+    ``"max_iter"`` and multiplier NaN. A path that cannot be followed to
+    the budget, or a root that does not certify, raises
+    ``NoConvergenceError``. eta = 0 is weighted basis pursuit.
 
     When the least-squares fit on the zero-weight coordinates (x = 0 when
     there are none) meets the budget, it is returned at once with
@@ -1001,16 +827,9 @@ def constrained_weighted_l1(
     if eta == 0.0:
         return weighted_basis_pursuit(instance, w, None, cfg)
     phi, b = instance.phi, instance.b
-    # the least-squares fit on the zero-weight coordinates (x = 0 when no
-    # weight is zero) has objective 0, the least possible, so when it meets
-    # the budget it is a minimizer and the budget has multiplier 0
-    x = np.zeros(instance.n)
-    resid, degenerate = b, False
-    free = np.flatnonzero(w == 0.0)
-    if free.size:
-        x[free], _, rank, _ = np.linalg.lstsq(phi[:, free], b, rcond=None)
-        resid = b - phi[:, free] @ x[free]
-        degenerate = rank < free.size  # phi_Z has a null space
+    # the least-squares fit on the zero-weight coordinates is a minimizer
+    # when it meets the budget, which then has multiplier 0
+    x, resid, degenerate = _zero_weight_fit(instance, w)
     if np.linalg.norm(resid) <= eta:
         return InnerSolveReport(
             x=x,
@@ -1021,15 +840,24 @@ def constrained_weighted_l1(
             degenerate=degenerate,
             multiplier=0.0,
         )
-    if not 0.0 < lam_start < np.inf:
-        raise ValueError("lam_start must be positive and finite")
 
     found = _path(instance, w, cfg.inner_max_iter, eta=eta)
-    root = None if found is None else _constrained_root(instance, w, eta, found[0], found[1], cfg.inner_tol)
-    if root is not None and root[0] is not None:
-        (x, lam), iterations, stop = root, found[2], "certified"
-    else:
-        x, lam, iterations, stop = _constrained_search(instance, w, eta, cfg, lam_start)
+    if found is None:
+        raise NoConvergenceError(
+            f"the weighted-LASSO path cannot be followed to the budget {eta:.3e}: "
+            f"a numerically rank-deficient support, an entry at |S| = m, or a "
+            f"budget below the least-squares residual"
+        )
+    support, sigma, iterations, x = found
+    lam, stop = np.nan, "max_iter"
+    if x is None:
+        root = _constrained_root(instance, w, eta, support, sigma, cfg.inner_tol)
+        if root is None:
+            raise NoConvergenceError(
+                f"the closed-form multiplier on the constrained path's support of "
+                f"{support.size} coordinates does not certify"
+            )
+        (x, lam), stop = root, "certified"
     res = float(np.linalg.norm(phi @ x - b))
     return InnerSolveReport(
         x=x,
@@ -1039,44 +867,3 @@ def constrained_weighted_l1(
         exit=stop,
         multiplier=float(lam),
     )
-
-
-def _constrained_search(instance, w, eta, cfg, lam_start):
-    """The constrained problem by LASSO solves in the data-fit multiplier
-    lam, the fallback of ``constrained_weighted_l1``, as (x, lam, LASSO
-    iterations, exit). The first solve is at ``lam_start``. After each
-    converged LASSO solve, the closed-form multiplier on its support and
-    signs (``_constrained_root``) ends the search when the optimality
-    conditions certify it; until then lam is bracketed and bisected
-    (``_bisect_multiplier``, to within ``cfg.bisect_tol`` of eta), and a
-    closed-form multiplier that failed its checks is the next lam to solve
-    at when it lies inside the bracket, a safeguarded Newton step.
-    """
-    phi, b = instance.phi, instance.b
-    total_iters = 0
-    x = None  # each LASSO solve is warm-started at the previous one's x
-    search = _bisect_multiplier(lam_start, eta, cfg.bisect_tol)
-    lam = next(search)
-    while True:
-        rep = weighted_lasso_fista(instance, w, lam, x, cfg)
-        total_iters += rep.iterations
-        x = rep.x
-        support = np.flatnonzero(x)
-        root = None
-        if rep.converged:
-            root = _constrained_root(instance, w, eta, support, np.sign(x[support]), cfg.inner_tol)
-        guess = None
-        if root is not None:
-            cand, guess = root
-            if cand is not None:
-                x, lam = cand, guess
-                stop = "certified"
-                break
-        try:
-            lam = search.send((float(np.linalg.norm(phi @ x - b)), guess))
-        except StopIteration:
-            # the budget band is met, or the bracket collapsed around it
-            stop = "tol" if rep.converged else rep.exit
-            break
-
-    return x, lam, total_iters, stop

@@ -88,7 +88,7 @@ class TestSolve:
 
     def test_solver_failure_exit_2(self, small_instance, monkeypatch):
         def no_convergence(*args, **kwargs):
-            raise NoConvergenceError("no multiplier bracket found")
+            raise NoConvergenceError("the weighted-LASSO path cannot be followed")
 
         monkeypatch.setattr(cli, "run_algorithm", no_convergence)
         assert main(["solve", "--algo", "l1", "--instance", str(small_instance)]) == 2

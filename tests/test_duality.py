@@ -20,7 +20,6 @@ from rwsparse.model import (
     OracleRequiredError,
     ProblemInstance,
     SolverConfig,
-    Weights,
     l0_norm,
     l0_reporting_tol,
 )
@@ -115,20 +114,20 @@ class TestPolyakNonoracle:
 class TestProjectNonneg:
     def test_mixed(self):
         out = project_nonneg(np.array([1.0, -2.0, 0.0]))
-        assert isinstance(out, Weights)
-        assert np.array_equal(out.w, [1.0, 0.0, 0.0])
+        assert isinstance(out, np.ndarray) and out.dtype == float
+        assert np.array_equal(out, [1.0, 0.0, 0.0])
 
     def test_identity_on_feasible(self):
         v = np.array([0.5, 0.0, 3.0])
-        assert np.array_equal(project_nonneg(v).w, v)
+        assert np.array_equal(project_nonneg(v), v)
 
     def test_all_negative(self):
-        assert np.array_equal(project_nonneg(np.array([-1.0, -2.0])).w, np.zeros(2))
+        assert np.array_equal(project_nonneg(np.array([-1.0, -2.0])), np.zeros(2))
 
     @given(_vec(6))
     def test_idempotent(self, v):
-        once = project_nonneg(v).w
-        assert np.array_equal(project_nonneg(once).w, once)
+        once = project_nonneg(v)
+        assert np.array_equal(project_nonneg(once), once)
 
 
 class TestLambdaSubgradient:
@@ -254,7 +253,7 @@ class TestEpsIndependence:
             alpha = polyak_step_nonoracle(w, x, eps)
             g = subgradient_nonoracle(x, eps)
             moved = max(moved, float(np.max(np.abs(alpha * g), initial=0.0)))
-            updates.append(project_nonneg(w + alpha * g).w)
+            updates.append(project_nonneg(w + alpha * g))
         a, b = updates
         # coordinates ending at the projection boundary can differ by one
         # rounding of the pre-projection value, hence the absolute fuzz

@@ -11,7 +11,7 @@ from rwsparse.model import (
     ProblemInstance,
     SolverConfig,
     SweepResult,
-    Weights,
+    as_weight_array,
     improvement,
     l0_norm,
     l0_reporting_tol,
@@ -184,13 +184,18 @@ class TestProblemInstance:
 class TestWeightsAndState:
     def test_weights_validated(self):
         with pytest.raises(ValueError):
-            Weights(np.array([1.0, -0.1]))
+            as_weight_array(np.array([1.0, -0.1]))
         with pytest.raises(ValueError):
-            Weights(np.array([np.inf, 1.0]))
-        assert len(Weights.ones(4)) == 4
+            as_weight_array(np.array([np.inf, 1.0]))
+        with pytest.raises(ValueError):
+            as_weight_array(np.ones(4), 3)
+        assert as_weight_array(np.ones(4), 4).shape == (4,)
 
     def test_dual_state_validated(self):
-        w = Weights.ones(2)
+        w = np.ones(2)
+        for bad in (np.array([1.0, -0.1]), np.array([np.inf, 1.0])):
+            with pytest.raises(ValueError):
+                DualState(w=bad, lam=None, k=0, x_k=np.zeros(2), alpha_k=0.0)
         DualState(w=w, lam=None, k=0, x_k=np.zeros(2), alpha_k=0.0)
         DualState(w=w, lam=0.5, k=3, x_k=np.ones(2), alpha_k=1.0)
         with pytest.raises(ValueError):

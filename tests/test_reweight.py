@@ -76,7 +76,7 @@ class TestOracleAlgorithm:
         assert all(row.alpha > 0.0 for row in trace.rows[1:])
         state = trace.final_state
         assert state.k == 1 and np.array_equal(state.x_k, x)
-        assert polyak_step_oracle(state.w.w, x, inst.x_star).alpha == 0.0
+        assert polyak_step_oracle(state.w, x, inst.x_star).alpha == 0.0
 
     def test_small_ensemble_recovery(self):
         # the zero-target step often lands exactly on the dual optimal set
@@ -94,7 +94,7 @@ class TestOracleAlgorithm:
         inst = gen_noiseless(EnsembleSpec(n=24, m=12, s=4, seed=5))
         _, trace = rw_l1_oracle(inst, SolverConfig(rw_iter=3))
         assert all(row.w_min >= 0.0 for row in trace.rows)
-        assert np.all(trace.final_state.w.w >= 0.0)
+        assert np.all(trace.final_state.w >= 0.0)
 
 
 class TestSubgradientAlgorithm:
@@ -149,22 +149,22 @@ class TestCwbAlgorithm:
         phi = np.array([[1.0, 1.0, 0.0]])
         inst = ProblemInstance(phi=phi, b=np.array([0.0]))
         _, trace = cwb_rw_l1(inst, SolverConfig(rw_iter=1))
-        assert np.allclose(trace.final_state.w.w, 10.0 * np.ones(3))
+        assert np.allclose(trace.final_state.w, 10.0 * np.ones(3))
 
     def test_weight_formula_exact_magnitudes(self):
         _, trace = cwb_rw_l1(_exact_instance(), SolverConfig(rw_iter=1))
-        assert np.allclose(trace.final_state.w.w, [1 / 3.1, 1 / 4.1, 10.0])
+        assert np.allclose(trace.final_state.w, [1 / 3.1, 1 / 4.1, 10.0])
 
     def test_unit_magnitude_weight(self):
         phi = np.array([[1.0, 0.0, 0.0]])
         x = np.array([0.9, 0.0, 0.0])
         inst = ProblemInstance(phi=phi, b=phi @ x, x_star=x)
         _, trace = cwb_rw_l1(inst, SolverConfig(rw_iter=1))
-        assert trace.final_state.w.w[0] == pytest.approx(1.0)
+        assert trace.final_state.w[0] == pytest.approx(1.0)
 
     def test_eps_schedule_override(self):
         _, trace = cwb_rw_l1(_exact_instance(), SolverConfig(rw_iter=1, eps_k=0.5))
-        assert np.allclose(trace.final_state.w.w, [1 / 3.5, 1 / 4.5, 2.0])
+        assert np.allclose(trace.final_state.w, [1 / 3.5, 1 / 4.5, 2.0])
 
     def test_comparable_to_subgradient_single_iteration(self):
         # one reweighting pass: both algorithms land within 10 points
@@ -228,7 +228,7 @@ class TestRwLasso:
         cfg = SolverConfig(rw_iter=2, alpha_schedule=lambda k: 0.0)
         x, trace = rw_lasso_subgradient(inst, cfg)
         # zero steps freeze the weights and multiplier
-        assert np.allclose(trace.final_state.w.w, 1.0)
+        assert np.allclose(trace.final_state.w, 1.0)
         assert all(row.alpha == 0.0 for row in trace.rows[1:])
 
 
@@ -250,24 +250,6 @@ class TestCwbNoisy:
         inst = gen_noiseless(EnsembleSpec(n=24, m=12, s=3, seed=6))
         with pytest.raises(ConfigurationError):
             cwb_rw_l1_noisy(inst, CFG)
-
-    def test_resolves_start_at_the_last_multiplier(self, monkeypatch):
-        # each re-solve's multiplier search starts where the previous solve
-        # of the run ended; the outer state itself keeps no multiplier
-        calls = []
-        solve = reweight.constrained_weighted_l1
-
-        def logged(instance, w, eta, cfg, lam_start):
-            report = solve(instance, w, eta, cfg, lam_start)
-            calls.append((lam_start, report.multiplier))
-            return report
-
-        monkeypatch.setattr(reweight, "constrained_weighted_l1", logged)
-        inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
-        _, trace = cwb_rw_l1_noisy(inst, SolverConfig(rw_iter=3))
-        assert len(calls) == 4
-        assert [start for start, _ in calls] == [1.0] + [end for _, end in calls[:-1]]
-        assert trace.final_state.lam is None
 
 
 class TestRegistryAndTraces:
@@ -312,7 +294,7 @@ class TestRegistryAndTraces:
         for seed in range(5):
             inst = gen_noiseless(EnsembleSpec(n=32, m=16, s=4, seed=seed))
             _, trace = rw_l1_subgradient(inst, SolverConfig(rw_iter=2))
-            w_final = trace.final_state.w.w
+            w_final = trace.final_state.w
             cold = weighted_basis_pursuit(inst, w_final, None, CFG)
             warm_obj = trace.rows[-1].objective
             assert abs(cold.objective - warm_obj) <= 10 * CFG.inner_tol * (1 + abs(warm_obj))
@@ -379,7 +361,7 @@ class TestBudgetPrefixes:
             w, lam, x_r = states[n_rows - 1]
             state = trace.final_state
             assert np.array_equal(x, x_r) and np.array_equal(state.x_k, x_r)
-            assert np.array_equal(state.w.w, w)
+            assert np.array_equal(state.w, w)
             assert np.array_equal(state.lam, lam)
             assert state.k == n_rows - 1
             assert _same(state.alpha_k, trace.rows[-1].alpha)
@@ -396,7 +378,7 @@ def _assert_same_run(a, b):
     assert tr_a.exit_reason == tr_b.exit_reason and len(tr_a.rows) == len(tr_b.rows)
     for row, ref in zip(tr_a.rows, tr_b.rows):
         assert all(_same(u, v) for u, v in zip(vars(row).values(), vars(ref).values()))
-    assert np.array_equal(tr_a.final_state.w.w, tr_b.final_state.w.w)
+    assert np.array_equal(tr_a.final_state.w, tr_b.final_state.w)
 
 
 _FIG1_RUNS = (("l1", 0), ("rw-sub", 2), ("rw-cwb", 2))

@@ -13,14 +13,13 @@ from rwsparse.probgen import EnsembleSpec, gen_noiseless, gen_noisy
 from rwsparse.reweight import run_algorithm
 from rwsparse.solvers import (
     _CERT_TOL,
+    NoConvergenceError,
     RankDeficientError,
     _bp_candidate,
     _bp_certified,
     _operator,
     constrained_weighted_l1,
     min_l2_solution,
-    soft_threshold,
-    spectral_norm_sq,
     weighted_basis_pursuit,
     weighted_lasso_fista,
 )
@@ -28,10 +27,44 @@ from rwsparse.solvers import (
 CFG = SolverConfig()
 
 
-def no_path(*args, **kwargs):
-    """Stands in for ``solvers._path`` to run the FISTA and multiplier-search
-    fallbacks explicitly."""
-    return None
+def soft_threshold(v, t):
+    """Shrink toward zero: sign(v) * max(|v| - t, 0), elementwise."""
+    return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
+
+
+def project(op, v):
+    """Orthogonal projection of v onto {x : phi x = b} through the
+    instance's row basis: v - Q Q^T v + x0 (x0 lies in the row space, so
+    Q Q^T x0 = x0)."""
+    x0 = op.x0  # the rank guard runs before the QR
+    qt = op.row_qr[0]
+    return v - np.dot(qt.T, np.dot(qt, v)) + x0
+
+
+def fista_reference(phi, b, w, lam, iters=1000):
+    """The weighted LASSO by the textbook accelerated proximal-gradient
+    loop from x = 0: step 1 / (lam ||phi||_2^2), the gradient computed
+    afresh at the extrapolated point, and the momentum restarted whenever
+    the objective rises. Returns (x, objective)."""
+
+    def objective(x):
+        r = phi @ x - b
+        return 0.5 * lam * r @ r + w @ np.abs(x)
+
+    lip = lam * np.linalg.norm(phi, 2) ** 2
+    x_prev = y = np.zeros(phi.shape[1])
+    obj_prev, t = objective(x_prev), 1.0
+    for _ in range(iters):
+        x = soft_threshold(y - lam * (phi.T @ (phi @ y - b)) / lip, w / lip)
+        obj = objective(x)
+        if obj > obj_prev:
+            t, y = 1.0, x
+        else:
+            t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
+            y = x + ((t - 1.0) / t_next) * (x - x_prev)
+            t = t_next
+        x_prev, obj_prev = x, obj
+    return x, obj_prev
 
 
 def lp_basis_pursuit(phi, b, w):
@@ -81,23 +114,6 @@ class TestSoftThreshold:
         assert np.array_equal(clipped, ref)
         nonzero = ref != 0.0
         assert clipped[nonzero].tobytes() == ref[nonzero].tobytes()
-
-
-class TestSpectralNormSq:
-    def test_identity(self):
-        assert spectral_norm_sq(np.eye(2)) == pytest.approx(1.0)
-
-    def test_diagonal(self):
-        assert spectral_norm_sq(np.diag([2.0, 1.0])) == pytest.approx(4.0)
-
-    def test_zero_matrix(self):
-        assert spectral_norm_sq(np.zeros((2, 3))) == 0.0
-
-    def test_matches_eigensolver(self):
-        rng = np.random.default_rng(7)
-        phi = rng.standard_normal((5, 8))
-        oracle = float(np.linalg.eigvalsh(phi.T @ phi)[-1])
-        assert spectral_norm_sq(phi) == pytest.approx(oracle, rel=1e-6)
 
 
 class TestMinL2Solution:
@@ -263,10 +279,10 @@ class TestBpPolish:
         rng = np.random.default_rng(4)
         for _ in range(5):
             v = rng.standard_normal(inst.n)
-            x = op.project(v)
+            x = project(op, v)
             ref = v - phi.T @ cho_solve(chol, phi @ v - b)
             assert np.linalg.norm(phi @ x - b) <= 1e-12 * np.linalg.norm(b)
-            assert np.linalg.norm(op.project(x) - x) <= 1e-12 * np.linalg.norm(x)
+            assert np.linalg.norm(project(op, x) - x) <= 1e-12 * np.linalg.norm(x)
             assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
 
     def test_rounding_level_coordinates_leave_the_support(self):
@@ -294,7 +310,7 @@ def eager_basis_pursuit(instance, w, cfg):
     u = np.zeros(instance.n)
     tried, last = set(), None
     for it in range(1, cfg.inner_max_iter + 1):
-        x = op.project(z - u)
+        x = project(op, z - u)
         t = solvers._RELAX * x + (1.0 - solvers._RELAX) * z + u
         u = np.minimum(np.maximum(t, -thresh), thresh)
         z = t - u
@@ -333,7 +349,7 @@ def legacy_basis_pursuit(instance, w, warm, cfg):
     u = np.zeros(instance.n)
     candidates, last_key = {}, None
     for it in range(1, cfg.inner_max_iter + 1):
-        x = op.project(z - u)
+        x = project(op, z - u)
         xr = solvers._RELAX * x + (1.0 - solvers._RELAX) * z
         z = soft_threshold(xr + u, thresh)
         u = u + xr - z
@@ -718,37 +734,6 @@ class TestWeightedLassoFista:
             else:
                 assert abs(grad[i]) <= w[i] + tol
 
-    def test_uncertified_stall_is_not_converged(self, monkeypatch):
-        rng = np.random.default_rng(0)
-        phi = rng.standard_normal((12, 30)) / np.sqrt(12)
-        inst = ProblemInstance(phi=phi, b=rng.standard_normal(12))
-        assert weighted_lasso_fista(inst, np.ones(30), 10.0, None, CFG).converged
-        # without the polish no stop is certified, and the objective stalls
-        # before the optimality conditions reach the tolerance
-        monkeypatch.setattr(solvers, "_lasso_polish", lambda *args: None)
-        rep = weighted_lasso_fista(inst, np.ones(30), 10.0, None, CFG)
-        assert rep.iterations < CFG.inner_max_iter
-        assert rep.primal_residual > CFG.inner_tol
-        assert not rep.converged
-        assert rep.exit == "stall"
-
-    def test_exit_says_how_the_solve_stopped(self, monkeypatch):
-        # the FISTA fallback: the iterate itself at tolerance, a certified
-        # polish, the budget
-        monkeypatch.setattr(solvers, "_path", no_path)
-        rep = weighted_lasso_fista(self._scalar(), np.array([1.0]), 1.0, None, CFG)
-        assert rep.exit == "tol" and rep.converged
-        rng = np.random.default_rng(0)
-        phi = rng.standard_normal((12, 30)) / np.sqrt(12)
-        inst = ProblemInstance(phi=phi, b=rng.standard_normal(12))
-        rep = weighted_lasso_fista(inst, np.ones(30), 10.0, None, CFG)
-        assert rep.exit == "certified" and rep.converged
-        capped = weighted_lasso_fista(inst, np.ones(30), 10.0, None, SolverConfig(inner_max_iter=3))
-        assert capped.exit == "max_iter" and not capped.converged
-        assert capped.iterations == 3
-        closed_form = weighted_lasso_fista(inst, np.ones(30), 0.0, None, CFG)
-        assert closed_form.exit == "certified"
-
     @pytest.mark.parametrize("max_iter", [7, 25, 5000])
     def test_reported_violation_matches_a_fresh_gradient(self, max_iter):
         inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
@@ -761,39 +746,7 @@ class TestWeightedLassoFista:
         resid = inst.phi @ rep.x - inst.b
         assert rep.objective == pytest.approx(0.5 * lam * resid @ resid + w @ np.abs(rep.x), rel=1e-14)
 
-    def test_iterates_match_a_gradient_recomputed_at_y(self, monkeypatch):
-        # the gradient at the extrapolated point comes from the affine
-        # recurrence; the iterates equal those of the textbook iteration,
-        # which computes it from scratch, to rounding
-        inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
-        phi, b = inst.phi, inst.b
-        w = np.random.default_rng(4).uniform(0.5, 2.0, 64)
-        lam, iters = 40.0, 60
-        monkeypatch.setattr(solvers, "_lasso_polish", lambda *args: None)
-        rep = weighted_lasso_fista(inst, w, lam, None, SolverConfig(inner_max_iter=iters))
-        assert rep.exit == "max_iter"
-
-        def objective(x):
-            r = phi @ x - b
-            return 0.5 * lam * r @ r + w @ np.abs(x)
-
-        lip = lam * spectral_norm_sq(phi)
-        x_prev = y = np.zeros(64)
-        obj_prev, t = objective(x_prev), 1.0
-        for _ in range(iters):
-            x = soft_threshold(y - lam * (phi.T @ (phi @ y - b)) / lip, w / lip)
-            obj = objective(x)
-            if obj > obj_prev:
-                t, y = 1.0, x
-            else:
-                t_next = 0.5 * (1.0 + np.sqrt(1.0 + 4.0 * t * t))
-                y = x + ((t - 1.0) / t_next) * (x - x_prev)
-                t = t_next
-            x_prev, obj_prev = x, obj
-        assert np.allclose(rep.x, x, rtol=0.0, atol=1e-12 * np.max(np.abs(x)))
-
-    def test_zero_is_returned_below_the_first_breakpoint(self, monkeypatch):
-        monkeypatch.setattr(solvers, "_path", no_path)  # FISTA above it
+    def test_zero_is_returned_below_the_first_breakpoint(self):
         inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
         w = np.random.default_rng(4).uniform(0.5, 2.0, 64)
         corr = np.abs(inst.phi.T @ inst.b)
@@ -877,13 +830,8 @@ class TestConstrainedWeightedL1:
         eta = 0.4 * np.linalg.norm(b)
         inst = ProblemInstance(phi=phi, b=b)
         oracle = slsqp_constrained_l1(phi, b, np.ones(n), float(eta))
-        # the closed-form root meets the budget exactly, so the default
-        # bisection band (bisect_tol=1e-3) no longer sets the objective slack
-        tight = SolverConfig(bisect_tol=1e-7)
-        rep = constrained_weighted_l1(inst, np.ones(n), float(eta), tight)
-        assert rep.objective == pytest.approx(oracle, abs=1e-4)
-        loose = constrained_weighted_l1(inst, np.ones(n), float(eta), CFG)
-        assert loose.objective == pytest.approx(oracle, abs=1e-6)
+        rep = constrained_weighted_l1(inst, np.ones(n), float(eta), CFG)
+        assert rep.objective == pytest.approx(oracle, abs=1e-6)
 
     def test_negative_budget_rejected(self):
         inst = ProblemInstance(phi=np.array([[1.0, 1.0]]), b=np.array([1.0]))
@@ -895,16 +843,7 @@ class TestConstrainedWeightedL1:
         eta = 0.3 * np.linalg.norm(inst.b)
         rep = constrained_weighted_l1(inst, np.ones(32), float(eta), CFG)
         res = np.linalg.norm(inst.phi @ rep.x - inst.b)
-        assert abs(res - eta) <= CFG.bisect_tol * eta
-
-    def test_bisection_fallback_lands_in_band(self, monkeypatch):
-        inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
-        monkeypatch.setattr(solvers, "_constrained_root", lambda *args: None)
-        rep = constrained_weighted_l1(inst, np.ones(64), inst.eta, CFG)
-        res = np.linalg.norm(inst.phi @ rep.x - inst.b)
-        assert abs(res - inst.eta) <= CFG.bisect_tol * inst.eta
-        assert rep.primal_residual > 1e-12  # the root did not certify it
-        assert rep.converged and rep.exit == "tol"
+        assert abs(res - eta) <= 1e-12 * eta
 
     def test_multiplier_satisfies_lasso_conditions(self):
         # the reported multiplier lam makes x a LASSO minimizer, and the
@@ -922,109 +861,6 @@ class TestConstrainedWeightedL1:
         assert np.all(np.abs(grad[on] + w[on] * np.sign(rep.x[on])) <= CFG.inner_tol * (1 + w[on]))
         assert np.all(np.abs(grad[~on]) <= w[~on] + CFG.inner_tol)
 
-    def test_carried_multiplier_gives_the_cold_answer(self, monkeypatch):
-        # the multiplier search: a re-solve at new weights started from the
-        # multiplier of the unit-weight solve lands on the same point as a
-        # start at lam = 1, and a start at the exact multiplier takes one
-        # LASSO solve
-        monkeypatch.setattr(solvers, "_path", no_path)
-        inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
-        first = constrained_weighted_l1(inst, np.ones(64), inst.eta, CFG)
-        w = 1.0 / (np.abs(first.x) + 0.1)
-        cold = constrained_weighted_l1(inst, w, inst.eta, CFG)
-        carried = constrained_weighted_l1(inst, w, inst.eta, CFG, first.multiplier)
-        assert np.allclose(carried.x, cold.x, rtol=0.0, atol=1e-10)
-        assert carried.multiplier == pytest.approx(cold.multiplier, rel=1e-8)
-        lams = []
-        fista = solvers.weighted_lasso_fista
-
-        def logged(instance, w, lam, *args):
-            lams.append(lam)
-            return fista(instance, w, lam, *args)
-
-        monkeypatch.setattr(solvers, "weighted_lasso_fista", logged)
-        exact = constrained_weighted_l1(inst, w, inst.eta, CFG, cold.multiplier)
-        assert lams == [cold.multiplier]
-        assert np.allclose(exact.x, cold.x, rtol=0.0, atol=1e-10)
-
-    def test_rejected_root_is_the_next_multiplier(self, monkeypatch):
-        # in the multiplier search, this unit-weight start took 9 LASSO
-        # solves and ended by bisection when the search ignored the
-        # closed-form roots that failed their certificate; solving at them
-        # instead lands on a certified root
-        monkeypatch.setattr(solvers, "_path", no_path)
-        inst = gen_noisy(EnsembleSpec(n=256, m=128, s=38, sigma=0.05, seed=2))
-        lams = []
-        fista = solvers.weighted_lasso_fista
-
-        def logged(instance, w, lam, *args):
-            lams.append(lam)
-            return fista(instance, w, lam, *args)
-
-        monkeypatch.setattr(solvers, "weighted_lasso_fista", logged)
-        rep = constrained_weighted_l1(inst, np.ones(256), inst.eta, CFG)
-        assert rep.exit == "certified"
-        res = np.linalg.norm(inst.phi @ rep.x - inst.b)
-        assert abs(res - inst.eta) <= 1e-12 * inst.eta
-        assert len(lams) < 9
-        assert lams[:4] == [1.0, 2.0, 4.0, 8.0]  # doubling until a guess exists
-
-    @pytest.mark.parametrize("lam_start", [0.0, -1.0, np.inf, np.nan])
-    def test_invalid_start_rejected(self, lam_start):
-        inst = gen_noisy(EnsembleSpec(n=32, m=16, s=3, sigma=0.05, seed=0))
-        with pytest.raises(ValueError):
-            constrained_weighted_l1(inst, np.ones(32), inst.eta, CFG, lam_start)
-
-
-class TestBisectMultiplier:
-    """The multiplier search alone: sent (residual norm, guess) after each
-    solve, with eta = 1 and a residual of 2 above the budget, 0.5 below."""
-
-    ABOVE, BELOW = 2.0, 0.5
-
-    def _search(self, lam):
-        search = solvers._bisect_multiplier(lam, 1.0, 1e-3)
-        assert next(search) == lam
-        return search
-
-    def test_guess_outside_the_bracket_is_ignored(self):
-        search = self._search(1.0)
-        assert search.send((self.ABOVE, 0.5)) == 2.0  # below lo = 1: doubled
-        assert search.send((self.BELOW, 5.0)) == 1.5  # above hi = 2: bisected
-        search = self._search(4.0)
-        assert search.send((self.BELOW, 4.0)) == 2.0  # hi itself: halved
-
-    def test_guess_inside_the_bracket_is_taken(self):
-        search = self._search(1.0)
-        assert search.send((self.ABOVE, 3.0)) == 3.0  # inside (1, inf)
-        search = self._search(4.0)
-        assert search.send((self.BELOW, 0.1)) == 0.1  # inside (0, 4)
-
-    def test_guess_that_does_not_halve_the_step_is_followed_by_a_bisection(self):
-        search = self._search(2.0)
-        assert search.send((self.ABOVE, None)) == 4.0
-        assert search.send((self.BELOW, None)) == 3.0  # bracket (2, 4)
-        assert search.send((self.BELOW, 2.5)) == 2.5  # a guess after a plain step
-        # a step of 0.3 after one of 0.5: not halved, so the plain step
-        assert search.send((self.BELOW, 2.2)) == 2.25
-        assert search.send((self.ABOVE, 2.4)) == 2.4  # after a plain step again
-        # a step of 0.05 after one of 0.15: halved, so the guess is taken
-        assert search.send((self.BELOW, 2.35)) == 2.35
-
-    def test_guesses_leave_the_bounds_in_place(self):
-        # guesses that never halve their step cannot hold off the collapse
-        search = self._search(1.0)
-        lam = search.send((self.ABOVE, None))
-        assert lam == 2.0
-        seen = 0
-        with pytest.raises(StopIteration):
-            while True:
-                seen += 1
-                assert seen < 200
-                lam = search.send((self.BELOW, None if seen % 2 else 1.0 + 1e-3 * seen))
-        # without a certified root, the bracket (1, 2) collapsed
-        assert 1.0 < lam < 1.0 + 1e-11
-
 
 def criterion_9_problems():
     """The 100 random weighted-LASSO problems of acceptance criterion 9, in
@@ -1040,28 +876,13 @@ def criterion_9_problems():
         yield ProblemInstance(phi=phi, b=b), w, lam
 
 
-def fallbacks(monkeypatch):
-    """Count the calls of the FISTA and multiplier-search fallbacks."""
-    calls = []
-    for name in ("_fista", "_constrained_search"):
-        original = getattr(solvers, name)
-
-        def counted(*args, _original=original, _name=name):
-            calls.append(_name)
-            return _original(*args)
-
-        monkeypatch.setattr(solvers, name, counted)
-    return calls
-
-
 class TestLassoPath:
     """The weighted-LASSO homotopy behind both noisy solvers."""
 
-    def test_exit_and_breakpoints(self, monkeypatch):
-        # the path side of TestWeightedLassoFista's exit test: one
-        # breakpoint for a scalar, a certified support solve, and a cap
-        # below the breakpoint count hands the solve to FISTA
-        calls = fallbacks(monkeypatch)
+    def test_exit_and_breakpoints(self):
+        # one breakpoint for a scalar, a certified support solve, and a cap
+        # below the breakpoint count: the minimizer at the weights the path
+        # reached, not converged
         scalar = ProblemInstance(phi=np.array([[1.0]]), b=np.array([3.0]))
         rep = weighted_lasso_fista(scalar, np.array([1.0]), 1.0, None, CFG)
         assert rep.exit == "certified" and rep.iterations == 1 and rep.x[0] == 2.0
@@ -1070,10 +891,30 @@ class TestLassoPath:
         inst = ProblemInstance(phi=phi, b=rng.standard_normal(12))
         rep = weighted_lasso_fista(inst, np.ones(30), 10.0, None, CFG)
         assert rep.exit == "certified" and rep.iterations > 3
-        assert calls == []
         capped = weighted_lasso_fista(inst, np.ones(30), 10.0, None, SolverConfig(inner_max_iter=3))
-        assert calls == ["_fista"]
-        assert capped.exit == "max_iter" and capped.iterations == 3
+        assert capped.exit == "max_iter" and not capped.converged
+        assert capped.iterations == 3 and capped.primal_residual > CFG.inner_tol
+        # three breakpoints enter three coordinates; on them x solves the
+        # LASSO at the weights reached, which are uniform
+        support = np.flatnonzero(capped.x)
+        assert support.size == 3
+        corr = phi.T @ (inst.b - phi @ capped.x)
+        assert np.allclose(np.abs(corr[support]), np.abs(corr[support[0]]), rtol=1e-12)
+        assert np.all(np.sign(corr[support]) == np.sign(capped.x[support]))
+
+    def test_constrained_exit_and_breakpoints(self):
+        # a cap below the breakpoint count ends the constrained path before
+        # the budget: the LASSO minimizer there, its residual above eta
+        inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
+        rep = constrained_weighted_l1(inst, np.ones(64), inst.eta, CFG)
+        assert rep.exit == "certified" and rep.iterations > 3
+        capped = constrained_weighted_l1(inst, np.ones(64), inst.eta, SolverConfig(inner_max_iter=3))
+        assert capped.exit == "max_iter" and not capped.converged
+        assert capped.iterations == 3 and np.isnan(capped.multiplier)
+        res = np.linalg.norm(inst.phi @ capped.x - inst.b)
+        assert res > inst.eta
+        assert capped.primal_residual == abs(res - inst.eta) / inst.eta
+        assert np.count_nonzero(capped.x) == 3
 
     def test_first_breakpoint_is_one_entry(self):
         # the path side of the test on x = 0 below the first breakpoint:
@@ -1089,22 +930,22 @@ class TestLassoPath:
         assert np.sign(above.x[first]) == np.sign(corr[first])
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_cold_answers_match_the_fallback_bit_for_bit(self, monkeypatch, seed):
-        # both routes end on the exact solve of the support they find, so
-        # where the supports agree the answers share every bit
+    def test_cold_answers_match_the_reference_solvers(self, seed):
+        # the proximal-gradient reference: the LASSO at lam, and the LASSO
+        # at the reported multiplier, whose minimizer meets the budget and
+        # so solves the constrained problem
         inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=seed))
+        phi, b = inst.phi, inst.b
         w = np.random.default_rng(seed).uniform(0.2, 2.0, 64)
         w[:3] = 0.0  # free coordinates, active from the start
-        path_lasso = weighted_lasso_fista(inst, w, 30.0, None, CFG)
-        path_constrained = constrained_weighted_l1(inst, w + 0.1, inst.eta, CFG)
-        monkeypatch.setattr(solvers, "_path", no_path)
-        fista = weighted_lasso_fista(inst, w, 30.0, None, CFG)
-        search = constrained_weighted_l1(inst, w + 0.1, inst.eta, CFG)
-        for path, fallback in ((path_lasso, fista), (path_constrained, search)):
-            assert path.exit == fallback.exit == "certified"
-            assert np.array_equal(np.flatnonzero(path.x), np.flatnonzero(fallback.x))
-            assert np.array_equal(path.x, fallback.x)
-            assert path.multiplier == fallback.multiplier
+        lasso = weighted_lasso_fista(inst, w, 30.0, None, CFG)
+        assert lasso.exit == "certified"
+        assert lasso.objective == pytest.approx(fista_reference(phi, b, w, 30.0)[1], rel=1e-9)
+        constrained = constrained_weighted_l1(inst, w + 0.1, inst.eta, CFG)
+        assert constrained.exit == "certified"
+        x, _ = fista_reference(phi, b, w + 0.1, constrained.multiplier)
+        assert abs(np.linalg.norm(phi @ x - b) - inst.eta) <= 1e-9 * inst.eta
+        assert constrained.objective == pytest.approx((w + 0.1) @ np.abs(x), rel=1e-6)
 
     def test_warm_start_from_an_exact_point(self):
         inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
@@ -1132,37 +973,45 @@ class TestLassoPath:
             assert np.array_equal(rep.x, cold.x) and rep.iterations == cold.iterations
 
     def test_constrained_path_makes_no_lasso_solve(self, monkeypatch):
-        # the path side of the carried-multiplier test: the path runs cold
-        # in 1/lam, so the start multiplier does not matter
+        # the path runs cold in 1/lam, at unit and at reweighted weights
         inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
+        monkeypatch.setattr(solvers, "weighted_lasso_fista", None)
         first = constrained_weighted_l1(inst, np.ones(64), inst.eta, CFG)
         w = 1.0 / (np.abs(first.x) + 0.1)
-        monkeypatch.setattr(solvers, "weighted_lasso_fista", None)
-        cold = constrained_weighted_l1(inst, w, inst.eta, CFG)
-        carried = constrained_weighted_l1(inst, w, inst.eta, CFG, first.multiplier)
-        assert cold.exit == "certified" and cold.iterations > 0
-        assert np.array_equal(carried.x, cold.x) and carried.multiplier == cold.multiplier
+        rep = constrained_weighted_l1(inst, w, inst.eta, CFG)
+        assert first.exit == rep.exit == "certified" and rep.iterations > 0
 
-    def test_constrained_path_meets_the_budget(self, monkeypatch):
-        # the path side of the rejected-root test, on the same start
+    def test_constrained_path_meets_the_budget(self):
+        # a unit-weight start of the noisy panel whose budget root lies just
+        # past a support breakpoint
         inst = gen_noisy(EnsembleSpec(n=256, m=128, s=38, sigma=0.05, seed=2))
-        calls = fallbacks(monkeypatch)
+        phi, b = inst.phi, inst.b
         rep = constrained_weighted_l1(inst, np.ones(256), inst.eta, CFG)
-        assert calls == [] and rep.exit == "certified"
-        res = np.linalg.norm(inst.phi @ rep.x - inst.b)
+        assert rep.exit == "certified"
+        res = np.linalg.norm(phi @ rep.x - b)
         assert abs(res - inst.eta) <= 1e-12 * inst.eta
-        monkeypatch.setattr(solvers, "_path", no_path)
-        assert np.array_equal(constrained_weighted_l1(inst, np.ones(256), inst.eta, CFG).x, rep.x)
+        x, _ = fista_reference(phi, b, np.ones(256), rep.multiplier)
+        assert abs(np.linalg.norm(phi @ x - b) - inst.eta) <= 1e-9 * inst.eta
+        assert rep.objective == pytest.approx(np.abs(x).sum(), rel=1e-6)
 
-    def test_no_fallback_on_the_noisy_seeds_and_criterion_9(self, monkeypatch):
-        calls = fallbacks(monkeypatch)
+    def test_every_solve_is_certified_on_the_noisy_seeds_and_criterion_9(self, monkeypatch):
+        # an exit census: every inner solve of the noisy algorithms, and
+        # each of criterion 9's LASSO problems
+        reports = []
+        for name in ("weighted_lasso_fista", "constrained_weighted_l1"):
+            def logged(*args, _solve=getattr(reweight, name)):
+                reports.append(_solve(*args))
+                return reports[-1]
+
+            monkeypatch.setattr(reweight, name, logged)
         for seed in range(3):
             inst = gen_noisy(EnsembleSpec(n=256, m=128, s=38, sigma=0.05, seed=seed))
             for algo in ("l1", "rw-lasso", "cwb-noisy"):
                 run_algorithm(algo, inst, CFG)
+        assert len(reports) >= 3 * (1 + 2 * CFG.rw_iter)
         for inst, w, lam in criterion_9_problems():
-            assert weighted_lasso_fista(inst, w, lam, None, CFG).exit == "certified"
-        assert calls == []
+            reports.append(weighted_lasso_fista(inst, w, lam, None, CFG))
+        assert {rep.exit for rep in reports} == {"certified"}
 
     def test_warm_path_from_uniform_weights_continues_the_cold_path(self):
         # a point solved at uniform weights 1/lam1 starts the warm path at
@@ -1212,20 +1061,21 @@ class TestLassoPath:
         assert rep.objective == pytest.approx(1.8, rel=1e-12)
         assert rep.x[0] + rep.x[1] == pytest.approx(0.8) and rep.x[2] == pytest.approx(0.8)
 
-    def test_duplicated_column_ends_certified_or_in_the_fallback(self, monkeypatch):
+    def test_duplicated_column_ends_certified_or_in_the_fallback(self):
+        # the path ends certified; the references are proximal gradient
+        # and SLSQP
         rng = np.random.default_rng(3)
         phi = rng.standard_normal((8, 16))
         phi[:, 5] = phi[:, 3]
         inst = ProblemInstance(phi=phi, b=rng.standard_normal(8))
         lasso = weighted_lasso_fista(inst, np.ones(16), 20.0, None, CFG)
         constrained = constrained_weighted_l1(inst, np.ones(16), 0.3, CFG)
-        monkeypatch.setattr(solvers, "_path", no_path)
-        assert lasso.converged and constrained.converged
+        assert lasso.exit == constrained.exit == "certified"
         assert lasso.objective == pytest.approx(
-            weighted_lasso_fista(inst, np.ones(16), 20.0, None, CFG).objective, rel=1e-9
+            fista_reference(phi, inst.b, np.ones(16), 20.0)[1], rel=1e-9
         )
         assert constrained.objective == pytest.approx(
-            constrained_weighted_l1(inst, np.ones(16), 0.3, CFG).objective, rel=1e-6
+            slsqp_constrained_l1(phi, inst.b, np.ones(16), 0.3), rel=1e-6
         )
 
     @pytest.mark.parametrize("algo", ["l1", "cwb-noisy"])
@@ -1240,27 +1090,45 @@ class TestLassoPath:
         assert np.linalg.norm(phi @ x - inst.b) <= inst.eta * (1.0 + 1e-9)
         assert len(trace.rows) == (1 if algo == "l1" else CFG.rw_iter + 1)
 
-    def test_zero_weights_on_m_or_more_coordinates(self, monkeypatch):
+    def test_zero_weights_on_m_or_more_coordinates(self):
         rng = np.random.default_rng(3)
         inst = ProblemInstance(phi=rng.standard_normal((6, 12)), b=rng.standard_normal(6))
-        calls = fallbacks(monkeypatch)
         w = np.ones(12)
         w[:6] = 0.0  # m free coordinates solve phi x = b at zero cost
         rep = weighted_lasso_fista(inst, w, 3.0, None, CFG)
-        assert calls == [] and rep.exit == "certified" and rep.iterations == 0
+        assert rep.exit == "certified" and rep.iterations == 0
         assert np.linalg.norm(inst.phi @ rep.x - inst.b) < 1e-12
         # the budget is met at zero cost: the least-squares point is the
         # answer, at multiplier 0
         rep = constrained_weighted_l1(inst, w, 0.5, CFG)
-        assert calls == [] and rep.exit == "certified" and not rep.degenerate
+        assert rep.exit == "certified" and not rep.degenerate
         assert np.linalg.norm(inst.phi @ rep.x - inst.b) <= 0.5
         assert rep.objective == 0.0 and rep.multiplier == 0.0
-        w[6] = 0.0  # more than m: no least-squares start, FISTA solves it
+        w[6] = 0.0  # more than m, more than the path holds: the
+        # least-squares point on their columns, one of an unbounded set
         rep = weighted_lasso_fista(inst, w, 3.0, None, CFG)
-        assert calls == ["_fista"] and rep.converged
-        # the constrained answer is a least-squares point again, one of an
-        # unbounded set
+        assert rep.exit == "certified" and rep.degenerate and rep.iterations == 0
+        assert rep.objective == pytest.approx(0.0, abs=1e-24)
+        assert rep.primal_residual <= CFG.inner_tol
+        # the constrained answer is a least-squares point again
         rep = constrained_weighted_l1(inst, w, 0.5, CFG)
-        assert calls == ["_fista"] and rep.exit == "certified" and rep.degenerate
+        assert rep.exit == "certified" and rep.degenerate
         assert np.linalg.norm(inst.phi @ rep.x - inst.b) <= 0.5
         assert rep.objective == 0.0 and rep.multiplier == 0.0
+
+    @pytest.mark.parametrize("broken", ["_path", "_lasso_polish", "_constrained_root"])
+    def test_a_failed_path_or_certificate_raises(self, monkeypatch, broken):
+        # a path that cannot be followed fails both solvers; a support solve
+        # or a root that does not certify fails the solver it serves
+        inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
+        monkeypatch.setattr(solvers, broken, lambda *args, **kwargs: None)
+        cause = "cannot be followed" if broken == "_path" else "does not certify"
+        for solve, fails in (
+            (lambda: weighted_lasso_fista(inst, np.ones(64), 10.0, None, CFG), broken != "_constrained_root"),
+            (lambda: constrained_weighted_l1(inst, np.ones(64), inst.eta, CFG), broken != "_lasso_polish"),
+        ):
+            if fails:
+                with pytest.raises(NoConvergenceError, match=cause):
+                    solve()
+            else:
+                assert solve().exit == "certified"
