@@ -193,13 +193,10 @@ def run_recovery_sweep(
 
 
 def _improvement_trial(args):
-    cfg, solver_cfg, sigma, seed = args
+    cfg, solver_cfg, sigma, seed, algos = args
     s = cfg.s_values[0]
     instance = gen_noisy(EnsembleSpec(n=cfg.n, m=cfg.m, s=s, sigma=sigma, seed=seed))
     errors = []
-    algos = [a for a in cfg.algorithms if a in _NOISY_ALGORITHMS] or list(
-        _NOISY_ALGORITHMS
-    )
     pcts = {name: float("nan") for name in algos}
     try:
         # the constrained l1 solve at unit weights, which cwb-noisy's
@@ -235,13 +232,13 @@ def run_noisy_improvement(
     bad = [a for a in cfg.algorithms if a not in _NOISY_ALGORITHMS and a != "l1"]
     if bad:
         raise ConfigurationError(f"not noisy-capable: {bad}")
-    seeds = [cfg.base_seed + t for t in range(cfg.trials)]
-    items = [(cfg, solver_cfg, sigma, seed) for seed in seeds]
-    results = _map_ordered(_improvement_trial, items, cfg.parallelism)
-
+    # l1 is the baseline every trial solves, so it has no column
     algos = [a for a in cfg.algorithms if a in _NOISY_ALGORITHMS] or list(
         _NOISY_ALGORITHMS
     )
+    seeds = [cfg.base_seed + t for t in range(cfg.trials)]
+    items = [(cfg, solver_cfg, sigma, seed, algos) for seed in seeds]
+    results = _map_ordered(_improvement_trial, items, cfg.parallelism)
     improvements = {name: [] for name in algos}
     for seed, (_, pcts, errors) in zip(seeds, results):
         for err in errors:

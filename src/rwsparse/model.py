@@ -207,28 +207,20 @@ class SolverConfig:
     ``inner_max_iter`` is the budget of every inner solve: iterations of
     the splitting, breakpoints of the weighted-LASSO path.
 
-    ``admm_rho`` is the dimensionless penalty scale of the splitting
-    solver; the effective penalty is admm_rho * max(w) / (solution scale),
-    which the equality-constrained problem's invariance to rescaling of w
-    and b makes a meaningful constant.
-
-    ``alpha_schedule`` optionally overrides the noisy-run stepsize rule
-    (e.g. a diminishing ``lambda k: c / (k + 1)``); by default the
-    zero-target step derived from the current iterate is used.
+    ``recovery_tol`` is the sup-norm error at which a run counts as an
+    exact recovery.
     """
 
     rw_iter: int = 4
     eps_k: float | Callable[[int], float] | None = None
     inner_tol: float = 1e-8
     inner_max_iter: int = 50_000
-    admm_rho: float = 10.0
     recovery_tol: float = 1e-3
-    alpha_schedule: Optional[Callable[[int], float]] = None
 
     def __post_init__(self):
         if self.rw_iter < 0:
             raise ValueError("rw_iter must be >= 0")
-        for name in ("inner_tol", "admm_rho", "recovery_tol"):
+        for name in ("inner_tol", "recovery_tol"):
             if getattr(self, name) <= 0:
                 raise ValueError(f"{name} must be > 0")
         if self.inner_max_iter <= 0:
@@ -283,26 +275,6 @@ class SweepResult:
                 for s, rate in zip(self.sparsity_levels, rates):
                     n_rec = round(rate * self.trials)
                     writer.writerow([name, s, self.trials, n_rec, repr(float(rate))])
-
-    @classmethod
-    def from_csv(cls, path) -> "SweepResult":
-        per_algo: dict = {}
-        levels: list = []
-        trials = 0
-        with open(path, newline="") as fh:
-            for row in csv.DictReader(fh):
-                name = row["algorithm"]
-                s = int(row["s"])
-                trials = int(row["trials"])
-                if s not in levels:
-                    levels.append(s)
-                per_algo.setdefault(name, []).append(float(row["rate"]))
-        return cls(
-            sparsity_levels=levels,
-            recovery_rate_per_algorithm=per_algo,
-            trials=trials,
-            seeds=list(range(trials)),
-        )
 
 
 def l0_norm(x, tol: float = 0.0) -> int:

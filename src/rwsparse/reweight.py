@@ -165,10 +165,7 @@ def _joint_ascent(k, w, lam, x, instance, cfg):
     eps = cfg.eps_at(k - 1, SUBGRADIENT_DEFAULT_EPS)
     g_w = subgradient_nonoracle(x, eps)
     g_lam = lambda_subgradient(x, instance)
-    if cfg.alpha_schedule is not None:
-        alpha = float(cfg.alpha_schedule(k - 1))
-    else:
-        alpha = polyak_step_lasso(w, lam, x, eps, instance)
+    alpha = polyak_step_lasso(w, lam, x, eps, instance)
     return alpha, project_nonneg(w + alpha * g_w), max(0.0, lam + alpha * g_lam)
 
 
@@ -190,7 +187,7 @@ _STARTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 def _start(instance, cfg, solve, lam):
     """The unit-weight solve a run begins with, made once per instance and
     key; each caller gets its own copy of the iterate. The key drops the
-    settings only update rules read (which may be unhashable callables).
+    outer loop's settings (``eps_k`` may be an unhashable callable).
 
     The unit-weight LASSO starts warm from the unit-weight constrained
     start when that is already cached (the l1 baseline and cwb-noisy make
@@ -199,7 +196,7 @@ def _start(instance, cfg, solve, lam):
     again. Its answer is the same exact support solve either way; no
     constrained solve is made for it."""
     starts = _STARTS.setdefault(instance, {})
-    settings = replace(cfg, rw_iter=0, eps_k=None, alpha_schedule=None)
+    settings = replace(cfg, rw_iter=0, eps_k=None)
     key = (solve, lam, settings)
     report = starts.get(key)
     if report is None:

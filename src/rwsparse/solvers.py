@@ -58,6 +58,10 @@ _CERT_TOL = 1e-9
 _POLISH_EVERY = 10
 # over-relaxation factor of the splitting iteration
 _RELAX = 1.8
+# dimensionless penalty scale of the splitting: a fixed rho of 2, 5, 10, 20
+# or 40 took 313k, 166k, 129k, 129k and 161k iterations on one 144-run
+# Fig-1 panel, so 10 sits at the minimum
+_RHO = 10.0
 # smallest accepted min/max ratio of the Gram Cholesky pivots diag(L); the
 # ratio is at least 1 / cond(phi), so a phi is rejected only if its
 # condition number is at least 1e6, while a duplicated row leaves a ratio
@@ -77,7 +81,7 @@ class RankDeficientError(ConfigurationError, np.linalg.LinAlgError):
     Cholesky factor, or one with a pivot ratio min/max diag(L) of at most
     ``_GRAM_PIVOT_RATIO``, so the affine projection and the minimum-norm
     solution are undefined or dominated by rounding. It is also a
-    ``LinAlgError``, the error this case raised before it was typed."""
+    ``LinAlgError``."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -288,10 +292,10 @@ def weighted_basis_pursuit(
     Operator splitting: the feasibility block is an affine projection
     (through the instance's cached orthonormal row basis), the sparsity
     block a weighted soft threshold. The problem is scale invariant in both
-    w and b, so the penalty is set to cfg.admm_rho * max(w) / ||z||_inf
-    with z the minimum-norm solution, which keeps the shrinkage threshold
-    a fixed fraction of the solution scale. Every few iterations the
-    current support is polished by an exact solve (``_bp_candidate``, at
+    w and b, so the penalty is set to ``_RHO`` max(w) / ||z||_inf with z
+    the minimum-norm solution, which keeps the shrinkage threshold a fixed
+    fraction of the solution scale. Every few iterations the current
+    support is polished by an exact solve (``_bp_candidate``, at
     most once per support, and only for a support that is also the
     previous checkpoint's, or at iteration 1) and accepted only with a
     verified optimality certificate built from the current scaled dual
@@ -318,9 +322,9 @@ def weighted_basis_pursuit(
     x0 = op.x0  # the rank guard runs before the QR
     if wmax > 0.0:
         xscale = max(float(np.max(np.abs(x0))), 1e-12)
-        rho = cfg.admm_rho * wmax / xscale
+        rho = _RHO * wmax / xscale
     else:
-        rho = cfg.admm_rho
+        rho = _RHO
     thresh = w / rho
     lower = -thresh
     qt = op.row_qr[0]
@@ -448,6 +452,26 @@ def _lasso_polish(instance, w, lam, support, sigma):
     return cand
 
 
+def _start_inverse(op, start, rows):
+    """The inverse Gram matrix of the start columns, with their Gram rows
+    copied into ``rows``, or None when a column's squared sine to the span
+    of the columns before it is at most ``_PATH_RANK_TOL``."""
+    k = start.size
+    for j, i in enumerate(start.tolist()):
+        rows[j] = op.gram_row(i)
+    gram = rows[:k, start]
+    try:
+        chol = np.linalg.cholesky(gram)
+    except np.linalg.LinAlgError:
+        return None
+    # each squared pivot over its diagonal entry is the squared sine of that
+    # column's angle to the span of the columns before it
+    if np.min(np.diag(chol) ** 2 / np.diag(gram)) <= _PATH_RANK_TOL:
+        return None
+    inv = dpotri(chol, lower=1)[0]  # its lower triangle
+    return inv + np.tril(inv, -1).T
+
+
 def _path(instance, c, max_breakpoints, warm=None, eta=None):
     """The weighted-LASSO homotopy: follow the minimizer of
     (1/2)||phi x - b||^2 + sum_i c_i(t) |x_i| while the weights move
@@ -470,10 +494,12 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     next segment.
 
     * Cold (``warm`` None): c(t) = mu(t) c. The zero weights of c start
-      active at their least-squares solve (x = 0 when there are none), and
-      mu falls linearly from mu0 = max |a_i| / c_i, the first entry, to 1,
-      or with ``eta`` to 0, stopping on the first segment on which
-      ||phi x - b|| = eta (the path ending first gives None).
+      active at their least-squares solve (x = 0 when there are none; when
+      their columns are dependent, an independent subset starts and the
+      others are held at 0, out of the support), and mu falls linearly
+      from mu0 = max |a_i| / c_i, the first entry, to 1, or with ``eta``
+      to 0, stopping on the first segment on which ||phi x - b|| = eta
+      (the path ending first gives None).
     * Warm (without ``eta``): from the point ``warm``, c(0) the weights it
       solves, read off a: |a_i| on its support, max(|a_i|, kappa c_i) off
       it, with kappa the largest |a_i| / c_i over the penalized
@@ -506,22 +532,23 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     mag = np.empty(m)  # sigma_S x_S, |x_S| while the signs hold
     rows = np.empty((m, n))  # rows[j] = phi_i^T phi for i = idx[j]
     ginv = np.empty((m, m))  # inverse Gram of the support columns
-    idx[:k] = start
+    held = start[:0]  # zero weights kept at 0 and off the path
     a = corr.copy()
     if k:
-        for j, i in enumerate(start.tolist()):
-            rows[j] = op.gram_row(i)
-        gram = rows[:k, start]
-        try:
-            chol = np.linalg.cholesky(gram)
-        except np.linalg.LinAlgError:
+        inv = _start_inverse(op, start, rows)
+        if inv is None and warm is None:
+            # dependent zero-weight columns: start on an independent subset
+            # (pivoted QR) and hold the others at 0; they lie in its span, so
+            # their correlation stays 0 and they never enter
+            r, piv = qr(phi[:, start], mode="r", pivoting=True, check_finite=False)
+            d = np.abs(np.diag(r))
+            keep = np.sort(piv[: np.count_nonzero(d > math.sqrt(_PATH_RANK_TOL) * d[0])])
+            held, start = np.delete(start, keep), start[keep]
+            k = start.size  # 0 when every such column is zero
+            inv = _start_inverse(op, start, rows) if k else ginv[:0, :0]
+        if inv is None:
             return None
-        # each squared pivot over its diagonal entry is the squared sine of
-        # that column's angle to the span of the columns before it
-        if np.min(np.diag(chol) ** 2 / np.diag(gram)) <= _PATH_RANK_TOL:
-            return None
-        inv = dpotri(chol, lower=1)[0]  # its lower triangle
-        ginv[:k, :k] = inv + np.tril(inv, -1).T
+        ginv[:k, :k] = inv
         xs = ginv[:k, :k] @ corr[start] if warm is None else warm[start]
         a -= xs @ rows[:k]
     if warm is None:
@@ -552,7 +579,8 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
         r = b - phi[:, start] @ xs if k else b
         rho, eta_sq = float(r @ r), eta * eta
     off = np.ones(n, dtype=bool)
-    off[start] = False
+    off[start] = off[held] = False
+    idx[:k] = start
     # gap[0] = c - a and gap[1] = c + a, nonnegative off the support, close
     # at the speeds q; an entry is a gap reaching zero, with sign +1 from
     # row 0 and -1 from row 1
@@ -697,7 +725,8 @@ def weighted_lasso_fista(
     flagged degenerate if any weight vanishes (those coordinates are then
     unconstrained by the objective). More than m zero weights, more than
     the path holds, give the least-squares fit on their columns, certified
-    and flagged degenerate.
+    and flagged degenerate, as is an answer on which the path held a zero
+    weight of a dependent column at 0.
     """
     w = as_weight_array(w, instance.n)
     if lam < 0:
@@ -732,6 +761,8 @@ def weighted_lasso_fista(
         support, sigma, breakpoints, x = found
         if x is None:
             x = _lasso_polish(instance, w, lam, support, sigma)
+            # a zero weight off the support is a dependent column held at 0
+            degenerate = np.count_nonzero(w[support] == 0.0) < np.count_nonzero(w == 0.0)
         else:
             stop = "max_iter"
     if x is not None:
@@ -817,9 +848,9 @@ def constrained_weighted_l1(
 
     When the least-squares fit on the zero-weight coordinates (x = 0 when
     there are none) meets the budget, it is returned at once with
-    objective 0 and multiplier 0, exit ``"certified"``; it is flagged
-    degenerate when those columns have a null space, which makes the
-    solution set unbounded (as with more than m zero weights).
+    objective 0 and multiplier 0, exit ``"certified"``. Any answer is
+    flagged degenerate when those columns have a null space, which makes
+    the solution set unbounded (as with more than m zero weights).
     """
     w = as_weight_array(w, instance.n)
     if eta < 0:
@@ -865,5 +896,6 @@ def constrained_weighted_l1(
         primal_residual=abs(res - eta) / eta,
         objective=float(w @ np.abs(x)),
         exit=stop,
+        degenerate=degenerate,
         multiplier=float(lam),
     )

@@ -1,3 +1,4 @@
+import csv
 import json
 
 import numpy as np
@@ -249,6 +250,10 @@ class TestSweepResult:
         lines = path.read_text().splitlines()
         assert lines[0] == "algorithm,s,trials,recovered,rate"
         assert len(lines) == 5
-        back = SweepResult.from_csv(path)
-        assert back.recovery_rate_per_algorithm == res.recovery_rate_per_algorithm
-        assert back.sparsity_levels == res.sparsity_levels
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rates = {}
+        for row in rows:
+            rates.setdefault(row["algorithm"], []).append(float(row["rate"]))
+        assert rates == res.recovery_rate_per_algorithm
+        assert list(dict.fromkeys(int(row["s"]) for row in rows)) == res.sparsity_levels

@@ -223,14 +223,6 @@ class TestRwLasso:
         _, trace = rw_lasso_subgradient(inst, SolverConfig(rw_iter=4))
         assert trace.final_state.lam >= 0.0
 
-    def test_alpha_schedule_override(self):
-        inst = gen_noisy(EnsembleSpec(n=24, m=12, s=3, sigma=0.02, seed=4))
-        cfg = SolverConfig(rw_iter=2, alpha_schedule=lambda k: 0.0)
-        x, trace = rw_lasso_subgradient(inst, cfg)
-        # zero steps freeze the weights and multiplier
-        assert np.allclose(trace.final_state.w, 1.0)
-        assert all(row.alpha == 0.0 for row in trace.rows[1:])
-
 
 class TestCwbNoisy:
     def test_zero_budget_is_constrained_baseline(self):

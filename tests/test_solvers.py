@@ -304,7 +304,7 @@ def eager_basis_pursuit(instance, w, cfg):
     op = _operator(instance)
     norm_b = np.linalg.norm(b)
     wmax = float(np.max(w))
-    rho = cfg.admm_rho * wmax / max(float(np.max(np.abs(op.x0))), 1e-12)
+    rho = solvers._RHO * wmax / max(float(np.max(np.abs(op.x0))), 1e-12)
     thresh = w / rho
     z = np.zeros(instance.n)
     u = np.zeros(instance.n)
@@ -343,7 +343,7 @@ def legacy_basis_pursuit(instance, w, warm, cfg):
     phi, b = instance.phi, instance.b
     op = _operator(instance)
     norm_b = np.linalg.norm(b)
-    rho = cfg.admm_rho * float(np.max(w)) / max(float(np.max(np.abs(op.x0))), 1e-12)
+    rho = solvers._RHO * float(np.max(w)) / max(float(np.max(np.abs(op.x0))), 1e-12)
     thresh = w / rho
     z = np.zeros(instance.n) if warm is None else warm.copy()
     u = np.zeros(instance.n)
@@ -1061,21 +1061,33 @@ class TestLassoPath:
         assert rep.objective == pytest.approx(1.8, rel=1e-12)
         assert rep.x[0] + rep.x[1] == pytest.approx(0.8) and rep.x[2] == pytest.approx(0.8)
 
-    def test_duplicated_column_ends_certified_or_in_the_fallback(self):
+    @pytest.mark.parametrize(
+        "zero_weights, zero_pair",
+        [([], False), ([3, 5], False), ([3, 5], True)],
+        ids=["unit", "zero-weight-pair", "zero-weight-zero-pair"],
+    )
+    def test_duplicated_column_ends_certified_or_in_the_fallback(self, zero_weights, zero_pair):
         # the path ends certified; the references are proximal gradient
-        # and SLSQP
+        # and SLSQP. With zero weights on both equal columns, only their sum
+        # is fixed, so the solution set is unbounded; when both columns are
+        # zero, no zero-weight column starts on the path
         rng = np.random.default_rng(3)
         phi = rng.standard_normal((8, 16))
         phi[:, 5] = phi[:, 3]
+        if zero_pair:
+            phi[:, [3, 5]] = 0.0
         inst = ProblemInstance(phi=phi, b=rng.standard_normal(8))
-        lasso = weighted_lasso_fista(inst, np.ones(16), 20.0, None, CFG)
-        constrained = constrained_weighted_l1(inst, np.ones(16), 0.3, CFG)
+        w = np.ones(16)
+        w[zero_weights] = 0.0
+        lasso = weighted_lasso_fista(inst, w, 20.0, None, CFG)
+        constrained = constrained_weighted_l1(inst, w, 0.3, CFG)
         assert lasso.exit == constrained.exit == "certified"
+        assert lasso.degenerate == constrained.degenerate == bool(zero_weights)
         assert lasso.objective == pytest.approx(
-            fista_reference(phi, inst.b, np.ones(16), 20.0)[1], rel=1e-9
+            fista_reference(phi, inst.b, w, 20.0)[1], rel=1e-9
         )
         assert constrained.objective == pytest.approx(
-            slsqp_constrained_l1(phi, inst.b, np.ones(16), 0.3), rel=1e-6
+            slsqp_constrained_l1(phi, inst.b, w, 0.3), rel=1e-6
         )
 
     @pytest.mark.parametrize("algo", ["l1", "cwb-noisy"])
