@@ -24,8 +24,11 @@ the certificate raises ``NoConvergenceError``.
 
 Each instance has one cached operator that builds, on first use, the
 minimum-norm solution, an orthonormal basis of the row space of phi,
-phi^T b and the Gram rows phi_i^T phi the path enters. A phi without full
-row rank, numerically, is rejected with ``RankDeficientError``.
+phi^T b and the Gram rows phi_i^T phi the path enters. It also keeps the
+path's workspace: the support the last path call ended on, with the
+inverse Gram matrix of its columns, from which a warm re-solve on that
+support continues without refactoring. A phi without full row rank,
+numerically, is rejected with ``RankDeficientError``.
 """
 
 from __future__ import annotations
@@ -37,6 +40,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
+from scipy.linalg.blas import dger
 from scipy.linalg.lapack import dpotri
 
 from .model import ConfigurationError, ProblemInstance, SolverConfig, as_weight_array
@@ -52,6 +56,7 @@ __all__ = [
 ]
 
 _DEFAULT_CFG = SolverConfig()
+_EPS = np.finfo(float).eps
 
 # certified-polish acceptance slack for the dual optimality conditions
 _CERT_TOL = 1e-9
@@ -124,14 +129,22 @@ class _Operator:
     """The linear algebra of one instance, each piece built on first use:
     the minimum-norm solution ``x0`` (which applies the rank guard), the
     economic QR phi^T = Q R as Q^T, one contiguous m x n array, and R
-    (``row_qr``), phi^T b, and the Gram rows phi_i^T phi of the
-    coordinates the LASSO path has touched (``gram_row``). A run without
-    basis pursuit never builds the QR, and one without a noisy solve holds
-    no Gram row."""
+    (``row_qr``), phi^T b, the Gram rows phi_i^T phi of the coordinates
+    the LASSO path has touched (``gram_row``), and the path's workspace
+    (``path_buffers``). A run without basis pursuit never builds the QR,
+    and one without a noisy solve holds no Gram row and no workspace.
+
+    The workspace is the support a path call ended on, in its order of
+    entry (``idx[:k]``), the inverse Gram matrix of its columns
+    (``ginv[:k, :k]``) and their Gram rows (``rows[:k]``), with k
+    ``path_size`` (None while the buffers hold no consistent support). A
+    warm path that starts on that support continues from it in place;
+    any other start overwrites it."""
 
     def __init__(self, instance: ProblemInstance):
         self.phi, self.b = instance.phi, instance.b
         self.gram_rows: dict[int, np.ndarray] = {}
+        self.path_size: int | None = None
 
     @cached_property
     def x0(self) -> np.ndarray:
@@ -180,6 +193,13 @@ class _Operator:
             row = self.gram_rows[i] = self.phi[:, i] @ self.phi
         return row
 
+    @cached_property
+    def path_buffers(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The workspace's (idx, ginv, rows): m indices, an m x m and an
+        m x n array."""
+        m, n = self.phi.shape
+        return np.empty(m, dtype=np.intp), np.zeros((m, m)), np.empty((m, n))
+
 
 _OPERATORS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
@@ -201,7 +221,7 @@ def _polish_support(z):
     that no certificate hinges on the signs of rounding errors."""
     support = np.flatnonzero(z)
     mags = np.abs(z[support])
-    return support[mags > support.size * np.finfo(float).eps * mags.max(initial=0.0)]
+    return support[mags > support.size * _EPS * mags.max(initial=0.0)]
 
 
 def _support_qr(phi, support):
@@ -213,7 +233,7 @@ def _support_qr(phi, support):
         return None
     q, r = qr(phi[:, support], mode="economic", overwrite_a=True, check_finite=False)
     pivots = np.abs(np.diag(r))
-    if pivots.min() <= k * np.finfo(float).eps * pivots.max():
+    if pivots.min() <= k * _EPS * pivots.max():
         return None
     return q, r
 
@@ -472,6 +492,16 @@ def _start_inverse(op, start, rows):
     return inv + np.tril(inv, -1).T
 
 
+def _rank_one(ginv, k, u, v):
+    """Add the symmetric term u v^T (v a multiple of u) to ginv[:k, :k] in
+    place: BLAS dger on the rows ginv[:k], whose transpose is a
+    Fortran-contiguous view, with u padded by zeros to the row length so
+    that the rest of those rows keeps its values."""
+    pad = np.zeros(ginv.shape[1])
+    pad[:k] = u
+    dger(1.0, pad, v, a=ginv[:k].T, overwrite_a=1)
+
+
 def _path(instance, c, max_breakpoints, warm=None, eta=None):
     """The weighted-LASSO homotopy: follow the minimizer of
     (1/2)||phi x - b||^2 + sum_i c_i(t) |x_i| while the weights move
@@ -509,15 +539,21 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
       and continues along the plain path in 1/lam. A sign of a_S that
       contradicts x_S beyond rounding gives None.
 
-    Per segment it keeps the inverse Gram of phi_S (bordered on each entry,
-    downdated on each exit; a warm start inverts it from its Cholesky
-    factor), the rows phi_S^T phi in one m x n buffer, copied from the
-    instance's memo (``_Operator.gram_row``), the gaps c - a and c + a,
-    |x_S| and ||phi x - b||^2, each updated along the segment, so a
+    The path runs in the instance's workspace (``_Operator``): the support
+    in its order of entry, the inverse Gram matrix of phi_S (bordered on
+    each entry, downdated on each exit, both in place) and the rows
+    phi_S^T phi, copied from the instance's memo (``_Operator.gram_row``).
+    A warm start on the support the last path call ended on, the usual
+    case of a re-solve, continues from them as they are; any other start
+    inverts its Gram matrix from its Cholesky factor. Along a segment the
+    path updates, in preallocated buffers, |x_S| and the gaps c - a and
+    c + a off the support, each of which closes at a known speed, and
+    ||phi x - b||^2. The next breakpoint is the gap with the largest
+    closing rate speed / gap, and the step to it is its gap / speed. So a
     breakpoint makes no product with phi beyond the first computation of a
-    Gram row. The path also gives None on a numerically rank-deficient
-    support or an entry when |S| = m. Its breakpoints include the first
-    entry.
+    Gram row. The path also gives None on a numerically
+    rank-deficient support or an entry when |S| = m. Its breakpoints
+    include the first entry.
     """
     phi, b = instance.phi, instance.b
     m, n = phi.shape
@@ -527,14 +563,13 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     k = start.size
     if k > m or (warm is not None and k == 0):
         return None
-    idx = np.empty(m, dtype=np.intp)  # the support, in the order of entry
-    sig = np.empty(m)
-    mag = np.empty(m)  # sigma_S x_S, |x_S| while the signs hold
-    rows = np.empty((m, n))  # rows[j] = phi_i^T phi for i = idx[j]
-    ginv = np.empty((m, m))  # inverse Gram of the support columns
+    idx, ginv, rows = op.path_buffers  # idx: the support, in the order of entry
     held = start[:0]  # zero weights kept at 0 and off the path
     a = corr.copy()
-    if k:
+    if warm is not None and op.path_size == k and np.array_equal(np.sort(idx[:k]), start):
+        start = idx[:k].copy()
+    elif k:
+        op.path_size = None  # until the buffers hold the start
         inv = _start_inverse(op, start, rows)
         if inv is None and warm is None:
             # dependent zero-weight columns: start on an independent subset
@@ -549,6 +584,9 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
         if inv is None:
             return None
         ginv[:k, :k] = inv
+        idx[:k] = start
+    op.path_size = k
+    if k:
         xs = ginv[:k, :k] @ corr[start] if warm is None else warm[start]
         a -= xs @ rows[:k]
     if warm is None:
@@ -568,115 +606,123 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
         c1 = c
     dc = c1 - c0
     free = (c0 == 0.0) & (dc == 0.0)
+    sig = np.empty(m)
+    sdc = np.empty(m)  # sigma_S dc_S, so that d x_S / dt = -ginv sdc
+    csig = np.empty(m)  # c_S sigma_S = a_S
+    # Every breakpoint is a gap closing to zero, so one buffer holds them
+    # all: gaps[:m] is |x_S| in the order of entry, through which a
+    # coordinate leaves (+inf past k, and where the weight is zero
+    # throughout, which never leaves), and gaps[m:] is c - a and c + a,
+    # through which a coordinate enters with sign +1 and -1 (+inf on the
+    # support and on the held coordinates). A rounding error past zero is
+    # cut to zero. The gaps close at the speeds; the next breakpoint is the
+    # largest rate speed / gap (exits come first, so they win exact ties),
+    # and its step is gap / speed.
+    gaps = np.full(m + 2 * n, np.inf)
+    mag, gap = gaps[:m], gaps[m:].reshape(2, n)
+    speeds = np.zeros(m + 2 * n)
+    fall, q = speeds[:m], speeds[m:].reshape(2, n)
+    rates = np.empty(m + 2 * n)
     if k:
         sig[:k] = np.where(free[start], 0.0, np.sign(xs))
-        mag[:k] = sig[:k] * xs
-    nsdc = np.empty(m)  # -sigma_S dc_S, so that d x_S / dt = ginv nsdc
-    nsdc[:k] = -sig[:k] * dc[start]
-    csig = np.empty(m)  # c_S sigma_S = a_S
+        mag[:k] = np.where(free[start], np.inf, sig[:k] * xs)
+    sdc[:k] = sig[:k] * dc[start]
     csig[:k] = sig[:k] * c0[start]
     if eta is not None:
         r = b - phi[:, start] @ xs if k else b
         rho, eta_sq = float(r @ r), eta * eta
-    off = np.ones(n, dtype=bool)
-    off[start] = off[held] = False
-    idx[:k] = start
-    # gap[0] = c - a and gap[1] = c + a, nonnegative off the support, close
-    # at the speeds q; an entry is a gap reaching zero, with sign +1 from
-    # row 0 and -1 from row 1
-    gap = np.stack([c0 - a, c0 + a])
+    np.subtract(c0, a, out=gap[0])
+    np.add(c0, a, out=gap[1])
+    gap[:, start] = gap[:, held] = np.inf
+    np.maximum(gaps, 0.0, out=gaps)
     ndc = -dc
-    q = np.empty((2, n))
-    s_in = np.empty((2, n))
-    closing = np.empty((2, n), dtype=bool)
-    s_out = np.empty(m)
-    falling = np.empty(m, dtype=bool)
 
     t = 0.0
     left = None
     breakpoints = 0
-    while True:
-        xdot = ginv[:k, :k] @ nsdc[:k]
-        v = xdot @ rows[:k]  # -d a / dt
-        np.subtract(ndc, v, out=q[0])
-        np.add(ndc, v, out=q[1])
-        np.greater(q, 0.0, out=closing)
-        closing &= off
-        s_in.fill(np.inf)
-        np.divide(gap, q, out=s_in, where=closing)
-        if left is not None:
-            s_in[left] = np.inf
-        enter = int(s_in.argmin())
-        step, event = s_in.flat[enter], "enter"
-        if k:
-            # exits: sigma_i x_i falling to zero; s_out holds minus the
-            # step to the exit
-            mdot = sig[:k] * xdot
-            np.less(mdot, 0.0, out=falling[:k])
-            s_out[:k].fill(-np.inf)
-            np.divide(mag[:k], mdot, out=s_out[:k], where=falling[:k])
-            leave = int(s_out[:k].argmax())
-            if -s_out[leave] <= step:
-                step, event = -s_out[leave], "leave"
-        step = max(step, 0.0)
-        if not step < 1.0 - t:  # a NaN step ends the path too
-            step, event = 1.0 - t, "end"
-        if eta is not None:
-            # ||r - s phi_S xdot||^2, where phi_S^T r = c_S sigma_S and
-            # phi_S^T phi_S xdot = nsdc
-            rho_next = rho - step * (2.0 * (csig[:k] @ xdot) - step * (xdot @ nsdc[:k]))
-            if rho_next <= eta_sq:
-                break
+    with np.errstate(divide="ignore", invalid="ignore"):
+        while True:
+            xb = ginv[:k, :k] @ sdc[:k]  # -d x_S / dt
+            v = xb @ rows[:k]  # d a / dt
+            np.add(ndc, v, out=q[0])
+            np.subtract(ndc, v, out=q[1])
+            np.multiply(sig[:k], xb, out=fall[:k])  # -d |x_S| / dt
+            # a positive rate closes; 0 over an infinite gap, and NaN (none)
+            # at zero gap and zero speed
+            np.divide(speeds, gaps, out=rates)
+            if left is not None:
+                rates[left] = -np.inf
+            j = int(rates.argmax())
+            if math.isnan(rates[j]):
+                rates[np.isnan(rates)] = -np.inf
+                j = int(rates.argmax())
+            step = gaps[j] / speeds[j] if rates[j] > 0.0 else np.inf
+            event = "leave" if j < m else "enter"
+            if not step < 1.0 - t:  # a NaN step ends the path too
+                step, event = 1.0 - t, "end"
+            if eta is not None:
+                # ||r - s phi_S xdot||^2, where phi_S^T r = c_S sigma_S and
+                # phi_S^T phi_S xdot = -sdc
+                rho_next = rho + step * (2.0 * (csig[:k] @ xb) + step * (xb @ sdc[:k]))
+                if rho_next <= eta_sq:
+                    break
+                if event == "end":
+                    return None
+                rho = rho_next
+            np.multiply(speeds, step, out=rates)  # rates serves as scratch
+            gaps -= rates
+            np.maximum(gaps, 0.0, out=gaps)
+            csig[:k] += step * sdc[:k]
+            t += step
             if event == "end":
-                return None
-            rho = rho_next
-        gap -= step * q
-        if k:
-            mag[:k] += step * mdot
-            csig[:k] -= step * nsdc[:k]
-        t += step
-        if event == "end":
-            break
-        breakpoints += 1
-        if breakpoints > max_breakpoints:
-            x = np.zeros(n)
-            x[idx[:k]] = ginv[:k, :k] @ (corr[idx[:k]] - csig[:k])
-            return None, None, max_breakpoints, x
-        if event == "leave":
-            i = idx[leave]
-            left = (0 if sig[leave] > 0.0 else 1, i)
-            off[i] = True
-            last = k - 1
-            if leave != last:
-                swap, back = [leave, last], [last, leave]
-                for arr in (idx, sig, mag, nsdc, csig):
-                    arr[swap] = arr[back]
-                rows[leave] = rows[last]
-                ginv[swap, :k] = ginv[back, :k]
-                ginv[:k, swap] = ginv[:k, back]
-            e = ginv[:last, last].copy()
-            ginv[:last, :last] -= e[:, None] * (e / ginv[last, last])
-            k = last
-        else:
-            if k == m:
-                return None
-            side, i = divmod(enter, n)
-            rows[k] = op.gram_row(i)
-            g = rows[:k, i]
-            gamma = rows[k, i]
-            u = ginv[:k, :k] @ g
-            delta = gamma - g @ u
-            if not delta > _PATH_RANK_TOL * gamma:
-                return None
-            ginv[:k, :k] += u[:, None] * (u / delta)
-            ginv[:k, k] = ginv[k, :k] = -u / delta
-            ginv[k, k] = 1.0 / delta
-            s = 0.0 if free[i] else 1.0 - 2.0 * side
-            idx[k], sig[k], mag[k] = i, s, 0.0
-            nsdc[k], csig[k] = -s * dc[i], s * (c0[i] + t * dc[i])
-            off[i] = False
-            k += 1
-            left = None
+                break
+            breakpoints += 1
+            if breakpoints > max_breakpoints:
+                x = np.zeros(n)
+                x[idx[:k]] = ginv[:k, :k] @ (corr[idx[:k]] - csig[:k])
+                return None, None, max_breakpoints, x
+            if event == "leave":
+                i = idx[j]
+                side = 0 if sig[j] > 0.0 else 1
+                left = m + side * n + i  # the flat index of its gap
+                # off the support again, at a_i = c_i sigma_i
+                gap[side, i] = 0.0
+                gap[1 - side, i] = 2.0 * (c0[i] + t * dc[i])
+                last = k - 1
+                if j != last:
+                    swap, back = [j, last], [last, j]
+                    for arr in (idx, sig, mag, sdc, csig):
+                        arr[swap] = arr[back]
+                    rows[j] = rows[last]
+                    ginv[swap, :k] = ginv[back, :k]
+                    ginv[:k, swap] = ginv[:k, back]
+                mag[last] = np.inf
+                if last:
+                    e = ginv[:last, last].copy()
+                    _rank_one(ginv, last, e, e / -ginv[last, last])
+                k = op.path_size = last
+            else:
+                if k == m:
+                    return None
+                side, i = divmod(j - m, n)
+                rows[k] = op.gram_row(i)
+                g = rows[:k, i]
+                gamma = rows[k, i]
+                u = ginv[:k, :k] @ g
+                delta = gamma - g @ u
+                if not delta > _PATH_RANK_TOL * gamma:
+                    return None
+                ud = u / delta
+                if k:
+                    _rank_one(ginv, k, u, ud)
+                ginv[:k, k] = ginv[k, :k] = -ud
+                ginv[k, k] = 1.0 / delta
+                s = 0.0 if free[i] else 1.0 - 2.0 * side
+                idx[k], sig[k], mag[k] = i, s, np.inf if s == 0.0 else 0.0
+                sdc[k], csig[k] = s * dc[i], s * (c0[i] + t * dc[i])
+                gap[:, i] = np.inf
+                k = op.path_size = k + 1
+                left = None
     order = np.argsort(idx[:k])
     return idx[:k][order], sig[:k][order], breakpoints, None
 

@@ -496,6 +496,25 @@ class TestNoisyStart:
                 total += sum(row.inner_iterations for row in trace.rows)
         assert total <= 620
 
+    def test_start_inversions_on_the_noisy_seeds(self, monkeypatch):
+        # a count: each warm LASSO path of these runs starts on the support
+        # the path before it on the instance ended on, and continues from
+        # that path's inverse Gram; the bound fails if warm starts invert
+        # their Gram matrix afresh again (15 inversions)
+        inversions = []
+        start_inverse = solvers._start_inverse
+
+        def counted(*args):
+            inversions.append(args[1].size)
+            return start_inverse(*args)
+
+        monkeypatch.setattr(solvers, "_start_inverse", counted)
+        for seed in range(3):
+            inst = _noisy_panel_instance(seed)
+            for algo in ("l1", "rw-lasso", "cwb-noisy"):
+                run_algorithm(algo, inst, CFG)
+        assert len(inversions) == 0
+
 
 class TestFig1Counts:
     def test_bp_iterations_on_the_fig1_serial_panel(self, monkeypatch):

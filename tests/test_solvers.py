@@ -1028,23 +1028,125 @@ class TestLassoPath:
                 assert warm.iterations == cold.iterations - first.iterations
 
     def test_gram_rows_are_computed_once_per_instance(self, monkeypatch):
+        # each row is computed once, and a warm re-solve continues from the
+        # workspace the previous path call on the instance left, so no warm
+        # LASSO path re-inverts (or re-reads the rows of) its start
         inst = gen_noisy(EnsembleSpec(n=256, m=128, s=38, sigma=0.05, seed=0))
-        rows, calls = {}, []
-        gram_row = solvers._Operator.gram_row
+        rows, warm_calls, warm_inverses = {}, [], []
+        gram_row, path, start_inverse = solvers._Operator.gram_row, solvers._path, solvers._start_inverse
 
         def logged(op, i):
             row = gram_row(op, i)
             assert rows.setdefault(i, row) is row  # never computed again
-            calls.append(i)
             return row
 
+        def path_logged(instance, c, max_breakpoints, warm=None, eta=None):
+            warm_calls.append(warm is not None)
+            return path(instance, c, max_breakpoints, warm, eta)
+
+        def inverse_logged(*args):
+            warm_inverses.append(warm_calls[-1])
+            return start_inverse(*args)
+
         monkeypatch.setattr(solvers._Operator, "gram_row", logged)
+        monkeypatch.setattr(solvers, "_path", path_logged)
+        monkeypatch.setattr(solvers, "_start_inverse", inverse_logged)
         for algo in ("l1", "rw-lasso", "cwb-noisy"):
             run_algorithm(algo, inst, CFG)
         memo = solvers._operator(inst).gram_rows
-        assert memo.keys() == rows.keys() and len(memo) < inst.n // 2 < len(calls)
+        assert memo.keys() == rows.keys() and len(memo) < inst.n // 2
         for i, row in memo.items():
             assert np.array_equal(row, inst.phi[:, i] @ inst.phi)
+        assert warm_calls.count(True) == 1 + CFG.rw_iter
+        assert not any(warm_inverses)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_warm_paths_from_the_workspace_match_cleared_ones(self, monkeypatch, seed):
+        # the l1 baseline, then rw-lasso, whose warm LASSO paths each start
+        # on the support the path before it ended on, on two copies of one
+        # instance: on the first they continue from the workspace, on the
+        # second it is cleared before each of them
+        clear, warm_paths, inverted = False, [], []
+        path, start_inverse = solvers._path, solvers._start_inverse
+
+        def path_logged(instance, c, max_breakpoints, warm=None, eta=None):
+            if warm is not None and clear:
+                solvers._operator(instance).path_size = None
+            found = path(instance, c, max_breakpoints, warm, eta)
+            if warm is not None:
+                warm_paths.append(found)
+            return found
+
+        def inverse_logged(*args):
+            inverted.append(clear)
+            return start_inverse(*args)
+
+        monkeypatch.setattr(solvers, "_path", path_logged)
+        monkeypatch.setattr(solvers, "_start_inverse", inverse_logged)
+        answers, ops = [], []
+        for clear in (False, True):
+            inst = gen_noisy(EnsembleSpec(n=256, m=128, s=38, sigma=0.05, seed=seed))
+            run_algorithm("l1", inst, CFG)
+            answers.append(run_algorithm("rw-lasso", inst, CFG)[0])
+            ops.append(solvers._operator(inst))
+        assert answers[0].tobytes() == answers[1].tobytes()
+        calls = 1 + CFG.rw_iter
+        assert len(warm_paths) == 2 * calls and inverted == [True] * calls
+        for carried, fresh in zip(warm_paths[:calls], warm_paths[calls:]):
+            assert carried[3] is None and fresh[3] is None
+            assert np.array_equal(carried[0], fresh[0]) and np.array_equal(carried[1], fresh[1])
+            assert carried[2] == fresh[2]
+        # the inverse Gram the workspace carried through all of the first
+        # copy's paths, in its order of entry, against one computed afresh
+        idx, ginv, _ = ops[0].path_buffers
+        k = ops[0].path_size
+        support = idx[:k]
+        assert np.array_equal(np.sort(support), warm_paths[calls - 1][0])
+        ref = np.linalg.inv(inst.phi[:, support].T @ inst.phi[:, support])
+        assert np.linalg.norm(ginv[:k, :k] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_tie_at_step_zero_enters_the_lowest_flat_index_first(self):
+        # |a_0| / c_0 = |a_2| / c_2 = 2 exactly: coordinate 2 entering with
+        # sign +1 (flat index 2, row 0) comes before coordinate 0 entering
+        # with sign -1 (flat index n + 0, row 1), as argmin over the steps
+        # picks the first of equal ones
+        inst = ProblemInstance(phi=np.array([[-1.0, 0.3, 0.0], [0.0, 0.0, 1.0]]), b=np.array([1.0, 1.0]))
+        support, sigma, breakpoints, x = solvers._path(inst, np.full(3, 0.5), 100)
+        assert x is None and breakpoints == 2
+        assert support.tolist() == [0, 2] and sigma.tolist() == [-1.0, 1.0]
+        op = _operator(inst)
+        assert op.path_size == 2 and op.path_buffers[0][:2].tolist() == [2, 0]
+
+    def test_zero_gap_at_zero_speed_never_enters(self):
+        # a warm start on {0}: the zero-weight coordinate 2 (a zero column)
+        # has gap 0 closing at speed 0, a rate 0 / 0; it neither enters nor
+        # keeps coordinate 1, whose gap is 0 and closing, from entering
+        inst = ProblemInstance(phi=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), b=np.array([2.0, 1.0]))
+        c = np.array([0.25, 0.25, 0.0])
+        support, sigma, breakpoints, x = solvers._path(inst, c, 100, warm=np.array([1.5, 0.0, 0.0]))
+        assert x is None and breakpoints == 1
+        assert support.tolist() == [0, 1] and sigma.tolist() == [1.0, 1.0]
+
+    def test_a_coordinate_that_just_left_does_not_reenter_with_its_sign(self):
+        # on this path a coordinate leaves and, by rounding, its gap on the
+        # side it left from closes again at once (speed 4.4e-16 over gap 0);
+        # were it let back in with the same sign, the path would leave and
+        # enter it at step 0 until the breakpoint budget ran out
+        phi = np.array(
+            [
+                [-2.0, -1.0, -1.0, 0.0, 1.0, -1.0],
+                [1.0, -1.0, -2.0, 1.0, 0.0, 2.0],
+                [0.0, -1.0, -2.0, -2.0, -1.0, -2.0],
+                [-1.0, 2.0, 1.0, -2.0, 0.0, 1.0],
+            ]
+        )
+        inst = ProblemInstance(phi=phi, b=np.array([-3.0, 1.0, 0.0, -1.0]))
+        w = np.array([1.0, 1.0, 1.0, 1.5, 1.5, 0.5])
+        support, sigma, breakpoints, x = solvers._path(inst, w / 20.0, 200)
+        assert x is None and breakpoints == 6
+        assert support.tolist() == [0, 1, 3, 5] and sigma.tolist() == [1.0, 1.0, -1.0, -1.0]
+        rep = weighted_lasso_fista(inst, w, 20.0, None, CFG)
+        assert rep.exit == "certified" and rep.iterations == 6
 
     def test_basis_pursuit_builds_no_gram_row(self):
         inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=30, seed=0))
