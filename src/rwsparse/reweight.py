@@ -123,11 +123,12 @@ def _row(k, w, alpha, report: InnerSolveReport, x_star) -> RwTraceRow:
 # Re-solve rules (instance, w, lam, warm, cfg) -> report, where warm is the
 # report of the previous solve of the run (None for the start). They look the
 # solvers up as module globals at call time, so wrappers bound there see
-# every solve.
+# every solve. Basis pursuit takes the whole report, whose LASSO point its
+# path continues from.
 
 
 def _bp(instance, w, lam, warm, cfg):
-    return weighted_basis_pursuit(instance, w, None if warm is None else warm.x, cfg)
+    return weighted_basis_pursuit(instance, w, warm, cfg)
 
 
 def _lasso(instance, w, lam, warm, cfg):

@@ -7,12 +7,8 @@ Four problems are covered, all over a dense underdetermined matrix:
 * constrained weighted l1     min sum_i w_i |x_i|  s.t.  ||phi x - b|| <= eta
 * minimum-l2-norm solution    argmin ||x||  s.t.  phi x = b
 
-Basis pursuit is an operator-splitting iteration (an affine projection and
-a weighted shrinkage) that stops on a certified support polish: the exact
-solve on a support, accepted only with a verified dual certificate.
-
-The two noisy problems follow the weighted-LASSO homotopy (``_path``): the
-minimizer is piecewise linear in the effective weights w / lam, and an
+All three sparse problems follow the weighted-LASSO homotopy (``_path``):
+the minimizer is piecewise linear in the effective weights w / lam, and an
 active-set path finds its support and signs breakpoint by breakpoint. The
 LASSO ends on the exact solve on that support; the constrained problem
 follows the path in 1/lam until the residual norm meets eta and ends on
@@ -22,13 +18,24 @@ path runs out of breakpoints, the exact minimizer at the weights it
 reached is returned as not converged; any other failure of the path or of
 the certificate raises ``NoConvergenceError``.
 
+Basis pursuit is the limit of the LASSO as lam grows. Its path runs to a
+small residual norm (cold), or continues from the LASSO point of the
+previous basis pursuit answer, which that answer's report carries
+(warm). The exact solve on the support the path ends on, pruned of
+rounding-level coordinates, is returned only with a verified dual
+certificate seeded by the path's own multiplier. When the path does not
+certify, an operator-splitting iteration (an affine projection and a
+weighted shrinkage) solves it instead, stopping on the same kind of
+certified support solve.
+
 Each instance has one cached operator that builds, on first use, the
-minimum-norm solution, an orthonormal basis of the row space of phi,
-phi^T b and the Gram rows phi_i^T phi the path enters. It also keeps the
-path's workspace: the support the last path call ended on, with the
-inverse Gram matrix of its columns, from which a warm re-solve on that
-support continues without refactoring. A phi without full row rank,
-numerically, is rejected with ``RankDeficientError``.
+minimum-norm solution, phi^T b and the Gram rows phi_i^T phi the path
+enters; an orthonormal basis of the row space of phi only when the
+splitting runs. It also keeps the path's workspace: the support the last
+path call ended on, with the inverse Gram matrix of its columns, from
+which a warm re-solve on that support continues without refactoring. A
+phi without full row rank, numerically, is rejected with
+``RankDeficientError``.
 """
 
 from __future__ import annotations
@@ -75,6 +82,17 @@ _GRAM_PIVOT_RATIO = 1e-6
 # the LASSO path gives up on a support column whose squared sine to the
 # span of the others is at most this
 _PATH_RANK_TOL = 1e-10
+# a cold basis pursuit path stops where ||phi x - b|| = _BP_ETA ||b||. On
+# the 1000 solves of a 200-instance Fig-1 sweep (n=256, m=100, s=20..50,
+# l1, rw-sub and rw-cwb at rw_iter=2), 1e-5, 1e-6, 1e-7 and 1e-8 left 11,
+# 1, 6 and 485 to the splitting: a larger budget stops on a support that
+# still misses the basis pursuit support, and a smaller one loses the
+# closed form's slack eta^2 - (||b||^2 - ||Q^T b||^2) to cancellation
+_BP_ETA = 1e-6
+# basis pursuit's path candidate drops the coordinates of its support at
+# most this fraction of max |x|: the LASSO's support at a small residual is
+# the basis pursuit support plus coordinates that vanish in the limit
+_BP_PRUNE = 1e-9
 
 
 class NoConvergenceError(RuntimeError):
@@ -101,10 +119,16 @@ class InnerSolveReport:
     exact solve or closed form whose optimality conditions were verified),
     ``"tol"`` (the splitting met its stopping measure at the tolerance) or
     ``"max_iter"`` (the iteration or breakpoint budget ran out); the first
-    two are ``converged``. ``iterations`` counts the solver's steps:
-    iterations of the splitting for basis pursuit, breakpoints of the
-    LASSO path (the first entry included) for the two noisy problems.
+    two are ``converged``. ``route`` says what produced the answer, and so
+    what ``iterations`` counts: ``"path"``, the breakpoints of the
+    weighted-LASSO path (the first entry included; for basis pursuit, of
+    every path it walked), or ``"splitting"``, the iterations of basis
+    pursuit's splitting, which runs only when the path does not certify.
     ``degenerate`` marks solves whose solution set is unbounded.
+    ``lasso_point`` is, for a basis pursuit answer found on the path, the
+    LASSO point (x_L, t) it came from, x_L the minimizer of
+    (1/2)||phi x - b||^2 + t sum_i w_i |x_i|; a re-solve warm from this
+    report continues the path from it (None on every other route).
     ``multiplier`` is the data-fit multiplier lam the solve ended at: the
     LASSO's own lam, the constrained problem's multiplier of its budget
     (0 when the budget is inactive, NaN when the path ran out of
@@ -119,6 +143,8 @@ class InnerSolveReport:
     exit: str
     degenerate: bool = False
     multiplier: float = np.inf
+    route: str = "path"
+    lasso_point: tuple[np.ndarray, float] | None = None
 
     @property
     def converged(self) -> bool:
@@ -131,8 +157,7 @@ class _Operator:
     economic QR phi^T = Q R as Q^T, one contiguous m x n array, and R
     (``row_qr``), phi^T b, the Gram rows phi_i^T phi of the coordinates
     the LASSO path has touched (``gram_row``), and the path's workspace
-    (``path_buffers``). A run without basis pursuit never builds the QR,
-    and one without a noisy solve holds no Gram row and no workspace.
+    (``path_buffers``). Only basis pursuit's splitting builds the QR.
 
     The workspace is the support a path call ended on, in its order of
     entry (``idx[:k]``), the inverse Gram matrix of its columns
@@ -238,13 +263,15 @@ def _support_qr(phi, support):
     return q, r
 
 
-def _bp_candidate(instance, support, tol):
+def _bp_candidate(instance, support, tol, factors=None):
     """The exact solve on a candidate support: (q, r, x) with phi_S = q r
-    (economic QR) and x_S = r^{-1} q^T b, or None when the support has no
-    usable QR (see ``_support_qr``) or x misses phi x = b by more than
-    tol (1 + ||b||). A pure function of the support."""
+    (economic QR, ``factors`` when the caller has it) and
+    x_S = r^{-1} q^T b, or None when the support has no usable QR (see
+    ``_support_qr``) or x misses phi x = b by more than tol (1 + ||b||).
+    A pure function of the support."""
     phi, b = instance.phi, instance.b
-    factors = _support_qr(phi, support)
+    if factors is None:
+        factors = _support_qr(phi, support)
     if factors is None:
         return None
     q, r = factors
@@ -255,32 +282,30 @@ def _bp_candidate(instance, support, tol):
     return q, r, x
 
 
-def _bp_certified(op, w, support, candidate, v) -> bool:
-    """Whether a dual certificate built from the estimate v of phi^T nu
-    proves the candidate x of ``_bp_candidate`` a minimizer.
+def _bp_certified(op, w, support, candidate, nu) -> bool:
+    """Whether a dual certificate built from the multiplier estimate nu (a
+    vector of length m) proves the candidate x of ``_bp_candidate`` a
+    minimizer.
 
-    With phi^T = Q R (``op.row_qr``), the multiplier starts at
-    nu0 = R^{-1} Q^T v, whose correlation phi^T nu0 is the projection of v
-    onto the row space of phi, and is corrected on the support:
-    nu = nu0 + q r^{-T} (w_S sign(x_S) - phi_S^T nu0), so that
-    (phi^T nu)_S = w_S sign(x_S). v = 0 gives the minimum-norm multiplier;
-    the splitting passes its scaled dual, which converges to the row space
-    of phi. x is certified when the correlation phi^T nu matches
-    the subdifferential of the weighted l1 norm at x on every coordinate
-    (equality on the support, magnitude at most w_i off it) within
-    ``_CERT_TOL``. Any nu that passes certifies x, whatever v was. When
-    |S| = m, q is square and q q^T = I, so nu = q r^{-T} w_S sign(x_S) for
-    every v (up to rounding): a failed certificate on a square support
-    fails for every later dual too, and the solver drops that support's
-    factors.
+    The estimate is corrected on the support:
+    nu + q r^{-T} (w_S sign(x_S) - phi_S^T nu), so that
+    (phi^T nu)_S = w_S sign(x_S). nu = 0 gives the minimum-norm multiplier;
+    the path passes its own multiplier (``_bp_path``), and the splitting
+    its scaled dual mapped through the row QR. x is
+    certified when the correlation phi^T nu matches the subdifferential of
+    the weighted l1 norm at x on every coordinate (equality on the
+    support, magnitude at most w_i off it) within ``_CERT_TOL``. Any nu
+    that passes certifies x, whatever the estimate was. When |S| = m, q is
+    square and q q^T = I, so the corrected multiplier is
+    q r^{-T} w_S sign(x_S) for every estimate (up to rounding): a failed
+    certificate on a square support fails for every later dual too, and
+    the splitting drops that support's factors.
     """
     phi = op.phi
     q, r, x = candidate
     target = w[support] * np.sign(x[support])
-    qt_row, r_row = op.row_qr
-    nu = solve_triangular(r_row, qt_row @ v, check_finite=False)
-    # phi_S^T nu0 through the support factors, without copying the columns
-    nu += q @ solve_triangular(r, target - r.T @ (q.T @ nu), trans="T", check_finite=False)
+    # phi_S^T nu through the support factors, without copying the columns
+    nu = nu + q @ solve_triangular(r, target - r.T @ (q.T @ nu), trans="T", check_finite=False)
     corr = phi.T @ nu
     slack = _CERT_TOL * (1.0 + float(np.max(w, initial=0.0)))
     if np.max(np.abs(corr[support] - target), initial=0.0) > slack:
@@ -304,37 +329,78 @@ def _warm_start(warm, n: int) -> np.ndarray:
 def weighted_basis_pursuit(
     instance: ProblemInstance,
     w,
-    warm: np.ndarray | None = None,
+    warm: np.ndarray | InnerSolveReport | None = None,
     cfg: SolverConfig = _DEFAULT_CFG,
 ) -> InnerSolveReport:
     """Minimize sum_i w_i |x_i| subject to phi x = b.
 
-    Operator splitting: the feasibility block is an affine projection
-    (through the instance's cached orthonormal row basis), the sparsity
-    block a weighted soft threshold. The problem is scale invariant in both
-    w and b, so the penalty is set to ``_RHO`` max(w) / ||z||_inf with z
-    the minimum-norm solution, which keeps the shrinkage threshold a fixed
-    fraction of the solution scale. Every few iterations the current
-    support is polished by an exact solve (``_bp_candidate``, at
-    most once per support, and only for a support that is also the
-    previous checkpoint's, or at iteration 1) and accepted only with a
-    verified optimality certificate built from the current scaled dual
-    (``_bp_certified``; retried on later checkpoints only for a thin
-    support), which ends the solve with exit ``"certified"``. The screen
-    moves only the checkpoint at which a certified solve stops: its x is
-    still the exact solve on the support it certifies. Otherwise, at the
-    same checkpoints and at the last iteration, it stops with exit
-    ``"tol"`` when both the affine residual ||phi x - b|| / (1 + ||b||)
-    and the consensus residual of the split variables are at most
-    ``cfg.inner_tol`` (the larger is reported), so a ``"tol"`` exit's
-    ``iterations`` is a checkpoint or ``cfg.inner_max_iter``; else it
-    ends with ``"max_iter"``. ``warm`` seeds the split iterate, which lets
-    outer reweighting loops restart cheaply; it must be a finite vector of
-    length n (``ConfigurationError`` otherwise).
+    The problem is the limit of the weighted LASSO as lam grows, so it is
+    solved along the homotopy ``_path`` first (``_bp_path``): warm from the
+    LASSO point that ``warm`` carries when it is the report of a basis
+    pursuit solve on this instance that the path answered, and cold
+    otherwise, or when the warm path does not certify. The answer is the
+    exact solve on the support the path ends on, pruned of rounding-level
+    coordinates (``_bp_candidate``), returned only with a verified
+    optimality certificate seeded by the path's own multiplier
+    (``_bp_certified``): exit ``"certified"``, route ``"path"``,
+    ``iterations`` the breakpoints of every path walked, and the LASSO
+    point in ``lasso_point``. When no path certifies, the operator
+    splitting (``_bp_splitting``) solves it, route ``"splitting"``, seeded
+    with ``warm`` (a report's x). ``warm`` must be a finite vector of
+    length n, or a report whose x is one (``ConfigurationError``
+    otherwise). ``primal_residual`` is ||phi x - b|| / (1 + ||b||) for a
+    path answer.
     """
     w = as_weight_array(w, instance.n)
+    carry = None
+    if isinstance(warm, InnerSolveReport):
+        warm, carry = warm.x, warm.lasso_point
+    if warm is not None:
+        warm = _warm_start(warm, instance.n)
+    _operator(instance).x0  # the rank guard runs on every route
+    found = _bp_path(instance, w, carry, cfg)
+    if found is None:
+        return _bp_splitting(instance, w, warm, cfg)
+    x, breakpoints, carry = found
+    b = instance.b
+    return InnerSolveReport(
+        x=x,
+        iterations=breakpoints,
+        primal_residual=float(np.linalg.norm(instance.phi @ x - b) / (1.0 + np.linalg.norm(b))),
+        objective=float(w @ np.abs(x)),
+        exit="certified",
+        lasso_point=carry,
+    )
+
+
+def _bp_splitting(instance, w, warm, cfg) -> InnerSolveReport:
+    """Weighted basis pursuit by operator splitting, the fallback of
+    ``weighted_basis_pursuit`` (w a weight array, ``warm`` None or a
+    vector of length n, which is not modified).
+
+    The feasibility block is an affine projection (through the instance's
+    cached orthonormal row basis), the sparsity block a weighted soft
+    threshold. The problem is scale invariant in both w and b, so the
+    penalty is set to ``_RHO`` max(w) / ||z||_inf with z the minimum-norm
+    solution, which keeps the shrinkage threshold a fixed fraction of the
+    solution scale. Every few iterations the current support is polished
+    by an exact solve (``_bp_candidate``, at most once per support, and
+    only for a support that is also the previous checkpoint's, or at
+    iteration 1) and accepted only with a verified optimality certificate
+    built from the current scaled dual (``_bp_certified``; retried on later
+    checkpoints only for a thin support), which ends the solve with exit
+    ``"certified"``. The screen moves only the checkpoint at which a
+    certified solve stops: its x is still the exact solve on the support it
+    certifies. Otherwise, at the same checkpoints and at the last
+    iteration, it stops with exit ``"tol"`` when both the affine residual
+    ||phi x - b|| / (1 + ||b||) and the consensus residual of the split
+    variables are at most ``cfg.inner_tol`` (the larger is reported), so a
+    ``"tol"`` exit's ``iterations`` is a checkpoint or
+    ``cfg.inner_max_iter``; else it ends with ``"max_iter"``. ``warm``
+    seeds the split iterate. The report's route is ``"splitting"``.
+    """
     n = instance.n
-    z = np.zeros(n) if warm is None else _warm_start(warm, n)
+    z = np.zeros(n) if warm is None else warm.copy()
     phi, b = instance.phi, instance.b
     op = _operator(instance)
     norm_b = np.linalg.norm(b)
@@ -347,7 +413,7 @@ def weighted_basis_pursuit(
         rho = _RHO
     thresh = w / rho
     lower = -thresh
-    qt = op.row_qr[0]
+    qt, r_row = op.row_qr
     q = qt.T
 
     u = np.zeros(n)
@@ -395,8 +461,11 @@ def weighted_basis_pursuit(
             last_key = key
             candidate = candidates.get(key)
             if candidate is not None:
-                # rho u is a subgradient of the weighted l1 norm at z
-                if _bp_certified(op, w, support, candidate, rho * u):
+                # rho u is a subgradient of the weighted l1 norm at z; its
+                # multiplier estimate is R^{-1} Q^T (rho u), whose
+                # correlation is the projection of rho u onto the row space
+                nu = solve_triangular(r_row, qt @ (rho * u), check_finite=False)
+                if _bp_certified(op, w, support, candidate, nu):
                     z = candidate[2]
                     residual = np.linalg.norm(phi @ z - b) / (1.0 + norm_b)
                     stop = "certified"
@@ -423,6 +492,7 @@ def weighted_basis_pursuit(
         primal_residual=float(residual),
         objective=float(w @ np.abs(z)),
         exit=stop,
+        route="splitting",
     )
 
 
@@ -830,20 +900,17 @@ def weighted_lasso_fista(
     )
 
 
-def _constrained_root(instance, w, eta, support, sigma, tol):
-    """The multiplier lam at which the LASSO path on support S and signs
-    sigma meets the budget, as (minimizer, lam), or None when the path on
-    this support never meets the budget or its minimizer fails its checks.
+def _support_lasso(instance, w, support, sigma, eta=None, t=None):
+    """The weighted-LASSO minimizer on support S with signs sigma at
+    lam = 1/t, from the QR phi_S = QR, as (q, r, g, x_S, t), or None when S
+    has no usable QR (``_support_qr``) or, with ``eta`` instead of t, the
+    path on this support never meets the budget.
 
-    With phi_S = QR, the LASSO minimizer at lam = 1/t
-    is x_S(t) = R^{-1}(Q^T b - t g) with g = R^{-T} w_S sigma, and its
-    residual b - Q Q^T b + t Q g has the squared norm r0^2 + t^2 ||g||^2,
-    r0^2 = ||b||^2 - ||Q^T b||^2 (the cross term vanishes: b - Q Q^T b is
-    orthogonal to range(phi_S)). So ||phi x - b|| = eta at
-    t = sqrt((eta^2 - r0^2) / ||g||^2). The minimizer is returned only when
-    its signs match sigma on the penalized coordinates and the full LASSO
-    optimality conditions hold at lam within ``tol``; by duality it is then
-    the constrained minimizer and lam its multiplier.
+    The minimizer at t is x_S(t) = R^{-1}(Q^T b - t g) with
+    g = R^{-T} w_S sigma, and its residual b - Q Q^T b + t Q g has the
+    squared norm r0^2 + t^2 ||g||^2, r0^2 = ||b||^2 - ||Q^T b||^2 (the cross
+    term vanishes: b - Q Q^T b is orthogonal to range(phi_S)). So
+    ||phi x - b|| = eta at t = sqrt((eta^2 - r0^2) / ||g||^2).
     """
     phi, b = instance.phi, instance.b
     factors = _support_qr(phi, support)
@@ -852,13 +919,31 @@ def _constrained_root(instance, w, eta, support, sigma, tol):
     q, r = factors
     c = q.T @ b
     g = solve_triangular(r, w[support] * sigma, trans="T", check_finite=False)
-    slack = eta * eta - (float(b @ b) - float(c @ c))
-    gg = float(g @ g)
-    if slack <= 0.0 or gg == 0.0:
+    if t is None:
+        slack = eta * eta - (float(b @ b) - float(c @ c))
+        gg = float(g @ g)
+        if slack <= 0.0 or gg == 0.0:
+            return None
+        t = np.sqrt(slack / gg)
+    return q, r, g, solve_triangular(r, c - t * g, check_finite=False), t
+
+
+def _constrained_root(instance, w, eta, support, sigma, tol):
+    """The multiplier lam at which the LASSO path on support S and signs
+    sigma meets the budget, as (minimizer, lam), or None when the path on
+    this support never meets the budget or its minimizer fails its checks.
+
+    The minimizer is the closed form of ``_support_lasso`` at the t = 1/lam
+    where ||phi x - b|| = eta. It is returned only when its signs match
+    sigma on the penalized coordinates and the full LASSO optimality
+    conditions hold at lam within ``tol``; by duality it is then the
+    constrained minimizer and lam its multiplier.
+    """
+    root = _support_lasso(instance, w, support, sigma, eta=eta)
+    if root is None:
         return None
-    t = np.sqrt(slack / gg)
+    x_s, t = root[3:]
     lam = 1.0 / t
-    x_s = solve_triangular(r, c - t * g, check_finite=False)
     # a sign change fails the certificate below as well (unless w_i is near
     # the tolerance); checked first because it needs no product with phi
     penalized = w[support] > 0.0
@@ -866,9 +951,71 @@ def _constrained_root(instance, w, eta, support, sigma, tol):
         return None
     cand = np.zeros(instance.n)
     cand[support] = x_s
+    phi, b = instance.phi, instance.b
     if _lasso_optimality(w, lam * (phi.T @ (phi @ cand - b)), cand) > tol:
         return None
     return cand, lam
+
+
+def _bp_path(instance, w, carry, cfg):
+    """Weighted basis pursuit along the LASSO homotopy: (x, breakpoints,
+    (x_L, t)) with x certified, or None when no path certifies.
+
+    The path ends on a support S' and signs at weights t w: cold, it runs
+    from x = 0 in 1/lam to the residual norm eta = ``_BP_ETA`` ||b||, and t
+    is where the closed form on S' meets eta (``_support_lasso``); warm,
+    from the carried LASSO point (x_L, t) of an earlier answer to t times
+    the new weights, and the LASSO minimizer x_L on S' is taken at that t.
+    The basis pursuit candidate on S' comes from the same QR; its
+    coordinates at most ``_BP_PRUNE`` max |x| are dropped, and the pruned
+    support is factored again if it shrank. The candidate is accepted when
+    the certificate seeded with the path's multiplier passes. A warm path
+    that fails or does not certify is followed by a cold one; breakpoints
+    count every path walked.
+
+    The path's multiplier is the LASSO dual (b - phi x_L) / t
+    = (b - Q Q^T b) / t + Q g. The candidate passed its residual test, so b
+    lies in range(phi_S'), and the first term is rounding error that 1/t
+    amplifies: with it, a re-solve of the Fig-1 sweep behind ``_BP_ETA``
+    (rw-cwb, s=40, seed 37) failed its certificate on the basis pursuit
+    support and fell back to the splitting. Without it, the seed Q g is
+    the minimum-norm multiplier with phi_S'^T nu = w_S' sigma: it holds
+    the path's signs on the coordinates that pruning drops, which the
+    minimum-norm multiplier of the pruned support alone lacks.
+    """
+    b = instance.b
+    breakpoints = 0
+    for start in (None,) if carry is None else (carry, None):
+        if start is None:
+            eta, t = _BP_ETA * float(np.linalg.norm(b)), None
+            found = _path(instance, w, cfg.inner_max_iter, eta=eta)
+        else:
+            (x_l, t), eta = start, None
+            found = _path(instance, t * w, cfg.inner_max_iter, warm=x_l)
+        if found is None:
+            continue
+        support, sigma, steps, x = found
+        breakpoints += steps
+        if x is not None:
+            continue
+        lasso = _support_lasso(instance, w, support, sigma, eta, t)
+        if lasso is None:
+            continue
+        q, r, g, x_s, t = lasso
+        candidate = _bp_candidate(instance, support, cfg.inner_tol, (q, r))
+        if candidate is None:
+            continue
+        mags = np.abs(candidate[2][support])
+        kept = support[mags > _BP_PRUNE * mags.max()]
+        if kept.size < support.size:
+            candidate = _bp_candidate(instance, kept, cfg.inner_tol)
+            if candidate is None:
+                continue
+        if _bp_certified(_operator(instance), w, kept, candidate, q @ g):
+            x_l = np.zeros(instance.n)
+            x_l[support] = x_s
+            return candidate[2], breakpoints, (x_l, t)
+    return None
 
 
 def constrained_weighted_l1(

@@ -427,7 +427,9 @@ class TestSharedStart:
         # the candidate is a pure function of the support: within one solve
         # no support is QR-factored twice, and a support that failed the
         # residual test is not tried again; nor is a square support whose
-        # certificate failed, since that certificate ignores the dual
+        # certificate failed, since that certificate ignores the dual. With
+        # the path switched off, every solve runs the splitting
+        monkeypatch.setattr(solvers, "_bp_path", lambda *args: None)
         factored, candidates, certificates = [], [], []
         support_qr, candidate, certified = (
             solvers._support_qr, solvers._bp_candidate, solvers._bp_certified)
@@ -519,9 +521,13 @@ class TestNoisyStart:
 class TestFig1Counts:
     def test_bp_iterations_on_the_fig1_serial_panel(self, monkeypatch):
         # a count, not a time, over the benchmark's Fig-1 panel: 5 basis
-        # pursuit solves per trial, all certified, and a bound (the count
-        # when the clip recurrence landed, 16 032, plus a small margin)
-        # that a slower-converging or uncertified splitting exceeds
+        # pursuit solves per trial, all certified, all on the path (the
+        # splitting runs 0 times), and two bounds: on the path's breakpoints
+        # (5 147 when basis pursuit moved onto the path, plus a small
+        # margin), which a warm re-solve that walks from x = 0 again or a
+        # path that certifies later exceeds; and on the splitting's
+        # iterations (16 032 when the clip recurrence landed, plus a small
+        # margin)
         reports = []
         bp = reweight.weighted_basis_pursuit
 
@@ -537,7 +543,28 @@ class TestFig1Counts:
                     run_algorithm(algo, inst, SolverConfig(rw_iter=2))
         assert len(reports) == 80
         assert all(rep.exit == "certified" for rep in reports)
-        assert sum(rep.iterations for rep in reports) <= 16_200
+        splitting = [rep for rep in reports if rep.route == "splitting"]
+        assert len(splitting) == 0
+        assert sum(rep.iterations for rep in splitting) <= 16_200
+        assert sum(rep.iterations for rep in reports if rep.route == "path") <= 5_250
+
+    @pytest.mark.parametrize("s", [30, 40])
+    def test_oracle_resolves_of_seed_11_end_certified(self, s, monkeypatch):
+        # one re-solve of each of these oracle runs used to run the
+        # splitting's 50 000 iterations and end at max_iter, its iterate
+        # holding 101 > m nonzeros; the path certifies it
+        reports = []
+        bp = reweight.weighted_basis_pursuit
+
+        def counted(*args, **kwargs):
+            reports.append(bp(*args, **kwargs))
+            return reports[-1]
+
+        monkeypatch.setattr(reweight, "weighted_basis_pursuit", counted)
+        inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=s, seed=11))
+        _, trace = run_algorithm("oracle", inst, SolverConfig(rw_iter=2))
+        assert len(reports) == len(trace.rows) == 3
+        assert all(rep.exit == "certified" for rep in reports)
 
 
 def _duplicated_row_instance():

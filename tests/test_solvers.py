@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import linprog, minimize
 
 from rwsparse import reweight, solvers
@@ -39,6 +39,13 @@ def project(op, v):
     x0 = op.x0  # the rank guard runs before the QR
     qt = op.row_qr[0]
     return v - np.dot(qt.T, np.dot(qt, v)) + x0
+
+
+def split_multiplier(op, v):
+    """The splitting's multiplier estimate R^{-1} Q^T v from its scaled
+    dual v, with phi^T = Q R the row QR."""
+    qt, r = op.row_qr
+    return solve_triangular(r, qt @ v, check_finite=False)
 
 
 def fista_reference(phi, b, w, lam, iters=1000):
@@ -209,11 +216,11 @@ def lstsq_polish(instance, w, support, tol):
 
 def min_norm_polish(instance, w, support, tol):
     """The polish with the minimum-norm multiplier: the certificate seeded
-    with the dual estimate v = 0."""
+    with the multiplier estimate nu = 0."""
     candidate = _bp_candidate(instance, support, tol)
     if candidate is None:
         return None
-    if not _bp_certified(_operator(instance), w, support, candidate, np.zeros(instance.n)):
+    if not _bp_certified(_operator(instance), w, support, candidate, np.zeros(instance.m)):
         return None
     return candidate[2]
 
@@ -322,7 +329,7 @@ def eager_basis_pursuit(instance, w, cfg):
                 tried.add(key)
                 candidate = solvers._bp_candidate(instance, support, cfg.inner_tol)
                 if candidate is not None and solvers._bp_certified(
-                        op, w, support, candidate, rho * u):
+                        op, w, support, candidate, split_multiplier(op, rho * u)):
                     x = candidate[2]
                     return x, it, np.linalg.norm(phi @ x - b) / (1.0 + norm_b)
             last = key
@@ -361,7 +368,7 @@ def legacy_basis_pursuit(instance, w, warm, cfg):
             last_key = key
             candidate = candidates.get(key)
             if candidate is not None:
-                if _bp_certified(op, w, support, candidate, rho * u):
+                if _bp_certified(op, w, support, candidate, split_multiplier(op, rho * u)):
                     return candidate[2], it, "certified"
                 if support.size == instance.m:
                     candidates[key] = None
@@ -383,6 +390,8 @@ class TestOperator:
         assert np.array_equal(min_l2_solution(inst), phi.T @ y)
 
     def test_lasso_runs_never_build_the_row_basis(self, monkeypatch):
+        # noisy runs and basis pursuit along the path never build the QR of
+        # phi^T; the splitting builds it once
         shapes = []
         real_qr = solvers.qr
 
@@ -395,7 +404,10 @@ class TestOperator:
         for algo in ("l1", "rw-lasso", "cwb-noisy"):
             run_algorithm(algo, inst, SolverConfig(rw_iter=2))
         assert (inst.n, inst.m) not in shapes
-        weighted_basis_pursuit(inst, np.ones(inst.n), None, CFG)
+        assert weighted_basis_pursuit(inst, np.ones(inst.n), None, CFG).route == "path"
+        assert (inst.n, inst.m) not in shapes
+        solvers._bp_splitting(inst, np.ones(inst.n), None, CFG)
+        solvers._bp_splitting(inst, np.ones(inst.n), None, CFG)
         assert shapes.count((inst.n, inst.m)) == 1
 
     @pytest.mark.parametrize("polish", [True, False])
@@ -411,7 +423,7 @@ class TestOperator:
             inst = gen_noiseless(EnsembleSpec(n=128, m=48, s=12, seed=seed))
             w = np.random.default_rng(seed).uniform(0.1, 2.0, size=inst.n)
             x, iterations, residual = eager_basis_pursuit(inst, w, cfg)
-            rep = weighted_basis_pursuit(inst, w, None, cfg)
+            rep = solvers._bp_splitting(inst, w, None, cfg)
             assert rep.iterations == iterations
             assert rep.primal_residual == residual
             assert rep.x.tobytes() == x.tobytes()
@@ -420,14 +432,14 @@ class TestOperator:
 
     def test_certified_solves_match_the_legacy_loop(self, monkeypatch):
         # the unit-weight start and the rw-sub and rw-cwb re-solves of
-        # Fig-1 instances, replayed through the loop before the clip
-        # recurrence: a certified x is the exact solve on its support, and
-        # both loops certify it at the same checkpoint
+        # Fig-1 instances, replayed through the splitting and the loop before
+        # the clip recurrence: a certified x is the exact solve on its
+        # support, and both loops certify it at the same checkpoint
         calls = []
         bp = reweight.weighted_basis_pursuit
 
         def recorded(instance, w, warm, cfg):
-            calls.append((instance, w.copy(), None if warm is None else warm.copy()))
+            calls.append((instance, w.copy(), None if warm is None else warm.x.copy()))
             return bp(instance, w, warm, cfg)
 
         monkeypatch.setattr(reweight, "weighted_basis_pursuit", recorded)
@@ -438,7 +450,7 @@ class TestOperator:
         assert len(calls) == 40
         for inst, w, warm in calls:
             x, iterations, stop = legacy_basis_pursuit(inst, w, warm, CFG)
-            rep = weighted_basis_pursuit(inst, w, warm, CFG)
+            rep = solvers._bp_splitting(inst, w, warm, CFG)
             assert stop == rep.exit == "certified"
             assert rep.iterations == iterations
             assert rep.x.tobytes() == x.tobytes()
@@ -452,25 +464,24 @@ class TestDualSeededCertificate:
         # while the splitting's scaled dual does at that checkpoint
         inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=20, seed=0))
         w = np.ones(inst.n)
-        rep = weighted_basis_pursuit(inst, w, None, CFG)
+        rep = solvers._bp_splitting(inst, w, None, CFG)
         assert rep.exit == "certified" and rep.converged
         assert rep.iterations % solvers._POLISH_EVERY == 0 and rep.iterations <= 50
         support = solvers._polish_support(rep.x)
         candidate = _bp_candidate(inst, support, CFG.inner_tol)
         assert candidate[2].tobytes() == rep.x.tobytes()
-        assert not _bp_certified(_operator(inst), w, support, candidate, np.zeros(inst.n))
+        assert not _bp_certified(_operator(inst), w, support, candidate, np.zeros(inst.m))
 
     def test_certificate_retries_reuse_the_support_factor(self, monkeypatch):
         # while a thin support stays put, later checkpoints retry only the
         # certificate, with the dual of their own iteration; the rw-sub
         # re-solve of this instance retries one twice
         solves = []
-        bp, support_qr, certified = (
-            reweight.weighted_basis_pursuit, solvers._support_qr, solvers._bp_certified)
+        support_qr, certified = solvers._support_qr, solvers._bp_certified
 
-        def solve_logged(*args, **kwargs):
+        def solve_logged(instance, w, warm, cfg):
             solves.append(([], []))
-            return bp(*args, **kwargs)
+            return solvers._bp_splitting(instance, w, None if warm is None else warm.x, cfg)
 
         def factor(phi, support):
             solves[-1][0].append(support.tobytes())
@@ -498,9 +509,9 @@ class TestDualSeededCertificate:
 
     def test_square_support_certificate_ignores_the_dual_estimate(self):
         # with |S| = m the support factor q is square, so the corrected
-        # multiplier is q r^-T (w_S sign x_S) whatever v seeds it: on every
-        # square support of the LP-oracle instances, random dual estimates
-        # give the decision of v = 0
+        # multiplier is q r^-T (w_S sign x_S) whatever nu seeds it: on every
+        # square support of the LP-oracle instances, random multiplier
+        # estimates give the decision of nu = 0
         accepted = rejected = 0
         for seed in range(3):
             rng = np.random.default_rng(seed)
@@ -512,13 +523,13 @@ class TestDualSeededCertificate:
             for support in itertools.combinations(range(9), 4):
                 support = np.array(support)
                 candidate = _bp_candidate(inst, support, CFG.inner_tol)
-                decision = _bp_certified(op, w, support, candidate, np.zeros(9))
+                decision = _bp_certified(op, w, support, candidate, np.zeros(4))
                 accepted += decision
                 rejected += not decision
                 for scale in (0.1, 1.0, 10.0):
                     for _ in range(10):
-                        v = scale * probe.standard_normal(9)
-                        assert _bp_certified(op, w, support, candidate, v) == decision
+                        nu = scale * probe.standard_normal(4)
+                        assert _bp_certified(op, w, support, candidate, nu) == decision
         assert accepted >= 3 and rejected >= 100
 
     def test_no_support_is_factored_at_its_first_sighting(self, monkeypatch):
@@ -543,7 +554,7 @@ class TestDualSeededCertificate:
             inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=s, seed=seed))
             sightings.clear()
             factored.clear()
-            rep = weighted_basis_pursuit(inst, np.ones(inst.n), None, CFG)
+            rep = solvers._bp_splitting(inst, np.ones(inst.n), None, CFG)
             assert rep.exit == "certified"
             assert all(at == 1 or key == sightings[at - 2] for at, key in factored)
             total += len(factored)
@@ -573,8 +584,8 @@ class TestDualSeededCertificate:
                 suboptimal += objective > oracle + 1e-6 * (1 + oracle)
                 for scale in (0.0, 0.1, 1.0, 10.0):
                     for _ in range(10):
-                        v = scale * probe.standard_normal(9)
-                        if _bp_certified(op, w, support, candidate, v):
+                        nu = scale * probe.standard_normal(4)
+                        if _bp_certified(op, w, support, candidate, nu):
                             accepted += 1
                             assert objective <= oracle + 1e-9 * (1 + oracle)
         assert accepted >= 1 and suboptimal >= 10
@@ -649,6 +660,42 @@ class TestWeightedBasisPursuit:
         warm = weighted_basis_pursuit(inst, w, min_l2_solution(inst), CFG)
         assert abs(cold.objective - warm.objective) <= 10 * CFG.inner_tol * (1 + cold.objective)
 
+    def test_warm_restart_at_unchanged_weights_takes_no_breakpoint(self):
+        # the splitting re-solved these weights from the previous answer in
+        # 2 200 iterations after a 1 380-iteration cold solve; the path
+        # continues from the carried LASSO point, which already solves them
+        inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
+        cold = weighted_basis_pursuit(inst, np.ones(64), None, CFG)
+        again = weighted_basis_pursuit(inst, np.ones(64), cold, CFG)
+        assert cold.route == again.route == "path"
+        assert cold.exit == again.exit == "certified"
+        assert again.iterations == 0 and again.x.tobytes() == cold.x.tobytes()
+
+    def test_path_and_splitting_return_the_same_bytes(self, monkeypatch):
+        # a certified answer is the exact solve on its support, so both
+        # routes return the same x on the cold starts and warm re-solves of
+        # Fig-1 runs
+        calls = []
+        bp = reweight.weighted_basis_pursuit
+
+        def recorded(instance, w, warm, cfg):
+            calls.append((instance, w.copy(), warm))
+            return bp(instance, w, warm, cfg)
+
+        monkeypatch.setattr(reweight, "weighted_basis_pursuit", recorded)
+        for s, seed in itertools.product((20, 30, 40, 50), (0, 1)):
+            inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=s, seed=seed))
+            for algo in ("l1", "rw-sub", "rw-cwb"):
+                run_algorithm(algo, inst, SolverConfig(rw_iter=2))
+        assert len(calls) == 40
+        assert sum(warm is None for _, _, warm in calls) == 8
+        for inst, w, warm in calls:
+            path = weighted_basis_pursuit(inst, w, warm, CFG)
+            split = solvers._bp_splitting(inst, w, None if warm is None else warm.x, CFG)
+            assert path.route == "path" and split.route == "splitting"
+            assert path.exit == split.exit == "certified"
+            assert path.x.tobytes() == split.x.tobytes()
+
     def test_iteration_cap_reports_nonconverged(self):
         inst = gen_noiseless(EnsembleSpec(n=64, m=24, s=20, seed=1))
         cfg = SolverConfig(inner_max_iter=3)
@@ -661,10 +708,10 @@ class TestWeightedBasisPursuit:
         # a certified polish, or the residuals at tolerance once no
         # candidate is available; the splitting has no stall exit
         inst = gen_noiseless(EnsembleSpec(n=64, m=24, s=6, seed=4))
-        certified = weighted_basis_pursuit(inst, np.ones(64), None, CFG)
+        certified = solvers._bp_splitting(inst, np.ones(64), None, CFG)
         assert certified.exit == "certified" and certified.converged
         monkeypatch.setattr(solvers, "_bp_candidate", lambda *args: None)
-        tol = weighted_basis_pursuit(inst, np.ones(64), None, CFG)
+        tol = solvers._bp_splitting(inst, np.ones(64), None, CFG)
         assert tol.exit == "tol" and tol.converged
         assert tol.primal_residual <= CFG.inner_tol
         assert tol.iterations > certified.iterations
@@ -1148,11 +1195,16 @@ class TestLassoPath:
         rep = weighted_lasso_fista(inst, w, 20.0, None, CFG)
         assert rep.exit == "certified" and rep.iterations == 6
 
-    def test_basis_pursuit_builds_no_gram_row(self):
+    def test_basis_pursuit_on_the_path_builds_no_row_basis(self):
+        # Fig-1 runs solve basis pursuit on the path alone: they build Gram
+        # rows, each the row it stands for, and never the row QR
         inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=30, seed=0))
         for algo in ("l1", "rw-sub", "rw-cwb"):
             run_algorithm(algo, inst, SolverConfig(rw_iter=2))
-        assert solvers._operator(inst).gram_rows == {}
+        op = solvers._operator(inst)
+        assert "row_qr" not in vars(op) and op.gram_rows
+        for i, row in op.gram_rows.items():
+            assert np.array_equal(row, inst.phi[:, i] @ inst.phi)
 
     def test_tie_ends_certified_or_in_the_fallback(self):
         # phi^T b ties all three coordinates, and two columns are equal
