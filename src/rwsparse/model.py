@@ -202,10 +202,10 @@ class SolverConfig:
     inverse-magnitude update). A float gives a constant schedule; a callable
     maps the iteration index to a value.
 
-    ``inner_tol`` is the splitting's stopping tolerance and the slack of
-    the LASSO optimality conditions that certify a noisy answer.
-    ``inner_max_iter`` is the budget of every inner solve: iterations of
-    the splitting, breakpoints of the weighted-LASSO path.
+    ``inner_tol`` is the residual within which a basis pursuit answer meets
+    phi x = b and the slack of the LASSO optimality conditions that certify
+    a noisy answer. ``inner_max_iter`` is the budget of every inner solve:
+    the breakpoints of one weighted-LASSO path.
 
     ``recovery_tol`` is the sup-norm error at which a run counts as an
     exact recovery.

@@ -18,23 +18,26 @@ path runs out of breakpoints, the exact minimizer at the weights it
 reached is returned as not converged; any other failure of the path or of
 the certificate raises ``NoConvergenceError``.
 
-Basis pursuit is the limit of the LASSO as lam grows. Its path runs to a
-small residual norm (cold), or continues from the LASSO point of the
-previous basis pursuit answer, which that answer's report carries
-(warm). The exact solve on the support the path ends on, pruned of
-rounding-level coordinates, is returned only with a verified dual
-certificate seeded by the path's own multiplier. When the path does not
-certify, an operator-splitting iteration (an affine projection and a
-weighted shrinkage) solves it instead, stopping on the same kind of
-certified support solve.
+Basis pursuit is the limit of the LASSO as lam grows, and the same path
+answers every input. It runs to a small residual norm (cold; at a second,
+smaller norm when the first does not certify), or continues from the
+LASSO point of the previous basis pursuit answer, which that answer's
+report carries (warm). The exact solve on the support the path ends on,
+pruned of rounding-level coordinates, is returned only with a verified
+dual certificate seeded by the path's own multiplier. A cold path that
+runs out of breakpoints returns the minimizer at the weights it reached,
+not converged. Where the fit on the zero-weight coordinates already
+meets phi x = b (b = 0, all weights zero, or zero weights on a support of
+b), the cold path stops at once and that fit is the answer, at objective
+0; any other input on which no path certifies raises
+``NoConvergenceError``.
 
 Each instance has one cached operator that builds, on first use, the
 minimum-norm solution, phi^T b and the Gram rows phi_i^T phi the path
-enters; an orthonormal basis of the row space of phi only when the
-splitting runs. It also keeps the path's workspace: the support the last
-path call ended on, with the inverse Gram matrix of its columns, from
-which a warm re-solve on that support continues without refactoring. A
-phi without full row rank, numerically, is rejected with
+enters. It also keeps the path's workspace: the support the last path
+call ended on, with the inverse Gram matrix of its columns, from which a
+warm re-solve on that support continues without refactoring. A phi
+without full row rank, numerically, is rejected with
 ``RankDeficientError``.
 """
 
@@ -67,13 +70,6 @@ _EPS = np.finfo(float).eps
 
 # certified-polish acceptance slack for the dual optimality conditions
 _CERT_TOL = 1e-9
-_POLISH_EVERY = 10
-# over-relaxation factor of the splitting iteration
-_RELAX = 1.8
-# dimensionless penalty scale of the splitting: a fixed rho of 2, 5, 10, 20
-# or 40 took 313k, 166k, 129k, 129k and 161k iterations on one 144-run
-# Fig-1 panel, so 10 sits at the minimum
-_RHO = 10.0
 # smallest accepted min/max ratio of the Gram Cholesky pivots diag(L); the
 # ratio is at least 1 / cond(phi), so a phi is rejected only if its
 # condition number is at least 1e6, while a duplicated row leaves a ratio
@@ -82,13 +78,15 @@ _GRAM_PIVOT_RATIO = 1e-6
 # the LASSO path gives up on a support column whose squared sine to the
 # span of the others is at most this
 _PATH_RANK_TOL = 1e-10
-# a cold basis pursuit path stops where ||phi x - b|| = _BP_ETA ||b||. On
-# the 1000 solves of a 200-instance Fig-1 sweep (n=256, m=100, s=20..50,
-# l1, rw-sub and rw-cwb at rw_iter=2), 1e-5, 1e-6, 1e-7 and 1e-8 left 11,
-# 1, 6 and 485 to the splitting: a larger budget stops on a support that
-# still misses the basis pursuit support, and a smaller one loses the
-# closed form's slack eta^2 - (||b||^2 - ||Q^T b||^2) to cancellation
-_BP_ETA = 1e-6
+# a cold basis pursuit path stops where ||phi x - b|| = eta ||b||, at the
+# first of these eta that certifies. On the 1000 solves of a 200-instance
+# Fig-1 sweep (n=256, m=100, s=20..50, l1, rw-sub and rw-cwb at
+# rw_iter=2), a single eta of 1e-5, 1e-6, 1e-7 or 1e-8 left 11, 1, 6 and
+# 485 uncertified: a larger budget stops on a support that still misses
+# the basis pursuit support, and a smaller one loses the closed form's
+# slack eta^2 - (||b||^2 - ||Q^T b||^2) to cancellation. 1e-6, then 1e-7
+# leaves none.
+_BP_ETAS = (1e-6, 1e-7)
 # basis pursuit's path candidate drops the coordinates of its support at
 # most this fraction of max |x|: the LASSO's support at a small residual is
 # the basis pursuit support plus coordinates that vanish in the limit
@@ -112,23 +110,19 @@ class InnerSolveReport:
     """Outcome of one inner solve.
 
     ``primal_residual`` is the solver's own normalized stopping measure
-    (the larger of affine feasibility and splitting consensus for basis
-    pursuit, worst-case optimality-condition violation for LASSO, relative
-    distance of the data-fit norm from its budget for the constrained
-    problem). ``exit`` says how the solve stopped: ``"certified"`` (an
-    exact solve or closed form whose optimality conditions were verified),
-    ``"tol"`` (the splitting met its stopping measure at the tolerance) or
-    ``"max_iter"`` (the iteration or breakpoint budget ran out); the first
-    two are ``converged``. ``route`` says what produced the answer, and so
-    what ``iterations`` counts: ``"path"``, the breakpoints of the
-    weighted-LASSO path (the first entry included; for basis pursuit, of
-    every path it walked), or ``"splitting"``, the iterations of basis
-    pursuit's splitting, which runs only when the path does not certify.
+    (affine infeasibility ||phi x - b|| / (1 + ||b||) for basis pursuit,
+    worst-case optimality-condition violation for LASSO, relative distance
+    of the data-fit norm from its budget for the constrained problem).
+    ``exit`` says how the solve stopped: ``"certified"`` (an exact solve or
+    closed form whose optimality conditions were verified; the only
+    ``converged`` exit) or ``"max_iter"`` (the breakpoint budget ran out).
+    ``iterations`` counts the breakpoints of the weighted-LASSO path (the
+    first entry included; for basis pursuit, of every path it walked).
     ``degenerate`` marks solves whose solution set is unbounded.
     ``lasso_point`` is, for a basis pursuit answer found on the path, the
     LASSO point (x_L, t) it came from, x_L the minimizer of
     (1/2)||phi x - b||^2 + t sum_i w_i |x_i|; a re-solve warm from this
-    report continues the path from it (None on every other route).
+    report continues the path from it (None on every other answer).
     ``multiplier`` is the data-fit multiplier lam the solve ended at: the
     LASSO's own lam, the constrained problem's multiplier of its budget
     (0 when the budget is inactive, NaN when the path ran out of
@@ -143,21 +137,19 @@ class InnerSolveReport:
     exit: str
     degenerate: bool = False
     multiplier: float = np.inf
-    route: str = "path"
     lasso_point: tuple[np.ndarray, float] | None = None
 
     @property
     def converged(self) -> bool:
-        return self.exit in ("certified", "tol")
+        return self.exit == "certified"
 
 
 class _Operator:
     """The linear algebra of one instance, each piece built on first use:
-    the minimum-norm solution ``x0`` (which applies the rank guard), the
-    economic QR phi^T = Q R as Q^T, one contiguous m x n array, and R
-    (``row_qr``), phi^T b, the Gram rows phi_i^T phi of the coordinates
-    the LASSO path has touched (``gram_row``), and the path's workspace
-    (``path_buffers``). Only basis pursuit's splitting builds the QR.
+    the minimum-norm solution ``x0`` (which applies the rank guard),
+    phi^T b, the Gram rows phi_i^T phi of the coordinates the LASSO path
+    has touched (``gram_row``), and the path's workspace
+    (``path_buffers``).
 
     The workspace is the support a path call ended on, in its order of
     entry (``idx[:k]``), the inverse Gram matrix of its columns
@@ -199,11 +191,6 @@ class _Operator:
         return phi.T @ y
 
     @cached_property
-    def row_qr(self) -> tuple[np.ndarray, np.ndarray]:
-        q, r = qr(self.phi.T, mode="economic", check_finite=False)
-        return np.ascontiguousarray(q.T), r
-
-    @cached_property
     def corr_b(self) -> np.ndarray:
         """phi^T b, minus the LASSO gradient at x = 0 per unit lam."""
         return self.phi.T @ self.b
@@ -239,14 +226,6 @@ def min_l2_solution(instance: ProblemInstance) -> np.ndarray:
     """Minimum-l2-norm solution of phi x = b: phi^T (phi phi^T)^{-1} b,
     computed once per instance (see ``_Operator.x0``)."""
     return _operator(instance).x0.copy()
-
-
-def _polish_support(z):
-    """The nonzeros S of z above rounding level, |z_i| > |S| eps max|z|, so
-    that no certificate hinges on the signs of rounding errors."""
-    support = np.flatnonzero(z)
-    mags = np.abs(z[support])
-    return support[mags > support.size * _EPS * mags.max(initial=0.0)]
 
 
 def _support_qr(phi, support):
@@ -290,16 +269,13 @@ def _bp_certified(op, w, support, candidate, nu) -> bool:
     The estimate is corrected on the support:
     nu + q r^{-T} (w_S sign(x_S) - phi_S^T nu), so that
     (phi^T nu)_S = w_S sign(x_S). nu = 0 gives the minimum-norm multiplier;
-    the path passes its own multiplier (``_bp_path``), and the splitting
-    its scaled dual mapped through the row QR. x is
-    certified when the correlation phi^T nu matches the subdifferential of
-    the weighted l1 norm at x on every coordinate (equality on the
-    support, magnitude at most w_i off it) within ``_CERT_TOL``. Any nu
-    that passes certifies x, whatever the estimate was. When |S| = m, q is
-    square and q q^T = I, so the corrected multiplier is
-    q r^{-T} w_S sign(x_S) for every estimate (up to rounding): a failed
-    certificate on a square support fails for every later dual too, and
-    the splitting drops that support's factors.
+    the path passes its own multiplier (``_bp_path``). x is certified when
+    the correlation phi^T nu matches the subdifferential of the weighted l1
+    norm at x on every coordinate (equality on the support, magnitude at
+    most w_i off it) within ``_CERT_TOL``. Any nu that passes certifies x,
+    whatever the estimate was. When |S| = m, q is square and q q^T = I, so
+    the corrected multiplier is q r^{-T} w_S sign(x_S) for every estimate
+    (up to rounding).
     """
     phi = op.phi
     q, r, x = candidate
@@ -329,171 +305,73 @@ def _warm_start(warm, n: int) -> np.ndarray:
 def weighted_basis_pursuit(
     instance: ProblemInstance,
     w,
-    warm: np.ndarray | InnerSolveReport | None = None,
+    warm: InnerSolveReport | None = None,
     cfg: SolverConfig = _DEFAULT_CFG,
 ) -> InnerSolveReport:
     """Minimize sum_i w_i |x_i| subject to phi x = b.
 
     The problem is the limit of the weighted LASSO as lam grows, so it is
-    solved along the homotopy ``_path`` first (``_bp_path``): warm from the
-    LASSO point that ``warm`` carries when it is the report of a basis
-    pursuit solve on this instance that the path answered, and cold
-    otherwise, or when the warm path does not certify. The answer is the
-    exact solve on the support the path ends on, pruned of rounding-level
-    coordinates (``_bp_candidate``), returned only with a verified
-    optimality certificate seeded by the path's own multiplier
-    (``_bp_certified``): exit ``"certified"``, route ``"path"``,
-    ``iterations`` the breakpoints of every path walked, and the LASSO
-    point in ``lasso_point``. When no path certifies, the operator
-    splitting (``_bp_splitting``) solves it, route ``"splitting"``, seeded
-    with ``warm`` (a report's x). ``warm`` must be a finite vector of
-    length n, or a report whose x is one (``ConfigurationError``
-    otherwise). ``primal_residual`` is ||phi x - b|| / (1 + ||b||) for a
-    path answer.
+    solved along the homotopy ``_path`` (``_bp_path``): warm from the LASSO
+    point that ``warm`` carries when it is the report of a basis pursuit
+    answer on this instance, and cold otherwise or when the warm path does
+    not certify. The answer is the exact solve on the support the path ends
+    on, pruned of rounding-level coordinates (``_bp_candidate``), returned
+    only with a verified optimality certificate seeded by the path's own
+    multiplier (``_bp_certified``): exit ``"certified"``, ``iterations``
+    the breakpoints of every path walked, and the LASSO point in
+    ``lasso_point``. A cold path that would pass ``cfg.inner_max_iter``
+    breakpoints ends the solve with exit ``"max_iter"`` and the minimizer
+    at the weights it reached. A cold path stops at once, with nothing to
+    certify, where the fit on the zero-weight coordinates meets phi x = b
+    (b = 0, all weights zero, or zero weights on a support of b); when no
+    path certifies, that fit is the answer (``_bp_zero_weight_fit``),
+    certified at objective 0 and flagged degenerate when the zero-weight
+    columns have a null space, which makes the solution set unbounded.
+
+    ``warm`` must be None or a report whose x is a finite vector of length
+    n (``ConfigurationError`` otherwise). ``primal_residual`` is
+    ||phi x - b|| / (1 + ||b||).
     """
     w = as_weight_array(w, instance.n)
     carry = None
-    if isinstance(warm, InnerSolveReport):
-        warm, carry = warm.x, warm.lasso_point
     if warm is not None:
-        warm = _warm_start(warm, instance.n)
-    _operator(instance).x0  # the rank guard runs on every route
-    found = _bp_path(instance, w, carry, cfg)
-    if found is None:
-        return _bp_splitting(instance, w, warm, cfg)
-    x, breakpoints, carry = found
+        if not isinstance(warm, InnerSolveReport):
+            kind = type(warm).__name__
+            raise ConfigurationError(f"warm start must be a basis pursuit report, not {kind}")
+        _warm_start(warm.x, instance.n)
+        carry = warm.lasso_point
+    _operator(instance).x0  # the rank guard runs on every input
+    x, breakpoints, carry = _bp_path(instance, w, carry, cfg)
+    stop = "max_iter" if carry is None else "certified"
+    degenerate = False
+    if x is None:
+        x, degenerate = _bp_zero_weight_fit(instance, w, cfg.inner_tol)
+        stop = "certified"
     b = instance.b
     return InnerSolveReport(
         x=x,
         iterations=breakpoints,
         primal_residual=float(np.linalg.norm(instance.phi @ x - b) / (1.0 + np.linalg.norm(b))),
         objective=float(w @ np.abs(x)),
-        exit="certified",
+        exit=stop,
+        degenerate=degenerate,
         lasso_point=carry,
     )
 
 
-def _bp_splitting(instance, w, warm, cfg) -> InnerSolveReport:
-    """Weighted basis pursuit by operator splitting, the fallback of
-    ``weighted_basis_pursuit`` (w a weight array, ``warm`` None or a
-    vector of length n, which is not modified).
-
-    The feasibility block is an affine projection (through the instance's
-    cached orthonormal row basis), the sparsity block a weighted soft
-    threshold. The problem is scale invariant in both w and b, so the
-    penalty is set to ``_RHO`` max(w) / ||z||_inf with z the minimum-norm
-    solution, which keeps the shrinkage threshold a fixed fraction of the
-    solution scale. Every few iterations the current support is polished
-    by an exact solve (``_bp_candidate``, at most once per support, and
-    only for a support that is also the previous checkpoint's, or at
-    iteration 1) and accepted only with a verified optimality certificate
-    built from the current scaled dual (``_bp_certified``; retried on later
-    checkpoints only for a thin support), which ends the solve with exit
-    ``"certified"``. The screen moves only the checkpoint at which a
-    certified solve stops: its x is still the exact solve on the support it
-    certifies. Otherwise, at the same checkpoints and at the last
-    iteration, it stops with exit ``"tol"`` when both the affine residual
-    ||phi x - b|| / (1 + ||b||) and the consensus residual of the split
-    variables are at most ``cfg.inner_tol`` (the larger is reported), so a
-    ``"tol"`` exit's ``iterations`` is a checkpoint or
-    ``cfg.inner_max_iter``; else it ends with ``"max_iter"``. ``warm``
-    seeds the split iterate. The report's route is ``"splitting"``.
-    """
-    n = instance.n
-    z = np.zeros(n) if warm is None else warm.copy()
-    phi, b = instance.phi, instance.b
-    op = _operator(instance)
-    norm_b = np.linalg.norm(b)
-    wmax = float(np.max(w))
-    x0 = op.x0  # the rank guard runs before the QR
-    if wmax > 0.0:
-        xscale = max(float(np.max(np.abs(x0))), 1e-12)
-        rho = _RHO * wmax / xscale
-    else:
-        rho = _RHO
-    thresh = w / rho
-    lower = -thresh
-    qt, r_row = op.row_qr
-    q = qt.T
-
-    u = np.zeros(n)
-    # each iteration writes these in place; none is written after the loop,
-    # so the report may hold z
-    x, v, t = np.empty(n), np.empty(n), np.empty(n)
-    y = np.empty(instance.m)
-    # the candidate is a pure function of the support, so no support is
-    # factored twice in one solve: a failed one maps to None, and a passed
-    # one keeps its factors for certificate retries with later duals (a
-    # square one only until its certificate fails)
-    candidates = {}
-    last_key = None
-    residual = np.inf
-    stop = "max_iter"
-    it = 0
-    for it in range(1, cfg.inner_max_iter + 1):
-        # x = v - Q Q^T v + x0 with v = z - u, the projection of v onto
-        # phi x = b (x0 lies in the row space, so Q Q^T x0 = x0)
-        np.subtract(z, u, out=v)
-        np.dot(qt, v, out=y)
-        np.dot(q, y, out=x)
-        np.subtract(v, x, out=x)
-        x += x0
-        # over-relaxed ADMM (Boyd et al. 2011, 3.4.3): with
-        # t = relaxed x + u, the shrinkage
-        # z = sign(t) max(|t| - thresh, 0) and the dual update
-        # u + relaxed x - z come to u = clip(t) and z = t - u
-        np.multiply(z, 1.0 - _RELAX, out=v)
-        np.multiply(x, _RELAX, out=t)
-        t += v
-        t += u
-        np.maximum(t, lower, out=u)
-        np.minimum(u, thresh, out=u)
-        np.subtract(t, u, out=z)
-        checkpoint = it == 1 or it % _POLISH_EVERY == 0
-        if checkpoint:
-            support = _polish_support(z)
-            key = support.tobytes()
-            # most supports of a moving iterate never recur, so a new one is
-            # factored only once it persists to a second checkpoint; at
-            # iteration 1 a warm start's support may already certify
-            if key not in candidates and (it == 1 or key == last_key):
-                candidates[key] = _bp_candidate(instance, support, cfg.inner_tol)
-            last_key = key
-            candidate = candidates.get(key)
-            if candidate is not None:
-                # rho u is a subgradient of the weighted l1 norm at z; its
-                # multiplier estimate is R^{-1} Q^T (rho u), whose
-                # correlation is the projection of rho u onto the row space
-                nu = solve_triangular(r_row, qt @ (rho * u), check_finite=False)
-                if _bp_certified(op, w, support, candidate, nu):
-                    z = candidate[2]
-                    residual = np.linalg.norm(phi @ z - b) / (1.0 + norm_b)
-                    stop = "certified"
-                    break
-                if support.size == instance.m:
-                    # a square support's certificate ignores the dual
-                    candidates[key] = None
-        if checkpoint or it == cfg.inner_max_iter:
-            # both residuals must pass, so the affine one (a matvec with
-            # phi) waits for the consensus one to pass, or for the last
-            # iteration; the norms are np.linalg.norm's own formula,
-            # without its overhead
-            np.subtract(x, z, out=v)
-            residual = math.sqrt(v @ v) / (1.0 + math.sqrt(z @ z))
-            if residual <= cfg.inner_tol or it == cfg.inner_max_iter:
-                residual = max(np.linalg.norm(phi @ z - b) / (1.0 + norm_b), residual)
-                if residual <= cfg.inner_tol:
-                    stop = "tol"
-                    break
-
-    return InnerSolveReport(
-        x=z,
-        iterations=it,
-        primal_residual=float(residual),
-        objective=float(w @ np.abs(z)),
-        exit=stop,
-        route="splitting",
-    )
+def _bp_zero_weight_fit(instance, w, tol):
+    """The fit on the zero-weight coordinates, at objective 0, as (x,
+    degenerate): the exact solve on their support when their columns are
+    independent, as every certified answer is, and their least-squares fit
+    otherwise. It raises NoConvergenceError when it misses phi x = b by
+    more than tol (1 + ||b||): then no answer was found."""
+    fit = _bp_candidate(instance, np.flatnonzero(w == 0.0), tol)
+    if fit is not None:
+        return fit[2], False
+    x, resid, degenerate = _zero_weight_fit(instance, w)
+    if np.linalg.norm(resid) > tol * (1.0 + np.linalg.norm(instance.b)):
+        raise NoConvergenceError("no basis pursuit path certifies, nor the zero-weight fit")
+    return x, degenerate
 
 
 def _lasso_objective(w, lam, x, resid) -> float:
@@ -621,9 +499,13 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     ||phi x - b||^2. The next breakpoint is the gap with the largest
     closing rate speed / gap, and the step to it is its gap / speed. So a
     breakpoint makes no product with phi beyond the first computation of a
-    Gram row. The path also gives None on a numerically
-    rank-deficient support or an entry when |S| = m. Its breakpoints
-    include the first entry.
+    Gram row. The path gives None on a numerically rank-deficient
+    support. An entry when |S| = m gives None on a warm path; a cold one
+    pivots there, as the simplex method does: phi_{S+i} has a null vector
+    along which the minimizer set is flat, and the path moves along it
+    until the first |x_l| reaches zero (the lowest index l on ties,
+    Bland's rule), so that l leaves as i enters, one breakpoint. Its
+    breakpoints include the first entry.
     """
     phi, b = instance.phi, instance.b
     m, n = phi.shape
@@ -751,13 +633,35 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
                 x = np.zeros(n)
                 x[idx[:k]] = ginv[:k, :k] @ (corr[idx[:k]] - csig[:k])
                 return None, None, max_breakpoints, x
-            if event == "leave":
-                i = idx[j]
-                side = 0 if sig[j] > 0.0 else 1
-                left = m + side * n + i  # the flat index of its gap
-                # off the support again, at a_i = c_i sigma_i
-                gap[side, i] = 0.0
-                gap[1 - side, i] = 2.0 * (c0[i] + t * dc[i])
+            pivot = event == "enter" and k == m
+            if event == "enter":
+                side, i = divmod(j - m, n)
+                s = 0.0 if free[i] else 1.0 - 2.0 * side
+                entry = 0.0  # |x_i| as it enters
+                if pivot:
+                    if warm is not None:
+                        return None
+                    # phi_{S+i} has the null vector (d_S, d_i) = (-s u, s),
+                    # u = ginv phi_S^T phi_i, along which a, the residual and
+                    # the objective stay put: move along it until the first
+                    # |x_l| reaches 0 (the lowest index on ties, Bland 1977),
+                    # and l leaves as i enters
+                    drop = s * sig * (ginv @ rows[:, i])  # -d |x_S| / d theta
+                    reach = np.where(drop > 0.0, mag / drop, np.inf)
+                    entry = float(reach.min())
+                    if not entry < np.inf:
+                        return None
+                    ties = np.flatnonzero(reach == entry)
+                    j = int(ties[np.argmin(idx[ties])])
+                    mag -= entry * drop
+                    np.maximum(mag, 0.0, out=mag)
+            if event == "leave" or pivot:
+                out = idx[j]
+                out_side = 0 if sig[j] > 0.0 else 1
+                left = m + out_side * n + out  # the flat index of its gap
+                # off the support again, at a_out = c_out sigma_out
+                gap[out_side, out] = 0.0
+                gap[1 - out_side, out] = 2.0 * (c0[out] + t * dc[out])
                 last = k - 1
                 if j != last:
                     swap, back = [j, last], [last, j]
@@ -771,10 +675,7 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
                     e = ginv[:last, last].copy()
                     _rank_one(ginv, last, e, e / -ginv[last, last])
                 k = op.path_size = last
-            else:
-                if k == m:
-                    return None
-                side, i = divmod(j - m, n)
+            if event == "enter":
                 rows[k] = op.gram_row(i)
                 g = rows[:k, i]
                 gamma = rows[k, i]
@@ -787,12 +688,12 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
                     _rank_one(ginv, k, u, ud)
                 ginv[:k, k] = ginv[k, :k] = -ud
                 ginv[k, k] = 1.0 / delta
-                s = 0.0 if free[i] else 1.0 - 2.0 * side
-                idx[k], sig[k], mag[k] = i, s, np.inf if s == 0.0 else 0.0
+                idx[k], sig[k], mag[k] = i, s, np.inf if s == 0.0 else entry
                 sdc[k], csig[k] = s * dc[i], s * (c0[i] + t * dc[i])
                 gap[:, i] = np.inf
                 k = op.path_size = k + 1
-                left = None
+                if not pivot:
+                    left = None
     order = np.argsort(idx[:k])
     return idx[:k][order], sig[:k][order], breakpoints, None
 
@@ -872,7 +773,7 @@ def weighted_lasso_fista(
         if found is None:
             raise NoConvergenceError(
                 "the weighted-LASSO path cannot be followed: a numerically "
-                "rank-deficient support, or an entry at |S| = m"
+                "rank-deficient support"
             )
         support, sigma, breakpoints, x = found
         if x is None:
@@ -959,44 +860,48 @@ def _constrained_root(instance, w, eta, support, sigma, tol):
 
 def _bp_path(instance, w, carry, cfg):
     """Weighted basis pursuit along the LASSO homotopy: (x, breakpoints,
-    (x_L, t)) with x certified, or None when no path certifies.
+    (x_L, t)) with x certified, (x, breakpoints, None) when a cold path
+    runs out of breakpoints, x the minimizer at the weights it reached, or
+    (None, breakpoints, None) when no path certifies.
 
     The path ends on a support S' and signs at weights t w: cold, it runs
-    from x = 0 in 1/lam to the residual norm eta = ``_BP_ETA`` ||b||, and t
-    is where the closed form on S' meets eta (``_support_lasso``); warm,
-    from the carried LASSO point (x_L, t) of an earlier answer to t times
-    the new weights, and the LASSO minimizer x_L on S' is taken at that t.
-    The basis pursuit candidate on S' comes from the same QR; its
-    coordinates at most ``_BP_PRUNE`` max |x| are dropped, and the pruned
-    support is factored again if it shrank. The candidate is accepted when
-    the certificate seeded with the path's multiplier passes. A warm path
-    that fails or does not certify is followed by a cold one; breakpoints
-    count every path walked.
+    from x = 0 in 1/lam to the residual norm eta = f ||b||, f in
+    ``_BP_ETAS`` in turn, and t is where the closed form on S' meets eta
+    (``_support_lasso``); warm, from the carried LASSO point (x_L, t) of an
+    earlier answer to t times the new weights, and the LASSO minimizer x_L
+    on S' is taken at that t. The basis pursuit candidate on S' comes from
+    the same QR; its coordinates at most ``_BP_PRUNE`` max |x| are dropped,
+    and the pruned support is factored again if it shrank. The candidate
+    is accepted when the certificate seeded with the path's multiplier
+    passes. A warm path that fails or does not certify is followed by the
+    cold ones; breakpoints count every path walked.
 
     The path's multiplier is the LASSO dual (b - phi x_L) / t
     = (b - Q Q^T b) / t + Q g. The candidate passed its residual test, so b
     lies in range(phi_S'), and the first term is rounding error that 1/t
-    amplifies: with it, a re-solve of the Fig-1 sweep behind ``_BP_ETA``
-    (rw-cwb, s=40, seed 37) failed its certificate on the basis pursuit
-    support and fell back to the splitting. Without it, the seed Q g is
-    the minimum-norm multiplier with phi_S'^T nu = w_S' sigma: it holds
-    the path's signs on the coordinates that pruning drops, which the
-    minimum-norm multiplier of the pruned support alone lacks.
+    amplifies: with it, a re-solve of a Fig-1 sweep (rw-cwb, s=40, seed 37)
+    failed its certificate on the basis pursuit support. Without it, the
+    seed Q g is the minimum-norm multiplier with phi_S'^T nu = w_S' sigma:
+    it holds the path's signs on the coordinates that pruning drops, which
+    the minimum-norm multiplier of the pruned support alone lacks.
     """
-    b = instance.b
+    norm_b = float(np.linalg.norm(instance.b))
+    starts = [(None, None, f * norm_b) for f in _BP_ETAS]
+    if carry is not None:
+        starts.insert(0, (*carry, None))
     breakpoints = 0
-    for start in (None,) if carry is None else (carry, None):
-        if start is None:
-            eta, t = _BP_ETA * float(np.linalg.norm(b)), None
+    for x_l, t, eta in starts:
+        if x_l is None:
             found = _path(instance, w, cfg.inner_max_iter, eta=eta)
         else:
-            (x_l, t), eta = start, None
             found = _path(instance, t * w, cfg.inner_max_iter, warm=x_l)
         if found is None:
             continue
         support, sigma, steps, x = found
         breakpoints += steps
         if x is not None:
+            if x_l is None:
+                return x, breakpoints, None
             continue
         lasso = _support_lasso(instance, w, support, sigma, eta, t)
         if lasso is None:
@@ -1015,7 +920,7 @@ def _bp_path(instance, w, carry, cfg):
             x_l = np.zeros(instance.n)
             x_l[support] = x_s
             return candidate[2], breakpoints, (x_l, t)
-    return None
+    return None, breakpoints, None
 
 
 def constrained_weighted_l1(
@@ -1069,8 +974,8 @@ def constrained_weighted_l1(
     if found is None:
         raise NoConvergenceError(
             f"the weighted-LASSO path cannot be followed to the budget {eta:.3e}: "
-            f"a numerically rank-deficient support, an entry at |S| = m, or a "
-            f"budget below the least-squares residual"
+            f"a numerically rank-deficient support, or a budget below the "
+            f"least-squares residual"
         )
     support, sigma, iterations, x = found
     lam, stop = np.nan, "max_iter"

@@ -88,6 +88,15 @@ class TestPolyakOracle:
         with pytest.raises(ZeroSubgradientError):
             polyak_step_oracle(np.ones(2), x, x)
 
+    def test_rounding_level_subgradient_signals(self):
+        # an iterate one ulp off x*: its supergradient is rounding error,
+        # whose Polyak step would be about 1e15
+        x_star = np.array([1.5, -2.0, 0.0, 0.25])
+        with pytest.raises(ZeroSubgradientError, match="rounding"):
+            polyak_step_oracle(np.ones(4), np.nextafter(x_star, np.inf), x_star)
+        step = polyak_step_oracle(np.ones(4), x_star * (1.0 - 1e-9), x_star)
+        assert 0.0 < step.alpha < np.inf and not step.clamped
+
 
 class TestPolyakNonoracle:
     def test_direct(self):

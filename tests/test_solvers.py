@@ -1,10 +1,12 @@
 import itertools
+import json
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import linprog, minimize
 
 from rwsparse import reweight, solvers
@@ -30,22 +32,6 @@ CFG = SolverConfig()
 def soft_threshold(v, t):
     """Shrink toward zero: sign(v) * max(|v| - t, 0), elementwise."""
     return np.sign(v) * np.maximum(np.abs(v) - t, 0.0)
-
-
-def project(op, v):
-    """Orthogonal projection of v onto {x : phi x = b} through the
-    instance's row basis: v - Q Q^T v + x0 (x0 lies in the row space, so
-    Q Q^T x0 = x0)."""
-    x0 = op.x0  # the rank guard runs before the QR
-    qt = op.row_qr[0]
-    return v - np.dot(qt.T, np.dot(qt, v)) + x0
-
-
-def split_multiplier(op, v):
-    """The splitting's multiplier estimate R^{-1} Q^T v from its scaled
-    dual v, with phi^T = Q R the row QR."""
-    qt, r = op.row_qr
-    return solve_triangular(r, qt @ v, check_finite=False)
 
 
 def fista_reference(phi, b, w, lam, iters=1000):
@@ -113,8 +99,8 @@ class TestSoftThreshold:
     @given(st.lists(st.tuples(st.floats(allow_nan=False, allow_infinity=False),
                               st.floats(0.0, allow_infinity=False)), min_size=1))
     def test_is_the_remainder_of_a_clip(self, pairs):
-        # the splitting's shrinkage: t - clip(t, -theta, theta) has the bits
-        # of soft_threshold(t, theta), up to the sign of a zero
+        # t - clip(t, -theta, theta) has the bits of soft_threshold(t, theta),
+        # up to the sign of a zero
         t, theta = np.array(pairs).T
         clipped = t - np.minimum(np.maximum(t, -theta), theta)
         ref = soft_threshold(t, theta)
@@ -225,6 +211,21 @@ def min_norm_polish(instance, w, support, tol):
     return candidate[2]
 
 
+@pytest.fixture
+def path_ends(monkeypatch):
+    """The (eta, result) of every weighted-LASSO path call of a test; eta
+    is None except on a cold basis pursuit path."""
+    ends = []
+    path = solvers._path
+
+    def logged(*args, **kwargs):
+        ends.append((kwargs.get("eta"), path(*args, **kwargs)))
+        return ends[-1][1]
+
+    monkeypatch.setattr(solvers, "_path", logged)
+    return ends
+
+
 class TestBpPolish:
     @pytest.mark.parametrize("k", [5, 20, 60, 100])
     def test_matches_least_squares_reference(self, k):
@@ -258,8 +259,8 @@ class TestBpPolish:
 
     def test_duplicated_column_is_rejected(self):
         # columns 3 and 5 coincide: least squares certifies the min-norm
-        # split of x_3 between them, the QR polish rejects the support and
-        # the splitting iteration still reaches the optimum
+        # split of x_3 between them, the QR polish rejects the support, and
+        # the path still reaches the optimum
         rng = np.random.default_rng(0)
         phi = rng.standard_normal((20, 40))
         phi[:, 5] = phi[:, 3]
@@ -276,108 +277,18 @@ class TestBpPolish:
         oracle = lp_basis_pursuit(phi, inst.b, w)
         assert rep.objective == pytest.approx(oracle, rel=1e-6)
 
-    def test_projection_matches_cho_solve(self):
-        # the projection through the row basis lands on phi x = b, is
-        # idempotent, and agrees with the Gram-Cholesky projection
-        inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=30, seed=3))
-        phi, b = inst.phi, inst.b
-        op = _operator(inst)
-        chol = cho_factor(phi @ phi.T)
-        rng = np.random.default_rng(4)
-        for _ in range(5):
-            v = rng.standard_normal(inst.n)
-            x = project(op, v)
-            ref = v - phi.T @ cho_solve(chol, phi @ v - b)
-            assert np.linalg.norm(phi @ x - b) <= 1e-12 * np.linalg.norm(b)
-            assert np.linalg.norm(project(op, x) - x) <= 1e-12 * np.linalg.norm(x)
-            assert np.linalg.norm(x - ref) <= 1e-12 * np.linalg.norm(ref)
-
-    def test_rounding_level_coordinates_leave_the_support(self):
-        z = np.zeros(10)
-        z[[1, 4, 7]] = [2.0, -1e-15, 0.5]
-        assert np.array_equal(solvers._polish_support(z), [1, 7])
-        assert solvers._polish_support(np.zeros(10)).size == 0
-
-
-def eager_basis_pursuit(instance, w, cfg):
-    """Reference loop: weighted basis pursuit by the clip recurrence, with
-    both stopping residuals computed at every checkpoint (iteration 1,
-    every ``_POLISH_EVERY``-th and the last), and a checkpoint's candidate
-    solved afresh whenever the schedule tries it: at iteration 1, on the
-    support of the previous checkpoint, or on a support tried before in the
-    solve. A square support is re-certified each time. Returns
-    (x, iterations, residual)."""
-    phi, b = instance.phi, instance.b
-    op = _operator(instance)
-    norm_b = np.linalg.norm(b)
-    wmax = float(np.max(w))
-    rho = solvers._RHO * wmax / max(float(np.max(np.abs(op.x0))), 1e-12)
-    thresh = w / rho
-    z = np.zeros(instance.n)
-    u = np.zeros(instance.n)
-    tried, last = set(), None
-    for it in range(1, cfg.inner_max_iter + 1):
-        x = project(op, z - u)
-        t = solvers._RELAX * x + (1.0 - solvers._RELAX) * z + u
-        u = np.minimum(np.maximum(t, -thresh), thresh)
-        z = t - u
-        checkpoint = it == 1 or it % solvers._POLISH_EVERY == 0
-        if checkpoint:
-            support = solvers._polish_support(z)
-            key = support.tobytes()
-            if it == 1 or key == last or key in tried:
-                tried.add(key)
-                candidate = solvers._bp_candidate(instance, support, cfg.inner_tol)
-                if candidate is not None and solvers._bp_certified(
-                        op, w, support, candidate, split_multiplier(op, rho * u)):
-                    x = candidate[2]
-                    return x, it, np.linalg.norm(phi @ x - b) / (1.0 + norm_b)
-            last = key
-        if checkpoint or it == cfg.inner_max_iter:
-            affine_rel = np.linalg.norm(phi @ z - b) / (1.0 + norm_b)
-            consensus_rel = np.linalg.norm(x - z) / (1.0 + np.linalg.norm(z))
-            residual = max(affine_rel, consensus_rel)
-            if residual <= cfg.inner_tol:
-                break
-    return z, it, residual
-
-
-def legacy_basis_pursuit(instance, w, warm, cfg):
-    """The splitting loop as it was before the clip recurrence: a soft
-    threshold and a separate dual update, allocating at every step, and
-    the stopping residuals tested at every iteration. Returns
-    (x, iterations, exit)."""
-    phi, b = instance.phi, instance.b
-    op = _operator(instance)
-    norm_b = np.linalg.norm(b)
-    rho = solvers._RHO * float(np.max(w)) / max(float(np.max(np.abs(op.x0))), 1e-12)
-    thresh = w / rho
-    z = np.zeros(instance.n) if warm is None else warm.copy()
-    u = np.zeros(instance.n)
-    candidates, last_key = {}, None
-    for it in range(1, cfg.inner_max_iter + 1):
-        x = project(op, z - u)
-        xr = solvers._RELAX * x + (1.0 - solvers._RELAX) * z
-        z = soft_threshold(xr + u, thresh)
-        u = u + xr - z
-        if it == 1 or it % solvers._POLISH_EVERY == 0:
-            support = solvers._polish_support(z)
-            key = support.tobytes()
-            if key not in candidates and (it == 1 or key == last_key):
-                candidates[key] = _bp_candidate(instance, support, cfg.inner_tol)
-            last_key = key
-            candidate = candidates.get(key)
-            if candidate is not None:
-                if _bp_certified(op, w, support, candidate, split_multiplier(op, rho * u)):
-                    return candidate[2], it, "certified"
-                if support.size == instance.m:
-                    candidates[key] = None
-        residual = np.linalg.norm(x - z) / (1.0 + np.linalg.norm(z))
-        if residual <= cfg.inner_tol or it == cfg.inner_max_iter:
-            residual = max(np.linalg.norm(phi @ z - b) / (1.0 + norm_b), residual)
-            if residual <= cfg.inner_tol:
-                return z, it, "tol"
-    return z, it, "max_iter"
+    def test_rounding_level_coordinates_leave_the_support(self, path_ends):
+        # the unit-weight start of a Fig-1 instance: the LASSO support at a
+        # small residual is the basis pursuit support plus coordinates that
+        # vanish in the limit; the answer keeps none of them
+        inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=20, seed=0))
+        rep = weighted_basis_pursuit(inst, np.ones(inst.n), None, CFG)
+        assert rep.exit == "certified" and len(path_ends) == 1
+        support = np.flatnonzero(rep.x)
+        assert set(support) < set(path_ends[0][1][0])
+        mags = np.abs(rep.x[support])
+        assert mags.min() > solvers._BP_PRUNE * mags.max()
+        assert np.array_equal(support, np.flatnonzero(inst.x_star))
 
 
 class TestOperator:
@@ -390,8 +301,8 @@ class TestOperator:
         assert np.array_equal(min_l2_solution(inst), phi.T @ y)
 
     def test_lasso_runs_never_build_the_row_basis(self, monkeypatch):
-        # noisy runs and basis pursuit along the path never build the QR of
-        # phi^T; the splitting builds it once
+        # noisy runs and basis pursuit never build the QR of phi^T; every QR
+        # they make is of a support of at most m columns
         shapes = []
         real_qr = solvers.qr
 
@@ -403,109 +314,25 @@ class TestOperator:
         inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=0))
         for algo in ("l1", "rw-lasso", "cwb-noisy"):
             run_algorithm(algo, inst, SolverConfig(rw_iter=2))
-        assert (inst.n, inst.m) not in shapes
-        assert weighted_basis_pursuit(inst, np.ones(inst.n), None, CFG).route == "path"
-        assert (inst.n, inst.m) not in shapes
-        solvers._bp_splitting(inst, np.ones(inst.n), None, CFG)
-        solvers._bp_splitting(inst, np.ones(inst.n), None, CFG)
-        assert shapes.count((inst.n, inst.m)) == 1
-
-    @pytest.mark.parametrize("polish", [True, False])
-    @pytest.mark.parametrize("max_iter", [37, 50_000])
-    def test_lazy_stop_matches_eager_reference(self, monkeypatch, polish, max_iter):
-        # with the candidate switched off no certificate is tried, and every
-        # solve stops on the residuals
-        if not polish:
-            monkeypatch.setattr(solvers, "_bp_candidate", lambda *args: None)
-            monkeypatch.setattr(solvers, "_bp_certified", None)
-        cfg = SolverConfig(inner_max_iter=max_iter)
-        for seed in range(3):
-            inst = gen_noiseless(EnsembleSpec(n=128, m=48, s=12, seed=seed))
-            w = np.random.default_rng(seed).uniform(0.1, 2.0, size=inst.n)
-            x, iterations, residual = eager_basis_pursuit(inst, w, cfg)
-            rep = solvers._bp_splitting(inst, w, None, cfg)
-            assert rep.iterations == iterations
-            assert rep.primal_residual == residual
-            assert rep.x.tobytes() == x.tobytes()
-            if not polish:
-                assert rep.exit == ("max_iter" if max_iter == 37 else "tol")
-
-    def test_certified_solves_match_the_legacy_loop(self, monkeypatch):
-        # the unit-weight start and the rw-sub and rw-cwb re-solves of
-        # Fig-1 instances, replayed through the splitting and the loop before
-        # the clip recurrence: a certified x is the exact solve on its
-        # support, and both loops certify it at the same checkpoint
-        calls = []
-        bp = reweight.weighted_basis_pursuit
-
-        def recorded(instance, w, warm, cfg):
-            calls.append((instance, w.copy(), None if warm is None else warm.x.copy()))
-            return bp(instance, w, warm, cfg)
-
-        monkeypatch.setattr(reweight, "weighted_basis_pursuit", recorded)
-        for s, seed in itertools.product((20, 30, 40, 50), (4, 5)):
-            inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=s, seed=seed))
-            for algo in ("rw-sub", "rw-cwb"):
-                run_algorithm(algo, inst, SolverConfig(rw_iter=2))
-        assert len(calls) == 40
-        for inst, w, warm in calls:
-            x, iterations, stop = legacy_basis_pursuit(inst, w, warm, CFG)
-            rep = solvers._bp_splitting(inst, w, warm, CFG)
-            assert stop == rep.exit == "certified"
-            assert rep.iterations == iterations
-            assert rep.x.tobytes() == x.tobytes()
+        noisy = len(shapes)
+        assert weighted_basis_pursuit(inst, np.ones(inst.n), None, CFG).exit == "certified"
+        assert len(shapes) > noisy
+        assert all(rows == inst.m and cols <= inst.m for rows, cols in shapes)
 
 
 class TestDualSeededCertificate:
-    def test_splitting_dual_certifies_what_the_minimum_norm_multiplier_rejects(self):
-        # the unit-weight start of a Fig-1 instance finds its final support
-        # within 20 iterations; the minimum-norm multiplier does not certify
-        # it (so the solve used to run 436 iterations to the tolerance),
-        # while the splitting's scaled dual does at that checkpoint
+    def test_path_dual_certifies_what_the_minimum_norm_multiplier_rejects(self):
+        # the unit-weight start of a Fig-1 instance: the minimum-norm
+        # multiplier of the answer's support does not certify it, while the
+        # path's own multiplier does
         inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=20, seed=0))
         w = np.ones(inst.n)
-        rep = solvers._bp_splitting(inst, w, None, CFG)
+        rep = weighted_basis_pursuit(inst, w, None, CFG)
         assert rep.exit == "certified" and rep.converged
-        assert rep.iterations % solvers._POLISH_EVERY == 0 and rep.iterations <= 50
-        support = solvers._polish_support(rep.x)
+        support = np.flatnonzero(rep.x)
         candidate = _bp_candidate(inst, support, CFG.inner_tol)
         assert candidate[2].tobytes() == rep.x.tobytes()
         assert not _bp_certified(_operator(inst), w, support, candidate, np.zeros(inst.m))
-
-    def test_certificate_retries_reuse_the_support_factor(self, monkeypatch):
-        # while a thin support stays put, later checkpoints retry only the
-        # certificate, with the dual of their own iteration; the rw-sub
-        # re-solve of this instance retries one twice
-        solves = []
-        support_qr, certified = solvers._support_qr, solvers._bp_certified
-
-        def solve_logged(instance, w, warm, cfg):
-            solves.append(([], []))
-            return solvers._bp_splitting(instance, w, None if warm is None else warm.x, cfg)
-
-        def factor(phi, support):
-            solves[-1][0].append(support.tobytes())
-            return support_qr(phi, support)
-
-        def certified_logged(op, w, support, candidate, v):
-            solves[-1][1].append((support.tobytes(), v.copy()))
-            return certified(op, w, support, candidate, v)
-
-        monkeypatch.setattr(reweight, "weighted_basis_pursuit", solve_logged)
-        monkeypatch.setattr(solvers, "_support_qr", factor)
-        monkeypatch.setattr(solvers, "_bp_certified", certified_logged)
-        inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=30, seed=2))
-        run_algorithm("rw-sub", inst, SolverConfig(rw_iter=2))
-        retried = 0
-        for factored, certificates in solves:
-            assert len(set(factored)) == len(factored)
-            keys = [key for key, _ in certificates]
-            for key in set(keys):
-                retries = [v for k, v in certificates if k == key]
-                if len(retries) >= 2 and len(key) // 8 < inst.m:
-                    assert not np.array_equal(retries[0], retries[-1])
-                    retried += 1
-        assert retried >= 1
 
     def test_square_support_certificate_ignores_the_dual_estimate(self):
         # with |S| = m the support factor q is square, so the corrected
@@ -531,34 +358,6 @@ class TestDualSeededCertificate:
                         nu = scale * probe.standard_normal(4)
                         assert _bp_certified(op, w, support, candidate, nu) == decision
         assert accepted >= 3 and rejected >= 100
-
-    def test_no_support_is_factored_at_its_first_sighting(self, monkeypatch):
-        # after iteration 1 a support is factored only at the second of two
-        # consecutive checkpoints on it
-        sightings, factored = [], []
-        polish_support, support_qr = solvers._polish_support, solvers._support_qr
-
-        def sighted(z):
-            support = polish_support(z)
-            sightings.append(support.tobytes())
-            return support
-
-        def factor(phi, support):
-            factored.append((len(sightings), support.tobytes()))
-            return support_qr(phi, support)
-
-        monkeypatch.setattr(solvers, "_polish_support", sighted)
-        monkeypatch.setattr(solvers, "_support_qr", factor)
-        total = 0
-        for s, seed in ((30, 1), (40, 0), (40, 5)):
-            inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=s, seed=seed))
-            sightings.clear()
-            factored.clear()
-            rep = solvers._bp_splitting(inst, np.ones(inst.n), None, CFG)
-            assert rep.exit == "certified"
-            assert all(at == 1 or key == sightings[at - 2] for at, key in factored)
-            total += len(factored)
-        assert total >= 3
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_no_dual_estimate_certifies_a_suboptimal_point(self, seed):
@@ -654,10 +453,13 @@ class TestWeightedBasisPursuit:
         assert rep.primal_residual <= CFG.inner_tol
 
     def test_warm_matches_cold(self):
+        # a re-solve warm from an earlier answer's report
         inst = gen_noiseless(EnsembleSpec(n=48, m=20, s=5, seed=11))
+        first = weighted_basis_pursuit(inst, np.ones(48), None, CFG)
         w = 1.0 / (np.abs(inst.x_star) + 0.1)
         cold = weighted_basis_pursuit(inst, w, None, CFG)
-        warm = weighted_basis_pursuit(inst, w, min_l2_solution(inst), CFG)
+        warm = weighted_basis_pursuit(inst, w, first, CFG)
+        assert cold.exit == warm.exit == "certified"
         assert abs(cold.objective - warm.objective) <= 10 * CFG.inner_tol * (1 + cold.objective)
 
     def test_warm_restart_at_unchanged_weights_takes_no_breakpoint(self):
@@ -667,13 +469,12 @@ class TestWeightedBasisPursuit:
         inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
         cold = weighted_basis_pursuit(inst, np.ones(64), None, CFG)
         again = weighted_basis_pursuit(inst, np.ones(64), cold, CFG)
-        assert cold.route == again.route == "path"
         assert cold.exit == again.exit == "certified"
         assert again.iterations == 0 and again.x.tobytes() == cold.x.tobytes()
 
-    def test_path_and_splitting_return_the_same_bytes(self, monkeypatch):
-        # a certified answer is the exact solve on its support, so both
-        # routes return the same x on the cold starts and warm re-solves of
+    def test_answers_are_the_exact_solve_on_their_support(self, monkeypatch):
+        # a certified answer is the exact solve on its support, a pure
+        # function of the support, on the cold starts and warm re-solves of
         # Fig-1 runs
         calls = []
         bp = reweight.weighted_basis_pursuit
@@ -690,11 +491,10 @@ class TestWeightedBasisPursuit:
         assert len(calls) == 40
         assert sum(warm is None for _, _, warm in calls) == 8
         for inst, w, warm in calls:
-            path = weighted_basis_pursuit(inst, w, warm, CFG)
-            split = solvers._bp_splitting(inst, w, None if warm is None else warm.x, CFG)
-            assert path.route == "path" and split.route == "splitting"
-            assert path.exit == split.exit == "certified"
-            assert path.x.tobytes() == split.x.tobytes()
+            rep = weighted_basis_pursuit(inst, w, warm, CFG)
+            assert rep.exit == "certified"
+            exact = _bp_candidate(inst, np.flatnonzero(rep.x), CFG.inner_tol)[2]
+            assert rep.x.tobytes() == exact.tobytes()
 
     def test_iteration_cap_reports_nonconverged(self):
         inst = gen_noiseless(EnsembleSpec(n=64, m=24, s=20, seed=1))
@@ -705,31 +505,129 @@ class TestWeightedBasisPursuit:
         assert rep.exit == "max_iter"
 
     def test_exit_says_how_the_solve_stopped(self, monkeypatch):
-        # a certified polish, or the residuals at tolerance once no
-        # candidate is available; the splitting has no stall exit
+        # a certified answer on the path, or the breakpoint budget run out
+        # on a cold path; a path that cannot certify raises instead
         inst = gen_noiseless(EnsembleSpec(n=64, m=24, s=6, seed=4))
-        certified = solvers._bp_splitting(inst, np.ones(64), None, CFG)
+        certified = weighted_basis_pursuit(inst, np.ones(64), None, CFG)
         assert certified.exit == "certified" and certified.converged
-        monkeypatch.setattr(solvers, "_bp_candidate", lambda *args: None)
-        tol = solvers._bp_splitting(inst, np.ones(64), None, CFG)
-        assert tol.exit == "tol" and tol.converged
-        assert tol.primal_residual <= CFG.inner_tol
-        assert tol.iterations > certified.iterations
-        assert np.allclose(tol.x, certified.x, atol=1e-6)
+        assert certified.primal_residual <= CFG.inner_tol
+        capped = weighted_basis_pursuit(inst, np.ones(64), None, SolverConfig(inner_max_iter=2))
+        assert capped.exit == "max_iter" and not capped.converged
+        assert capped.iterations == 2 < certified.iterations
+        assert capped.primal_residual > CFG.inner_tol and capped.lasso_point is None
+        monkeypatch.setattr(solvers, "_path", lambda *args, **kwargs: None)
+        with pytest.raises(NoConvergenceError, match="no basis pursuit path certifies"):
+            weighted_basis_pursuit(inst, np.ones(64), None, CFG)
 
-    @pytest.mark.parametrize("warm", [np.ones(1), np.full(64, np.nan), np.ones((64, 1)), np.ones(65)])
+    @pytest.mark.parametrize(
+        "warm", [np.ones(1), np.full(64, np.nan), np.ones((64, 1)), np.ones(65), np.ones(64)]
+    )
     def test_malformed_warm_start_is_rejected(self, warm):
-        # a length that broadcasts, NaN entries, a column, one entry too many
+        # a length that broadcasts, NaN entries, a column, one entry too
+        # many, and a vector: only None or a report is a warm start
         inst = gen_noiseless(EnsembleSpec(n=64, m=32, s=6, seed=0))
         with pytest.raises(ConfigurationError, match="warm start"):
             weighted_basis_pursuit(inst, np.ones(64), warm, CFG)
 
     def test_warm_start_is_not_modified(self):
         inst = gen_noiseless(EnsembleSpec(n=64, m=32, s=6, seed=0))
-        warm = min_l2_solution(inst)
-        before = warm.copy()
-        rep = weighted_basis_pursuit(inst, np.ones(64), warm, SolverConfig(inner_max_iter=3))
-        assert np.array_equal(warm, before) and rep.x is not warm
+        warm = weighted_basis_pursuit(inst, np.ones(64), None, CFG)
+        x, (x_l, t) = warm.x.copy(), warm.lasso_point
+        x_l = x_l.copy()
+        w = 1.0 / (np.abs(warm.x) + 0.1)
+        for cfg in (CFG, SolverConfig(inner_max_iter=3)):
+            rep = weighted_basis_pursuit(inst, w, warm, cfg)
+            assert np.array_equal(warm.x, x) and rep.x is not warm.x
+            assert np.array_equal(warm.lasso_point[0], x_l) and warm.lasso_point[1] == t
+
+
+def recorded_resolves():
+    """Basis pursuit inputs recorded from reweighting runs, as
+    (source, instance, w): the tied-weight re-solves of four oracle runs and
+    the rw-cwb re-solve of criterion 6's sweep that the first cold budget
+    does not certify."""
+    path = Path(__file__).parent / "data" / "bp_resolve_weights.json"
+    for rec in json.loads(path.read_text()):
+        spec = EnsembleSpec(n=rec["n"], m=rec["m"], s=rec["s"], seed=rec["seed"])
+        yield rec["source"], gen_noiseless(spec), np.array(rec["w"])
+
+
+def assert_lp_optimal(rep, inst, w):
+    """A certified answer whose objective is the LP optimum."""
+    oracle = lp_basis_pursuit(inst.phi, inst.b, w)
+    assert rep.exit == "certified"
+    assert abs(rep.objective - oracle) <= 1e-9 * (1.0 + oracle)
+    assert rep.primal_residual <= CFG.inner_tol
+
+
+class TestEveryInputOnThePath:
+    """Inputs that the path's start does not reach, or that tie."""
+
+    def test_zero_observation(self):
+        rng = np.random.default_rng(0)
+        inst = ProblemInstance(phi=rng.standard_normal((10, 30)), b=np.zeros(10))
+        w = rng.uniform(0.1, 2.0, 30)
+        rep = weighted_basis_pursuit(inst, w, None, CFG)
+        assert_lp_optimal(rep, inst, w)
+        assert np.all(rep.x == 0.0) and rep.iterations == 0 and not rep.degenerate
+
+    def test_all_zero_weights_with_more_columns_than_rows(self):
+        rng = np.random.default_rng(1)
+        inst = ProblemInstance(phi=rng.standard_normal((10, 30)), b=rng.standard_normal(10))
+        rep = weighted_basis_pursuit(inst, np.zeros(30), None, CFG)
+        assert_lp_optimal(rep, inst, np.zeros(30))
+        assert rep.objective == 0.0 and rep.iterations == 0 and rep.degenerate
+
+    @pytest.mark.parametrize("duplicated", [False, True], ids=["independent", "dependent"])
+    def test_zero_weights_whose_fit_meets_b(self, duplicated):
+        # zero weights on the support of x*, and on a copy of one of its
+        # columns: only then do those columns have a null space
+        inst = gen_noiseless(EnsembleSpec(n=40, m=20, s=5, seed=3))
+        support = np.flatnonzero(inst.x_star)
+        phi = inst.phi.copy()
+        w = np.ones(40)
+        w[support] = 0.0
+        if duplicated:
+            spare = np.flatnonzero(w)[0]
+            phi[:, spare] = phi[:, support[0]]
+            w[spare] = 0.0
+        inst = ProblemInstance(phi=phi, b=inst.b, x_star=inst.x_star)
+        rep = weighted_basis_pursuit(inst, w, None, CFG)
+        assert_lp_optimal(rep, inst, w)
+        assert rep.objective == 0.0 and rep.iterations == 0
+        assert rep.degenerate == duplicated
+
+    @pytest.mark.parametrize(
+        "inst, w", [pytest.param(inst, w, id=source) for source, inst, w in recorded_resolves()]
+    )
+    def test_recorded_resolves(self, inst, w):
+        # the oracle re-solves tie many weights at 1; their cold paths
+        # pivot on a square support, or certify only at the second budget
+        assert_lp_optimal(weighted_basis_pursuit(inst, w, None, CFG), inst, w)
+
+    def test_criterion_6_resolve_certifies_at_the_second_budget(self, path_ends):
+        # the cold path to the first budget ends on a square support that is
+        # not the basis pursuit support; the one to the second certifies
+        (source, inst, w), = [rec for rec in recorded_resolves() if rec[0].startswith("rw-cwb")]
+        rep = weighted_basis_pursuit(inst, w, None, CFG)
+        assert_lp_optimal(rep, inst, w)
+        etas = [eta / np.linalg.norm(inst.b) for eta, _ in path_ends]
+        assert etas == pytest.approx(list(solvers._BP_ETAS), rel=1e-12)
+        (_, first), (_, second) = path_ends
+        assert first[0].size == inst.m
+        assert rep.iterations == first[2] + second[2]
+
+    def test_max_iter_exit(self, path_ends):
+        # a cold path that runs out of breakpoints ends the solve with the
+        # minimizer at the weights it reached
+        inst = gen_noiseless(EnsembleSpec(n=64, m=24, s=20, seed=1))
+        w = np.ones(64)
+        rep = weighted_basis_pursuit(inst, w, None, SolverConfig(inner_max_iter=5))
+        assert rep.exit == "max_iter" and rep.iterations == 5 and len(path_ends) == 1
+        assert rep.x.tobytes() == path_ends[0][1][3].tobytes()
+        assert rep.objective == w @ np.abs(rep.x) and rep.lasso_point is None
+        resid = np.linalg.norm(inst.phi @ rep.x - inst.b) / (1.0 + np.linalg.norm(inst.b))
+        assert rep.primal_residual == pytest.approx(resid, rel=1e-15) and resid > CFG.inner_tol
 
 
 class TestWeightedLassoFista:
