@@ -23,14 +23,16 @@ answers every input. It runs to a small residual norm (cold; at a second,
 smaller norm when the first does not certify), or continues from the
 LASSO point of the previous basis pursuit answer, which that answer's
 report carries (warm). The exact solve on the support the path ends on,
-pruned of rounding-level coordinates, is returned only with a verified
-dual certificate seeded by the path's own multiplier. A cold path that
-runs out of breakpoints returns the minimizer at the weights it reached,
-not converged. Where the fit on the zero-weight coordinates already
-meets phi x = b (b = 0, all weights zero, or zero weights on a support of
-b), the cold path stops at once and that fit is the answer, at objective
-0; any other input on which no path certifies raises
-``NoConvergenceError``.
+pruned of rounding-level coordinates and of those that cross zero on the
+way to the limit, is returned only with a verified dual certificate
+seeded by the path's own multiplier. A cold path holds a column that
+comes due in the span of its support off it, as at equal columns and
+tied weights, and returns the minimizer at the weights it reached, not
+converged, when it runs out of breakpoints. Where the fit on the
+zero-weight coordinates already meets phi x = b (b = 0, all weights
+zero, or zero weights on a support of b), the cold path stops at once
+and that fit is the answer, at objective 0; any other input on which no
+path certifies raises ``NoConvergenceError``.
 
 Each instance has one cached operator that builds, on first use, the
 minimum-norm solution, phi^T b and the Gram rows phi_i^T phi the path
@@ -75,8 +77,8 @@ _CERT_TOL = 1e-9
 # condition number is at least 1e6, while a duplicated row leaves a ratio
 # at rounding level (about 2e-8 and below)
 _GRAM_PIVOT_RATIO = 1e-6
-# the LASSO path gives up on a support column whose squared sine to the
-# span of the others is at most this
+# a column whose squared sine to the span of the LASSO path's support is
+# at most this lies in that span (``_path``)
 _PATH_RANK_TOL = 1e-10
 # a cold basis pursuit path stops where ||phi x - b|| = eta ||b||, at the
 # first of these eta that certifies. On the 1000 solves of a 200-instance
@@ -315,10 +317,11 @@ def weighted_basis_pursuit(
     point that ``warm`` carries when it is the report of a basis pursuit
     answer on this instance, and cold otherwise or when the warm path does
     not certify. The answer is the exact solve on the support the path ends
-    on, pruned of rounding-level coordinates (``_bp_candidate``), returned
-    only with a verified optimality certificate seeded by the path's own
-    multiplier (``_bp_certified``): exit ``"certified"``, ``iterations``
-    the breakpoints of every path walked, and the LASSO point in
+    on, pruned of rounding-level coordinates and of those whose sign
+    opposes the path's (``_bp_candidate``), returned only with a verified
+    optimality certificate seeded by the path's own multiplier
+    (``_bp_certified``): exit ``"certified"``, ``iterations`` the
+    breakpoints of every path walked, and the LASSO point in
     ``lasso_point``. A cold path that would pass ``cfg.inner_max_iter``
     breakpoints ends the solve with exit ``"max_iter"`` and the minimizer
     at the weights it reached. A cold path stops at once, with nothing to
@@ -499,13 +502,14 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     ||phi x - b||^2. The next breakpoint is the gap with the largest
     closing rate speed / gap, and the step to it is its gap / speed. So a
     breakpoint makes no product with phi beyond the first computation of a
-    Gram row. The path gives None on a numerically rank-deficient
-    support. An entry when |S| = m gives None on a warm path; a cold one
-    pivots there, as the simplex method does: phi_{S+i} has a null vector
-    along which the minimizer set is flat, and the path moves along it
-    until the first |x_l| reaches zero (the lowest index l on ties,
-    Bland's rule), so that l leaves as i enters, one breakpoint. Its
-    breakpoints include the first entry.
+    Gram row. The path gives None on a numerically rank-deficient start.
+    A coordinate due to enter in the span of phi_S (every one when
+    |S| = m; else by ``_PATH_RANK_TOL``) gives None on a warm path; on a
+    cold one, where c(t) stays a multiple of c, phi_i = phi_S u keeps
+    a_i = u^T c_S sigma_S = +-c_i while S holds, so it is held off the
+    support until a coordinate leaves (equal columns at tied weights). A
+    hold is a breakpoint, as is the first entry; a path that keeps tying
+    ends at ``max_breakpoints``.
     """
     phi, b = instance.phi, instance.b
     m, n = phi.shape
@@ -591,6 +595,7 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
 
     t = 0.0
     left = None
+    tied = []  # (side, i) of the coordinates held at a closed gap
     breakpoints = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
@@ -619,7 +624,13 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
                 if rho_next <= eta_sq:
                     break
                 if event == "end":
-                    return None
+                    # rounding drifts rho (most on an ill-conditioned square
+                    # S); at t = 1, c = 0 and x_S is the least-squares fit
+                    support = idx[:k]
+                    r = b - phi[:, support] @ (ginv[:k, :k] @ corr[support])
+                    if r @ r > eta_sq:
+                        return None
+                    break
                 rho = rho_next
             np.multiply(speeds, step, out=rates)  # rates serves as scratch
             gaps -= rates
@@ -633,35 +644,16 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
                 x = np.zeros(n)
                 x[idx[:k]] = ginv[:k, :k] @ (corr[idx[:k]] - csig[:k])
                 return None, None, max_breakpoints, x
-            pivot = event == "enter" and k == m
-            if event == "enter":
-                side, i = divmod(j - m, n)
-                s = 0.0 if free[i] else 1.0 - 2.0 * side
-                entry = 0.0  # |x_i| as it enters
-                if pivot:
-                    if warm is not None:
-                        return None
-                    # phi_{S+i} has the null vector (d_S, d_i) = (-s u, s),
-                    # u = ginv phi_S^T phi_i, along which a, the residual and
-                    # the objective stay put: move along it until the first
-                    # |x_l| reaches 0 (the lowest index on ties, Bland 1977),
-                    # and l leaves as i enters
-                    drop = s * sig * (ginv @ rows[:, i])  # -d |x_S| / d theta
-                    reach = np.where(drop > 0.0, mag / drop, np.inf)
-                    entry = float(reach.min())
-                    if not entry < np.inf:
-                        return None
-                    ties = np.flatnonzero(reach == entry)
-                    j = int(ties[np.argmin(idx[ties])])
-                    mag -= entry * drop
-                    np.maximum(mag, 0.0, out=mag)
-            if event == "leave" or pivot:
+            if event == "leave":
                 out = idx[j]
                 out_side = 0 if sig[j] > 0.0 else 1
                 left = m + out_side * n + out  # the flat index of its gap
-                # off the support again, at a_out = c_out sigma_out
-                gap[out_side, out] = 0.0
-                gap[1 - out_side, out] = 2.0 * (c0[out] + t * dc[out])
+                # off the support again, at a_out = c_out sigma_out, and so
+                # are the tied coordinates, which the smaller support frees
+                for side, i in tied + [(out_side, out)]:
+                    gap[side, i] = 0.0
+                    gap[1 - side, i] = 2.0 * (c0[i] + t * dc[i])
+                tied.clear()
                 last = k - 1
                 if j != last:
                     swap, back = [j, last], [last, j]
@@ -675,25 +667,33 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
                     e = ginv[:last, last].copy()
                     _rank_one(ginv, last, e, e / -ginv[last, last])
                 k = op.path_size = last
-            if event == "enter":
+                continue
+            side, i = divmod(j - m, n)
+            if k < m:
                 rows[k] = op.gram_row(i)
                 g = rows[:k, i]
                 gamma = rows[k, i]
                 u = ginv[:k, :k] @ g
                 delta = gamma - g @ u
-                if not delta > _PATH_RANK_TOL * gamma:
+            if k == m or not delta > _PATH_RANK_TOL * gamma:
+                if warm is not None:
                     return None
-                ud = u / delta
-                if k:
-                    _rank_one(ginv, k, u, ud)
-                ginv[:k, k] = ginv[k, :k] = -ud
-                ginv[k, k] = 1.0 / delta
-                idx[k], sig[k], mag[k] = i, s, np.inf if s == 0.0 else entry
-                sdc[k], csig[k] = s * dc[i], s * (c0[i] + t * dc[i])
+                # a_i = u^T c_S sigma_S = +-c_i until a coordinate leaves:
+                # i is tied to the support and held off it
+                tied.append((side, i))
                 gap[:, i] = np.inf
-                k = op.path_size = k + 1
-                if not pivot:
-                    left = None
+                continue
+            s = 0.0 if free[i] else 1.0 - 2.0 * side
+            ud = u / delta
+            if k:
+                _rank_one(ginv, k, u, ud)
+            ginv[:k, k] = ginv[k, :k] = -ud
+            ginv[k, k] = 1.0 / delta
+            idx[k], sig[k], mag[k] = i, s, np.inf if s == 0.0 else 0.0
+            sdc[k], csig[k] = s * dc[i], s * (c0[i] + t * dc[i])
+            gap[:, i] = np.inf
+            k = op.path_size = k + 1
+            left = None
     order = np.argsort(idx[:k])
     return idx[:k][order], sig[:k][order], breakpoints, None
 
@@ -870,11 +870,13 @@ def _bp_path(instance, w, carry, cfg):
     (``_support_lasso``); warm, from the carried LASSO point (x_L, t) of an
     earlier answer to t times the new weights, and the LASSO minimizer x_L
     on S' is taken at that t. The basis pursuit candidate on S' comes from
-    the same QR; its coordinates at most ``_BP_PRUNE`` max |x| are dropped,
-    and the pruned support is factored again if it shrank. The candidate
-    is accepted when the certificate seeded with the path's multiplier
-    passes. A warm path that fails or does not certify is followed by the
-    cold ones; breakpoints count every path walked.
+    the same QR; its coordinates at most ``_BP_PRUNE`` max |x|, or of the
+    sign opposite to the path's (it crosses zero on the way to the limit,
+    as one of -1.5e-8 does on n=20, m=10, s=4, seed 209 at unit weights),
+    are dropped, and the pruned support is factored again if it shrank.
+    The candidate is accepted when the certificate seeded with the path's
+    multiplier passes. A warm path that fails or does not certify is
+    followed by the cold ones; breakpoints count every path walked.
 
     The path's multiplier is the LASSO dual (b - phi x_L) / t
     = (b - Q Q^T b) / t + Q g. The candidate passed its residual test, so b
@@ -910,8 +912,9 @@ def _bp_path(instance, w, carry, cfg):
         candidate = _bp_candidate(instance, support, cfg.inner_tol, (q, r))
         if candidate is None:
             continue
-        mags = np.abs(candidate[2][support])
-        kept = support[mags > _BP_PRUNE * mags.max()]
+        x_bp = candidate[2][support]
+        mags = np.abs(x_bp)
+        kept = support[(mags > _BP_PRUNE * mags.max()) & (x_bp * sigma >= 0.0)]
         if kept.size < support.size:
             candidate = _bp_candidate(instance, kept, cfg.inner_tol)
             if candidate is None:

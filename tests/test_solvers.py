@@ -10,7 +10,7 @@ from scipy.linalg import cho_factor, cho_solve
 from scipy.optimize import linprog, minimize
 
 from rwsparse import reweight, solvers
-from rwsparse.model import ConfigurationError, ProblemInstance, SolverConfig
+from rwsparse.model import ConfigurationError, ProblemInstance, SolverConfig, recovered
 from rwsparse.probgen import EnsembleSpec, gen_noiseless, gen_noisy
 from rwsparse.reweight import run_algorithm
 from rwsparse.solvers import (
@@ -601,9 +601,65 @@ class TestEveryInputOnThePath:
         "inst, w", [pytest.param(inst, w, id=source) for source, inst, w in recorded_resolves()]
     )
     def test_recorded_resolves(self, inst, w):
-        # the oracle re-solves tie many weights at 1; their cold paths
-        # pivot on a square support, or certify only at the second budget
+        # the oracle re-solves tie many weights at 1; their cold paths hold
+        # a tied column off a square support, or certify only at the second
+        # budget
         assert_lp_optimal(weighted_basis_pursuit(inst, w, None, CFG), inst, w)
+
+    @pytest.mark.parametrize(
+        "phi, b, w",
+        [
+            pytest.param(
+                [[-2, -2, 1, -2, -1], [-2, -2, -1, -2, -1], [1, 1, 0, 1, -1]],
+                [0.45229631, 0.64420313, -0.56103192],
+                [1.49324088, 1.0, 1.0, 1.0, 1.12821309],
+                id="three-equal-columns",
+            ),
+            pytest.param(
+                [
+                    [2, 0, 2, 0, 2, -1],
+                    [2, -2, 2, 2, 1, 1],
+                    [0, -1, -2, 1, -1, 1],
+                    [1, 1, 0, -1, 2, -1],
+                    [1, -2, 1, 2, -2, -2],
+                ],
+                [0.76482455, -0.78722982, -2.59499657, -0.58690549, -0.23424255],
+                [1.0] * 6,
+                id="opposite-columns",
+            ),
+        ],
+    )
+    def test_columns_in_the_span_of_the_support(self, phi, b, w):
+        # a column due to enter in the span of a support smaller than m, at
+        # a weight tied to the support's, is held off it: columns 0, 1 and 3
+        # of the first system are equal, columns 1 and 3 of the second
+        # opposite
+        inst = ProblemInstance(phi=np.array(phi, dtype=float), b=np.array(b))
+        w = np.array(w)
+        rep = weighted_basis_pursuit(inst, w, None, CFG)
+        assert_lp_optimal(rep, inst, w)
+        assert np.count_nonzero(rep.x[[1, 3]]) == 1
+
+    def test_square_support_with_a_coordinate_that_crosses_zero(self, path_ends):
+        # the first cold path ends on a square support whose exact solve has
+        # a coordinate of -1.5e-8 where the path's sign is +1: it crosses
+        # zero on the way to the limit, and the other 9 coordinates certify.
+        # Their span lies 3e-9 from b, so the answer meets phi x = b within
+        # inner_tol and its objective sits that far below the LP optimum
+        inst = gen_noiseless(EnsembleSpec(n=20, m=10, s=4, seed=209))
+        w = np.ones(20)
+        rep = weighted_basis_pursuit(inst, w, None, CFG)
+        oracle = lp_basis_pursuit(inst.phi, inst.b, w)
+        assert rep.exit == "certified" and rep.primal_residual <= CFG.inner_tol
+        assert 0.0 < oracle - rep.objective <= CFG.inner_tol * (1.0 + oracle)
+        (_, (support, sigma, _, _)), = path_ends
+        assert support.size == inst.m and np.count_nonzero(rep.x) == inst.m - 1
+        crossed = support[np.sign(rep.x[support]) != sigma]
+        assert crossed.size == 1 and rep.x[crossed[0]] == 0.0
+        # every basis pursuit solve of the four noiseless algorithms answers
+        for algo in ("l1", "rw-sub", "rw-cwb", "oracle"):
+            x, _ = run_algorithm(algo, inst, SolverConfig(rw_iter=4))
+            assert recovered(x, inst.x_star, CFG.recovery_tol), algo
 
     def test_criterion_6_resolve_certifies_at_the_second_budget(self, path_ends):
         # the cold path to the first budget ends on a square support that is
@@ -1141,6 +1197,26 @@ class TestLassoPath:
         assert constrained.objective == pytest.approx(
             slsqp_constrained_l1(phi, inst.b, w, 0.3), rel=1e-6
         )
+
+    def test_equal_columns_at_tied_weights(self):
+        # columns 3, 5 and 7 agree up to sign at unit weights: once one of
+        # them enters, the others are tied to it and held off the support
+        rng = np.random.default_rng(0)
+        phi = rng.standard_normal((8, 16))
+        phi[:, 5] = phi[:, 3]
+        phi[:, 7] = -phi[:, 3]
+        b = phi[:, [0, 3, 9]] @ np.array([1.0, 2.0, -1.5]) + 0.1 * rng.standard_normal(8)
+        inst = ProblemInstance(phi=phi, b=b)
+        w = np.ones(16)
+        lasso = weighted_lasso_fista(inst, w, 20.0, None, CFG)
+        constrained = constrained_weighted_l1(inst, w, 0.3, CFG)
+        assert lasso.exit == constrained.exit == "certified"
+        assert lasso.objective == pytest.approx(fista_reference(phi, b, w, 20.0)[1], rel=1e-9)
+        assert constrained.objective == pytest.approx(
+            slsqp_constrained_l1(phi, b, w, 0.3), rel=1e-6
+        )
+        for x in (lasso.x, constrained.x):
+            assert np.count_nonzero(x[[3, 5, 7]]) == 1
 
     @pytest.mark.parametrize("algo", ["l1", "cwb-noisy"])
     def test_rank_deficient_consistent_phi_with_a_budget(self, algo):
