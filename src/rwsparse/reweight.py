@@ -17,14 +17,14 @@ where they are.
 The unit-weight start depends only on the instance, the re-solve rule, the
 starting multiplier and the inner solver settings, so it is solved once per
 instance and shared: on one noiseless instance, plain l1, both dual ascents
-and the inverse-magnitude baseline make one start solve between them. Each
-run gets its own copy of the iterate.
+and the inverse-magnitude baseline make one start solve between them. The
+start reports live and die with the instance's operator in
+:mod:`rwsparse.solvers`; each run gets its own copy of the iterate.
 """
 
 from __future__ import annotations
 
 import csv
-import weakref
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -51,6 +51,7 @@ from .model import (
 )
 from .solvers import (
     InnerSolveReport,
+    _operator,
     constrained_weighted_l1,
     min_l2_solution,
     weighted_basis_pursuit,
@@ -181,14 +182,12 @@ _EARLY_EXITS = {
     _ZeroStepError: "zero_step",
 }
 
-# {instance: {(re-solve rule, lam, inner settings): report}} of unit-weight solves
-_STARTS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
-
 
 def _start(instance, cfg, solve, lam):
     """The unit-weight solve a run begins with, made once per instance and
-    key; each caller gets its own copy of the iterate. The key drops the
-    outer loop's settings (``eps_k`` may be an unhashable callable).
+    key, in the instance operator's ``starts``; each caller gets its own
+    copy of the iterate. The key (re-solve rule, lam, inner settings) drops
+    the outer loop's settings (``eps_k`` may be an unhashable callable).
 
     The unit-weight LASSO starts warm from the unit-weight constrained
     start when that is already cached (the l1 baseline and cwb-noisy make
@@ -196,7 +195,7 @@ def _start(instance, cfg, solve, lam):
     from the budget's multiplier to ``lam`` instead of walking from x = 0
     again. Its answer is the same exact support solve either way; no
     constrained solve is made for it."""
-    starts = _STARTS.setdefault(instance, {})
+    starts = _operator(instance).starts
     settings = replace(cfg, rw_iter=0, eps_k=None)
     key = (solve, lam, settings)
     report = starts.get(key)

@@ -34,13 +34,14 @@ zero, or zero weights on a support of b), the cold path stops at once
 and that fit is the answer, at objective 0; any other input on which no
 path certifies raises ``NoConvergenceError``.
 
-Each instance has one cached operator that builds, on first use, the
-minimum-norm solution, phi^T b and the Gram rows phi_i^T phi the path
-enters. It also keeps the path's workspace: the support the last path
-call ended on, with the inverse Gram matrix of its columns, from which a
-warm re-solve on that support continues without refactoring. A phi
-without full row rank, numerically, is rejected with
-``RankDeficientError``.
+Each instance has one cached operator, the package's only per-instance
+cache, which builds on first use the minimum-norm solution, phi^T b and
+the Gram rows phi_i^T phi the path enters. It also keeps the path's
+workspace (the support the last path call ended on, with the inverse Gram
+matrix of its columns, from which a warm re-solve on that support
+continues without refactoring) and the outer loop's unit-weight starts
+(:mod:`rwsparse.reweight`), and dies with the instance. A phi without
+full row rank, numerically, is rejected with ``RankDeficientError``.
 """
 
 from __future__ import annotations
@@ -147,11 +148,12 @@ class InnerSolveReport:
 
 
 class _Operator:
-    """The linear algebra of one instance, each piece built on first use:
+    """Everything derived from one instance, each piece built on first use:
     the minimum-norm solution ``x0`` (which applies the rank guard),
     phi^T b, the Gram rows phi_i^T phi of the coordinates the LASSO path
-    has touched (``gram_row``), and the path's workspace
-    (``path_buffers``).
+    has touched (``gram_row``), the path's workspace (``path_buffers``),
+    and the outer loop's unit-weight start reports (``starts``, keyed and
+    filled by ``reweight._start``).
 
     The workspace is the support a path call ended on, in its order of
     entry (``idx[:k]``), the inverse Gram matrix of its columns
@@ -164,6 +166,7 @@ class _Operator:
         self.phi, self.b = instance.phi, instance.b
         self.gram_rows: dict[int, np.ndarray] = {}
         self.path_size: int | None = None
+        self.starts: dict = {}
 
     @cached_property
     def x0(self) -> np.ndarray:
@@ -315,10 +318,11 @@ def weighted_basis_pursuit(
     The problem is the limit of the weighted LASSO as lam grows, so it is
     solved along the homotopy ``_path`` (``_bp_path``): warm from the LASSO
     point that ``warm`` carries when it is the report of a basis pursuit
-    answer on this instance, and cold otherwise or when the warm path does
-    not certify. The answer is the exact solve on the support the path ends
-    on, pruned of rounding-level coordinates and of those whose sign
-    opposes the path's (``_bp_candidate``), returned only with a verified
+    answer on this instance (from m nonzeros only at weights that keep its
+    objective), and cold otherwise or when the warm path does not certify.
+    The answer is the exact solve on the support the path ends on, pruned
+    of rounding-level coordinates and of those whose sign opposes the
+    path's (``_bp_candidate``), returned only with a verified
     optimality certificate seeded by the path's own multiplier
     (``_bp_certified``): exit ``"certified"``, ``iterations`` the
     breakpoints of every path walked, and the LASSO point in
@@ -326,10 +330,12 @@ def weighted_basis_pursuit(
     breakpoints ends the solve with exit ``"max_iter"`` and the minimizer
     at the weights it reached. A cold path stops at once, with nothing to
     certify, where the fit on the zero-weight coordinates meets phi x = b
-    (b = 0, all weights zero, or zero weights on a support of b); when no
-    path certifies, that fit is the answer (``_bp_zero_weight_fit``),
-    certified at objective 0 and flagged degenerate when the zero-weight
-    columns have a null space, which makes the solution set unbounded.
+    (b = 0, all weights zero, or zero weights on a support of b). When no
+    path certifies, that fit (``_zero_weight_fit``) is the answer,
+    certified at objective 0, if it meets phi x = b within
+    ``cfg.inner_tol`` (1 + ||b||), and ``NoConvergenceError`` is raised
+    otherwise; it is flagged degenerate when the zero-weight columns have
+    a null space, which makes the solution set unbounded.
 
     ``warm`` must be None or a report whose x is a finite vector of length
     n (``ConfigurationError`` otherwise). ``primal_residual`` is
@@ -343,14 +349,20 @@ def weighted_basis_pursuit(
             raise ConfigurationError(f"warm start must be a basis pursuit report, not {kind}")
         _warm_start(warm.x, instance.n)
         carry = warm.lasso_point
+        # a warm path from a square support (m nonzeros) gives up at its
+        # first entry, as on every such re-solve of a Fig-1 sweep: it is
+        # walked only at weights that keep the objective, as unchanged ones do
+        if carry is not None and np.count_nonzero(carry[0]) == instance.m:
+            carry = carry if float(w @ np.abs(warm.x)) == warm.objective else None
     _operator(instance).x0  # the rank guard runs on every input
     x, breakpoints, carry = _bp_path(instance, w, carry, cfg)
     stop = "max_iter" if carry is None else "certified"
-    degenerate = False
+    degenerate, b = False, instance.b
     if x is None:
-        x, degenerate = _bp_zero_weight_fit(instance, w, cfg.inner_tol)
+        x, resid, degenerate = _zero_weight_fit(instance, w)
+        if np.linalg.norm(resid) > cfg.inner_tol * (1.0 + np.linalg.norm(b)):
+            raise NoConvergenceError("no basis pursuit path certifies, nor the zero-weight fit")
         stop = "certified"
-    b = instance.b
     return InnerSolveReport(
         x=x,
         iterations=breakpoints,
@@ -360,25 +372,6 @@ def weighted_basis_pursuit(
         degenerate=degenerate,
         lasso_point=carry,
     )
-
-
-def _bp_zero_weight_fit(instance, w, tol):
-    """The fit on the zero-weight coordinates, at objective 0, as (x,
-    degenerate): the exact solve on their support when their columns are
-    independent, as every certified answer is, and their least-squares fit
-    otherwise. It raises NoConvergenceError when it misses phi x = b by
-    more than tol (1 + ||b||): then no answer was found."""
-    fit = _bp_candidate(instance, np.flatnonzero(w == 0.0), tol)
-    if fit is not None:
-        return fit[2], False
-    x, resid, degenerate = _zero_weight_fit(instance, w)
-    if np.linalg.norm(resid) > tol * (1.0 + np.linalg.norm(instance.b)):
-        raise NoConvergenceError("no basis pursuit path certifies, nor the zero-weight fit")
-    return x, degenerate
-
-
-def _lasso_objective(w, lam, x, resid) -> float:
-    return 0.5 * lam * float(resid @ resid) + float(w @ np.abs(x))
 
 
 def _lasso_optimality(w, grad, x) -> float:
@@ -699,19 +692,23 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
 
 
 def _zero_weight_fit(instance, w):
-    """The least-squares fit on the zero-weight coordinates (x = 0 when no
-    weight is zero) as (x, b - phi x, degenerate): its weighted l1 norm is
-    0, the least possible, and it is one of an unbounded set (degenerate)
-    when those columns have a null space."""
+    """The fit on the zero-weight coordinates, at weighted l1 norm 0, as
+    (x, b - phi x, degenerate): their exact QR solve when their columns
+    are independent (``_support_qr``), else their least-squares fit, one
+    of an unbounded set (degenerate); x = 0 when no weight is zero. Each
+    caller decides whether the fit answers its problem."""
     phi, b = instance.phi, instance.b
     x = np.zeros(instance.n)
-    resid, degenerate = b, False
     free = np.flatnonzero(w == 0.0)
-    if free.size:
-        x[free], _, rank, _ = np.linalg.lstsq(phi[:, free], b, rcond=None)
-        resid = b - phi[:, free] @ x[free]
-        degenerate = rank < free.size  # phi_Z has a null space
-    return x, resid, degenerate
+    if free.size == 0:
+        return x, b, False
+    factors = _support_qr(phi, free)
+    if factors is None:
+        x[free] = np.linalg.lstsq(phi[:, free], b, rcond=None)[0]
+    else:
+        q, r = factors
+        x[free] = solve_triangular(r, q.T @ b, check_finite=False)
+    return x, b - phi[:, free] @ x[free], factors is None
 
 
 def weighted_lasso_fista(
@@ -751,19 +748,11 @@ def weighted_lasso_fista(
     if warm is not None:
         warm = _warm_start(warm, instance.n)
     phi, b = instance.phi, instance.b
+    breakpoints, stop, degenerate = 0, "certified", False
     if np.all(lam * np.abs(_operator(instance).corr_b) <= w):
         x = np.zeros(instance.n)
-        return InnerSolveReport(
-            x=x,
-            iterations=0,
-            primal_residual=0.0,
-            objective=_lasso_objective(w, lam, x, -b),
-            exit="certified",
-            degenerate=(lam == 0.0 or not np.any(phi)) and bool(np.any(w == 0.0)),
-            multiplier=float(lam),
-        )
-    breakpoints, stop, degenerate = 0, "certified", False
-    if np.count_nonzero(w == 0.0) > instance.m:
+        degenerate = (lam == 0.0 or not np.any(phi)) and bool(np.any(w == 0.0))
+    elif np.count_nonzero(w == 0.0) > instance.m:
         x, _, degenerate = _zero_weight_fit(instance, w)
     else:
         c = w / lam
@@ -794,7 +783,7 @@ def weighted_lasso_fista(
         x=x,
         iterations=breakpoints,
         primal_residual=viol,
-        objective=_lasso_objective(w, lam, x, resid),
+        objective=0.5 * lam * float(resid @ resid) + float(w @ np.abs(x)),
         exit=stop,
         degenerate=degenerate,
         multiplier=float(lam),
@@ -947,9 +936,9 @@ def constrained_weighted_l1(
     the budget, or a root that does not certify, raises
     ``NoConvergenceError``. eta = 0 is weighted basis pursuit.
 
-    When the least-squares fit on the zero-weight coordinates (x = 0 when
-    there are none) meets the budget, it is returned at once with
-    objective 0 and multiplier 0, exit ``"certified"``. Any answer is
+    When the fit on the zero-weight coordinates (``_zero_weight_fit``;
+    x = 0 when there are none) meets the budget, it is returned at once
+    with objective 0 and multiplier 0, exit ``"certified"``. Any answer is
     flagged degenerate when those columns have a null space, which makes
     the solution set unbounded (as with more than m zero weights).
     """
@@ -959,8 +948,8 @@ def constrained_weighted_l1(
     if eta == 0.0:
         return weighted_basis_pursuit(instance, w, None, cfg)
     phi, b = instance.phi, instance.b
-    # the least-squares fit on the zero-weight coordinates is a minimizer
-    # when it meets the budget, which then has multiplier 0
+    # the fit on the zero-weight coordinates is a minimizer when it meets
+    # the budget, which then has multiplier 0
     x, resid, degenerate = _zero_weight_fit(instance, w)
     if np.linalg.norm(resid) <= eta:
         return InnerSolveReport(

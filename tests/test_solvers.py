@@ -471,6 +471,9 @@ class TestWeightedBasisPursuit:
         again = weighted_basis_pursuit(inst, np.ones(64), cold, CFG)
         assert cold.exit == again.exit == "certified"
         assert again.iterations == 0 and again.x.tobytes() == cold.x.tobytes()
+        # the carried support is square: at unchanged weights its warm path
+        # still runs, as nothing enters
+        assert np.count_nonzero(cold.lasso_point[0]) == inst.m
 
     def test_answers_are_the_exact_solve_on_their_support(self, monkeypatch):
         # a certified answer is the exact solve on its support, a pure
