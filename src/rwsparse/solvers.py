@@ -53,7 +53,7 @@ from functools import cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
-from scipy.linalg.blas import dger
+from scipy.linalg.blas import daxpy, dger
 from scipy.linalg.lapack import dpotri
 
 from .model import ConfigurationError, ProblemInstance, SolverConfig, as_weight_array
@@ -436,13 +436,13 @@ def _start_inverse(op, start, rows):
     return inv + np.tril(inv, -1).T
 
 
-def _rank_one(ginv, k, u, v):
+def _rank_one(ginv, k, u, v, pad):
     """Add the symmetric term u v^T (v a multiple of u) to ginv[:k, :k] in
-    place: BLAS dger on the rows ginv[:k], whose transpose is a
-    Fortran-contiguous view, with u padded by zeros to the row length so
-    that the rest of those rows keeps its values."""
-    pad = np.zeros(ginv.shape[1])
+    place: BLAS dger on the rows ginv[:k] (a Fortran-contiguous transpose),
+    with u zero-padded to the row length in ``pad``, so the rest of those
+    rows is kept; pad is zero past the last update's k, at most one away."""
     pad[:k] = u
+    pad[k : k + 1] = 0.0
     dger(1.0, pad, v, a=ginv[:k].T, overwrite_a=1)
 
 
@@ -484,18 +484,20 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
       contradicts x_S beyond rounding gives None.
 
     The path runs in the instance's workspace (``_Operator``): the support
-    in its order of entry, the inverse Gram matrix of phi_S (bordered on
-    each entry, downdated on each exit, both in place) and the rows
+    in its order of entry, the inverse Gram matrix of phi_S (in place:
+    bordered on each entry; on each exit downdated through the leaver's
+    column, and the last slot copied into the leaver's) and the rows
     phi_S^T phi, copied from the instance's memo (``_Operator.gram_row``).
     A warm start on the support the last path call ended on, the usual
     case of a re-solve, continues from them as they are; any other start
     inverts its Gram matrix from its Cholesky factor. Along a segment the
     path updates, in preallocated buffers, |x_S| and the gaps c - a and
     c + a off the support, each of which closes at a known speed, and
-    ||phi x - b||^2. The next breakpoint is the gap with the largest
-    closing rate speed / gap, and the step to it is its gap / speed. So a
-    breakpoint makes no product with phi beyond the first computation of a
-    Gram row. The path gives None on a numerically rank-deficient start.
+    ||phi x - b||^2 (c_S sigma_S is kept as intercept plus t times slope).
+    The next breakpoint is the gap with the largest closing rate, and the
+    step to it is its gap / speed; a breakpoint makes no product with phi
+    beyond the first computation of a Gram row. The path gives None on a
+    numerically rank-deficient start.
     A coordinate due to enter in the span of phi_S (every one when
     |S| = m; else by ``_PATH_RANK_TOL``) gives None on a warm path; on a
     cold one, where c(t) stays a multiple of c, phi_i = phi_S u keeps
@@ -556,8 +558,8 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     dc = c1 - c0
     free = (c0 == 0.0) & (dc == 0.0)
     sig = np.empty(m)
-    sdc = np.empty(m)  # sigma_S dc_S, so that d x_S / dt = -ginv sdc
-    csig = np.empty(m)  # c_S sigma_S = a_S
+    # c_S(t) sigma_S = a_S is dual[0] + t dual[1] (sigma_S c0_S, sigma_S dc_S)
+    dual, pad = np.empty((2, m)), np.zeros(m)  # pad: _rank_one's
     # Every breakpoint is a gap closing to zero, so one buffer holds them
     # all: gaps[:m] is |x_S| in the order of entry, through which a
     # coordinate leaves (+inf past k, and where the weight is zero
@@ -575,13 +577,11 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     if k:
         sig[:k] = np.where(free[start], 0.0, np.sign(xs))
         mag[:k] = np.where(free[start], np.inf, sig[:k] * xs)
-    sdc[:k] = sig[:k] * dc[start]
-    csig[:k] = sig[:k] * c0[start]
+    dual[:, :k] = sig[:k] * np.array([c0[start], dc[start]])
     if eta is not None:
         r = b - phi[:, start] @ xs if k else b
         rho, eta_sq = float(r @ r), eta * eta
-    np.subtract(c0, a, out=gap[0])
-    np.add(c0, a, out=gap[1])
+    gap[:] = c0 - a, c0 + a
     gap[:, start] = gap[:, held] = np.inf
     np.maximum(gaps, 0.0, out=gaps)
     ndc = -dc
@@ -592,7 +592,7 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     breakpoints = 0
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
-            xb = ginv[:k, :k] @ sdc[:k]  # -d x_S / dt
+            xb = ginv[:k, :k] @ dual[1, :k]  # -d x_S / dt
             v = xb @ rows[:k]  # d a / dt
             np.add(ndc, v, out=q[0])
             np.subtract(ndc, v, out=q[1])
@@ -612,8 +612,9 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
                 step, event = 1.0 - t, "end"
             if eta is not None:
                 # ||r - s phi_S xdot||^2, where phi_S^T r = c_S sigma_S and
-                # phi_S^T phi_S xdot = -sdc
-                rho_next = rho + step * (2.0 * (csig[:k] @ xb) + step * (xb @ sdc[:k]))
+                # phi_S^T phi_S xdot = -sigma_S dc_S
+                p0, p1 = dual[:, :k] @ xb
+                rho_next = rho + step * (2.0 * (p0 + t * p1) + step * p1)
                 if rho_next <= eta_sq:
                     break
                 if event == "end":
@@ -625,17 +626,15 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
                         return None
                     break
                 rho = rho_next
-            np.multiply(speeds, step, out=rates)  # rates serves as scratch
-            gaps -= rates
+            daxpy(speeds, gaps, a=-step)
             np.maximum(gaps, 0.0, out=gaps)
-            csig[:k] += step * sdc[:k]
             t += step
             if event == "end":
                 break
             breakpoints += 1
             if breakpoints > max_breakpoints:
                 x = np.zeros(n)
-                x[idx[:k]] = ginv[:k, :k] @ (corr[idx[:k]] - csig[:k])
+                x[idx[:k]] = ginv[:k, :k] @ (corr[idx[:k]] - dual[0, :k] - t * dual[1, :k])
                 return None, None, max_breakpoints, x
             if event == "leave":
                 out = idx[j]
@@ -648,22 +647,21 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
                     gap[1 - side, i] = 2.0 * (c0[i] + t * dc[i])
                 tied.clear()
                 last = k - 1
-                if j != last:
-                    swap, back = [j, last], [last, j]
-                    for arr in (idx, sig, mag, sdc, csig):
-                        arr[swap] = arr[back]
-                    rows[j] = rows[last]
-                    ginv[swap, :k] = ginv[back, :k]
-                    ginv[:k, swap] = ginv[:k, back]
+                if last:  # downdate, then move the last slot into j's
+                    e = ginv[:k, j].copy()
+                    _rank_one(ginv, k, e, e / -e[j], pad)
+                    idx[j], sig[j], mag[j] = idx[last], sig[last], mag[last]
+                    dual[:, j], rows[j] = dual[:, last], rows[last]
+                    # ginv[last, last] goes to [j, last], then to [j, j]
+                    ginv[j, :k] = ginv[last, :k]
+                    ginv[:k, j] = ginv[:k, last]
                 mag[last] = np.inf
-                if last:
-                    e = ginv[:last, last].copy()
-                    _rank_one(ginv, last, e, e / -ginv[last, last])
                 k = op.path_size = last
                 continue
             side, i = divmod(j - m, n)
             if k < m:
-                rows[k] = op.gram_row(i)
+                row = op.gram_rows.get(i)  # gram_row only on a miss
+                rows[k] = op.gram_row(i) if row is None else row
                 g = rows[:k, i]
                 gamma = rows[k, i]
                 u = ginv[:k, :k] @ g
@@ -679,11 +677,11 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
             s = 0.0 if free[i] else 1.0 - 2.0 * side
             ud = u / delta
             if k:
-                _rank_one(ginv, k, u, ud)
+                _rank_one(ginv, k, u, ud, pad)
             ginv[:k, k] = ginv[k, :k] = -ud
             ginv[k, k] = 1.0 / delta
             idx[k], sig[k], mag[k] = i, s, np.inf if s == 0.0 else 0.0
-            sdc[k], csig[k] = s * dc[i], s * (c0[i] + t * dc[i])
+            dual[:, k] = s * c0[i], s * dc[i]
             gap[:, i] = np.inf
             k = op.path_size = k + 1
             left = None
@@ -932,9 +930,11 @@ def constrained_weighted_l1(
     budget's. When the path would pass ``cfg.inner_max_iter`` breakpoints
     before it meets the budget, the LASSO minimizer at the weights it
     reached, whose residual norm is still above eta, is returned with exit
-    ``"max_iter"`` and multiplier NaN. A path that cannot be followed to
-    the budget, or a root that does not certify, raises
-    ``NoConvergenceError``. eta = 0 is weighted basis pursuit.
+    ``"max_iter"`` and multiplier NaN. A budget below the least-squares
+    residual ||b - phi phi^+ b||, which no point meets, raises
+    ``ConfigurationError``; a path that cannot be followed to any other
+    budget, or a root that does not certify, ``NoConvergenceError``.
+    eta = 0 is weighted basis pursuit.
 
     When the fit on the zero-weight coordinates (``_zero_weight_fit``;
     x = 0 when there are none) meets the budget, it is returned at once
@@ -964,10 +964,10 @@ def constrained_weighted_l1(
 
     found = _path(instance, w, cfg.inner_max_iter, eta=eta)
     if found is None:
-        raise NoConvergenceError(
-            f"the weighted-LASSO path cannot be followed to the budget {eta:.3e}: "
-            f"a numerically rank-deficient support, or a budget below the "
-            f"least-squares residual"
+        floor = float(np.linalg.norm(b - phi @ np.linalg.lstsq(phi, b, rcond=None)[0]))
+        raise (ConfigurationError if floor > eta else NoConvergenceError)(
+            f"the weighted-LASSO path cannot be followed to the budget {eta:.3e}; "
+            f"the least-squares residual ||b - phi phi^+ b|| is {floor:.3e}"
         )
     support, sigma, iterations, x = found
     lam, stop = np.nan, "max_iter"

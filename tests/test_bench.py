@@ -1,5 +1,6 @@
 import csv
 import dataclasses
+import hashlib
 import math
 
 import numpy as np
@@ -7,6 +8,7 @@ import pytest
 
 import rwsparse.bench as bench
 import rwsparse.reweight as reweight
+import rwsparse.solvers as solvers
 from rwsparse.bench import (
     SweepConfig,
     emit_csv,
@@ -15,6 +17,7 @@ from rwsparse.bench import (
     run_recovery_sweep,
 )
 from rwsparse.model import ConfigurationError, DegenerateBaselineError, SolverConfig, SweepResult
+from rwsparse.probgen import EnsembleSpec, gen_noiseless, gen_noisy
 
 TINY = SweepConfig(
     algorithms=("rw-sub", "rw-cwb"),
@@ -225,3 +228,53 @@ class TestEmitCsv:
         res = SweepResult(sparsity_levels=[5], recovery_rate_per_algorithm={}, trials=1, seeds=[0])
         with pytest.raises(OSError, match="no/such"):
             emit_csv(res, tmp_path / "no" / "such" / "dir.csv")
+
+
+def _fig1_panel():
+    """(instance, algorithm, config) of the Fig-1 panel in (s, seed,
+    algorithm) order: n=256, m=100, s in 20..50, seeds 0-3, l1 and the two
+    basis pursuit reweightings at rw_iter=2."""
+    for s in (20, 30, 40, 50):
+        for seed in range(4):
+            inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=s, seed=seed))
+            for algo in ("l1", "rw-sub", "rw-cwb"):
+                yield inst, algo, SolverConfig(rw_iter=2)
+
+
+def _noisy_panel():
+    """The noisy improvement panel: n=256, m=128, s=38, sigma=0.05, seeds
+    0-23, the constrained l1 baseline and the two noisy reweightings."""
+    for seed in range(24):
+        inst = gen_noisy(EnsembleSpec(n=256, m=128, s=38, sigma=0.05, seed=seed))
+        for algo in ("l1", "rw-lasso", "cwb-noisy"):
+            yield inst, algo, SolverConfig()
+
+
+class TestFinalIterateDigests:
+    @pytest.mark.parametrize(
+        "panel, digest, breakpoints",
+        [(_fig1_panel, "7920ae5aafb5ff63", 5147), (_noisy_panel, "6b51f6b2f07cb9ce", 4141)],
+        ids=["fig1", "noisy"],
+    )
+    def test_panel_iterates_keep_their_bits(self, monkeypatch, panel, digest, breakpoints):
+        # the SHA-256 of every run's final iterate, in panel order, and the
+        # path breakpoints walked: a solver change that claims to keep the
+        # answers keeps both. The panel runs as a sweep does, under one BLAS
+        # thread (bench._map_ordered); the bits hold only under that pinning
+        walked = []
+        path = solvers._path
+
+        def counted(*args, **kwargs):
+            found = path(*args, **kwargs)
+            walked.append(0 if found is None else found[2])
+            return found
+
+        def run(_):
+            h = hashlib.sha256()
+            for inst, algo, cfg in panel():
+                h.update(reweight.run_algorithm(algo, inst, cfg)[0].tobytes())
+            return h.hexdigest()[:16]
+
+        monkeypatch.setattr(solvers, "_path", counted)
+        assert bench._map_ordered(run, [None], 1) == [digest]
+        assert sum(walked) == breakpoints

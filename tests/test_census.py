@@ -16,7 +16,7 @@ import numpy as np
 import pytest
 from test_solvers import fista_reference, lp_basis_pursuit
 
-from rwsparse.model import ProblemInstance, SolverConfig
+from rwsparse.model import ConfigurationError, ProblemInstance, SolverConfig
 from rwsparse.solvers import (
     RankDeficientError,
     constrained_weighted_l1,
@@ -124,15 +124,24 @@ def _lasso_objective(phi, b, w, lam, x):
     return 0.5 * lam * (r @ r) + w @ np.abs(x)
 
 
-def _check_full_rank(seed, phi, b, b_noisy, w, eta, failures, references, counts):
-    """The basis pursuit and constrained checks of a full-rank system."""
+def _check_basis_pursuit(seed, phi, b, w, failures):
     bp = weighted_basis_pursuit(ProblemInstance(phi=phi, b=b), w, None, CFG)
     optimum = lp_basis_pursuit(phi, b, w)
     if bp.exit != "certified" or bp.primal_residual > CFG.inner_tol:
         failures.append(f"{seed}: basis pursuit {bp.exit}, residual {bp.primal_residual:.1e}")
     elif bp.objective - optimum > 1e-9 * (1.0 + optimum):
         failures.append(f"{seed}: basis pursuit {_gap(bp.objective, optimum):.1e} above the LP")
-    constrained = constrained_weighted_l1(ProblemInstance(phi=phi, b=b_noisy), w, eta, CFG)
+
+
+def _check_constrained(seed, phi, b_noisy, w, eta, failures, references, counts):
+    inst = ProblemInstance(phi=phi, b=b_noisy)
+    fit = np.linalg.lstsq(phi, b_noisy, rcond=None)[0]
+    if np.linalg.norm(phi @ fit - b_noisy) > eta:  # no point meets the budget
+        counts["infeasible"] += 1
+        with pytest.raises(ConfigurationError, match="least-squares residual"):
+            constrained_weighted_l1(inst, w, eta, CFG)
+        return
+    constrained = constrained_weighted_l1(inst, w, eta, CFG)
     counts["degenerate"] += constrained.degenerate
     residual = np.linalg.norm(phi @ constrained.x - b_noisy)
     if constrained.exit != "certified":
@@ -153,31 +162,32 @@ def _check_full_rank(seed, phi, b, b_noisy, w, eta, failures, references, counts
 def test_every_solver_matches_its_reference(systems):
     """Every LASSO solve ends certified, at the reference objective within
     1e-9. On a phi without full row rank, basis pursuit raises
-    ``RankDeficientError`` (the constrained problem is not posed there: its
-    budget may lie below the least-squares residual). On every other
-    system no solve raises. Basis pursuit ends certified, feasible within
-    ``inner_tol`` and at most 1e-9 (relative) above the LP optimum. The
-    constrained answer ends certified: either the zero-weight fit, at
-    objective 0 and multiplier 0, inside the budget, or a point on the
-    budget (within 1e-9 eta) whose LASSO objective at its multiplier
-    matches the reference within 1e-9, which by duality makes it the
-    constrained minimizer."""
+    ``RankDeficientError``, and the constrained problem raises
+    ``ConfigurationError`` when its budget lies below the least-squares
+    residual ||b - phi phi^+ b||. No other solve raises. Basis pursuit
+    ends certified, feasible within ``inner_tol`` and at most 1e-9
+    (relative) above the LP optimum. The constrained answer ends
+    certified: either the zero-weight fit, at objective 0 and multiplier
+    0, inside the budget, or a point on the budget (within 1e-9 eta) whose
+    LASSO objective at its multiplier matches the reference within 1e-9,
+    which by duality makes it the constrained minimizer."""
     failures, references = [], []
-    counts = dict(rank_deficient=0, zero_weight_fit=0, degenerate=0)
+    counts = dict(rank_deficient=0, infeasible=0, zero_weight_fit=0, degenerate=0)
     for seed in range(systems):
         phi, b, b_noisy, w, eta, lam = census_system(seed)
         lasso = weighted_lasso_fista(ProblemInstance(phi=phi, b=b_noisy), w, lam, None, CFG)
         if lasso.exit != "certified":
             failures.append(f"{seed}: LASSO {lasso.exit}")
         references.append((f"{seed}: LASSO", lasso.objective, (phi, b_noisy, w, lam)))
-        if np.linalg.matrix_rank(phi) < phi.shape[0]:
-            counts["rank_deficient"] += 1
-            with pytest.raises(RankDeficientError):
-                weighted_basis_pursuit(ProblemInstance(phi=phi, b=b), w, None, CFG)
-            continue
         try:
-            _check_full_rank(seed, phi, b, b_noisy, w, eta, failures, references, counts)
-        except Exception as exc:  # a full-rank system raises nothing
+            if np.linalg.matrix_rank(phi) < phi.shape[0]:
+                counts["rank_deficient"] += 1
+                with pytest.raises(RankDeficientError):
+                    weighted_basis_pursuit(ProblemInstance(phi=phi, b=b), w, None, CFG)
+            else:
+                _check_basis_pursuit(seed, phi, b, w, failures)
+            _check_constrained(seed, phi, b_noisy, w, eta, failures, references, counts)
+        except Exception as exc:  # no other solve raises
             raise AssertionError(f"census system {seed} raised") from exc
 
     objectives = batched_fista([problem for *_, problem in references])
@@ -185,6 +195,6 @@ def test_every_solver_matches_its_reference(systems):
         if _gap(value, reference) > 1e-9:
             failures.append(f"{label} objective {_gap(value, reference):.1e} off the reference")
     assert not failures, failures
-    # the census reaches the rank guard, the zero-weight fit and its null
-    # space
+    # the census reaches the rank guard, an infeasible budget, the
+    # zero-weight fit and its null space
     assert all(counts.values()), counts

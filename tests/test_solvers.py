@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import json
 from pathlib import Path
@@ -1108,6 +1109,44 @@ class TestLassoPath:
         assert np.array_equal(np.sort(support), warm_paths[calls - 1][0])
         ref = np.linalg.inv(inst.phi[:, support].T @ inst.phi[:, support])
         assert np.linalg.norm(ginv[:k, :k] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_cold_paths_with_many_exits_keep_the_workspace(self, monkeypatch):
+        # Fig-1 runs at s = 50, whose basis pursuit solves (the unit-weight
+        # starts and the re-solves, which leave square supports) are all
+        # cold paths to |S| = m = 100: on a path from no support,
+        # breakpoints - |S| is twice the exits plus the holds, 552 here in
+        # all. After each path the workspace holds the support it returned,
+        # in the order of entry the exits keep (pinned by digest), and the
+        # inverse Gram matrix of those columns in that order
+        digest, excess = hashlib.sha256(), 0
+        path = solvers._path
+
+        def checked(instance, c, max_breakpoints, warm=None, eta=None):
+            nonlocal excess
+            found = path(instance, c, max_breakpoints, warm, eta)
+            assert warm is None and eta is not None and found[3] is None
+            op = _operator(instance)
+            idx, ginv, _ = op.path_buffers
+            k = op.path_size
+            assert np.array_equal(np.sort(idx[:k]), found[0])
+            digest.update(idx[:k].astype(np.int64).tobytes())
+            excess += found[2] - k
+            # the bordered and downdated inverse sits up to 3e-11 from a
+            # fresh one on these supports (Gram condition numbers up to 1e5),
+            # a fresh inverse within 1e-12 of one refined in extended
+            # precision; a slip in the exit bookkeeping shows at O(1)
+            sub = instance.phi[:, idx[:k]]
+            ref = np.linalg.inv(sub.T @ sub)
+            assert np.linalg.norm(ginv[:k, :k] - ref) <= 1e-10 * np.linalg.norm(ref)
+            return found
+
+        monkeypatch.setattr(solvers, "_path", checked)
+        for seed in range(4):
+            inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=50, seed=seed))
+            for algo in ("l1", "rw-sub", "rw-cwb"):
+                run_algorithm(algo, inst, SolverConfig(rw_iter=2))
+        assert excess == 552
+        assert digest.hexdigest()[:16] == "92e8dc083574ac43"
 
     def test_tie_at_step_zero_enters_the_lowest_flat_index_first(self):
         # |a_0| / c_0 = |a_2| / c_2 = 2 exactly: coordinate 2 entering with
