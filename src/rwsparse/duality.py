@@ -81,7 +81,7 @@ def subgradient_oracle(x_k, x_star) -> np.ndarray:
 
 def subgradient_nonoracle(x_k, eps: float) -> np.ndarray:
     """Supergradient of the amplified-constraint dual: g_i = -eps * |x_k_i|."""
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     return -eps * np.abs(np.asarray(x_k, dtype=float))
 
@@ -131,7 +131,7 @@ def polyak_step_nonoracle(w_k, x_k, eps: float) -> float:
     """Zero-target stepsize for the amplified-constraint dual:
     alpha = (1/eps) * ||W_k x_k||_1 / ||x_k||_2^2, always nonnegative.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
     w_k = as_weight_array(w_k)
     x_k = np.asarray(x_k, dtype=float)
@@ -172,9 +172,9 @@ def polyak_step_lasso(
     when g_lam = 0. The numerator is clamped at zero because inner-solve
     inexactness can leave the quadratic constraint slightly violated.
     """
-    if eps <= 0:
+    if not eps > 0:
         raise ValueError("eps must be positive")
-    if lambda_k < 0:
+    if not lambda_k >= 0:
         raise ValueError("lambda_k must be nonnegative")
     w_k = as_weight_array(w_k)
     x_k = np.asarray(x_k, dtype=float)

@@ -93,9 +93,9 @@ class ProblemInstance:
             if xs.shape[0] != n:
                 raise ValueError(f"x_star has length {xs.shape[0]}, expected {n}")
             object.__setattr__(self, "x_star", xs)
-        if self.sigma is not None and self.sigma < 0:
+        if self.sigma is not None and not self.sigma >= 0:
             raise ValueError("sigma must be nonnegative")
-        if self.eta is not None and self.eta < 0:
+        if self.eta is not None and not self.eta >= 0:
             raise ValueError("eta must be nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be an unsigned integer")
@@ -221,11 +221,11 @@ class SolverConfig:
         if self.rw_iter < 0:
             raise ValueError("rw_iter must be >= 0")
         for name in ("inner_tol", "recovery_tol"):
-            if getattr(self, name) <= 0:
+            if not getattr(self, name) > 0:
                 raise ValueError(f"{name} must be > 0")
         if self.inner_max_iter <= 0:
             raise ValueError("inner_max_iter must be > 0")
-        if isinstance(self.eps_k, (int, float)) and self.eps_k <= 0:
+        if isinstance(self.eps_k, (int, float)) and not self.eps_k > 0:
             raise ValueError("eps_k must be > 0")
 
     def eps_at(self, k: int, default: float) -> float:
@@ -235,7 +235,7 @@ class SolverConfig:
             eps = float(self.eps_k(k))
         else:
             eps = float(self.eps_k)
-        if eps <= 0:
+        if not eps > 0:
             raise ValueError(f"eps_k must be > 0, got {eps} at k={k}")
         return eps
 

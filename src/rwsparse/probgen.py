@@ -44,7 +44,7 @@ class EnsembleSpec:
             raise ValueError(
                 f"require 0 < s <= m < n, got s={self.s}, m={self.m}, n={self.n}"
             )
-        if self.sigma is not None and self.sigma < 0:
+        if self.sigma is not None and not self.sigma >= 0:
             raise ValueError("sigma must be nonnegative")
         if self.seed < 0:
             raise ValueError("seed must be an unsigned integer")
@@ -82,7 +82,7 @@ def eta_from_sigma(sigma: float, m: int) -> float:
     about 0.97: eta = sigma * sqrt(m + 2 sqrt(2m))."""
     if m < 1:
         raise ValueError("m must be >= 1")
-    if sigma < 0:
+    if not sigma >= 0:
         raise ValueError("sigma must be nonnegative")
     return sigma * math.sqrt(m + 2.0 * math.sqrt(2.0 * m))
 

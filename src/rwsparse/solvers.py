@@ -10,13 +10,15 @@ Four problems are covered, all over a dense underdetermined matrix:
 All three sparse problems follow the weighted-LASSO homotopy (``_path``):
 the minimizer is piecewise linear in the effective weights w / lam, and an
 active-set path finds its support and signs breakpoint by breakpoint. The
-LASSO ends on the exact solve on that support; the constrained problem
-follows the path in 1/lam until the residual norm meets eta and ends on
-the closed-form multiplier on that segment's support. Both answers are
-returned only when the LASSO optimality conditions certify them. When the
-path runs out of breakpoints, the exact minimizer at the weights it
-reached is returned as not converged; any other failure of the path or of
-the certificate raises ``NoConvergenceError``.
+LASSO ends on the exact solve on that support at its lam; the constrained
+problem follows the path in 1/lam until the residual norm meets eta and
+ends on the same support's minimizer at the closed-form multiplier where
+it meets eta. Either answer is returned only when its signs match the
+path's and one certificate, the LASSO optimality conditions at its
+multiplier, holds. When the path runs out of breakpoints, the exact
+minimizer at the weights it reached is returned as not converged; any
+other failure of the path or of the certificate raises
+``NoConvergenceError``.
 
 Basis pursuit is the limit of the LASSO as lam grows, and the same path
 answers every input. It runs to a small residual norm (cold; at a second,
@@ -233,10 +235,10 @@ def min_l2_solution(instance: ProblemInstance) -> np.ndarray:
     return _operator(instance).x0.copy()
 
 
-def _support_qr(phi, support):
-    """Economic QR of the support columns phi_S, or None when S is empty,
-    larger than m, or numerically rank deficient
-    (min |diag R| <= |S| eps max |diag R|)."""
+def _support_fit(phi, b, support):
+    """The economic QR phi_S = q r of the support columns with c = q^T b,
+    as (q, r, c), or None when S is empty, larger than m, or numerically
+    rank deficient (min |diag r| <= |S| eps max |diag r|)."""
     k = support.size
     if k == 0 or k > phi.shape[0]:
         return None
@@ -244,23 +246,22 @@ def _support_qr(phi, support):
     pivots = np.abs(np.diag(r))
     if pivots.min() <= k * _EPS * pivots.max():
         return None
-    return q, r
+    return q, r, q.T @ b
 
 
-def _bp_candidate(instance, support, tol, factors=None):
-    """The exact solve on a candidate support: (q, r, x) with phi_S = q r
-    (economic QR, ``factors`` when the caller has it) and
-    x_S = r^{-1} q^T b, or None when the support has no usable QR (see
-    ``_support_qr``) or x misses phi x = b by more than tol (1 + ||b||).
-    A pure function of the support."""
+def _bp_candidate(instance, support, tol, fit=None):
+    """The exact solve on a candidate support: (q, r, x) with
+    x_S = r^{-1} q^T b from ``_support_fit`` (``fit`` when the caller has
+    it), or None when the support has no usable QR or x misses phi x = b
+    by more than tol (1 + ||b||). A pure function of the support."""
     phi, b = instance.phi, instance.b
-    if factors is None:
-        factors = _support_qr(phi, support)
-    if factors is None:
+    if fit is None:
+        fit = _support_fit(phi, b, support)
+    if fit is None:
         return None
-    q, r = factors
+    q, r, c = fit
     x = np.zeros(phi.shape[1])
-    x[support] = solve_triangular(r, q.T @ b, check_finite=False)
+    x[support] = solve_triangular(r, c, check_finite=False)
     if np.linalg.norm(phi @ x - b) > tol * (1.0 + np.linalg.norm(b)):
         return None
     return q, r, x
@@ -374,46 +375,53 @@ def weighted_basis_pursuit(
     )
 
 
-def _lasso_optimality(w, grad, x) -> float:
-    """Worst violation of the LASSO optimality conditions, normalized so
-    that a value below the solver tolerance certifies the iterate:
+def _lasso_certificate(instance, w, lam, x):
+    """The residual phi x - b and the worst violation of the LASSO
+    optimality conditions at (w, lam), normalized so that a value below
+    the solver tolerance certifies x: with grad = lam phi^T (phi x - b),
     |grad_i + w_i sign(x_i)| / (1 + w_i) on the support, and
     max(|grad_i| - w_i, 0) off it.
     """
+    resid = instance.phi @ x - instance.b
+    grad = lam * (instance.phi.T @ resid)
     viol = np.where(
         x != 0.0,
         np.abs(grad + w * np.sign(x)) / (1.0 + w),
         np.maximum(np.abs(grad) - w, 0.0),
     )
-    return float(np.max(viol, initial=0.0))
+    return resid, float(np.max(viol, initial=0.0))
 
 
 def _lasso_polish(instance, w, lam, support, sigma):
-    """Exact solve of the reduced smooth problem on a candidate support.
-
-    With signs sigma fixed, the minimizer on support S solves
-    lam phi_S^T phi_S x_S = lam phi_S^T b - w_S sigma. The candidate is
-    returned only when its signs match sigma on the penalized
-    coordinates; the caller re-checks the full optimality conditions
-    before accepting.
+    """Exact solve of the reduced smooth problem on the path's support:
+    with signs sigma fixed, the minimizer on S solves
+    lam phi_S^T phi_S x_S = lam phi_S^T b - w_S sigma. Returns it through
+    ``_signed``, or None when S is empty, larger than m, or that system is
+    singular.
     """
     phi, b = instance.phi, instance.b
     if support.size == 0 or support.size > phi.shape[0]:
         return None
     phi_s = phi[:, support]
     try:
-        x_s = np.linalg.solve(
-            lam * (phi_s.T @ phi_s),
-            lam * (phi_s.T @ b) - w[support] * sigma,
-        )
+        x_s = np.linalg.solve(lam * (phi_s.T @ phi_s), lam * (phi_s.T @ b) - w[support] * sigma)
     except np.linalg.LinAlgError:
         return None
+    return _signed(instance.n, w, support, sigma, x_s)
+
+
+def _signed(n, w, support, sigma, x_s):
+    """x_S of a LASSO minimizer on support S with signs sigma, placed in a
+    vector of length n, or None when its signs break sigma on the
+    penalized coordinates. Such a sign change fails the certificate as
+    well (unless w_i is near the tolerance); it is checked first because
+    it needs no product with phi."""
     penalized = w[support] > 0.0
     if np.any(np.sign(x_s[penalized]) != sigma[penalized]):
         return None
-    cand = np.zeros(instance.n)
-    cand[support] = x_s
-    return cand
+    x = np.zeros(n)
+    x[support] = x_s
+    return x
 
 
 def _start_inverse(op, start, rows):
@@ -692,7 +700,7 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
 def _zero_weight_fit(instance, w):
     """The fit on the zero-weight coordinates, at weighted l1 norm 0, as
     (x, b - phi x, degenerate): their exact QR solve when their columns
-    are independent (``_support_qr``), else their least-squares fit, one
+    are independent (``_support_fit``), else their least-squares fit, one
     of an unbounded set (degenerate); x = 0 when no weight is zero. Each
     caller decides whether the fit answers its problem."""
     phi, b = instance.phi, instance.b
@@ -700,13 +708,12 @@ def _zero_weight_fit(instance, w):
     free = np.flatnonzero(w == 0.0)
     if free.size == 0:
         return x, b, False
-    factors = _support_qr(phi, free)
-    if factors is None:
+    fit = _support_fit(phi, b, free)
+    if fit is None:
         x[free] = np.linalg.lstsq(phi[:, free], b, rcond=None)[0]
     else:
-        q, r = factors
-        x[free] = solve_triangular(r, q.T @ b, check_finite=False)
-    return x, b - phi[:, free] @ x[free], factors is None
+        x[free] = solve_triangular(fit[1], fit[2], check_finite=False)
+    return x, b - phi[:, free] @ x[free], fit is None
 
 
 def weighted_lasso_fista(
@@ -723,9 +730,10 @@ def weighted_lasso_fista(
     finite vector of length n, ``ConfigurationError`` otherwise) through
     the weights it solves, and cold when the warm path fails or runs out of
     breakpoints. The exact solve on the support and signs the path ends on
-    (``_lasso_polish``) is returned with exit ``"certified"`` when the
-    optimality conditions hold there within ``cfg.inner_tol``;
-    ``iterations`` counts the path's breakpoints. When the cold path would
+    (``_lasso_polish``) is returned with exit ``"certified"`` when its signs
+    match the path's (``_signed``) and the optimality conditions hold there
+    within ``cfg.inner_tol`` (``_lasso_certificate``); ``iterations``
+    counts the path's breakpoints. When the cold path would
     pass ``cfg.inner_max_iter`` breakpoints, the minimizer at the weights
     it reached is returned with exit ``"max_iter"`` and, as
     ``primal_residual``, its violation of the optimality conditions at
@@ -741,15 +749,14 @@ def weighted_lasso_fista(
     weight of a dependent column at 0.
     """
     w = as_weight_array(w, instance.n)
-    if lam < 0:
-        raise ValueError("lam must be nonnegative")
+    if not 0.0 <= lam < np.inf:
+        raise ValueError("lam must be nonnegative and finite")
     if warm is not None:
         warm = _warm_start(warm, instance.n)
-    phi, b = instance.phi, instance.b
     breakpoints, stop, degenerate = 0, "certified", False
     if np.all(lam * np.abs(_operator(instance).corr_b) <= w):
         x = np.zeros(instance.n)
-        degenerate = (lam == 0.0 or not np.any(phi)) and bool(np.any(w == 0.0))
+        degenerate = (lam == 0.0 or not np.any(instance.phi)) and bool(np.any(w == 0.0))
     elif np.count_nonzero(w == 0.0) > instance.m:
         x, _, degenerate = _zero_weight_fit(instance, w)
     else:
@@ -770,9 +777,8 @@ def weighted_lasso_fista(
         else:
             stop = "max_iter"
     if x is not None:
-        resid = phi @ x - b
-        viol = _lasso_optimality(w, lam * (phi.T @ resid), x)
-    if x is None or (stop == "certified" and viol > cfg.inner_tol):
+        resid, viol = _lasso_certificate(instance, w, lam, x)
+    if x is None or (stop == "certified" and not viol <= cfg.inner_tol):
         raise NoConvergenceError(
             "the weighted-LASSO answer (the exact solve on the path's support, "
             "or the zero-weight least-squares fit) does not certify"
@@ -790,22 +796,21 @@ def weighted_lasso_fista(
 
 def _support_lasso(instance, w, support, sigma, eta=None, t=None):
     """The weighted-LASSO minimizer on support S with signs sigma at
-    lam = 1/t, from the QR phi_S = QR, as (q, r, g, x_S, t), or None when S
-    has no usable QR (``_support_qr``) or, with ``eta`` instead of t, the
-    path on this support never meets the budget.
+    lam = 1/t, from the support's ``_support_fit`` (q, r, c), as
+    (fit, g, x_S, t), or None when S has no usable QR or, with ``eta``
+    instead of t, the path on this support never meets the budget.
 
-    The minimizer at t is x_S(t) = R^{-1}(Q^T b - t g) with
-    g = R^{-T} w_S sigma, and its residual b - Q Q^T b + t Q g has the
-    squared norm r0^2 + t^2 ||g||^2, r0^2 = ||b||^2 - ||Q^T b||^2 (the cross
-    term vanishes: b - Q Q^T b is orthogonal to range(phi_S)). So
-    ||phi x - b|| = eta at t = sqrt((eta^2 - r0^2) / ||g||^2).
+    The minimizer at t is x_S(t) = R^{-1}(c - t g) with g = R^{-T} w_S sigma,
+    and its residual b - Q c + t Q g has the squared norm
+    r0^2 + t^2 ||g||^2, r0^2 = ||b||^2 - ||c||^2 (the cross term vanishes:
+    b - Q c is orthogonal to range(phi_S)). So ||phi x - b|| = eta at
+    t = sqrt((eta^2 - r0^2) / ||g||^2).
     """
-    phi, b = instance.phi, instance.b
-    factors = _support_qr(phi, support)
-    if factors is None:
+    b = instance.b
+    fit = _support_fit(instance.phi, b, support)
+    if fit is None:
         return None
-    q, r = factors
-    c = q.T @ b
+    _, r, c = fit
     g = solve_triangular(r, w[support] * sigma, trans="T", check_finite=False)
     if t is None:
         slack = eta * eta - (float(b @ b) - float(c @ c))
@@ -813,36 +818,7 @@ def _support_lasso(instance, w, support, sigma, eta=None, t=None):
         if slack <= 0.0 or gg == 0.0:
             return None
         t = np.sqrt(slack / gg)
-    return q, r, g, solve_triangular(r, c - t * g, check_finite=False), t
-
-
-def _constrained_root(instance, w, eta, support, sigma, tol):
-    """The multiplier lam at which the LASSO path on support S and signs
-    sigma meets the budget, as (minimizer, lam), or None when the path on
-    this support never meets the budget or its minimizer fails its checks.
-
-    The minimizer is the closed form of ``_support_lasso`` at the t = 1/lam
-    where ||phi x - b|| = eta. It is returned only when its signs match
-    sigma on the penalized coordinates and the full LASSO optimality
-    conditions hold at lam within ``tol``; by duality it is then the
-    constrained minimizer and lam its multiplier.
-    """
-    root = _support_lasso(instance, w, support, sigma, eta=eta)
-    if root is None:
-        return None
-    x_s, t = root[3:]
-    lam = 1.0 / t
-    # a sign change fails the certificate below as well (unless w_i is near
-    # the tolerance); checked first because it needs no product with phi
-    penalized = w[support] > 0.0
-    if np.any(np.sign(x_s[penalized]) != sigma[penalized]):
-        return None
-    cand = np.zeros(instance.n)
-    cand[support] = x_s
-    phi, b = instance.phi, instance.b
-    if _lasso_optimality(w, lam * (phi.T @ (phi @ cand - b)), cand) > tol:
-        return None
-    return cand, lam
+    return fit, g, solve_triangular(r, c - t * g, check_finite=False), t
 
 
 def _bp_path(instance, w, carry, cfg):
@@ -895,8 +871,8 @@ def _bp_path(instance, w, carry, cfg):
         lasso = _support_lasso(instance, w, support, sigma, eta, t)
         if lasso is None:
             continue
-        q, r, g, x_s, t = lasso
-        candidate = _bp_candidate(instance, support, cfg.inner_tol, (q, r))
+        fit, g, x_s, t = lasso
+        candidate = _bp_candidate(instance, support, cfg.inner_tol, fit)
         if candidate is None:
             continue
         x_bp = candidate[2][support]
@@ -906,7 +882,7 @@ def _bp_path(instance, w, carry, cfg):
             candidate = _bp_candidate(instance, kept, cfg.inner_tol)
             if candidate is None:
                 continue
-        if _bp_certified(_operator(instance), w, kept, candidate, q @ g):
+        if _bp_certified(_operator(instance), w, kept, candidate, fit[0] @ g):
             x_l = np.zeros(instance.n)
             x_l[support] = x_s
             return candidate[2], breakpoints, (x_l, t)
@@ -922,10 +898,13 @@ def constrained_weighted_l1(
     """Minimize sum_i w_i |x_i| subject to (1/2)||phi x - b||^2 <= eta^2 / 2.
 
     The weighted-LASSO path (``_path``) runs cold in 1/lam, from x = 0 to
-    the segment on which ||phi x - b|| = eta, and the closed-form
-    multiplier on that segment's support and signs (``_constrained_root``)
-    is returned with exit ``"certified"`` when the LASSO optimality
-    conditions certify it, with ||phi x - b|| = eta up to rounding;
+    the segment on which ||phi x - b|| = eta. On that segment's support
+    and signs, the closed form of ``_support_lasso`` gives the multiplier
+    lam at which the LASSO minimizer meets the budget; that minimizer is
+    returned with exit ``"certified"`` when, as the LASSO's own answer, its
+    signs match the path's and the LASSO optimality conditions at lam
+    certify it (by duality it is then the constrained minimizer), with
+    ||phi x - b|| = eta up to rounding;
     ``iterations`` counts the path's breakpoints, and ``multiplier`` is the
     budget's. When the path would pass ``cfg.inner_max_iter`` breakpoints
     before it meets the budget, the LASSO minimizer at the weights it
@@ -933,7 +912,7 @@ def constrained_weighted_l1(
     ``"max_iter"`` and multiplier NaN. A budget below the least-squares
     residual ||b - phi phi^+ b||, which no point meets, raises
     ``ConfigurationError``; a path that cannot be followed to any other
-    budget, or a root that does not certify, ``NoConvergenceError``.
+    budget, or an answer that does not certify, ``NoConvergenceError``.
     eta = 0 is weighted basis pursuit.
 
     When the fit on the zero-weight coordinates (``_zero_weight_fit``;
@@ -943,7 +922,7 @@ def constrained_weighted_l1(
     the solution set unbounded (as with more than m zero weights).
     """
     w = as_weight_array(w, instance.n)
-    if eta < 0:
+    if not eta >= 0:
         raise ValueError("eta must be nonnegative")
     if eta == 0.0:
         return weighted_basis_pursuit(instance, w, None, cfg)
@@ -972,13 +951,15 @@ def constrained_weighted_l1(
     support, sigma, iterations, x = found
     lam, stop = np.nan, "max_iter"
     if x is None:
-        root = _constrained_root(instance, w, eta, support, sigma, cfg.inner_tol)
-        if root is None:
+        root = _support_lasso(instance, w, support, sigma, eta=eta)
+        if root is not None:
+            x, lam = _signed(instance.n, w, support, sigma, root[2]), 1.0 / root[3]
+        if x is None or not _lasso_certificate(instance, w, lam, x)[1] <= cfg.inner_tol:
             raise NoConvergenceError(
                 f"the closed-form multiplier on the constrained path's support of "
                 f"{support.size} coordinates does not certify"
             )
-        (x, lam), stop = root, "certified"
+        stop = "certified"
     res = float(np.linalg.norm(phi @ x - b))
     return InnerSolveReport(
         x=x,

@@ -191,6 +191,24 @@ class TestPolyakLasso:
             polyak_step_lasso(np.ones(2), 1.0, np.zeros(2), 1.0, inst)
 
 
+_NOISY = ProblemInstance(phi=np.array([[1.0, 1.0]]), b=np.array([4.0]), eta=1.0)
+
+
+@pytest.mark.parametrize(
+    "step, name",
+    [
+        (lambda: subgradient_nonoracle(np.ones(2), np.nan), "eps"),
+        (lambda: polyak_step_nonoracle(np.ones(2), np.ones(2), np.nan), "eps"),
+        (lambda: polyak_step_lasso(np.ones(2), 1.0, np.ones(2), np.nan, _NOISY), "eps"),
+        (lambda: polyak_step_lasso(np.ones(2), np.nan, np.ones(2), 1.0, _NOISY), "lambda_k"),
+    ],
+    ids=["subgradient_nonoracle", "polyak_step_nonoracle", "polyak_step_lasso-eps", "lambda_k"],
+)
+def test_nan_eps_or_multiplier_is_rejected(step, name):
+    with pytest.raises(ValueError, match=name):
+        step()
+
+
 class TestDualFunctionOracle:
     def test_zero_weights_give_zero_exactly(self):
         inst = gen_noiseless(EnsembleSpec(n=24, m=10, s=3, seed=0))

@@ -226,6 +226,25 @@ class TestSolverConfig:
             SolverConfig(eps_k=lambda k: -1.0).eps_at(0, 1.0)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [
+        lambda: ProblemInstance(phi=np.ones((1, 2)), b=np.ones(1), sigma=np.nan),
+        lambda: ProblemInstance(phi=np.ones((1, 2)), b=np.ones(1), eta=np.nan),
+        lambda: SolverConfig(inner_tol=np.nan),
+        lambda: SolverConfig(recovery_tol=np.nan),
+        lambda: SolverConfig(eps_k=np.nan),
+        lambda: SolverConfig(eps_k=lambda k: np.nan).eps_at(0, 1.0),
+        lambda: SolverConfig().eps_at(0, np.nan),
+    ],
+    ids=["sigma", "eta", "inner_tol", "recovery_tol", "eps_k", "eps_k-callable", "eps-default"],
+)
+def test_nan_fails_every_numeric_guard(make):
+    # every comparison with NaN is false: a guard written as x <= 0 lets it through
+    with pytest.raises(ValueError):
+        make()
+
+
 class TestSweepResult:
     def _result(self):
         return SweepResult(

@@ -33,6 +33,16 @@ class TestEnsembleSpec:
             EnsembleSpec(n=10, m=5, s=2, sigma=-0.1)
 
 
+@pytest.mark.parametrize(
+    "make",
+    [lambda: EnsembleSpec(n=10, m=5, s=2, sigma=np.nan), lambda: eta_from_sigma(np.nan, 10)],
+    ids=["EnsembleSpec", "eta_from_sigma"],
+)
+def test_nan_sigma_is_rejected(make):
+    with pytest.raises(ValueError, match="sigma"):
+        make()
+
+
 class TestEtaFromSigma:
     def test_paper_calibration_point(self):
         # m = 128: eta^2 = 128 + 2 sqrt(256) = 160

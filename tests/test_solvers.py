@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve
-from scipy.optimize import linprog, minimize
+from scipy.optimize import linprog
 
 from rwsparse import reweight, solvers
 from rwsparse.model import ConfigurationError, ProblemInstance, SolverConfig, recovered
@@ -746,7 +746,11 @@ class TestWeightedLassoFista:
         lam = 40.0
         rep = weighted_lasso_fista(inst, w, lam, None, SolverConfig(inner_max_iter=max_iter))
         grad = lam * (inst.phi.T @ (inst.phi @ rep.x - inst.b))
-        fresh = solvers._lasso_optimality(w, grad, rep.x)
+        on = rep.x != 0.0
+        fresh = max(
+            np.max(np.abs(grad[on] + w[on] * np.sign(rep.x[on])) / (1.0 + w[on]), initial=0.0),
+            np.max(np.maximum(np.abs(grad[~on]) - w[~on], 0.0), initial=0.0),
+        )
         assert rep.primal_residual == pytest.approx(fresh, rel=1e-12, abs=1e-15)
         resid = inst.phi @ rep.x - inst.b
         assert rep.objective == pytest.approx(0.5 * lam * resid @ resid + w @ np.abs(rep.x), rel=1e-14)
@@ -782,27 +786,32 @@ class TestWeightedLassoFista:
         assert again.objective == pytest.approx(first.objective, rel=1e-9)
 
 
-def slsqp_constrained_l1(phi, b, w, eta):
-    """Independent oracle via the positive-part split x = p - q."""
-    m, n = phi.shape
+def assert_constrained_minimizer(inst, w, eta, rep):
+    """The census's check of a certified constrained answer: it lies on
+    its budget within 1e-9 eta, and its LASSO objective at its own
+    multiplier is within 1e-9 (relative) of ``fista_reference`` there,
+    which by duality makes it the constrained minimizer."""
+    assert rep.exit == "certified"
+    resid = inst.phi @ rep.x - inst.b
+    assert abs(np.linalg.norm(resid) - eta) <= 1e-9 * eta
+    value = 0.5 * rep.multiplier * (resid @ resid) + w @ np.abs(rep.x)
+    reference = fista_reference(inst.phi, inst.b, w, rep.multiplier)[1]
+    assert value == pytest.approx(reference, rel=1e-9)
 
-    def objective(pq):
-        return w @ (pq[:n] + pq[n:])
 
-    def constraint(pq):
-        r = phi @ (pq[:n] - pq[n:]) - b
-        return 0.5 * eta**2 - 0.5 * (r @ r)
-
-    res = minimize(
-        objective,
-        np.zeros(2 * n),
-        method="SLSQP",
-        bounds=[(0, None)] * 2 * n,
-        constraints=[{"type": "ineq", "fun": constraint}],
-        options={"maxiter": 500, "ftol": 1e-12},
-    )
-    assert res.success
-    return res.fun
+@pytest.mark.parametrize(
+    "solve, name",
+    [
+        (lambda inst: weighted_lasso_fista(inst, np.ones(2), np.nan, None, CFG), "lam"),
+        (lambda inst: weighted_lasso_fista(inst, np.ones(2), np.inf, None, CFG), "lam"),
+        (lambda inst: constrained_weighted_l1(inst, np.ones(2), np.nan, CFG), "eta"),
+    ],
+    ids=["lam-nan", "lam-inf", "eta-nan"],
+)
+def test_a_multiplier_or_budget_that_is_nan_or_infinite_is_rejected(solve, name):
+    inst = ProblemInstance(phi=np.array([[1.0, 2.0]]), b=np.array([1.0]))
+    with pytest.raises(ValueError, match=name):
+        solve(inst)
 
 
 class TestConstrainedWeightedL1:
@@ -827,16 +836,15 @@ class TestConstrainedWeightedL1:
         assert rep.converged
 
     @pytest.mark.parametrize("seed", [0, 1, 2, 3])
-    def test_matches_slsqp_oracle(self, seed):
+    def test_matches_the_reference_at_its_multiplier(self, seed):
         rng = np.random.default_rng(seed)
         n = 3
         phi = rng.standard_normal((2, n))
         b = rng.standard_normal(2)
-        eta = 0.4 * np.linalg.norm(b)
+        eta = float(0.4 * np.linalg.norm(b))
         inst = ProblemInstance(phi=phi, b=b)
-        oracle = slsqp_constrained_l1(phi, b, np.ones(n), float(eta))
-        rep = constrained_weighted_l1(inst, np.ones(n), float(eta), CFG)
-        assert rep.objective == pytest.approx(oracle, abs=1e-6)
+        rep = constrained_weighted_l1(inst, np.ones(n), eta, CFG)
+        assert_constrained_minimizer(inst, np.ones(n), eta, rep)
 
     def test_negative_budget_rejected(self):
         inst = ProblemInstance(phi=np.array([[1.0, 1.0]]), b=np.array([1.0]))
@@ -1217,8 +1225,8 @@ class TestLassoPath:
         ids=["unit", "zero-weight-pair", "zero-weight-zero-pair"],
     )
     def test_duplicated_column_ends_certified_or_in_the_fallback(self, zero_weights, zero_pair):
-        # the path ends certified; the references are proximal gradient
-        # and SLSQP. With zero weights on both equal columns, only their sum
+        # the path ends certified; the reference is proximal gradient, for
+        # the constrained answer at its multiplier. With zero weights on both equal columns, only their sum
         # is fixed, so the solution set is unbounded; when both columns are
         # zero, no zero-weight column starts on the path
         rng = np.random.default_rng(3)
@@ -1236,9 +1244,7 @@ class TestLassoPath:
         assert lasso.objective == pytest.approx(
             fista_reference(phi, inst.b, w, 20.0)[1], rel=1e-9
         )
-        assert constrained.objective == pytest.approx(
-            slsqp_constrained_l1(phi, inst.b, w, 0.3), rel=1e-6
-        )
+        assert_constrained_minimizer(inst, w, 0.3, constrained)
 
     def test_equal_columns_at_tied_weights(self):
         # columns 3, 5 and 7 agree up to sign at unit weights: once one of
@@ -1254,9 +1260,7 @@ class TestLassoPath:
         constrained = constrained_weighted_l1(inst, w, 0.3, CFG)
         assert lasso.exit == constrained.exit == "certified"
         assert lasso.objective == pytest.approx(fista_reference(phi, b, w, 20.0)[1], rel=1e-9)
-        assert constrained.objective == pytest.approx(
-            slsqp_constrained_l1(phi, b, w, 0.3), rel=1e-6
-        )
+        assert_constrained_minimizer(inst, w, 0.3, constrained)
         for x in (lasso.x, constrained.x):
             assert np.count_nonzero(x[[3, 5, 7]]) == 1
 
@@ -1298,15 +1302,16 @@ class TestLassoPath:
         assert np.linalg.norm(inst.phi @ rep.x - inst.b) <= 0.5
         assert rep.objective == 0.0 and rep.multiplier == 0.0
 
-    @pytest.mark.parametrize("broken", ["_path", "_lasso_polish", "_constrained_root"])
+    @pytest.mark.parametrize("broken", ["_path", "_lasso_polish", "_support_lasso"])
     def test_a_failed_path_or_certificate_raises(self, monkeypatch, broken):
         # a path that cannot be followed fails both solvers; a support solve
-        # or a root that does not certify fails the solver it serves
+        # that finds no answer (the LASSO's normal equations, the
+        # constrained closed form) fails the solver it serves
         inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
         monkeypatch.setattr(solvers, broken, lambda *args, **kwargs: None)
         cause = "cannot be followed" if broken == "_path" else "does not certify"
         for solve, fails in (
-            (lambda: weighted_lasso_fista(inst, np.ones(64), 10.0, None, CFG), broken != "_constrained_root"),
+            (lambda: weighted_lasso_fista(inst, np.ones(64), 10.0, None, CFG), broken != "_support_lasso"),
             (lambda: constrained_weighted_l1(inst, np.ones(64), inst.eta, CFG), broken != "_lasso_polish"),
         ):
             if fails:
@@ -1314,3 +1319,16 @@ class TestLassoPath:
                     solve()
             else:
                 assert solve().exit == "certified"
+
+    def test_a_sign_change_on_the_support_fails_both_solvers(self, monkeypatch):
+        # the one sign check, handed the opposite of the path's signs,
+        # rejects the LASSO's support solve and the constrained closed form
+        inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
+        signed = solvers._signed
+        monkeypatch.setattr(
+            solvers, "_signed", lambda n, w, support, sigma, x_s: signed(n, w, support, -sigma, x_s)
+        )
+        with pytest.raises(NoConvergenceError, match="does not certify"):
+            weighted_lasso_fista(inst, np.ones(64), 10.0, None, CFG)
+        with pytest.raises(NoConvergenceError, match="does not certify"):
+            constrained_weighted_l1(inst, np.ones(64), inst.eta, CFG)
