@@ -188,7 +188,7 @@ class DualState:
         object.__setattr__(self, "w", as_weight_array(self.w))
         if self.k < 0:
             raise ValueError("iteration counter must be >= 0")
-        if self.lam is not None and self.lam < 0:
+        if self.lam is not None and not self.lam >= 0:
             raise ValueError("lam must be nonnegative")
         object.__setattr__(self, "x_k", _as_vector(self.x_k, "x_k"))
 
@@ -279,7 +279,7 @@ class SweepResult:
 
 def l0_norm(x, tol: float = 0.0) -> int:
     """Number of coordinates with magnitude strictly above ``tol``."""
-    if tol < 0:
+    if not tol >= 0:
         raise ValueError("tol must be nonnegative")
     x = _as_vector(x, "x")
     return int(np.count_nonzero(np.abs(x) > tol))
@@ -297,6 +297,8 @@ def l0_reporting_tol(x) -> float:
 
 def recovered(x, x_star, tol: float = 1e-3) -> bool:
     """True iff the sup-norm error against the ground truth is at most tol."""
+    if not tol >= 0:
+        raise ValueError("tol must be nonnegative")
     x = _as_vector(x, "x")
     x_star = _as_vector(x_star, "x_star")
     if x.shape != x_star.shape:

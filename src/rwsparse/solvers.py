@@ -54,9 +54,9 @@ from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, qr
 from scipy.linalg.blas import daxpy, dger
-from scipy.linalg.lapack import dpotri
+from scipy.linalg.lapack import dpotri, dtrtrs
 
 from .model import ConfigurationError, ProblemInstance, SolverConfig, as_weight_array
 
@@ -249,11 +249,24 @@ def _support_fit(phi, b, support):
     return q, r, q.T @ b
 
 
+def _triangular_solve(r, y, trans=0):
+    """r^{-1} y, or r^{-T} y with trans 1, for the upper triangular,
+    C-ordered r of ``_support_fit``: the LAPACK call that
+    ``scipy.linalg.solve_triangular`` makes for such an r (trtrs on the
+    lower triangle of r^T, trans flipped), without its argument checks.
+    Raises LinAlgError at a zero pivot."""
+    x, info = dtrtrs(r.T, y, lower=1, trans=1 - trans)
+    if info != 0:
+        raise np.linalg.LinAlgError(f"singular triangular factor: zero pivot {info - 1}")
+    return x
+
+
 def _bp_candidate(instance, support, tol, fit=None):
-    """The exact solve on a candidate support: (q, r, x) with
+    """The exact solve on a candidate support: (q, r, x, primal) with
     x_S = r^{-1} q^T b from ``_support_fit`` (``fit`` when the caller has
-    it), or None when the support has no usable QR or x misses phi x = b
-    by more than tol (1 + ||b||). A pure function of the support."""
+    it) and primal = ||phi x - b|| / (1 + ||b||), or None when the support
+    has no usable QR or primal exceeds tol. A pure function of the
+    support."""
     phi, b = instance.phi, instance.b
     if fit is None:
         fit = _support_fit(phi, b, support)
@@ -261,10 +274,11 @@ def _bp_candidate(instance, support, tol, fit=None):
         return None
     q, r, c = fit
     x = np.zeros(phi.shape[1])
-    x[support] = solve_triangular(r, c, check_finite=False)
-    if np.linalg.norm(phi @ x - b) > tol * (1.0 + np.linalg.norm(b)):
+    x[support] = _triangular_solve(r, c)
+    res, norm_b = np.linalg.norm(phi @ x - b), np.linalg.norm(b)
+    if res > tol * (1.0 + norm_b):
         return None
-    return q, r, x
+    return q, r, x, float(res / (1.0 + norm_b))
 
 
 def _bp_certified(op, w, support, candidate, nu) -> bool:
@@ -284,10 +298,10 @@ def _bp_certified(op, w, support, candidate, nu) -> bool:
     (up to rounding).
     """
     phi = op.phi
-    q, r, x = candidate
+    q, r, x, _ = candidate
     target = w[support] * np.sign(x[support])
     # phi_S^T nu through the support factors, without copying the columns
-    nu = nu + q @ solve_triangular(r, target - r.T @ (q.T @ nu), trans="T", check_finite=False)
+    nu = nu + q @ _triangular_solve(r, target - r.T @ (q.T @ nu), trans=1)
     corr = phi.T @ nu
     slack = _CERT_TOL * (1.0 + float(np.max(w, initial=0.0)))
     if np.max(np.abs(corr[support] - target), initial=0.0) > slack:
@@ -356,7 +370,7 @@ def weighted_basis_pursuit(
         if carry is not None and np.count_nonzero(carry[0]) == instance.m:
             carry = carry if float(w @ np.abs(warm.x)) == warm.objective else None
     _operator(instance).x0  # the rank guard runs on every input
-    x, breakpoints, carry = _bp_path(instance, w, carry, cfg)
+    x, breakpoints, carry, primal = _bp_path(instance, w, carry, cfg)
     stop = "max_iter" if carry is None else "certified"
     degenerate, b = False, instance.b
     if x is None:
@@ -364,10 +378,12 @@ def weighted_basis_pursuit(
         if np.linalg.norm(resid) > cfg.inner_tol * (1.0 + np.linalg.norm(b)):
             raise NoConvergenceError("no basis pursuit path certifies, nor the zero-weight fit")
         stop = "certified"
+    if primal is None:
+        primal = float(np.linalg.norm(instance.phi @ x - b) / (1.0 + np.linalg.norm(b)))
     return InnerSolveReport(
         x=x,
         iterations=breakpoints,
-        primal_residual=float(np.linalg.norm(instance.phi @ x - b) / (1.0 + np.linalg.norm(b))),
+        primal_residual=primal,
         objective=float(w @ np.abs(x)),
         exit=stop,
         degenerate=degenerate,
@@ -444,14 +460,16 @@ def _start_inverse(op, start, rows):
     return inv + np.tril(inv, -1).T
 
 
-def _rank_one(ginv, k, u, v, pad):
-    """Add the symmetric term u v^T (v a multiple of u) to ginv[:k, :k] in
-    place: BLAS dger on the rows ginv[:k] (a Fortran-contiguous transpose),
-    with u zero-padded to the row length in ``pad``, so the rest of those
-    rows is kept; pad is zero past the last update's k, at most one away."""
+def _rank_one(ginv, k, u, v, pad, alpha=1.0):
+    """Add the symmetric term alpha u v^T (v a multiple of u) to
+    ginv[:k, :k] in place: BLAS dger on the rows ginv[:k] (a
+    Fortran-contiguous transpose), with u zero-padded to the row length in
+    ``pad``, so the rest of those rows is kept; pad is zero past the last
+    update's k, at most one away. An entry adds v = -u / delta at
+    alpha = -1 (the same v borders ginv), an exit v = -e / e_j at 1."""
     pad[:k] = u
     pad[k : k + 1] = 0.0
-    dger(1.0, pad, v, a=ginv[:k].T, overwrite_a=1)
+    dger(alpha, pad, v, a=ginv[:k].T, overwrite_a=1)
 
 
 def _path(instance, c, max_breakpoints, warm=None, eta=None):
@@ -506,13 +524,21 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     step to it is its gap / speed; a breakpoint makes no product with phi
     beyond the first computation of a Gram row. The path gives None on a
     numerically rank-deficient start.
+    The direction xb = G_S^{-1} sigma_S dc_S = -d x_S / dt is updated with
+    the inverse: an entry of i with sign s, border u = G_S^{-1} phi_S^T phi_i
+    and pivot delta sets beta = (s dc_i - v_i) / delta (v = d a / dt),
+    xb_S -= beta u and xb_i = beta; an exit through the leaver's column e
+    of the inverse sets xb -= xb_j e / e_j. So u is the only product with
+    the inverse per breakpoint. Toward a budget c(1) = 0, and the residual
+    norm takes one dot product per breakpoint.
     A coordinate due to enter in the span of phi_S (every one when
     |S| = m; else by ``_PATH_RANK_TOL``) gives None on a warm path; on a
     cold one, where c(t) stays a multiple of c, phi_i = phi_S u keeps
     a_i = u^T c_S sigma_S = +-c_i while S holds, so it is held off the
     support until a coordinate leaves (equal columns at tied weights). A
-    hold is a breakpoint, as is the first entry; a path that keeps tying
-    ends at ``max_breakpoints``.
+    hold is a breakpoint, as is the first entry, and it leaves xb, v, the
+    speeds and the inverse as they are; a path that keeps tying ends at
+    ``max_breakpoints``.
     """
     phi, b = instance.phi, instance.b
     m, n = phi.shape
@@ -565,7 +591,7 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
         c1 = c
     dc = c1 - c0
     free = (c0 == 0.0) & (dc == 0.0)
-    sig = np.empty(m)
+    sig, xb = np.empty(m), np.empty(m)  # xb[:k]: -d x_S / dt
     # c_S(t) sigma_S = a_S is dual[0] + t dual[1] (sigma_S c0_S, sigma_S dc_S)
     dual, pad = np.empty((2, m)), np.zeros(m)  # pad: _rank_one's
     # Every breakpoint is a gap closing to zero, so one buffer holds them
@@ -586,6 +612,7 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
         sig[:k] = np.where(free[start], 0.0, np.sign(xs))
         mag[:k] = np.where(free[start], np.inf, sig[:k] * xs)
     dual[:, :k] = sig[:k] * np.array([c0[start], dc[start]])
+    xb[:k] = ginv[:k, :k] @ dual[1, :k]
     if eta is not None:
         r = b - phi[:, start] @ xs if k else b
         rho, eta_sq = float(r @ r), eta * eta
@@ -598,13 +625,15 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     left = None
     tied = []  # (side, i) of the coordinates held at a closed gap
     breakpoints = 0
+    held_last = False  # a hold keeps the direction and the speeds
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
-            xb = ginv[:k, :k] @ dual[1, :k]  # -d x_S / dt
-            v = xb @ rows[:k]  # d a / dt
-            np.add(ndc, v, out=q[0])
-            np.subtract(ndc, v, out=q[1])
-            np.multiply(sig[:k], xb, out=fall[:k])  # -d |x_S| / dt
+            if not held_last:
+                v = xb[:k] @ rows[:k]  # d a / dt
+                np.add(ndc, v, out=q[0])
+                np.subtract(ndc, v, out=q[1])
+                np.multiply(sig[:k], xb[:k], out=fall[:k])  # -d |x_S| / dt
+            held_last = False
             # a positive rate closes; 0 over an infinite gap, and NaN (none)
             # at zero gap and zero speed
             np.divide(speeds, gaps, out=rates)
@@ -620,9 +649,10 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
                 step, event = 1.0 - t, "end"
             if eta is not None:
                 # ||r - s phi_S xdot||^2, where phi_S^T r = c_S sigma_S and
-                # phi_S^T phi_S xdot = -sigma_S dc_S
-                p0, p1 = dual[:, :k] @ xb
-                rho_next = rho + step * (2.0 * (p0 + t * p1) + step * p1)
+                # phi_S^T phi_S xdot = -sigma_S dc_S; c(1) = 0, so
+                # dual[0] = -dual[1] and c_S sigma_S . xb = (t - 1) p1
+                p1 = dual[1, :k] @ xb[:k]
+                rho_next = rho + step * (2.0 * (t * p1 - p1) + step * p1)
                 if rho_next <= eta_sq:
                     break
                 if event == "end":
@@ -657,8 +687,10 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
                 last = k - 1
                 if last:  # downdate, then move the last slot into j's
                     e = ginv[:k, j].copy()
-                    _rank_one(ginv, k, e, e / -e[j], pad)
-                    idx[j], sig[j], mag[j] = idx[last], sig[last], mag[last]
+                    ve = e / -e[j]
+                    _rank_one(ginv, k, e, ve, pad)
+                    daxpy(ve, xb[:k], a=xb[j])  # xb -= xb_j e / e_j
+                    idx[j], sig[j], mag[j], xb[j] = idx[last], sig[last], mag[last], xb[last]
                     dual[:, j], rows[j] = dual[:, last], rows[last]
                     # ginv[last, last] goes to [j, last], then to [j, j]
                     ginv[j, :k] = ginv[last, :k]
@@ -681,15 +713,20 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
                 # i is tied to the support and held off it
                 tied.append((side, i))
                 gap[:, i] = np.inf
+                held_last = True
                 continue
             s = 0.0 if free[i] else 1.0 - 2.0 * side
-            ud = u / delta
+            sdc = s * dc[i]
+            # border: u u^T / delta onto the block, ud = -u / delta beside it
+            ud = u * (-1.0 / delta)
+            beta = (sdc - v[i]) / delta
             if k:
-                _rank_one(ginv, k, u, ud, pad)
-            ginv[:k, k] = ginv[k, :k] = -ud
+                _rank_one(ginv, k, u, ud, pad, -1.0)
+                daxpy(u, xb[:k], a=-beta)
+            ginv[:k, k] = ginv[k, :k] = ud
             ginv[k, k] = 1.0 / delta
-            idx[k], sig[k], mag[k] = i, s, np.inf if s == 0.0 else 0.0
-            dual[:, k] = s * c0[i], s * dc[i]
+            idx[k], sig[k], mag[k], xb[k] = i, s, np.inf if s == 0.0 else 0.0, beta
+            dual[0, k], dual[1, k] = s * c0[i], sdc
             gap[:, i] = np.inf
             k = op.path_size = k + 1
             left = None
@@ -712,7 +749,7 @@ def _zero_weight_fit(instance, w):
     if fit is None:
         x[free] = np.linalg.lstsq(phi[:, free], b, rcond=None)[0]
     else:
-        x[free] = solve_triangular(fit[1], fit[2], check_finite=False)
+        x[free] = _triangular_solve(fit[1], fit[2])
     return x, b - phi[:, free] @ x[free], fit is None
 
 
@@ -811,21 +848,23 @@ def _support_lasso(instance, w, support, sigma, eta=None, t=None):
     if fit is None:
         return None
     _, r, c = fit
-    g = solve_triangular(r, w[support] * sigma, trans="T", check_finite=False)
+    g = _triangular_solve(r, w[support] * sigma, trans=1)
     if t is None:
         slack = eta * eta - (float(b @ b) - float(c @ c))
         gg = float(g @ g)
         if slack <= 0.0 or gg == 0.0:
             return None
         t = np.sqrt(slack / gg)
-    return fit, g, solve_triangular(r, c - t * g, check_finite=False), t
+    return fit, g, _triangular_solve(r, c - t * g), t
 
 
 def _bp_path(instance, w, carry, cfg):
     """Weighted basis pursuit along the LASSO homotopy: (x, breakpoints,
-    (x_L, t)) with x certified, (x, breakpoints, None) when a cold path
-    runs out of breakpoints, x the minimizer at the weights it reached, or
-    (None, breakpoints, None) when no path certifies.
+    (x_L, t), primal) with x certified and primal its
+    ||phi x - b|| / (1 + ||b||) from ``_bp_candidate``; (x, breakpoints,
+    None, None) when a cold path runs out of breakpoints, x the minimizer
+    at the weights it reached; or (None, breakpoints, None, None) when no
+    path certifies.
 
     The path ends on a support S' and signs at weights t w: cold, it runs
     from x = 0 in 1/lam to the residual norm eta = f ||b||, f in
@@ -866,7 +905,7 @@ def _bp_path(instance, w, carry, cfg):
         breakpoints += steps
         if x is not None:
             if x_l is None:
-                return x, breakpoints, None
+                return x, breakpoints, None, None
             continue
         lasso = _support_lasso(instance, w, support, sigma, eta, t)
         if lasso is None:
@@ -885,8 +924,8 @@ def _bp_path(instance, w, carry, cfg):
         if _bp_certified(_operator(instance), w, kept, candidate, fit[0] @ g):
             x_l = np.zeros(instance.n)
             x_l[support] = x_s
-            return candidate[2], breakpoints, (x_l, t)
-    return None, breakpoints, None
+            return candidate[2], breakpoints, (x_l, t), candidate[3]
+    return None, breakpoints, None, None
 
 
 def constrained_weighted_l1(
@@ -954,13 +993,17 @@ def constrained_weighted_l1(
         root = _support_lasso(instance, w, support, sigma, eta=eta)
         if root is not None:
             x, lam = _signed(instance.n, w, support, sigma, root[2]), 1.0 / root[3]
-        if x is None or not _lasso_certificate(instance, w, lam, x)[1] <= cfg.inner_tol:
+        if x is not None:
+            resid, viol = _lasso_certificate(instance, w, lam, x)
+        if x is None or not viol <= cfg.inner_tol:
             raise NoConvergenceError(
                 f"the closed-form multiplier on the constrained path's support of "
                 f"{support.size} coordinates does not certify"
             )
         stop = "certified"
-    res = float(np.linalg.norm(phi @ x - b))
+    else:
+        resid = phi @ x - b
+    res = float(np.linalg.norm(resid))
     return InnerSolveReport(
         x=x,
         iterations=iterations,

@@ -236,8 +236,22 @@ class TestSolverConfig:
         lambda: SolverConfig(eps_k=np.nan),
         lambda: SolverConfig(eps_k=lambda k: np.nan).eps_at(0, 1.0),
         lambda: SolverConfig().eps_at(0, np.nan),
+        lambda: l0_norm(np.array([1.0, 2.0]), np.nan),
+        lambda: DualState(w=np.ones(2), lam=np.nan, k=0, x_k=np.zeros(2), alpha_k=0.0),
+        lambda: recovered(np.zeros(2), np.zeros(2), tol=np.nan),
     ],
-    ids=["sigma", "eta", "inner_tol", "recovery_tol", "eps_k", "eps_k-callable", "eps-default"],
+    ids=[
+        "sigma",
+        "eta",
+        "inner_tol",
+        "recovery_tol",
+        "eps_k",
+        "eps_k-callable",
+        "eps-default",
+        "l0_norm-tol",
+        "DualState-lam",
+        "recovered-tol",
+    ],
 )
 def test_nan_fails_every_numeric_guard(make):
     # every comparison with NaN is false: a guard written as x <= 0 lets it through

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve
+from scipy.linalg import cho_factor, cho_solve, solve_triangular
 from scipy.optimize import linprog
 
 from rwsparse import reweight, solvers
@@ -290,6 +290,29 @@ class TestBpPolish:
         mags = np.abs(rep.x[support])
         assert mags.min() > solvers._BP_PRUNE * mags.max()
         assert np.array_equal(support, np.flatnonzero(inst.x_star))
+
+
+class TestTriangularSolve:
+    @pytest.mark.parametrize("k", [1, 20, 100])
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_matches_solve_triangular_bit_for_bit(self, k, trans):
+        # the QR factor of a support, C-ordered (and, at k = 1, Fortran-
+        # ordered as well): the same LAPACK solve as scipy's wrapper
+        inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=20, seed=k))
+        support = np.sort(np.random.default_rng(k).choice(inst.n, k, replace=False))
+        _, r, c = solvers._support_fit(inst.phi, inst.b, support)
+        assert r.shape == (k, k) and r.flags.c_contiguous
+        got = solvers._triangular_solve(r, c, trans)
+        assert np.array_equal(got, solve_triangular(r, c, trans=trans, check_finite=False))
+
+    @pytest.mark.parametrize("trans", [0, 1])
+    def test_zero_pivot_raises(self, trans):
+        r = np.triu(np.ones((3, 3)))
+        r[1, 1] = 0.0
+        with pytest.raises(np.linalg.LinAlgError):
+            solve_triangular(r, np.ones(3), trans=trans)
+        with pytest.raises(np.linalg.LinAlgError):
+            solvers._triangular_solve(r, np.ones(3), trans)
 
 
 class TestOperator:
