@@ -37,11 +37,12 @@ and that fit is the answer, at objective 0; any other input on which no
 path certifies raises ``NoConvergenceError``.
 
 Each instance has one cached operator, the package's only per-instance
-cache, which builds on first use the minimum-norm solution, phi^T b and
-the Gram rows phi_i^T phi the path enters. It also keeps the path's
-workspace (the support the last path call ended on, with the inverse Gram
-matrix of its columns, from which a warm re-solve on that support
-continues without refactoring) and the outer loop's unit-weight starts
+cache, which builds on first use the Cholesky factor of phi phi^T (the
+rank guard), the minimum-norm solution, phi^T b and the Gram rows
+phi_i^T phi the path enters. It also keeps the path's workspace (the
+support the last path call ended on, with the inverse Gram matrix of its
+columns, from which a warm re-solve on that support continues without
+refactoring) and the outer loop's unit-weight starts
 (:mod:`rwsparse.reweight`), and dies with the instance. A phi without
 full row rank, numerically, is rejected with ``RankDeficientError``.
 """
@@ -51,12 +52,12 @@ from __future__ import annotations
 import math
 import weakref
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cache, cached_property
 
 import numpy as np
 from scipy.linalg import cho_factor, cho_solve, qr
 from scipy.linalg.blas import daxpy, dger
-from scipy.linalg.lapack import dpotri, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dorgqr, dpotri, dtrtrs
 
 from .model import ConfigurationError, ProblemInstance, SolverConfig, as_weight_array
 
@@ -151,7 +152,9 @@ class InnerSolveReport:
 
 class _Operator:
     """Everything derived from one instance, each piece built on first use:
-    the minimum-norm solution ``x0`` (which applies the rank guard),
+    the Cholesky factor of phi phi^T (``gram_factor``, which applies the
+    rank guard; basis pursuit needs nothing else of it), the minimum-norm
+    solution ``x0`` solved from that factor for ``min_l2_solution``,
     phi^T b, the Gram rows phi_i^T phi of the coordinates the LASSO path
     has touched (``gram_row``), the path's workspace (``path_buffers``),
     and the outer loop's unit-weight start reports (``starts``, keyed and
@@ -171,13 +174,12 @@ class _Operator:
         self.starts: dict = {}
 
     @cached_property
-    def x0(self) -> np.ndarray:
-        """phi^T (phi phi^T)^{-1} b by a Cholesky solve with one step of
-        iterative refinement, which keeps the residual near machine precision
-        for moderately conditioned Gram matrices; the factor is not kept.
-        Raises RankDeficientError when the factorization breaks down or its
-        pivot ratio is at most ``_GRAM_PIVOT_RATIO``."""
-        phi, b = self.phi, self.b
+    def gram_factor(self) -> tuple[np.ndarray, bool]:
+        """The Cholesky factor of phi phi^T, as ``cho_factor`` returns it:
+        the rank guard, which basis pursuit applies on every input. Raises
+        RankDeficientError when the factorization breaks down or its pivot
+        ratio is at most ``_GRAM_PIVOT_RATIO``."""
+        phi = self.phi
         m, n = phi.shape
         try:
             chol = cho_factor(phi @ phi.T)
@@ -193,6 +195,15 @@ class _Operator:
                 f"phi ({m}x{n}) is rank deficient: the Cholesky factor of "
                 f"phi phi^T has pivot ratio {ratio:.3e} <= {_GRAM_PIVOT_RATIO:.0e}"
             )
+        return chol
+
+    @cached_property
+    def x0(self) -> np.ndarray:
+        """phi^T (phi phi^T)^{-1} b by solves with ``gram_factor`` and one
+        step of iterative refinement, which keeps the residual near machine
+        precision for moderately conditioned Gram matrices."""
+        phi, b = self.phi, self.b
+        chol = self.gram_factor
         y = cho_solve(chol, b)
         y += cho_solve(chol, b - phi @ (phi.T @ y))
         return phi.T @ y
@@ -235,17 +246,36 @@ def min_l2_solution(instance: ProblemInstance) -> np.ndarray:
     return _operator(instance).x0.copy()
 
 
+@cache
+def _qr_lwork(m: int, k: int) -> tuple[int, int]:
+    """The optimal workspace sizes of dgeqrf and dorgqr on an m x k
+    matrix, which ``scipy.linalg.qr`` queries before each call; LAPACK
+    derives them from the shape alone."""
+    a = np.empty((m, k), order="F")
+    return int(dgeqrf(a, lwork=-1)[2][0]), int(dorgqr(a, np.empty(k), lwork=-1)[1][0])
+
+
 def _support_fit(phi, b, support):
     """The economic QR phi_S = q r of the support columns with c = q^T b,
     as (q, r, c), or None when S is empty, larger than m, or numerically
-    rank deficient (min |diag r| <= |S| eps max |diag r|)."""
+    rank deficient (min |diag r| <= |S| eps max |diag r|).
+
+    The factors are the LAPACK calls of ``scipy.linalg.qr(mode="economic")``
+    (geqrf, then orgqr, with the workspace SciPy queries, ``_qr_lwork``),
+    made directly: phi^T[S]^T is phi_S in Fortran order, which both
+    routines factor in place. r is C-ordered, as ``_triangular_solve``
+    expects."""
     k = support.size
-    if k == 0 or k > phi.shape[0]:
+    m = phi.shape[0]
+    if k == 0 or k > m:
         return None
-    q, r = qr(phi[:, support], mode="economic", overwrite_a=True, check_finite=False)
+    lwork = _qr_lwork(m, k)
+    packed, tau = dgeqrf(phi.T[support].T, lwork=lwork[0], overwrite_a=1)[:2]
+    r = np.triu(packed[:k])
     pivots = np.abs(np.diag(r))
     if pivots.min() <= k * _EPS * pivots.max():
         return None
+    q = dorgqr(packed, tau, lwork=lwork[1], overwrite_a=1)[0]
     return q, r, q.T @ b
 
 
@@ -369,7 +399,7 @@ def weighted_basis_pursuit(
         # walked only at weights that keep the objective, as unchanged ones do
         if carry is not None and np.count_nonzero(carry[0]) == instance.m:
             carry = carry if float(w @ np.abs(warm.x)) == warm.objective else None
-    _operator(instance).x0  # the rank guard runs on every input
+    _operator(instance).gram_factor  # the rank guard runs on every input
     x, breakpoints, carry, primal = _bp_path(instance, w, carry, cfg)
     stop = "max_iter" if carry is None else "certified"
     degenerate, b = False, instance.b
@@ -460,14 +490,15 @@ def _start_inverse(op, start, rows):
     return inv + np.tril(inv, -1).T
 
 
-def _rank_one(ginv, k, u, v, pad, alpha=1.0):
+def _rank_one(ginv, k, v, pad, alpha=1.0):
     """Add the symmetric term alpha u v^T (v a multiple of u) to
-    ginv[:k, :k] in place: BLAS dger on the rows ginv[:k] (a
-    Fortran-contiguous transpose), with u zero-padded to the row length in
-    ``pad``, so the rest of those rows is kept; pad is zero past the last
-    update's k, at most one away. An entry adds v = -u / delta at
-    alpha = -1 (the same v borders ginv), an exit v = -e / e_j at 1."""
-    pad[:k] = u
+    ginv[:k, :k] in place, u already in pad[:k]: BLAS dger on the rows
+    ginv[:k] (a Fortran-contiguous transpose), with u zero-padded to the
+    row length in ``pad``, so the rest of those rows is kept. Only pad[k]
+    is cleared: every update and every hold of ``_path`` writes pad below
+    the support size it runs at, which moves by one per entry or exit, so
+    pad[k + 1:] is already zero. An entry adds v = -u / delta at alpha = -1
+    (the same v borders ginv), an exit v = -e / e_j at 1."""
     pad[k : k + 1] = 0.0
     dger(alpha, pad, v, a=ginv[:k].T, overwrite_a=1)
 
@@ -529,8 +560,9 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     and pivot delta sets beta = (s dc_i - v_i) / delta (v = d a / dt),
     xb_S -= beta u and xb_i = beta; an exit through the leaver's column e
     of the inverse sets xb -= xb_j e / e_j. So u is the only product with
-    the inverse per breakpoint. Toward a budget c(1) = 0, and the residual
-    norm takes one dot product per breakpoint.
+    the inverse per breakpoint; u, and an exit's copy of e, are formed in
+    the buffer that ``_rank_one`` hands to BLAS. Toward a budget c(1) = 0,
+    and the residual norm takes one dot product per breakpoint.
     A coordinate due to enter in the span of phi_S (every one when
     |S| = m; else by ``_PATH_RANK_TOL``) gives None on a warm path; on a
     cold one, where c(t) stays a multiple of c, phi_i = phi_S u keeps
@@ -551,7 +583,7 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     idx, ginv, rows = op.path_buffers  # idx: the support, in the order of entry
     held = start[:0]  # zero weights kept at 0 and off the path
     a = corr.copy()
-    if warm is not None and op.path_size == k and np.array_equal(np.sort(idx[:k]), start):
+    if warm is not None and op.path_size == k and (np.sort(idx[:k]) == start).all():
         start = idx[:k].copy()
     elif k:
         op.path_size = None  # until the buffers hold the start
@@ -576,16 +608,16 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
         a -= xs @ rows[:k]
     if warm is None:
         pen = c > 0.0
-        c0 = float(np.max(np.abs(a[pen]) / c[pen], initial=0.0)) * c
+        c0 = float((np.abs(a[pen]) / c[pen]).max(initial=0.0)) * c
         c1 = c if eta is None else np.zeros(n)
     else:
         # a_S = c_S sigma_S, within the certificate slack of rounding
         sa = np.sign(xs) * a[start]
-        slack = _CERT_TOL * float(np.max(np.abs(a), initial=0.0))
-        if np.any(sa < -slack):
+        slack = _CERT_TOL * float(np.abs(a).max(initial=0.0))
+        if (sa < -slack).any():
             return None
         pen = c[start] > 0.0
-        kappa = float(np.max(sa[pen] / c[start][pen])) if pen.any() else 1.0
+        kappa = float((sa[pen] / c[start][pen]).max()) if pen.any() else 1.0
         c0 = np.maximum(np.abs(a), kappa * c)
         c0[start] = np.where(sa > slack, sa, 0.0)
         c1 = c
@@ -593,7 +625,9 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     free = (c0 == 0.0) & (dc == 0.0)
     sig, xb = np.empty(m), np.empty(m)  # xb[:k]: -d x_S / dt
     # c_S(t) sigma_S = a_S is dual[0] + t dual[1] (sigma_S c0_S, sigma_S dc_S)
-    dual, pad = np.empty((2, m)), np.zeros(m)  # pad: _rank_one's
+    dual, pad = np.empty((2, m)), np.zeros(m)  # pad: u or e of _rank_one
+    d0, d1 = dual
+    v = np.empty(n)  # d a / dt
     # Every breakpoint is a gap closing to zero, so one buffer holds them
     # all: gaps[:m] is |x_S| in the order of entry, through which a
     # coordinate leaves (+inf past k, and where the weight is zero
@@ -605,22 +639,31 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     # and its step is gap / speed.
     gaps = np.full(m + 2 * n, np.inf)
     mag, gap = gaps[:m], gaps[m:].reshape(2, n)
+    gap0, gap1 = gap
     speeds = np.zeros(m + 2 * n)
     fall, q = speeds[:m], speeds[m:].reshape(2, n)
-    rates = np.empty(m + 2 * n)
+    q0, q1 = q
+    rates, floor = np.empty(m + 2 * n), np.zeros(m + 2 * n)
     if k:
         sig[:k] = np.where(free[start], 0.0, np.sign(xs))
         mag[:k] = np.where(free[start], np.inf, sig[:k] * xs)
-    dual[:, :k] = sig[:k] * np.array([c0[start], dc[start]])
-    xb[:k] = ginv[:k, :k] @ dual[1, :k]
+        np.multiply(sig[:k], c0[start], out=d0[:k])
+        np.multiply(sig[:k], dc[start], out=d1[:k])
+        xb[:k] = ginv[:k, :k] @ d1[:k]
     if eta is not None:
         r = b - phi[:, start] @ xs if k else b
         rho, eta_sq = float(r @ r), eta * eta
-    gap[:] = c0 - a, c0 + a
-    gap[:, start] = gap[:, held] = np.inf
-    np.maximum(gaps, 0.0, out=gaps)
+    np.subtract(c0, a, out=gap0)
+    np.add(c0, a, out=gap1)
+    if k:
+        gap0[start] = gap1[start] = np.inf
+    if held.size:
+        gap0[held] = gap1[held] = np.inf
+    np.maximum(gaps, floor, out=gaps)
     ndc = -dc
 
+    # the scalar bookkeeping below runs on Python floats (.item, float()),
+    # which cost less per operation than NumPy scalars and round the same
     t = 0.0
     left = None
     tied = []  # (side, i) of the coordinates held at a closed gap
@@ -628,11 +671,12 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     held_last = False  # a hold keeps the direction and the speeds
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
+            xk = xb[:k]
             if not held_last:
-                v = xb[:k] @ rows[:k]  # d a / dt
-                np.add(ndc, v, out=q[0])
-                np.subtract(ndc, v, out=q[1])
-                np.multiply(sig[:k], xb[:k], out=fall[:k])  # -d |x_S| / dt
+                np.matmul(xk, rows[:k], out=v)
+                np.add(ndc, v, out=q0)
+                np.subtract(ndc, v, out=q1)
+                np.multiply(sig[:k], xk, out=fall[:k])  # -d |x_S| / dt
             held_last = False
             # a positive rate closes; 0 over an infinite gap, and NaN (none)
             # at zero gap and zero speed
@@ -640,10 +684,12 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
             if left is not None:
                 rates[left] = -np.inf
             j = int(rates.argmax())
-            if math.isnan(rates[j]):
+            rate = rates.item(j)
+            if math.isnan(rate):
                 rates[np.isnan(rates)] = -np.inf
                 j = int(rates.argmax())
-            step = gaps[j] / speeds[j] if rates[j] > 0.0 else np.inf
+                rate = rates.item(j)
+            step = gaps.item(j) / speeds.item(j) if rate > 0.0 else math.inf
             event = "leave" if j < m else "enter"
             if not step < 1.0 - t:  # a NaN step ends the path too
                 step, event = 1.0 - t, "end"
@@ -651,7 +697,7 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
                 # ||r - s phi_S xdot||^2, where phi_S^T r = c_S sigma_S and
                 # phi_S^T phi_S xdot = -sigma_S dc_S; c(1) = 0, so
                 # dual[0] = -dual[1] and c_S sigma_S . xb = (t - 1) p1
-                p1 = dual[1, :k] @ xb[:k]
+                p1 = float(d1[:k].dot(xk))
                 rho_next = rho + step * (2.0 * (t * p1 - p1) + step * p1)
                 if rho_next <= eta_sq:
                     break
@@ -665,31 +711,32 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
                     break
                 rho = rho_next
             daxpy(speeds, gaps, a=-step)
-            np.maximum(gaps, 0.0, out=gaps)
+            np.maximum(gaps, floor, out=gaps)
             t += step
             if event == "end":
                 break
             breakpoints += 1
             if breakpoints > max_breakpoints:
                 x = np.zeros(n)
-                x[idx[:k]] = ginv[:k, :k] @ (corr[idx[:k]] - dual[0, :k] - t * dual[1, :k])
+                x[idx[:k]] = ginv[:k, :k] @ (corr[idx[:k]] - d0[:k] - t * d1[:k])
                 return None, None, max_breakpoints, x
             if event == "leave":
-                out = idx[j]
-                out_side = 0 if sig[j] > 0.0 else 1
+                out = idx.item(j)
+                out_side = 0 if sig.item(j) > 0.0 else 1
                 left = m + out_side * n + out  # the flat index of its gap
                 # off the support again, at a_out = c_out sigma_out, and so
                 # are the tied coordinates, which the smaller support frees
                 for side, i in tied + [(out_side, out)]:
                     gap[side, i] = 0.0
-                    gap[1 - side, i] = 2.0 * (c0[i] + t * dc[i])
+                    gap[1 - side, i] = 2.0 * (c0.item(i) + t * dc.item(i))
                 tied.clear()
                 last = k - 1
                 if last:  # downdate, then move the last slot into j's
-                    e = ginv[:k, j].copy()
-                    ve = e / -e[j]
-                    _rank_one(ginv, k, e, ve, pad)
-                    daxpy(ve, xb[:k], a=xb[j])  # xb -= xb_j e / e_j
+                    e = pad[:k]
+                    e[:] = ginv[:k, j]
+                    ve = e / -e.item(j)
+                    _rank_one(ginv, k, ve, pad)
+                    daxpy(ve, xk, a=xb.item(j))  # xb -= xb_j e / e_j
                     idx[j], sig[j], mag[j], xb[j] = idx[last], sig[last], mag[last], xb[last]
                     dual[:, j], rows[j] = dual[:, last], rows[last]
                     # ginv[last, last] goes to [j, last], then to [j, j]
@@ -703,31 +750,32 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
                 row = op.gram_rows.get(i)  # gram_row only on a miss
                 rows[k] = op.gram_row(i) if row is None else row
                 g = rows[:k, i]
-                gamma = rows[k, i]
-                u = ginv[:k, :k] @ g
-                delta = gamma - g @ u
+                gamma = rows.item(k, i)
+                u = np.matmul(ginv[:k, :k], g, out=pad[:k])
+                delta = gamma - float(g.dot(u))
             if k == m or not delta > _PATH_RANK_TOL * gamma:
                 if warm is not None:
                     return None
                 # a_i = u^T c_S sigma_S = +-c_i until a coordinate leaves:
                 # i is tied to the support and held off it
                 tied.append((side, i))
-                gap[:, i] = np.inf
+                gap0[i] = gap1[i] = np.inf
                 held_last = True
                 continue
             s = 0.0 if free[i] else 1.0 - 2.0 * side
-            sdc = s * dc[i]
+            sdc = s * dc.item(i)
             # border: u u^T / delta onto the block, ud = -u / delta beside it
-            ud = u * (-1.0 / delta)
-            beta = (sdc - v[i]) / delta
+            # (row k first, which the update of the rows ginv[:k] leaves alone)
+            ud = np.multiply(u, -1.0 / delta, out=ginv[k, :k])
+            beta = (sdc - v.item(i)) / delta
             if k:
-                _rank_one(ginv, k, u, ud, pad, -1.0)
-                daxpy(u, xb[:k], a=-beta)
-            ginv[:k, k] = ginv[k, :k] = ud
+                _rank_one(ginv, k, ud, pad, -1.0)
+                daxpy(u, xk, a=-beta)
+            ginv[:k, k] = ud
             ginv[k, k] = 1.0 / delta
             idx[k], sig[k], mag[k], xb[k] = i, s, np.inf if s == 0.0 else 0.0, beta
-            dual[0, k], dual[1, k] = s * c0[i], sdc
-            gap[:, i] = np.inf
+            d0[k], d1[k] = s * c0.item(i), sdc
+            gap0[i] = gap1[i] = np.inf
             k = op.path_size = k + 1
             left = None
     order = np.argsort(idx[:k])

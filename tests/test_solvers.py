@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 from hypothesis import given
 from hypothesis import strategies as st
-from scipy.linalg import cho_factor, cho_solve, solve_triangular
+from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
 from scipy.optimize import linprog
 
 from rwsparse import reweight, solvers
@@ -315,6 +315,36 @@ class TestTriangularSolve:
             solvers._triangular_solve(r, np.ones(3), trans)
 
 
+class TestSupportFit:
+    @pytest.mark.parametrize("k", [1, 20, 100])
+    def test_matches_scipy_economic_qr_bit_for_bit(self, k):
+        # the direct LAPACK calls give scipy's factors, on the first call of
+        # a shape (which queries the workspace sizes) and on the second
+        # (which reads them from the cache); phi itself is left as it was
+        solvers._qr_lwork.cache_clear()
+        inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=20, seed=k))
+        phi, b = inst.phi, inst.b
+        before = phi.copy()
+        support = np.sort(np.random.default_rng(k).choice(inst.n, k, replace=False))
+        q_ref, r_ref = qr(phi[:, support], mode="economic", check_finite=False)
+        for _ in range(2):
+            q, r, c = solvers._support_fit(phi, b, support)
+            assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
+            assert np.array_equal(c, q_ref.T @ b)
+            # _triangular_solve reads r as the transpose of a Fortran array
+            assert r.flags.c_contiguous
+        info = solvers._qr_lwork.cache_info()
+        assert info.misses == 1 and info.hits == 1
+        assert np.array_equal(phi, before)
+
+    def test_empty_oversized_and_dependent_supports_give_none(self):
+        inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=20, seed=0))
+        phi, b = inst.phi, inst.b
+        assert solvers._support_fit(phi, b, np.array([], dtype=np.intp)) is None
+        assert solvers._support_fit(phi, b, np.arange(inst.m + 1)) is None
+        assert solvers._support_fit(phi, b, np.array([3, 7, 3])) is None
+
+
 class TestOperator:
     def test_min_norm_solution_is_the_refined_cholesky_formula(self):
         inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=30, seed=3))
@@ -324,17 +354,33 @@ class TestOperator:
         y += cho_solve(chol, b - phi @ (phi.T @ y))
         assert np.array_equal(min_l2_solution(inst), phi.T @ y)
 
+    def test_basis_pursuit_applies_the_rank_guard_without_the_minimum_norm_solve(self):
+        # the guard is the Gram matrix's Cholesky factor; the minimum-norm
+        # solution is solved from that factor only when it is asked for, and
+        # is then the refined formula above
+        inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=30, seed=3))
+        assert weighted_basis_pursuit(inst, np.ones(inst.n), None, CFG).converged
+        op = _operator(inst)
+        assert "gram_factor" in vars(op) and "x0" not in vars(op)
+        phi, b = inst.phi, inst.b
+        chol = cho_factor(phi @ phi.T)
+        y = cho_solve(chol, b)
+        y += cho_solve(chol, b - phi @ (phi.T @ y))
+        assert np.array_equal(min_l2_solution(inst), phi.T @ y)
+        assert "x0" in vars(op)
+
     def test_lasso_runs_never_build_the_row_basis(self, monkeypatch):
         # noisy runs and basis pursuit never build the QR of phi^T; every QR
-        # they make is of a support of at most m columns
+        # they make (``_support_fit``'s LAPACK geqrf) is of a support of at
+        # most m columns
         shapes = []
-        real_qr = solvers.qr
+        real_geqrf = solvers.dgeqrf
 
         def counted(a, *args, **kwargs):
             shapes.append(np.shape(a))
-            return real_qr(a, *args, **kwargs)
+            return real_geqrf(a, *args, **kwargs)
 
-        monkeypatch.setattr(solvers, "qr", counted)
+        monkeypatch.setattr(solvers, "dgeqrf", counted)
         inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=0))
         for algo in ("l1", "rw-lasso", "cwb-noisy"):
             run_algorithm(algo, inst, SolverConfig(rw_iter=2))
