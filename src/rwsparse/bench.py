@@ -112,12 +112,11 @@ def _recovery_trial(args):
 
 
 @functools.cache
-def _blas_thread_controls():
-    """(get, set) thread-count functions of each OpenBLAS loaded in this
-    process; numpy and scipy wheels each bundle their own copy. Looked up
-    once per process: both are loaded by the time this package is
-    imported, and reading the memory map costs about as much as a short
-    sweep call's own overhead."""
+def _openblas_libraries():
+    """(path, library) of each OpenBLAS loaded in this process; numpy and
+    scipy wheels each bundle their own copy. Looked up once per process:
+    both are loaded by the time this package is imported, and reading the
+    memory map costs about as much as a short sweep call's own overhead."""
     try:
         with open("/proc/self/maps") as maps:
             paths = sorted(
@@ -125,16 +124,43 @@ def _blas_thread_controls():
             )
     except OSError:  # no /proc: BLAS threading is left as it is
         return ()
+    return tuple((path, ctypes.CDLL(path)) for path in paths)
+
+
+def _openblas_functions(lib, *names):
+    """The functions ``names`` of an OpenBLAS library under the first
+    symbol prefix and suffix that exports all of them (``openblas_`` or
+    ``scipy_openblas_``, with or without the ``64_`` of 64-bit integer
+    builds), or None."""
+    for stem, suffix in itertools.product(("openblas", "scipy_openblas"), ("", "64_")):
+        found = [getattr(lib, f"{stem}_{name}{suffix}", None) for name in names]
+        if None not in found:
+            return found
+    return None
+
+
+@functools.cache
+def _blas_thread_controls():
+    """(get, set) thread-count functions of each loaded OpenBLAS."""
     controls = []
-    for path in paths:
-        lib = ctypes.CDLL(path)
-        for stem, suffix in itertools.product(("openblas", "scipy_openblas"), ("", "64_")):
-            get = getattr(lib, f"{stem}_get_num_threads{suffix}", None)
-            set_ = getattr(lib, f"{stem}_set_num_threads{suffix}", None)
-            if get is not None and set_ is not None:
-                controls.append((get, set_))
-                break
+    for _, lib in _openblas_libraries():
+        pair = _openblas_functions(lib, "get_num_threads", "set_num_threads")
+        if pair is not None:
+            controls.append(tuple(pair))
     return tuple(controls)
+
+
+def _openblas_cores():
+    """(path, core name) of each loaded OpenBLAS: the kernels it
+    dispatched to on this CPU, on which the pinned bits of the tests are
+    checked."""
+    cores = []
+    for path, lib in _openblas_libraries():
+        found = _openblas_functions(lib, "get_corename")
+        if found is not None:
+            found[0].restype = ctypes.c_char_p
+            cores.append((path, found[0]().decode()))
+    return cores
 
 
 def _single_blas_thread():

@@ -162,9 +162,9 @@ def as_weight_array(w, n: Optional[int] = None) -> np.ndarray:
     """Coerce array-like weights to a validated float vector: finite,
     nonnegative, and of length n when n is given."""
     arr = _as_vector(w, "weights")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ValueError("weights must be finite")
-    if np.any(arr < 0):
+    if (arr < 0).any():
         raise ValueError("weights must be nonnegative")
     if n is not None and arr.shape[0] != n:
         raise ValueError(f"weights have length {arr.shape[0]}, expected {n}")
@@ -285,6 +285,10 @@ def l0_norm(x, tol: float = 0.0) -> int:
     return int(np.count_nonzero(np.abs(x) > tol))
 
 
+# the sparsity reporting threshold relative to max |x_i|
+_L0_REPORTING_REL = 1e-6
+
+
 def l0_reporting_tol(x) -> float:
     """Scale-aware threshold for sparsity reporting: 1e-6 * max |x_i|.
 
@@ -292,7 +296,7 @@ def l0_reporting_tol(x) -> float:
     relative to the largest magnitude present.
     """
     x = np.asarray(x, dtype=float)
-    return 1e-6 * float(np.max(np.abs(x), initial=0.0))
+    return _L0_REPORTING_REL * float(np.max(np.abs(x), initial=0.0))
 
 
 def recovered(x, x_star, tol: float = 1e-3) -> bool:

@@ -6,7 +6,13 @@ Box-Muller transform over 53-bit uniform doubles (no ziggurat), and the
 support set comes from a partial Fisher-Yates shuffle. Draw order is fixed:
 matrix entries row-major, then the support, then the nonzero values in
 support order, then (noisy ensembles) the noise vector. The same seed
-therefore yields a bit-identical instance on any platform.
+therefore yields the same uniform doubles and the same support on any
+platform. The instance's values are bit-identical only where the same
+floating-point paths run: NumPy dispatches ``log``, ``cos`` and ``sin`` to
+CPU-specific SIMD loops (without its AVX-512 loops, float64 ``log``
+differs by one ulp on about 0.36% of inputs), and b = phi x* is a BLAS
+product, rounded as the BLAS kernel sums it. Elsewhere entries may differ
+in their last bits.
 """
 
 from __future__ import annotations

@@ -41,13 +41,12 @@ from .duality import (
     subgradient_oracle,
 )
 from .model import (
+    _L0_REPORTING_REL,
     ConfigurationError,
     DualState,
     OracleRequiredError,
     ProblemInstance,
     SolverConfig,
-    l0_norm,
-    l0_reporting_tol,
 )
 from .solvers import (
     InnerSolveReport,
@@ -106,15 +105,16 @@ class RwTrace:
 
 def _row(k, w, alpha, report: InnerSolveReport, x_star) -> RwTraceRow:
     x = report.x
-    linf = float(np.max(np.abs(x - x_star))) if x_star is not None else float("nan")
+    linf = float(np.abs(x - x_star).max()) if x_star is not None else float("nan")
+    mags = np.abs(x)  # l0 at ``l0_reporting_tol(x)``, from one |x|
     return RwTraceRow(
         k=k,
-        w_min=float(np.min(w)),
-        w_max=float(np.max(w)),
-        w_mean=float(np.mean(w)),
+        w_min=float(w.min()),
+        w_max=float(w.max()),
+        w_mean=float(w.mean()),
         alpha=float(alpha),
         objective=report.objective,
-        l0=l0_norm(x, l0_reporting_tol(x)),
+        l0=int(np.count_nonzero(mags > _L0_REPORTING_REL * float(mags.max(initial=0.0)))),
         linf_err=linf,
         inner_iterations=report.iterations,
         residual=report.primal_residual,
@@ -185,9 +185,11 @@ _EARLY_EXITS = {
 
 def _start(instance, cfg, solve, lam):
     """The unit-weight solve a run begins with, made once per instance and
-    key, in the instance operator's ``starts``; each caller gets its own
-    copy of the iterate. The key (re-solve rule, lam, inner settings) drops
-    the outer loop's settings (``eps_k`` may be an unhashable callable).
+    key, in the instance operator's ``starts``. The report is shared:
+    ``_drive`` copies its iterate before a caller can see it. The key is the
+    re-solve rule, lam and the settings the inner solvers read; the outer
+    loop's settings stay out of it (``eps_k`` may be an unhashable
+    callable).
 
     The unit-weight LASSO starts warm from the unit-weight constrained
     start when that is already cached (the l1 baseline and cwb-noisy make
@@ -196,20 +198,20 @@ def _start(instance, cfg, solve, lam):
     again. Its answer is the same exact support solve either way; no
     constrained solve is made for it."""
     starts = _operator(instance).starts
-    settings = replace(cfg, rw_iter=0, eps_k=None)
+    settings = (cfg.inner_tol, cfg.inner_max_iter)
     key = (solve, lam, settings)
     report = starts.get(key)
     if report is None:
         warm = starts.get((_constrained, None, settings)) if solve is _lasso else None
         report = starts[key] = solve(instance, np.ones(instance.n), lam, warm, cfg)
-    return replace(report, x=report.x.copy())
+    return report
 
 
 def _drive(algo, instance, cfg, solve, update, lam=None, alpha=0.0):
     """The outer loop shared by every algorithm. ``alpha`` is the stepsize
     reported before the first update (NaN for rules that take no step)."""
     w = np.ones(instance.n)
-    report = _start(instance, cfg, solve, lam)
+    start = report = _start(instance, cfg, solve, lam)
     x = report.x
     rows = [_row(0, w, alpha, report, instance.x_star)]
     reason = "budget"
@@ -224,6 +226,8 @@ def _drive(algo, instance, cfg, solve, update, lam=None, alpha=0.0):
         report = solve(instance, w, lam, report, cfg)
         x = report.x
         rows.append(_row(k, w, alpha, report, instance.x_star))
+    if report is start:  # the shared start's iterate: the caller gets a copy
+        x = x.copy()
     state = DualState(w=w, lam=lam, k=k, x_k=x, alpha_k=alpha)
     return x, RwTrace(algo, instance.seed, rows, reason, state)
 

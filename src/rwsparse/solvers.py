@@ -38,11 +38,12 @@ path certifies raises ``NoConvergenceError``.
 
 Each instance has one cached operator, the package's only per-instance
 cache, which builds on first use the Cholesky factor of phi phi^T (the
-rank guard), the minimum-norm solution, phi^T b and the Gram rows
+rank guard), the minimum-norm solution, phi^T b, ||b|| and the Gram rows
 phi_i^T phi the path enters. It also keeps the path's workspace (the
 support the last path call ended on, with the inverse Gram matrix of its
 columns, from which a warm re-solve on that support continues without
-refactoring) and the outer loop's unit-weight starts
+refactoring, and the buffers every path call writes) and the outer
+loop's unit-weight starts
 (:mod:`rwsparse.reweight`), and dies with the instance. A phi without
 full row rank, numerically, is rejected with ``RankDeficientError``.
 """
@@ -155,10 +156,11 @@ class _Operator:
     the Cholesky factor of phi phi^T (``gram_factor``, which applies the
     rank guard; basis pursuit needs nothing else of it), the minimum-norm
     solution ``x0`` solved from that factor for ``min_l2_solution``,
-    phi^T b, the Gram rows phi_i^T phi of the coordinates the LASSO path
-    has touched (``gram_row``), the path's workspace (``path_buffers``),
-    and the outer loop's unit-weight start reports (``starts``, keyed and
-    filled by ``reweight._start``).
+    phi^T b, ||b||^2 and ||b|| (``b_sq``, ``norm_b``), the Gram rows
+    phi_i^T phi of the coordinates the LASSO path has touched
+    (``gram_row``), the path's workspace (``path_buffers``) and per-call
+    buffers (``path_vectors``), and the outer loop's unit-weight start
+    reports (``starts``, keyed and filled by ``reweight._start``).
 
     The workspace is the support a path call ended on, in its order of
     entry (``idx[:k]``), the inverse Gram matrix of its columns
@@ -172,6 +174,17 @@ class _Operator:
         self.gram_rows: dict[int, np.ndarray] = {}
         self.path_size: int | None = None
         self.starts: dict = {}
+
+    @cached_property
+    def b_sq(self) -> float:
+        """||b||^2 (b @ b), which the path and the answer steps read on
+        every solve."""
+        return float(self.b @ self.b)
+
+    @cached_property
+    def norm_b(self) -> float:
+        """||b||, as ``_norm`` computes it."""
+        return math.sqrt(self.b_sq)
 
     @cached_property
     def gram_factor(self) -> tuple[np.ndarray, bool]:
@@ -220,7 +233,7 @@ class _Operator:
         average, some 400 times)."""
         row = self.gram_rows.get(i)
         if row is None:
-            row = self.gram_rows[i] = self.phi[:, i] @ self.phi
+            row = self.gram_rows[i] = np.dot(self.phi[:, i], self.phi)
         return row
 
     @cached_property
@@ -230,20 +243,49 @@ class _Operator:
         m, n = self.phi.shape
         return np.empty(m, dtype=np.intp), np.zeros((m, m)), np.empty((m, n))
 
+    @cached_property
+    def path_vectors(self) -> tuple:
+        """The buffers of ``_path`` that carry nothing from one call to the
+        next; a call writes each before it reads it. Of length m + 2n: the
+        gaps, closing speeds and rates, and ``floor`` (zeros, never
+        written); of length m: the support's signs and direction and
+        ``_rank_one``'s pad, with ``dual`` (2 x m, the intercept and slope
+        of c_S sigma_S); of length n: v = d a / dt, c(0), dc and -dc."""
+        m, n = self.phi.shape
+        gaps, speeds, rates = np.empty((3, m + 2 * n))
+        sig, xb, pad = np.empty((3, m))
+        v, c0, dc, ndc = np.empty((4, n))
+        floor, dual = np.zeros(m + 2 * n), np.empty((2, m))
+        return gaps, speeds, rates, floor, sig, xb, dual, pad, v, c0, dc, ndc
+
 
 _OPERATORS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
 
 
 def _operator(instance: ProblemInstance) -> _Operator:
-    if instance not in _OPERATORS:
-        _OPERATORS[instance] = _Operator(instance)
-    return _OPERATORS[instance]
+    op = _OPERATORS.get(instance)
+    if op is None:
+        op = _OPERATORS[instance] = _Operator(instance)
+    return op
 
 
 def min_l2_solution(instance: ProblemInstance) -> np.ndarray:
     """Minimum-l2-norm solution of phi x = b: phi^T (phi phi^T)^{-1} b,
     computed once per instance (see ``_Operator.x0``)."""
     return _operator(instance).x0.copy()
+
+
+def _norm(v) -> float:
+    """||v|| for a 1-D float vector, as ``np.linalg.norm`` computes it (the
+    root of v.dot(v)), without its argument handling."""
+    return math.sqrt(v.dot(v))
+
+
+@cache
+def _upper(m: int) -> np.ndarray:
+    """The mask of the upper triangle of an m x m matrix, diagonal included;
+    its leading k x k block is that of a k x k matrix."""
+    return ~np.tri(m, k=-1, dtype=bool)
 
 
 @cache
@@ -263,7 +305,8 @@ def _support_fit(phi, b, support):
     The factors are the LAPACK calls of ``scipy.linalg.qr(mode="economic")``
     (geqrf, then orgqr, with the workspace SciPy queries, ``_qr_lwork``),
     made directly: phi^T[S]^T is phi_S in Fortran order, which both
-    routines factor in place. r is C-ordered, as ``_triangular_solve``
+    routines factor in place. r is ``np.triu(packed[:k])``, copied through
+    the cached mask ``_upper``, and C-ordered, as ``_triangular_solve``
     expects."""
     k = support.size
     m = phi.shape[0]
@@ -271,10 +314,11 @@ def _support_fit(phi, b, support):
         return None
     lwork = _qr_lwork(m, k)
     packed, tau = dgeqrf(phi.T[support].T, lwork=lwork[0], overwrite_a=1)[:2]
-    r = np.triu(packed[:k])
-    pivots = np.abs(np.diag(r))
+    pivots = np.abs(packed.diagonal())
     if pivots.min() <= k * _EPS * pivots.max():
         return None
+    r = np.zeros((k, k))
+    np.copyto(r, packed[:k], where=_upper(m)[:k, :k])
     q = dorgqr(packed, tau, lwork=lwork[1], overwrite_a=1)[0]
     return q, r, q.T @ b
 
@@ -291,13 +335,13 @@ def _triangular_solve(r, y, trans=0):
     return x
 
 
-def _bp_candidate(instance, support, tol, fit=None):
-    """The exact solve on a candidate support: (q, r, x, primal) with
-    x_S = r^{-1} q^T b from ``_support_fit`` (``fit`` when the caller has
-    it) and primal = ||phi x - b|| / (1 + ||b||), or None when the support
-    has no usable QR or primal exceeds tol. A pure function of the
-    support."""
-    phi, b = instance.phi, instance.b
+def _bp_candidate(op, support, tol, fit=None):
+    """The exact solve on a candidate support of the operator's instance:
+    (q, r, x, primal) with x_S = r^{-1} q^T b from ``_support_fit`` (``fit``
+    when the caller has it) and primal = ||phi x - b|| / (1 + ||b||), or
+    None when the support has no usable QR or primal exceeds tol. A pure
+    function of the support."""
+    phi, b = op.phi, op.b
     if fit is None:
         fit = _support_fit(phi, b, support)
     if fit is None:
@@ -305,10 +349,10 @@ def _bp_candidate(instance, support, tol, fit=None):
     q, r, c = fit
     x = np.zeros(phi.shape[1])
     x[support] = _triangular_solve(r, c)
-    res, norm_b = np.linalg.norm(phi @ x - b), np.linalg.norm(b)
-    if res > tol * (1.0 + norm_b):
+    res, scale = _norm(phi @ x - b), 1.0 + op.norm_b
+    if res > tol * scale:
         return None
-    return q, r, x, float(res / (1.0 + norm_b))
+    return q, r, x, res / scale
 
 
 def _bp_certified(op, w, support, candidate, nu) -> bool:
@@ -333,21 +377,24 @@ def _bp_certified(op, w, support, candidate, nu) -> bool:
     # phi_S^T nu through the support factors, without copying the columns
     nu = nu + q @ _triangular_solve(r, target - r.T @ (q.T @ nu), trans=1)
     corr = phi.T @ nu
-    slack = _CERT_TOL * (1.0 + float(np.max(w, initial=0.0)))
-    if np.max(np.abs(corr[support] - target), initial=0.0) > slack:
+    slack = _CERT_TOL * (1.0 + float(w.max(initial=0.0)))
+    if np.abs(corr[support] - target).max(initial=0.0) > slack:
         return False
-    off = np.ones(phi.shape[1], dtype=bool)
-    off[support] = False
-    return not np.max(np.abs(corr[off]) - w[off], initial=0.0) > slack
+    # |corr_i| - w_i off the support; 0 on it, which the floor of the max is
+    excess = np.abs(corr, out=corr)
+    excess -= w
+    excess[support] = 0.0
+    return not excess.max(initial=0.0) > slack
 
 
 def _warm_start(warm, n: int) -> np.ndarray:
-    """A float copy of a warm start, which must be a finite 1-D vector of
-    length n; anything else raises ConfigurationError."""
-    arr = np.array(warm, dtype=float)
+    """A warm start as a float array (not a copy when it is one already:
+    the solvers only read it), which must be a finite 1-D vector of length
+    n; anything else raises ConfigurationError."""
+    arr = np.asarray(warm, dtype=float)
     if arr.shape != (n,):
         raise ConfigurationError(f"warm start must have shape ({n},), got {arr.shape}")
-    if not np.all(np.isfinite(arr)):
+    if not np.isfinite(arr).all():
         raise ConfigurationError("warm start must be finite")
     return arr
 
@@ -399,17 +446,18 @@ def weighted_basis_pursuit(
         # walked only at weights that keep the objective, as unchanged ones do
         if carry is not None and np.count_nonzero(carry[0]) == instance.m:
             carry = carry if float(w @ np.abs(warm.x)) == warm.objective else None
-    _operator(instance).gram_factor  # the rank guard runs on every input
+    op = _operator(instance)
+    op.gram_factor  # the rank guard runs on every input
     x, breakpoints, carry, primal = _bp_path(instance, w, carry, cfg)
     stop = "max_iter" if carry is None else "certified"
-    degenerate, b = False, instance.b
+    degenerate = False
     if x is None:
         x, resid, degenerate = _zero_weight_fit(instance, w)
-        if np.linalg.norm(resid) > cfg.inner_tol * (1.0 + np.linalg.norm(b)):
+        if _norm(resid) > cfg.inner_tol * (1.0 + op.norm_b):
             raise NoConvergenceError("no basis pursuit path certifies, nor the zero-weight fit")
         stop = "certified"
     if primal is None:
-        primal = float(np.linalg.norm(instance.phi @ x - b) / (1.0 + np.linalg.norm(b)))
+        primal = _norm(instance.phi @ x - instance.b) / (1.0 + op.norm_b)
     return InnerSolveReport(
         x=x,
         iterations=breakpoints,
@@ -548,7 +596,9 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     A warm start on the support the last path call ended on, the usual
     case of a re-solve, continues from them as they are; any other start
     inverts its Gram matrix from its Cholesky factor. Along a segment the
-    path updates, in preallocated buffers, |x_S| and the gaps c - a and
+    path updates, in the instance's per-call buffers
+    (``_Operator.path_vectors``, allocated once per instance; setup writes
+    each before it is read), |x_S| and the gaps c - a and
     c + a off the support, each of which closes at a known speed, and
     ||phi x - b||^2 (c_S sigma_S is kept as intercept plus t times slope).
     The next breakpoint is the gap with the largest closing rate, and the
@@ -581,10 +631,10 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     if k > m or (warm is not None and k == 0):
         return None
     idx, ginv, rows = op.path_buffers  # idx: the support, in the order of entry
+    gaps, speeds, rates, floor, sig, xb, dual, pad, v, c0, dc, ndc = op.path_vectors
     held = start[:0]  # zero weights kept at 0 and off the path
-    a = corr.copy()
     if warm is not None and op.path_size == k and (np.sort(idx[:k]) == start).all():
-        start = idx[:k].copy()
+        start = idx[:k]  # read only before the first breakpoint
     elif k:
         op.path_size = None  # until the buffers hold the start
         inv = _start_inverse(op, start, rows)
@@ -603,31 +653,36 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
         ginv[:k, :k] = inv
         idx[:k] = start
     op.path_size = k
+    a = corr  # a = phi^T (b - phi x), read only below
     if k:
         xs = ginv[:k, :k] @ corr[start] if warm is None else warm[start]
-        a -= xs @ rows[:k]
+        a = corr - xs @ rows[:k]
     if warm is None:
-        pen = c > 0.0
-        c0 = float((np.abs(a[pen]) / c[pen]).max(initial=0.0)) * c
-        c1 = c if eta is None else np.zeros(n)
+        if k or held.size:  # zero weights: mu0 runs over the penalized ones
+            pen = c > 0.0
+            mu0 = float((np.abs(a[pen]) / c[pen]).max(initial=0.0))
+        else:
+            mu0 = float(np.divide(np.abs(a, out=c0), c, out=c0).max(initial=0.0))
+        np.multiply(c, mu0, out=c0)
+        np.subtract(c if eta is None else 0.0, c0, out=dc)  # c(1) = 0 toward a budget
     else:
         # a_S = c_S sigma_S, within the certificate slack of rounding
         sa = np.sign(xs) * a[start]
-        slack = _CERT_TOL * float(np.abs(a).max(initial=0.0))
+        abs_a = np.abs(a, out=c0)
+        slack = _CERT_TOL * float(abs_a.max(initial=0.0))
         if (sa < -slack).any():
             return None
-        pen = c[start] > 0.0
-        kappa = float((sa[pen] / c[start][pen]).max()) if pen.any() else 1.0
-        c0 = np.maximum(np.abs(a), kappa * c)
+        cs = c[start]
+        pen = cs > 0.0
+        kappa = float((sa[pen] / cs[pen]).max()) if pen.any() else 1.0
+        np.maximum(abs_a, np.multiply(c, kappa, out=dc), out=c0)  # dc as a temporary
         c0[start] = np.where(sa > slack, sa, 0.0)
-        c1 = c
-    dc = c1 - c0
-    free = (c0 == 0.0) & (dc == 0.0)
-    sig, xb = np.empty(m), np.empty(m)  # xb[:k]: -d x_S / dt
-    # c_S(t) sigma_S = a_S is dual[0] + t dual[1] (sigma_S c0_S, sigma_S dc_S)
-    dual, pad = np.empty((2, m)), np.zeros(m)  # pad: u or e of _rank_one
+        np.subtract(c, c0, out=dc)
+    np.negative(dc, out=ndc)
+    # xb[:k]: -d x_S / dt; c_S(t) sigma_S = a_S is d0 + t d1 (sigma_S c0_S,
+    # sigma_S dc_S); pad: u or e of _rank_one, zero past the support
     d0, d1 = dual
-    v = np.empty(n)  # d a / dt
+    pad[:] = 0.0
     # Every breakpoint is a gap closing to zero, so one buffer holds them
     # all: gaps[:m] is |x_S| in the order of entry, through which a
     # coordinate leaves (+inf past k, and where the weight is zero
@@ -637,22 +692,27 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     # cut to zero. The gaps close at the speeds; the next breakpoint is the
     # largest rate speed / gap (exits come first, so they win exact ties),
     # and its step is gap / speed.
-    gaps = np.full(m + 2 * n, np.inf)
     mag, gap = gaps[:m], gaps[m:].reshape(2, n)
     gap0, gap1 = gap
-    speeds = np.zeros(m + 2 * n)
     fall, q = speeds[:m], speeds[m:].reshape(2, n)
     q0, q1 = q
-    rates, floor = np.empty(m + 2 * n), np.zeros(m + 2 * n)
+    mag[k:] = np.inf
+    fall[:] = 0.0
     if k:
-        sig[:k] = np.where(free[start], 0.0, np.sign(xs))
-        mag[:k] = np.where(free[start], np.inf, sig[:k] * xs)
-        np.multiply(sig[:k], c0[start], out=d0[:k])
-        np.multiply(sig[:k], dc[start], out=d1[:k])
+        c0s, dcs = c0[start], dc[start]
+        free = (c0s == 0.0) & (dcs == 0.0)  # weight zero throughout
+        sig[:k] = np.where(free, 0.0, np.sign(xs))
+        mag[:k] = np.where(free, np.inf, sig[:k] * xs)
+        np.multiply(sig[:k], c0s, out=d0[:k])
+        np.multiply(sig[:k], dcs, out=d1[:k])
         xb[:k] = ginv[:k, :k] @ d1[:k]
-    if eta is not None:
-        r = b - phi[:, start] @ xs if k else b
-        rho, eta_sq = float(r @ r), eta * eta
+    if eta is not None:  # rho = ||b - phi x||^2
+        if k:
+            r = b - phi[:, start] @ xs
+            rho = float(r @ r)
+        else:
+            rho = op.b_sq
+        eta_sq = eta * eta
     np.subtract(c0, a, out=gap0)
     np.add(c0, a, out=gap1)
     if k:
@@ -660,7 +720,6 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     if held.size:
         gap0[held] = gap1[held] = np.inf
     np.maximum(gaps, floor, out=gaps)
-    ndc = -dc
 
     # the scalar bookkeeping below runs on Python floats (.item, float()),
     # which cost less per operation than NumPy scalars and round the same
@@ -673,7 +732,9 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
         while True:
             xk = xb[:k]
             if not held_last:
-                np.matmul(xk, rows[:k], out=v)
+                # np.dot: the BLAS gemv of np.matmul, bit for bit, with less
+                # dispatch per call
+                np.dot(xk, rows[:k], out=v)
                 np.add(ndc, v, out=q0)
                 np.subtract(ndc, v, out=q1)
                 np.multiply(sig[:k], xk, out=fall[:k])  # -d |x_S| / dt
@@ -762,8 +823,10 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
                 gap0[i] = gap1[i] = np.inf
                 held_last = True
                 continue
-            s = 0.0 if free[i] else 1.0 - 2.0 * side
-            sdc = s * dc.item(i)
+            c0i, dci = c0.item(i), dc.item(i)
+            # sign 0 where the weight is zero throughout
+            s = 0.0 if c0i == 0.0 and dci == 0.0 else 1.0 - 2.0 * side
+            sdc = s * dci
             # border: u u^T / delta onto the block, ud = -u / delta beside it
             # (row k first, which the update of the rows ginv[:k] leaves alone)
             ud = np.multiply(u, -1.0 / delta, out=ginv[k, :k])
@@ -774,7 +837,7 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
             ginv[:k, k] = ud
             ginv[k, k] = 1.0 / delta
             idx[k], sig[k], mag[k], xb[k] = i, s, np.inf if s == 0.0 else 0.0, beta
-            d0[k], d1[k] = s * c0.item(i), sdc
+            d0[k], d1[k] = s * c0i, sdc
             gap0[i] = gap1[i] = np.inf
             k = op.path_size = k + 1
             left = None
@@ -879,11 +942,12 @@ def weighted_lasso_fista(
     )
 
 
-def _support_lasso(instance, w, support, sigma, eta=None, t=None):
-    """The weighted-LASSO minimizer on support S with signs sigma at
-    lam = 1/t, from the support's ``_support_fit`` (q, r, c), as
-    (fit, g, x_S, t), or None when S has no usable QR or, with ``eta``
-    instead of t, the path on this support never meets the budget.
+def _support_lasso(op, w, support, sigma, eta=None, t=None):
+    """The weighted-LASSO minimizer of the operator's instance on support S
+    with signs sigma at lam = 1/t, from the support's ``_support_fit``
+    (q, r, c), as (fit, g, x_S, t), or None when S has no usable QR or,
+    with ``eta`` instead of t, the path on this support never meets the
+    budget.
 
     The minimizer at t is x_S(t) = R^{-1}(c - t g) with g = R^{-T} w_S sigma,
     and its residual b - Q c + t Q g has the squared norm
@@ -891,18 +955,17 @@ def _support_lasso(instance, w, support, sigma, eta=None, t=None):
     b - Q c is orthogonal to range(phi_S)). So ||phi x - b|| = eta at
     t = sqrt((eta^2 - r0^2) / ||g||^2).
     """
-    b = instance.b
-    fit = _support_fit(instance.phi, b, support)
+    fit = _support_fit(op.phi, op.b, support)
     if fit is None:
         return None
     _, r, c = fit
     g = _triangular_solve(r, w[support] * sigma, trans=1)
     if t is None:
-        slack = eta * eta - (float(b @ b) - float(c @ c))
+        slack = eta * eta - (op.b_sq - float(c @ c))
         gg = float(g @ g)
         if slack <= 0.0 or gg == 0.0:
             return None
-        t = np.sqrt(slack / gg)
+        t = math.sqrt(slack / gg)
     return fit, g, _triangular_solve(r, c - t * g), t
 
 
@@ -937,8 +1000,8 @@ def _bp_path(instance, w, carry, cfg):
     it holds the path's signs on the coordinates that pruning drops, which
     the minimum-norm multiplier of the pruned support alone lacks.
     """
-    norm_b = float(np.linalg.norm(instance.b))
-    starts = [(None, None, f * norm_b) for f in _BP_ETAS]
+    op = _operator(instance)
+    starts = [(None, None, f * op.norm_b) for f in _BP_ETAS]
     if carry is not None:
         starts.insert(0, (*carry, None))
     breakpoints = 0
@@ -955,21 +1018,21 @@ def _bp_path(instance, w, carry, cfg):
             if x_l is None:
                 return x, breakpoints, None, None
             continue
-        lasso = _support_lasso(instance, w, support, sigma, eta, t)
+        lasso = _support_lasso(op, w, support, sigma, eta, t)
         if lasso is None:
             continue
         fit, g, x_s, t = lasso
-        candidate = _bp_candidate(instance, support, cfg.inner_tol, fit)
+        candidate = _bp_candidate(op, support, cfg.inner_tol, fit)
         if candidate is None:
             continue
         x_bp = candidate[2][support]
         mags = np.abs(x_bp)
         kept = support[(mags > _BP_PRUNE * mags.max()) & (x_bp * sigma >= 0.0)]
         if kept.size < support.size:
-            candidate = _bp_candidate(instance, kept, cfg.inner_tol)
+            candidate = _bp_candidate(op, kept, cfg.inner_tol)
             if candidate is None:
                 continue
-        if _bp_certified(_operator(instance), w, kept, candidate, fit[0] @ g):
+        if _bp_certified(op, w, kept, candidate, fit[0] @ g):
             x_l = np.zeros(instance.n)
             x_l[support] = x_s
             return candidate[2], breakpoints, (x_l, t), candidate[3]
@@ -1017,7 +1080,7 @@ def constrained_weighted_l1(
     # the fit on the zero-weight coordinates is a minimizer when it meets
     # the budget, which then has multiplier 0
     x, resid, degenerate = _zero_weight_fit(instance, w)
-    if np.linalg.norm(resid) <= eta:
+    if _norm(resid) <= eta:
         return InnerSolveReport(
             x=x,
             iterations=0,
@@ -1038,7 +1101,7 @@ def constrained_weighted_l1(
     support, sigma, iterations, x = found
     lam, stop = np.nan, "max_iter"
     if x is None:
-        root = _support_lasso(instance, w, support, sigma, eta=eta)
+        root = _support_lasso(_operator(instance), w, support, sigma, eta=eta)
         if root is not None:
             x, lam = _signed(instance.n, w, support, sigma, root[2]), 1.0 / root[3]
         if x is not None:
@@ -1051,7 +1114,7 @@ def constrained_weighted_l1(
         stop = "certified"
     else:
         resid = phi @ x - b
-    res = float(np.linalg.norm(resid))
+    res = _norm(resid)
     return InnerSolveReport(
         x=x,
         iterations=iterations,

@@ -98,6 +98,13 @@ class TestRecoverySweep:
         assert run_recovery_sweep(tiny) == run_recovery_sweep(tiny)
         assert reads.count("/proc/self/maps") <= 1
 
+    def test_each_openblas_with_thread_controls_names_its_core(self):
+        # the core names the CI log prints: one per OpenBLAS copy that the
+        # sweeps pin to one thread
+        cores = bench._openblas_cores()
+        assert len(cores) == len(bench._blas_thread_controls())
+        assert all(path and name for path, name in cores)
+
     def test_single_trial_rate_binary(self):
         import dataclasses
 

@@ -2,7 +2,9 @@ import csv
 import dataclasses
 import gc
 import inspect
+import json
 import weakref
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -20,6 +22,8 @@ from rwsparse.model import (
     OracleRequiredError,
     ProblemInstance,
     SolverConfig,
+    l0_norm,
+    l0_reporting_tol,
     recovered,
 )
 from rwsparse.probgen import EnsembleSpec, gen_noiseless, gen_noisy
@@ -84,14 +88,36 @@ class TestOracleAlgorithm:
     def test_small_ensemble_recovery(self):
         # the zero-target step often lands exactly on the dual optimal set
         # after one move and then parks on a tie face whose returned vertex
-        # need not be the ground truth, so recovery saturates near 73% on
-        # this ensemble (it does not improve with a larger budget)
+        # need not be the ground truth, so recovery saturates on this
+        # ensemble (80 of 100 here; it does not improve with a larger budget)
         hits = 0
         for seed in range(100):
             inst = gen_noiseless(EnsembleSpec(n=20, m=10, s=4, seed=seed))
             x, _ = rw_l1_oracle(inst, SolverConfig(rw_iter=4))
             hits += recovered(x, inst.x_star, CFG.recovery_tol)
         assert hits >= 68
+
+    def test_criterion_5_outcomes_per_seed(self):
+        # the l0 and exit of each of criterion 5's 100 oracle runs (n=12,
+        # m=8, s=1..3, rw_iter=4), pinned, so that a change that moves a
+        # seed names it; the criterion itself counts only the l0 matches,
+        # and needs 95. Its five misses (seeds 38, 65, 83, 95, 98) end on an
+        # 8-coordinate vertex of a tied optimal face, and which vertex basis
+        # pursuit returns there depends on rounding. Like the final-iterate
+        # digests, the pins hold on the BLAS kernels and SIMD paths they were
+        # recorded on (CI prints its dispatch before the tests); another
+        # dispatch may move a seed
+        path = Path(__file__).parent / "data" / "criterion5_oracle_outcomes.json"
+        pinned = json.loads(path.read_text())
+        moved = []
+        for rec in pinned:
+            inst = gen_noiseless(EnsembleSpec(n=12, m=8, s=rec["s"], seed=rec["seed"]))
+            x, trace = rw_l1_oracle(inst, SolverConfig(rw_iter=4))
+            got = {**rec, "l0": l0_norm(x, l0_reporting_tol(x)), "exit": trace.exit_reason}
+            if got != rec:
+                moved.append((rec, got))
+        assert len(pinned) == 100 and sum(rec["exit"] != "zero_subgradient" for rec in pinned) == 5
+        assert not moved, f"seeds moved (pinned, now): {moved}"
 
     def test_exit_does_not_depend_on_the_last_bits_of_the_start(self, monkeypatch):
         # the start recovers x* to rounding error, so its supergradient

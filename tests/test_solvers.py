@@ -8,6 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
+from scipy.linalg.lapack import dgeqrf
 from scipy.optimize import linprog
 
 from rwsparse import reweight, solvers
@@ -204,7 +205,7 @@ def lstsq_polish(instance, w, support, tol):
 def min_norm_polish(instance, w, support, tol):
     """The polish with the minimum-norm multiplier: the certificate seeded
     with the multiplier estimate nu = 0."""
-    candidate = _bp_candidate(instance, support, tol)
+    candidate = _bp_candidate(_operator(instance), support, tol)
     if candidate is None:
         return None
     if not _bp_certified(_operator(instance), w, support, candidate, np.zeros(instance.m)):
@@ -272,7 +273,7 @@ class TestBpPolish:
         w = np.full(40, 1e3)
         w[support] = 1.0
         assert lstsq_polish(inst, w, support, CFG.inner_tol) is not None
-        assert _bp_candidate(inst, support, CFG.inner_tol) is None
+        assert _bp_candidate(_operator(inst), support, CFG.inner_tol) is None
         rep = weighted_basis_pursuit(inst, w, None, CFG)
         assert rep.converged
         oracle = lp_basis_pursuit(phi, inst.b, w)
@@ -337,6 +338,20 @@ class TestSupportFit:
         assert info.misses == 1 and info.hits == 1
         assert np.array_equal(phi, before)
 
+    @pytest.mark.parametrize("k", [1, 20, 100])
+    def test_r_is_the_upper_triangle_of_the_packed_factor(self, k):
+        # r is np.triu of geqrf's packed factor bit for bit (the sign of
+        # every zero included), C-ordered, with a strict lower triangle of
+        # +0.0 only, at one column, a few and m
+        inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=20, seed=k))
+        support = np.sort(np.random.default_rng(k).choice(inst.n, k, replace=False))
+        lwork = solvers._qr_lwork(inst.m, k)[0]
+        packed = dgeqrf(np.asfortranarray(inst.phi[:, support]), lwork=lwork)[0]
+        _, r, _ = solvers._support_fit(inst.phi, inst.b, support)
+        assert r.tobytes() == np.triu(packed[:k]).tobytes()
+        assert r.flags.c_contiguous
+        assert not r[np.tril_indices(k, -1)].view(np.uint64).any()
+
     def test_empty_oversized_and_dependent_supports_give_none(self):
         inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=20, seed=0))
         phi, b = inst.phi, inst.b
@@ -400,7 +415,7 @@ class TestDualSeededCertificate:
         rep = weighted_basis_pursuit(inst, w, None, CFG)
         assert rep.exit == "certified" and rep.converged
         support = np.flatnonzero(rep.x)
-        candidate = _bp_candidate(inst, support, CFG.inner_tol)
+        candidate = _bp_candidate(_operator(inst), support, CFG.inner_tol)
         assert candidate[2].tobytes() == rep.x.tobytes()
         assert not _bp_certified(_operator(inst), w, support, candidate, np.zeros(inst.m))
 
@@ -419,7 +434,7 @@ class TestDualSeededCertificate:
             probe = np.random.default_rng(100 + seed)
             for support in itertools.combinations(range(9), 4):
                 support = np.array(support)
-                candidate = _bp_candidate(inst, support, CFG.inner_tol)
+                candidate = _bp_candidate(_operator(inst), support, CFG.inner_tol)
                 decision = _bp_certified(op, w, support, candidate, np.zeros(4))
                 accepted += decision
                 rejected += not decision
@@ -446,7 +461,7 @@ class TestDualSeededCertificate:
         for k in range(1, 5):
             for support in itertools.combinations(range(9), k):
                 support = np.array(support)
-                candidate = _bp_candidate(inst, support, CFG.inner_tol)
+                candidate = _bp_candidate(_operator(inst), support, CFG.inner_tol)
                 if candidate is None:
                     continue
                 objective = w @ np.abs(candidate[2])
@@ -566,7 +581,7 @@ class TestWeightedBasisPursuit:
         for inst, w, warm in calls:
             rep = weighted_basis_pursuit(inst, w, warm, CFG)
             assert rep.exit == "certified"
-            exact = _bp_candidate(inst, np.flatnonzero(rep.x), CFG.inner_tol)[2]
+            exact = _bp_candidate(_operator(inst), np.flatnonzero(rep.x), CFG.inner_tol)[2]
             assert rep.x.tobytes() == exact.tobytes()
 
     def test_iteration_cap_reports_nonconverged(self):
@@ -1224,6 +1239,49 @@ class TestLassoPath:
                 run_algorithm(algo, inst, SolverConfig(rw_iter=2))
         assert excess == 552
         assert digest.hexdigest()[:16] == "92e8dc083574ac43"
+
+    def test_per_call_buffers_are_reused_and_carry_nothing(self):
+        # every path call on an instance runs in the operator's one set of
+        # per-call buffers. A call made after a warm path that gave up (from
+        # a square LASSO point, at its first entry) or after one that ran out
+        # of breakpoints returns the bits of the same call on a fresh
+        # operator, and leaves the same workspace
+        def instance():
+            return gen_noiseless(EnsembleSpec(n=256, m=100, s=50, seed=0))
+
+        inst = instance()
+        first = weighted_basis_pursuit(inst, np.ones(inst.n), None, CFG)
+        x_l, t = first.lasso_point
+        assert np.count_nonzero(x_l) == inst.m
+        op = _operator(inst)
+        vectors, buffers = op.path_vectors, op.path_buffers
+        ids = [id(buf) for buf in vectors + buffers]
+        w = 1.0 / (np.abs(first.x) + 0.1)
+        eta = 1e-6 * np.linalg.norm(inst.b)
+        calls = [((w, CFG.inner_max_iter), {"eta": eta}), ((w / 50.0, CFG.inner_max_iter), {})]
+
+        def same_as_fresh(capped=None):
+            for args, kwargs in calls + ([] if capped is None else [capped]):
+                fresh_inst = instance()
+                got = solvers._path(inst, *args, **kwargs)
+                ref = solvers._path(fresh_inst, *args, **kwargs)
+                assert got[2] == ref[2]
+                for a, b in (got[0], ref[0]), (got[1], ref[1]), (got[3], ref[3]):
+                    assert (a is None) == (b is None)
+                    assert a is None or a.tobytes() == b.tobytes()
+                (idx, ginv, _), k = op.path_buffers, op.path_size
+                fresh = _operator(fresh_inst)
+                assert k == fresh.path_size
+                assert idx[:k].tobytes() == fresh.path_buffers[0][:k].tobytes()
+                assert ginv[:k, :k].tobytes() == fresh.path_buffers[1][:k, :k].tobytes()
+
+        assert solvers._path(inst, t * w, CFG.inner_max_iter, warm=x_l) is None
+        same_as_fresh()
+        capped = ((w, 5), {"eta": eta})
+        assert solvers._path(inst, *capped[0], **capped[1])[:3] == (None, None, 5)
+        same_as_fresh(capped)
+        assert op.path_vectors is vectors and op.path_buffers is buffers
+        assert [id(buf) for buf in op.path_vectors + op.path_buffers] == ids
 
     def test_tie_at_step_zero_enters_the_lowest_flat_index_first(self):
         # |a_0| / c_0 = |a_2| / c_2 = 2 exactly: coordinate 2 entering with
