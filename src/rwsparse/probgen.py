@@ -12,7 +12,10 @@ floating-point paths run: NumPy dispatches ``log``, ``cos`` and ``sin`` to
 CPU-specific SIMD loops (without its AVX-512 loops, float64 ``log``
 differs by one ulp on about 0.36% of inputs), and b = phi x* is a BLAS
 product, rounded as the BLAS kernel sums it. Elsewhere entries may differ
-in their last bits.
+in their last bits. ``standard_normal`` forms its variates in place, in its
+output buffer, but runs the same operations in the same order as the
+separate arrays of the textbook form, so where those paths run it returns
+the same bits.
 """
 
 from __future__ import annotations
@@ -61,24 +64,35 @@ def standard_normal(rng: np.random.Generator, size: int) -> np.ndarray:
 
     Pairs (u1, u2) with u1 in (0, 1] give r = sqrt(-2 ln u1) and the two
     variates r cos(2 pi u2), r sin(2 pi u2); the cosine block precedes the
-    sine block and the result is truncated to ``size``.
+    sine block and the result is truncated to ``size``. r and the angle are
+    formed in the two blocks of the result, which then receive r cos and
+    r sin in place.
     """
-    if size == 0:
-        return np.zeros(0)
     pairs = (size + 1) // 2
-    u1 = 1.0 - rng.random(pairs)
-    u2 = rng.random(pairs)
-    r = np.sqrt(-2.0 * np.log(u1))
-    theta = 2.0 * math.pi * u2
-    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:size]
+    out = np.empty((2, pairs))
+    r, theta = out
+    rng.random(out=r)
+    rng.random(out=theta)
+    np.subtract(1.0, r, out=r)
+    np.log(r, out=r)
+    np.multiply(-2.0, r, out=r)
+    np.sqrt(r, out=r)
+    np.multiply(2.0 * math.pi, theta, out=theta)
+    cos = np.cos(theta)
+    np.multiply(r, np.sin(theta, out=theta), out=theta)
+    np.multiply(r, cos, out=r)
+    return out.reshape(-1)[:size]
 
 
 def sample_support(rng: np.random.Generator, n: int, s: int) -> np.ndarray:
     """Uniform s-subset of {0, ..., n-1} by partial Fisher-Yates shuffle,
-    returned in ascending order."""
-    idx = np.arange(n)
-    for i in range(s):
-        j = i + int(rng.integers(0, n - i))
+    returned in ascending order. Step i swaps i with i + j, j uniform on
+    {0, ..., n - i - 1}; the s bounded integers are drawn in one call,
+    which takes them from the stream in the same order and with the same
+    rejections as one ``rng.integers(0, n - i)`` per step."""
+    idx = list(range(n))
+    for i, j in enumerate(rng.integers(0, n - np.arange(s)).tolist()):
+        j += i
         idx[i], idx[j] = idx[j], idx[i]
     return np.sort(idx[:s])
 

@@ -111,7 +111,7 @@ def _row(k, w, alpha, report: InnerSolveReport, x_star) -> RwTraceRow:
         k=k,
         w_min=float(w.min()),
         w_max=float(w.max()),
-        w_mean=float(w.mean()),
+        w_mean=float(np.add.reduce(w)) / w.size,  # np.mean's sum and division
         alpha=float(alpha),
         objective=report.objective,
         l0=int(np.count_nonzero(mags > _L0_REPORTING_REL * float(mags.max(initial=0.0)))),

@@ -56,9 +56,9 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve, qr
+from scipy.linalg import cho_solve, qr
 from scipy.linalg.blas import daxpy, dger
-from scipy.linalg.lapack import dgeqrf, dorgqr, dpotri, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dorgqr, dpotrf, dpotri, dtrtrs
 
 from .model import ConfigurationError, ProblemInstance, SolverConfig, as_weight_array
 
@@ -106,7 +106,7 @@ class NoConvergenceError(RuntimeError):
 
 class RankDeficientError(ConfigurationError, np.linalg.LinAlgError):
     """phi does not have full row rank, numerically: phi phi^T has no
-    Cholesky factor, or one with a pivot ratio min/max diag(L) of at most
+    Cholesky factor, or one whose pivot ratio min/max diag(L) is not above
     ``_GRAM_PIVOT_RATIO``, so the affine projection and the minimum-norm
     solution are undefined or dominated by rounding. It is also a
     ``LinAlgError``."""
@@ -188,27 +188,28 @@ class _Operator:
 
     @cached_property
     def gram_factor(self) -> tuple[np.ndarray, bool]:
-        """The Cholesky factor of phi phi^T, as ``cho_factor`` returns it:
-        the rank guard, which basis pursuit applies on every input. Raises
-        RankDeficientError when the factorization breaks down or its pivot
-        ratio is at most ``_GRAM_PIVOT_RATIO``."""
+        """The Cholesky factor of phi phi^T, as ``cho_factor`` returns it
+        (LAPACK potrf on the upper triangle, the call it makes, made
+        directly): the rank guard, which basis pursuit applies on every
+        input. Raises RankDeficientError when the factorization breaks down
+        or its pivot ratio is not above ``_GRAM_PIVOT_RATIO`` (also when it
+        is NaN, as on a phi phi^T that overflows)."""
         phi = self.phi
         m, n = phi.shape
-        try:
-            chol = cho_factor(phi @ phi.T)
-        except np.linalg.LinAlgError as exc:
+        chol, info = dpotrf(phi @ phi.T, lower=0, clean=0)
+        if info > 0:
             raise RankDeficientError(
                 f"phi ({m}x{n}) is rank deficient: the Cholesky factorization "
-                f"of phi phi^T failed ({exc})"
-            ) from None
-        pivots = np.abs(np.diag(chol[0]))
+                f"of phi phi^T failed (its {info}-th leading minor is not positive definite)"
+            )
+        pivots = np.abs(chol.diagonal())
         ratio = float(pivots.min() / pivots.max())
-        if ratio <= _GRAM_PIVOT_RATIO:
+        if not ratio > _GRAM_PIVOT_RATIO:
             raise RankDeficientError(
                 f"phi ({m}x{n}) is rank deficient: the Cholesky factor of "
-                f"phi phi^T has pivot ratio {ratio:.3e} <= {_GRAM_PIVOT_RATIO:.0e}"
+                f"phi phi^T has pivot ratio {ratio:.3e}, not above {_GRAM_PIVOT_RATIO:.0e}"
             )
-        return chol
+        return chol, False
 
     @cached_property
     def x0(self) -> np.ndarray:
@@ -233,7 +234,7 @@ class _Operator:
         average, some 400 times)."""
         row = self.gram_rows.get(i)
         if row is None:
-            row = self.gram_rows[i] = np.dot(self.phi[:, i], self.phi)
+            row = self.gram_rows[i] = self.phi[:, i].dot(self.phi)
         return row
 
     @cached_property
@@ -248,15 +249,15 @@ class _Operator:
         """The buffers of ``_path`` that carry nothing from one call to the
         next; a call writes each before it reads it. Of length m + 2n: the
         gaps, closing speeds and rates, and ``floor`` (zeros, never
-        written); of length m: the support's signs and direction and
-        ``_rank_one``'s pad, with ``dual`` (2 x m, the intercept and slope
+        written); the rows of one 3 x m block, which setup clears past the
+        support in one call: the support's signs and direction, and the pad
+        handed to BLAS ``dger``; ``dual`` (2 x m, the intercept and slope
         of c_S sigma_S); of length n: v = d a / dt, c(0), dc and -dc."""
         m, n = self.phi.shape
         gaps, speeds, rates = np.empty((3, m + 2 * n))
-        sig, xb, pad = np.empty((3, m))
-        v, c0, dc, ndc = np.empty((4, n))
         floor, dual = np.zeros(m + 2 * n), np.empty((2, m))
-        return gaps, speeds, rates, floor, sig, xb, dual, pad, v, c0, dc, ndc
+        v, c0, dc, ndc = np.empty((4, n))
+        return gaps, speeds, rates, floor, np.empty((3, m)), dual, v, c0, dc, ndc
 
 
 _OPERATORS: "weakref.WeakKeyDictionary" = weakref.WeakKeyDictionary()
@@ -448,7 +449,7 @@ def weighted_basis_pursuit(
             carry = carry if float(w @ np.abs(warm.x)) == warm.objective else None
     op = _operator(instance)
     op.gram_factor  # the rank guard runs on every input
-    x, breakpoints, carry, primal = _bp_path(instance, w, carry, cfg)
+    x, breakpoints, carry, primal = _bp_path(instance, op, w, carry, cfg)
     stop = "max_iter" if carry is None else "certified"
     degenerate = False
     if x is None:
@@ -532,23 +533,11 @@ def _start_inverse(op, start, rows):
         return None
     # each squared pivot over its diagonal entry is the squared sine of that
     # column's angle to the span of the columns before it
-    if np.min(np.diag(chol) ** 2 / np.diag(gram)) <= _PATH_RANK_TOL:
+    if (chol.diagonal() ** 2 / gram.diagonal()).min() <= _PATH_RANK_TOL:
         return None
     inv = dpotri(chol, lower=1)[0]  # its lower triangle
-    return inv + np.tril(inv, -1).T
-
-
-def _rank_one(ginv, k, v, pad, alpha=1.0):
-    """Add the symmetric term alpha u v^T (v a multiple of u) to
-    ginv[:k, :k] in place, u already in pad[:k]: BLAS dger on the rows
-    ginv[:k] (a Fortran-contiguous transpose), with u zero-padded to the
-    row length in ``pad``, so the rest of those rows is kept. Only pad[k]
-    is cleared: every update and every hold of ``_path`` writes pad below
-    the support size it runs at, which moves by one per entry or exit, so
-    pad[k + 1:] is already zero. An entry adds v = -u / delta at alpha = -1
-    (the same v borders ginv), an exit v = -e / e_j at 1."""
-    pad[k : k + 1] = 0.0
-    dger(alpha, pad, v, a=ginv[:k].T, overwrite_a=1)
+    # plus its strict lower triangle, np.tril(inv, -1), transposed
+    return inv + np.where(_upper(rows.shape[0])[:k, :k], 0.0, inv).T
 
 
 def _path(instance, c, max_breakpoints, warm=None, eta=None):
@@ -610,9 +599,12 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     and pivot delta sets beta = (s dc_i - v_i) / delta (v = d a / dt),
     xb_S -= beta u and xb_i = beta; an exit through the leaver's column e
     of the inverse sets xb -= xb_j e / e_j. So u is the only product with
-    the inverse per breakpoint; u, and an exit's copy of e, are formed in
-    the buffer that ``_rank_one`` hands to BLAS. Toward a budget c(1) = 0,
-    and the residual norm takes one dot product per breakpoint.
+    the inverse per breakpoint. Either one changes the inverse by a
+    symmetric rank-one term, through BLAS dger on the rows ginv[:k] (a
+    Fortran-contiguous transpose), with u, or an exit's copy of e, formed
+    in the pad vector and zero-padded to the row length, so that the rest
+    of those rows is kept. Toward a budget c(1) = 0, and the residual norm
+    takes one dot product per breakpoint.
     A coordinate due to enter in the span of phi_S (every one when
     |S| = m; else by ``_PATH_RANK_TOL``) gives None on a warm path; on a
     cold one, where c(t) stays a multiple of c, phi_i = phi_S u keeps
@@ -631,7 +623,7 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     if k > m or (warm is not None and k == 0):
         return None
     idx, ginv, rows = op.path_buffers  # idx: the support, in the order of entry
-    gaps, speeds, rates, floor, sig, xb, dual, pad, v, c0, dc, ndc = op.path_vectors
+    gaps, speeds, rates, floor, vecs, dual, v, c0, dc, ndc = op.path_vectors
     held = start[:0]  # zero weights kept at 0 and off the path
     if warm is not None and op.path_size == k and (np.sort(idx[:k]) == start).all():
         start = idx[:k]  # read only before the first breakpoint
@@ -679,10 +671,15 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
         c0[start] = np.where(sa > slack, sa, 0.0)
         np.subtract(c, c0, out=dc)
     np.negative(dc, out=ndc)
-    # xb[:k]: -d x_S / dt; c_S(t) sigma_S = a_S is d0 + t d1 (sigma_S c0_S,
-    # sigma_S dc_S); pad: u or e of _rank_one, zero past the support
+    # sig[:k] and xb[:k]: the signs and -d x_S / dt, both zero past the
+    # support, so that their product, -d |x_S| / dt, runs over the whole
+    # vector; pad: u or e of a rank-one update, zero past the support
+    # (every breakpoint writes pad below the support size, which moves by
+    # one per entry or exit, so only pad[k] is cleared before an update).
+    # c_S(t) sigma_S = a_S is d0 + t d1 (sigma_S c0_S, sigma_S dc_S)
+    sig, xb, pad = vecs
+    vecs[:, k:] = 0.0
     d0, d1 = dual
-    pad[:] = 0.0
     # Every breakpoint is a gap closing to zero, so one buffer holds them
     # all: gaps[:m] is |x_S| in the order of entry, through which a
     # coordinate leaves (+inf past k, and where the weight is zero
@@ -691,13 +688,12 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     # support and on the held coordinates). A rounding error past zero is
     # cut to zero. The gaps close at the speeds; the next breakpoint is the
     # largest rate speed / gap (exits come first, so they win exact ties),
-    # and its step is gap / speed.
+    # and its step is gap / speed. A rate past k is 0 / inf.
     mag, gap = gaps[:m], gaps[m:].reshape(2, n)
     gap0, gap1 = gap
     fall, q = speeds[:m], speeds[m:].reshape(2, n)
     q0, q1 = q
     mag[k:] = np.inf
-    fall[:] = 0.0
     if k:
         c0s, dcs = c0[start], dc[start]
         free = (c0s == 0.0) & (dcs == 0.0)  # weight zero throughout
@@ -722,7 +718,14 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     np.maximum(gaps, floor, out=gaps)
 
     # the scalar bookkeeping below runs on Python floats (.item, float()),
-    # which cost less per operation than NumPy scalars and round the same
+    # which cost less per operation than NumPy scalars and round the same;
+    # the loop reads the ufuncs and item methods it calls from locals
+    add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
+    maximum, matmul, argmax, isnan, inf = np.maximum, np.matmul, rates.argmax, math.isnan, math.inf
+    rate_at, gap_at, speed_at, v_at = rates.item, gaps.item, speeds.item, v.item
+    idx_at, sig_at, xb_at, c0_at, dc_at = idx.item, sig.item, xb.item, c0.item, dc.item
+    cached_row = op.gram_rows.get
+    ginv_t = ginv.T  # ginv_t[:, :k], the rows ginv[:k], is Fortran-contiguous
     t = 0.0
     left = None
     tied = []  # (side, i) of the coordinates held at a closed gap
@@ -730,27 +733,27 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     held_last = False  # a hold keeps the direction and the speeds
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
-            xk = xb[:k]
             if not held_last:
-                # np.dot: the BLAS gemv of np.matmul, bit for bit, with less
-                # dispatch per call
-                np.dot(xk, rows[:k], out=v)
-                np.add(ndc, v, out=q0)
-                np.subtract(ndc, v, out=q1)
-                np.multiply(sig[:k], xk, out=fall[:k])  # -d |x_S| / dt
+                xk = xb[:k]
+                # ndarray.dot: the BLAS gemv of np.matmul, bit for bit, with
+                # less dispatch per call
+                xk.dot(rows[:k], out=v)
+                add(ndc, v, out=q0)
+                subtract(ndc, v, out=q1)
+                multiply(sig, xb, out=fall)  # -d |x_S| / dt, 0 past k
             held_last = False
             # a positive rate closes; 0 over an infinite gap, and NaN (none)
             # at zero gap and zero speed
-            np.divide(speeds, gaps, out=rates)
+            divide(speeds, gaps, out=rates)
             if left is not None:
-                rates[left] = -np.inf
-            j = int(rates.argmax())
-            rate = rates.item(j)
-            if math.isnan(rate):
-                rates[np.isnan(rates)] = -np.inf
-                j = int(rates.argmax())
-                rate = rates.item(j)
-            step = gaps.item(j) / speeds.item(j) if rate > 0.0 else math.inf
+                rates[left] = -inf
+            j = int(argmax())
+            rate = rate_at(j)
+            if isnan(rate):
+                rates[np.isnan(rates)] = -inf
+                j = int(argmax())
+                rate = rate_at(j)
+            step = gap_at(j) / speed_at(j) if rate > 0.0 else inf
             event = "leave" if j < m else "enter"
             if not step < 1.0 - t:  # a NaN step ends the path too
                 step, event = 1.0 - t, "end"
@@ -772,7 +775,7 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
                     break
                 rho = rho_next
             daxpy(speeds, gaps, a=-step)
-            np.maximum(gaps, floor, out=gaps)
+            maximum(gaps, floor, out=gaps)
             t += step
             if event == "end":
                 break
@@ -782,37 +785,44 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
                 x[idx[:k]] = ginv[:k, :k] @ (corr[idx[:k]] - d0[:k] - t * d1[:k])
                 return None, None, max_breakpoints, x
             if event == "leave":
-                out = idx.item(j)
-                out_side = 0 if sig.item(j) > 0.0 else 1
+                out = idx_at(j)
+                out_side = 0 if sig_at(j) > 0.0 else 1
                 left = m + out_side * n + out  # the flat index of its gap
                 # off the support again, at a_out = c_out sigma_out, and so
                 # are the tied coordinates, which the smaller support frees
-                for side, i in tied + [(out_side, out)]:
+                gap[out_side, out] = 0.0
+                gap[1 - out_side, out] = 2.0 * (c0_at(out) + t * dc_at(out))
+                for side, i in tied:
                     gap[side, i] = 0.0
-                    gap[1 - side, i] = 2.0 * (c0.item(i) + t * dc.item(i))
+                    gap[1 - side, i] = 2.0 * (c0_at(i) + t * dc_at(i))
                 tied.clear()
                 last = k - 1
                 if last:  # downdate, then move the last slot into j's
                     e = pad[:k]
                     e[:] = ginv[:k, j]
                     ve = e / -e.item(j)
-                    _rank_one(ginv, k, ve, pad)
-                    daxpy(ve, xk, a=xb.item(j))  # xb -= xb_j e / e_j
+                    if k < m:
+                        pad[k] = 0.0
+                    dger(1.0, pad, ve, a=ginv_t[:, :k], overwrite_a=1)
+                    daxpy(ve, xk, a=xb_at(j))  # xb -= xb_j e / e_j
                     idx[j], sig[j], mag[j], xb[j] = idx[last], sig[last], mag[last], xb[last]
                     dual[:, j], rows[j] = dual[:, last], rows[last]
                     # ginv[last, last] goes to [j, last], then to [j, j]
                     ginv[j, :k] = ginv[last, :k]
                     ginv[:k, j] = ginv[:k, last]
-                mag[last] = np.inf
+                sig[last] = xb[last] = 0.0
+                mag[last] = inf
                 k = op.path_size = last
                 continue
             side, i = divmod(j - m, n)
             if k < m:
-                row = op.gram_rows.get(i)  # gram_row only on a miss
-                rows[k] = op.gram_row(i) if row is None else row
+                row = cached_row(i)  # gram_row only on a miss
+                if row is None:
+                    row = op.gram_row(i)
+                rows[k] = row
                 g = rows[:k, i]
-                gamma = rows.item(k, i)
-                u = np.matmul(ginv[:k, :k], g, out=pad[:k])
+                gamma = row.item(i)
+                u = matmul(ginv[:k, :k], g, out=pad[:k])
                 delta = gamma - float(g.dot(u))
             if k == m or not delta > _PATH_RANK_TOL * gamma:
                 if warm is not None:
@@ -820,25 +830,26 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
                 # a_i = u^T c_S sigma_S = +-c_i until a coordinate leaves:
                 # i is tied to the support and held off it
                 tied.append((side, i))
-                gap0[i] = gap1[i] = np.inf
+                gap0[i] = gap1[i] = inf
                 held_last = True
                 continue
-            c0i, dci = c0.item(i), dc.item(i)
+            c0i, dci = c0_at(i), dc_at(i)
             # sign 0 where the weight is zero throughout
             s = 0.0 if c0i == 0.0 and dci == 0.0 else 1.0 - 2.0 * side
             sdc = s * dci
             # border: u u^T / delta onto the block, ud = -u / delta beside it
             # (row k first, which the update of the rows ginv[:k] leaves alone)
-            ud = np.multiply(u, -1.0 / delta, out=ginv[k, :k])
-            beta = (sdc - v.item(i)) / delta
+            ud = multiply(u, -1.0 / delta, out=ginv[k, :k])
+            beta = (sdc - v_at(i)) / delta
             if k:
-                _rank_one(ginv, k, ud, pad, -1.0)
+                pad[k] = 0.0
+                dger(-1.0, pad, ud, a=ginv_t[:, :k], overwrite_a=1)
                 daxpy(u, xk, a=-beta)
             ginv[:k, k] = ud
             ginv[k, k] = 1.0 / delta
-            idx[k], sig[k], mag[k], xb[k] = i, s, np.inf if s == 0.0 else 0.0, beta
+            idx[k], sig[k], mag[k], xb[k] = i, s, inf if s == 0.0 else 0.0, beta
             d0[k], d1[k] = s * c0i, sdc
-            gap0[i] = gap1[i] = np.inf
+            gap0[i] = gap1[i] = inf
             k = op.path_size = k + 1
             left = None
     order = np.argsort(idx[:k])
@@ -969,13 +980,13 @@ def _support_lasso(op, w, support, sigma, eta=None, t=None):
     return fit, g, _triangular_solve(r, c - t * g), t
 
 
-def _bp_path(instance, w, carry, cfg):
-    """Weighted basis pursuit along the LASSO homotopy: (x, breakpoints,
-    (x_L, t), primal) with x certified and primal its
-    ||phi x - b|| / (1 + ||b||) from ``_bp_candidate``; (x, breakpoints,
-    None, None) when a cold path runs out of breakpoints, x the minimizer
-    at the weights it reached; or (None, breakpoints, None, None) when no
-    path certifies.
+def _bp_path(instance, op, w, carry, cfg):
+    """Weighted basis pursuit on the instance, whose operator is ``op``,
+    along the LASSO homotopy: (x, breakpoints, (x_L, t), primal) with x
+    certified and primal its ||phi x - b|| / (1 + ||b||) from
+    ``_bp_candidate``; (x, breakpoints, None, None) when a cold path runs
+    out of breakpoints, x the minimizer at the weights it reached; or
+    (None, breakpoints, None, None) when no path certifies.
 
     The path ends on a support S' and signs at weights t w: cold, it runs
     from x = 0 in 1/lam to the residual norm eta = f ||b||, f in
@@ -1000,7 +1011,6 @@ def _bp_path(instance, w, carry, cfg):
     it holds the path's signs on the coordinates that pruning drops, which
     the minimum-norm multiplier of the pruned support alone lacks.
     """
-    op = _operator(instance)
     starts = [(None, None, f * op.norm_b) for f in _BP_ETAS]
     if carry is not None:
         starts.insert(0, (*carry, None))

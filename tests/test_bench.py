@@ -16,7 +16,13 @@ from rwsparse.bench import (
     run_noisy_improvement,
     run_recovery_sweep,
 )
-from rwsparse.model import ConfigurationError, DegenerateBaselineError, SolverConfig, SweepResult
+from rwsparse.model import (
+    ConfigurationError,
+    DegenerateBaselineError,
+    ProblemInstance,
+    SolverConfig,
+    SweepResult,
+)
 from rwsparse.probgen import EnsembleSpec, gen_noiseless, gen_noisy
 
 TINY = SweepConfig(
@@ -132,6 +138,27 @@ class TestRecoverySweep:
             "rw-cwb-rw0",
             "rw-cwb-rw2",
         }
+
+    def test_duplicate_instances_fail_the_pairing_check(self, monkeypatch):
+        # a generator that ignores the seed gives both trials of an s the
+        # same instance, which the sweep's pairing check refuses
+        gen = bench.gen_noiseless
+        monkeypatch.setattr(
+            bench, "gen_noiseless", lambda spec: gen(dataclasses.replace(spec, seed=0))
+        )
+        cfg = dataclasses.replace(TINY, trials=2, s_values=(3,))
+        with pytest.raises(AssertionError, match="paired trials produced duplicate instances"):
+            run_recovery_sweep(cfg)
+
+    def test_single_trial_sweep_does_not_hash_its_instances(self, monkeypatch):
+        # with one trial per s the pairing check cannot fail, so no
+        # instance is hashed for it
+        def refuse(self):
+            raise RuntimeError("content_digest called")
+
+        monkeypatch.setattr(ProblemInstance, "content_digest", refuse)
+        res = run_recovery_sweep(dataclasses.replace(TINY, trials=1))
+        assert set(res.recovery_rate_per_algorithm) == {"l1", "rw-sub", "rw-cwb"}
 
     def test_solver_failure_counts_as_miss(self, monkeypatch, caplog):
         def boom(name, instance, cfg):

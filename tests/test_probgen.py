@@ -1,3 +1,6 @@
+import math
+import random
+
 import numpy as np
 import pytest
 
@@ -166,3 +169,55 @@ class TestNoisyGeneration:
             inst = gen_noisy(EnsembleSpec(n=48, m=24, s=5, sigma=0.1, seed=seed))
             norms.append(np.linalg.norm(inst.b - inst.phi @ inst.x_star))
         assert np.mean(norms) == pytest.approx(0.1 * np.sqrt(24), rel=0.1)
+
+
+def _fisher_yates(rng, n, s):
+    """The reference support draw: one bounded integer per step."""
+    idx = np.arange(n)
+    for i in range(s):
+        j = i + int(rng.integers(0, n - i))
+        idx[i], idx[j] = idx[j], idx[i]
+    return np.sort(idx[:s])
+
+
+def _box_muller(rng, size):
+    """The reference normal draw: separate arrays joined by concatenate."""
+    if size == 0:
+        return np.zeros(0)
+    pairs = (size + 1) // 2
+    u1 = 1.0 - rng.random(pairs)
+    u2 = rng.random(pairs)
+    r = np.sqrt(-2.0 * np.log(u1))
+    theta = 2.0 * math.pi * u2
+    return np.concatenate([r * np.cos(theta), r * np.sin(theta)])[:size]
+
+
+class TestStreams:
+    """The draws are pinned to their reference forms directly, value and
+    generator state, not only through the digests of generated panels."""
+
+    def test_support_is_the_scalar_fisher_yates_draw(self):
+        cases = random.Random(0)
+        for _ in range(600):
+            seed, n = cases.randrange(2**32), cases.randrange(2, 400)
+            s, before = cases.randrange(1, n), cases.randrange(4)
+            ref = np.random.Generator(np.random.PCG64(seed))
+            got = np.random.Generator(np.random.PCG64(seed))
+            # bounded draws before the support leave PCG64 holding half of
+            # a 64-bit output, which the support's draws may take next
+            ref.integers(0, 1000, size=before)
+            got.integers(0, 1000, size=before)
+            want = _fisher_yates(ref, n, s)
+            support = sample_support(got, n, s)
+            assert support.dtype == want.dtype and support.tobytes() == want.tobytes()
+            assert got.bit_generator.state == ref.bit_generator.state
+
+    @pytest.mark.parametrize("size", [0, 1, 2, 37, 38, 25_600])
+    def test_standard_normal_is_the_concatenated_form(self, size):
+        for seed in range(40):
+            ref = np.random.Generator(np.random.PCG64(seed))
+            got = np.random.Generator(np.random.PCG64(seed))
+            want = _box_muller(ref, size)
+            z = standard_normal(got, size)
+            assert z.shape == (size,) and z.tobytes() == want.tobytes()
+            assert got.bit_generator.state == ref.bit_generator.state

@@ -152,6 +152,17 @@ class TestMinL2Solution:
             min_l2_solution(inst)
         assert isinstance(info.value, ConfigurationError)
 
+    def test_overflowing_gram_matrix_is_rank_deficient(self):
+        # phi phi^T overflows to inf, on which LAPACK potrf reports no
+        # breakdown; the pivot-ratio guard (NaN fails it) rejects it
+        rng = np.random.default_rng(0)
+        phi = rng.standard_normal((5, 9))
+        phi[2, 3] = 1e200
+        inst = ProblemInstance(phi=phi, b=np.ones(5))
+        with np.errstate(over="ignore", invalid="ignore"):
+            with pytest.raises(RankDeficientError, match="rank deficient"):
+                min_l2_solution(inst)
+
 
 class TestGramPivotRatio:
     def test_duplicated_row_raises_even_when_cholesky_finishes(self):
@@ -383,6 +394,15 @@ class TestOperator:
         y += cho_solve(chol, b - phi @ (phi.T @ y))
         assert np.array_equal(min_l2_solution(inst), phi.T @ y)
         assert "x0" in vars(op)
+
+    def test_gram_factor_is_cho_factor(self):
+        # the rank guard calls LAPACK potrf directly: the factor cho_factor
+        # returns, bit for bit
+        inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=30, seed=3))
+        chol, lower = _operator(inst).gram_factor
+        ref, ref_lower = cho_factor(inst.phi @ inst.phi.T)
+        assert lower is ref_lower is False
+        assert chol.flags.f_contiguous and chol.tobytes("F") == ref.tobytes("F")
 
     def test_lasso_runs_never_build_the_row_basis(self, monkeypatch):
         # noisy runs and basis pursuit never build the QR of phi^T; every QR
@@ -1239,6 +1259,29 @@ class TestLassoPath:
                 run_algorithm(algo, inst, SolverConfig(rw_iter=2))
         assert excess == 552
         assert digest.hexdigest()[:16] == "92e8dc083574ac43"
+
+    def test_signs_and_direction_are_zero_past_the_support(self, monkeypatch):
+        # the path takes -d|x_S|/dt as the product of the signs and the
+        # direction over the whole buffer, which holds only while both are
+        # zero past the support: setup clears them, and an exit clears the
+        # slot it frees. Checked after every path call of Fig-1 and noisy
+        # runs, some of whose paths end below the support size they reached
+        def checked(instance, *args, **kwargs):
+            found = path(instance, *args, **kwargs)
+            op = _operator(instance)
+            if op.path_size is not None:
+                sig_xb = op.path_vectors[4][:2]
+                assert not sig_xb[:, op.path_size :].any()
+            return found
+
+        path = solvers._path
+        monkeypatch.setattr(solvers, "_path", checked)
+        inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=20, seed=0))
+        for algo in ("l1", "rw-sub", "rw-cwb"):
+            run_algorithm(algo, inst, SolverConfig(rw_iter=2))
+        inst = gen_noisy(EnsembleSpec(n=256, m=128, s=38, sigma=0.05, seed=0))
+        for algo in ("l1", "rw-lasso", "cwb-noisy"):
+            run_algorithm(algo, inst, SolverConfig())
 
     def test_per_call_buffers_are_reused_and_carry_nothing(self):
         # every path call on an instance runs in the operator's one set of
