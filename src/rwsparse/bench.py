@@ -12,6 +12,7 @@ the bits, and pool workers do not contend for the cores with BLAS threads.
 
 from __future__ import annotations
 
+import contextlib
 import csv
 import ctypes
 import functools
@@ -170,19 +171,27 @@ def _single_blas_thread():
         set_threads(1)
 
 
-def _map_ordered(fn, items, workers: int):
+@contextlib.contextmanager
+def _one_blas_thread():
+    """Every loaded OpenBLAS at one thread inside the block, at its own
+    count after it: the bits of ``solvers._Operator.gram_factor``, and so of
+    the minimum-norm solution and rw-lasso's lambda0, depend on the count."""
     controls = _blas_thread_controls()
     previous = [get() for get, _ in controls]
-    for _, set_threads in controls:
-        set_threads(1)
+    _single_blas_thread()
     try:
+        yield
+    finally:
+        for (_, set_threads), count in zip(controls, previous):
+            set_threads(count)
+
+
+def _map_ordered(fn, items, workers: int):
+    with _one_blas_thread():
         if workers <= 1:
             return [fn(item) for item in items]
         with ProcessPoolExecutor(max_workers=workers, initializer=_single_blas_thread) as pool:
             return list(pool.map(fn, items))
-    finally:
-        for (_, set_threads), count in zip(controls, previous):
-            set_threads(count)
 
 
 def run_recovery_sweep(

@@ -4,6 +4,8 @@ benchmark.
 
 Exit codes: 0 on success, 1 on a configuration error (bad flags, bad
 config file, unusable instance), 2 when a solver fails during ``solve``.
+``solve`` runs with one BLAS thread, as sweeps do, so its output does not
+depend on the thread count.
 """
 
 from __future__ import annotations
@@ -14,7 +16,8 @@ import logging
 import sys
 from dataclasses import fields
 
-from .bench import SweepConfig, emit_csv, improvement_stats, run_noisy_improvement, run_recovery_sweep
+from .bench import (SweepConfig, _one_blas_thread, emit_csv, improvement_stats,
+                    run_noisy_improvement, run_recovery_sweep)
 from .model import ConfigurationError, ProblemInstance, SolverConfig, l0_norm, l0_reporting_tol, recovered
 from .probgen import EnsembleSpec, gen_noiseless, gen_noisy
 from .reweight import ALGORITHMS, inner_trace_to_csv, run_algorithm, trace_to_csv
@@ -129,7 +132,8 @@ def _cmd_solve(args) -> int:
         raise ConfigurationError(f"cannot load instance {args.instance}: {exc}") from exc
     cfg = SolverConfig() if args.rw_iter is None else SolverConfig(rw_iter=args.rw_iter)
     try:
-        x, trace = run_algorithm(args.algo, instance, cfg)
+        with _one_blas_thread():
+            x, trace = run_algorithm(args.algo, instance, cfg)
     except ConfigurationError:
         raise
     except Exception as exc:

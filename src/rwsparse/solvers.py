@@ -56,9 +56,9 @@ from dataclasses import dataclass
 from functools import cache, cached_property
 
 import numpy as np
-from scipy.linalg import cho_solve, qr
+from scipy.linalg import qr
 from scipy.linalg.blas import daxpy, dger
-from scipy.linalg.lapack import dgeqrf, dorgqr, dpotrf, dpotri, dtrtrs
+from scipy.linalg.lapack import dgeqrf, dorgqr, dpotrf, dpotri, dpotrs, dtrtrs
 
 from .model import ConfigurationError, ProblemInstance, SolverConfig, as_weight_array
 
@@ -164,10 +164,10 @@ class _Operator:
 
     The workspace is the support a path call ended on, in its order of
     entry (``idx[:k]``), the inverse Gram matrix of its columns
-    (``ginv[:k, :k]``) and their Gram rows (``rows[:k]``), with k
-    ``path_size`` (None while the buffers hold no consistent support). A
-    warm path that starts on that support continues from it in place;
-    any other start overwrites it."""
+    (``ginv[:k, :k]``; ginv is zero outside that block) and their Gram
+    rows (``rows[:k]``), with k ``path_size`` (None while the buffers hold
+    no consistent support). A warm path that starts on that support
+    continues from it in place; any other start overwrites it."""
 
     def __init__(self, instance: ProblemInstance):
         self.phi, self.b = instance.phi, instance.b
@@ -187,9 +187,9 @@ class _Operator:
         return math.sqrt(self.b_sq)
 
     @cached_property
-    def gram_factor(self) -> tuple[np.ndarray, bool]:
-        """The Cholesky factor of phi phi^T, as ``cho_factor`` returns it
-        (LAPACK potrf on the upper triangle, the call it makes, made
+    def gram_factor(self) -> np.ndarray:
+        """The upper Cholesky factor of phi phi^T, the array ``cho_factor``
+        returns (LAPACK potrf on the upper triangle, the call it makes, made
         directly): the rank guard, which basis pursuit applies on every
         input. Raises RankDeficientError when the factorization breaks down
         or its pivot ratio is not above ``_GRAM_PIVOT_RATIO`` (also when it
@@ -209,17 +209,18 @@ class _Operator:
                 f"phi ({m}x{n}) is rank deficient: the Cholesky factor of "
                 f"phi phi^T has pivot ratio {ratio:.3e}, not above {_GRAM_PIVOT_RATIO:.0e}"
             )
-        return chol, False
+        return chol
 
     @cached_property
     def x0(self) -> np.ndarray:
-        """phi^T (phi phi^T)^{-1} b by solves with ``gram_factor`` and one
-        step of iterative refinement, which keeps the residual near machine
-        precision for moderately conditioned Gram matrices."""
+        """phi^T (phi phi^T)^{-1} b by solves with ``gram_factor`` (LAPACK
+        potrs, the call ``cho_solve`` makes) and one step of iterative
+        refinement, which keeps the residual near machine precision for
+        moderately conditioned Gram matrices."""
         phi, b = self.phi, self.b
         chol = self.gram_factor
-        y = cho_solve(chol, b)
-        y += cho_solve(chol, b - phi @ (phi.T @ y))
+        y = dpotrs(chol, b, lower=0)[0]
+        y += dpotrs(chol, b - phi @ (phi.T @ y), lower=0)[0]
         return phi.T @ y
 
     @cached_property
@@ -520,10 +521,13 @@ def _signed(n, w, support, sigma, x_s):
 
 
 def _start_inverse(op, start, rows):
-    """The inverse Gram matrix of the start columns, with their Gram rows
-    copied into ``rows``, or None when a column's squared sine to the span
-    of the columns before it is at most ``_PATH_RANK_TOL``."""
+    """The inverse Gram matrix of the start columns (0 x 0 for none), with
+    their Gram rows copied into ``rows``, or None when a column's squared
+    sine to the span of the columns before it is at most
+    ``_PATH_RANK_TOL``."""
     k = start.size
+    if not k:
+        return np.empty((0, 0))
     for j, i in enumerate(start.tolist()):
         rows[j] = op.gram_row(i)
     gram = rows[:k, start]
@@ -578,41 +582,40 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
       contradicts x_S beyond rounding gives None.
 
     The path runs in the instance's workspace (``_Operator``): the support
-    in its order of entry, the inverse Gram matrix of phi_S (in place:
-    bordered on each entry; on each exit downdated through the leaver's
-    column, and the last slot copied into the leaver's) and the rows
-    phi_S^T phi, copied from the instance's memo (``_Operator.gram_row``).
-    A warm start on the support the last path call ended on, the usual
-    case of a re-solve, continues from them as they are; any other start
-    inverts its Gram matrix from its Cholesky factor. Along a segment the
-    path updates, in the instance's per-call buffers
+    in its order of entry, the inverse Gram matrix of phi_S in place in
+    ginv[:k, :k], zero outside that block, and the rows phi_S^T phi,
+    copied from the instance's memo (``_Operator.gram_row``). A warm start
+    on the support the last path call ended on, the usual case of a
+    re-solve, continues from them as they are; any other start inverts its
+    Gram matrix from its Cholesky factor and clears the rest. Along a
+    segment the path updates, in the instance's per-call buffers
     (``_Operator.path_vectors``, allocated once per instance; setup writes
-    each before it is read), |x_S| and the gaps c - a and
-    c + a off the support, each of which closes at a known speed, and
-    ||phi x - b||^2 (c_S sigma_S is kept as intercept plus t times slope).
+    each before it is read), |x_S| and the gaps c - a and c + a off the
+    support, each of which closes at a known speed, and ||phi x - b||^2
+    (c_S sigma_S is kept as intercept plus t times slope).
     The next breakpoint is the gap with the largest closing rate, and the
     step to it is its gap / speed; a breakpoint makes no product with phi
     beyond the first computation of a Gram row. The path gives None on a
     numerically rank-deficient start.
     The direction xb = G_S^{-1} sigma_S dc_S = -d x_S / dt is updated with
-    the inverse: an entry of i with sign s, border u = G_S^{-1} phi_S^T phi_i
-    and pivot delta sets beta = (s dc_i - v_i) / delta (v = d a / dt),
-    xb_S -= beta u and xb_i = beta; an exit through the leaver's column e
-    of the inverse sets xb -= xb_j e / e_j. So u is the only product with
-    the inverse per breakpoint. Either one changes the inverse by a
-    symmetric rank-one term, through BLAS dger on the rows ginv[:k] (a
-    Fortran-contiguous transpose), with u, or an exit's copy of e, formed
-    in the pad vector and zero-padded to the row length, so that the rest
-    of those rows is kept. Toward a budget c(1) = 0, and the residual norm
-    takes one dot product per breakpoint.
+    the inverse. An entry of i with sign s, border u = G_S^{-1} phi_S^T phi_i
+    and pivot delta borders both: with p = [u; -1] and
+    beta = (s dc_i - v_i) / delta (v = d a / dt), one BLAS dger adds
+    p p^T / delta to the rows ginv[:k+1] (a Fortran-contiguous transpose),
+    onto the zeros of row and column k, and one daxpy sets xb[:k+1] -= beta p.
+    An exit through the leaver's column e subtracts e e^T / e_j and
+    xb_j e / e_j the same way, moves the last slot into the leaver's and
+    clears the last. So u is the only product with the inverse per
+    breakpoint; p and e are formed in the pad vector, zero past them, so
+    that dger keeps the rest of the rows. Toward a budget c(1) = 0, and the
+    residual norm takes one dot product per breakpoint.
     A coordinate due to enter in the span of phi_S (every one when
     |S| = m; else by ``_PATH_RANK_TOL``) gives None on a warm path; on a
     cold one, where c(t) stays a multiple of c, phi_i = phi_S u keeps
     a_i = u^T c_S sigma_S = +-c_i while S holds, so it is held off the
     support until a coordinate leaves (equal columns at tied weights). A
-    hold is a breakpoint, as is the first entry, and it leaves xb, v, the
-    speeds and the inverse as they are; a path that keeps tying ends at
-    ``max_breakpoints``.
+    hold is a breakpoint, as is the first entry, and changes only the held
+    coordinate's gaps; a path that keeps tying ends at ``max_breakpoints``.
     """
     phi, b = instance.phi, instance.b
     m, n = phi.shape
@@ -627,7 +630,7 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     held = start[:0]  # zero weights kept at 0 and off the path
     if warm is not None and op.path_size == k and (np.sort(idx[:k]) == start).all():
         start = idx[:k]  # read only before the first breakpoint
-    elif k:
+    else:
         op.path_size = None  # until the buffers hold the start
         inv = _start_inverse(op, start, rows)
         if inv is None and warm is None:
@@ -639,22 +642,19 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
             keep = np.sort(piv[: np.count_nonzero(d > math.sqrt(_PATH_RANK_TOL) * d[0])])
             held, start = np.delete(start, keep), start[keep]
             k = start.size  # 0 when every such column is zero
-            inv = _start_inverse(op, start, rows) if k else ginv[:0, :0]
+            inv = _start_inverse(op, start, rows)
         if inv is None:
             return None
+        ginv.fill(0.0)  # zero outside the start's block, as every breakpoint keeps it
         ginv[:k, :k] = inv
         idx[:k] = start
     op.path_size = k
-    a = corr  # a = phi^T (b - phi x), read only below
-    if k:
-        xs = ginv[:k, :k] @ corr[start] if warm is None else warm[start]
-        a = corr - xs @ rows[:k]
+    # a = phi^T (b - phi x), which is phi^T b at the empty start
+    xs = ginv[:k, :k] @ corr[start] if warm is None else warm[start]
+    a = corr - xs @ rows[:k]
     if warm is None:
-        if k or held.size:  # zero weights: mu0 runs over the penalized ones
-            pen = c > 0.0
-            mu0 = float((np.abs(a[pen]) / c[pen]).max(initial=0.0))
-        else:
-            mu0 = float(np.divide(np.abs(a, out=c0), c, out=c0).max(initial=0.0))
+        pen = c > 0.0  # mu0 runs over the penalized coordinates
+        mu0 = float((np.abs(a[pen]) / c[pen]).max(initial=0.0))
         np.multiply(c, mu0, out=c0)
         np.subtract(c if eta is None else 0.0, c0, out=dc)  # c(1) = 0 toward a budget
     else:
@@ -673,9 +673,8 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     np.negative(dc, out=ndc)
     # sig[:k] and xb[:k]: the signs and -d x_S / dt, both zero past the
     # support, so that their product, -d |x_S| / dt, runs over the whole
-    # vector; pad: u or e of a rank-one update, zero past the support
-    # (every breakpoint writes pad below the support size, which moves by
-    # one per entry or exit, so only pad[k] is cleared before an update).
+    # vector; pad: p or e of a rank-one update, zero past index k (an entry
+    # sets pad[k] to -1, an exit clears it).
     # c_S(t) sigma_S = a_S is d0 + t d1 (sigma_S c0_S, sigma_S dc_S)
     sig, xb, pad = vecs
     vecs[:, k:] = 0.0
@@ -694,27 +693,20 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     fall, q = speeds[:m], speeds[m:].reshape(2, n)
     q0, q1 = q
     mag[k:] = np.inf
-    if k:
-        c0s, dcs = c0[start], dc[start]
-        free = (c0s == 0.0) & (dcs == 0.0)  # weight zero throughout
-        sig[:k] = np.where(free, 0.0, np.sign(xs))
-        mag[:k] = np.where(free, np.inf, sig[:k] * xs)
-        np.multiply(sig[:k], c0s, out=d0[:k])
-        np.multiply(sig[:k], dcs, out=d1[:k])
-        xb[:k] = ginv[:k, :k] @ d1[:k]
+    c0s, dcs = c0[start], dc[start]
+    free = (c0s == 0.0) & (dcs == 0.0)  # weight zero throughout
+    sig[:k] = np.where(free, 0.0, np.sign(xs))
+    mag[:k] = np.where(free, np.inf, sig[:k] * xs)
+    np.multiply(sig[:k], c0s, out=d0[:k])
+    np.multiply(sig[:k], dcs, out=d1[:k])
+    xb[:k] = ginv[:k, :k] @ d1[:k]
     if eta is not None:  # rho = ||b - phi x||^2
-        if k:
-            r = b - phi[:, start] @ xs
-            rho = float(r @ r)
-        else:
-            rho = op.b_sq
+        r = b - phi[:, start] @ xs
+        rho = float(r @ r)
         eta_sq = eta * eta
     np.subtract(c0, a, out=gap0)
     np.add(c0, a, out=gap1)
-    if k:
-        gap0[start] = gap1[start] = np.inf
-    if held.size:
-        gap0[held] = gap1[held] = np.inf
+    gap[:, start] = gap[:, held] = np.inf
     np.maximum(gaps, floor, out=gaps)
 
     # the scalar bookkeeping below runs on Python floats (.item, float()),
@@ -730,18 +722,15 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     left = None
     tied = []  # (side, i) of the coordinates held at a closed gap
     breakpoints = 0
-    held_last = False  # a hold keeps the direction and the speeds
     with np.errstate(divide="ignore", invalid="ignore"):
         while True:
-            if not held_last:
-                xk = xb[:k]
-                # ndarray.dot: the BLAS gemv of np.matmul, bit for bit, with
-                # less dispatch per call
-                xk.dot(rows[:k], out=v)
-                add(ndc, v, out=q0)
-                subtract(ndc, v, out=q1)
-                multiply(sig, xb, out=fall)  # -d |x_S| / dt, 0 past k
-            held_last = False
+            xk = xb[:k]
+            # ndarray.dot: the BLAS gemv of np.matmul, bit for bit, with
+            # less dispatch per call
+            xk.dot(rows[:k], out=v)
+            add(ndc, v, out=q0)
+            subtract(ndc, v, out=q1)
+            multiply(sig, xb, out=fall)  # -d |x_S| / dt, 0 past k
             # a positive rate closes; 0 over an infinite gap, and NaN (none)
             # at zero gap and zero speed
             divide(speeds, gaps, out=rates)
@@ -796,20 +785,21 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
                     gap[side, i] = 0.0
                     gap[1 - side, i] = 2.0 * (c0_at(i) + t * dc_at(i))
                 tied.clear()
+                # downdate, then move the last slot into j's and clear it
                 last = k - 1
-                if last:  # downdate, then move the last slot into j's
-                    e = pad[:k]
-                    e[:] = ginv[:k, j]
-                    ve = e / -e.item(j)
-                    if k < m:
-                        pad[k] = 0.0
-                    dger(1.0, pad, ve, a=ginv_t[:, :k], overwrite_a=1)
-                    daxpy(ve, xk, a=xb_at(j))  # xb -= xb_j e / e_j
-                    idx[j], sig[j], mag[j], xb[j] = idx[last], sig[last], mag[last], xb[last]
-                    dual[:, j], rows[j] = dual[:, last], rows[last]
-                    # ginv[last, last] goes to [j, last], then to [j, j]
-                    ginv[j, :k] = ginv[last, :k]
-                    ginv[:k, j] = ginv[:k, last]
+                e = pad[:k]
+                e[:] = ginv[:k, j]
+                ve = e / -e.item(j)
+                if k < m:
+                    pad[k] = 0.0
+                dger(1.0, pad, ve, a=ginv_t[:, :k], overwrite_a=1)
+                daxpy(ve, xk, a=xb_at(j))  # xb -= xb_j e / e_j
+                idx[j], sig[j], mag[j], xb[j] = idx[last], sig[last], mag[last], xb[last]
+                dual[:, j], rows[j] = dual[:, last], rows[last]
+                # ginv[last, last] goes to [j, last], then to [j, j]
+                ginv[j, :k] = ginv[last, :k]
+                ginv[:k, j] = ginv[:k, last]
+                ginv[last, :k] = ginv[:k, last] = 0.0
                 sig[last] = xb[last] = 0.0
                 mag[last] = inf
                 k = op.path_size = last
@@ -831,23 +821,19 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
                 # i is tied to the support and held off it
                 tied.append((side, i))
                 gap0[i] = gap1[i] = inf
-                held_last = True
                 continue
             c0i, dci = c0_at(i), dc_at(i)
             # sign 0 where the weight is zero throughout
             s = 0.0 if c0i == 0.0 and dci == 0.0 else 1.0 - 2.0 * side
             sdc = s * dci
-            # border: u u^T / delta onto the block, ud = -u / delta beside it
-            # (row k first, which the update of the rows ginv[:k] leaves alone)
-            ud = multiply(u, -1.0 / delta, out=ginv[k, :k])
             beta = (sdc - v_at(i)) / delta
-            if k:
-                pad[k] = 0.0
-                dger(-1.0, pad, ud, a=ginv_t[:, :k], overwrite_a=1)
-                daxpy(u, xk, a=-beta)
-            ginv[:k, k] = ud
-            ginv[k, k] = 1.0 / delta
-            idx[k], sig[k], mag[k], xb[k] = i, s, inf if s == 0.0 else 0.0, beta
+            # border: with p = [u; -1], ginv[:k+1, :k+1] += p p^T / delta
+            # and xb[:k+1] -= beta p, onto the zeros of row and column k
+            pad[k] = -1.0
+            p = pad[: k + 1]
+            dger(1.0 / delta, pad, p, a=ginv_t[:, : k + 1], overwrite_a=1)
+            daxpy(p, xb[: k + 1], a=-beta)
+            idx[k], sig[k], mag[k] = i, s, inf if s == 0.0 else 0.0
             d0[k], d1[k] = s * c0i, sdc
             gap0[i] = gap1[i] = inf
             k = op.path_size = k + 1

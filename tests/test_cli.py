@@ -1,5 +1,6 @@
 import csv
 import json
+import os
 import subprocess
 import sys
 from pathlib import Path
@@ -85,6 +86,27 @@ class TestSolve:
         phi = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
         ProblemInstance(phi=phi, b=np.array([1.0, 1.0])).save(tmp_path / "bad.json")
         assert main(["solve", "--algo", "l1", "--instance", str(tmp_path / "bad.json")]) == 1
+
+    def test_traces_do_not_depend_on_the_blas_thread_count(self, tmp_path):
+        # solve pins one BLAS thread, as sweeps do: unpinned, the Gram
+        # Cholesky factor of this instance (and with it rw-lasso's lambda0)
+        # moves in its last bits between one and two OpenBLAS threads
+        inst = tmp_path / "inst.json"
+        assert main(["gen", "--n", "256", "--m", "128", "--s", "38", "--sigma", "0.05",
+                     "--seed", "2", "--out", str(inst)]) == 0
+        traces = []
+        for threads in ("1", "2"):
+            trace = tmp_path / f"threads{threads}.csv"
+            subprocess.run(
+                [sys.executable, "-m", "rwsparse", "solve", "--algo", "rw-lasso",
+                 "--instance", str(inst), "--trace", str(trace)],
+                env={**os.environ, "OPENBLAS_NUM_THREADS": threads},
+                capture_output=True,
+                check=True,
+                timeout=120,
+            )
+            traces.append([trace.read_bytes(), Path(f"{trace}.inner.csv").read_bytes()])
+        assert traces[0] == traces[1]
 
     def test_solver_failure_exit_2(self, small_instance, monkeypatch):
         def no_convergence(*args, **kwargs):

@@ -397,11 +397,11 @@ class TestOperator:
 
     def test_gram_factor_is_cho_factor(self):
         # the rank guard calls LAPACK potrf directly: the factor cho_factor
-        # returns, bit for bit
+        # returns (upper), bit for bit
         inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=30, seed=3))
-        chol, lower = _operator(inst).gram_factor
+        chol = _operator(inst).gram_factor
         ref, ref_lower = cho_factor(inst.phi @ inst.phi.T)
-        assert lower is ref_lower is False
+        assert ref_lower is False
         assert chol.flags.f_contiguous and chol.tobytes("F") == ref.tobytes("F")
 
     def test_lasso_runs_never_build_the_row_basis(self, monkeypatch):
@@ -1194,9 +1194,10 @@ class TestLassoPath:
                 warm_paths.append(found)
             return found
 
-        def inverse_logged(*args):
-            inverted.append(clear)
-            return start_inverse(*args)
+        def inverse_logged(op, start, rows):
+            if start.size:  # an empty start, a cold path's, inverts nothing
+                inverted.append(clear)
+            return start_inverse(op, start, rows)
 
         monkeypatch.setattr(solvers, "_path", path_logged)
         monkeypatch.setattr(solvers, "_start_inverse", inverse_logged)
@@ -1282,6 +1283,34 @@ class TestLassoPath:
         inst = gen_noisy(EnsembleSpec(n=256, m=128, s=38, sigma=0.05, seed=0))
         for algo in ("l1", "rw-lasso", "cwb-noisy"):
             run_algorithm(algo, inst, SolverConfig())
+
+    def test_inverse_is_zero_outside_the_support_block(self):
+        # an entry borders the inverse Gram matrix with one rank-one update
+        # onto the zeros of its row and column k, so ginv must be zero
+        # outside ginv[:k, :k] after every path call: a fresh start clears
+        # it, and an exit clears the slot it frees, down to the last one
+        inst = gen_noisy(EnsembleSpec(n=256, m=128, s=38, sigma=0.05, seed=0))
+        op, w = _operator(inst), np.ones(inst.n)
+
+        def check():
+            k = op.path_size
+            outside = op.path_buffers[1].copy()
+            outside[:k, :k] = 0.0
+            assert not outside.any()
+            return k
+
+        cold = weighted_lasso_fista(inst, w, 20.0, None, CFG)
+        assert cold.exit == "certified" and check() == np.count_nonzero(cold.x)
+        warm = weighted_lasso_fista(inst, w, 80.0, cold.x, CFG)
+        assert warm.exit == "certified" and check() == np.count_nonzero(warm.x) > 20
+        capped = solvers._path(inst, w, 5, eta=inst.eta)
+        assert capped[:3] == (None, None, 5) and check() == 5
+        # weights at which x = 0 is optimal: from the warm answer, every
+        # coordinate leaves
+        lam = 0.5 / np.abs(op.corr_b).max()
+        support, _, breakpoints, x = solvers._path(inst, w / lam, CFG.inner_max_iter, warm=warm.x)
+        assert x is None and support.size == 0
+        assert breakpoints >= np.count_nonzero(warm.x) and check() == 0
 
     def test_per_call_buffers_are_reused_and_carry_nothing(self):
         # every path call on an instance runs in the operator's one set of
