@@ -98,6 +98,8 @@ def _merge_sweep_config(args, defaults: SweepConfig) -> SweepConfig:
         if args.s_min is None or args.s_max is None:
             raise ConfigurationError("--s-min and --s-max must be given together")
         step = args.s_step if args.s_step is not None else 10
+        if step < 1:
+            raise ConfigurationError(f"--s-step must be at least 1, got {step}")
         values["s_values"] = list(range(args.s_min, args.s_max + 1, step))
     if args.trials is not None:
         values["trials"] = args.trials

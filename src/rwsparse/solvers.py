@@ -9,16 +9,16 @@ Four problems are covered, all over a dense underdetermined matrix:
 
 All three sparse problems follow the weighted-LASSO homotopy (``_path``):
 the minimizer is piecewise linear in the effective weights w / lam, and an
-active-set path finds its support and signs breakpoint by breakpoint. The
-LASSO ends on the exact solve on that support at its lam; the constrained
-problem follows the path in 1/lam until the residual norm meets eta and
-ends on the same support's minimizer at the closed-form multiplier where
-it meets eta. Either answer is returned only when its signs match the
-path's and one certificate, the LASSO optimality conditions at its
-multiplier, holds. When the path runs out of breakpoints, the exact
-minimizer at the weights it reached is returned as not converged; any
-other failure of the path or of the certificate raises
-``NoConvergenceError``.
+active-set path finds its support and signs breakpoint by breakpoint. Every
+certified answer is the exact QR solve on its support (``_support_fit``),
+a pure function of the support: the LASSO's at its lam, and that of the
+constrained problem, which follows the path in 1/lam until the residual
+norm meets eta, at the closed-form multiplier where it meets eta. Either
+is returned only when its signs match the path's and one certificate, the
+LASSO optimality conditions at its multiplier, holds (``_support_answer``).
+When the path runs out of breakpoints, the exact minimizer at the weights
+it reached is returned as not converged; any other failure of the path or
+of the certificate raises ``NoConvergenceError``.
 
 Basis pursuit is the limit of the LASSO as lam grows, and the same path
 answers every input. It runs to a small residual norm (cold; at a second,
@@ -74,6 +74,7 @@ __all__ = [
 
 _DEFAULT_CFG = SolverConfig()
 _EPS = np.finfo(float).eps
+_TINY = np.finfo(float).tiny
 
 # certified-polish acceptance slack for the dual optimality conditions
 _CERT_TOL = 1e-9
@@ -488,24 +489,6 @@ def _lasso_certificate(instance, w, lam, x):
     return resid, float(np.max(viol, initial=0.0))
 
 
-def _lasso_polish(instance, w, lam, support, sigma):
-    """Exact solve of the reduced smooth problem on the path's support:
-    with signs sigma fixed, the minimizer on S solves
-    lam phi_S^T phi_S x_S = lam phi_S^T b - w_S sigma. Returns it through
-    ``_signed``, or None when S is empty, larger than m, or that system is
-    singular.
-    """
-    phi, b = instance.phi, instance.b
-    if support.size == 0 or support.size > phi.shape[0]:
-        return None
-    phi_s = phi[:, support]
-    try:
-        x_s = np.linalg.solve(lam * (phi_s.T @ phi_s), lam * (phi_s.T @ b) - w[support] * sigma)
-    except np.linalg.LinAlgError:
-        return None
-    return _signed(instance.n, w, support, sigma, x_s)
-
-
 def _signed(n, w, support, sigma, x_s):
     """x_S of a LASSO minimizer on support S with signs sigma, placed in a
     vector of length n, or None when its signs break sigma on the
@@ -874,16 +857,16 @@ def weighted_lasso_fista(
     along the homotopy ``_path``: cold from x = 0, or warm from ``warm`` (a
     finite vector of length n, ``ConfigurationError`` otherwise) through
     the weights it solves, and cold when the warm path fails or runs out of
-    breakpoints. The exact solve on the support and signs the path ends on
-    (``_lasso_polish``) is returned with exit ``"certified"`` when its signs
-    match the path's (``_signed``) and the optimality conditions hold there
-    within ``cfg.inner_tol`` (``_lasso_certificate``); ``iterations``
-    counts the path's breakpoints. When the cold path would
-    pass ``cfg.inner_max_iter`` breakpoints, the minimizer at the weights
-    it reached is returned with exit ``"max_iter"`` and, as
-    ``primal_residual``, its violation of the optimality conditions at
-    (w, lam). A path that cannot be followed, or an answer that does not
-    certify, raises ``NoConvergenceError``.
+    breakpoints. The exact QR solve on the support and signs the path ends
+    on (``_support_lasso`` at t = 1/lam) is returned with exit
+    ``"certified"`` when its signs match the path's (``_signed``) and the
+    optimality conditions hold there within ``cfg.inner_tol``
+    (``_lasso_certificate``); ``iterations`` counts the path's breakpoints.
+    When the cold path would pass ``cfg.inner_max_iter`` breakpoints, the
+    minimizer at the weights it reached is returned with exit
+    ``"max_iter"`` and, as ``primal_residual``, its violation of the
+    optimality conditions at (w, lam). A path that cannot be followed, or
+    an answer that does not certify, raises ``NoConvergenceError``.
 
     When lam |phi^T b|_i <= w_i for every i, x = 0 is returned certified
     after 0 iterations. This covers lam = 0 and phi = 0, where the solve is
@@ -898,7 +881,7 @@ def weighted_lasso_fista(
         raise ValueError("lam must be nonnegative and finite")
     if warm is not None:
         warm = _warm_start(warm, instance.n)
-    breakpoints, stop, degenerate = 0, "certified", False
+    breakpoints, stop, degenerate, certificate = 0, "certified", False, None
     if np.all(lam * np.abs(_operator(instance).corr_b) <= w):
         x = np.zeros(instance.n)
         degenerate = (lam == 0.0 or not np.any(instance.phi)) and bool(np.any(w == 0.0))
@@ -916,18 +899,14 @@ def weighted_lasso_fista(
             )
         support, sigma, breakpoints, x = found
         if x is None:
-            x = _lasso_polish(instance, w, lam, support, sigma)
+            x, _, *certificate = _support_answer(instance, w, support, sigma, cfg.inner_tol, lam=lam)
             # a zero weight off the support is a dependent column held at 0
             degenerate = np.count_nonzero(w[support] == 0.0) < np.count_nonzero(w == 0.0)
         else:
             stop = "max_iter"
-    if x is not None:
-        resid, viol = _lasso_certificate(instance, w, lam, x)
-    if x is None or (stop == "certified" and not viol <= cfg.inner_tol):
-        raise NoConvergenceError(
-            "the weighted-LASSO answer (the exact solve on the path's support, "
-            "or the zero-weight least-squares fit) does not certify"
-        )
+    resid, viol = certificate or _lasso_certificate(instance, w, lam, x)
+    if stop == "certified" and not viol <= cfg.inner_tol:
+        raise NoConvergenceError("the zero-weight least-squares fit does not certify")
     return InnerSolveReport(
         x=x,
         iterations=breakpoints,
@@ -944,13 +923,17 @@ def _support_lasso(op, w, support, sigma, eta=None, t=None):
     with signs sigma at lam = 1/t, from the support's ``_support_fit``
     (q, r, c), as (fit, g, x_S, t), or None when S has no usable QR or,
     with ``eta`` instead of t, the path on this support never meets the
-    budget.
+    budget. Every certified answer (LASSO, constrained, and basis
+    pursuit's LASSO point) is this solve on its support.
 
     The minimizer at t is x_S(t) = R^{-1}(c - t g) with g = R^{-T} w_S sigma,
     and its residual b - Q c + t Q g has the squared norm
     r0^2 + t^2 ||g||^2, r0^2 = ||b||^2 - ||c||^2 (the cross term vanishes:
     b - Q c is orthogonal to range(phi_S)). So ||phi x - b|| = eta at
-    t = sqrt((eta^2 - r0^2) / ||g||^2).
+    t = sqrt((eta^2 - r0^2) / ||g||^2), with ||g|| from g / max |g| when
+    ||g||^2 leaves the normal range (as at uniform weights of 1e155 or
+    1e-156; the minimizer does not depend on their scale). On the QR, the
+    error scales with cond(phi_S), not with its square.
     """
     fit = _support_fit(op.phi, op.b, support)
     if fit is None:
@@ -959,11 +942,34 @@ def _support_lasso(op, w, support, sigma, eta=None, t=None):
     g = _triangular_solve(r, w[support] * sigma, trans=1)
     if t is None:
         slack = eta * eta - (op.b_sq - float(c @ c))
-        gg = float(g @ g)
+        with np.errstate(over="ignore"):
+            gg = float(g @ g)
+        top = 1.0
+        if not _TINY <= gg < math.inf:  # ||g||^2 from g / max |g| instead
+            top = float(np.abs(g).max()) or 1.0
+            gg = float((g / top) @ (g / top))
         if slack <= 0.0 or gg == 0.0:
             return None
-        t = math.sqrt(slack / gg)
+        t = math.sqrt(slack / gg) / top
     return fit, g, _triangular_solve(r, c - t * g), t
+
+
+def _support_answer(instance, w, support, sigma, tol, eta=None, lam=None):
+    """The certified answer on the support and signs a LASSO or constrained
+    path ended on, as (x, lam, phi x - b, violation): ``_support_lasso`` at
+    t = 1/lam or at the budget eta (lam = 1/t), through ``_signed`` and
+    ``_lasso_certificate`` within tol; ``NoConvergenceError`` otherwise."""
+    t = None if lam is None else 1.0 / lam
+    root = _support_lasso(_operator(instance), w, support, sigma, eta, t)
+    x = None if root is None else _signed(instance.n, w, support, sigma, root[2])
+    if x is not None:
+        lam = 1.0 / root[3] if lam is None else lam
+        resid, viol = _lasso_certificate(instance, w, lam, x)
+        if viol <= tol:
+            return x, lam, resid, viol
+    raise NoConvergenceError(
+        f"the exact solve on the path's support of {support.size} coordinates does not certify"
+    )
 
 
 def _bp_path(instance, op, w, carry, cfg):
@@ -1095,21 +1101,11 @@ def constrained_weighted_l1(
             f"the least-squares residual ||b - phi phi^+ b|| is {floor:.3e}"
         )
     support, sigma, iterations, x = found
-    lam, stop = np.nan, "max_iter"
     if x is None:
-        root = _support_lasso(_operator(instance), w, support, sigma, eta=eta)
-        if root is not None:
-            x, lam = _signed(instance.n, w, support, sigma, root[2]), 1.0 / root[3]
-        if x is not None:
-            resid, viol = _lasso_certificate(instance, w, lam, x)
-        if x is None or not viol <= cfg.inner_tol:
-            raise NoConvergenceError(
-                f"the closed-form multiplier on the constrained path's support of "
-                f"{support.size} coordinates does not certify"
-            )
+        x, lam, resid, _ = _support_answer(instance, w, support, sigma, cfg.inner_tol, eta=eta)
         stop = "certified"
     else:
-        resid = phi @ x - b
+        lam, stop, resid = np.nan, "max_iter", phi @ x - b
     res = _norm(resid)
     return InnerSolveReport(
         x=x,

@@ -287,7 +287,7 @@ def _noisy_panel():
 class TestFinalIterateDigests:
     @pytest.mark.parametrize(
         "panel, digest, breakpoints",
-        [(_fig1_panel, "7920ae5aafb5ff63", 5147), (_noisy_panel, "6b51f6b2f07cb9ce", 4141)],
+        [(_fig1_panel, "7920ae5aafb5ff63", 5147), (_noisy_panel, "c12b5074e6ff81d0", 4141)],
         ids=["fig1", "noisy"],
     )
     def test_panel_iterates_keep_their_bits(self, monkeypatch, panel, digest, breakpoints):

@@ -168,6 +168,13 @@ class TestSweep:
         assert all(r[2] == "2" for r in rows[1:])  # flag wins over file
         assert {r[0] for r in rows[1:]} == {"l1", "rw-cwb"}
 
+    @pytest.mark.parametrize("step", ["0", "-5"])
+    def test_s_step_below_one_exit_1(self, tmp_path, capsys, step):
+        args = ["sweep", "--s-min", "3", "--s-max", "6", "--s-step", step,
+                "--out", str(tmp_path / "x.csv")]
+        assert main(args) == 1
+        assert "--s-step must be at least 1" in capsys.readouterr().err
+
     def test_unknown_config_key_exit_1(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"bogus": 1}))

@@ -520,6 +520,21 @@ class TestNoisyStart:
             assert np.array_equal(x_warm, x_cold)
             assert warm.rows[0].inner_iterations < cold.rows[0].inner_iterations
 
+    def test_final_iterates_do_not_depend_on_the_order_of_the_algorithms(self):
+        # every certified noisy answer is a pure function of its support, so
+        # rw-lasso's and cwb-noisy's final iterates keep their bits after the
+        # other algorithms ran on the instance, whose path workspace and
+        # cached starts their paths then begin from
+        for seed in range(3):
+            for algo in ("rw-lasso", "cwb-noisy"):
+                fresh, _ = run_algorithm(algo, _noisy_panel_instance(seed), CFG)
+                inst = _noisy_panel_instance(seed)
+                for other in ("l1", "rw-lasso", "cwb-noisy"):
+                    if other != algo:
+                        run_algorithm(other, inst, CFG)
+                after, _ = run_algorithm(algo, inst, CFG)
+                assert after.tobytes() == fresh.tobytes()
+
     def test_standalone_rw_lasso_makes_no_constrained_solve(self, monkeypatch):
         monkeypatch.setattr(reweight, "constrained_weighted_l1", None)
         x, trace = run_algorithm("rw-lasso", _noisy_panel_instance(0), CFG)

@@ -918,6 +918,24 @@ def test_a_multiplier_or_budget_that_is_nan_or_infinite_is_rejected(solve, name)
         solve(inst)
 
 
+@pytest.mark.parametrize("scale", [1e-300, 1e-200, 1e-156, 1e155, 1e300])
+def test_a_uniform_weight_scale_keeps_every_answer(scale):
+    # the basis pursuit and constrained minimizers do not depend on a
+    # positive weight scale, nor the LASSO's when lam scales with it; the
+    # budget's closed form takes ||g|| for g = R^{-T} w_S sigma, whose
+    # square overflows or underflows at these scales
+    inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
+    w = np.ones(64)
+    for solve in (
+        lambda w, lam: weighted_basis_pursuit(inst, w, None, CFG),
+        lambda w, lam: weighted_lasso_fista(inst, w, lam, None, CFG),
+        lambda w, lam: constrained_weighted_l1(inst, w, inst.eta, CFG),
+    ):
+        unit, scaled = solve(w, 10.0), solve(scale * w, 10.0 * scale)
+        assert unit.exit == scaled.exit == "certified"
+        assert np.abs(scaled.x - unit.x).max() <= 1e-14 * np.abs(unit.x).max()
+
+
 class TestConstrainedWeightedL1:
     def test_large_budget_returns_zero(self):
         inst = ProblemInstance(phi=np.array([[1.0, 2.0]]), b=np.array([1.0]))
@@ -1501,23 +1519,51 @@ class TestLassoPath:
         assert np.linalg.norm(inst.phi @ rep.x - inst.b) <= 0.5
         assert rep.objective == 0.0 and rep.multiplier == 0.0
 
-    @pytest.mark.parametrize("broken", ["_path", "_lasso_polish", "_support_lasso"])
+    @pytest.mark.parametrize("broken", ["_path", "_support_fit", "_support_lasso"])
     def test_a_failed_path_or_certificate_raises(self, monkeypatch, broken):
-        # a path that cannot be followed fails both solvers; a support solve
-        # that finds no answer (the LASSO's normal equations, the
-        # constrained closed form) fails the solver it serves
+        # a path that cannot be followed fails both solvers, and so does a
+        # support without a usable QR or a closed form that finds no answer:
+        # both answers come from the one support solve
         inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
         monkeypatch.setattr(solvers, broken, lambda *args, **kwargs: None)
         cause = "cannot be followed" if broken == "_path" else "does not certify"
-        for solve, fails in (
-            (lambda: weighted_lasso_fista(inst, np.ones(64), 10.0, None, CFG), broken != "_support_lasso"),
-            (lambda: constrained_weighted_l1(inst, np.ones(64), inst.eta, CFG), broken != "_lasso_polish"),
-        ):
-            if fails:
-                with pytest.raises(NoConvergenceError, match=cause):
-                    solve()
+        with pytest.raises(NoConvergenceError, match=cause):
+            weighted_lasso_fista(inst, np.ones(64), 10.0, None, CFG)
+        with pytest.raises(NoConvergenceError, match=cause):
+            constrained_weighted_l1(inst, np.ones(64), inst.eta, CFG)
+
+    def test_noisy_answers_are_the_closed_form_on_their_support(self, monkeypatch):
+        # every certified LASSO and constrained answer of noisy runs is the
+        # closed form of _support_lasso on its own support and signs, at its
+        # lam or at its budget: a pure function of the support, as basis
+        # pursuit's answers are of _bp_candidate's
+        calls = []
+        for name in ("weighted_lasso_fista", "constrained_weighted_l1"):
+
+            def recorded(instance, w, arg, *rest, solve=getattr(reweight, name)):
+                rep = solve(instance, w, arg, *rest)
+                calls.append((solve, instance, w.copy(), arg, rep))
+                return rep
+
+            monkeypatch.setattr(reweight, name, recorded)
+        for seed in range(3):
+            inst = gen_noisy(EnsembleSpec(n=256, m=128, s=38, sigma=0.05, seed=seed))
+            for algo in ("l1", "rw-lasso", "cwb-noisy"):
+                run_algorithm(algo, inst, CFG)
+        assert {solve for solve, *_ in calls} == {weighted_lasso_fista, constrained_weighted_l1}
+        for solve, inst, w, arg, rep in calls:
+            assert rep.exit == "certified"
+            support = np.flatnonzero(rep.x)
+            sigma = np.sign(rep.x[support])
+            if solve is weighted_lasso_fista:
+                lam = arg
+                x_s = solvers._support_lasso(_operator(inst), w, support, sigma, t=1.0 / lam)[2]
             else:
-                assert solve().exit == "certified"
+                _, _, x_s, t = solvers._support_lasso(_operator(inst), w, support, sigma, eta=arg)
+                lam = 1.0 / t
+            exact = np.zeros(inst.n)
+            exact[support] = x_s
+            assert rep.x.tobytes() == exact.tobytes() and rep.multiplier == lam
 
     def test_a_sign_change_on_the_support_fails_both_solvers(self, monkeypatch):
         # the one sign check, handed the opposite of the path's signs,
