@@ -19,7 +19,6 @@ import functools
 import itertools
 import logging
 import math
-from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, replace
 from typing import Sequence
 
@@ -190,6 +189,9 @@ def _map_ordered(fn, items, workers: int):
     with _one_blas_thread():
         if workers <= 1:
             return [fn(item) for item in items]
+        # imported here: serial sweeps and ``solve`` need no multiprocessing
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=workers, initializer=_single_blas_thread) as pool:
             return list(pool.map(fn, items))
 

@@ -203,7 +203,7 @@ def lstsq_polish(instance, w, support, tol):
     target = w[support] * np.sign(x_s)
     nu, *_ = np.linalg.lstsq(phi_s.T, target, rcond=None)
     corr = phi.T @ nu
-    slack = _CERT_TOL * (1.0 + float(np.max(w, initial=0.0)))
+    slack = _CERT_TOL * float(np.max(w, initial=0.0))
     if np.max(np.abs(corr[support] - target), initial=0.0) > slack:
         return None
     off = np.ones(n, dtype=bool)
@@ -370,6 +370,26 @@ class TestSupportFit:
         assert solvers._support_fit(phi, b, np.arange(inst.m + 1)) is None
         assert solvers._support_fit(phi, b, np.array([3, 7, 3])) is None
 
+    @pytest.mark.parametrize(
+        "cols",
+        [[3, 5, 7, 11], [5, 3, 9, 11, 7], [9, 3], [9], [2, 3, 5, 7, 9, 11, 13]],
+        ids=["duplicate", "duplicate-first", "zero-column", "only-zero", "both"],
+    )
+    def test_pivoted_qr_matches_scipy_bit_for_bit(self, cols):
+        # the dependent zero-weight columns _path starts from: column 5 is a
+        # copy of column 3 and column 9 is zero; the direct geqp3 gives
+        # scipy's |diag r| and pivots, and phi is left as it was
+        phi = gen_noiseless(EnsembleSpec(n=40, m=20, s=5, seed=3)).phi.copy()
+        phi[:, 5] = phi[:, 3]
+        phi[:, 9] = 0.0
+        before = phi.copy()
+        cols = np.array(cols)
+        r, piv = qr(phi[:, cols], mode="r", pivoting=True, check_finite=False)
+        d, got = solvers._pivoted_qr(phi, cols)
+        assert d.tobytes() == np.abs(np.diag(r)).tobytes()
+        assert np.array_equal(got, piv) and got.dtype == piv.dtype
+        assert np.array_equal(phi, before)
+
 
 class TestOperator:
     def test_min_norm_solution_is_the_refined_cholesky_formula(self):
@@ -462,6 +482,10 @@ class TestDualSeededCertificate:
                     for _ in range(10):
                         nu = scale * probe.standard_normal(4)
                         assert _bp_certified(op, w, support, candidate, nu) == decision
+                # nor on the weights' scale, as the minimizer does not: the
+                # slack scales with max w, so tiny weights certify no more
+                for scale in (1e-12, 1e12):
+                    assert _bp_certified(op, scale * w, support, candidate, np.zeros(4)) == decision
         assert accepted >= 3 and rejected >= 100
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -934,6 +958,42 @@ def test_a_uniform_weight_scale_keeps_every_answer(scale):
         unit, scaled = solve(w, 10.0), solve(scale * w, 10.0 * scale)
         assert unit.exit == scaled.exit == "certified"
         assert np.abs(scaled.x - unit.x).max() <= 1e-14 * np.abs(unit.x).max()
+
+
+@pytest.mark.parametrize("scale", [1e-12, 1.0, 1e12])
+def test_the_lasso_certificate_reads_the_same_at_every_weight_scale(scale):
+    # (w, lam) and (c w, c lam) have one minimizer: it certifies at every
+    # scale, and x = 0 and half the minimizer fail at every scale. Read at
+    # (w, lam) itself, both would certify at 1e-12 (x = 0 reads 3.1e-12
+    # there, against the tolerance 1e-9)
+    inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
+    w = np.ones(64)
+    x = weighted_lasso_fista(inst, w, 10.0, None, CFG).x
+
+    def violation(x):
+        return solvers._lasso_certificate(inst, scale * w, 10.0 * scale, x)[1]
+
+    assert violation(x) <= CFG.inner_tol
+    assert violation(np.zeros(64)) > 1.0
+    assert violation(x / 2) > 1.0
+    rep = weighted_lasso_fista(inst, scale * w, 10.0 * scale, None, CFG)
+    assert rep.exit == "certified" and rep.primal_residual <= CFG.inner_tol
+
+
+@pytest.mark.parametrize("lam", [1e-12, 1.0])
+def test_the_lasso_certificate_at_zero_weights_reads_the_gradient_scale(lam):
+    # at all-zero weights the certificate is read at lam / s with
+    # s = min(1, lam ||phi^T b||_inf): x = 0 reads 1 at every small lam
+    # (read at lam itself, lam ||phi^T b||_inf, which certifies at 1e-12),
+    # while the solver's least-squares fit certifies; at b = 0, s is 1
+    inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
+    zeros = np.zeros(64)
+    assert solvers._lasso_certificate(inst, zeros, lam, zeros)[1] == 1.0
+    rep = weighted_lasso_fista(inst, zeros, lam, None, CFG)
+    assert rep.exit == "certified" and rep.degenerate and np.any(rep.x)
+    assert rep.primal_residual <= CFG.inner_tol
+    still = ProblemInstance(phi=inst.phi, b=np.zeros(32))
+    assert solvers._lasso_certificate(still, zeros, lam, zeros)[1] == 0.0
 
 
 class TestConstrainedWeightedL1:
