@@ -161,6 +161,7 @@ def polyak_step_lasso(
     x_k,
     eps: float,
     instance: ProblemInstance,
+    g_lam: float | None = None,
 ) -> float:
     """Zero-target stepsize for the joint (w, lambda) dual of the noisy
     problem:
@@ -168,9 +169,11 @@ def polyak_step_lasso(
         alpha = max(0, (eps ||W_k x_k||_1 - lambda_k g_lam)
                        / (eps^2 ||x_k||^2 + g_lam^2))
 
-    with g_lam the data-fit supergradient. Reduces to the noiseless rule
-    when g_lam = 0. The numerator is clamped at zero because inner-solve
-    inexactness can leave the quadratic constraint slightly violated.
+    with g_lam the data-fit supergradient, ``lambda_subgradient(x_k,
+    instance)``, computed here unless the caller passes it. Reduces to the
+    noiseless rule when g_lam = 0. The numerator is clamped at zero
+    because inner-solve inexactness can leave the quadratic constraint
+    slightly violated.
     """
     if not eps > 0:
         raise ValueError("eps must be positive")
@@ -178,7 +181,8 @@ def polyak_step_lasso(
         raise ValueError("lambda_k must be nonnegative")
     w_k = as_weight_array(w_k)
     x_k = np.asarray(x_k, dtype=float)
-    g_lam = lambda_subgradient(x_k, instance)
+    if g_lam is None:
+        g_lam = lambda_subgradient(x_k, instance)
     denom = eps**2 * float(x_k @ x_k) + g_lam**2
     if denom == 0.0:
         raise ZeroSubgradientError("joint subgradient vanished")

@@ -162,10 +162,14 @@ def as_weight_array(w, n: Optional[int] = None) -> np.ndarray:
     """Coerce array-like weights to a validated float vector: finite,
     nonnegative, and of length n when n is given."""
     arr = _as_vector(w, "weights")
-    if not np.isfinite(arr).all():
-        raise ValueError("weights must be finite")
-    if (arr < 0).any():
-        raise ValueError("weights must be nonnegative")
+    # one reduction each for the least and the largest weight, which NaN
+    # fails too; the checks below name what is wrong
+    low, high = np.minimum.reduce(arr, initial=np.inf), np.maximum.reduce(arr, initial=0.0)
+    if not (low >= 0.0 and high < np.inf):
+        if not np.isfinite(arr).all():
+            raise ValueError("weights must be finite")
+        if (arr < 0).any():
+            raise ValueError("weights must be nonnegative")
     if n is not None and arr.shape[0] != n:
         raise ValueError(f"weights have length {arr.shape[0]}, expected {n}")
     return arr

@@ -104,17 +104,20 @@ class RwTrace:
 
 
 def _row(k, w, alpha, report: InnerSolveReport, x_star) -> RwTraceRow:
+    # the reductions of ndarray.min, .max and np.mean, called as ufunc
+    # reductions without their Python wrappers: the same bits
+    low, high = np.minimum.reduce, np.maximum.reduce
     x = report.x
-    linf = float(np.abs(x - x_star).max()) if x_star is not None else float("nan")
+    linf = float(high(np.abs(x - x_star))) if x_star is not None else float("nan")
     mags = np.abs(x)  # l0 at ``l0_reporting_tol(x)``, from one |x|
     return RwTraceRow(
         k=k,
-        w_min=float(w.min()),
-        w_max=float(w.max()),
+        w_min=float(low(w)),
+        w_max=float(high(w)),
         w_mean=float(np.add.reduce(w)) / w.size,  # np.mean's sum and division
         alpha=float(alpha),
         objective=report.objective,
-        l0=int(np.count_nonzero(mags > _L0_REPORTING_REL * float(mags.max(initial=0.0)))),
+        l0=int(np.count_nonzero(mags > _L0_REPORTING_REL * float(high(mags, initial=0.0)))),
         linf_err=linf,
         inner_iterations=report.iterations,
         residual=report.primal_residual,
@@ -167,7 +170,7 @@ def _joint_ascent(k, w, lam, x, instance, cfg):
     eps = cfg.eps_at(k - 1, SUBGRADIENT_DEFAULT_EPS)
     g_w = subgradient_nonoracle(x, eps)
     g_lam = lambda_subgradient(x, instance)
-    alpha = polyak_step_lasso(w, lam, x, eps, instance)
+    alpha = polyak_step_lasso(w, lam, x, eps, instance, g_lam)
     return alpha, project_nonneg(w + alpha * g_w), max(0.0, lam + alpha * g_lam)
 
 

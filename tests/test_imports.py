@@ -16,7 +16,7 @@ SRC = Path(__file__).resolve().parents[1] / "src"
 # the wrappers rwsparse.solvers binds, by the SciPy module that exports them
 BOUND = {
     "blas": ["daxpy", "dger"],
-    "lapack": ["dgeqp3", "dgeqrf", "dorgqr", "dpotrf", "dpotri", "dpotrs", "dtrtrs"],
+    "lapack": ["dgeqp3", "dgeqrf", "dormqr", "dpotrf", "dpotri", "dpotrs", "dtrtrs"],
 }
 
 PROBE = """

@@ -101,9 +101,10 @@ class TestOracleAlgorithm:
         # the l0 and exit of each of criterion 5's 100 oracle runs (n=12,
         # m=8, s=1..3, rw_iter=4), pinned, so that a change that moves a
         # seed names it; the criterion itself counts only the l0 matches,
-        # and needs 95. Its five misses (seeds 38, 65, 83, 95, 98) end on an
+        # and needs 95. Its three misses (seeds 38, 65, 95) end on an
         # 8-coordinate vertex of a tied optimal face, and which vertex basis
-        # pursuit returns there depends on rounding. Like the final-iterate
+        # pursuit returns there depends on rounding (applying the support
+        # QR's Q from its reflectors moved seeds 83 and 98 onto x*). Like the final-iterate
         # digests, the pins hold on the BLAS kernels and SIMD paths they were
         # recorded on (CI prints its dispatch before the tests); another
         # dispatch may move a seed
@@ -116,7 +117,7 @@ class TestOracleAlgorithm:
             got = {**rec, "l0": l0_norm(x, l0_reporting_tol(x)), "exit": trace.exit_reason}
             if got != rec:
                 moved.append((rec, got))
-        assert len(pinned) == 100 and sum(rec["exit"] != "zero_subgradient" for rec in pinned) == 5
+        assert len(pinned) == 100 and sum(rec["exit"] != "zero_subgradient" for rec in pinned) == 3
         assert not moved, f"seeds moved (pinned, now): {moved}"
 
     def test_exit_does_not_depend_on_the_last_bits_of_the_start(self, monkeypatch):

@@ -8,7 +8,7 @@ import pytest
 from hypothesis import given
 from hypothesis import strategies as st
 from scipy.linalg import cho_factor, cho_solve, qr, solve_triangular
-from scipy.linalg.lapack import dgeqrf
+from scipy.linalg.lapack import dgeqrf, dormqr
 from scipy.optimize import linprog
 
 from rwsparse import reweight, solvers
@@ -312,7 +312,7 @@ class TestTriangularSolve:
         # ordered as well): the same LAPACK solve as scipy's wrapper
         inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=20, seed=k))
         support = np.sort(np.random.default_rng(k).choice(inst.n, k, replace=False))
-        _, r, c = solvers._support_fit(inst.phi, inst.b, support)
+        _, r, c = solvers._support_fit(_operator(inst), support)
         assert r.shape == (k, k) and r.flags.c_contiguous
         got = solvers._triangular_solve(r, c, trans)
         assert np.array_equal(got, solve_triangular(r, c, trans=trans, check_finite=False))
@@ -330,23 +330,40 @@ class TestTriangularSolve:
 class TestSupportFit:
     @pytest.mark.parametrize("k", [1, 20, 100])
     def test_matches_scipy_economic_qr_bit_for_bit(self, k):
-        # the direct LAPACK calls give scipy's factors, on the first call of
-        # a shape (which queries the workspace sizes) and on the second
-        # (which reads them from the cache); phi itself is left as it was
+        # R is scipy's economic factor bit for bit (the same geqrf), on the
+        # first call of a shape (which queries the workspace size) and on the
+        # second (which reads it from the cache). Q is never formed: c is
+        # Q_1^T b applied from the reflectors, the bits of a direct ormqr
+        # call, and it and both products with Q match scipy's explicit Q
+        # within rounding. phi itself is left as it was
         solvers._qr_lwork.cache_clear()
         inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=20, seed=k))
-        phi, b = inst.phi, inst.b
+        phi, b, m = inst.phi, inst.b, inst.m
         before = phi.copy()
-        support = np.sort(np.random.default_rng(k).choice(inst.n, k, replace=False))
+        rng = np.random.default_rng(k)
+        support = np.sort(rng.choice(inst.n, k, replace=False))
+        y, nu = rng.standard_normal(k), rng.standard_normal(m)
         q_ref, r_ref = qr(phi[:, support], mode="economic", check_finite=False)
         for _ in range(2):
-            q, r, c = solvers._support_fit(phi, b, support)
-            assert np.array_equal(q, q_ref) and np.array_equal(r, r_ref)
-            assert np.array_equal(c, q_ref.T @ b)
+            qf, r, c = solvers._support_fit(_operator(inst), support)
+            assert np.array_equal(r, r_ref)
             # _triangular_solve reads r as the transpose of a Fortran array
             assert r.flags.c_contiguous
-        info = solvers._qr_lwork.cache_info()
-        assert info.misses == 1 and info.hits == 1
+            packed, tau = qf
+            assert packed.shape == (m, k) and tau.shape == (k,)
+            direct = dormqr("L", "T", packed, tau, b[:, None], 1)[0][:k, 0]
+            assert c.tobytes() == direct.tobytes()
+            assert np.abs(c - q_ref.T @ b).max() <= 1e-13 * np.linalg.norm(b)
+            # Q [y; 0] = Q_1 y, and the first k entries of Q^T nu are Q_1^T nu
+            qy = solvers._apply_q(qf, y, "N")
+            assert qy.shape == (m,)
+            assert np.abs(qy - q_ref @ y).max() <= 1e-13 * np.linalg.norm(y)
+            qtnu = solvers._apply_q(qf, nu, "T")
+            assert np.abs(qtnu[:k] - q_ref.T @ nu).max() <= 1e-13 * np.linalg.norm(nu)
+            # Q is orthogonal: applying Q^T, then Q, gives nu back
+            back = solvers._apply_q(qf, qtnu, "N")
+            assert np.abs(back - nu).max() <= 1e-13 * np.linalg.norm(nu)
+        assert solvers._qr_lwork.cache_info()[:2] == (1, 1)  # hits, misses
         assert np.array_equal(phi, before)
 
     @pytest.mark.parametrize("k", [1, 20, 100])
@@ -356,19 +373,18 @@ class TestSupportFit:
         # +0.0 only, at one column, a few and m
         inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=20, seed=k))
         support = np.sort(np.random.default_rng(k).choice(inst.n, k, replace=False))
-        lwork = solvers._qr_lwork(inst.m, k)[0]
+        lwork = solvers._qr_lwork(inst.m, k)
         packed = dgeqrf(np.asfortranarray(inst.phi[:, support]), lwork=lwork)[0]
-        _, r, _ = solvers._support_fit(inst.phi, inst.b, support)
+        _, r, _ = solvers._support_fit(_operator(inst), support)
         assert r.tobytes() == np.triu(packed[:k]).tobytes()
         assert r.flags.c_contiguous
         assert not r[np.tril_indices(k, -1)].view(np.uint64).any()
 
     def test_empty_oversized_and_dependent_supports_give_none(self):
         inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=20, seed=0))
-        phi, b = inst.phi, inst.b
-        assert solvers._support_fit(phi, b, np.array([], dtype=np.intp)) is None
-        assert solvers._support_fit(phi, b, np.arange(inst.m + 1)) is None
-        assert solvers._support_fit(phi, b, np.array([3, 7, 3])) is None
+        assert solvers._support_fit(_operator(inst), np.array([], dtype=np.intp)) is None
+        assert solvers._support_fit(_operator(inst), np.arange(inst.m + 1)) is None
+        assert solvers._support_fit(_operator(inst), np.array([3, 7, 3])) is None
 
     @pytest.mark.parametrize(
         "cols",
@@ -980,20 +996,67 @@ def test_the_lasso_certificate_reads_the_same_at_every_weight_scale(scale):
     assert rep.exit == "certified" and rep.primal_residual <= CFG.inner_tol
 
 
-@pytest.mark.parametrize("lam", [1e-12, 1.0])
+@pytest.mark.parametrize("lam", [1e-12, 1.0, 1e6, 1e12])
 def test_the_lasso_certificate_at_zero_weights_reads_the_gradient_scale(lam):
-    # at all-zero weights the certificate is read at lam / s with
-    # s = min(1, lam ||phi^T b||_inf): x = 0 reads 1 at every small lam
-    # (read at lam itself, lam ||phi^T b||_inf, which certifies at 1e-12),
-    # while the solver's least-squares fit certifies; at b = 0, s is 1
+    # at all-zero weights the minimizer is the least-squares fit at every
+    # lam > 0, and the certificate is read at lam / s with
+    # s = lam ||phi^T b||_inf: x = 0 reads 1 at every lam (read at lam
+    # itself, lam ||phi^T b||_inf, which certifies at 1e-12), and so does
+    # the fit with one coordinate moved by 1e-3 (above 1e-6), while the
+    # solver's least-squares fit certifies (read at lam itself, its
+    # rounding grew with lam and failed at 1e12); at b = 0, s is 1
     inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
     zeros = np.zeros(64)
     assert solvers._lasso_certificate(inst, zeros, lam, zeros)[1] == 1.0
     rep = weighted_lasso_fista(inst, zeros, lam, None, CFG)
     assert rep.exit == "certified" and rep.degenerate and np.any(rep.x)
     assert rep.primal_residual <= CFG.inner_tol
+    moved = rep.x.copy()
+    moved[np.flatnonzero(moved)[0]] += 1e-3
+    assert solvers._lasso_certificate(inst, zeros, lam, moved)[1] > 1e-6
     still = ProblemInstance(phi=inst.phi, b=np.zeros(32))
     assert solvers._lasso_certificate(still, zeros, lam, zeros)[1] == 0.0
+
+
+def _where_certificate(instance, w, lam, x):
+    """The LASSO certificate with both conditions over every coordinate
+    (np.where), scaled as ``_lasso_certificate`` scales it."""
+    s = min(1.0, float(w.max(initial=0.0)))
+    if not s:
+        s = lam * float(np.abs(instance.phi.T @ instance.b).max()) or 1.0
+    w, lam = w / s, lam / s
+    resid = instance.phi @ x - instance.b
+    grad = lam * (instance.phi.T @ resid)
+    viol = np.where(
+        x != 0.0,
+        np.abs(grad + w * np.sign(x)) / (1.0 + w),
+        np.maximum(np.abs(grad) - w, 0.0),
+    )
+    return resid, float(np.max(viol, initial=0.0))
+
+
+def test_the_lasso_certificate_keeps_the_bits_of_the_where_form(monkeypatch):
+    # the certificate evaluates the support's conditions on the support
+    # only: on every certificate of three noisy-panel seeds' runs (n=256,
+    # m=128, s=38), the residual and the violation are those of both
+    # conditions over every coordinate, bit for bit
+    seen = []
+    certificate = solvers._lasso_certificate
+
+    def recorded(instance, w, lam, x):
+        got = certificate(instance, w, lam, x)
+        seen.append((got, _where_certificate(instance, w, lam, x)))
+        return got
+
+    monkeypatch.setattr(solvers, "_lasso_certificate", recorded)
+    for seed in range(3):
+        inst = gen_noisy(EnsembleSpec(n=256, m=128, s=38, sigma=0.05, seed=seed))
+        for algo in ("l1", "rw-lasso", "cwb-noisy"):
+            run_algorithm(algo, inst, CFG)
+    assert len(seen) >= 20
+    for (resid, viol), (ref_resid, ref_viol) in seen:
+        assert resid.tobytes() == ref_resid.tobytes()
+        assert np.float64(viol).tobytes() == np.float64(ref_viol).tobytes()
 
 
 class TestConstrainedWeightedL1:
