@@ -19,8 +19,9 @@ import functools
 import itertools
 import logging
 import math
+from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from typing import Sequence
+from numbers import Integral
 
 import numpy as np
 
@@ -70,16 +71,28 @@ class SweepConfig:
             raise ConfigurationError("trials must be >= 1")
         if self.parallelism < 1:
             raise ConfigurationError("parallelism must be >= 1")
+        # a JSON config can give a list field as a bare string or number; a
+        # string would be read one character at a time
+        for name in ("algorithms", "s_values", "rw_iters"):
+            value = getattr(self, name)
+            if isinstance(value, str) or not isinstance(value, Sequence):
+                raise ConfigurationError(f"{name} must be a list, got {value!r}")
         if not self.s_values:
             raise ConfigurationError("s_values must be non-empty")
         for s in self.s_values:
-            if not (0 < s <= self.m):
-                raise ConfigurationError(f"sparsity {s} outside (0, m={self.m}]")
+            if not (isinstance(s, Integral) and 0 < s <= self.m):
+                raise ConfigurationError(f"sparsity {s!r} outside (0, m={self.m}]")
         if not (0 < self.m < self.n):
             raise ConfigurationError(f"require 0 < m < n, got m={self.m}, n={self.n}")
         unknown = set(self.algorithms) - set(ALGORITHMS)
         if unknown:
             raise ConfigurationError(f"unknown algorithms: {sorted(unknown)}")
+        # each algorithm and outer budget is one result key (``_algo_keys``)
+        if len(set(self.algorithms)) < len(self.algorithms):
+            raise ConfigurationError(f"duplicate algorithms: {list(self.algorithms)}")
+        if not (self.rw_iters and all(isinstance(r, Integral) and r >= 0 for r in self.rw_iters)
+                and len(set(self.rw_iters)) == len(self.rw_iters)):
+            raise ConfigurationError(f"rw_iters must be distinct integers >= 0: {self.rw_iters!r}")
 
 
 def _algo_keys(cfg: SweepConfig):
@@ -243,7 +256,7 @@ def _improvement_trial(args):
         baseline, _ = run_algorithm("l1", instance, solver_cfg)
     except Exception as exc:
         errors.append(f"l1 baseline failed on seed={seed}: {exc!r}")
-        return seed, pcts, errors
+        return pcts, errors
     for name in algos:
         try:
             x, _ = run_algorithm(name, instance, solver_cfg)
@@ -252,7 +265,7 @@ def _improvement_trial(args):
             errors.append(f"seed={seed}: baseline hit ground truth, trial skipped")
         except Exception as exc:
             errors.append(f"{name} failed on seed={seed}: {exc!r}")
-    return seed, pcts, errors
+    return pcts, errors
 
 
 def run_noisy_improvement(
@@ -279,7 +292,7 @@ def run_noisy_improvement(
     items = [(cfg, solver_cfg, sigma, seed, algos) for seed in seeds]
     results = _map_ordered(_improvement_trial, items, cfg.parallelism)
     improvements = {name: [] for name in algos}
-    for seed, (_, pcts, errors) in zip(seeds, results):
+    for pcts, errors in results:
         for err in errors:
             logger.warning("%s", err)
         for name in algos:

@@ -268,6 +268,9 @@ class SweepResult:
                 raise ValueError(f"rates for {name} do not match sparsity levels")
             if any(not (0.0 <= r <= 1.0) for r in rates):
                 raise ValueError(f"rates for {name} outside [0, 1]")
+        for name, pcts in (self.improvements or {}).items():
+            if len(pcts) != len(self.seeds):
+                raise ValueError(f"improvements for {name} do not match seeds")
 
     def to_csv(self, path) -> None:
         """Write rates as ``algorithm,s,trials,recovered,rate`` rows."""

@@ -21,20 +21,20 @@ it reached is returned as not converged; any other failure of the path or
 of the certificate raises ``NoConvergenceError``.
 
 Basis pursuit is the limit of the LASSO as lam grows, and the same path
-answers every input. It runs to a small residual norm (cold; at a second,
-smaller norm when the first does not certify), or continues from the
-LASSO point of the previous basis pursuit answer, which that answer's
-report carries (warm). The exact solve on the support the path ends on,
-pruned of rounding-level coordinates and of those that cross zero on the
-way to the limit, is returned only with a verified dual certificate
-seeded by the path's own multiplier. A cold path holds a column that
-comes due in the span of its support off it, as at equal columns and
-tied weights, and returns the minimizer at the weights it reached, not
-converged, when it runs out of breakpoints. Where the fit on the
-zero-weight coordinates already meets phi x = b (b = 0, all weights
-zero, or zero weights on a support of b), the cold path stops at once
-and that fit is the answer, at objective 0; any other input on which no
-path certifies raises ``NoConvergenceError``.
+answers every input, in one loop over the path's starts: the LASSO point
+of the previous basis pursuit answer, which that answer's report carries
+(warm), then x = 0 toward a small residual norm and toward a second,
+smaller one (cold). The loop has three exits. The first path whose end
+certifies answers with the exact solve on its support, pruned of
+rounding-level coordinates and of those that cross zero on the way to
+the limit, and a dual certificate seeded by the path's own multiplier. A
+cold path that runs out of breakpoints returns the minimizer at the
+weights it reached, not converged. When no path certifies, the fit on
+the zero-weight coordinates answers, at objective 0, if it meets
+phi x = b (b = 0, all weights zero, or zero weights on a support of b),
+and ``NoConvergenceError`` is raised otherwise. A cold path holds a
+column that comes due in the span of its support off it, as at equal
+columns and tied weights.
 
 Each instance has one cached operator, the package's only per-instance
 cache, which builds on first use the Cholesky factor of phi phi^T (the
@@ -436,7 +436,7 @@ def _bp_certified(op, w, support, candidate, nu) -> bool:
     The estimate is corrected on the support:
     nu + Q_1 r^{-T} (w_S sign(x_S) - phi_S^T nu), so that
     (phi^T nu)_S = w_S sign(x_S). nu = 0 gives the minimum-norm multiplier;
-    the path passes its own multiplier (``_bp_path``). x is certified when
+    ``weighted_basis_pursuit`` passes the path's own. x is certified when
     the correlation phi^T nu matches the subdifferential of the weighted l1
     norm at x on every coordinate (equality on the support, magnitude at
     most w_i off it) within ``_CERT_TOL`` max w, a slack that scales with
@@ -484,34 +484,37 @@ def weighted_basis_pursuit(
 ) -> InnerSolveReport:
     """Minimize sum_i w_i |x_i| subject to phi x = b.
 
-    The problem is the limit of the weighted LASSO as lam grows, so it is
-    solved along the homotopy ``_path`` (``_bp_path``): warm from the LASSO
+    The problem is the limit of the weighted LASSO as lam grows, so one
+    loop walks the homotopy ``_path`` from each start in turn: the LASSO
     point that ``warm`` carries when it is the report of a basis pursuit
     answer on this instance (from m nonzeros only at weights that keep its
-    objective), and cold otherwise or when the warm path does not certify.
-    The answer is the exact solve on the support the path ends on, pruned
-    of rounding-level coordinates and of those whose sign opposes the
-    path's (``_bp_candidate``), returned only with a verified
-    optimality certificate seeded by the path's own multiplier
-    (``_bp_certified``): exit ``"certified"``, ``iterations`` the
-    breakpoints of every path walked, and the LASSO point in
-    ``lasso_point``. A cold path that would pass ``cfg.inner_max_iter``
-    breakpoints ends the solve with exit ``"max_iter"`` and the minimizer
-    at the weights it reached. A cold path stops at once, with nothing to
-    certify, where the fit on the zero-weight coordinates meets phi x = b
-    (b = 0, all weights zero, or zero weights on a support of b). When no
-    path certifies, that fit (``_zero_weight_fit``) is the answer,
-    certified at objective 0, if it meets phi x = b within
-    ``cfg.inner_tol`` (1 + ||b||), and ``NoConvergenceError`` is raised
-    otherwise; it is flagged degenerate when the zero-weight columns have
-    a null space, which makes the solution set unbounded.
+    objective), then x = 0 toward each residual budget of ``_BP_ETAS``.
+    The loop has three exits:
 
-    ``warm`` must be None or a report whose x is a finite vector of length
-    n (``ConfigurationError`` otherwise). ``primal_residual`` is
+    * a path whose end certifies: the exact solve on its support, pruned
+      of rounding-level coordinates and of those whose sign opposes the
+      path's (``_bp_candidate``), with a verified optimality certificate
+      seeded by the path's own multiplier (``_bp_certified``); exit
+      ``"certified"``, and the LASSO point in ``lasso_point``;
+    * a cold path that would pass ``cfg.inner_max_iter`` breakpoints: exit
+      ``"max_iter"`` and the minimizer at the weights it reached;
+    * no path certifies: the fit on the zero-weight coordinates
+      (``_zero_weight_fit``), certified at objective 0 if it meets
+      phi x = b within ``cfg.inner_tol`` (1 + ||b||), flagged degenerate
+      when those columns have a null space, which makes the solution set
+      unbounded; ``NoConvergenceError`` otherwise. A cold path stops at
+      once where that fit meets phi x = b (b = 0, all weights zero, or
+      zero weights on a support of b).
+
+    ``iterations`` counts the breakpoints of every path walked. ``warm``
+    must be None or a report whose x is a finite vector of length n
+    (``ConfigurationError`` otherwise). ``primal_residual`` is
     ||phi x - b|| / (1 + ||b||).
     """
     w = as_weight_array(w, instance.n)
-    carry = None
+    op = _operator(instance)
+    # (weights, warm point, t, residual budget) of each path in turn
+    starts = [(w, None, None, f * op.norm_b) for f in _BP_ETAS]
     if warm is not None:
         if not isinstance(warm, InnerSolveReport):
             kind = type(warm).__name__
@@ -521,18 +524,59 @@ def weighted_basis_pursuit(
         # a warm path from a square support (m nonzeros) gives up at its
         # first entry, as on every such re-solve of a Fig-1 sweep: it is
         # walked only at weights that keep the objective, as unchanged ones do
-        if carry is not None and np.count_nonzero(carry[0]) == instance.m:
-            carry = carry if float(w @ np.abs(warm.x)) == warm.objective else None
-    op = _operator(instance)
+        if carry is not None and (
+            np.count_nonzero(carry[0]) < instance.m or float(w @ np.abs(warm.x)) == warm.objective
+        ):
+            starts.insert(0, (carry[1] * w, *carry, None))
     op.gram_factor  # the rank guard runs on every input
-    x, breakpoints, carry, primal = _bp_path(instance, op, w, carry, cfg)
-    stop = "max_iter" if carry is None else "certified"
-    degenerate = False
-    if x is None:
+    breakpoints, stop, primal, lasso_point, degenerate = 0, "certified", None, None, False
+    for c, x_l, t, eta in starts:
+        found = _path(instance, c, cfg.inner_max_iter, warm=x_l, eta=eta)
+        if found is None:
+            continue
+        support, sigma, steps, x = found
+        breakpoints += steps
+        if x is not None:  # out of breakpoints; a warm path is followed by the cold ones
+            if x_l is None:
+                stop = "max_iter"
+                break
+            continue
+        # cold, t is where the closed form on the support meets eta; warm,
+        # the LASSO minimizer is taken there at the carried t
+        lasso = _support_lasso(op, w, support, sigma, eta, t)
+        if lasso is None:
+            continue
+        fit, g, x_s, t = lasso
+        candidate = _bp_candidate(op, support, cfg.inner_tol, fit)
+        if candidate is None:
+            continue
+        # a coordinate of the sign opposite to the path's crosses zero on the
+        # way to the limit, as one of -1.5e-8 does on n=20, m=10, s=4, seed
+        # 209 at unit weights: it is pruned, and the pruned support factored again
+        x_bp = candidate[2][support]
+        mags = np.abs(x_bp)
+        kept = support[(mags > _BP_PRUNE * mags.max()) & (x_bp * sigma >= 0.0)]
+        if kept.size < support.size:
+            candidate = _bp_candidate(op, kept, cfg.inner_tol)
+            if candidate is None:
+                continue
+        # the seed is the LASSO dual (b - phi x_L) / t = (b - Q_1 Q_1^T b) / t
+        # + Q_1 g without its first term: b lies in range(phi_S) (the
+        # candidate passed its residual test), so that term is rounding error
+        # that 1/t amplifies, with which a re-solve of a Fig-1 sweep (rw-cwb,
+        # s=40, seed 37) failed its certificate on the basis pursuit support.
+        # Q_1 g holds the path's signs on the coordinates pruning drops, which
+        # the minimum-norm multiplier of the pruned support alone lacks
+        if _bp_certified(op, w, kept, candidate, _apply_q(fit[0], g, "N")):
+            x, primal = candidate[2], candidate[3]
+            x_l = np.zeros(instance.n)
+            x_l[support] = x_s
+            lasso_point = (x_l, t)
+            break
+    else:
         x, resid, degenerate = _zero_weight_fit(instance, w)
         if _norm(resid) > cfg.inner_tol * (1.0 + op.norm_b):
             raise NoConvergenceError("no basis pursuit path certifies, nor the zero-weight fit")
-        stop = "certified"
     if primal is None:
         primal = _norm(instance.phi @ x - instance.b) / (1.0 + op.norm_b)
     return InnerSolveReport(
@@ -542,7 +586,7 @@ def weighted_basis_pursuit(
         objective=float(w @ np.abs(x)),
         exit=stop,
         degenerate=degenerate,
-        lasso_point=carry,
+        lasso_point=lasso_point,
     )
 
 
@@ -1067,76 +1111,6 @@ def _support_answer(instance, w, support, sigma, tol, eta=None, lam=None):
     )
 
 
-def _bp_path(instance, op, w, carry, cfg):
-    """Weighted basis pursuit on the instance, whose operator is ``op``,
-    along the LASSO homotopy: (x, breakpoints, (x_L, t), primal) with x
-    certified and primal its ||phi x - b|| / (1 + ||b||) from
-    ``_bp_candidate``; (x, breakpoints, None, None) when a cold path runs
-    out of breakpoints, x the minimizer at the weights it reached; or
-    (None, breakpoints, None, None) when no path certifies.
-
-    The path ends on a support S' and signs at weights t w: cold, it runs
-    from x = 0 in 1/lam to the residual norm eta = f ||b||, f in
-    ``_BP_ETAS`` in turn, and t is where the closed form on S' meets eta
-    (``_support_lasso``); warm, from the carried LASSO point (x_L, t) of an
-    earlier answer to t times the new weights, and the LASSO minimizer x_L
-    on S' is taken at that t. The basis pursuit candidate on S' comes from
-    the same QR; its coordinates at most ``_BP_PRUNE`` max |x|, or of the
-    sign opposite to the path's (it crosses zero on the way to the limit,
-    as one of -1.5e-8 does on n=20, m=10, s=4, seed 209 at unit weights),
-    are dropped, and the pruned support is factored again if it shrank.
-    The candidate is accepted when the certificate seeded with the path's
-    multiplier passes. A warm path that fails or does not certify is
-    followed by the cold ones; breakpoints count every path walked.
-
-    The path's multiplier is the LASSO dual (b - phi x_L) / t
-    = (b - Q_1 Q_1^T b) / t + Q_1 g. The candidate passed its residual
-    test, so b lies in range(phi_S'), and the first term is rounding error
-    that 1/t amplifies: with it, a re-solve of a Fig-1 sweep (rw-cwb,
-    s=40, seed 37) failed its certificate on the basis pursuit support.
-    Without it, the seed Q_1 g (``_apply_q``) is the minimum-norm
-    multiplier with phi_S'^T nu = w_S' sigma: it holds the path's signs on
-    the coordinates that pruning drops, which the minimum-norm multiplier
-    of the pruned support alone lacks.
-    """
-    starts = [(None, None, f * op.norm_b) for f in _BP_ETAS]
-    if carry is not None:
-        starts.insert(0, (*carry, None))
-    breakpoints = 0
-    for x_l, t, eta in starts:
-        if x_l is None:
-            found = _path(instance, w, cfg.inner_max_iter, eta=eta)
-        else:
-            found = _path(instance, t * w, cfg.inner_max_iter, warm=x_l)
-        if found is None:
-            continue
-        support, sigma, steps, x = found
-        breakpoints += steps
-        if x is not None:
-            if x_l is None:
-                return x, breakpoints, None, None
-            continue
-        lasso = _support_lasso(op, w, support, sigma, eta, t)
-        if lasso is None:
-            continue
-        fit, g, x_s, t = lasso
-        candidate = _bp_candidate(op, support, cfg.inner_tol, fit)
-        if candidate is None:
-            continue
-        x_bp = candidate[2][support]
-        mags = np.abs(x_bp)
-        kept = support[(mags > _BP_PRUNE * mags.max()) & (x_bp * sigma >= 0.0)]
-        if kept.size < support.size:
-            candidate = _bp_candidate(op, kept, cfg.inner_tol)
-            if candidate is None:
-                continue
-        if _bp_certified(op, w, kept, candidate, _apply_q(fit[0], g, "N")):
-            x_l = np.zeros(instance.n)
-            x_l[support] = x_s
-            return candidate[2], breakpoints, (x_l, t), candidate[3]
-    return None, breakpoints, None, None
-
-
 def constrained_weighted_l1(
     instance: ProblemInstance,
     w,
@@ -1178,35 +1152,25 @@ def constrained_weighted_l1(
     # the fit on the zero-weight coordinates is a minimizer when it meets
     # the budget, which then has multiplier 0
     x, resid, degenerate = _zero_weight_fit(instance, w)
-    if _norm(resid) <= eta:
-        return InnerSolveReport(
-            x=x,
-            iterations=0,
-            primal_residual=0.0,
-            objective=0.0,
-            exit="certified",
-            degenerate=degenerate,
-            multiplier=0.0,
-        )
-
-    found = _path(instance, w, cfg.inner_max_iter, eta=eta)
-    if found is None:
-        floor = float(np.linalg.norm(b - phi @ np.linalg.lstsq(phi, b, rcond=None)[0]))
-        raise (ConfigurationError if floor > eta else NoConvergenceError)(
-            f"the weighted-LASSO path cannot be followed to the budget {eta:.3e}; "
-            f"the least-squares residual ||b - phi phi^+ b|| is {floor:.3e}"
-        )
-    support, sigma, iterations, x = found
-    if x is None:
-        x, lam, resid, _ = _support_answer(instance, w, support, sigma, cfg.inner_tol, eta=eta)
-        stop = "certified"
-    else:
-        lam, stop, resid = np.nan, "max_iter", phi @ x - b
-    res = _norm(resid)
+    iterations, lam, stop, primal = 0, 0.0, "certified", 0.0
+    if _norm(resid) > eta:
+        found = _path(instance, w, cfg.inner_max_iter, eta=eta)
+        if found is None:
+            floor = float(np.linalg.norm(b - phi @ np.linalg.lstsq(phi, b, rcond=None)[0]))
+            raise (ConfigurationError if floor > eta else NoConvergenceError)(
+                f"the weighted-LASSO path cannot be followed to the budget {eta:.3e}; "
+                f"the least-squares residual ||b - phi phi^+ b|| is {floor:.3e}"
+            )
+        support, sigma, iterations, x = found
+        if x is None:
+            x, lam, resid, _ = _support_answer(instance, w, support, sigma, cfg.inner_tol, eta=eta)
+        else:
+            lam, stop, resid = np.nan, "max_iter", phi @ x - b
+        primal = abs(_norm(resid) - eta) / eta
     return InnerSolveReport(
         x=x,
         iterations=iterations,
-        primal_residual=abs(res - eta) / eta,
+        primal_residual=primal,
         objective=float(w @ np.abs(x)),
         exit=stop,
         degenerate=degenerate,

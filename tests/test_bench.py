@@ -66,6 +66,27 @@ class TestSweepConfig:
         with pytest.raises(ConfigurationError):
             SweepConfig(parallelism=0)
 
+    @pytest.mark.parametrize(
+        "fields, message",
+        [
+            ({"rw_iters": (-1,)}, "rw_iters must be distinct integers >= 0"),
+            ({"rw_iters": ()}, "rw_iters must be distinct integers >= 0"),
+            ({"rw_iters": (2, 2)}, "rw_iters must be distinct integers >= 0"),
+            ({"rw_iters": (1.5,)}, "rw_iters must be distinct integers >= 0"),
+            ({"algorithms": ("rw-sub", "rw-sub")}, "duplicate algorithms"),
+            ({"algorithms": ("rw-lasso", "rw-lasso")}, "duplicate algorithms"),
+            ({"algorithms": "rw-sub"}, "algorithms must be a list"),
+            ({"s_values": 5}, "s_values must be a list"),
+            ({"s_values": ("5",)}, "sparsity '5' outside"),
+        ],
+    )
+    def test_rejects_sweeps_it_cannot_run(self, fields, message):
+        # each of these once passed and then failed per trial, failed after
+        # solving every trial, misaligned the improvements or raised a raw
+        # TypeError
+        with pytest.raises(ConfigurationError, match=message):
+            SweepConfig(**fields)
+
 
 class TestRecoverySweep:
     def test_reference_l1_always_included(self):

@@ -175,6 +175,27 @@ class TestSweep:
         assert main(args) == 1
         assert "--s-step must be at least 1" in capsys.readouterr().err
 
+    @pytest.mark.parametrize(
+        "args, config, message",
+        [
+            (["--rw-iter", "-1"], None, "rw_iters must be distinct integers >= 0"),
+            (["--algos", "rw-sub,rw-sub"], None, "duplicate algorithms"),
+            ([], {"s_values": 5}, "s_values must be a list"),
+            ([], {"s_values": [3], "algorithms": "rw-sub"}, "algorithms must be a list"),
+        ],
+    )
+    def test_unrunnable_sweep_exit_1(self, tmp_path, capsys, args, config, message):
+        if config is None:
+            args = args + ["--s-min", "3", "--s-max", "3"]
+        else:
+            (tmp_path / "cfg.json").write_text(json.dumps(config))
+            args = args + ["--config", str(tmp_path / "cfg.json")]
+        out = tmp_path / "o.csv"
+        assert main(["sweep", *args, "--trials", "1", "--n", "32", "--m", "16",
+                     "--out", str(out)]) == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
     def test_unknown_config_key_exit_1(self, tmp_path):
         cfg_path = tmp_path / "cfg.json"
         cfg_path.write_text(json.dumps({"bogus": 1}))
@@ -200,6 +221,7 @@ class TestNoisyBench:
 
 class TestEntryPoint:
     def test_module_invocation(self, tmp_path):
+        # python -m rwsparse runs __main__.py, which no in-process test does
         out = tmp_path / "inst.json"
         proc = subprocess.run(
             [sys.executable, "-m", "rwsparse", "gen", "--n", "16", "--m", "8",
@@ -209,6 +231,16 @@ class TestEntryPoint:
         )
         assert proc.returncode == 0
         assert out.exists()
+        assert proc.stdout.startswith("wrote instance n=16 m=8 s=2 seed=0 to ")
+        proc = subprocess.run(
+            [sys.executable, "-m", "rwsparse", "solve", "--algo", "l1", "--instance", str(out)],
+            capture_output=True,
+            text=True,
+            timeout=120,
+        )
+        assert proc.returncode == 0
+        assert proc.stdout.startswith("algo=l1 n=16 m=8 l0=2 ")
+        assert proc.stdout.rstrip().endswith(" recovered=True")
 
     def test_help_exit_zero(self):
         proc = subprocess.run(

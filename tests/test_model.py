@@ -276,6 +276,11 @@ class TestSweepResult:
         with pytest.raises(ValueError):
             SweepResult([10], {"l1": [1.0]}, 2, [0])
 
+    def test_improvements_have_one_entry_per_seed(self):
+        # emit_csv pairs them with the seeds, so a longer list mislabels them
+        with pytest.raises(ValueError, match="improvements for rw-lasso do not match seeds"):
+            SweepResult([10], {}, 2, [0, 1], improvements={"rw-lasso": [1.0, 2.0, 3.0]})
+
     def test_csv_roundtrip(self, tmp_path):
         res = self._result()
         path = tmp_path / "rates.csv"
