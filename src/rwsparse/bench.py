@@ -90,6 +90,9 @@ class SweepConfig:
         # each algorithm and outer budget is one result key (``_algo_keys``)
         if len(set(self.algorithms)) < len(self.algorithms):
             raise ConfigurationError(f"duplicate algorithms: {list(self.algorithms)}")
+        # and each sparsity level one slice of the sweep's trials
+        if len(set(self.s_values)) < len(self.s_values):
+            raise ConfigurationError(f"duplicate sparsity levels: {list(self.s_values)}")
         if not (self.rw_iters and all(isinstance(r, Integral) and r >= 0 for r in self.rw_iters)
                 and len(set(self.rw_iters)) == len(self.rw_iters)):
             raise ConfigurationError(f"rw_iters must be distinct integers >= 0: {self.rw_iters!r}")
@@ -198,6 +201,13 @@ def _one_blas_thread():
             set_threads(count)
 
 
+def _log_errors(results):
+    """Log the failure lines of each trial, in trial order; the last item
+    of every trial's result is its list of them."""
+    for err in itertools.chain.from_iterable(result[-1] for result in results):
+        logger.warning("%s", err)
+
+
 def _map_ordered(fn, items, workers: int):
     with _one_blas_thread():
         if workers <= 1:
@@ -217,25 +227,17 @@ def run_recovery_sweep(
     seeds = [cfg.base_seed + t for t in range(cfg.trials)]
     items = [(cfg, solver_cfg, s, seed) for s in cfg.s_values for seed in seeds]
     results = _map_ordered(_recovery_trial, items, cfg.parallelism)
+    _log_errors(results)
 
-    keys = [key for key, _, _ in _algo_keys(cfg)]
-    rates = {key: [] for key in keys}
-    idx = 0
-    for s in cfg.s_values:
-        hits = {key: 0 for key in keys}
-        digests = set()
-        for _ in seeds:
-            digest, outcomes, errors = results[idx]
-            idx += 1
-            digests.add(digest)
-            for err in errors:
-                logger.warning("%s", err)
-            for key in keys:
-                hits[key] += bool(outcomes[key])
-        if len(digests) != len(seeds):
+    # the trials of the i-th sparsity level, in seed order
+    slices = [results[i * cfg.trials:(i + 1) * cfg.trials] for i in range(len(cfg.s_values))]
+    for trials in slices:
+        if len({digest for digest, _, _ in trials}) != cfg.trials:
             raise AssertionError("paired trials produced duplicate instances")
-        for key in keys:
-            rates[key].append(hits[key] / cfg.trials)
+    rates = {
+        key: [sum(outcomes[key] for _, outcomes, _ in trials) / cfg.trials for trials in slices]
+        for key, _, _ in _algo_keys(cfg)
+    }
     return SweepResult(
         sparsity_levels=list(cfg.s_values),
         recovery_rate_per_algorithm=rates,
@@ -274,6 +276,11 @@ def run_noisy_improvement(
     """Per-trial improvement of the reweighted noisy solvers over the
     quadratically constrained l1 baseline, at a single sparsity level.
 
+    Of ``cfg`` it reads ``algorithms`` (the noisy algorithms to compare;
+    ``l1``, the baseline, may be listed too), ``s_values`` (one level),
+    ``trials``, ``base_seed``, ``n``, ``m`` and ``parallelism``. The outer
+    budget is ``solver_cfg.rw_iter``; ``cfg.rw_iters`` is not read.
+
     Skipped trials (degenerate baseline or solver failure) appear as NaN
     in the per-algorithm lists, keeping alignment with ``seeds``.
     """
@@ -285,18 +292,16 @@ def run_noisy_improvement(
     if bad:
         raise ConfigurationError(f"not noisy-capable: {bad}")
     # l1 is the baseline every trial solves, so it has no column
-    algos = [a for a in cfg.algorithms if a in _NOISY_ALGORITHMS] or list(
-        _NOISY_ALGORITHMS
-    )
+    algos = [a for a in cfg.algorithms if a in _NOISY_ALGORITHMS]
+    if not algos:
+        raise ConfigurationError(
+            f"no noisy algorithm to compare: algorithms must name one of {list(_NOISY_ALGORITHMS)}"
+        )
     seeds = [cfg.base_seed + t for t in range(cfg.trials)]
     items = [(cfg, solver_cfg, sigma, seed, algos) for seed in seeds]
     results = _map_ordered(_improvement_trial, items, cfg.parallelism)
-    improvements = {name: [] for name in algos}
-    for pcts, errors in results:
-        for err in errors:
-            logger.warning("%s", err)
-        for name in algos:
-            improvements[name].append(pcts[name])
+    _log_errors(results)
+    improvements = {name: [pcts[name] for pcts, _ in results] for name in algos}
     return SweepResult(
         sparsity_levels=list(cfg.s_values),
         recovery_rate_per_algorithm={},
@@ -321,19 +326,29 @@ def improvement_stats(result: SweepResult):
 
 
 def emit_csv(result: SweepResult, path) -> None:
-    """Write a sweep as rate rows, or an improvement run as one row per
-    (algorithm, trial); skipped trials are omitted."""
+    """Write a sweep as ``algorithm,s,trials,recovered,rate`` rows, one per
+    (algorithm, sparsity level), or an improvement run as
+    ``algo,seed,improvement_pct`` rows, one per (algorithm, trial) that was
+    not skipped. Algorithms are in name order; an OSError names ``path``."""
+    if result.improvements is None:
+        header = ["algorithm", "s", "trials", "recovered", "rate"]
+        rows = [
+            [name, s, result.trials, round(rate * result.trials), repr(float(rate))]
+            for name, rates in sorted(result.recovery_rate_per_algorithm.items())
+            for s, rate in zip(result.sparsity_levels, rates)
+        ]
+    else:
+        header = ["algo", "seed", "improvement_pct"]
+        rows = [
+            [name, seed, repr(float(pct))]
+            for name, pcts in sorted(result.improvements.items())
+            for seed, pct in zip(result.seeds, pcts)
+            if not math.isnan(pct)
+        ]
     try:
-        if result.improvements is None:
-            result.to_csv(path)
-            return
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)
-            writer.writerow(["algo", "seed", "improvement_pct"])
-            for name in sorted(result.improvements):
-                for seed, pct in zip(result.seeds, result.improvements[name]):
-                    if math.isnan(pct):
-                        continue
-                    writer.writerow([name, seed, repr(float(pct))])
+            writer.writerow(header)
+            writer.writerows(rows)
     except OSError as exc:
         raise OSError(f"cannot write results to {path}: {exc}") from exc

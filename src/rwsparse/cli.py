@@ -14,7 +14,7 @@ import argparse
 import json
 import logging
 import sys
-from dataclasses import fields
+from dataclasses import fields, replace
 
 from .bench import (SweepConfig, _one_blas_thread, emit_csv, improvement_stats,
                     run_noisy_improvement, run_recovery_sweep)
@@ -47,76 +47,60 @@ def _build_parser() -> argparse.ArgumentParser:
     p_solve.add_argument("--trace", default=None, help="write outer-iteration CSV here "
                          "(inner-solve rows go to the same path with an .inner.csv suffix)")
 
-    p_sweep = sub.add_parser("sweep", help="recovery-rate sweep over sparsity")
-    p_sweep.add_argument("--algos", default=None, help="comma-separated algorithm names")
-    p_sweep.add_argument("--s-min", type=int, default=None)
-    p_sweep.add_argument("--s-max", type=int, default=None)
-    p_sweep.add_argument("--s-step", type=int, default=None)
-    p_sweep.add_argument("--trials", type=int, default=None)
-    p_sweep.add_argument("--seed", type=int, default=None)
-    p_sweep.add_argument("--rw-iter", type=int, default=None)
-    p_sweep.add_argument("--n", type=int, default=None)
-    p_sweep.add_argument("--m", type=int, default=None)
-    p_sweep.add_argument("--workers", type=int, default=None)
-    p_sweep.add_argument("--config", default=None, help="JSON file mirroring SweepConfig fields")
-    p_sweep.add_argument("--out", required=True)
+    # the flags that set a SweepConfig field store under its name, and only
+    # when given, so _merge_sweep_config layers them over the config file
+    shared = argparse.ArgumentParser(add_help=False, argument_default=argparse.SUPPRESS)
+    shared.add_argument("--trials", type=int)
+    shared.add_argument("--seed", dest="base_seed", type=int)
+    shared.add_argument("--n", type=int)
+    shared.add_argument("--m", type=int)
+    shared.add_argument("--workers", dest="parallelism", type=int)
+    shared.add_argument("--config", default=None, help="JSON file mirroring SweepConfig fields")
+    shared.add_argument("--out", required=True)
 
-    p_noisy = sub.add_parser("noisy-bench", help="improvement benchmark on noisy instances")
-    p_noisy.add_argument("--s", type=int, default=None)
-    p_noisy.add_argument("--trials", type=int, default=None)
+    p_sweep = sub.add_parser("sweep", parents=[shared], help="recovery-rate sweep over sparsity",
+                             argument_default=argparse.SUPPRESS)
+    p_sweep.add_argument("--algos", dest="algorithms", help="comma-separated algorithm names",
+                         type=lambda text: [a.strip() for a in text.split(",") if a.strip()])
+    p_sweep.add_argument("--s-min", type=int)
+    p_sweep.add_argument("--s-max", type=int)
+    p_sweep.add_argument("--s-step", type=int, default=10)
+    p_sweep.add_argument("--rw-iter", dest="rw_iters", type=int, nargs=1)
+
+    p_noisy = sub.add_parser("noisy-bench", parents=[shared], help="improvement benchmark on "
+                             "noisy instances", argument_default=argparse.SUPPRESS)
+    p_noisy.add_argument("--s", dest="s_values", type=int, nargs=1)
     p_noisy.add_argument("--sigma", type=float, default=0.05)
-    p_noisy.add_argument("--seed", type=int, default=None)
-    p_noisy.add_argument("--n", type=int, default=None)
-    p_noisy.add_argument("--m", type=int, default=None)
-    p_noisy.add_argument("--workers", type=int, default=None)
-    p_noisy.add_argument("--config", default=None, help="JSON file mirroring SweepConfig fields")
-    p_noisy.add_argument("--out", required=True)
 
     return parser
 
 
-def _load_sweep_config(path) -> dict:
-    with open(path) as fh:
-        doc = json.load(fh)
-    known = {f.name for f in fields(SweepConfig)}
-    unknown = set(doc) - known
-    if unknown:
-        raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
-    return doc
-
-
 def _merge_sweep_config(args, defaults: SweepConfig) -> SweepConfig:
+    """``defaults`` overridden by three layers, later ones winning: the
+    ``--config`` file's fields, the flags that were given, and the sparsity
+    range ``--s-min/--s-max/--s-step`` as ``s_values``. The merged config
+    is validated once, by ``SweepConfig``."""
+    names = {f.name for f in fields(SweepConfig)}
     values = {}
     if args.config:
-        values.update(_load_sweep_config(args.config))
-
-    if getattr(args, "algos", None) is not None:
-        values["algorithms"] = [a.strip() for a in args.algos.split(",") if a.strip()]
-    if getattr(args, "s", None) is not None:
-        values["s_values"] = [args.s]
-    if getattr(args, "s_min", None) is not None or getattr(args, "s_max", None) is not None:
-        if args.s_min is None or args.s_max is None:
+        with open(args.config) as fh:
+            doc = json.load(fh)
+        if not isinstance(doc, dict):
+            raise ConfigurationError(f"config must be a JSON object, got {type(doc).__name__}")
+        unknown = set(doc) - names
+        if unknown:
+            raise ConfigurationError(f"unknown config keys: {sorted(unknown)}")
+        values.update(doc)
+    flags = vars(args)
+    values.update({name: value for name, value in flags.items() if name in names})
+    s_min, s_max = flags.get("s_min"), flags.get("s_max")
+    if s_min is not None or s_max is not None:
+        if s_min is None or s_max is None:
             raise ConfigurationError("--s-min and --s-max must be given together")
-        step = args.s_step if args.s_step is not None else 10
-        if step < 1:
-            raise ConfigurationError(f"--s-step must be at least 1, got {step}")
-        values["s_values"] = list(range(args.s_min, args.s_max + 1, step))
-    if args.trials is not None:
-        values["trials"] = args.trials
-    if args.seed is not None:
-        values["base_seed"] = args.seed
-    if getattr(args, "rw_iter", None) is not None:
-        values["rw_iters"] = [args.rw_iter]
-    if args.n is not None:
-        values["n"] = args.n
-    if args.m is not None:
-        values["m"] = args.m
-    if args.workers is not None:
-        values["parallelism"] = args.workers
-
-    merged = {f.name: getattr(defaults, f.name) for f in fields(SweepConfig)}
-    merged.update(values)
-    return SweepConfig(**merged)
+        if args.s_step < 1:
+            raise ConfigurationError(f"--s-step must be at least 1, got {args.s_step}")
+        values["s_values"] = list(range(s_min, s_max + 1, args.s_step))
+    return replace(defaults, **values)
 
 
 def _cmd_gen(args) -> int:
@@ -168,10 +152,14 @@ def _cmd_sweep(args) -> int:
 
 
 def _cmd_noisy_bench(args) -> int:
+    budget = SolverConfig().rw_iter  # the outer budget the benchmark runs
     defaults = SweepConfig(
-        algorithms=("rw-lasso", "cwb-noisy"), s_values=(38,), trials=30, m=128
+        algorithms=("rw-lasso", "cwb-noisy"), s_values=(38,), trials=30, m=128, rw_iters=(budget,)
     )
     cfg = _merge_sweep_config(args, defaults)
+    if list(cfg.rw_iters) != [budget]:
+        raise ConfigurationError(f"noisy-bench runs rw_iter={budget}; rw_iters must be "
+                                 f"[{budget}], got {list(cfg.rw_iters)}")
     result = run_noisy_improvement(cfg, sigma=args.sigma)
     emit_csv(result, args.out)
     for name, (mean, std) in improvement_stats(result).items():

@@ -6,7 +6,6 @@ across parallel trial workers.
 
 from __future__ import annotations
 
-import csv
 import hashlib
 import json
 from dataclasses import dataclass
@@ -271,17 +270,6 @@ class SweepResult:
         for name, pcts in (self.improvements or {}).items():
             if len(pcts) != len(self.seeds):
                 raise ValueError(f"improvements for {name} do not match seeds")
-
-    def to_csv(self, path) -> None:
-        """Write rates as ``algorithm,s,trials,recovered,rate`` rows."""
-        with open(path, "w", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["algorithm", "s", "trials", "recovered", "rate"])
-            for name in sorted(self.recovery_rate_per_algorithm):
-                rates = self.recovery_rate_per_algorithm[name]
-                for s, rate in zip(self.sparsity_levels, rates):
-                    n_rec = round(rate * self.trials)
-                    writer.writerow([name, s, self.trials, n_rec, repr(float(rate))])
 
 
 def l0_norm(x, tol: float = 0.0) -> int:

@@ -1,7 +1,11 @@
 import csv
 import dataclasses
 import hashlib
+import importlib.util
+import logging
 import math
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -78,6 +82,7 @@ class TestSweepConfig:
             ({"algorithms": "rw-sub"}, "algorithms must be a list"),
             ({"s_values": 5}, "s_values must be a list"),
             ({"s_values": ("5",)}, "sparsity '5' outside"),
+            ({"s_values": (3, 3)}, "duplicate sparsity levels"),
         ],
     )
     def test_rejects_sweeps_it_cannot_run(self, fields, message):
@@ -225,6 +230,13 @@ class TestNoisyImprovement:
         with pytest.raises(ConfigurationError):
             run_noisy_improvement(cfg, sigma=0.02)
 
+    @pytest.mark.parametrize("algorithms", [("l1",), ()])
+    def test_requires_a_noisy_algorithm(self, algorithms):
+        # l1 is the baseline, not a column: nothing would be compared
+        cfg = dataclasses.replace(NOISY_TINY, algorithms=algorithms)
+        with pytest.raises(ConfigurationError, match="must name one of .'rw-lasso', 'cwb-noisy'."):
+            run_noisy_improvement(cfg, sigma=0.02)
+
     def test_baseline_is_the_shared_cwb_noisy_start(self, monkeypatch):
         # the l1 baseline and cwb-noisy's unit-weight start are one
         # constrained solve: 1 start + 4 re-solves, not 1 + (1 + 4)
@@ -254,6 +266,26 @@ class TestNoisyImprovement:
 
 
 class TestEmitCsv:
+    def test_csv_roundtrip(self, tmp_path):
+        res = SweepResult(
+            sparsity_levels=[10, 20],
+            recovery_rate_per_algorithm={"l1": [1.0, 0.5], "rw-sub": [1.0, 0.75]},
+            trials=4,
+            seeds=[0, 1, 2, 3],
+        )
+        path = tmp_path / "rates.csv"
+        emit_csv(res, path)
+        lines = path.read_text().splitlines()
+        assert lines[0] == "algorithm,s,trials,recovered,rate"
+        assert len(lines) == 5
+        with open(path, newline="") as fh:
+            rows = list(csv.DictReader(fh))
+        rates = {}
+        for row in rows:
+            rates.setdefault(row["algorithm"], []).append(float(row["rate"]))
+        assert rates == res.recovery_rate_per_algorithm
+        assert list(dict.fromkeys(int(row["s"]) for row in rows)) == res.sparsity_levels
+
     def test_sweep_csv(self, tmp_path):
         res = run_recovery_sweep(TINY)
         path = tmp_path / "sweep.csv"
@@ -283,6 +315,58 @@ class TestEmitCsv:
         res = SweepResult(sparsity_levels=[5], recovery_rate_per_algorithm={}, trials=1, seeds=[0])
         with pytest.raises(OSError, match="no/such"):
             emit_csv(res, tmp_path / "no" / "such" / "dir.csv")
+
+
+def _failure_counter(monkeypatch):
+    """perfbench's FailureCounter, loaded unchanged from perfbench/run.py:
+    it turns the benchmarks' warning lines into per-algorithm failure
+    counts and the skipped-trial count of its success_frac."""
+    path = Path(__file__).resolve().parent.parent / "perfbench" / "run.py"
+    spec = importlib.util.spec_from_file_location("perfbench_run", path)
+    module = importlib.util.module_from_spec(spec)
+    # the module's dataclasses look their module up in sys.modules
+    monkeypatch.setitem(sys.modules, spec.name, module)
+    spec.loader.exec_module(module)
+    return module.FailureCounter()
+
+
+class TestFailureLines:
+    def test_each_failure_is_counted_once_per_algorithm(self, monkeypatch, tmp_path):
+        # rw-lasso and rw-sub always fail, and so does the l1 baseline of
+        # noisy seed 1, which then solves neither noisy algorithm
+        bad_baseline = gen_noisy(EnsembleSpec(n=32, m=16, s=4, sigma=0.02, seed=1)).content_digest()
+        run = bench.run_algorithm
+
+        def failing(name, instance, cfg):
+            if name in ("rw-lasso", "rw-sub") or (
+                name == "l1" and instance.content_digest() == bad_baseline
+            ):
+                raise solvers.NoConvergenceError(f"{name} did not converge")
+            return run(name, instance, cfg)
+
+        monkeypatch.setattr(bench, "run_algorithm", failing)
+        counter = _failure_counter(monkeypatch)
+        log = logging.getLogger("rwsparse.bench")
+        log.addHandler(counter)
+        try:
+            noisy = run_noisy_improvement(
+                dataclasses.replace(NOISY_TINY, base_seed=0), sigma=0.02
+            )
+            sweep = run_recovery_sweep(
+                dataclasses.replace(TINY, algorithms=("l1", "rw-sub"), s_values=(3,), trials=2)
+            )
+        finally:
+            log.removeHandler(counter)
+        assert counter.failures == {"rw-lasso": 2, "l1": 1, "rw-sub": 2}
+        assert counter.skipped == 0
+        assert all(math.isnan(p) for p in noisy.improvements["rw-lasso"])
+        assert [math.isnan(p) for p in noisy.improvements["cwb-noisy"]] == [False, True, False]
+        # l1 is listed and is the reference: one key, so one row
+        assert sweep.recovery_rate_per_algorithm["rw-sub"] == [0.0]
+        path = tmp_path / "sweep.csv"
+        emit_csv(sweep, path)
+        with open(path, newline="") as fh:
+            assert [row["algorithm"] for row in csv.DictReader(fh)] == ["l1", "rw-sub"]
 
 
 def _fig1_panel():

@@ -182,6 +182,7 @@ class TestSweep:
             (["--algos", "rw-sub,rw-sub"], None, "duplicate algorithms"),
             ([], {"s_values": 5}, "s_values must be a list"),
             ([], {"s_values": [3], "algorithms": "rw-sub"}, "algorithms must be a list"),
+            ([], {"s_values": [3, 3]}, "duplicate sparsity levels"),
         ],
     )
     def test_unrunnable_sweep_exit_1(self, tmp_path, capsys, args, config, message):
@@ -201,6 +202,15 @@ class TestSweep:
         cfg_path.write_text(json.dumps({"bogus": 1}))
         assert main(["sweep", "--config", str(cfg_path), "--out", str(tmp_path / "o.csv")]) == 1
 
+    @pytest.mark.parametrize("doc", ["5", "null", '"abc"', '["trials"]'])
+    def test_config_that_is_not_an_object_exit_1(self, tmp_path, capsys, doc):
+        # these once ended in a TypeError traceback or a misleading message
+        (tmp_path / "cfg.json").write_text(doc)
+        out = tmp_path / "o.csv"
+        assert main(["sweep", "--config", str(tmp_path / "cfg.json"), "--out", str(out)]) == 1
+        assert "config must be a JSON object" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_usage_error_exit_1(self, tmp_path):
         assert main(["sweep"]) == 1  # --out is required
 
@@ -217,6 +227,32 @@ class TestNoisyBench:
             rows = list(csv.reader(fh))
         assert rows[0] == ["algo", "seed", "improvement_pct"]
         assert len(rows) == 1 + 2 * 2
+
+    @pytest.mark.parametrize(
+        "config, message",
+        [
+            ({"rw_iters": [0]}, "noisy-bench runs rw_iter=4; rw_iters must be [4], got [0]"),
+            ({"algorithms": ["l1"]}, "algorithms must name one of ['rw-lasso', 'cwb-noisy']"),
+            ({"algorithms": []}, "algorithms must name one of ['rw-lasso', 'cwb-noisy']"),
+        ],
+    )
+    def test_settings_it_would_not_run_exit_1(self, tmp_path, capsys, config, message):
+        # each of these once ran rw-lasso and cwb-noisy at rw_iter=4 and exited 0
+        (tmp_path / "cfg.json").write_text(json.dumps(config))
+        out = tmp_path / "imp.csv"
+        rc = main(["noisy-bench", "--config", str(tmp_path / "cfg.json"), "--s", "4",
+                   "--trials", "1", "--n", "32", "--m", "16", "--out", str(out)])
+        assert rc == 1
+        assert message in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_rw_iters_of_the_budget_it_runs(self, tmp_path):
+        (tmp_path / "cfg.json").write_text(json.dumps({"rw_iters": [4]}))
+        args = ["noisy-bench", "--s", "4", "--trials", "1", "--n", "32", "--m", "16"]
+        assert main(args + ["--out", str(tmp_path / "a.csv")]) == 0
+        assert main(args + ["--config", str(tmp_path / "cfg.json"),
+                            "--out", str(tmp_path / "b.csv")]) == 0
+        assert (tmp_path / "a.csv").read_bytes() == (tmp_path / "b.csv").read_bytes()
 
 
 class TestEntryPoint:

@@ -1,4 +1,3 @@
-import csv
 import json
 
 import numpy as np
@@ -260,14 +259,6 @@ def test_nan_fails_every_numeric_guard(make):
 
 
 class TestSweepResult:
-    def _result(self):
-        return SweepResult(
-            sparsity_levels=[10, 20],
-            recovery_rate_per_algorithm={"l1": [1.0, 0.5], "rw-sub": [1.0, 0.75]},
-            trials=4,
-            seeds=[0, 1, 2, 3],
-        )
-
     def test_invariants(self):
         with pytest.raises(ValueError):
             SweepResult([10], {"l1": [1.5]}, 1, [0])
@@ -280,18 +271,3 @@ class TestSweepResult:
         # emit_csv pairs them with the seeds, so a longer list mislabels them
         with pytest.raises(ValueError, match="improvements for rw-lasso do not match seeds"):
             SweepResult([10], {}, 2, [0, 1], improvements={"rw-lasso": [1.0, 2.0, 3.0]})
-
-    def test_csv_roundtrip(self, tmp_path):
-        res = self._result()
-        path = tmp_path / "rates.csv"
-        res.to_csv(path)
-        lines = path.read_text().splitlines()
-        assert lines[0] == "algorithm,s,trials,recovered,rate"
-        assert len(lines) == 5
-        with open(path, newline="") as fh:
-            rows = list(csv.DictReader(fh))
-        rates = {}
-        for row in rows:
-            rates.setdefault(row["algorithm"], []).append(float(row["rate"]))
-        assert rates == res.recovery_rate_per_algorithm
-        assert list(dict.fromkeys(int(row["s"]) for row in rows)) == res.sparsity_levels
