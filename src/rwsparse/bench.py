@@ -67,12 +67,17 @@ class SweepConfig:
     parallelism: int = 1
 
     def __post_init__(self):
+        # a JSON config can give any field a value of the wrong type
+        for name in ("trials", "base_seed", "n", "m", "parallelism"):
+            value = getattr(self, name)
+            if not isinstance(value, Integral):
+                raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
         if self.parallelism < 1:
             raise ConfigurationError("parallelism must be >= 1")
-        # a JSON config can give a list field as a bare string or number; a
-        # string would be read one character at a time
+        # or a list field as a bare string or number; a string would be read
+        # one character at a time
         for name in ("algorithms", "s_values", "rw_iters"):
             value = getattr(self, name)
             if isinstance(value, str) or not isinstance(value, Sequence):

@@ -36,14 +36,18 @@ and ``NoConvergenceError`` is raised otherwise. A cold path holds a
 column that comes due in the span of its support off it, as at equal
 columns and tied weights.
 
+Every column joins a path's support by one step, ``_border``, at its
+start as at an entry: one rank-one update of the inverse Gram matrix of
+the support, under one rank rule.
+
 Each instance has one cached operator, the package's only per-instance
 cache, which builds on first use the Cholesky factor of phi phi^T (the
 rank guard), the minimum-norm solution, phi^T b, ||b|| and the Gram rows
 phi_i^T phi the path enters. It also keeps the path's workspace (the
 support the last path call ended on, with the inverse Gram matrix of its
-columns, from which a warm re-solve on that support continues without
-refactoring, and the buffers every path call writes) and the outer
-loop's unit-weight starts
+columns, which a warm start around that support keeps and borders its
+other columns onto, and the buffers every path call writes) and the
+outer loop's unit-weight starts
 (:mod:`rwsparse.reweight`), and dies with the instance. A phi without
 full row rank, numerically, is rejected with ``RankDeficientError``.
 
@@ -92,8 +96,8 @@ def _scipy_linalg_extension(name):
 
 _fblas, _flapack = _scipy_linalg_extension("_fblas"), _scipy_linalg_extension("_flapack")
 daxpy, dger = _fblas.daxpy, _fblas.dger
-dgeqp3, dgeqrf, dormqr = _flapack.dgeqp3, _flapack.dgeqrf, _flapack.dormqr
-dpotrf, dpotri, dpotrs, dtrtrs = _flapack.dpotrf, _flapack.dpotri, _flapack.dpotrs, _flapack.dtrtrs
+dgeqrf, dormqr = _flapack.dgeqrf, _flapack.dormqr
+dpotrf, dpotrs, dtrtrs = _flapack.dpotrf, _flapack.dpotrs, _flapack.dtrtrs
 
 __all__ = [
     "InnerSolveReport",
@@ -200,8 +204,10 @@ class _Operator:
     entry (``idx[:k]``), the inverse Gram matrix of its columns
     (``ginv[:k, :k]``; ginv is zero outside that block) and their Gram
     rows (``rows[:k]``), with k ``path_size`` (None while the buffers hold
-    no consistent support). A warm path that starts on that support
-    continues from it in place; any other start overwrites it."""
+    no consistent support, as while a path's start is bordered). A warm
+    path whose point is nonzero on all of that support keeps it and
+    borders its other columns onto it (``_border``); any other start
+    clears it."""
 
     def __init__(self, instance: ProblemInstance):
         self.phi, self.b = instance.phi, instance.b
@@ -382,18 +388,6 @@ def _apply_q(qf, y, trans):
     if y.size < packed.shape[0]:
         y = np.concatenate((y, np.zeros(packed.shape[0] - y.size)))
     return dormqr("L", trans, packed, qf[1], y[:, None], 1)[0][:, 0]
-
-
-def _pivoted_qr(phi, cols):
-    """|diag r| and the 0-based pivots of the pivoted QR of phi[:, cols]:
-    the LAPACK calls of ``scipy.linalg.qr(pivoting=True)`` made directly,
-    a workspace query and then geqp3 in place on phi^T[cols]^T (the
-    columns in Fortran order), whose 1-based pivots are made 0-based."""
-    a = phi.T[cols].T
-    lwork = int(dgeqp3(a, lwork=-1)[3][0])
-    packed, piv = dgeqp3(a, lwork=lwork, overwrite_a=1)[:2]
-    piv -= 1
-    return np.abs(packed.diagonal()), piv
 
 
 def _triangular_solve(r, y, trans=0):
@@ -639,28 +633,37 @@ def _signed(n, w, support, sigma, x_s):
     return x
 
 
-def _start_inverse(op, start, rows):
-    """The inverse Gram matrix of the start columns (0 x 0 for none), with
-    their Gram rows copied into ``rows``, or None when a column's squared
-    sine to the span of the columns before it is at most
-    ``_PATH_RANK_TOL``."""
-    k = start.size
-    if not k:
-        return np.empty((0, 0))
-    for j, i in enumerate(start.tolist()):
-        rows[j] = op.gram_row(i)
-    gram = rows[:k, start]
-    try:
-        chol = np.linalg.cholesky(gram)
-    except np.linalg.LinAlgError:
+def _border(op, k, i, pad):
+    """Border the path's inverse Gram block ginv[:k, :k] (``_Operator``)
+    with column i, the one step by which a column joins the support, at a
+    path's start as at an entry: the pivot delta, or None when i lies in
+    the span of the support, its squared sine to it, delta / gamma, at
+    most ``_PATH_RANK_TOL`` (every column when k = m).
+
+    rows[k] = phi_i^T phi (from the memo, ``_Operator.gram_row``), and with
+    g = phi_S^T phi_i its entries on the support, gamma = ||phi_i||^2 and
+    u = G_S^{-1} g formed in pad[:k], delta = gamma - g^T u. Then, with
+    p = [u; -1] (pad[k] set to -1; pad must be zero past k), one BLAS dger
+    adds p p^T / delta to the rows ginv[:k+1] (a Fortran-contiguous
+    transpose) onto the zeros of row and column k, and idx[k] = i. p stays
+    in pad for the caller; a column in the span changes only rows[k]."""
+    idx, ginv, rows = op.path_buffers
+    if k == len(idx):
         return None
-    # each squared pivot over its diagonal entry is the squared sine of that
-    # column's angle to the span of the columns before it
-    if (chol.diagonal() ** 2 / gram.diagonal()).min() <= _PATH_RANK_TOL:
+    row = op.gram_rows.get(i)  # gram_row only on a miss
+    if row is None:
+        row = op.gram_row(i)
+    rows[k] = row
+    g = rows[:k, i]
+    gamma = row.item(i)
+    u = np.matmul(ginv[:k, :k], g, out=pad[:k])
+    delta = gamma - float(g.dot(u))
+    if not delta > _PATH_RANK_TOL * gamma:
         return None
-    inv = dpotri(chol, lower=1)[0]  # its lower triangle
-    # plus its strict lower triangle, np.tril(inv, -1), transposed
-    return inv + np.where(_upper(rows.shape[0])[:k, :k], 0.0, inv).T
+    pad[k] = -1.0
+    dger(1.0 / delta, pad, pad[: k + 1], a=ginv.T[:, : k + 1], overwrite_a=1)
+    idx[k] = i
+    return delta
 
 
 def _path(instance, c, max_breakpoints, warm=None, eta=None):
@@ -685,9 +688,9 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     next segment.
 
     * Cold (``warm`` None): c(t) = mu(t) c. The zero weights of c start
-      active at their least-squares solve (x = 0 when there are none; when
-      their columns are dependent, an independent subset starts and the
-      others are held at 0, out of the support), and mu falls linearly
+      active at their least-squares solve (x = 0 when there are none; a
+      column in the span of the ones before it is held at 0, out of the
+      support), and mu falls linearly
       from mu0 = max |a_i| / c_i, the first entry, to 1, or with ``eta``
       to 0, stopping on the first segment on which ||phi x - b|| = eta
       (the path ending first gives None).
@@ -703,10 +706,12 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     The path runs in the instance's workspace (``_Operator``): the support
     in its order of entry, the inverse Gram matrix of phi_S in place in
     ginv[:k, :k], zero outside that block, and the rows phi_S^T phi,
-    copied from the instance's memo (``_Operator.gram_row``). A warm start
-    on the support the last path call ended on, the usual case of a
-    re-solve, continues from them as they are; any other start inverts its
-    Gram matrix from its Cholesky factor and clears the rest. Along a
+    copied from the instance's memo (``_Operator.gram_row``). Every column
+    joins the support through ``_border``, in index order at the start. A
+    warm start whose point is nonzero on every coordinate of the support
+    the last path call ended on, the usual case of a re-solve, keeps that
+    block and borders only its other columns onto it; any other start
+    clears the block and borders all of its columns. Along a
     segment the path updates, in the instance's per-call buffers
     (``_Operator.path_vectors``, allocated once per instance; setup writes
     each before it is read), |x_S| and the gaps c - a and c + a off the
@@ -714,23 +719,22 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     (c_S sigma_S is kept as intercept plus t times slope).
     The next breakpoint is the gap with the largest closing rate, and the
     step to it is its gap / speed; a breakpoint makes no product with phi
-    beyond the first computation of a Gram row. The path gives None on a
-    numerically rank-deficient start.
+    beyond the first computation of a Gram row.
     The direction xb = G_S^{-1} sigma_S dc_S = -d x_S / dt is updated with
-    the inverse. An entry of i with sign s, border u = G_S^{-1} phi_S^T phi_i
-    and pivot delta borders both: with p = [u; -1] and
-    beta = (s dc_i - v_i) / delta (v = d a / dt), one BLAS dger adds
-    p p^T / delta to the rows ginv[:k+1] (a Fortran-contiguous transpose),
-    onto the zeros of row and column k, and one daxpy sets xb[:k+1] -= beta p.
-    An exit through the leaver's column e subtracts e e^T / e_j and
-    xb_j e / e_j the same way, moves the last slot into the leaver's and
+    the inverse. An entry of i with sign s borders the inverse with
+    p = [u; -1], u = G_S^{-1} phi_S^T phi_i, and pivot delta (``_border``),
+    and then the direction: with beta = (s dc_i - v_i) / delta
+    (v = d a / dt), one daxpy sets xb[:k+1] -= beta p.
+    An exit through the leaver's column e subtracts e e^T / e_j (one dger)
+    and xb_j e / e_j (one daxpy), moves the last slot into the leaver's and
     clears the last. So u is the only product with the inverse per
     breakpoint; p and e are formed in the pad vector, zero past them, so
     that dger keeps the rest of the rows. Toward a budget c(1) = 0, and the
     residual norm takes one dot product per breakpoint.
-    A coordinate due to enter in the span of phi_S (every one when
-    |S| = m; else by ``_PATH_RANK_TOL``) gives None on a warm path; on a
-    cold one, where c(t) stays a multiple of c, phi_i = phi_S u keeps
+    A column in the span of phi_S (``_border``'s rule) gives None on a warm
+    path, at the start as at an entry. On a cold one, the start holds such
+    a zero weight at 0, and a coordinate due to enter, where c(t) stays a
+    multiple of c, phi_i = phi_S u keeps
     a_i = u^T c_S sigma_S = +-c_i while S holds, so it is held off the
     support until a coordinate leaves (equal columns at tied weights). A
     hold is a breakpoint, as is the first entry, and changes only the held
@@ -740,40 +744,36 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     m, n = phi.shape
     op = _operator(instance)
     corr = op.corr_b
-    start = (c == 0.0 if warm is None else warm).nonzero()[0]  # sorted
-    k = start.size
-    if k > m or (warm is not None and k == 0):
+    on = c == 0.0 if warm is None else warm != 0.0  # the start's coordinates
+    count = np.count_nonzero(on)
+    if count > m or (warm is not None and count == 0):
         return None
     idx, ginv, rows = op.path_buffers  # idx: the support, in the order of entry
     gaps, speeds, rates, floor, vecs, dual, v, c0, dc, ndc, *views = op.path_vectors
     sig, xb, pad, d0, d1, mag, gap, gap0, gap1, fall, q0, q1 = views
-    held = start[:0]  # zero weights kept at 0 and off the path
-    # the k distinct workspace coordinates are the start's k when the warm
-    # point is nonzero on each of them
-    if warm is not None and op.path_size == k and warm[idx[:k]].all():
-        start = idx[:k]  # read only before the first breakpoint
+    k, op.path_size = op.path_size, None  # None until the buffers hold the start
+    if warm is not None and k is not None and on[idx[:k]].all():
+        on[idx[:k]] = False  # the workspace's block is kept
     else:
         # ginv is zero outside the block the last path call left, if known
-        stale = m if op.path_size is None else op.path_size
-        op.path_size = None  # until the buffers hold the start
-        inv = _start_inverse(op, start, rows)
-        if inv is None and warm is None:
-            # dependent zero-weight columns: start on an independent subset
-            # (pivoted QR) and hold the others at 0; they lie in its span, so
-            # their correlation stays 0 and they never enter
-            d, piv = _pivoted_qr(phi, start)
-            keep = np.sort(piv[: np.count_nonzero(d > math.sqrt(_PATH_RANK_TOL) * d[0])])
-            held, start = np.delete(start, keep), start[keep]
-            k = start.size  # 0 when every such column is zero
-            inv = _start_inverse(op, start, rows)
-        if inv is None:
+        stale = m if k is None else k
+        ginv[:stale, :stale] = 0.0
+        k = 0
+    # sig[:k] and xb[:k]: the signs and -d x_S / dt, both zero past the
+    # support, so that their product, -d |x_S| / dt, runs over the whole
+    # vector; pad: p or e of a rank-one update, zero past index k (a border
+    # sets pad[k] to -1, an exit clears it).
+    vecs[:, k:] = 0.0
+    held = []  # zero weights in the span of the support, kept at 0 off the path
+    for i in on.nonzero()[0].tolist():
+        if _border(op, k, i, pad) is not None:
+            k += 1
+        elif warm is None:
+            held.append(i)
+        else:
             return None
-        # zero outside the start's block, as every breakpoint keeps it
-        if stale > k:
-            ginv[:stale, :stale] = 0.0
-        ginv[:k, :k] = inv
-        idx[:k] = start
     op.path_size = k
+    start = idx[:k]  # read only before the first breakpoint
     # a = phi^T (b - phi x), which is phi^T b at the empty start
     xs = ginv[:k, :k] @ corr[start] if warm is None else warm[start]
     a = corr - xs @ rows[:k]
@@ -797,12 +797,7 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
         c0[start] = np.where(sa > slack, sa, 0.0)
         np.subtract(c, c0, out=dc)
     np.negative(dc, out=ndc)
-    # sig[:k] and xb[:k]: the signs and -d x_S / dt, both zero past the
-    # support, so that their product, -d |x_S| / dt, runs over the whole
-    # vector; pad: p or e of a rank-one update, zero past index k (an entry
-    # sets pad[k] to -1, an exit clears it).
     # c_S(t) sigma_S = a_S is d0 + t d1 (sigma_S c0_S, sigma_S dc_S)
-    vecs[:, k:] = 0.0
     # Every breakpoint is a gap closing to zero, so one buffer holds them
     # all: gaps[:m] is |x_S| in the order of entry, through which a
     # coordinate leaves (+inf past k, and where the weight is zero
@@ -834,10 +829,9 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     # which cost less per operation than NumPy scalars and round the same;
     # the loop reads the ufuncs and item methods it calls from locals
     add, subtract, multiply, divide = np.add, np.subtract, np.multiply, np.divide
-    maximum, matmul, argmax, isnan, inf = np.maximum, np.matmul, rates.argmax, math.isnan, math.inf
+    maximum, argmax, isnan, inf = np.maximum, rates.argmax, math.isnan, math.inf
     rate_at, gap_at, speed_at, v_at = rates.item, gaps.item, speeds.item, v.item
     idx_at, sig_at, xb_at, c0_at, dc_at = idx.item, sig.item, xb.item, c0.item, dc.item
-    cached_row = op.gram_rows.get
     ginv_t = ginv.T  # ginv_t[:, :k], the rows ginv[:k], is Fortran-contiguous
     t = 0.0
     left = None
@@ -926,16 +920,8 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
                 k = op.path_size = last
                 continue
             side, i = divmod(j - m, n)
-            if k < m:
-                row = cached_row(i)  # gram_row only on a miss
-                if row is None:
-                    row = op.gram_row(i)
-                rows[k] = row
-                g = rows[:k, i]
-                gamma = row.item(i)
-                u = matmul(ginv[:k, :k], g, out=pad[:k])
-                delta = gamma - float(g.dot(u))
-            if k == m or not delta > _PATH_RANK_TOL * gamma:
+            delta = _border(op, k, i, pad)
+            if delta is None:
                 if warm is not None:
                     return None
                 # a_i = u^T c_S sigma_S = +-c_i until a coordinate leaves:
@@ -948,13 +934,9 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
             s = 0.0 if c0i == 0.0 and dci == 0.0 else 1.0 - 2.0 * side
             sdc = s * dci
             beta = (sdc - v_at(i)) / delta
-            # border: with p = [u; -1], ginv[:k+1, :k+1] += p p^T / delta
-            # and xb[:k+1] -= beta p, onto the zeros of row and column k
-            pad[k] = -1.0
-            p = pad[: k + 1]
-            dger(1.0 / delta, pad, p, a=ginv_t[:, : k + 1], overwrite_a=1)
-            daxpy(p, xb[: k + 1], a=-beta)
-            idx[k], sig[k], mag[k] = i, s, inf if s == 0.0 else 0.0
+            # xb[:k+1] -= beta p, with p = [u; -1] the border left in pad
+            daxpy(pad[: k + 1], xb[: k + 1], a=-beta)
+            sig[k], mag[k] = s, inf if s == 0.0 else 0.0
             d0[k], d1[k] = s * c0i, sdc
             gap0[i] = gap1[i] = inf
             k = op.path_size = k + 1

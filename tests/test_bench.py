@@ -83,6 +83,8 @@ class TestSweepConfig:
             ({"s_values": 5}, "s_values must be a list"),
             ({"s_values": ("5",)}, "sparsity '5' outside"),
             ({"s_values": (3, 3)}, "duplicate sparsity levels"),
+            ({"trials": "2"}, "trials must be an integer, got '2'"),
+            ({"parallelism": 1.5}, "parallelism must be an integer, got 1.5"),
         ],
     )
     def test_rejects_sweeps_it_cannot_run(self, fields, message):

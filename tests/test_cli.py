@@ -183,6 +183,9 @@ class TestSweep:
             ([], {"s_values": 5}, "s_values must be a list"),
             ([], {"s_values": [3], "algorithms": "rw-sub"}, "algorithms must be a list"),
             ([], {"s_values": [3, 3]}, "duplicate sparsity levels"),
+            # these two once ended in a TypeError traceback
+            ([], {"s_values": [3], "trials": "2", "n": 32, "m": 16}, "trials must be an integer, got '2'"),
+            ([], {"s_values": [3], "parallelism": 1.5}, "parallelism must be an integer, got 1.5"),
         ],
     )
     def test_unrunnable_sweep_exit_1(self, tmp_path, capsys, args, config, message):
@@ -191,9 +194,11 @@ class TestSweep:
         else:
             (tmp_path / "cfg.json").write_text(json.dumps(config))
             args = args + ["--config", str(tmp_path / "cfg.json")]
+        # the sizes the config does not set, as flags (which win over it)
+        sizes = {"trials": 1, "n": 32, "m": 16}
+        args += [f"--{key}={value}" for key, value in sizes.items() if key not in (config or {})]
         out = tmp_path / "o.csv"
-        assert main(["sweep", *args, "--trials", "1", "--n", "32", "--m", "16",
-                     "--out", str(out)]) == 1
+        assert main(["sweep", *args, "--out", str(out)]) == 1
         assert message in capsys.readouterr().err
         assert not out.exists()
 

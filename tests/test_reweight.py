@@ -557,22 +557,24 @@ class TestNoisyStart:
     def test_start_inversions_on_the_noisy_seeds(self, monkeypatch):
         # a count: each warm LASSO path of these runs starts on the support
         # the path before it on the instance ended on, and continues from
-        # that path's inverse Gram; the bound fails if warm starts invert
-        # their Gram matrix afresh again (15 inversions). Cold paths from no
-        # support pass an empty start, which has nothing to invert
-        inversions = []
-        start_inverse = solvers._start_inverse
+        # that path's inverse Gram; the bound fails if warm starts border
+        # their columns afresh again (a border made while the workspace
+        # holds no support is a start's). Cold paths from no support have
+        # no column to border
+        borders = []
+        border = solvers._border
 
-        def counted(*args):
-            inversions.append(args[1].size)
-            return start_inverse(*args)
+        def counted(op, k, i, pad):
+            if op.path_size is None:
+                borders.append(i)
+            return border(op, k, i, pad)
 
-        monkeypatch.setattr(solvers, "_start_inverse", counted)
+        monkeypatch.setattr(solvers, "_border", counted)
         for seed in range(3):
             inst = _noisy_panel_instance(seed)
             for algo in ("l1", "rw-lasso", "cwb-noisy"):
                 run_algorithm(algo, inst, CFG)
-        assert not any(inversions)
+        assert not borders
 
 
 class TestFig1Counts:

@@ -386,26 +386,6 @@ class TestSupportFit:
         assert solvers._support_fit(_operator(inst), np.arange(inst.m + 1)) is None
         assert solvers._support_fit(_operator(inst), np.array([3, 7, 3])) is None
 
-    @pytest.mark.parametrize(
-        "cols",
-        [[3, 5, 7, 11], [5, 3, 9, 11, 7], [9, 3], [9], [2, 3, 5, 7, 9, 11, 13]],
-        ids=["duplicate", "duplicate-first", "zero-column", "only-zero", "both"],
-    )
-    def test_pivoted_qr_matches_scipy_bit_for_bit(self, cols):
-        # the dependent zero-weight columns _path starts from: column 5 is a
-        # copy of column 3 and column 9 is zero; the direct geqp3 gives
-        # scipy's |diag r| and pivots, and phi is left as it was
-        phi = gen_noiseless(EnsembleSpec(n=40, m=20, s=5, seed=3)).phi.copy()
-        phi[:, 5] = phi[:, 3]
-        phi[:, 9] = 0.0
-        before = phi.copy()
-        cols = np.array(cols)
-        r, piv = qr(phi[:, cols], mode="r", pivoting=True, check_finite=False)
-        d, got = solvers._pivoted_qr(phi, cols)
-        assert d.tobytes() == np.abs(np.diag(r)).tobytes()
-        assert np.array_equal(got, piv) and got.dtype == piv.dtype
-        assert np.array_equal(phi, before)
-
 
 class TestOperator:
     def test_min_norm_solution_is_the_refined_cholesky_formula(self):
@@ -1288,10 +1268,11 @@ class TestLassoPath:
     def test_gram_rows_are_computed_once_per_instance(self, monkeypatch):
         # each row is computed once, and a warm re-solve continues from the
         # workspace the previous path call on the instance left, so no warm
-        # LASSO path re-inverts (or re-reads the rows of) its start
+        # LASSO path borders (or re-reads the rows of) its start again: a
+        # border made while the workspace holds no support is a start's
         inst = gen_noisy(EnsembleSpec(n=256, m=128, s=38, sigma=0.05, seed=0))
-        rows, warm_calls, warm_inverses = {}, [], []
-        gram_row, path, start_inverse = solvers._Operator.gram_row, solvers._path, solvers._start_inverse
+        rows, warm_calls, warm_borders = {}, [], []
+        gram_row, path, border = solvers._Operator.gram_row, solvers._path, solvers._border
 
         def logged(op, i):
             row = gram_row(op, i)
@@ -1302,13 +1283,14 @@ class TestLassoPath:
             warm_calls.append(warm is not None)
             return path(instance, c, max_breakpoints, warm, eta)
 
-        def inverse_logged(*args):
-            warm_inverses.append(warm_calls[-1])
-            return start_inverse(*args)
+        def border_logged(op, *args):
+            if op.path_size is None:
+                warm_borders.append(warm_calls[-1])
+            return border(op, *args)
 
         monkeypatch.setattr(solvers._Operator, "gram_row", logged)
         monkeypatch.setattr(solvers, "_path", path_logged)
-        monkeypatch.setattr(solvers, "_start_inverse", inverse_logged)
+        monkeypatch.setattr(solvers, "_border", border_logged)
         for algo in ("l1", "rw-lasso", "cwb-noisy"):
             run_algorithm(algo, inst, CFG)
         memo = solvers._operator(inst).gram_rows
@@ -1316,32 +1298,36 @@ class TestLassoPath:
         for i, row in memo.items():
             assert np.array_equal(row, inst.phi[:, i] @ inst.phi)
         assert warm_calls.count(True) == 1 + CFG.rw_iter
-        assert not any(warm_inverses)
+        assert not any(warm_borders)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_warm_paths_from_the_workspace_match_cleared_ones(self, monkeypatch, seed):
         # the l1 baseline, then rw-lasso, whose warm LASSO paths each start
         # on the support the path before it ended on, on two copies of one
         # instance: on the first they continue from the workspace, on the
-        # second it is cleared before each of them
-        clear, warm_paths, inverted = False, [], []
-        path, start_inverse = solvers._path, solvers._start_inverse
+        # second it is cleared before each of them, so that they border
+        # every column of their start
+        clear, warm_paths, starts, bordered, expected = False, [], [], [], []
+        path, border = solvers._path, solvers._border
 
         def path_logged(instance, c, max_breakpoints, warm=None, eta=None):
             if warm is not None and clear:
                 solvers._operator(instance).path_size = None
+            starts.clear()
             found = path(instance, c, max_breakpoints, warm, eta)
             if warm is not None:
                 warm_paths.append(found)
+                bordered.append(len(starts))
+                expected.append(np.count_nonzero(warm) if clear else 0)
             return found
 
-        def inverse_logged(op, start, rows):
-            if start.size:  # an empty start, a cold path's, inverts nothing
-                inverted.append(clear)
-            return start_inverse(op, start, rows)
+        def border_logged(op, k, i, pad):
+            if op.path_size is None:  # a start's border
+                starts.append(i)
+            return border(op, k, i, pad)
 
         monkeypatch.setattr(solvers, "_path", path_logged)
-        monkeypatch.setattr(solvers, "_start_inverse", inverse_logged)
+        monkeypatch.setattr(solvers, "_border", border_logged)
         answers, ops = [], []
         for clear in (False, True):
             inst = gen_noisy(EnsembleSpec(n=256, m=128, s=38, sigma=0.05, seed=seed))
@@ -1350,7 +1336,7 @@ class TestLassoPath:
             ops.append(solvers._operator(inst))
         assert answers[0].tobytes() == answers[1].tobytes()
         calls = 1 + CFG.rw_iter
-        assert len(warm_paths) == 2 * calls and inverted == [True] * calls
+        assert len(warm_paths) == 2 * calls and bordered == expected and all(expected[calls:])
         for carried, fresh in zip(warm_paths[:calls], warm_paths[calls:]):
             assert carried[3] is None and fresh[3] is None
             assert np.array_equal(carried[0], fresh[0]) and np.array_equal(carried[1], fresh[1])
@@ -1363,6 +1349,97 @@ class TestLassoPath:
         assert np.array_equal(np.sort(support), warm_paths[calls - 1][0])
         ref = np.linalg.inv(inst.phi[:, support].T @ inst.phi[:, support])
         assert np.linalg.norm(ginv[:k, :k] - ref) <= 1e-12 * np.linalg.norm(ref)
+
+    def test_a_warm_start_around_the_workspace_borders_only_its_new_columns(self, monkeypatch):
+        # rw-cwb's first re-solve on a Fig-1 instance (s = 20, seed 0) starts
+        # from the unit-weight LASSO point, on 31 columns, while the
+        # workspace holds the 20 that rw-sub's last re-solve ended on, all
+        # among them. It keeps that block and borders only the other 11 onto
+        # it, in index order, and walks the path the same start walks on a
+        # cleared workspace, to the same answer bytes. The inverse Gram it
+        # starts from is that of the start's columns
+        path, border = solvers._path, solvers._border
+        runs = []
+
+        def path_logged(instance, c, max_breakpoints, warm=None, eta=None):
+            run = runs[-1]
+            if warm is None or "found" in run:
+                return path(instance, c, max_breakpoints, warm, eta)
+            op = _operator(instance)
+            run["workspace"] = set(op.path_buffers[0][: op.path_size].tolist())
+            if run["clear"]:
+                op.path_size = None
+            run["start"] = warm.nonzero()[0]
+            run["found"] = path(instance, c, max_breakpoints, warm, eta)
+            return run["found"]
+
+        def border_logged(op, k, i, pad):
+            delta = border(op, k, i, pad)
+            run = runs[-1]
+            if op.path_size is None and "found" not in run:  # the start's borders
+                run["bordered"].append(i)
+                if k + 1 == run["start"].size:
+                    idx, ginv, _ = op.path_buffers
+                    sub = op.phi[:, idx[: k + 1]]
+                    ref = np.linalg.inv(sub.T @ sub)
+                    run["error"] = np.linalg.norm(ginv[: k + 1, : k + 1] - ref) / np.linalg.norm(ref)
+            return delta
+
+        cfg, answers = SolverConfig(rw_iter=2), []
+        for clear in (False, True):
+            inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=20, seed=0))
+            run_algorithm("l1", inst, cfg)
+            run_algorithm("rw-sub", inst, cfg)
+            runs.append({"clear": clear, "bordered": []})
+            monkeypatch.setattr(solvers, "_path", path_logged)
+            monkeypatch.setattr(solvers, "_border", border_logged)
+            answers.append(run_algorithm("rw-cwb", inst, cfg)[0])
+            monkeypatch.setattr(solvers, "_path", path)
+            monkeypatch.setattr(solvers, "_border", border)
+        kept, cleared = runs
+        start = kept["start"].tolist()
+        assert len(kept["workspace"]) == 20 and kept["workspace"] < set(start) and len(start) == 31
+        assert kept["bordered"] == [i for i in start if i not in kept["workspace"]]
+        assert cleared["bordered"] == start == cleared["start"].tolist()
+        assert kept["found"][3] is None and cleared["found"][3] is None
+        for got, ref in zip(kept["found"][:2], cleared["found"][:2]):
+            assert got.tobytes() == ref.tobytes()
+        assert kept["found"][2] == cleared["found"][2]
+        assert answers[0].tobytes() == answers[1].tobytes()
+        assert kept["error"] <= 1e-12 and cleared["error"] <= 1e-12
+
+    def test_a_cold_start_holds_its_dependent_zero_weights_in_index_order(self, monkeypatch):
+        # zero weights on columns 2, 3, 5, 7, 9 and 11, where column 5 is a
+        # copy of column 3 and column 9 is zero: the cold path borders them
+        # in index order and holds exactly the two in the span of the columns
+        # before them, 5 and 9, at 0 off the support. Its start is the
+        # least-squares fit on the other four
+        base = gen_noiseless(EnsembleSpec(n=40, m=20, s=5, seed=3))
+        phi = base.phi.copy()
+        phi[:, 5] = phi[:, 3]
+        phi[:, 9] = 0.0
+        inst = ProblemInstance(phi=phi, b=base.b)
+        w = np.full(inst.n, 1e-3)  # small enough for the path to have an entry
+        w[[2, 3, 5, 7, 9, 11]] = 0.0
+        border, log = solvers._border, []
+
+        def logged(op, k, i, pad):
+            delta = border(op, k, i, pad)
+            if op.path_size is None:
+                log.append((i, delta is None))
+            return delta
+
+        monkeypatch.setattr(solvers, "_border", logged)
+        found = solvers._path(inst, w, 0)
+        assert found[:3] == (None, None, 0)
+        held = [i for i, dependent in log if dependent]
+        assert [i for i, _ in log] == [2, 3, 5, 7, 9, 11] and held == [5, 9]
+        op = _operator(inst)
+        assert op.path_buffers[0][: op.path_size].tolist() == [2, 3, 7, 11]
+        x = found[3]
+        fit = np.linalg.lstsq(phi[:, [2, 3, 7, 11]], inst.b, rcond=None)[0]
+        assert not x[held].any() and np.count_nonzero(x) == 4
+        assert np.allclose(x[[2, 3, 7, 11]], fit, rtol=1e-10, atol=1e-12)
 
     def test_cold_paths_with_many_exits_keep_the_workspace(self, monkeypatch):
         # Fig-1 runs at s = 50, whose basis pursuit solves (the unit-weight
