@@ -126,8 +126,10 @@ def _recovery_trial(args):
     for key, name, budget in _algo_keys(cfg):
         try:
             x, _ = run_algorithm(name, instance, replace(solver_cfg, rw_iter=budget))
-            ok = recovered(x, instance.x_star, solver_cfg.recovery_tol)
-        except Exception as exc:  # count failures as non-recoveries
+            ok = recovered(x, instance.x_star)
+        except (RuntimeError, ValueError) as exc:
+            # a solver's failure (NoConvergenceError, ConfigurationError,
+            # LinAlgError) is a non-recovery; a programming error propagates
             errors.append(f"{key} failed on s={s} seed={seed}: {exc!r}")
             ok = False
         outcomes[key] = ok
@@ -261,7 +263,7 @@ def _improvement_trial(args):
         # the constrained l1 solve at unit weights, which cwb-noisy's
         # unit-weight start then takes from the shared start cache
         baseline, _ = run_algorithm("l1", instance, solver_cfg)
-    except Exception as exc:
+    except (RuntimeError, ValueError) as exc:
         errors.append(f"l1 baseline failed on seed={seed}: {exc!r}")
         return pcts, errors
     for name in algos:
@@ -270,7 +272,7 @@ def _improvement_trial(args):
             pcts[name] = improvement(x, baseline, instance.x_star)
         except DegenerateBaselineError:
             errors.append(f"seed={seed}: baseline hit ground truth, trial skipped")
-        except Exception as exc:
+        except (RuntimeError, ValueError) as exc:
             errors.append(f"{name} failed on seed={seed}: {exc!r}")
     return pcts, errors
 

@@ -134,7 +134,7 @@ def _cmd_solve(args) -> int:
         f"objective={trace.rows[-1].objective:.6e} exit={trace.exit_reason}"
     )
     if instance.x_star is not None:
-        summary += f" recovered={recovered(x, instance.x_star, cfg.recovery_tol)}"
+        summary += f" recovered={recovered(x, instance.x_star)}"
     print(summary)
     return 0
 

@@ -10,22 +10,14 @@ inputs; the ascent loops live in :mod:`rwsparse.reweight`.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import NamedTuple
 
 import numpy as np
 
-from .model import (
-    ConfigurationError,
-    OracleRequiredError,
-    ProblemInstance,
-    SolverConfig,
-    as_weight_array,
-)
+from .model import ConfigurationError, OracleRequiredError, ProblemInstance, as_weight_array
 from .solvers import weighted_basis_pursuit
 
 __all__ = [
     "DualEvaluation",
-    "PolyakStep",
     "ZeroSubgradientError",
     "ZeroIterateError",
     "dual_function_oracle",
@@ -38,7 +30,6 @@ __all__ = [
     "polyak_step_lasso",
 ]
 
-_DEFAULT_CFG = SolverConfig()
 _EPS = np.finfo(float).eps
 # a supergradient |x_i| - |x*_i| of at most this many units in the last
 # place of max |x*| on every coordinate is the rounding error of an exact
@@ -86,7 +77,7 @@ def subgradient_nonoracle(x_k, eps: float) -> np.ndarray:
     return -eps * np.abs(np.asarray(x_k, dtype=float))
 
 
-def dual_function_oracle(w, instance: ProblemInstance, cfg: SolverConfig = _DEFAULT_CFG) -> DualEvaluation:
+def dual_function_oracle(w, instance: ProblemInstance) -> DualEvaluation:
     """Evaluate the ideal dual d(w) = min_{phi x = b} sum_i w_i(|x_i| - |x*_i|).
 
     The inner minimization is a weighted basis pursuit solve; its minimizer
@@ -96,22 +87,17 @@ def dual_function_oracle(w, instance: ProblemInstance, cfg: SolverConfig = _DEFA
     if instance.x_star is None:
         raise OracleRequiredError("dual evaluation requires instance.x_star")
     w = as_weight_array(w, instance.n)
-    report = weighted_basis_pursuit(instance, w, None, cfg)
+    report = weighted_basis_pursuit(instance, w)
     g = subgradient_oracle(report.x, instance.x_star)
     return DualEvaluation(value=float(w @ g), minimizer=report.x, subgradient=g)
 
 
-class PolyakStep(NamedTuple):
-    alpha: float
-    clamped: bool
-
-
-def polyak_step_oracle(w_k, x_k, x_star) -> PolyakStep:
+def polyak_step_oracle(w_k, x_k, x_star) -> float:
     """Zero-target stepsize for the ideal dual:
-    alpha = -sum_i w_i (|x_i| - |x*_i|) / sum_i (|x_i| - |x*_i|)^2.
+    alpha = max(0, -sum_i w_i (|x_i| - |x*_i|) / sum_i (|x_i| - |x*_i|)^2).
 
     A negative value (possible when x_k is not the exact inner minimizer
-    for w_k) is clamped to zero, and the clamping is flagged. A
+    for w_k) is clamped to zero. A
     supergradient at the rounding level of x* (``_ROUNDING_ULPS``) raises
     ``ZeroSubgradientError``, as a zero one does.
     """
@@ -122,9 +108,7 @@ def polyak_step_oracle(w_k, x_k, x_star) -> PolyakStep:
     if denom == 0.0 or np.max(np.abs(g)) <= _ROUNDING_ULPS * ulp:
         raise ZeroSubgradientError("iterate magnitudes match the oracle to rounding")
     alpha = -float(w_k @ g) / denom
-    if alpha < 0.0:
-        return PolyakStep(0.0, True)
-    return PolyakStep(alpha, False)
+    return 0.0 if alpha < 0.0 else alpha
 
 
 def polyak_step_nonoracle(w_k, x_k, eps: float) -> float:

@@ -198,36 +198,23 @@ class DualState:
 
 @dataclass(frozen=True)
 class SolverConfig:
-    """Tolerances and budgets shared by the inner solvers and outer loops.
+    """The outer loop's two settings: ``rw_iter``, the number of weight
+    updates (and re-solves) after the unit-weight solve, and ``eps_k``, the
+    constraint-amplification schedule. ``None`` selects each algorithm's
+    default (1.0 for the subgradient update, 0.1 for the inverse-magnitude
+    update). A float gives a constant schedule; a callable maps the
+    iteration index to a value.
 
-    ``eps_k`` is the constraint-amplification schedule; ``None`` selects
-    each algorithm's default (1.0 for the subgradient update, 0.1 for the
-    inverse-magnitude update). A float gives a constant schedule; a callable
-    maps the iteration index to a value.
-
-    ``inner_tol`` is the residual within which a basis pursuit answer meets
-    phi x = b and the slack of the LASSO optimality conditions that certify
-    a noisy answer. ``inner_max_iter`` is the budget of every inner solve:
-    the breakpoints of one weighted-LASSO path.
-
-    ``recovery_tol`` is the sup-norm error at which a run counts as an
-    exact recovery.
+    The inner solves have no settings: each is an exact support solve,
+    certified at a fixed slack (:mod:`rwsparse.solvers`).
     """
 
     rw_iter: int = 4
     eps_k: float | Callable[[int], float] | None = None
-    inner_tol: float = 1e-8
-    inner_max_iter: int = 50_000
-    recovery_tol: float = 1e-3
 
     def __post_init__(self):
         if self.rw_iter < 0:
             raise ValueError("rw_iter must be >= 0")
-        for name in ("inner_tol", "recovery_tol"):
-            if not getattr(self, name) > 0:
-                raise ValueError(f"{name} must be > 0")
-        if self.inner_max_iter <= 0:
-            raise ValueError("inner_max_iter must be > 0")
         if isinstance(self.eps_k, (int, float)) and not self.eps_k > 0:
             raise ValueError("eps_k must be > 0")
 

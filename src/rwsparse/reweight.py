@@ -14,11 +14,11 @@ at budget zero. An update rule ends a run early by raising the
 or, for the oracle ascent, on a zero stepsize, which leaves the weights
 where they are.
 
-The unit-weight start depends only on the instance, the re-solve rule, the
-starting multiplier and the inner solver settings, so it is solved once per
-instance and shared: on one noiseless instance, plain l1, both dual ascents
-and the inverse-magnitude baseline make one start solve between them. The
-start reports live and die with the instance's operator in
+The unit-weight start depends only on the instance, the re-solve rule and
+the starting multiplier, so it is solved once per instance and shared: on
+one noiseless instance, plain l1, both dual ascents and the
+inverse-magnitude baseline make one start solve between them. The start
+reports live and die with the instance's operator in
 :mod:`rwsparse.solvers`; each run gets its own copy of the iterate.
 """
 
@@ -124,23 +124,23 @@ def _row(k, w, alpha, report: InnerSolveReport, x_star) -> RwTraceRow:
     )
 
 
-# Re-solve rules (instance, w, lam, warm, cfg) -> report, where warm is the
+# Re-solve rules (instance, w, lam, warm) -> report, where warm is the
 # report of the previous solve of the run (None for the start). They look the
 # solvers up as module globals at call time, so wrappers bound there see
 # every solve. Basis pursuit takes the whole report, whose LASSO point its
 # path continues from.
 
 
-def _bp(instance, w, lam, warm, cfg):
-    return weighted_basis_pursuit(instance, w, warm, cfg)
+def _bp(instance, w, lam, warm):
+    return weighted_basis_pursuit(instance, w, warm)
 
 
-def _lasso(instance, w, lam, warm, cfg):
-    return weighted_lasso_fista(instance, w, lam, None if warm is None else warm.x, cfg)
+def _lasso(instance, w, lam, warm):
+    return weighted_lasso_fista(instance, w, lam, None if warm is None else warm.x)
 
 
-def _constrained(instance, w, lam, warm, cfg):
-    return constrained_weighted_l1(instance, w, instance.eta, cfg)
+def _constrained(instance, w, lam, warm):
+    return constrained_weighted_l1(instance, w, instance.eta)
 
 
 class _ZeroStepError(ArithmeticError):
@@ -152,11 +152,11 @@ class _ZeroStepError(ArithmeticError):
 
 
 def _oracle_ascent(k, w, lam, x, instance, cfg):
-    step = polyak_step_oracle(w, x, instance.x_star)
-    if step.alpha == 0.0:
+    alpha = polyak_step_oracle(w, x, instance.x_star)
+    if alpha == 0.0:
         raise _ZeroStepError("zero-target stepsize is zero")
     g = subgradient_oracle(x, instance.x_star)
-    return step.alpha, project_nonneg(w + step.alpha * g), lam
+    return alpha, project_nonneg(w + alpha * g), lam
 
 
 def _nonoracle_ascent(k, w, lam, x, instance, cfg):
@@ -186,13 +186,12 @@ _EARLY_EXITS = {
 }
 
 
-def _start(instance, cfg, solve, lam):
+def _start(instance, solve, lam):
     """The unit-weight solve a run begins with, made once per instance and
     key, in the instance operator's ``starts``. The report is shared:
-    ``_drive`` copies its iterate before a caller can see it. The key is the
-    re-solve rule, lam and the settings the inner solvers read; the outer
-    loop's settings stay out of it (``eps_k`` may be an unhashable
-    callable).
+    ``_drive`` copies its iterate before a caller can see it. The key is
+    (solve, lam), the re-solve rule and the starting multiplier: the inner
+    solvers take no settings, and the outer loop's do not reach the start.
 
     The unit-weight LASSO starts warm from the unit-weight constrained
     start when that is already cached (the l1 baseline and cwb-noisy make
@@ -201,12 +200,10 @@ def _start(instance, cfg, solve, lam):
     again. Its answer is the same exact support solve either way; no
     constrained solve is made for it."""
     starts = _operator(instance).starts
-    settings = (cfg.inner_tol, cfg.inner_max_iter)
-    key = (solve, lam, settings)
-    report = starts.get(key)
+    report = starts.get((solve, lam))
     if report is None:
-        warm = starts.get((_constrained, None, settings)) if solve is _lasso else None
-        report = starts[key] = solve(instance, np.ones(instance.n), lam, warm, cfg)
+        warm = starts.get((_constrained, None)) if solve is _lasso else None
+        report = starts[solve, lam] = solve(instance, np.ones(instance.n), lam, warm)
     return report
 
 
@@ -214,7 +211,7 @@ def _drive(algo, instance, cfg, solve, update, lam=None, alpha=0.0):
     """The outer loop shared by every algorithm. ``alpha`` is the stepsize
     reported before the first update (NaN for rules that take no step)."""
     w = np.ones(instance.n)
-    start = report = _start(instance, cfg, solve, lam)
+    start = report = _start(instance, solve, lam)
     x = report.x
     rows = [_row(0, w, alpha, report, instance.x_star)]
     reason = "budget"
@@ -226,7 +223,7 @@ def _drive(algo, instance, cfg, solve, update, lam=None, alpha=0.0):
             k -= 1
             reason = _EARLY_EXITS[type(stop)]
             break
-        report = solve(instance, w, lam, report, cfg)
+        report = solve(instance, w, lam, report)
         x = report.x
         rows.append(_row(k, w, alpha, report, instance.x_star))
     if report is start:  # the shared start's iterate: the caller gets a copy

@@ -18,7 +18,9 @@ is returned only when its signs match the path's and one certificate, the
 LASSO optimality conditions at its multiplier, holds (``_support_answer``).
 When the path runs out of breakpoints, the exact minimizer at the weights
 it reached is returned as not converged; any other failure of the path or
-of the certificate raises ``NoConvergenceError``.
+of the certificate raises ``NoConvergenceError``. The solvers take no
+settings: every answer is certified at the fixed slack ``_INNER_TOL``, and
+a path takes at most ``_MAX_BREAKPOINTS`` breakpoints.
 
 Basis pursuit is the limit of the LASSO as lam grows, and the same path
 answers every input, in one loop over the path's starts: the LASSO point
@@ -76,7 +78,7 @@ from importlib.util import find_spec, module_from_spec
 
 import numpy as np
 
-from .model import ConfigurationError, ProblemInstance, SolverConfig, as_weight_array
+from .model import ConfigurationError, ProblemInstance, as_weight_array
 
 
 def _scipy_linalg_extension(name):
@@ -109,10 +111,16 @@ __all__ = [
     "constrained_weighted_l1",
 ]
 
-_DEFAULT_CFG = SolverConfig()
 _EPS = np.finfo(float).eps
 _TINY = np.finfo(float).tiny
 
+# the residual ||phi x - b|| / (1 + ||b||) within which a basis pursuit
+# answer meets phi x = b, and the slack of the LASSO optimality conditions
+# (``_lasso_certificate``) that certify a LASSO or constrained answer
+_INNER_TOL = 1e-8
+# the breakpoints a path may take before it stops at the minimizer of the
+# weights it reached (``_path``), which a cold path returns, not converged
+_MAX_BREAKPOINTS = 50_000
 # certified-polish acceptance slack for the dual optimality conditions
 _CERT_TOL = 1e-9
 # smallest accepted min/max ratio of the Gram Cholesky pivots diag(L); the
@@ -159,8 +167,9 @@ class InnerSolveReport:
     worst-case optimality-condition violation for LASSO, relative distance
     of the data-fit norm from its budget for the constrained problem).
     ``exit`` says how the solve stopped: ``"certified"`` (an exact solve or
-    closed form whose optimality conditions were verified; the only
-    ``converged`` exit) or ``"max_iter"`` (the breakpoint budget ran out).
+    closed form whose optimality conditions were verified within
+    ``_INNER_TOL``; the only ``converged`` exit) or ``"max_iter"`` (a path
+    reached ``_MAX_BREAKPOINTS``).
     ``iterations`` counts the breakpoints of the weighted-LASSO path (the
     first entry included; for basis pursuit, of every path it walked).
     ``degenerate`` marks solves whose solution set is unbounded.
@@ -194,7 +203,8 @@ class _Operator:
     the Cholesky factor of phi phi^T (``gram_factor``, which applies the
     rank guard; basis pursuit needs nothing else of it), the minimum-norm
     solution ``x0`` solved from that factor for ``min_l2_solution``,
-    phi^T b, ||b||^2 and ||b|| (``b_sq``, ``norm_b``), the Gram rows
+    phi^T b and its largest magnitude (``corr_b``, ``corr_inf``), ||b||^2
+    and ||b|| (``b_sq``, ``norm_b``), the Gram rows
     phi_i^T phi of the coordinates the LASSO path has touched
     (``gram_row``), the path's workspace (``path_buffers``) and per-call
     buffers (``path_vectors``), and the outer loop's unit-weight start
@@ -267,6 +277,11 @@ class _Operator:
     def corr_b(self) -> np.ndarray:
         """phi^T b, minus the LASSO gradient at x = 0 per unit lam."""
         return self.phi.T @ self.b
+
+    @cached_property
+    def corr_inf(self) -> float:
+        """||phi^T b||_inf, the scale of the LASSO gradient at x = 0."""
+        return float(np.abs(self.corr_b).max(initial=0.0))
 
     def gram_row(self, i: int) -> np.ndarray:
         """phi_i^T phi, computed on first use and kept: the path solves of
@@ -402,12 +417,12 @@ def _triangular_solve(r, y, trans=0):
     return x
 
 
-def _bp_candidate(op, support, tol, fit=None):
+def _bp_candidate(op, support, fit=None):
     """The exact solve on a candidate support of the operator's instance:
     (qf, r, x, primal) with x_S = r^{-1} c from ``_support_fit`` (``fit``
     when the caller has it) and primal = ||phi x - b|| / (1 + ||b||), or
-    None when the support has no usable QR or primal exceeds tol. A pure
-    function of the support."""
+    None when the support has no usable QR or primal exceeds
+    ``_INNER_TOL``. A pure function of the support."""
     phi, b = op.phi, op.b
     if fit is None:
         fit = _support_fit(op, support)
@@ -417,7 +432,7 @@ def _bp_candidate(op, support, tol, fit=None):
     x = np.zeros(phi.shape[1])
     x[support] = _triangular_solve(r, c)
     res, scale = _norm(phi @ x - b), 1.0 + op.norm_b
-    if res > tol * scale:
+    if res > _INNER_TOL * scale:
         return None
     return qf, r, x, res / scale
 
@@ -474,7 +489,6 @@ def weighted_basis_pursuit(
     instance: ProblemInstance,
     w,
     warm: InnerSolveReport | None = None,
-    cfg: SolverConfig = _DEFAULT_CFG,
 ) -> InnerSolveReport:
     """Minimize sum_i w_i |x_i| subject to phi x = b.
 
@@ -490,11 +504,11 @@ def weighted_basis_pursuit(
       path's (``_bp_candidate``), with a verified optimality certificate
       seeded by the path's own multiplier (``_bp_certified``); exit
       ``"certified"``, and the LASSO point in ``lasso_point``;
-    * a cold path that would pass ``cfg.inner_max_iter`` breakpoints: exit
+    * a cold path that would pass ``_MAX_BREAKPOINTS`` breakpoints: exit
       ``"max_iter"`` and the minimizer at the weights it reached;
     * no path certifies: the fit on the zero-weight coordinates
       (``_zero_weight_fit``), certified at objective 0 if it meets
-      phi x = b within ``cfg.inner_tol`` (1 + ||b||), flagged degenerate
+      phi x = b within ``_INNER_TOL`` (1 + ||b||), flagged degenerate
       when those columns have a null space, which makes the solution set
       unbounded; ``NoConvergenceError`` otherwise. A cold path stops at
       once where that fit meets phi x = b (b = 0, all weights zero, or
@@ -525,7 +539,7 @@ def weighted_basis_pursuit(
     op.gram_factor  # the rank guard runs on every input
     breakpoints, stop, primal, lasso_point, degenerate = 0, "certified", None, None, False
     for c, x_l, t, eta in starts:
-        found = _path(instance, c, cfg.inner_max_iter, warm=x_l, eta=eta)
+        found = _path(instance, c, warm=x_l, eta=eta)
         if found is None:
             continue
         support, sigma, steps, x = found
@@ -541,7 +555,7 @@ def weighted_basis_pursuit(
         if lasso is None:
             continue
         fit, g, x_s, t = lasso
-        candidate = _bp_candidate(op, support, cfg.inner_tol, fit)
+        candidate = _bp_candidate(op, support, fit)
         if candidate is None:
             continue
         # a coordinate of the sign opposite to the path's crosses zero on the
@@ -551,7 +565,7 @@ def weighted_basis_pursuit(
         mags = np.abs(x_bp)
         kept = support[(mags > _BP_PRUNE * mags.max()) & (x_bp * sigma >= 0.0)]
         if kept.size < support.size:
-            candidate = _bp_candidate(op, kept, cfg.inner_tol)
+            candidate = _bp_candidate(op, kept)
             if candidate is None:
                 continue
         # the seed is the LASSO dual (b - phi x_L) / t = (b - Q_1 Q_1^T b) / t
@@ -569,7 +583,7 @@ def weighted_basis_pursuit(
             break
     else:
         x, resid, degenerate = _zero_weight_fit(instance, w)
-        if _norm(resid) > cfg.inner_tol * (1.0 + op.norm_b):
+        if _norm(resid) > _INNER_TOL * (1.0 + op.norm_b):
             raise NoConvergenceError("no basis pursuit path certifies, nor the zero-weight fit")
     if primal is None:
         primal = _norm(instance.phi @ x - instance.b) / (1.0 + op.norm_b)
@@ -605,7 +619,7 @@ def _lasso_certificate(instance, w, lam, x):
     """
     s = min(1.0, float(np.maximum.reduce(w, initial=0.0)))
     if not s:
-        s = lam * float(np.abs(_operator(instance).corr_b).max()) or 1.0
+        s = lam * _operator(instance).corr_inf or 1.0
     if s != 1.0:
         w, lam = w / s, lam / s
     resid = instance.phi @ x - instance.b
@@ -666,14 +680,14 @@ def _border(op, k, i, pad):
     return delta
 
 
-def _path(instance, c, max_breakpoints, warm=None, eta=None):
+def _path(instance, c, warm=None, eta=None):
     """The weighted-LASSO homotopy: follow the minimizer of
     (1/2)||phi x - b||^2 + sum_i c_i(t) |x_i| while the weights move
     linearly from c(0) to c(1), and return the support and signs it ends
     on as (support, sigma, breakpoints, None), support sorted and sigma 0
     where the weight is zero throughout; None when the path cannot be
-    followed. When a breakpoint past ``max_breakpoints`` comes due, it
-    returns (None, None, max_breakpoints, x) instead, with x the minimizer
+    followed. When a breakpoint past ``_MAX_BREAKPOINTS`` comes due, it
+    returns (None, None, _MAX_BREAKPOINTS, x) instead, with x the minimizer
     at the weights c(t) reached, x_S = G_S^{-1} (phi_S^T b - c_S sigma_S)
     (G_S the Gram matrix of the support).
 
@@ -701,7 +715,8 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
       point solved at weights proportional to c, such as a LASSO or
       constrained solve at uniform weights, then starts at c(0) = kappa c
       and continues along the plain path in 1/lam. A sign of a_S that
-      contradicts x_S beyond rounding gives None.
+      contradicts x_S beyond rounding, max(``_CERT_TOL`` max |a|,
+      8 eps ||phi^T b||_inf), gives None.
 
     The path runs in the instance's workspace (``_Operator``): the support
     in its order of entry, the inverse Gram matrix of phi_S in place in
@@ -738,7 +753,7 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
     a_i = u^T c_S sigma_S = +-c_i while S holds, so it is held off the
     support until a coordinate leaves (equal columns at tied weights). A
     hold is a breakpoint, as is the first entry, and changes only the held
-    coordinate's gaps; a path that keeps tying ends at ``max_breakpoints``.
+    coordinate's gaps; a path that keeps tying ends at ``_MAX_BREAKPOINTS``.
     """
     phi, b = instance.phi, instance.b
     m, n = phi.shape
@@ -784,10 +799,14 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
         np.multiply(c, mu0, out=c0)
         np.subtract(c if eta is None else 0.0, c0, out=dc)  # c(1) = 0 toward a budget
     else:
-        # a_S = c_S sigma_S, within the certificate slack of rounding
+        # a_S = c_S sigma_S, within the certificate slack or the rounding of
+        # a's terms (about eps ||phi^T b||_inf): at a basis pursuit LASSO
+        # point max |a| is about 1e-7, and a_S on rw-sub's zero weights
+        # rounds to at most 4.6 eps ||phi^T b||_inf below zero on the
+        # 100-trial Fig-1 panel
         sa = sign_xs * a[start]
         abs_a = np.abs(a, out=c0)
-        slack = _CERT_TOL * float(abs_a.max(initial=0.0))
+        slack = max(_CERT_TOL * float(abs_a.max(initial=0.0)), 8.0 * _EPS * op.corr_inf)
         if (sa < -slack).any():
             return None
         cs = c[start]
@@ -884,10 +903,10 @@ def _path(instance, c, max_breakpoints, warm=None, eta=None):
             if event == "end":
                 break
             breakpoints += 1
-            if breakpoints > max_breakpoints:
+            if breakpoints > _MAX_BREAKPOINTS:
                 x = np.zeros(n)
                 x[idx[:k]] = ginv[:k, :k] @ (corr[idx[:k]] - d0[:k] - t * d1[:k])
-                return None, None, max_breakpoints, x
+                return None, None, _MAX_BREAKPOINTS, x
             if event == "leave":
                 out = idx_at(j)
                 out_side = 0 if sig_at(j) > 0.0 else 1
@@ -969,7 +988,6 @@ def weighted_lasso_fista(
     w,
     lam: float,
     warm: np.ndarray | None = None,
-    cfg: SolverConfig = _DEFAULT_CFG,
 ) -> InnerSolveReport:
     """Minimize (lam/2) ||phi x - b||^2 + sum_i w_i |x_i|.
 
@@ -980,9 +998,9 @@ def weighted_lasso_fista(
     breakpoints. The exact QR solve on the support and signs the path ends
     on (``_support_lasso`` at t = 1/lam) is returned with exit
     ``"certified"`` when its signs match the path's (``_signed``) and the
-    optimality conditions hold there within ``cfg.inner_tol``
+    optimality conditions hold there within ``_INNER_TOL``
     (``_lasso_certificate``); ``iterations`` counts the path's breakpoints.
-    When the cold path would pass ``cfg.inner_max_iter`` breakpoints, the
+    When the cold path would pass ``_MAX_BREAKPOINTS`` breakpoints, the
     minimizer at the weights it reached is returned with exit
     ``"max_iter"`` and, as ``primal_residual``, its violation of the
     optimality conditions at (w, lam). A path that cannot be followed, or
@@ -1010,9 +1028,9 @@ def weighted_lasso_fista(
         x, _, degenerate = _zero_weight_fit(instance, w)
     else:
         c = w / lam
-        found = None if warm is None else _path(instance, c, cfg.inner_max_iter, warm)
+        found = None if warm is None else _path(instance, c, warm)
         if found is None or found[3] is not None:
-            found = _path(instance, c, cfg.inner_max_iter)
+            found = _path(instance, c)
         if found is None:
             raise NoConvergenceError(
                 "the weighted-LASSO path cannot be followed: a numerically "
@@ -1020,13 +1038,13 @@ def weighted_lasso_fista(
             )
         support, sigma, breakpoints, x = found
         if x is None:
-            x, _, *certificate = _support_answer(instance, w, support, sigma, cfg.inner_tol, lam=lam)
+            x, _, *certificate = _support_answer(instance, w, support, sigma, lam=lam)
             # a zero weight off the support is a dependent column held at 0
             degenerate = np.count_nonzero(w[support] == 0.0) < zeros
         else:
             stop = "max_iter"
     resid, viol = certificate or _lasso_certificate(instance, w, lam, x)
-    if stop == "certified" and not viol <= cfg.inner_tol:
+    if stop == "certified" and not viol <= _INNER_TOL:
         raise NoConvergenceError("the zero-weight least-squares fit does not certify")
     return InnerSolveReport(
         x=x,
@@ -1075,18 +1093,19 @@ def _support_lasso(op, w, support, sigma, eta=None, t=None):
     return fit, g, _triangular_solve(r, c - t * g), t
 
 
-def _support_answer(instance, w, support, sigma, tol, eta=None, lam=None):
+def _support_answer(instance, w, support, sigma, eta=None, lam=None):
     """The certified answer on the support and signs a LASSO or constrained
     path ended on, as (x, lam, phi x - b, violation): ``_support_lasso`` at
     t = 1/lam or at the budget eta (lam = 1/t), through ``_signed`` and
-    ``_lasso_certificate`` within tol; ``NoConvergenceError`` otherwise."""
+    ``_lasso_certificate`` within ``_INNER_TOL``; ``NoConvergenceError``
+    otherwise."""
     t = None if lam is None else 1.0 / lam
     root = _support_lasso(_operator(instance), w, support, sigma, eta, t)
     x = None if root is None else _signed(instance.n, w, support, sigma, root[2])
     if x is not None:
         lam = 1.0 / root[3] if lam is None else lam
         resid, viol = _lasso_certificate(instance, w, lam, x)
-        if viol <= tol:
+        if viol <= _INNER_TOL:
             return x, lam, resid, viol
     raise NoConvergenceError(
         f"the exact solve on the path's support of {support.size} coordinates does not certify"
@@ -1097,7 +1116,6 @@ def constrained_weighted_l1(
     instance: ProblemInstance,
     w,
     eta: float,
-    cfg: SolverConfig = _DEFAULT_CFG,
 ) -> InnerSolveReport:
     """Minimize sum_i w_i |x_i| subject to (1/2)||phi x - b||^2 <= eta^2 / 2.
 
@@ -1110,7 +1128,7 @@ def constrained_weighted_l1(
     certify it (by duality it is then the constrained minimizer), with
     ||phi x - b|| = eta up to rounding;
     ``iterations`` counts the path's breakpoints, and ``multiplier`` is the
-    budget's. When the path would pass ``cfg.inner_max_iter`` breakpoints
+    budget's. When the path would pass ``_MAX_BREAKPOINTS`` breakpoints
     before it meets the budget, the LASSO minimizer at the weights it
     reached, whose residual norm is still above eta, is returned with exit
     ``"max_iter"`` and multiplier NaN. A budget below the least-squares
@@ -1129,14 +1147,14 @@ def constrained_weighted_l1(
     if not eta >= 0:
         raise ValueError("eta must be nonnegative")
     if eta == 0.0:
-        return weighted_basis_pursuit(instance, w, None, cfg)
+        return weighted_basis_pursuit(instance, w)
     phi, b = instance.phi, instance.b
     # the fit on the zero-weight coordinates is a minimizer when it meets
     # the budget, which then has multiplier 0
     x, resid, degenerate = _zero_weight_fit(instance, w)
     iterations, lam, stop, primal = 0, 0.0, "certified", 0.0
     if _norm(resid) > eta:
-        found = _path(instance, w, cfg.inner_max_iter, eta=eta)
+        found = _path(instance, w, eta=eta)
         if found is None:
             floor = float(np.linalg.norm(b - phi @ np.linalg.lstsq(phi, b, rcond=None)[0]))
             raise (ConfigurationError if floor > eta else NoConvergenceError)(
@@ -1145,7 +1163,7 @@ def constrained_weighted_l1(
             )
         support, sigma, iterations, x = found
         if x is None:
-            x, lam, resid, _ = _support_answer(instance, w, support, sigma, cfg.inner_tol, eta=eta)
+            x, lam, resid, _ = _support_answer(instance, w, support, sigma, eta=eta)
         else:
             lam, stop, resid = np.nan, "max_iter", phi @ x - b
         primal = abs(_norm(resid) - eta) / eta

@@ -12,14 +12,13 @@ import numpy as np
 import pytest
 from scipy.linalg import block_diag
 
+from rwsparse import solvers
 from rwsparse.bench import SweepConfig, emit_csv, improvement_stats, run_noisy_improvement, run_recovery_sweep
 from rwsparse.duality import dual_function_oracle
 from rwsparse.model import ProblemInstance, SolverConfig, l0_norm, l0_reporting_tol, recovered
 from rwsparse.probgen import EnsembleSpec, eta_from_sigma, gen_noiseless, standard_normal
 from rwsparse.reweight import rw_l1_oracle, rw_l1_subgradient
 from rwsparse.solvers import weighted_basis_pursuit, weighted_lasso_fista
-
-CFG = SolverConfig()
 
 
 def _verdict(cid: str, ok: bool, detail: str) -> None:
@@ -36,7 +35,7 @@ def test_criterion_1_dual_value_at_zero_weights():
         m = int(rng.integers(max(4, n // 4), max(5, n // 2)))
         s = int(rng.integers(1, max(2, m // 3)))
         inst = gen_noiseless(EnsembleSpec(n=n, m=m, s=s, seed=trial))
-        ev = dual_function_oracle(np.zeros(n), inst, CFG)
+        ev = dual_function_oracle(np.zeros(n), inst)
         worst = max(worst, abs(ev.value))
     _verdict("1", worst <= 1e-12, f"max |d(0)| = {worst:.2e} over 20 instances (tol 1e-12)")
 
@@ -50,11 +49,11 @@ def test_criterion_2_useful_weights_recover_sparsity():
         inst = gen_noiseless(EnsembleSpec(n=40, m=20, s=5, seed=seed))
         w_hat = np.ones(40)
         w_hat[np.flatnonzero(inst.x_star)] = 0.0
-        rep = weighted_basis_pursuit(inst, w_hat, None, CFG)
+        rep = weighted_basis_pursuit(inst, w_hat)
         resid = np.linalg.norm(inst.phi @ rep.x - inst.b) / (1 + np.linalg.norm(inst.b))
         worst_resid = max(worst_resid, resid)
         sparse_ok = l0_norm(rep.x, l0_reporting_tol(rep.x)) <= l0_norm(inst.x_star, 0.0)
-        bad += not (sparse_ok and resid <= CFG.inner_tol)
+        bad += not (sparse_ok and resid <= solvers._INNER_TOL)
     _verdict(
         "2",
         bad == 0,
@@ -85,8 +84,8 @@ def test_criterion_4_supergradient_inequality():
         inst = gen_noiseless(EnsembleSpec(n=n, m=m, s=s, seed=trial))
         w = rng.uniform(0.0, 2.0, size=n)
         w_prime = rng.uniform(0.0, 2.0, size=n)
-        ev = dual_function_oracle(w, inst, CFG)
-        ev_prime = dual_function_oracle(w_prime, inst, CFG)
+        ev = dual_function_oracle(w, inst)
+        ev_prime = dual_function_oracle(w_prime, inst)
         gap = ev_prime.value - (ev.value + ev.subgradient @ (w_prime - w))
         worst = max(worst, gap)
         violations += gap > 1e-6
@@ -243,7 +242,7 @@ def _ista_oracles(problems, iters=1_000_000):
 
 
 def test_criterion_9_lasso_optimality_and_oracle_objective():
-    """Subdifferential conditions at inner_tol on 100 random problems
+    """Subdifferential conditions at the solvers' tolerance on 100 random problems
     (n <= 50); objective within 1e-6 relative of a long-run plain
     proximal-gradient oracle on the n <= 10 cases."""
     rng = np.random.default_rng(99)
@@ -257,14 +256,14 @@ def test_criterion_9_lasso_optimality_and_oracle_objective():
         w = rng.uniform(0.05, 1.5, size=n)
         lam = float(rng.uniform(0.5, 30.0))
         inst = ProblemInstance(phi=phi, b=b)
-        rep = weighted_lasso_fista(inst, w, lam, None, CFG)
+        rep = weighted_lasso_fista(inst, w, lam)
         grad = lam * (phi.T @ (phi @ rep.x - b))
         for i in range(n):
             if rep.x[i] != 0.0:
-                if abs(grad[i] + w[i] * np.sign(rep.x[i])) > CFG.inner_tol * (1 + w[i]):
+                if abs(grad[i] + w[i] * np.sign(rep.x[i])) > solvers._INNER_TOL * (1 + w[i]):
                     bad_conditions += 1
                     break
-            elif abs(grad[i]) > w[i] + CFG.inner_tol:
+            elif abs(grad[i]) > w[i] + solvers._INNER_TOL:
                 bad_conditions += 1
                 break
         if n <= 10:

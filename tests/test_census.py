@@ -16,7 +16,8 @@ import numpy as np
 import pytest
 from test_solvers import fista_reference, lp_basis_pursuit
 
-from rwsparse.model import ConfigurationError, ProblemInstance, SolverConfig
+from rwsparse import solvers
+from rwsparse.model import ConfigurationError, ProblemInstance
 from rwsparse.solvers import (
     RankDeficientError,
     constrained_weighted_l1,
@@ -24,7 +25,6 @@ from rwsparse.solvers import (
     weighted_lasso_fista,
 )
 
-CFG = SolverConfig()
 # every system fits in this shape: m <= 8 and n <= 3m
 _M, _N = 8, 24
 # a cap on the batched reference's iterations, which stops earlier once
@@ -125,9 +125,9 @@ def _lasso_objective(phi, b, w, lam, x):
 
 
 def _check_basis_pursuit(seed, phi, b, w, failures):
-    bp = weighted_basis_pursuit(ProblemInstance(phi=phi, b=b), w, None, CFG)
+    bp = weighted_basis_pursuit(ProblemInstance(phi=phi, b=b), w)
     optimum = lp_basis_pursuit(phi, b, w)
-    if bp.exit != "certified" or bp.primal_residual > CFG.inner_tol:
+    if bp.exit != "certified" or bp.primal_residual > solvers._INNER_TOL:
         failures.append(f"{seed}: basis pursuit {bp.exit}, residual {bp.primal_residual:.1e}")
     elif bp.objective - optimum > 1e-9 * (1.0 + optimum):
         failures.append(f"{seed}: basis pursuit {_gap(bp.objective, optimum):.1e} above the LP")
@@ -139,9 +139,9 @@ def _check_constrained(seed, phi, b_noisy, w, eta, failures, references, counts)
     if np.linalg.norm(phi @ fit - b_noisy) > eta:  # no point meets the budget
         counts["infeasible"] += 1
         with pytest.raises(ConfigurationError, match="least-squares residual"):
-            constrained_weighted_l1(inst, w, eta, CFG)
+            constrained_weighted_l1(inst, w, eta)
         return
-    constrained = constrained_weighted_l1(inst, w, eta, CFG)
+    constrained = constrained_weighted_l1(inst, w, eta)
     counts["degenerate"] += constrained.degenerate
     residual = np.linalg.norm(phi @ constrained.x - b_noisy)
     if constrained.exit != "certified":
@@ -165,7 +165,7 @@ def test_every_solver_matches_its_reference(systems):
     ``RankDeficientError``, and the constrained problem raises
     ``ConfigurationError`` when its budget lies below the least-squares
     residual ||b - phi phi^+ b||. No other solve raises. Basis pursuit
-    ends certified, feasible within ``inner_tol`` and at most 1e-9
+    ends certified, feasible within ``solvers._INNER_TOL`` and at most 1e-9
     (relative) above the LP optimum. The constrained answer ends
     certified: either the zero-weight fit, at objective 0 and multiplier
     0, inside the budget, or a point on the budget (within 1e-9 eta) whose
@@ -175,7 +175,7 @@ def test_every_solver_matches_its_reference(systems):
     counts = dict(rank_deficient=0, infeasible=0, zero_weight_fit=0, degenerate=0)
     for seed in range(systems):
         phi, b, b_noisy, w, eta, lam = census_system(seed)
-        lasso = weighted_lasso_fista(ProblemInstance(phi=phi, b=b_noisy), w, lam, None, CFG)
+        lasso = weighted_lasso_fista(ProblemInstance(phi=phi, b=b_noisy), w, lam)
         if lasso.exit != "certified":
             failures.append(f"{seed}: LASSO {lasso.exit}")
         references.append((f"{seed}: LASSO", lasso.objective, (phi, b_noisy, w, lam)))
@@ -183,7 +183,7 @@ def test_every_solver_matches_its_reference(systems):
             if np.linalg.matrix_rank(phi) < phi.shape[0]:
                 counts["rank_deficient"] += 1
                 with pytest.raises(RankDeficientError):
-                    weighted_basis_pursuit(ProblemInstance(phi=phi, b=b), w, None, CFG)
+                    weighted_basis_pursuit(ProblemInstance(phi=phi, b=b), w)
             else:
                 _check_basis_pursuit(seed, phi, b, w, failures)
             _check_constrained(seed, phi, b_noisy, w, eta, failures, references, counts)

@@ -1,3 +1,4 @@
+import dataclasses
 import json
 
 import numpy as np
@@ -62,10 +63,12 @@ class TestRecovered:
         x = x_star.copy()
         x[0] += 2e-3
         assert not recovered(x, x_star, tol=1e-3)
+        assert not recovered(x, x_star)
 
     def test_uniform_subthreshold_shift(self):
         x_star = np.array([1.0, -1.0, 2.0])
         assert recovered(x_star + 5e-4, x_star, tol=1e-3)
+        assert recovered(x_star + 5e-4, x_star)  # the default, 1e-3
 
     def test_length_mismatch(self):
         with pytest.raises(ValueError):
@@ -206,8 +209,10 @@ class TestWeightsAndState:
 
 class TestSolverConfig:
     def test_defaults_valid(self):
+        # the outer loop's two settings; the inner solves have none
+        assert [f.name for f in dataclasses.fields(SolverConfig)] == ["rw_iter", "eps_k"]
         cfg = SolverConfig()
-        assert cfg.rw_iter == 4 and cfg.recovery_tol == 1e-3
+        assert cfg.rw_iter == 4 and cfg.eps_k is None
 
     def test_eps_resolution(self):
         assert SolverConfig().eps_at(0, 1.0) == 1.0
@@ -217,8 +222,6 @@ class TestSolverConfig:
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(rw_iter=-1)
-        with pytest.raises(ValueError):
-            SolverConfig(inner_tol=0.0)
         with pytest.raises(ValueError):
             SolverConfig(eps_k=-0.5)
         with pytest.raises(ValueError):
@@ -230,8 +233,6 @@ class TestSolverConfig:
     [
         lambda: ProblemInstance(phi=np.ones((1, 2)), b=np.ones(1), sigma=np.nan),
         lambda: ProblemInstance(phi=np.ones((1, 2)), b=np.ones(1), eta=np.nan),
-        lambda: SolverConfig(inner_tol=np.nan),
-        lambda: SolverConfig(recovery_tol=np.nan),
         lambda: SolverConfig(eps_k=np.nan),
         lambda: SolverConfig(eps_k=lambda k: np.nan).eps_at(0, 1.0),
         lambda: SolverConfig().eps_at(0, np.nan),
@@ -242,8 +243,6 @@ class TestSolverConfig:
     ids=[
         "sigma",
         "eta",
-        "inner_tol",
-        "recovery_tol",
         "eps_k",
         "eps_k-callable",
         "eps-default",

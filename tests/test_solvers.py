@@ -213,10 +213,10 @@ def lstsq_polish(instance, w, support, tol):
     return x
 
 
-def min_norm_polish(instance, w, support, tol):
+def min_norm_polish(instance, w, support):
     """The polish with the minimum-norm multiplier: the certificate seeded
     with the multiplier estimate nu = 0."""
-    candidate = _bp_candidate(_operator(instance), support, tol)
+    candidate = _bp_candidate(_operator(instance), support)
     if candidate is None:
         return None
     if not _bp_certified(_operator(instance), w, support, candidate, np.zeros(instance.m)):
@@ -260,8 +260,8 @@ class TestBpPolish:
                 (rng.standard_normal(m), np.ones(n)),
             ):
                 inst = ProblemInstance(phi=phi, b=b)
-                ref = lstsq_polish(inst, w, support, CFG.inner_tol)
-                got = min_norm_polish(inst, w, support, CFG.inner_tol)
+                ref = lstsq_polish(inst, w, support, solvers._INNER_TOL)
+                got = min_norm_polish(inst, w, support)
                 assert (got is None) == (ref is None)
                 if got is None:
                     rejected += 1
@@ -283,9 +283,9 @@ class TestBpPolish:
         support = np.array([3, 5, 7, 11])
         w = np.full(40, 1e3)
         w[support] = 1.0
-        assert lstsq_polish(inst, w, support, CFG.inner_tol) is not None
-        assert _bp_candidate(_operator(inst), support, CFG.inner_tol) is None
-        rep = weighted_basis_pursuit(inst, w, None, CFG)
+        assert lstsq_polish(inst, w, support, solvers._INNER_TOL) is not None
+        assert _bp_candidate(_operator(inst), support) is None
+        rep = weighted_basis_pursuit(inst, w)
         assert rep.converged
         oracle = lp_basis_pursuit(phi, inst.b, w)
         assert rep.objective == pytest.approx(oracle, rel=1e-6)
@@ -295,7 +295,7 @@ class TestBpPolish:
         # small residual is the basis pursuit support plus coordinates that
         # vanish in the limit; the answer keeps none of them
         inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=20, seed=0))
-        rep = weighted_basis_pursuit(inst, np.ones(inst.n), None, CFG)
+        rep = weighted_basis_pursuit(inst, np.ones(inst.n))
         assert rep.exit == "certified" and len(path_ends) == 1
         support = np.flatnonzero(rep.x)
         assert set(support) < set(path_ends[0][1][0])
@@ -401,7 +401,7 @@ class TestOperator:
         # solution is solved from that factor only when it is asked for, and
         # is then the refined formula above
         inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=30, seed=3))
-        assert weighted_basis_pursuit(inst, np.ones(inst.n), None, CFG).converged
+        assert weighted_basis_pursuit(inst, np.ones(inst.n)).converged
         op = _operator(inst)
         assert "gram_factor" in vars(op) and "x0" not in vars(op)
         phi, b = inst.phi, inst.b
@@ -436,7 +436,7 @@ class TestOperator:
         for algo in ("l1", "rw-lasso", "cwb-noisy"):
             run_algorithm(algo, inst, SolverConfig(rw_iter=2))
         noisy = len(shapes)
-        assert weighted_basis_pursuit(inst, np.ones(inst.n), None, CFG).exit == "certified"
+        assert weighted_basis_pursuit(inst, np.ones(inst.n)).exit == "certified"
         assert len(shapes) > noisy
         assert all(rows == inst.m and cols <= inst.m for rows, cols in shapes)
 
@@ -448,10 +448,10 @@ class TestDualSeededCertificate:
         # path's own multiplier does
         inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=20, seed=0))
         w = np.ones(inst.n)
-        rep = weighted_basis_pursuit(inst, w, None, CFG)
+        rep = weighted_basis_pursuit(inst, w)
         assert rep.exit == "certified" and rep.converged
         support = np.flatnonzero(rep.x)
-        candidate = _bp_candidate(_operator(inst), support, CFG.inner_tol)
+        candidate = _bp_candidate(_operator(inst), support)
         assert candidate[2].tobytes() == rep.x.tobytes()
         assert not _bp_certified(_operator(inst), w, support, candidate, np.zeros(inst.m))
 
@@ -470,7 +470,7 @@ class TestDualSeededCertificate:
             probe = np.random.default_rng(100 + seed)
             for support in itertools.combinations(range(9), 4):
                 support = np.array(support)
-                candidate = _bp_candidate(_operator(inst), support, CFG.inner_tol)
+                candidate = _bp_candidate(_operator(inst), support)
                 decision = _bp_certified(op, w, support, candidate, np.zeros(4))
                 accepted += decision
                 rejected += not decision
@@ -501,7 +501,7 @@ class TestDualSeededCertificate:
         for k in range(1, 5):
             for support in itertools.combinations(range(9), k):
                 support = np.array(support)
-                candidate = _bp_candidate(_operator(inst), support, CFG.inner_tol)
+                candidate = _bp_candidate(_operator(inst), support)
                 if candidate is None:
                     continue
                 objective = w @ np.abs(candidate[2])
@@ -523,21 +523,21 @@ class TestWeightedBasisPursuit:
         vertices = [np.array([1.0, 0.0]), np.array([0.0, 1.0])]
         best = min(vertices, key=lambda v: w @ np.abs(v))
         inst = ProblemInstance(phi=np.array([[1.0, 1.0]]), b=np.array([1.0]))
-        rep = weighted_basis_pursuit(inst, w, None, CFG)
+        rep = weighted_basis_pursuit(inst, w)
         assert rep.converged
         assert np.allclose(rep.x, best, atol=1e-6)
 
     def test_zero_weights_any_feasible(self):
         inst = ProblemInstance(phi=np.array([[1.0, 1.0]]), b=np.array([1.0]))
-        rep = weighted_basis_pursuit(inst, np.zeros(2), None, CFG)
+        rep = weighted_basis_pursuit(inst, np.zeros(2))
         assert rep.converged
         assert rep.objective == 0.0
-        assert abs(rep.x.sum() - 1.0) <= CFG.inner_tol * (1 + 1.0)
+        assert abs(rep.x.sum() - 1.0) <= solvers._INNER_TOL * (1 + 1.0)
 
     def test_unconstrained_coordinate_zeroed(self):
         phi = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
         inst = ProblemInstance(phi=phi, b=np.array([3.0, 4.0]))
-        rep = weighted_basis_pursuit(inst, np.ones(3), None, CFG)
+        rep = weighted_basis_pursuit(inst, np.ones(3))
         assert np.allclose(rep.x, [3.0, 4.0, 0.0], atol=1e-8)
 
     @pytest.mark.parametrize("seed", [0, 1, 2])
@@ -547,7 +547,7 @@ class TestWeightedBasisPursuit:
         b = rng.standard_normal(4)
         w = rng.uniform(0.1, 2.0, size=9)
         inst = ProblemInstance(phi=phi, b=b)
-        rep = weighted_basis_pursuit(inst, w, None, CFG)
+        rep = weighted_basis_pursuit(inst, w)
         oracle = lp_basis_pursuit(phi, b, w)
         assert rep.converged
         assert rep.objective <= oracle + 1e-6 * (1 + abs(oracle))
@@ -556,10 +556,10 @@ class TestWeightedBasisPursuit:
     def test_objective_below_feasible_points(self):
         inst = gen_noiseless(EnsembleSpec(n=40, m=20, s=5, seed=9))
         w = np.random.default_rng(1).uniform(0.0, 2.0, size=40)
-        rep = weighted_basis_pursuit(inst, w, None, CFG)
+        rep = weighted_basis_pursuit(inst, w)
         assert rep.converged
         obj_star = w @ np.abs(inst.x_star)
-        assert rep.objective <= obj_star + CFG.inner_tol * (1 + obj_star)
+        assert rep.objective <= obj_star + solvers._INNER_TOL * (1 + obj_star)
         # random feasible points: ground truth plus null-space directions
         rng = np.random.default_rng(2)
         _, _, vt = np.linalg.svd(inst.phi)
@@ -567,33 +567,33 @@ class TestWeightedBasisPursuit:
         for _ in range(5):
             feas = inst.x_star + null @ rng.standard_normal(20)
             obj = w @ np.abs(feas)
-            assert rep.objective <= obj + CFG.inner_tol * (1 + obj)
+            assert rep.objective <= obj + solvers._INNER_TOL * (1 + obj)
 
     def test_residual_contract(self):
         inst = gen_noiseless(EnsembleSpec(n=64, m=24, s=6, seed=4))
-        rep = weighted_basis_pursuit(inst, np.ones(64), None, CFG)
+        rep = weighted_basis_pursuit(inst, np.ones(64))
         assert rep.converged
         r = np.linalg.norm(inst.phi @ rep.x - inst.b)
-        assert r <= CFG.inner_tol * (1 + np.linalg.norm(inst.b))
-        assert rep.primal_residual <= CFG.inner_tol
+        assert r <= solvers._INNER_TOL * (1 + np.linalg.norm(inst.b))
+        assert rep.primal_residual <= solvers._INNER_TOL
 
     def test_warm_matches_cold(self):
         # a re-solve warm from an earlier answer's report
         inst = gen_noiseless(EnsembleSpec(n=48, m=20, s=5, seed=11))
-        first = weighted_basis_pursuit(inst, np.ones(48), None, CFG)
+        first = weighted_basis_pursuit(inst, np.ones(48))
         w = 1.0 / (np.abs(inst.x_star) + 0.1)
-        cold = weighted_basis_pursuit(inst, w, None, CFG)
-        warm = weighted_basis_pursuit(inst, w, first, CFG)
+        cold = weighted_basis_pursuit(inst, w)
+        warm = weighted_basis_pursuit(inst, w, first)
         assert cold.exit == warm.exit == "certified"
-        assert abs(cold.objective - warm.objective) <= 10 * CFG.inner_tol * (1 + cold.objective)
+        assert abs(cold.objective - warm.objective) <= 10 * solvers._INNER_TOL * (1 + cold.objective)
 
     def test_warm_restart_at_unchanged_weights_takes_no_breakpoint(self):
         # the splitting re-solved these weights from the previous answer in
         # 2 200 iterations after a 1 380-iteration cold solve; the path
         # continues from the carried LASSO point, which already solves them
         inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
-        cold = weighted_basis_pursuit(inst, np.ones(64), None, CFG)
-        again = weighted_basis_pursuit(inst, np.ones(64), cold, CFG)
+        cold = weighted_basis_pursuit(inst, np.ones(64))
+        again = weighted_basis_pursuit(inst, np.ones(64), cold)
         assert cold.exit == again.exit == "certified"
         assert again.iterations == 0 and again.x.tobytes() == cold.x.tobytes()
         # the carried support is square: at unchanged weights its warm path
@@ -607,9 +607,9 @@ class TestWeightedBasisPursuit:
         calls = []
         bp = reweight.weighted_basis_pursuit
 
-        def recorded(instance, w, warm, cfg):
+        def recorded(instance, w, warm):
             calls.append((instance, w.copy(), warm))
-            return bp(instance, w, warm, cfg)
+            return bp(instance, w, warm)
 
         monkeypatch.setattr(reweight, "weighted_basis_pursuit", recorded)
         for s, seed in itertools.product((20, 30, 40, 50), (0, 1)):
@@ -619,15 +619,42 @@ class TestWeightedBasisPursuit:
         assert len(calls) == 40
         assert sum(warm is None for _, _, warm in calls) == 8
         for inst, w, warm in calls:
-            rep = weighted_basis_pursuit(inst, w, warm, CFG)
+            rep = weighted_basis_pursuit(inst, w, warm)
             assert rep.exit == "certified"
-            exact = _bp_candidate(_operator(inst), np.flatnonzero(rep.x), CFG.inner_tol)[2]
+            exact = _bp_candidate(_operator(inst), np.flatnonzero(rep.x))[2]
             assert rep.x.tobytes() == exact.tobytes()
 
-    def test_iteration_cap_reports_nonconverged(self):
+    def test_a_warm_resolve_is_not_turned_cold_by_rounding(self, monkeypatch, path_ends):
+        # rw-sub's second re-solve on this Fig-1 instance starts from a LASSO
+        # point whose a_S rounds a few 1e-16 below zero on zero-weight
+        # coordinates, past a sign-test slack of _CERT_TOL max |a| alone
+        # (max |a| is about 1e-7): the warm path gave up there and the solve
+        # walked a cold one. It walks warm and ends on the cold path's
+        # answer, bit for bit
+        resolves = []
+        bp = reweight.weighted_basis_pursuit
+
+        def recorded(instance, w, warm):
+            first = len(path_ends)
+            rep = bp(instance, w, warm)
+            resolves.append((w.copy(), warm, rep, path_ends[first:]))
+            return rep
+
+        monkeypatch.setattr(reweight, "weighted_basis_pursuit", recorded)
+        inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=20, seed=2))
+        run_algorithm("rw-sub", inst, SolverConfig(rw_iter=2))
+        assert len(resolves) == 3
+        w, warm, rep, ends = resolves[-1]
+        assert warm.lasso_point is not None
+        assert [eta for eta, _ in ends] == [None] and ends[0][1] is not None
+        cold = weighted_basis_pursuit(inst, w)
+        assert rep.exit == cold.exit == "certified"
+        assert rep.x.tobytes() == cold.x.tobytes()
+
+    def test_iteration_cap_reports_nonconverged(self, monkeypatch):
         inst = gen_noiseless(EnsembleSpec(n=64, m=24, s=20, seed=1))
-        cfg = SolverConfig(inner_max_iter=3)
-        rep = weighted_basis_pursuit(inst, np.ones(64), None, cfg)
+        monkeypatch.setattr(solvers, "_MAX_BREAKPOINTS", 3)
+        rep = weighted_basis_pursuit(inst, np.ones(64))
         assert not rep.converged
         assert rep.iterations == 3
         assert rep.exit == "max_iter"
@@ -636,16 +663,17 @@ class TestWeightedBasisPursuit:
         # a certified answer on the path, or the breakpoint budget run out
         # on a cold path; a path that cannot certify raises instead
         inst = gen_noiseless(EnsembleSpec(n=64, m=24, s=6, seed=4))
-        certified = weighted_basis_pursuit(inst, np.ones(64), None, CFG)
+        certified = weighted_basis_pursuit(inst, np.ones(64))
         assert certified.exit == "certified" and certified.converged
-        assert certified.primal_residual <= CFG.inner_tol
-        capped = weighted_basis_pursuit(inst, np.ones(64), None, SolverConfig(inner_max_iter=2))
+        assert certified.primal_residual <= solvers._INNER_TOL
+        monkeypatch.setattr(solvers, "_MAX_BREAKPOINTS", 2)
+        capped = weighted_basis_pursuit(inst, np.ones(64))
         assert capped.exit == "max_iter" and not capped.converged
         assert capped.iterations == 2 < certified.iterations
-        assert capped.primal_residual > CFG.inner_tol and capped.lasso_point is None
+        assert capped.primal_residual > solvers._INNER_TOL and capped.lasso_point is None
         monkeypatch.setattr(solvers, "_path", lambda *args, **kwargs: None)
         with pytest.raises(NoConvergenceError, match="no basis pursuit path certifies"):
-            weighted_basis_pursuit(inst, np.ones(64), None, CFG)
+            weighted_basis_pursuit(inst, np.ones(64))
 
     @pytest.mark.parametrize(
         "warm", [np.ones(1), np.full(64, np.nan), np.ones((64, 1)), np.ones(65), np.ones(64)]
@@ -655,16 +683,17 @@ class TestWeightedBasisPursuit:
         # many, and a vector: only None or a report is a warm start
         inst = gen_noiseless(EnsembleSpec(n=64, m=32, s=6, seed=0))
         with pytest.raises(ConfigurationError, match="warm start"):
-            weighted_basis_pursuit(inst, np.ones(64), warm, CFG)
+            weighted_basis_pursuit(inst, np.ones(64), warm)
 
-    def test_warm_start_is_not_modified(self):
+    def test_warm_start_is_not_modified(self, monkeypatch):
         inst = gen_noiseless(EnsembleSpec(n=64, m=32, s=6, seed=0))
-        warm = weighted_basis_pursuit(inst, np.ones(64), None, CFG)
+        warm = weighted_basis_pursuit(inst, np.ones(64))
         x, (x_l, t) = warm.x.copy(), warm.lasso_point
         x_l = x_l.copy()
         w = 1.0 / (np.abs(warm.x) + 0.1)
-        for cfg in (CFG, SolverConfig(inner_max_iter=3)):
-            rep = weighted_basis_pursuit(inst, w, warm, cfg)
+        for budget in (solvers._MAX_BREAKPOINTS, 3):
+            monkeypatch.setattr(solvers, "_MAX_BREAKPOINTS", budget)
+            rep = weighted_basis_pursuit(inst, w, warm)
             assert np.array_equal(warm.x, x) and rep.x is not warm.x
             assert np.array_equal(warm.lasso_point[0], x_l) and warm.lasso_point[1] == t
 
@@ -685,7 +714,7 @@ def assert_lp_optimal(rep, inst, w):
     oracle = lp_basis_pursuit(inst.phi, inst.b, w)
     assert rep.exit == "certified"
     assert abs(rep.objective - oracle) <= 1e-9 * (1.0 + oracle)
-    assert rep.primal_residual <= CFG.inner_tol
+    assert rep.primal_residual <= solvers._INNER_TOL
 
 
 class TestEveryInputOnThePath:
@@ -695,14 +724,14 @@ class TestEveryInputOnThePath:
         rng = np.random.default_rng(0)
         inst = ProblemInstance(phi=rng.standard_normal((10, 30)), b=np.zeros(10))
         w = rng.uniform(0.1, 2.0, 30)
-        rep = weighted_basis_pursuit(inst, w, None, CFG)
+        rep = weighted_basis_pursuit(inst, w)
         assert_lp_optimal(rep, inst, w)
         assert np.all(rep.x == 0.0) and rep.iterations == 0 and not rep.degenerate
 
     def test_all_zero_weights_with_more_columns_than_rows(self):
         rng = np.random.default_rng(1)
         inst = ProblemInstance(phi=rng.standard_normal((10, 30)), b=rng.standard_normal(10))
-        rep = weighted_basis_pursuit(inst, np.zeros(30), None, CFG)
+        rep = weighted_basis_pursuit(inst, np.zeros(30))
         assert_lp_optimal(rep, inst, np.zeros(30))
         assert rep.objective == 0.0 and rep.iterations == 0 and rep.degenerate
 
@@ -720,7 +749,7 @@ class TestEveryInputOnThePath:
             phi[:, spare] = phi[:, support[0]]
             w[spare] = 0.0
         inst = ProblemInstance(phi=phi, b=inst.b, x_star=inst.x_star)
-        rep = weighted_basis_pursuit(inst, w, None, CFG)
+        rep = weighted_basis_pursuit(inst, w)
         assert_lp_optimal(rep, inst, w)
         assert rep.objective == 0.0 and rep.iterations == 0
         assert rep.degenerate == duplicated
@@ -732,7 +761,7 @@ class TestEveryInputOnThePath:
         # the oracle re-solves tie many weights at 1; their cold paths hold
         # a tied column off a square support, or certify only at the second
         # budget
-        assert_lp_optimal(weighted_basis_pursuit(inst, w, None, CFG), inst, w)
+        assert_lp_optimal(weighted_basis_pursuit(inst, w), inst, w)
 
     @pytest.mark.parametrize(
         "phi, b, w",
@@ -764,7 +793,7 @@ class TestEveryInputOnThePath:
         # opposite
         inst = ProblemInstance(phi=np.array(phi, dtype=float), b=np.array(b))
         w = np.array(w)
-        rep = weighted_basis_pursuit(inst, w, None, CFG)
+        rep = weighted_basis_pursuit(inst, w)
         assert_lp_optimal(rep, inst, w)
         assert np.count_nonzero(rep.x[[1, 3]]) == 1
 
@@ -773,13 +802,13 @@ class TestEveryInputOnThePath:
         # a coordinate of -1.5e-8 where the path's sign is +1: it crosses
         # zero on the way to the limit, and the other 9 coordinates certify.
         # Their span lies 3e-9 from b, so the answer meets phi x = b within
-        # inner_tol and its objective sits that far below the LP optimum
+        # _INNER_TOL and its objective sits that far below the LP optimum
         inst = gen_noiseless(EnsembleSpec(n=20, m=10, s=4, seed=209))
         w = np.ones(20)
-        rep = weighted_basis_pursuit(inst, w, None, CFG)
+        rep = weighted_basis_pursuit(inst, w)
         oracle = lp_basis_pursuit(inst.phi, inst.b, w)
-        assert rep.exit == "certified" and rep.primal_residual <= CFG.inner_tol
-        assert 0.0 < oracle - rep.objective <= CFG.inner_tol * (1.0 + oracle)
+        assert rep.exit == "certified" and rep.primal_residual <= solvers._INNER_TOL
+        assert 0.0 < oracle - rep.objective <= solvers._INNER_TOL * (1.0 + oracle)
         (_, (support, sigma, _, _)), = path_ends
         assert support.size == inst.m and np.count_nonzero(rep.x) == inst.m - 1
         crossed = support[np.sign(rep.x[support]) != sigma]
@@ -787,13 +816,13 @@ class TestEveryInputOnThePath:
         # every basis pursuit solve of the four noiseless algorithms answers
         for algo in ("l1", "rw-sub", "rw-cwb", "oracle"):
             x, _ = run_algorithm(algo, inst, SolverConfig(rw_iter=4))
-            assert recovered(x, inst.x_star, CFG.recovery_tol), algo
+            assert recovered(x, inst.x_star), algo
 
     def test_criterion_6_resolve_certifies_at_the_second_budget(self, path_ends):
         # the cold path to the first budget ends on a square support that is
         # not the basis pursuit support; the one to the second certifies
         (source, inst, w), = [rec for rec in recorded_resolves() if rec[0].startswith("rw-cwb")]
-        rep = weighted_basis_pursuit(inst, w, None, CFG)
+        rep = weighted_basis_pursuit(inst, w)
         assert_lp_optimal(rep, inst, w)
         etas = [eta / np.linalg.norm(inst.b) for eta, _ in path_ends]
         assert etas == pytest.approx(list(solvers._BP_ETAS), rel=1e-12)
@@ -801,17 +830,18 @@ class TestEveryInputOnThePath:
         assert first[0].size == inst.m
         assert rep.iterations == first[2] + second[2]
 
-    def test_max_iter_exit(self, path_ends):
+    def test_max_iter_exit(self, monkeypatch, path_ends):
         # a cold path that runs out of breakpoints ends the solve with the
         # minimizer at the weights it reached
         inst = gen_noiseless(EnsembleSpec(n=64, m=24, s=20, seed=1))
         w = np.ones(64)
-        rep = weighted_basis_pursuit(inst, w, None, SolverConfig(inner_max_iter=5))
+        monkeypatch.setattr(solvers, "_MAX_BREAKPOINTS", 5)
+        rep = weighted_basis_pursuit(inst, w)
         assert rep.exit == "max_iter" and rep.iterations == 5 and len(path_ends) == 1
         assert rep.x.tobytes() == path_ends[0][1][3].tobytes()
         assert rep.objective == w @ np.abs(rep.x) and rep.lasso_point is None
         resid = np.linalg.norm(inst.phi @ rep.x - inst.b) / (1.0 + np.linalg.norm(inst.b))
-        assert rep.primal_residual == pytest.approx(resid, rel=1e-15) and resid > CFG.inner_tol
+        assert rep.primal_residual == pytest.approx(resid, rel=1e-15) and resid > solvers._INNER_TOL
 
 
 class TestWeightedLassoFista:
@@ -819,30 +849,30 @@ class TestWeightedLassoFista:
         return ProblemInstance(phi=np.array([[1.0]]), b=np.array([3.0]))
 
     def test_scalar_prox(self):
-        rep = weighted_lasso_fista(self._scalar(), np.array([1.0]), 1.0, None, CFG)
+        rep = weighted_lasso_fista(self._scalar(), np.array([1.0]), 1.0)
         assert rep.x[0] == pytest.approx(2.0, abs=1e-8)
 
     def test_threshold_exceeds_observation(self):
-        rep = weighted_lasso_fista(self._scalar(), np.array([4.0]), 1.0, None, CFG)
+        rep = weighted_lasso_fista(self._scalar(), np.array([4.0]), 1.0)
         assert rep.x[0] == 0.0
 
     def test_large_multiplier(self):
-        rep = weighted_lasso_fista(self._scalar(), np.array([1.0]), 100.0, None, CFG)
+        rep = weighted_lasso_fista(self._scalar(), np.array([1.0]), 100.0)
         assert rep.x[0] == pytest.approx(2.99, abs=1e-8)
         assert rep.multiplier == 100.0
 
     def test_lam_zero_returns_zero(self):
-        rep = weighted_lasso_fista(self._scalar(), np.array([1.0]), 0.0, None, CFG)
+        rep = weighted_lasso_fista(self._scalar(), np.array([1.0]), 0.0)
         assert np.all(rep.x == 0.0) and rep.converged and not rep.degenerate
         assert rep.multiplier == 0.0
 
     def test_lam_zero_with_zero_weight_flagged(self):
-        rep = weighted_lasso_fista(self._scalar(), np.array([0.0]), 0.0, None, CFG)
+        rep = weighted_lasso_fista(self._scalar(), np.array([0.0]), 0.0)
         assert rep.degenerate
 
     def test_negative_lam_rejected(self):
         with pytest.raises(ValueError):
-            weighted_lasso_fista(self._scalar(), np.array([1.0]), -1.0, None, CFG)
+            weighted_lasso_fista(self._scalar(), np.array([1.0]), -1.0)
 
     @pytest.mark.parametrize("seed", [0, 5, 9])
     def test_optimality_conditions(self, seed):
@@ -853,10 +883,10 @@ class TestWeightedLassoFista:
         w = rng.uniform(0.05, 1.5, size=n)
         lam = float(rng.uniform(1.0, 30.0))
         inst = ProblemInstance(phi=phi, b=b)
-        rep = weighted_lasso_fista(inst, w, lam, None, CFG)
+        rep = weighted_lasso_fista(inst, w, lam)
         assert rep.converged
         grad = lam * (phi.T @ (phi @ rep.x - b))
-        tol = CFG.inner_tol
+        tol = solvers._INNER_TOL
         for i in range(n):
             if rep.x[i] != 0.0:
                 assert abs(grad[i] + w[i] * np.sign(rep.x[i])) <= tol * (1 + w[i])
@@ -864,11 +894,12 @@ class TestWeightedLassoFista:
                 assert abs(grad[i]) <= w[i] + tol
 
     @pytest.mark.parametrize("max_iter", [7, 25, 5000])
-    def test_reported_violation_matches_a_fresh_gradient(self, max_iter):
+    def test_reported_violation_matches_a_fresh_gradient(self, monkeypatch, max_iter):
         inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
         w = np.random.default_rng(4).uniform(0.5, 2.0, 64)
         lam = 40.0
-        rep = weighted_lasso_fista(inst, w, lam, None, SolverConfig(inner_max_iter=max_iter))
+        monkeypatch.setattr(solvers, "_MAX_BREAKPOINTS", max_iter)
+        rep = weighted_lasso_fista(inst, w, lam)
         grad = lam * (inst.phi.T @ (inst.phi @ rep.x - inst.b))
         on = rep.x != 0.0
         fresh = max(
@@ -884,28 +915,28 @@ class TestWeightedLassoFista:
         w = np.random.default_rng(4).uniform(0.5, 2.0, 64)
         corr = np.abs(inst.phi.T @ inst.b)
         lam_zero = float(np.min(w / corr))  # x = 0 is optimal up to here
-        below = weighted_lasso_fista(inst, w, lam_zero * (1.0 - 1e-9), np.ones(64), CFG)
+        below = weighted_lasso_fista(inst, w, lam_zero * (1.0 - 1e-9), np.ones(64))
         assert np.all(below.x == 0.0) and below.iterations == 0
         assert below.exit == "certified" and not below.degenerate
         assert below.objective == pytest.approx(0.5 * lam_zero * (1.0 - 1e-9) * inst.b @ inst.b)
-        above = weighted_lasso_fista(inst, w, lam_zero * 1.01, None, CFG)
+        above = weighted_lasso_fista(inst, w, lam_zero * 1.01)
         assert above.iterations > 0 and np.count_nonzero(above.x) > 0
         # a zero weight where phi^T b vanishes: x = 0 is the unique minimizer
         inst = ProblemInstance(phi=np.eye(2), b=np.array([1.0, 0.0]))
-        rep = weighted_lasso_fista(inst, np.array([2.0, 0.0]), 1.0, None, CFG)
+        rep = weighted_lasso_fista(inst, np.array([2.0, 0.0]), 1.0)
         assert np.all(rep.x == 0.0) and rep.iterations == 0 and not rep.degenerate
 
     @pytest.mark.parametrize("warm", [np.ones(1), np.full(64, np.inf), np.ones((64, 1)), np.ones(65)])
     def test_malformed_warm_start_is_rejected(self, warm):
         inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=0))
         with pytest.raises(ConfigurationError, match="warm start"):
-            weighted_lasso_fista(inst, np.ones(64), 10.0, warm, CFG)
+            weighted_lasso_fista(inst, np.ones(64), 10.0, warm)
 
     def test_warm_start_converges_fast(self):
         inst = gen_noiseless(EnsembleSpec(n=40, m=20, s=5, seed=2))
         w = np.ones(40)
-        first = weighted_lasso_fista(inst, w, 20.0, None, CFG)
-        again = weighted_lasso_fista(inst, w, 20.0, first.x, CFG)
+        first = weighted_lasso_fista(inst, w, 20.0)
+        again = weighted_lasso_fista(inst, w, 20.0, first.x)
         assert again.iterations <= first.iterations
         assert again.objective == pytest.approx(first.objective, rel=1e-9)
 
@@ -926,9 +957,9 @@ def assert_constrained_minimizer(inst, w, eta, rep):
 @pytest.mark.parametrize(
     "solve, name",
     [
-        (lambda inst: weighted_lasso_fista(inst, np.ones(2), np.nan, None, CFG), "lam"),
-        (lambda inst: weighted_lasso_fista(inst, np.ones(2), np.inf, None, CFG), "lam"),
-        (lambda inst: constrained_weighted_l1(inst, np.ones(2), np.nan, CFG), "eta"),
+        (lambda inst: weighted_lasso_fista(inst, np.ones(2), np.nan), "lam"),
+        (lambda inst: weighted_lasso_fista(inst, np.ones(2), np.inf), "lam"),
+        (lambda inst: constrained_weighted_l1(inst, np.ones(2), np.nan), "eta"),
     ],
     ids=["lam-nan", "lam-inf", "eta-nan"],
 )
@@ -947,9 +978,9 @@ def test_a_uniform_weight_scale_keeps_every_answer(scale):
     inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
     w = np.ones(64)
     for solve in (
-        lambda w, lam: weighted_basis_pursuit(inst, w, None, CFG),
-        lambda w, lam: weighted_lasso_fista(inst, w, lam, None, CFG),
-        lambda w, lam: constrained_weighted_l1(inst, w, inst.eta, CFG),
+        lambda w, lam: weighted_basis_pursuit(inst, w),
+        lambda w, lam: weighted_lasso_fista(inst, w, lam),
+        lambda w, lam: constrained_weighted_l1(inst, w, inst.eta),
     ):
         unit, scaled = solve(w, 10.0), solve(scale * w, 10.0 * scale)
         assert unit.exit == scaled.exit == "certified"
@@ -964,16 +995,16 @@ def test_the_lasso_certificate_reads_the_same_at_every_weight_scale(scale):
     # there, against the tolerance 1e-9)
     inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
     w = np.ones(64)
-    x = weighted_lasso_fista(inst, w, 10.0, None, CFG).x
+    x = weighted_lasso_fista(inst, w, 10.0).x
 
     def violation(x):
         return solvers._lasso_certificate(inst, scale * w, 10.0 * scale, x)[1]
 
-    assert violation(x) <= CFG.inner_tol
+    assert violation(x) <= solvers._INNER_TOL
     assert violation(np.zeros(64)) > 1.0
     assert violation(x / 2) > 1.0
-    rep = weighted_lasso_fista(inst, scale * w, 10.0 * scale, None, CFG)
-    assert rep.exit == "certified" and rep.primal_residual <= CFG.inner_tol
+    rep = weighted_lasso_fista(inst, scale * w, 10.0 * scale)
+    assert rep.exit == "certified" and rep.primal_residual <= solvers._INNER_TOL
 
 
 @pytest.mark.parametrize("lam", [1e-12, 1.0, 1e6, 1e12])
@@ -988,9 +1019,9 @@ def test_the_lasso_certificate_at_zero_weights_reads_the_gradient_scale(lam):
     inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
     zeros = np.zeros(64)
     assert solvers._lasso_certificate(inst, zeros, lam, zeros)[1] == 1.0
-    rep = weighted_lasso_fista(inst, zeros, lam, None, CFG)
+    rep = weighted_lasso_fista(inst, zeros, lam)
     assert rep.exit == "certified" and rep.degenerate and np.any(rep.x)
-    assert rep.primal_residual <= CFG.inner_tol
+    assert rep.primal_residual <= solvers._INNER_TOL
     moved = rep.x.copy()
     moved[np.flatnonzero(moved)[0]] += 1e-3
     assert solvers._lasso_certificate(inst, zeros, lam, moved)[1] > 1e-6
@@ -1042,21 +1073,21 @@ def test_the_lasso_certificate_keeps_the_bits_of_the_where_form(monkeypatch):
 class TestConstrainedWeightedL1:
     def test_large_budget_returns_zero(self):
         inst = ProblemInstance(phi=np.array([[1.0, 2.0]]), b=np.array([1.0]))
-        rep = constrained_weighted_l1(inst, np.array([1.0, 1.0]), 2.0, CFG)
+        rep = constrained_weighted_l1(inst, np.array([1.0, 1.0]), 2.0)
         assert np.all(rep.x == 0.0) and rep.converged
         assert rep.multiplier == 0.0  # the budget is inactive
 
     def test_zero_budget_delegates_to_equality(self):
         inst = ProblemInstance(phi=np.array([[1.0, 1.0]]), b=np.array([1.0]))
         w = np.array([1.0, 2.0])
-        rep = constrained_weighted_l1(inst, w, 0.0, CFG)
-        eq = weighted_basis_pursuit(inst, w, None, CFG)
+        rep = constrained_weighted_l1(inst, w, 0.0)
+        eq = weighted_basis_pursuit(inst, w)
         assert np.allclose(rep.x, eq.x, atol=1e-8)
 
     def test_scalar_analytic(self):
         # min |x| s.t. |x - 3| <= 1 has solution x = 2
         inst = ProblemInstance(phi=np.array([[1.0]]), b=np.array([3.0]))
-        rep = constrained_weighted_l1(inst, np.array([1.0]), 1.0, CFG)
+        rep = constrained_weighted_l1(inst, np.array([1.0]), 1.0)
         assert rep.x[0] == pytest.approx(2.0, abs=1e-12)
         assert rep.converged
 
@@ -1068,18 +1099,18 @@ class TestConstrainedWeightedL1:
         b = rng.standard_normal(2)
         eta = float(0.4 * np.linalg.norm(b))
         inst = ProblemInstance(phi=phi, b=b)
-        rep = constrained_weighted_l1(inst, np.ones(n), eta, CFG)
+        rep = constrained_weighted_l1(inst, np.ones(n), eta)
         assert_constrained_minimizer(inst, np.ones(n), eta, rep)
 
     def test_negative_budget_rejected(self):
         inst = ProblemInstance(phi=np.array([[1.0, 1.0]]), b=np.array([1.0]))
         with pytest.raises(ValueError):
-            constrained_weighted_l1(inst, np.ones(2), -0.5, CFG)
+            constrained_weighted_l1(inst, np.ones(2), -0.5)
 
     def test_residual_lands_in_band(self):
         inst = gen_noiseless(EnsembleSpec(n=32, m=16, s=4, seed=8))
         eta = 0.3 * np.linalg.norm(inst.b)
-        rep = constrained_weighted_l1(inst, np.ones(32), float(eta), CFG)
+        rep = constrained_weighted_l1(inst, np.ones(32), float(eta))
         res = np.linalg.norm(inst.phi @ rep.x - inst.b)
         assert abs(res - eta) <= 1e-12 * eta
 
@@ -1088,7 +1119,7 @@ class TestConstrainedWeightedL1:
         # budget is met with equality (complementary slackness, lam > 0)
         inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
         w = np.random.default_rng(3).uniform(0.5, 2.0, 64)
-        rep = constrained_weighted_l1(inst, w, inst.eta, CFG)
+        rep = constrained_weighted_l1(inst, w, inst.eta)
         assert rep.exit == "certified"
         lam = rep.multiplier
         assert 0.0 < lam < np.inf
@@ -1096,8 +1127,8 @@ class TestConstrainedWeightedL1:
         assert abs(np.linalg.norm(resid) - inst.eta) <= 1e-12 * inst.eta
         grad = lam * (inst.phi.T @ resid)
         on = rep.x != 0.0
-        assert np.all(np.abs(grad[on] + w[on] * np.sign(rep.x[on])) <= CFG.inner_tol * (1 + w[on]))
-        assert np.all(np.abs(grad[~on]) <= w[~on] + CFG.inner_tol)
+        assert np.all(np.abs(grad[on] + w[on] * np.sign(rep.x[on])) <= solvers._INNER_TOL * (1 + w[on]))
+        assert np.all(np.abs(grad[~on]) <= w[~on] + solvers._INNER_TOL)
 
 
 def criterion_9_problems():
@@ -1117,21 +1148,22 @@ def criterion_9_problems():
 class TestLassoPath:
     """The weighted-LASSO homotopy behind both noisy solvers."""
 
-    def test_exit_and_breakpoints(self):
+    def test_exit_and_breakpoints(self, monkeypatch):
         # one breakpoint for a scalar, a certified support solve, and a cap
         # below the breakpoint count: the minimizer at the weights the path
         # reached, not converged
         scalar = ProblemInstance(phi=np.array([[1.0]]), b=np.array([3.0]))
-        rep = weighted_lasso_fista(scalar, np.array([1.0]), 1.0, None, CFG)
+        rep = weighted_lasso_fista(scalar, np.array([1.0]), 1.0)
         assert rep.exit == "certified" and rep.iterations == 1 and rep.x[0] == 2.0
         rng = np.random.default_rng(0)
         phi = rng.standard_normal((12, 30)) / np.sqrt(12)
         inst = ProblemInstance(phi=phi, b=rng.standard_normal(12))
-        rep = weighted_lasso_fista(inst, np.ones(30), 10.0, None, CFG)
+        rep = weighted_lasso_fista(inst, np.ones(30), 10.0)
         assert rep.exit == "certified" and rep.iterations > 3
-        capped = weighted_lasso_fista(inst, np.ones(30), 10.0, None, SolverConfig(inner_max_iter=3))
+        monkeypatch.setattr(solvers, "_MAX_BREAKPOINTS", 3)
+        capped = weighted_lasso_fista(inst, np.ones(30), 10.0)
         assert capped.exit == "max_iter" and not capped.converged
-        assert capped.iterations == 3 and capped.primal_residual > CFG.inner_tol
+        assert capped.iterations == 3 and capped.primal_residual > solvers._INNER_TOL
         # three breakpoints enter three coordinates; on them x solves the
         # LASSO at the weights reached, which are uniform
         support = np.flatnonzero(capped.x)
@@ -1140,13 +1172,14 @@ class TestLassoPath:
         assert np.allclose(np.abs(corr[support]), np.abs(corr[support[0]]), rtol=1e-12)
         assert np.all(np.sign(corr[support]) == np.sign(capped.x[support]))
 
-    def test_constrained_exit_and_breakpoints(self):
+    def test_constrained_exit_and_breakpoints(self, monkeypatch):
         # a cap below the breakpoint count ends the constrained path before
         # the budget: the LASSO minimizer there, its residual above eta
         inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
-        rep = constrained_weighted_l1(inst, np.ones(64), inst.eta, CFG)
+        rep = constrained_weighted_l1(inst, np.ones(64), inst.eta)
         assert rep.exit == "certified" and rep.iterations > 3
-        capped = constrained_weighted_l1(inst, np.ones(64), inst.eta, SolverConfig(inner_max_iter=3))
+        monkeypatch.setattr(solvers, "_MAX_BREAKPOINTS", 3)
+        capped = constrained_weighted_l1(inst, np.ones(64), inst.eta)
         assert capped.exit == "max_iter" and not capped.converged
         assert capped.iterations == 3 and np.isnan(capped.multiplier)
         res = np.linalg.norm(inst.phi @ capped.x - inst.b)
@@ -1162,7 +1195,7 @@ class TestLassoPath:
         corr = inst.phi.T @ inst.b
         first = int(np.argmin(w / np.abs(corr)))
         lam_zero = float(w[first] / abs(corr[first]))
-        above = weighted_lasso_fista(inst, w, lam_zero * 1.01, None, CFG)
+        above = weighted_lasso_fista(inst, w, lam_zero * 1.01)
         assert above.exit == "certified" and above.iterations == 1
         assert np.flatnonzero(above.x).tolist() == [first]
         assert np.sign(above.x[first]) == np.sign(corr[first])
@@ -1176,10 +1209,10 @@ class TestLassoPath:
         phi, b = inst.phi, inst.b
         w = np.random.default_rng(seed).uniform(0.2, 2.0, 64)
         w[:3] = 0.0  # free coordinates, active from the start
-        lasso = weighted_lasso_fista(inst, w, 30.0, None, CFG)
+        lasso = weighted_lasso_fista(inst, w, 30.0)
         assert lasso.exit == "certified"
         assert lasso.objective == pytest.approx(fista_reference(phi, b, w, 30.0)[1], rel=1e-9)
-        constrained = constrained_weighted_l1(inst, w + 0.1, inst.eta, CFG)
+        constrained = constrained_weighted_l1(inst, w + 0.1, inst.eta)
         assert constrained.exit == "certified"
         x, _ = fista_reference(phi, b, w + 0.1, constrained.multiplier)
         assert abs(np.linalg.norm(phi @ x - b) - inst.eta) <= 1e-9 * inst.eta
@@ -1188,35 +1221,35 @@ class TestLassoPath:
     def test_warm_start_from_an_exact_point(self):
         inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
         w = np.random.default_rng(4).uniform(0.5, 2.0, 64)
-        cold = weighted_lasso_fista(inst, w, 40.0, None, CFG)
-        again = weighted_lasso_fista(inst, w, 40.0, cold.x, CFG)
+        cold = weighted_lasso_fista(inst, w, 40.0)
+        again = weighted_lasso_fista(inst, w, 40.0, cold.x)
         assert again.iterations == 0 and np.array_equal(again.x, cold.x)
         # at new weights and multiplier the warm path moves from the weights
         # cold.x solves, and ends where a cold path does
         w2, lam2 = w * np.random.default_rng(5).uniform(0.5, 1.0, 64), 60.0
-        resolve = weighted_lasso_fista(inst, w2, lam2, cold.x, CFG)
-        fresh = weighted_lasso_fista(inst, w2, lam2, None, CFG)
+        resolve = weighted_lasso_fista(inst, w2, lam2, cold.x)
+        fresh = weighted_lasso_fista(inst, w2, lam2)
         assert resolve.exit == "certified" and np.array_equal(resolve.x, fresh.x)
         assert resolve.iterations < fresh.iterations
 
     def test_warm_start_from_a_non_optimal_point_takes_the_cold_path(self):
         inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
         w = np.random.default_rng(4).uniform(0.5, 2.0, 64)
-        cold = weighted_lasso_fista(inst, w, 40.0, None, CFG)
+        cold = weighted_lasso_fista(inst, w, 40.0)
         flipped = cold.x.copy()
         i = np.flatnonzero(flipped)[0]
         flipped[i] = -flipped[i]  # no weights make this point optimal
         for warm in (flipped, np.ones(64)):  # |S| = 64 > m as well
-            rep = weighted_lasso_fista(inst, w, 40.0, warm, CFG)
+            rep = weighted_lasso_fista(inst, w, 40.0, warm)
             assert np.array_equal(rep.x, cold.x) and rep.iterations == cold.iterations
 
     def test_constrained_path_makes_no_lasso_solve(self, monkeypatch):
         # the path runs cold in 1/lam, at unit and at reweighted weights
         inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
         monkeypatch.setattr(solvers, "weighted_lasso_fista", None)
-        first = constrained_weighted_l1(inst, np.ones(64), inst.eta, CFG)
+        first = constrained_weighted_l1(inst, np.ones(64), inst.eta)
         w = 1.0 / (np.abs(first.x) + 0.1)
-        rep = constrained_weighted_l1(inst, w, inst.eta, CFG)
+        rep = constrained_weighted_l1(inst, w, inst.eta)
         assert first.exit == rep.exit == "certified" and rep.iterations > 0
 
     def test_constrained_path_meets_the_budget(self):
@@ -1224,7 +1257,7 @@ class TestLassoPath:
         # past a support breakpoint
         inst = gen_noisy(EnsembleSpec(n=256, m=128, s=38, sigma=0.05, seed=2))
         phi, b = inst.phi, inst.b
-        rep = constrained_weighted_l1(inst, np.ones(256), inst.eta, CFG)
+        rep = constrained_weighted_l1(inst, np.ones(256), inst.eta)
         assert rep.exit == "certified"
         res = np.linalg.norm(phi @ rep.x - b)
         assert abs(res - inst.eta) <= 1e-12 * inst.eta
@@ -1248,7 +1281,7 @@ class TestLassoPath:
                 run_algorithm(algo, inst, CFG)
         assert len(reports) >= 3 * (1 + 2 * CFG.rw_iter)
         for inst, w, lam in criterion_9_problems():
-            reports.append(weighted_lasso_fista(inst, w, lam, None, CFG))
+            reports.append(weighted_lasso_fista(inst, w, lam))
         assert {rep.exit for rep in reports} == {"certified"}
 
     def test_warm_path_from_uniform_weights_continues_the_cold_path(self):
@@ -1258,9 +1291,9 @@ class TestLassoPath:
         for seed in range(3):
             inst = gen_noisy(EnsembleSpec(n=256, m=128, s=38, sigma=0.05, seed=seed))
             for lam1, lam2 in ((5.0, 20.0), (20.0, 80.0)):
-                first = weighted_lasso_fista(inst, np.ones(256), lam1, None, CFG)
-                cold = weighted_lasso_fista(inst, np.ones(256), lam2, None, CFG)
-                warm = weighted_lasso_fista(inst, np.ones(256), lam2, first.x, CFG)
+                first = weighted_lasso_fista(inst, np.ones(256), lam1)
+                cold = weighted_lasso_fista(inst, np.ones(256), lam2)
+                warm = weighted_lasso_fista(inst, np.ones(256), lam2, first.x)
                 assert warm.exit == cold.exit == "certified"
                 assert np.array_equal(warm.x, cold.x)
                 assert warm.iterations == cold.iterations - first.iterations
@@ -1279,9 +1312,9 @@ class TestLassoPath:
             assert rows.setdefault(i, row) is row  # never computed again
             return row
 
-        def path_logged(instance, c, max_breakpoints, warm=None, eta=None):
+        def path_logged(instance, c, warm=None, eta=None):
             warm_calls.append(warm is not None)
-            return path(instance, c, max_breakpoints, warm, eta)
+            return path(instance, c, warm, eta)
 
         def border_logged(op, *args):
             if op.path_size is None:
@@ -1310,11 +1343,11 @@ class TestLassoPath:
         clear, warm_paths, starts, bordered, expected = False, [], [], [], []
         path, border = solvers._path, solvers._border
 
-        def path_logged(instance, c, max_breakpoints, warm=None, eta=None):
+        def path_logged(instance, c, warm=None, eta=None):
             if warm is not None and clear:
                 solvers._operator(instance).path_size = None
             starts.clear()
-            found = path(instance, c, max_breakpoints, warm, eta)
+            found = path(instance, c, warm, eta)
             if warm is not None:
                 warm_paths.append(found)
                 bordered.append(len(starts))
@@ -1361,16 +1394,16 @@ class TestLassoPath:
         path, border = solvers._path, solvers._border
         runs = []
 
-        def path_logged(instance, c, max_breakpoints, warm=None, eta=None):
+        def path_logged(instance, c, warm=None, eta=None):
             run = runs[-1]
             if warm is None or "found" in run:
-                return path(instance, c, max_breakpoints, warm, eta)
+                return path(instance, c, warm, eta)
             op = _operator(instance)
             run["workspace"] = set(op.path_buffers[0][: op.path_size].tolist())
             if run["clear"]:
                 op.path_size = None
             run["start"] = warm.nonzero()[0]
-            run["found"] = path(instance, c, max_breakpoints, warm, eta)
+            run["found"] = path(instance, c, warm, eta)
             return run["found"]
 
         def border_logged(op, k, i, pad):
@@ -1430,7 +1463,8 @@ class TestLassoPath:
             return delta
 
         monkeypatch.setattr(solvers, "_border", logged)
-        found = solvers._path(inst, w, 0)
+        monkeypatch.setattr(solvers, "_MAX_BREAKPOINTS", 0)
+        found = solvers._path(inst, w)
         assert found[:3] == (None, None, 0)
         held = [i for i, dependent in log if dependent]
         assert [i for i, _ in log] == [2, 3, 5, 7, 9, 11] and held == [5, 9]
@@ -1452,9 +1486,9 @@ class TestLassoPath:
         digest, excess = hashlib.sha256(), 0
         path = solvers._path
 
-        def checked(instance, c, max_breakpoints, warm=None, eta=None):
+        def checked(instance, c, warm=None, eta=None):
             nonlocal excess
-            found = path(instance, c, max_breakpoints, warm, eta)
+            found = path(instance, c, warm, eta)
             assert warm is None and eta is not None and found[3] is None
             op = _operator(instance)
             idx, ginv, _ = op.path_buffers
@@ -1502,7 +1536,7 @@ class TestLassoPath:
         for algo in ("l1", "rw-lasso", "cwb-noisy"):
             run_algorithm(algo, inst, SolverConfig())
 
-    def test_inverse_is_zero_outside_the_support_block(self):
+    def test_inverse_is_zero_outside_the_support_block(self, monkeypatch):
         # an entry borders the inverse Gram matrix with one rank-one update
         # onto the zeros of its row and column k, so ginv must be zero
         # outside ginv[:k, :k] after every path call: a fresh start clears
@@ -1517,20 +1551,22 @@ class TestLassoPath:
             assert not outside.any()
             return k
 
-        cold = weighted_lasso_fista(inst, w, 20.0, None, CFG)
+        cold = weighted_lasso_fista(inst, w, 20.0)
         assert cold.exit == "certified" and check() == np.count_nonzero(cold.x)
-        warm = weighted_lasso_fista(inst, w, 80.0, cold.x, CFG)
+        warm = weighted_lasso_fista(inst, w, 80.0, cold.x)
         assert warm.exit == "certified" and check() == np.count_nonzero(warm.x) > 20
-        capped = solvers._path(inst, w, 5, eta=inst.eta)
+        with monkeypatch.context() as patch:
+            patch.setattr(solvers, "_MAX_BREAKPOINTS", 5)
+            capped = solvers._path(inst, w, eta=inst.eta)
         assert capped[:3] == (None, None, 5) and check() == 5
         # weights at which x = 0 is optimal: from the warm answer, every
         # coordinate leaves
         lam = 0.5 / np.abs(op.corr_b).max()
-        support, _, breakpoints, x = solvers._path(inst, w / lam, CFG.inner_max_iter, warm=warm.x)
+        support, _, breakpoints, x = solvers._path(inst, w / lam, warm=warm.x)
         assert x is None and support.size == 0
         assert breakpoints >= np.count_nonzero(warm.x) and check() == 0
 
-    def test_per_call_buffers_are_reused_and_carry_nothing(self):
+    def test_per_call_buffers_are_reused_and_carry_nothing(self, monkeypatch):
         # every path call on an instance runs in the operator's one set of
         # per-call buffers. A call made after a warm path that gave up (from
         # a square LASSO point, at its first entry) or after one that ran out
@@ -1540,7 +1576,7 @@ class TestLassoPath:
             return gen_noiseless(EnsembleSpec(n=256, m=100, s=50, seed=0))
 
         inst = instance()
-        first = weighted_basis_pursuit(inst, np.ones(inst.n), None, CFG)
+        first = weighted_basis_pursuit(inst, np.ones(inst.n))
         x_l, t = first.lasso_point
         assert np.count_nonzero(x_l) == inst.m
         op = _operator(inst)
@@ -1548,13 +1584,14 @@ class TestLassoPath:
         ids = [id(buf) for buf in vectors + buffers]
         w = 1.0 / (np.abs(first.x) + 0.1)
         eta = 1e-6 * np.linalg.norm(inst.b)
-        calls = [((w, CFG.inner_max_iter), {"eta": eta}), ((w / 50.0, CFG.inner_max_iter), {})]
+        calls = [(solvers._MAX_BREAKPOINTS, w, eta), (solvers._MAX_BREAKPOINTS, w / 50.0, None)]
 
         def same_as_fresh(capped=None):
-            for args, kwargs in calls + ([] if capped is None else [capped]):
+            for budget, c, budget_eta in calls + ([] if capped is None else [capped]):
+                monkeypatch.setattr(solvers, "_MAX_BREAKPOINTS", budget)
                 fresh_inst = instance()
-                got = solvers._path(inst, *args, **kwargs)
-                ref = solvers._path(fresh_inst, *args, **kwargs)
+                got = solvers._path(inst, c, eta=budget_eta)
+                ref = solvers._path(fresh_inst, c, eta=budget_eta)
                 assert got[2] == ref[2]
                 for a, b in (got[0], ref[0]), (got[1], ref[1]), (got[3], ref[3]):
                     assert (a is None) == (b is None)
@@ -1565,10 +1602,11 @@ class TestLassoPath:
                 assert idx[:k].tobytes() == fresh.path_buffers[0][:k].tobytes()
                 assert ginv[:k, :k].tobytes() == fresh.path_buffers[1][:k, :k].tobytes()
 
-        assert solvers._path(inst, t * w, CFG.inner_max_iter, warm=x_l) is None
+        assert solvers._path(inst, t * w, warm=x_l) is None
         same_as_fresh()
-        capped = ((w, 5), {"eta": eta})
-        assert solvers._path(inst, *capped[0], **capped[1])[:3] == (None, None, 5)
+        capped = (5, w, eta)
+        monkeypatch.setattr(solvers, "_MAX_BREAKPOINTS", 5)
+        assert solvers._path(inst, w, eta=eta)[:3] == (None, None, 5)
         same_as_fresh(capped)
         assert op.path_vectors is vectors and op.path_buffers is buffers
         assert [id(buf) for buf in op.path_vectors + op.path_buffers] == ids
@@ -1579,7 +1617,7 @@ class TestLassoPath:
         # with sign -1 (flat index n + 0, row 1), as argmin over the steps
         # picks the first of equal ones
         inst = ProblemInstance(phi=np.array([[-1.0, 0.3, 0.0], [0.0, 0.0, 1.0]]), b=np.array([1.0, 1.0]))
-        support, sigma, breakpoints, x = solvers._path(inst, np.full(3, 0.5), 100)
+        support, sigma, breakpoints, x = solvers._path(inst, np.full(3, 0.5))
         assert x is None and breakpoints == 2
         assert support.tolist() == [0, 2] and sigma.tolist() == [-1.0, 1.0]
         op = _operator(inst)
@@ -1591,11 +1629,11 @@ class TestLassoPath:
         # keeps coordinate 1, whose gap is 0 and closing, from entering
         inst = ProblemInstance(phi=np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]]), b=np.array([2.0, 1.0]))
         c = np.array([0.25, 0.25, 0.0])
-        support, sigma, breakpoints, x = solvers._path(inst, c, 100, warm=np.array([1.5, 0.0, 0.0]))
+        support, sigma, breakpoints, x = solvers._path(inst, c, warm=np.array([1.5, 0.0, 0.0]))
         assert x is None and breakpoints == 1
         assert support.tolist() == [0, 1] and sigma.tolist() == [1.0, 1.0]
 
-    def test_a_coordinate_that_just_left_does_not_reenter_with_its_sign(self):
+    def test_a_coordinate_that_just_left_does_not_reenter_with_its_sign(self, monkeypatch):
         # on this path a coordinate leaves and, by rounding, its gap on the
         # side it left from closes again at once (speed 4.4e-16 over gap 0);
         # were it let back in with the same sign, the path would leave and
@@ -1610,10 +1648,11 @@ class TestLassoPath:
         )
         inst = ProblemInstance(phi=phi, b=np.array([-3.0, 1.0, 0.0, -1.0]))
         w = np.array([1.0, 1.0, 1.0, 1.5, 1.5, 0.5])
-        support, sigma, breakpoints, x = solvers._path(inst, w / 20.0, 200)
+        monkeypatch.setattr(solvers, "_MAX_BREAKPOINTS", 200)
+        support, sigma, breakpoints, x = solvers._path(inst, w / 20.0)
         assert x is None and breakpoints == 6
         assert support.tolist() == [0, 1, 3, 5] and sigma.tolist() == [1.0, 1.0, -1.0, -1.0]
-        rep = weighted_lasso_fista(inst, w, 20.0, None, CFG)
+        rep = weighted_lasso_fista(inst, w, 20.0)
         assert rep.exit == "certified" and rep.iterations == 6
 
     def test_basis_pursuit_on_the_path_builds_no_row_basis(self):
@@ -1630,7 +1669,7 @@ class TestLassoPath:
     def test_tie_ends_certified_or_in_the_fallback(self):
         # phi^T b ties all three coordinates, and two columns are equal
         inst = ProblemInstance(phi=np.array([[1.0, 1.0, 0.0], [0.0, 0.0, 1.0]]), b=np.array([1.0, 1.0]))
-        rep = weighted_lasso_fista(inst, np.ones(3), 5.0, None, CFG)
+        rep = weighted_lasso_fista(inst, np.ones(3), 5.0)
         assert rep.exit == "certified"
         # every minimizer has x_0 + x_1 = x_2 = 0.8
         assert rep.objective == pytest.approx(1.8, rel=1e-12)
@@ -1654,8 +1693,8 @@ class TestLassoPath:
         inst = ProblemInstance(phi=phi, b=rng.standard_normal(8))
         w = np.ones(16)
         w[zero_weights] = 0.0
-        lasso = weighted_lasso_fista(inst, w, 20.0, None, CFG)
-        constrained = constrained_weighted_l1(inst, w, 0.3, CFG)
+        lasso = weighted_lasso_fista(inst, w, 20.0)
+        constrained = constrained_weighted_l1(inst, w, 0.3)
         assert lasso.exit == constrained.exit == "certified"
         assert lasso.degenerate == constrained.degenerate == bool(zero_weights)
         assert lasso.objective == pytest.approx(
@@ -1673,8 +1712,8 @@ class TestLassoPath:
         b = phi[:, [0, 3, 9]] @ np.array([1.0, 2.0, -1.5]) + 0.1 * rng.standard_normal(8)
         inst = ProblemInstance(phi=phi, b=b)
         w = np.ones(16)
-        lasso = weighted_lasso_fista(inst, w, 20.0, None, CFG)
-        constrained = constrained_weighted_l1(inst, w, 0.3, CFG)
+        lasso = weighted_lasso_fista(inst, w, 20.0)
+        constrained = constrained_weighted_l1(inst, w, 0.3)
         assert lasso.exit == constrained.exit == "certified"
         assert lasso.objective == pytest.approx(fista_reference(phi, b, w, 20.0)[1], rel=1e-9)
         assert_constrained_minimizer(inst, w, 0.3, constrained)
@@ -1698,23 +1737,23 @@ class TestLassoPath:
         inst = ProblemInstance(phi=rng.standard_normal((6, 12)), b=rng.standard_normal(6))
         w = np.ones(12)
         w[:6] = 0.0  # m free coordinates solve phi x = b at zero cost
-        rep = weighted_lasso_fista(inst, w, 3.0, None, CFG)
+        rep = weighted_lasso_fista(inst, w, 3.0)
         assert rep.exit == "certified" and rep.iterations == 0
         assert np.linalg.norm(inst.phi @ rep.x - inst.b) < 1e-12
         # the budget is met at zero cost: the least-squares point is the
         # answer, at multiplier 0
-        rep = constrained_weighted_l1(inst, w, 0.5, CFG)
+        rep = constrained_weighted_l1(inst, w, 0.5)
         assert rep.exit == "certified" and not rep.degenerate
         assert np.linalg.norm(inst.phi @ rep.x - inst.b) <= 0.5
         assert rep.objective == 0.0 and rep.multiplier == 0.0
         w[6] = 0.0  # more than m, more than the path holds: the
         # least-squares point on their columns, one of an unbounded set
-        rep = weighted_lasso_fista(inst, w, 3.0, None, CFG)
+        rep = weighted_lasso_fista(inst, w, 3.0)
         assert rep.exit == "certified" and rep.degenerate and rep.iterations == 0
         assert rep.objective == pytest.approx(0.0, abs=1e-24)
-        assert rep.primal_residual <= CFG.inner_tol
+        assert rep.primal_residual <= solvers._INNER_TOL
         # the constrained answer is a least-squares point again
-        rep = constrained_weighted_l1(inst, w, 0.5, CFG)
+        rep = constrained_weighted_l1(inst, w, 0.5)
         assert rep.exit == "certified" and rep.degenerate
         assert np.linalg.norm(inst.phi @ rep.x - inst.b) <= 0.5
         assert rep.objective == 0.0 and rep.multiplier == 0.0
@@ -1728,9 +1767,9 @@ class TestLassoPath:
         monkeypatch.setattr(solvers, broken, lambda *args, **kwargs: None)
         cause = "cannot be followed" if broken == "_path" else "does not certify"
         with pytest.raises(NoConvergenceError, match=cause):
-            weighted_lasso_fista(inst, np.ones(64), 10.0, None, CFG)
+            weighted_lasso_fista(inst, np.ones(64), 10.0)
         with pytest.raises(NoConvergenceError, match=cause):
-            constrained_weighted_l1(inst, np.ones(64), inst.eta, CFG)
+            constrained_weighted_l1(inst, np.ones(64), inst.eta)
 
     def test_noisy_answers_are_the_closed_form_on_their_support(self, monkeypatch):
         # every certified LASSO and constrained answer of noisy runs is the
@@ -1774,6 +1813,6 @@ class TestLassoPath:
             solvers, "_signed", lambda n, w, support, sigma, x_s: signed(n, w, support, -sigma, x_s)
         )
         with pytest.raises(NoConvergenceError, match="does not certify"):
-            weighted_lasso_fista(inst, np.ones(64), 10.0, None, CFG)
+            weighted_lasso_fista(inst, np.ones(64), 10.0)
         with pytest.raises(NoConvergenceError, match="does not certify"):
-            constrained_weighted_l1(inst, np.ones(64), inst.eta, CFG)
+            constrained_weighted_l1(inst, np.ones(64), inst.eta)
