@@ -11,7 +11,6 @@ subgradients, stepsizes), :mod:`~rwsparse.reweight` (outer algorithms),
 from .model import (
     ConfigurationError,
     DegenerateBaselineError,
-    DualState,
     OracleRequiredError,
     ProblemInstance,
     SolverConfig,
@@ -37,7 +36,6 @@ __all__ = [
     "ALGORITHMS",
     "ConfigurationError",
     "DegenerateBaselineError",
-    "DualState",
     "OracleRequiredError",
     "ProblemInstance",
     "SolverConfig",

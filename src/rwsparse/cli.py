@@ -122,7 +122,7 @@ def _cmd_solve(args) -> int:
             x, trace = run_algorithm(args.algo, instance, cfg)
     except ConfigurationError:
         raise
-    except Exception as exc:
+    except (RuntimeError, ValueError) as exc:
         print(f"solver failure: {exc!r}", file=sys.stderr)
         return 2
     if args.trace:

@@ -9,13 +9,13 @@ from __future__ import annotations
 import hashlib
 import json
 from dataclasses import dataclass
-from typing import Callable, Optional
+from numbers import Integral, Real
+from typing import Optional
 
 import numpy as np
 
 __all__ = [
     "ProblemInstance",
-    "DualState",
     "SolverConfig",
     "SweepResult",
     "ConfigurationError",
@@ -174,59 +174,32 @@ def as_weight_array(w, n: Optional[int] = None) -> np.ndarray:
     return arr
 
 
-@dataclass(frozen=True, eq=False)
-class DualState:
-    """Snapshot of a subgradient ascent run: weights (the multipliers of
-    the relaxed magnitude constraints, validated by ``as_weight_array``),
-    the quadratic-penalty multiplier (noisy runs only), iteration counter,
-    latest primal minimizer and the last stepsize applied."""
-
-    w: np.ndarray
-    lam: Optional[float]
-    k: int
-    x_k: np.ndarray
-    alpha_k: float
-
-    def __post_init__(self):
-        object.__setattr__(self, "w", as_weight_array(self.w))
-        if self.k < 0:
-            raise ValueError("iteration counter must be >= 0")
-        if self.lam is not None and not self.lam >= 0:
-            raise ValueError("lam must be nonnegative")
-        object.__setattr__(self, "x_k", _as_vector(self.x_k, "x_k"))
-
-
 @dataclass(frozen=True)
 class SolverConfig:
     """The outer loop's two settings: ``rw_iter``, the number of weight
-    updates (and re-solves) after the unit-weight solve, and ``eps_k``, the
-    constraint-amplification schedule. ``None`` selects each algorithm's
-    default (1.0 for the subgradient update, 0.1 for the inverse-magnitude
-    update). A float gives a constant schedule; a callable maps the
-    iteration index to a value.
+    updates (and re-solves) after the unit-weight solve, an integer >= 0,
+    and ``eps_k``, the constraint amplification every update uses, a number
+    > 0. ``None`` selects each algorithm's default (1.0 for the subgradient
+    update, 0.1 for the inverse-magnitude update).
 
     The inner solves have no settings: each is an exact support solve,
     certified at a fixed slack (:mod:`rwsparse.solvers`).
     """
 
     rw_iter: int = 4
-    eps_k: float | Callable[[int], float] | None = None
+    eps_k: float | None = None
 
     def __post_init__(self):
-        if self.rw_iter < 0:
-            raise ValueError("rw_iter must be >= 0")
-        if isinstance(self.eps_k, (int, float)) and not self.eps_k > 0:
-            raise ValueError("eps_k must be > 0")
+        if not (isinstance(self.rw_iter, Integral) and self.rw_iter >= 0):
+            raise ValueError(f"rw_iter must be an integer >= 0, got {self.rw_iter!r}")
+        if self.eps_k is not None and not (isinstance(self.eps_k, Real) and self.eps_k > 0):
+            raise ValueError(f"eps_k must be a number > 0 or None, got {self.eps_k!r}")
 
-    def eps_at(self, k: int, default: float) -> float:
-        if self.eps_k is None:
-            eps = default
-        elif callable(self.eps_k):
-            eps = float(self.eps_k(k))
-        else:
-            eps = float(self.eps_k)
+    def eps_at(self, default: float) -> float:
+        """``eps_k``, or ``default`` when it is ``None``."""
+        eps = default if self.eps_k is None else float(self.eps_k)
         if not eps > 0:
-            raise ValueError(f"eps_k must be > 0, got {eps} at k={k}")
+            raise ValueError(f"eps_k must be > 0, got {eps}")
         return eps
 
 

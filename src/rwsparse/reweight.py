@@ -43,7 +43,6 @@ from .duality import (
 from .model import (
     _L0_REPORTING_REL,
     ConfigurationError,
-    DualState,
     OracleRequiredError,
     ProblemInstance,
     SolverConfig,
@@ -81,9 +80,6 @@ SUBGRADIENT_DEFAULT_EPS = 1.0
 @dataclass(frozen=True, eq=False)
 class RwTraceRow:
     k: int
-    w_min: float
-    w_max: float
-    w_mean: float
     alpha: float
     objective: float
     l0: int
@@ -94,27 +90,29 @@ class RwTraceRow:
 
 @dataclass(frozen=True, eq=False)
 class RwTrace:
-    """Per-iteration history of one outer run (at most rw_iter + 1 rows)."""
+    """Per-iteration history of one outer run (at most rw_iter + 1 rows) and
+    its final multipliers: ``w``, the weights of the last solve, and ``lam``,
+    its data-fit multiplier (``None`` for every algorithm but rw-lasso). The
+    last row holds the last solve's k, stepsize and objective; the run
+    returns its iterate."""
 
     algo: str
     seed: int
     rows: list
     exit_reason: str
-    final_state: DualState
+    w: np.ndarray
+    lam: float | None
 
 
-def _row(k, w, alpha, report: InnerSolveReport, x_star) -> RwTraceRow:
-    # the reductions of ndarray.min, .max and np.mean, called as ufunc
-    # reductions without their Python wrappers: the same bits
-    low, high = np.minimum.reduce, np.maximum.reduce
+def _row(k, alpha, report: InnerSolveReport, x_star) -> RwTraceRow:
+    # ndarray.max's reduction, called as a ufunc reduction without its
+    # Python wrapper: the same bits
+    high = np.maximum.reduce
     x = report.x
     linf = float(high(np.abs(x - x_star))) if x_star is not None else float("nan")
     mags = np.abs(x)  # l0 at ``l0_reporting_tol(x)``, from one |x|
     return RwTraceRow(
         k=k,
-        w_min=float(low(w)),
-        w_max=float(high(w)),
-        w_mean=float(np.add.reduce(w)) / w.size,  # np.mean's sum and division
         alpha=float(alpha),
         objective=report.objective,
         l0=int(np.count_nonzero(mags > _L0_REPORTING_REL * float(high(mags, initial=0.0)))),
@@ -148,10 +146,11 @@ class _ZeroStepError(ArithmeticError):
     would repeat the last one."""
 
 
-# Update rules (k, w, lam, x, instance, cfg) -> (alpha, w, lam), x solved at (w, lam).
+# Update rules (w, lam, x, instance, cfg) -> (alpha, w, lam), x solved at (w, lam);
+# every update uses the same eps, ``cfg.eps_at`` of the rule's default.
 
 
-def _oracle_ascent(k, w, lam, x, instance, cfg):
+def _oracle_ascent(w, lam, x, instance, cfg):
     alpha = polyak_step_oracle(w, x, instance.x_star)
     if alpha == 0.0:
         raise _ZeroStepError("zero-target stepsize is zero")
@@ -159,23 +158,23 @@ def _oracle_ascent(k, w, lam, x, instance, cfg):
     return alpha, project_nonneg(w + alpha * g), lam
 
 
-def _nonoracle_ascent(k, w, lam, x, instance, cfg):
-    eps = cfg.eps_at(k - 1, SUBGRADIENT_DEFAULT_EPS)
+def _nonoracle_ascent(w, lam, x, instance, cfg):
+    eps = cfg.eps_at(SUBGRADIENT_DEFAULT_EPS)
     alpha = polyak_step_nonoracle(w, x, eps)
     g = subgradient_nonoracle(x, eps)
     return alpha, project_nonneg(w + alpha * g), lam
 
 
-def _joint_ascent(k, w, lam, x, instance, cfg):
-    eps = cfg.eps_at(k - 1, SUBGRADIENT_DEFAULT_EPS)
+def _joint_ascent(w, lam, x, instance, cfg):
+    eps = cfg.eps_at(SUBGRADIENT_DEFAULT_EPS)
     g_w = subgradient_nonoracle(x, eps)
     g_lam = lambda_subgradient(x, instance)
     alpha = polyak_step_lasso(w, lam, x, eps, instance, g_lam)
     return alpha, project_nonneg(w + alpha * g_w), max(0.0, lam + alpha * g_lam)
 
 
-def _inverse_magnitude(k, w, lam, x, instance, cfg):
-    eps = cfg.eps_at(k - 1, CWB_DEFAULT_EPS)
+def _inverse_magnitude(w, lam, x, instance, cfg):
+    eps = cfg.eps_at(CWB_DEFAULT_EPS)
     return float("nan"), 1.0 / (np.abs(x) + eps), lam
 
 
@@ -213,23 +212,20 @@ def _drive(algo, instance, cfg, solve, update, lam=None, alpha=0.0):
     w = np.ones(instance.n)
     start = report = _start(instance, solve, lam)
     x = report.x
-    rows = [_row(0, w, alpha, report, instance.x_star)]
+    rows = [_row(0, alpha, report, instance.x_star)]
     reason = "budget"
-    k = 0
     for k in range(1, cfg.rw_iter + 1):
         try:
-            alpha, w, lam = update(k, w, lam, x, instance, cfg)
+            alpha, w, lam = update(w, lam, x, instance, cfg)
         except tuple(_EARLY_EXITS) as stop:
-            k -= 1
             reason = _EARLY_EXITS[type(stop)]
             break
         report = solve(instance, w, lam, report)
         x = report.x
-        rows.append(_row(k, w, alpha, report, instance.x_star))
+        rows.append(_row(k, alpha, report, instance.x_star))
     if report is start:  # the shared start's iterate: the caller gets a copy
         x = x.copy()
-    state = DualState(w=w, lam=lam, k=k, x_k=x, alpha_k=alpha)
-    return x, RwTrace(algo, instance.seed, rows, reason, state)
+    return x, RwTrace(algo, instance.seed, rows, reason, w, lam)
 
 
 def rw_l1_oracle(instance: ProblemInstance, cfg: SolverConfig = _DEFAULT_CFG):
@@ -322,38 +318,31 @@ def run_algorithm(name: str, instance: ProblemInstance, cfg: SolverConfig = _DEF
     return fn(instance, cfg)
 
 
-def _write_rows(traces, path, header, cells) -> None:
-    if isinstance(traces, RwTrace):
-        traces = [traces]
+def _write_rows(path, header, rows) -> None:
     with open(path, "w", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        writer.writerows(cells(tr, row) for tr in traces for row in tr.rows)
+        writer.writerows(rows)
 
 
-def trace_to_csv(traces, path) -> None:
+def trace_to_csv(trace: RwTrace, path) -> None:
     """Write outer-iteration rows as ``algo,seed,k,alpha,obj,l0,linf_err``."""
     _write_rows(
-        traces,
         path,
         ["algo", "seed", "k", "alpha", "obj", "l0", "linf_err"],
-        lambda tr, row: [
-            tr.algo,
-            tr.seed,
-            row.k,
-            repr(row.alpha),
-            repr(row.objective),
-            row.l0,
-            repr(row.linf_err),
-        ],
+        (
+            [trace.algo, trace.seed, row.k, repr(row.alpha), repr(row.objective), row.l0,
+             repr(row.linf_err)]
+            for row in trace.rows
+        ),
     )
 
 
-def inner_trace_to_csv(traces, path) -> None:
+def inner_trace_to_csv(trace: RwTrace, path) -> None:
     """Write the inner-solve reports as ``k,inner_iters,objective,residual``."""
     _write_rows(
-        traces,
         path,
         ["k", "inner_iters", "objective", "residual"],
-        lambda tr, row: [row.k, row.inner_iterations, repr(row.objective), repr(row.residual)],
+        ([row.k, row.inner_iterations, repr(row.objective), repr(row.residual)]
+         for row in trace.rows),
     )

@@ -15,7 +15,7 @@ from scipy.linalg import block_diag
 from rwsparse import solvers
 from rwsparse.bench import SweepConfig, emit_csv, improvement_stats, run_noisy_improvement, run_recovery_sweep
 from rwsparse.duality import dual_function_oracle
-from rwsparse.model import ProblemInstance, SolverConfig, l0_norm, l0_reporting_tol, recovered
+from rwsparse.model import ProblemInstance, SolverConfig, l0_norm, l0_reporting_tol
 from rwsparse.probgen import EnsembleSpec, eta_from_sigma, gen_noiseless, standard_normal
 from rwsparse.reweight import rw_l1_oracle, rw_l1_subgradient
 from rwsparse.solvers import weighted_basis_pursuit, weighted_lasso_fista

@@ -7,7 +7,6 @@ import math
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
 
 import rwsparse.bench as bench

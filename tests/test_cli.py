@@ -115,6 +115,16 @@ class TestSolve:
         monkeypatch.setattr(cli, "run_algorithm", no_convergence)
         assert main(["solve", "--algo", "l1", "--instance", str(small_instance)]) == 2
 
+    def test_programming_error_is_not_a_solver_failure(self, small_instance, monkeypatch):
+        # only the solvers' failures (RuntimeError, ValueError) exit 2; a
+        # bug in the program keeps its traceback
+        def bug(*args, **kwargs):
+            raise TypeError("unsupported operand")
+
+        monkeypatch.setattr(cli, "run_algorithm", bug)
+        with pytest.raises(TypeError, match="unsupported operand"):
+            main(["solve", "--algo", "l1", "--instance", str(small_instance)])
+
 
 class TestSweep:
     def test_writes_csv_deterministically(self, tmp_path):

@@ -8,7 +8,6 @@ from hypothesis import strategies as st
 
 from rwsparse.model import (
     DegenerateBaselineError,
-    DualState,
     ProblemInstance,
     SolverConfig,
     SweepResult,
@@ -194,18 +193,6 @@ class TestWeightsAndState:
             as_weight_array(np.ones(4), 3)
         assert as_weight_array(np.ones(4), 4).shape == (4,)
 
-    def test_dual_state_validated(self):
-        w = np.ones(2)
-        for bad in (np.array([1.0, -0.1]), np.array([np.inf, 1.0])):
-            with pytest.raises(ValueError):
-                DualState(w=bad, lam=None, k=0, x_k=np.zeros(2), alpha_k=0.0)
-        DualState(w=w, lam=None, k=0, x_k=np.zeros(2), alpha_k=0.0)
-        DualState(w=w, lam=0.5, k=3, x_k=np.ones(2), alpha_k=1.0)
-        with pytest.raises(ValueError):
-            DualState(w=w, lam=-1.0, k=0, x_k=np.zeros(2), alpha_k=0.0)
-        with pytest.raises(ValueError):
-            DualState(w=w, lam=None, k=-1, x_k=np.zeros(2), alpha_k=0.0)
-
 
 class TestSolverConfig:
     def test_defaults_valid(self):
@@ -215,17 +202,26 @@ class TestSolverConfig:
         assert cfg.rw_iter == 4 and cfg.eps_k is None
 
     def test_eps_resolution(self):
-        assert SolverConfig().eps_at(0, 1.0) == 1.0
-        assert SolverConfig(eps_k=0.3).eps_at(5, 1.0) == 0.3
-        assert SolverConfig(eps_k=lambda k: 1.0 / (k + 1)).eps_at(1, 1.0) == 0.5
+        assert SolverConfig().eps_at(1.0) == 1.0
+        assert SolverConfig(eps_k=0.3).eps_at(1.0) == 0.3
 
     def test_invalid_rejected(self):
         with pytest.raises(ValueError):
             SolverConfig(rw_iter=-1)
         with pytest.raises(ValueError):
             SolverConfig(eps_k=-0.5)
-        with pytest.raises(ValueError):
-            SolverConfig(eps_k=lambda k: -1.0).eps_at(0, 1.0)
+
+    @pytest.mark.parametrize("rw_iter", [2.5, "2", None])
+    def test_rw_iter_must_be_an_integer(self, rw_iter):
+        # a float budget would reach range() mid-run as a raw TypeError
+        with pytest.raises(ValueError, match="rw_iter must be an integer"):
+            SolverConfig(rw_iter=rw_iter)
+
+    @pytest.mark.parametrize("eps_k", [lambda k: 0.5, "0.5"])
+    def test_eps_k_must_be_a_number(self, eps_k):
+        # one eps for every update: a schedule (a callable) is not one
+        with pytest.raises(ValueError, match="eps_k must be a number"):
+            SolverConfig(eps_k=eps_k)
 
 
 @pytest.mark.parametrize(
@@ -234,20 +230,16 @@ class TestSolverConfig:
         lambda: ProblemInstance(phi=np.ones((1, 2)), b=np.ones(1), sigma=np.nan),
         lambda: ProblemInstance(phi=np.ones((1, 2)), b=np.ones(1), eta=np.nan),
         lambda: SolverConfig(eps_k=np.nan),
-        lambda: SolverConfig(eps_k=lambda k: np.nan).eps_at(0, 1.0),
-        lambda: SolverConfig().eps_at(0, np.nan),
+        lambda: SolverConfig().eps_at(np.nan),
         lambda: l0_norm(np.array([1.0, 2.0]), np.nan),
-        lambda: DualState(w=np.ones(2), lam=np.nan, k=0, x_k=np.zeros(2), alpha_k=0.0),
         lambda: recovered(np.zeros(2), np.zeros(2), tol=np.nan),
     ],
     ids=[
         "sigma",
         "eta",
         "eps_k",
-        "eps_k-callable",
         "eps-default",
         "l0_norm-tol",
-        "DualState-lam",
         "recovered-tol",
     ],
 )

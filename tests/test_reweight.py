@@ -14,7 +14,6 @@ import rwsparse.solvers as solvers
 from rwsparse.duality import (
     polyak_step_nonoracle,
     polyak_step_oracle,
-    project_nonneg,
     subgradient_nonoracle,
 )
 from rwsparse.model import (
@@ -60,7 +59,7 @@ class TestOracleAlgorithm:
         plain = weighted_basis_pursuit(inst, np.ones(24))
         assert np.array_equal(x, plain.x)
         assert len(trace.rows) == 1
-        assert trace.final_state.k == 0
+        assert trace.rows[-1].k == 0
 
     def test_early_exit_on_zero_subgradient(self):
         x, trace = rw_l1_oracle(_exact_instance(), SolverConfig(rw_iter=5))
@@ -81,9 +80,8 @@ class TestOracleAlgorithm:
         assert trace.exit_reason == "zero_step"
         assert len(trace.rows) == len(inner_solves) == 3
         assert all(row.alpha > 0.0 for row in trace.rows[1:])
-        state = trace.final_state
-        assert state.k == 2 and np.array_equal(state.x_k, x)
-        assert polyak_step_oracle(state.w, x, inst.x_star) == 0.0
+        assert trace.rows[-1].k == 2 and np.array_equal(inner_solves[-1][2], x)
+        assert polyak_step_oracle(trace.w, x, inst.x_star) == 0.0
 
     def test_small_ensemble_recovery(self):
         # the zero-target step often lands exactly on the dual optimal set
@@ -146,11 +144,11 @@ class TestOracleAlgorithm:
             assert abs(a.pop("linf_err") - b.pop("linf_err")) <= ulp
             assert a == b
 
-    def test_weights_stay_nonnegative(self):
+    def test_weights_stay_nonnegative(self, inner_solves):
         inst = gen_noiseless(EnsembleSpec(n=24, m=12, s=4, seed=5))
         _, trace = rw_l1_oracle(inst, SolverConfig(rw_iter=3))
-        assert all(row.w_min >= 0.0 for row in trace.rows)
-        assert np.all(trace.final_state.w >= 0.0)
+        assert all(np.all(w >= 0.0) for w, _, _ in inner_solves)
+        assert np.all(trace.w >= 0.0)
 
 
 class TestSubgradientAlgorithm:
@@ -205,22 +203,22 @@ class TestCwbAlgorithm:
         phi = np.array([[1.0, 1.0, 0.0]])
         inst = ProblemInstance(phi=phi, b=np.array([0.0]))
         _, trace = cwb_rw_l1(inst, SolverConfig(rw_iter=1))
-        assert np.allclose(trace.final_state.w, 10.0 * np.ones(3))
+        assert np.allclose(trace.w, 10.0 * np.ones(3))
 
     def test_weight_formula_exact_magnitudes(self):
         _, trace = cwb_rw_l1(_exact_instance(), SolverConfig(rw_iter=1))
-        assert np.allclose(trace.final_state.w, [1 / 3.1, 1 / 4.1, 10.0])
+        assert np.allclose(trace.w, [1 / 3.1, 1 / 4.1, 10.0])
 
     def test_unit_magnitude_weight(self):
         phi = np.array([[1.0, 0.0, 0.0]])
         x = np.array([0.9, 0.0, 0.0])
         inst = ProblemInstance(phi=phi, b=phi @ x, x_star=x)
         _, trace = cwb_rw_l1(inst, SolverConfig(rw_iter=1))
-        assert trace.final_state.w[0] == pytest.approx(1.0)
+        assert trace.w[0] == pytest.approx(1.0)
 
     def test_eps_schedule_override(self):
         _, trace = cwb_rw_l1(_exact_instance(), SolverConfig(rw_iter=1, eps_k=0.5))
-        assert np.allclose(trace.final_state.w, [1 / 3.5, 1 / 4.5, 2.0])
+        assert np.allclose(trace.w, [1 / 3.5, 1 / 4.5, 2.0])
 
     def test_comparable_to_subgradient_single_iteration(self):
         # one reweighting pass: both algorithms land within 10 points
@@ -247,7 +245,7 @@ class TestRwLasso:
         lam0 = inst.n / np.abs(min_l2_solution(inst)).sum()
         plain = weighted_lasso_fista(inst, np.ones(24), lam0)
         assert np.allclose(x, plain.x, atol=1e-10)
-        assert trace.final_state.lam == pytest.approx(lam0)
+        assert trace.lam == pytest.approx(lam0)
 
     def test_requires_eta(self):
         inst = gen_noiseless(EnsembleSpec(n=24, m=12, s=3, seed=2))
@@ -277,7 +275,7 @@ class TestRwLasso:
     def test_lambda_stays_nonnegative(self):
         inst = gen_noisy(EnsembleSpec(n=24, m=12, s=3, sigma=0.05, seed=3))
         _, trace = rw_lasso_subgradient(inst, SolverConfig(rw_iter=4))
-        assert trace.final_state.lam >= 0.0
+        assert trace.lam >= 0.0
 
 
 class TestCwbNoisy:
@@ -313,6 +311,14 @@ class TestRegistryAndTraces:
         assert np.array_equal(x, base.x)
         assert trace.algo == "l1"
 
+    def test_a_trace_stores_each_quantity_once(self):
+        # the run returns its iterate and the last row holds its k and
+        # stepsize, so the trace adds only the final multipliers
+        fields = [f.name for f in dataclasses.fields(reweight.RwTrace)]
+        assert fields == ["algo", "seed", "rows", "exit_reason", "w", "lam"]
+        assert [f.name for f in dataclasses.fields(reweight.RwTraceRow)] == [
+            "k", "alpha", "objective", "l0", "linf_err", "inner_iterations", "residual"]
+
     def test_trace_length_bound(self):
         inst = gen_noiseless(EnsembleSpec(n=24, m=12, s=3, seed=8))
         for budget in (0, 1, 3):
@@ -342,7 +348,7 @@ class TestRegistryAndTraces:
         for seed in range(5):
             inst = gen_noiseless(EnsembleSpec(n=32, m=16, s=4, seed=seed))
             _, trace = rw_l1_subgradient(inst, SolverConfig(rw_iter=2))
-            w_final = trace.final_state.w
+            w_final = trace.w
             cold = weighted_basis_pursuit(inst, w_final)
             warm_obj = trace.rows[-1].objective
             assert abs(cold.objective - warm_obj) <= 10 * solvers._INNER_TOL * (1 + abs(warm_obj))
@@ -407,12 +413,10 @@ class TestBudgetPrefixes:
             for row, ref in zip(trace.rows, full.rows):
                 assert all(_same(a, b) for a, b in zip(vars(row).values(), vars(ref).values()))
             w, lam, x_r = states[n_rows - 1]
-            state = trace.final_state
-            assert np.array_equal(x, x_r) and np.array_equal(state.x_k, x_r)
-            assert np.array_equal(state.w, w)
-            assert np.array_equal(state.lam, lam)
-            assert state.k == n_rows - 1
-            assert _same(state.alpha_k, trace.rows[-1].alpha)
+            assert np.array_equal(x, x_r)
+            assert np.array_equal(trace.w, w)
+            assert np.array_equal(trace.lam, lam)
+            assert trace.rows[-1].k == n_rows - 1
             assert trace.exit_reason == (full.exit_reason if r >= len(full.rows) else "budget")
 
 
@@ -426,7 +430,7 @@ def _assert_same_run(a, b):
     assert tr_a.exit_reason == tr_b.exit_reason and len(tr_a.rows) == len(tr_b.rows)
     for row, ref in zip(tr_a.rows, tr_b.rows):
         assert all(_same(u, v) for u, v in zip(vars(row).values(), vars(ref).values()))
-    assert np.array_equal(tr_a.final_state.w, tr_b.final_state.w)
+    assert np.array_equal(tr_a.w, tr_b.w) and np.array_equal(tr_a.lam, tr_b.lam)
 
 
 _FIG1_RUNS = (("l1", 0), ("rw-sub", 2), ("rw-cwb", 2))
@@ -457,23 +461,16 @@ class TestSharedStart:
             _assert_same_run(run, run_algorithm(algo, _small_instance(), SolverConfig(rw_iter=r)))
 
     def test_outer_loop_settings_do_not_split_the_start(self, bp_calls):
-        # eps schedules only steer the updates; an unhashable one is fine
-        class Schedule:
-            __hash__ = None
-
-            def __call__(self, k):
-                return 0.5
-
+        # eps only steers the updates
         inst = _small_instance()
-        for eps_k in (None, 7.0, Schedule()):
+        for eps_k in (None, 7.0):
             run_algorithm("rw-cwb", inst, SolverConfig(rw_iter=1, eps_k=eps_k))
-        assert len(bp_calls) == 1 + 3  # the shared start and one re-solve per run
+        assert len(bp_calls) == 1 + 2  # the shared start and one re-solve per run
 
     def test_callers_cannot_change_the_shared_start(self):
         inst = _small_instance()
-        x, trace = l1_baseline(inst, CFG)
+        x, _ = l1_baseline(inst, CFG)
         x += 1.0
-        trace.final_state.x_k[:] = -1.0
         _assert_same_run(
             rw_l1_subgradient(inst, SolverConfig(rw_iter=2)),
             rw_l1_subgradient(_small_instance(), SolverConfig(rw_iter=2)),
