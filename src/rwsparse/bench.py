@@ -1,5 +1,6 @@
 """Benchmark harness: recovery-rate sweeps over sparsity and the noisy
-improvement benchmark, with CSV emission.
+improvement benchmark, and the package's CSV writers (rates,
+improvements, and the outer and inner rows of one run's trace).
 
 Trials are independent work items; seeds are paired across algorithms
 (seed = base_seed + trial index), so every algorithm sees the identical
@@ -21,7 +22,6 @@ import logging
 import math
 from collections.abc import Sequence
 from dataclasses import dataclass, replace
-from numbers import Integral
 
 import numpy as np
 
@@ -30,11 +30,12 @@ from .model import (
     DegenerateBaselineError,
     SolverConfig,
     SweepResult,
+    _is_integer,
     improvement,
     recovered,
 )
 from .probgen import EnsembleSpec, gen_noiseless, gen_noisy
-from .reweight import ALGORITHMS, run_algorithm
+from .reweight import ALGORITHMS, RwTrace, run_algorithm
 # not called here; kept importable because tracing harnesses bind their
 # spans to rwsparse.bench.constrained_weighted_l1
 from .solvers import constrained_weighted_l1  # noqa: F401
@@ -45,6 +46,8 @@ __all__ = [
     "run_noisy_improvement",
     "improvement_stats",
     "emit_csv",
+    "trace_to_csv",
+    "inner_trace_to_csv",
 ]
 
 logger = logging.getLogger(__name__)
@@ -70,7 +73,7 @@ class SweepConfig:
         # a JSON config can give any field a value of the wrong type
         for name in ("trials", "base_seed", "n", "m", "parallelism"):
             value = getattr(self, name)
-            if not isinstance(value, Integral):
+            if not _is_integer(value):
                 raise ConfigurationError(f"{name} must be an integer, got {value!r}")
         if self.trials < 1:
             raise ConfigurationError("trials must be >= 1")
@@ -85,7 +88,7 @@ class SweepConfig:
         if not self.s_values:
             raise ConfigurationError("s_values must be non-empty")
         for s in self.s_values:
-            if not (isinstance(s, Integral) and 0 < s <= self.m):
+            if not (_is_integer(s) and 0 < s <= self.m):
                 raise ConfigurationError(f"sparsity {s!r} outside (0, m={self.m}]")
         if not (0 < self.m < self.n):
             raise ConfigurationError(f"require 0 < m < n, got m={self.m}, n={self.n}")
@@ -98,7 +101,7 @@ class SweepConfig:
         # and each sparsity level one slice of the sweep's trials
         if len(set(self.s_values)) < len(self.s_values):
             raise ConfigurationError(f"duplicate sparsity levels: {list(self.s_values)}")
-        if not (self.rw_iters and all(isinstance(r, Integral) and r >= 0 for r in self.rw_iters)
+        if not (self.rw_iters and all(_is_integer(r) and r >= 0 for r in self.rw_iters)
                 and len(set(self.rw_iters)) == len(self.rw_iters)):
             raise ConfigurationError(f"rw_iters must be distinct integers >= 0: {self.rw_iters!r}")
 
@@ -336,7 +339,7 @@ def emit_csv(result: SweepResult, path) -> None:
     """Write a sweep as ``algorithm,s,trials,recovered,rate`` rows, one per
     (algorithm, sparsity level), or an improvement run as
     ``algo,seed,improvement_pct`` rows, one per (algorithm, trial) that was
-    not skipped. Algorithms are in name order; an OSError names ``path``."""
+    not skipped. Algorithms are in name order."""
     if result.improvements is None:
         header = ["algorithm", "s", "trials", "recovered", "rate"]
         rows = [
@@ -352,6 +355,34 @@ def emit_csv(result: SweepResult, path) -> None:
             for seed, pct in zip(result.seeds, pcts)
             if not math.isnan(pct)
         ]
+    _write_rows(path, header, rows)
+
+
+def trace_to_csv(trace: RwTrace, path) -> None:
+    """Write outer-iteration rows as ``algo,seed,k,alpha,obj,l0,linf_err``."""
+    _write_rows(
+        path,
+        ["algo", "seed", "k", "alpha", "obj", "l0", "linf_err"],
+        (
+            [trace.algo, trace.seed, row.k, repr(row.alpha), repr(row.objective), row.l0,
+             repr(row.linf_err)]
+            for row in trace.rows
+        ),
+    )
+
+
+def inner_trace_to_csv(trace: RwTrace, path) -> None:
+    """Write the inner-solve reports as ``k,inner_iters,objective,residual``."""
+    _write_rows(
+        path,
+        ["k", "inner_iters", "objective", "residual"],
+        ([row.k, row.inner_iterations, repr(row.objective), repr(row.residual)]
+         for row in trace.rows),
+    )
+
+
+def _write_rows(path, header, rows) -> None:
+    """The one CSV writer: ``header``, then ``rows``; an OSError names ``path``."""
     try:
         with open(path, "w", newline="") as fh:
             writer = csv.writer(fh)

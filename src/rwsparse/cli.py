@@ -17,10 +17,10 @@ import sys
 from dataclasses import fields, replace
 
 from .bench import (SweepConfig, _one_blas_thread, emit_csv, improvement_stats,
-                    run_noisy_improvement, run_recovery_sweep)
-from .model import ConfigurationError, ProblemInstance, SolverConfig, l0_norm, l0_reporting_tol, recovered
+                    inner_trace_to_csv, run_noisy_improvement, run_recovery_sweep, trace_to_csv)
+from .model import ConfigurationError, ProblemInstance, SolverConfig, recovered
 from .probgen import EnsembleSpec, gen_noiseless, gen_noisy
-from .reweight import ALGORITHMS, inner_trace_to_csv, run_algorithm, trace_to_csv
+from .reweight import ALGORITHMS, run_algorithm
 
 logger = logging.getLogger(__name__)
 
@@ -130,7 +130,7 @@ def _cmd_solve(args) -> int:
         inner_trace_to_csv(trace, str(args.trace) + ".inner.csv")
     summary = (
         f"algo={args.algo} n={instance.n} m={instance.m} "
-        f"l0={l0_norm(x, l0_reporting_tol(x))} "
+        f"l0={trace.rows[-1].l0} "
         f"objective={trace.rows[-1].objective:.6e} exit={trace.exit_reason}"
     )
     if instance.x_star is not None:

@@ -157,6 +157,13 @@ class ProblemInstance:
             return cls.from_json(fh.read())
 
 
+def _is_integer(value) -> bool:
+    """True for an integer, NumPy's included, but not for a bool: Python
+    counts ``True`` as an ``Integral``, and a JSON config can give ``true``
+    for any count, size or seed."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
 def as_weight_array(w, n: Optional[int] = None) -> np.ndarray:
     """Coerce array-like weights to a validated float vector: finite,
     nonnegative, and of length n when n is given."""
@@ -190,7 +197,7 @@ class SolverConfig:
     eps_k: float | None = None
 
     def __post_init__(self):
-        if not (isinstance(self.rw_iter, Integral) and self.rw_iter >= 0):
+        if not (_is_integer(self.rw_iter) and self.rw_iter >= 0):
             raise ValueError(f"rw_iter must be an integer >= 0, got {self.rw_iter!r}")
         if self.eps_k is not None and not (isinstance(self.eps_k, Real) and self.eps_k > 0):
             raise ValueError(f"eps_k must be a number > 0 or None, got {self.eps_k!r}")

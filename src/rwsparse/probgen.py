@@ -26,7 +26,7 @@ from typing import Optional
 
 import numpy as np
 
-from .model import ProblemInstance
+from .model import ProblemInstance, _is_integer
 
 __all__ = [
     "EnsembleSpec",
@@ -49,6 +49,10 @@ class EnsembleSpec:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n", "m", "s", "seed"):
+            value = getattr(self, name)
+            if not _is_integer(value):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
         if not (0 < self.s <= self.m < self.n):
             raise ValueError(
                 f"require 0 < s <= m < n, got s={self.s}, m={self.m}, n={self.n}"

@@ -24,7 +24,6 @@ reports live and die with the instance's operator in
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass, replace
 
 import numpy as np
@@ -67,8 +66,6 @@ __all__ = [
     "l1_baseline",
     "ALGORITHMS",
     "run_algorithm",
-    "trace_to_csv",
-    "inner_trace_to_csv",
 ]
 
 _DEFAULT_CFG = SolverConfig()
@@ -316,33 +313,3 @@ def run_algorithm(name: str, instance: ProblemInstance, cfg: SolverConfig = _DEF
             f"unknown algorithm {name!r}; choose from {sorted(ALGORITHMS)}"
         ) from None
     return fn(instance, cfg)
-
-
-def _write_rows(path, header, rows) -> None:
-    with open(path, "w", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(header)
-        writer.writerows(rows)
-
-
-def trace_to_csv(trace: RwTrace, path) -> None:
-    """Write outer-iteration rows as ``algo,seed,k,alpha,obj,l0,linf_err``."""
-    _write_rows(
-        path,
-        ["algo", "seed", "k", "alpha", "obj", "l0", "linf_err"],
-        (
-            [trace.algo, trace.seed, row.k, repr(row.alpha), repr(row.objective), row.l0,
-             repr(row.linf_err)]
-            for row in trace.rows
-        ),
-    )
-
-
-def inner_trace_to_csv(trace: RwTrace, path) -> None:
-    """Write the inner-solve reports as ``k,inner_iters,objective,residual``."""
-    _write_rows(
-        path,
-        ["k", "inner_iters", "objective", "residual"],
-        ([row.k, row.inner_iterations, repr(row.objective), repr(row.residual)]
-         for row in trace.rows),
-    )

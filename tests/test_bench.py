@@ -84,12 +84,18 @@ class TestSweepConfig:
             ({"s_values": (3, 3)}, "duplicate sparsity levels"),
             ({"trials": "2"}, "trials must be an integer, got '2'"),
             ({"parallelism": 1.5}, "parallelism must be an integer, got 1.5"),
+            ({"trials": True}, "trials must be an integer, got True"),
+            ({"base_seed": False}, "base_seed must be an integer, got False"),
+            ({"m": True}, "m must be an integer, got True"),
+            ({"parallelism": True}, "parallelism must be an integer, got True"),
+            ({"s_values": (True,)}, "sparsity True outside"),
+            ({"rw_iters": (True,)}, "rw_iters must be distinct integers >= 0"),
         ],
     )
     def test_rejects_sweeps_it_cannot_run(self, fields, message):
         # each of these once passed and then failed per trial, failed after
         # solving every trial, misaligned the improvements or raised a raw
-        # TypeError
+        # TypeError; a bool once passed as the integer it equals
         with pytest.raises(ConfigurationError, match=message):
             SweepConfig(**fields)
 
@@ -323,6 +329,14 @@ class TestEmitCsv:
         res = SweepResult(sparsity_levels=[5], recovery_rate_per_algorithm={}, trials=1, seeds=[0])
         with pytest.raises(OSError, match="no/such"):
             emit_csv(res, tmp_path / "no" / "such" / "dir.csv")
+
+    @pytest.mark.parametrize("write", ["trace_to_csv", "inner_trace_to_csv"])
+    def test_the_trace_writers_name_an_unwritable_path(self, tmp_path, write):
+        # the trace formats go through emit_csv's writer, which names the path
+        _, trace = reweight.run_algorithm("l1", gen_noiseless(EnsembleSpec(n=12, m=6, s=2)))
+        path = tmp_path / "no" / "such" / "trace.csv"
+        with pytest.raises(OSError, match=f"cannot write results to {path}"):
+            getattr(bench, write)(trace, path)
 
 
 def _failure_counter(monkeypatch):

@@ -10,8 +10,9 @@ import pytest
 
 import rwsparse.cli as cli
 from rwsparse.cli import main
-from rwsparse.model import ProblemInstance
+from rwsparse.model import ProblemInstance, SolverConfig, l0_norm, l0_reporting_tol
 from rwsparse.probgen import EnsembleSpec, gen_noiseless
+from rwsparse.reweight import run_algorithm
 from rwsparse.solvers import NoConvergenceError
 
 DATA = Path(__file__).parent / "data"
@@ -51,6 +52,10 @@ class TestSolve:
         assert rc == 0
         out = capsys.readouterr().out
         assert "algo=rw-sub" in out and "recovered=" in out
+        # the summary's l0 is the trace's last, which counts the returned x
+        # above l0_reporting_tol(x)
+        x, _ = run_algorithm("rw-sub", ProblemInstance.load(small_instance), SolverConfig(rw_iter=2))
+        assert f" l0={l0_norm(x, l0_reporting_tol(x))} " in out
         with open(trace, newline="") as fh:
             rows = list(csv.reader(fh))
         assert rows[0] == ["algo", "seed", "k", "alpha", "obj", "l0", "linf_err"]
@@ -196,6 +201,11 @@ class TestSweep:
             # these two once ended in a TypeError traceback
             ([], {"s_values": [3], "trials": "2", "n": 32, "m": 16}, "trials must be an integer, got '2'"),
             ([], {"s_values": [3], "parallelism": 1.5}, "parallelism must be an integer, got 1.5"),
+            # this one once ran, and wrote l1,True,True,1,1.0
+            ([], {"trials": True, "s_values": [True], "n": 32, "m": 16, "algorithms": ["rw-sub"],
+                  "rw_iters": [True]}, "trials must be an integer, got True"),
+            ([], {"s_values": [True]}, "sparsity True outside"),
+            ([], {"s_values": [3], "rw_iters": [True]}, "rw_iters must be distinct integers >= 0"),
         ],
     )
     def test_unrunnable_sweep_exit_1(self, tmp_path, capsys, args, config, message):

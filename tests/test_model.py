@@ -211,9 +211,10 @@ class TestSolverConfig:
         with pytest.raises(ValueError):
             SolverConfig(eps_k=-0.5)
 
-    @pytest.mark.parametrize("rw_iter", [2.5, "2", None])
+    @pytest.mark.parametrize("rw_iter", [2.5, "2", None, True, False])
     def test_rw_iter_must_be_an_integer(self, rw_iter):
-        # a float budget would reach range() mid-run as a raw TypeError
+        # a float budget would reach range() mid-run as a raw TypeError; a
+        # bool once passed as the budget it equals
         with pytest.raises(ValueError, match="rw_iter must be an integer"):
             SolverConfig(rw_iter=rw_iter)
 

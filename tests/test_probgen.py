@@ -35,6 +35,24 @@ class TestEnsembleSpec:
         with pytest.raises(ValueError):
             EnsembleSpec(n=10, m=5, s=2, sigma=-0.1)
 
+    @pytest.mark.parametrize(
+        "fields",
+        [{"n": 256.0}, {"m": 100.0}, {"s": 20.0}, {"seed": 1.5}, {"seed": True}, {"s": True},
+         {"seed": "1"}],
+    )
+    def test_sizes_and_seed_must_be_integers(self, fields):
+        # the floats and the string once reached the draw as a raw TypeError,
+        # and a bool passed as the integer it equals
+        spec = {"n": 256, "m": 100, "s": 20, "seed": 0, **fields}
+        name, value = next(iter(fields.items()))
+        with pytest.raises(ValueError, match=f"{name} must be an integer, got {value!r}"):
+            gen_noiseless(EnsembleSpec(**spec))
+
+    def test_numpy_integers_are_integers(self):
+        drawn = gen_noiseless(EnsembleSpec(n=np.int64(24), m=np.int32(12), s=np.int64(3),
+                                           seed=np.uint32(5)))
+        assert np.array_equal(drawn.phi, gen_noiseless(EnsembleSpec(n=24, m=12, s=3, seed=5)).phi)
+
 
 @pytest.mark.parametrize(
     "make",

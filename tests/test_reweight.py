@@ -26,17 +26,16 @@ from rwsparse.model import (
     recovered,
 )
 from rwsparse.probgen import EnsembleSpec, gen_noiseless, gen_noisy
+from rwsparse.bench import inner_trace_to_csv, trace_to_csv
 from rwsparse.reweight import (
     ALGORITHMS,
     cwb_rw_l1,
     cwb_rw_l1_noisy,
-    inner_trace_to_csv,
     l1_baseline,
     run_algorithm,
     rw_l1_oracle,
     rw_l1_subgradient,
     rw_lasso_subgradient,
-    trace_to_csv,
 )
 from rwsparse.solvers import RankDeficientError, constrained_weighted_l1, weighted_basis_pursuit
 

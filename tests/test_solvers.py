@@ -484,6 +484,26 @@ class TestDualSeededCertificate:
                     assert _bp_certified(op, scale * w, support, candidate, np.zeros(4)) == decision
         assert accepted >= 3 and rejected >= 100
 
+    def test_a_seed_far_above_the_weights_is_refused_on_the_support(self):
+        # the correction cancels the seed on the support only to the seed's
+        # own rounding, about eps ||nu||: above the slack (1e-9 max w), the
+        # support's equality fails and the certificate is refused, on a
+        # square support that nu = 0 and every small seed certify
+        rng = np.random.default_rng(0)
+        phi = rng.standard_normal((4, 9))
+        inst = ProblemInstance(phi=phi, b=rng.standard_normal(4))
+        w = rng.uniform(0.1, 2.0, size=9)
+        rep = weighted_basis_pursuit(inst, w)
+        support = np.flatnonzero(rep.x)
+        assert rep.exit == "certified" and support.size == inst.m
+        op = _operator(inst)
+        candidate = _bp_candidate(op, support)
+        direction = np.random.default_rng(1).standard_normal(4)
+        for scale in (0.0, 1e2, 1e4):
+            assert _bp_certified(op, w, support, candidate, scale * direction)
+        for scale in (1e8, 1e12):
+            assert not _bp_certified(op, w, support, candidate, scale * direction)
+
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_no_dual_estimate_certifies_a_suboptimal_point(self, seed):
         # a certificate is a proof whatever multiplier seeds it: on every
@@ -674,6 +694,20 @@ class TestWeightedBasisPursuit:
         monkeypatch.setattr(solvers, "_path", lambda *args, **kwargs: None)
         with pytest.raises(NoConvergenceError, match="no basis pursuit path certifies"):
             weighted_basis_pursuit(inst, np.ones(64))
+
+    def test_a_warm_path_out_of_breakpoints_is_followed_by_the_cold_ones(self, monkeypatch):
+        # at these weights the warm path from the unit-weight answer walks 9
+        # breakpoints and the cold one 3: under a budget of 5 the warm path
+        # runs out, its breakpoints count, and the cold path answers
+        inst = gen_noiseless(EnsembleSpec(n=24, m=12, s=3, seed=0))
+        warm = weighted_basis_pursuit(inst, np.ones(24))
+        w = np.random.default_rng(0).uniform(0.1, 10.0, (3, 24))[2]
+        cold = weighted_basis_pursuit(inst, w)
+        assert cold.iterations == 3 and weighted_basis_pursuit(inst, w, warm).iterations == 9
+        monkeypatch.setattr(solvers, "_MAX_BREAKPOINTS", 5)
+        rep = weighted_basis_pursuit(inst, w, warm)
+        assert rep.exit == "certified" and rep.iterations == 5 + cold.iterations
+        assert rep.x.tobytes() == cold.x.tobytes()
 
     @pytest.mark.parametrize(
         "warm", [np.ones(1), np.full(64, np.nan), np.ones((64, 1)), np.ones(65), np.ones(64)]
@@ -932,6 +966,35 @@ class TestWeightedLassoFista:
         with pytest.raises(ConfigurationError, match="warm start"):
             weighted_lasso_fista(inst, np.ones(64), 10.0, warm)
 
+    def test_a_warm_start_on_a_column_in_the_span_walks_cold(self):
+        # splitting a coefficient over a column and its copy gives another
+        # minimizer, but the path cannot border the copy onto the column:
+        # the warm path gives up at its start and the cold path answers
+        base = gen_noiseless(EnsembleSpec(n=24, m=12, s=3, seed=0))
+        x = weighted_lasso_fista(base, np.ones(24), 20.0).x
+        i, j = int(np.flatnonzero(x)[0]), int(np.flatnonzero(x == 0.0)[0])
+        phi = base.phi.copy()
+        phi[:, j] = phi[:, i]
+        inst = ProblemInstance(phi=phi, b=base.b)
+        cold = weighted_lasso_fista(inst, np.ones(24), 20.0)
+        assert cold.exit == "certified" and cold.x[i] != 0.0 and cold.x[j] == 0.0
+        split = cold.x.copy()
+        split[[i, j]] = cold.x[i] / 2
+        rep = weighted_lasso_fista(inst, np.ones(24), 20.0, split)
+        assert rep.x.tobytes() == cold.x.tobytes() and rep.iterations == cold.iterations
+
+    def test_more_zero_weights_than_rows_on_columns_that_miss_b_do_not_certify(self):
+        # four zero weights on copies of e1 with m = 3: their least-squares
+        # fit leaves phi x - b = (0, -1, -1), a gradient of magnitude 10 on
+        # e2 and e3 above their unit weights, so the fit is not the minimizer
+        phi = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 0.0],
+                        [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
+                        [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
+        inst = ProblemInstance(phi=phi, b=np.ones(3))
+        w = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
+        with pytest.raises(NoConvergenceError, match="zero-weight least-squares fit does not certify"):
+            weighted_lasso_fista(inst, w, 10.0)
+
     def test_warm_start_converges_fast(self):
         inst = gen_noiseless(EnsembleSpec(n=40, m=20, s=5, seed=2))
         w = np.ones(40)
@@ -1186,6 +1249,23 @@ class TestLassoPath:
         assert res > inst.eta
         assert capped.primal_residual == abs(res - inst.eta) / inst.eta
         assert np.count_nonzero(capped.x) == 3
+
+    def test_a_budget_the_running_residual_drifts_past_ends_on_the_fit(self):
+        # at a budget of 1e-10 ||b||, far below the rounding of the running
+        # ||phi x - b||^2 (about eps ||b||^2), that running value reaches
+        # t = 1 above eta^2 on this instance; the least-squares fit on the
+        # final support (c = 0 there) meets the budget, so the path returns
+        # that support, basis pursuit's, instead of None
+        inst = gen_noiseless(EnsembleSpec(n=16, m=8, s=4, seed=24))
+        eta = 1e-10 * np.linalg.norm(inst.b)
+        found = solvers._path(inst, np.ones(16), eta=eta)
+        assert found is not None and found[3] is None
+        support, sigma = found[0], found[1]
+        bp = weighted_basis_pursuit(inst, np.ones(16))
+        assert support.tolist() == np.flatnonzero(bp.x).tolist() and support.size == inst.m
+        assert sigma.tolist() == np.sign(bp.x[support]).tolist()
+        fit = np.linalg.lstsq(inst.phi[:, support], inst.b, rcond=None)[0]
+        assert np.linalg.norm(inst.b - inst.phi[:, support] @ fit) <= eta
 
     def test_first_breakpoint_is_one_entry(self):
         # the path side of the test on x = 0 below the first breakpoint:
