@@ -439,3 +439,46 @@ class TestFinalIterateDigests:
         monkeypatch.setattr(solvers, "_path", counted)
         assert bench._map_ordered(run, [None], 1) == [digest]
         assert sum(walked) == breakpoints
+
+    @pytest.mark.parametrize(
+        "panel, digest",
+        [(_fig1_panel, "68b908d1d1bd32fe"), (_noisy_panel, "fc616e5ca2c27e85")],
+        ids=["fig1", "noisy"],
+    )
+    def test_panel_reports_keep_their_bits(self, monkeypatch, panel, digest):
+        # the SHA-256 of every field of every inner report the panel's runs
+        # make, in call order: x, iterations, primal_residual, objective,
+        # exit, degenerate, multiplier and lasso_point. The re-solve rules
+        # look the solvers up in reweight's globals, so wrappers there see
+        # every solve; scalars are hashed by their repr, exact for floats
+        h = hashlib.sha256()
+
+        def hashed(solve):
+            def wrapper(*args, **kwargs):
+                report = solve(*args, **kwargs)
+                lasso = report.lasso_point
+                fields = (
+                    int(report.iterations),
+                    float(report.primal_residual),
+                    float(report.objective),
+                    report.exit,
+                    bool(report.degenerate),
+                    float(report.multiplier),
+                    None if lasso is None else float(lasso[1]),
+                )
+                h.update(report.x.tobytes() + repr(fields).encode())
+                if lasso is not None:
+                    h.update(lasso[0].tobytes())
+                return report
+
+            return wrapper
+
+        for name in ("weighted_basis_pursuit", "weighted_lasso_fista", "constrained_weighted_l1"):
+            monkeypatch.setattr(reweight, name, hashed(getattr(reweight, name)))
+
+        def run(_):
+            for inst, algo, cfg in panel():
+                reweight.run_algorithm(algo, inst, cfg)
+            return h.hexdigest()[:16]
+
+        assert bench._map_ordered(run, [None], 1) == [digest]
