@@ -14,29 +14,35 @@ certified answer is the exact QR solve on its support (``_support_fit``),
 a pure function of the support: the LASSO's at its lam, and that of the
 constrained problem, which follows the path in 1/lam until the residual
 norm meets eta, at the closed-form multiplier where it meets eta. Either
-is returned only when its signs match the path's and one certificate, the
-LASSO optimality conditions at its multiplier, holds (``_support_answer``).
-When the path runs out of breakpoints, the exact minimizer at the weights
-it reached is returned as not converged; any other failure of the path or
-of the certificate raises ``NoConvergenceError``. The solvers take no
-settings: every answer is certified at the fixed slack ``_INNER_TOL``, and
-a path takes at most ``_MAX_BREAKPOINTS`` breakpoints.
+is returned only when one certificate, the LASSO optimality conditions at
+its multiplier, holds, and the constrained answer only on its budget
+(``_support_answer``). The solvers take no settings: every answer is
+certified at the fixed slack ``_INNER_TOL``, and a path takes at most
+``_MAX_BREAKPOINTS`` breakpoints.
 
-Basis pursuit is the limit of the LASSO as lam grows, and the same path
-answers every input, in one loop over the path's starts: the LASSO point
-of the previous basis pursuit answer, which that answer's report carries
-(warm), then x = 0 toward a small residual norm and toward a second,
-smaller one (cold). The loop has three exits. The first path whose end
-certifies answers with the exact solve on its support, pruned of
-rounding-level coordinates and of those that cross zero on the way to
-the limit, and a dual certificate seeded by the path's own multiplier. A
-cold path that runs out of breakpoints returns the minimizer at the
-weights it reached, not converged. When no path certifies, the fit on
-the zero-weight coordinates answers, at objective 0, if it meets
-phi x = b (b = 0, all weights zero, or zero weights on a support of b),
-and ``NoConvergenceError`` is raised otherwise. A cold path holds a
-column that comes due in the span of its support off it, as at equal
-columns and tied weights.
+Each solver walks its path starts in one loop, ``_walk``: warm from the
+previous answer (the LASSO's x, or the LASSO point a basis pursuit report
+carries), then cold from x = 0 (basis pursuit: toward a small residual
+norm, then toward a second, smaller one). The loop has three exits. The
+first path end that the problem's answer step accepts is the answer,
+certified. A cold path that runs out of breakpoints returns the minimizer
+at the weights it reached, not converged. When no start gives an answer,
+the problem's fallback decides: the fit on the zero-weight coordinates
+answers basis pursuit if it meets phi x = b and the constrained problem
+if it meets the budget, at objective 0, and ``NoConvergenceError`` (or,
+below the constrained problem's least-squares floor, ``ConfigurationError``)
+is raised otherwise. Basis pursuit's answer step is the exact solve on the
+path's support, pruned of rounding-level coordinates and of those that
+cross zero on the way to the limit, with a dual certificate seeded by the
+path's own multiplier.
+
+One rule covers zero weights: a cold path starts with them active and
+holds at 0, off its support, each one it cannot border (a column in the
+span of the ones before it, as every one past the m-th is), as it holds
+a column that comes due in the span of its support at equal columns and
+tied weights. An answer with a zero weight held off its support is
+flagged degenerate: those columns have a null space, so the solution set
+is unbounded.
 
 Every column joins a path's support by one step, ``_border``, at its
 start as at an entry: one rank-one update of the inverse Gram matrix of
@@ -485,6 +491,43 @@ def _warm_start(warm, n: int) -> np.ndarray:
     return arr
 
 
+def _walk(instance, w, starts, answer, fallback):
+    """The one loop of the three sparse solvers over their path starts: the
+    homotopy ``_path`` from each start (c, warm, t, eta) in turn (weights,
+    warm point, and the LASSO point's t or a residual budget, either None),
+    with three exits, each as (x, detail, exit, breakpoints, degenerate):
+
+    * ``"certified"``: the first path end that the problem's answer step
+      ``answer(support, sigma, t, eta)`` accepts, as (x, detail); the
+      answer is degenerate when a zero weight is off the path's support,
+      held at 0 by the path (``_path``), which makes the solution set
+      unbounded;
+    * ``"max_iter"``: a cold path out of breakpoints, with x the minimizer
+      at the weights it reached and detail None (a warm one is followed by
+      the next start);
+    * the problem's ``fallback()`` when no start gives an answer, as
+      (x, detail, degenerate), or its exception.
+
+    ``breakpoints`` counts those of every path walked."""
+    breakpoints = 0
+    for c, warm, t, eta in starts:
+        found = _path(instance, c, warm=warm, eta=eta)
+        if found is None:
+            continue
+        support, sigma, steps, x = found
+        breakpoints += steps
+        if x is not None:  # out of breakpoints
+            if warm is None:
+                return x, None, "max_iter", breakpoints, False
+            continue
+        answered = answer(support, sigma, t, eta)
+        if answered is not None:
+            held = np.count_nonzero(w[support] == 0.0) < np.count_nonzero(w == 0.0)
+            return *answered, "certified", breakpoints, held
+    x, detail, degenerate = fallback()
+    return x, detail, "certified", breakpoints, degenerate
+
+
 def weighted_basis_pursuit(
     instance: ProblemInstance,
     w,
@@ -492,18 +535,19 @@ def weighted_basis_pursuit(
 ) -> InnerSolveReport:
     """Minimize sum_i w_i |x_i| subject to phi x = b.
 
-    The problem is the limit of the weighted LASSO as lam grows, so one
-    loop walks the homotopy ``_path`` from each start in turn: the LASSO
+    The problem is the limit of the weighted LASSO as lam grows, so the
+    walk over path starts (``_walk``) takes each start in turn: the LASSO
     point that ``warm`` carries when it is the report of a basis pursuit
     answer on this instance (from m nonzeros only at weights that keep its
     objective), then x = 0 toward each residual budget of ``_BP_ETAS``.
-    The loop has three exits:
+    Its three exits:
 
     * a path whose end certifies: the exact solve on its support, pruned
       of rounding-level coordinates and of those whose sign opposes the
       path's (``_bp_candidate``), with a verified optimality certificate
       seeded by the path's own multiplier (``_bp_certified``); exit
-      ``"certified"``, and the LASSO point in ``lasso_point``;
+      ``"certified"``, the LASSO point in ``lasso_point``, and degenerate
+      when the path held a zero weight at 0, off its support;
     * a cold path that would pass ``_MAX_BREAKPOINTS`` breakpoints: exit
       ``"max_iter"`` and the minimizer at the weights it reached;
     * no path certifies: the fit on the zero-weight coordinates
@@ -537,27 +581,17 @@ def weighted_basis_pursuit(
         ):
             starts.insert(0, (carry[1] * w, *carry, None))
     op.gram_factor  # the rank guard runs on every input
-    breakpoints, stop, primal, lasso_point, degenerate = 0, "certified", None, None, False
-    for c, x_l, t, eta in starts:
-        found = _path(instance, c, warm=x_l, eta=eta)
-        if found is None:
-            continue
-        support, sigma, steps, x = found
-        breakpoints += steps
-        if x is not None:  # out of breakpoints; a warm path is followed by the cold ones
-            if x_l is None:
-                stop = "max_iter"
-                break
-            continue
+
+    def answer(support, sigma, t, eta):
         # cold, t is where the closed form on the support meets eta; warm,
         # the LASSO minimizer is taken there at the carried t
         lasso = _support_lasso(op, w, support, sigma, eta, t)
         if lasso is None:
-            continue
+            return None
         fit, g, x_s, t = lasso
         candidate = _bp_candidate(op, support, fit)
         if candidate is None:
-            continue
+            return None
         # a coordinate of the sign opposite to the path's crosses zero on the
         # way to the limit, as one of -1.5e-8 does on n=20, m=10, s=4, seed
         # 209 at unit weights: it is pruned, and the pruned support factored again
@@ -567,7 +601,7 @@ def weighted_basis_pursuit(
         if kept.size < support.size:
             candidate = _bp_candidate(op, kept)
             if candidate is None:
-                continue
+                return None
         # the seed is the LASSO dual (b - phi x_L) / t = (b - Q_1 Q_1^T b) / t
         # + Q_1 g without its first term: b lies in range(phi_S) (the
         # candidate passed its residual test), so that term is rounding error
@@ -575,22 +609,23 @@ def weighted_basis_pursuit(
         # s=40, seed 37) failed its certificate on the basis pursuit support.
         # Q_1 g holds the path's signs on the coordinates pruning drops, which
         # the minimum-norm multiplier of the pruned support alone lacks
-        if _bp_certified(op, w, kept, candidate, _apply_q(fit[0], g, "N")):
-            x, primal = candidate[2], candidate[3]
-            x_l = np.zeros(instance.n)
-            x_l[support] = x_s
-            lasso_point = (x_l, t)
-            break
-    else:
+        if not _bp_certified(op, w, kept, candidate, _apply_q(fit[0], g, "N")):
+            return None
+        x_l = np.zeros(instance.n)
+        x_l[support] = x_s
+        return candidate[2], (x_l, t)
+
+    def fallback():
         x, resid, degenerate = _zero_weight_fit(instance, w)
         if _norm(resid) > _INNER_TOL * (1.0 + op.norm_b):
             raise NoConvergenceError("no basis pursuit path certifies, nor the zero-weight fit")
-    if primal is None:
-        primal = _norm(instance.phi @ x - instance.b) / (1.0 + op.norm_b)
+        return x, None, degenerate
+
+    x, lasso_point, stop, breakpoints, degenerate = _walk(instance, w, starts, answer, fallback)
     return InnerSolveReport(
         x=x,
         iterations=breakpoints,
-        primal_residual=primal,
+        primal_residual=_norm(instance.phi @ x - instance.b) / (1.0 + op.norm_b),
         objective=float(w @ np.abs(x)),
         exit=stop,
         degenerate=degenerate,
@@ -631,20 +666,6 @@ def _lasso_certificate(instance, w, lam, x):
     viol -= w
     viol[on] = inside
     return resid, float(np.maximum.reduce(viol, initial=0.0))
-
-
-def _signed(n, w, support, sigma, x_s):
-    """x_S of a LASSO minimizer on support S with signs sigma, placed in a
-    vector of length n, or None when its signs break sigma on the
-    penalized coordinates. Such a sign change fails the certificate as
-    well (unless w_i is near the tolerance); it is checked first because
-    it needs no product with phi."""
-    penalized = w[support] > 0.0
-    if (np.sign(x_s[penalized]) != sigma[penalized]).any():
-        return None
-    x = np.zeros(n)
-    x[support] = x_s
-    return x
 
 
 def _border(op, k, i, pad):
@@ -703,8 +724,8 @@ def _path(instance, c, warm=None, eta=None):
 
     * Cold (``warm`` None): c(t) = mu(t) c. The zero weights of c start
       active at their least-squares solve (x = 0 when there are none; a
-      column in the span of the ones before it is held at 0, out of the
-      support), and mu falls linearly
+      column in the span of the ones before it, as every one past the m-th
+      is, is held at 0, out of the support), and mu falls linearly
       from mu0 = max |a_i| / c_i, the first entry, to 1, or with ``eta``
       to 0, stopping on the first segment on which ||phi x - b|| = eta
       (the path ending first gives None).
@@ -760,8 +781,7 @@ def _path(instance, c, warm=None, eta=None):
     op = _operator(instance)
     corr = op.corr_b
     on = c == 0.0 if warm is None else warm != 0.0  # the start's coordinates
-    count = np.count_nonzero(on)
-    if count > m or (warm is not None and count == 0):
+    if warm is not None and not on.any():
         return None
     idx, ginv, rows = op.path_buffers  # idx: the support, in the order of entry
     gaps, speeds, rates, floor, vecs, dual, v, c0, dc, ndc, *views = op.path_vectors
@@ -991,61 +1011,47 @@ def weighted_lasso_fista(
 ) -> InnerSolveReport:
     """Minimize (lam/2) ||phi x - b||^2 + sum_i w_i |x_i|.
 
-    The minimizer is that of the weights c = w / lam at unit lam, found
-    along the homotopy ``_path``: cold from x = 0, or warm from ``warm`` (a
-    finite vector of length n, ``ConfigurationError`` otherwise) through
-    the weights it solves, and cold when the warm path fails or runs out of
-    breakpoints. The exact QR solve on the support and signs the path ends
-    on (``_support_lasso`` at t = 1/lam) is returned with exit
-    ``"certified"`` when its signs match the path's (``_signed``) and the
-    optimality conditions hold there within ``_INNER_TOL``
-    (``_lasso_certificate``); ``iterations`` counts the path's breakpoints.
-    When the cold path would pass ``_MAX_BREAKPOINTS`` breakpoints, the
-    minimizer at the weights it reached is returned with exit
-    ``"max_iter"`` and, as ``primal_residual``, its violation of the
-    optimality conditions at (w, lam). A path that cannot be followed, or
-    an answer that does not certify, raises ``NoConvergenceError``.
+    The minimizer is that of the weights c = w / lam at unit lam, found by
+    the walk over path starts (``_walk``): warm from ``warm`` (a finite
+    vector of length n, ``ConfigurationError`` otherwise) through the
+    weights it solves, then cold from x = 0. The first path end whose exact
+    QR solve on its support and signs (``_support_lasso`` at t = 1/lam)
+    certifies within ``_INNER_TOL`` (``_support_answer``) is returned with
+    exit ``"certified"``, flagged degenerate when the path held a zero
+    weight at 0, off the support (a column in the span of the zero-weight
+    columns before it, or past the m-th); ``iterations`` counts the
+    breakpoints of every path walked. When the cold path would pass
+    ``_MAX_BREAKPOINTS`` breakpoints, the minimizer at the weights it
+    reached is returned with exit ``"max_iter"`` and, as
+    ``primal_residual``, its violation of the optimality conditions at
+    (w, lam). When no path end certifies, ``NoConvergenceError`` is raised.
 
     When lam |phi^T b|_i <= w_i for every i, x = 0 is returned certified
     after 0 iterations. This covers lam = 0 and phi = 0, where the solve is
     flagged degenerate if any weight vanishes (those coordinates are then
-    unconstrained by the objective). More than m zero weights, more than
-    the path holds, give the least-squares fit on their columns, certified
-    and flagged degenerate, as is an answer on which the path held a zero
-    weight of a dependent column at 0.
+    unconstrained by the objective).
     """
     w = as_weight_array(w, instance.n)
     if not 0.0 <= lam < np.inf:
         raise ValueError("lam must be nonnegative and finite")
     if warm is not None:
         warm = _warm_start(warm, instance.n)
-    breakpoints, stop, degenerate, certificate = 0, "certified", False, None
-    zeros = np.count_nonzero(w == 0.0)
     if (lam * np.abs(_operator(instance).corr_b) <= w).all():
-        x = np.zeros(instance.n)
-        degenerate = (lam == 0.0 or not np.any(instance.phi)) and zeros > 0
-    elif zeros > instance.m:
-        x, _, degenerate = _zero_weight_fit(instance, w)
+        x, certificate, stop, breakpoints = np.zeros(instance.n), None, "certified", 0
+        degenerate = (lam == 0.0 or not np.any(instance.phi)) and not w.all()
     else:
         c = w / lam
-        found = None if warm is None else _path(instance, c, warm)
-        if found is None or found[3] is not None:
-            found = _path(instance, c)
-        if found is None:
-            raise NoConvergenceError(
-                "the weighted-LASSO path cannot be followed: a numerically "
-                "rank-deficient support"
-            )
-        support, sigma, breakpoints, x = found
-        if x is None:
-            x, _, *certificate = _support_answer(instance, w, support, sigma, lam=lam)
-            # a zero weight off the support is a dependent column held at 0
-            degenerate = np.count_nonzero(w[support] == 0.0) < zeros
-        else:
-            stop = "max_iter"
-    resid, viol = certificate or _lasso_certificate(instance, w, lam, x)
-    if stop == "certified" and not viol <= _INNER_TOL:
-        raise NoConvergenceError("the zero-weight least-squares fit does not certify")
+        cold = (c, None, None, None)
+        starts = [cold] if warm is None else [(c, warm, None, None), cold]
+
+        def answer(support, sigma, t, eta):
+            return _support_answer(instance, w, support, sigma, lam=lam)
+
+        def fallback():
+            raise NoConvergenceError("no weighted-LASSO path certifies")
+
+        x, certificate, stop, breakpoints, degenerate = _walk(instance, w, starts, answer, fallback)
+    resid, viol = certificate[1:] if certificate else _lasso_certificate(instance, w, lam, x)
     return InnerSolveReport(
         x=x,
         iterations=breakpoints,
@@ -1094,22 +1100,24 @@ def _support_lasso(op, w, support, sigma, eta=None, t=None):
 
 
 def _support_answer(instance, w, support, sigma, eta=None, lam=None):
-    """The certified answer on the support and signs a LASSO or constrained
-    path ended on, as (x, lam, phi x - b, violation): ``_support_lasso`` at
-    t = 1/lam or at the budget eta (lam = 1/t), through ``_signed`` and
-    ``_lasso_certificate`` within ``_INNER_TOL``; ``NoConvergenceError``
-    otherwise."""
+    """The answer step of the LASSO and the constrained problem on the
+    support and signs a path ended on: ``_support_lasso`` at t = 1/lam or
+    at the budget eta (lam = 1/t), as (x, (lam, phi x - b, violation)) when
+    ``_lasso_certificate`` holds within ``_INNER_TOL`` and, at a budget,
+    | ||phi x - b|| - eta | <= ``_INNER_TOL`` eta; None otherwise. A sign of x
+    opposite to sigma on a penalized coordinate fails the certificate by
+    2 w_i / (1 + w_i), at the weights it reads."""
     t = None if lam is None else 1.0 / lam
     root = _support_lasso(_operator(instance), w, support, sigma, eta, t)
-    x = None if root is None else _signed(instance.n, w, support, sigma, root[2])
-    if x is not None:
-        lam = 1.0 / root[3] if lam is None else lam
-        resid, viol = _lasso_certificate(instance, w, lam, x)
-        if viol <= _INNER_TOL:
-            return x, lam, resid, viol
-    raise NoConvergenceError(
-        f"the exact solve on the path's support of {support.size} coordinates does not certify"
-    )
+    if root is None:
+        return None
+    x = np.zeros(instance.n)
+    x[support] = root[2]
+    lam = 1.0 / root[3] if lam is None else lam
+    resid, viol = _lasso_certificate(instance, w, lam, x)
+    if viol <= _INNER_TOL and (eta is None or abs(_norm(resid) - eta) <= _INNER_TOL * eta):
+        return x, (lam, resid, viol)
+    return None
 
 
 def constrained_weighted_l1(
@@ -1119,29 +1127,29 @@ def constrained_weighted_l1(
 ) -> InnerSolveReport:
     """Minimize sum_i w_i |x_i| subject to (1/2)||phi x - b||^2 <= eta^2 / 2.
 
-    The weighted-LASSO path (``_path``) runs cold in 1/lam, from x = 0 to
-    the segment on which ||phi x - b|| = eta. On that segment's support
-    and signs, the closed form of ``_support_lasso`` gives the multiplier
-    lam at which the LASSO minimizer meets the budget; that minimizer is
-    returned with exit ``"certified"`` when, as the LASSO's own answer, its
-    signs match the path's and the LASSO optimality conditions at lam
-    certify it (by duality it is then the constrained minimizer), with
-    ||phi x - b|| = eta up to rounding;
+    The walk over path starts (``_walk``) has one start: the
+    weighted-LASSO path cold in 1/lam, from x = 0 to the segment on which
+    ||phi x - b|| = eta. On that segment's support and signs, the closed
+    form of ``_support_lasso`` gives the multiplier lam at which the LASSO
+    minimizer meets the budget; that minimizer is returned with exit
+    ``"certified"`` when the LASSO optimality conditions at lam certify it
+    (by duality it is then the constrained minimizer) and its residual norm
+    meets eta within ``_INNER_TOL`` eta (``_support_answer``), flagged
+    degenerate when the path held a zero weight at 0, off its support;
     ``iterations`` counts the path's breakpoints, and ``multiplier`` is the
     budget's. When the path would pass ``_MAX_BREAKPOINTS`` breakpoints
     before it meets the budget, the LASSO minimizer at the weights it
     reached, whose residual norm is still above eta, is returned with exit
-    ``"max_iter"`` and multiplier NaN. A budget below the least-squares
-    residual ||b - phi phi^+ b||, which no point meets, raises
-    ``ConfigurationError``; a path that cannot be followed to any other
-    budget, or an answer that does not certify, ``NoConvergenceError``.
-    eta = 0 is weighted basis pursuit.
+    ``"max_iter"`` and multiplier NaN. eta = 0 is weighted basis pursuit.
 
-    When the fit on the zero-weight coordinates (``_zero_weight_fit``;
-    x = 0 when there are none) meets the budget, it is returned at once
-    with objective 0 and multiplier 0, exit ``"certified"``. Any answer is
-    flagged degenerate when those columns have a null space, which makes
-    the solution set unbounded (as with more than m zero weights).
+    When the path gives no answer, the fit on the zero-weight coordinates
+    (``_zero_weight_fit``; x = 0 when there are none) answers if it meets
+    the budget, with objective 0, multiplier 0 and ``primal_residual`` 0,
+    exit ``"certified"``, flagged degenerate when those columns have a
+    null space, which makes the solution set unbounded. The cold path stops
+    at once where it does. Otherwise a budget below the least-squares
+    residual ||b - phi phi^+ b||, which no point meets, raises
+    ``ConfigurationError``, and any other ``NoConvergenceError``.
     """
     w = as_weight_array(w, instance.n)
     if not eta >= 0:
@@ -1149,28 +1157,31 @@ def constrained_weighted_l1(
     if eta == 0.0:
         return weighted_basis_pursuit(instance, w)
     phi, b = instance.phi, instance.b
-    # the fit on the zero-weight coordinates is a minimizer when it meets
-    # the budget, which then has multiplier 0
-    x, resid, degenerate = _zero_weight_fit(instance, w)
-    iterations, lam, stop, primal = 0, 0.0, "certified", 0.0
-    if _norm(resid) > eta:
-        found = _path(instance, w, eta=eta)
-        if found is None:
-            floor = float(np.linalg.norm(b - phi @ np.linalg.lstsq(phi, b, rcond=None)[0]))
-            raise (ConfigurationError if floor > eta else NoConvergenceError)(
-                f"the weighted-LASSO path cannot be followed to the budget {eta:.3e}; "
-                f"the least-squares residual ||b - phi phi^+ b|| is {floor:.3e}"
-            )
-        support, sigma, iterations, x = found
-        if x is None:
-            x, lam, resid, _ = _support_answer(instance, w, support, sigma, eta=eta)
-        else:
-            lam, stop, resid = np.nan, "max_iter", phi @ x - b
-        primal = abs(_norm(resid) - eta) / eta
+
+    def answer(support, sigma, t, eta):
+        return _support_answer(instance, w, support, sigma, eta=eta)
+
+    def fallback():
+        # the fit on the zero-weight coordinates is a minimizer when it meets
+        # the budget, which then has multiplier 0
+        x, resid, degenerate = _zero_weight_fit(instance, w)
+        if _norm(resid) <= eta:
+            return x, (0.0, resid, None), degenerate
+        floor = float(np.linalg.norm(b - phi @ np.linalg.lstsq(phi, b, rcond=None)[0]))
+        raise (ConfigurationError if floor > eta else NoConvergenceError)(
+            f"no weighted-LASSO path certifies at the budget {eta:.3e}, nor the zero-weight "
+            f"fit; the least-squares residual ||b - phi phi^+ b|| is {floor:.3e}"
+        )
+
+    x, answered, stop, iterations, degenerate = _walk(
+        instance, w, [(w, None, None, eta)], answer, fallback
+    )
+    lam, resid, _ = answered or (np.nan, phi @ x - b, None)
     return InnerSolveReport(
         x=x,
         iterations=iterations,
-        primal_residual=primal,
+        # 0 where the budget is inactive (lam = 0)
+        primal_residual=abs(_norm(resid) - eta) / eta if lam else 0.0,
         objective=float(w @ np.abs(x)),
         exit=stop,
         degenerate=degenerate,

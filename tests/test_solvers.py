@@ -983,17 +983,27 @@ class TestWeightedLassoFista:
         rep = weighted_lasso_fista(inst, np.ones(24), 20.0, split)
         assert rep.x.tobytes() == cold.x.tobytes() and rep.iterations == cold.iterations
 
-    def test_more_zero_weights_than_rows_on_columns_that_miss_b_do_not_certify(self):
+    def test_more_zero_weights_than_rows_on_columns_that_miss_b_are_held_at_zero(self):
         # four zero weights on copies of e1 with m = 3: their least-squares
-        # fit leaves phi x - b = (0, -1, -1), a gradient of magnitude 10 on
-        # e2 and e3 above their unit weights, so the fit is not the minimizer
+        # fit leaves phi x - b = (0, -1, -1), so it answers neither problem.
+        # The cold path borders the first copy, holds the other three at 0,
+        # and enters e2 and e3: basis pursuit ends on x5 = x6 = 1, the LASSO
+        # at lam = 10 on x5 = x6 = 0.9, both degenerate (the copies split x1)
         phi = np.array([[1.0, 1.0, 1.0, 1.0, 0.0, 0.0],
                         [0.0, 0.0, 0.0, 0.0, 1.0, 0.0],
                         [0.0, 0.0, 0.0, 0.0, 0.0, 1.0]])
         inst = ProblemInstance(phi=phi, b=np.ones(3))
         w = np.array([0.0, 0.0, 0.0, 0.0, 1.0, 1.0])
-        with pytest.raises(NoConvergenceError, match="zero-weight least-squares fit does not certify"):
-            weighted_lasso_fista(inst, w, 10.0)
+        bp = weighted_basis_pursuit(inst, w)
+        assert bp.exit == "certified" and bp.degenerate
+        assert bp.x[0] == pytest.approx(1.0) and not bp.x[1:4].any()
+        assert bp.x[4:] == pytest.approx([1.0, 1.0]) and bp.objective == pytest.approx(2.0)
+        assert_lp_optimal(bp, inst, w)
+        lasso = weighted_lasso_fista(inst, w, 10.0)
+        assert lasso.exit == "certified" and lasso.degenerate
+        assert lasso.x == pytest.approx([1.0, 0.0, 0.0, 0.0, 0.9, 0.9])
+        assert lasso.objective == pytest.approx(1.9)
+        assert lasso.objective == pytest.approx(fista_reference(phi, inst.b, w, 10.0)[1], rel=1e-9)
 
     def test_warm_start_converges_fast(self):
         inst = gen_noiseless(EnsembleSpec(n=40, m=20, s=5, seed=2))
@@ -1266,6 +1276,16 @@ class TestLassoPath:
         assert sigma.tolist() == np.sign(bp.x[support]).tolist()
         fit = np.linalg.lstsq(inst.phi[:, support], inst.b, rcond=None)[0]
         assert np.linalg.norm(inst.b - inst.phi[:, support] @ fit) <= eta
+
+    def test_an_answer_that_misses_its_budget_is_not_certified(self):
+        # on the same instance and budget, the closed form's t reads the
+        # slack eta^2 - (||b||^2 - ||c||^2) below the rounding of its second
+        # term, and its answer's residual norm is 157 eta above eta: the
+        # constrained answer step rejects it instead of certifying it
+        inst = gen_noiseless(EnsembleSpec(n=16, m=8, s=4, seed=24))
+        eta = 1e-10 * np.linalg.norm(inst.b)
+        with pytest.raises(NoConvergenceError, match="no weighted-LASSO path certifies"):
+            constrained_weighted_l1(inst, np.ones(16), eta)
 
     def test_first_breakpoint_is_one_entry(self):
         # the path side of the test on x = 0 below the first breakpoint:
@@ -1845,10 +1865,9 @@ class TestLassoPath:
         # both answers come from the one support solve
         inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
         monkeypatch.setattr(solvers, broken, lambda *args, **kwargs: None)
-        cause = "cannot be followed" if broken == "_path" else "does not certify"
-        with pytest.raises(NoConvergenceError, match=cause):
+        with pytest.raises(NoConvergenceError, match="no weighted-LASSO path certifies"):
             weighted_lasso_fista(inst, np.ones(64), 10.0)
-        with pytest.raises(NoConvergenceError, match=cause):
+        with pytest.raises(NoConvergenceError, match="no weighted-LASSO path certifies"):
             constrained_weighted_l1(inst, np.ones(64), inst.eta)
 
     def test_noisy_answers_are_the_closed_form_on_their_support(self, monkeypatch):
@@ -1885,14 +1904,40 @@ class TestLassoPath:
             assert rep.x.tobytes() == exact.tobytes() and rep.multiplier == lam
 
     def test_a_sign_change_on_the_support_fails_both_solvers(self, monkeypatch):
-        # the one sign check, handed the opposite of the path's signs,
-        # rejects the LASSO's support solve and the constrained closed form
+        # a path end with the opposite of the path's signs: the LASSO
+        # certificate rejects the support solve and the constrained closed
+        # form there, by 2 w_i / (1 + w_i) on each penalized coordinate
         inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
-        signed = solvers._signed
-        monkeypatch.setattr(
-            solvers, "_signed", lambda n, w, support, sigma, x_s: signed(n, w, support, -sigma, x_s)
-        )
-        with pytest.raises(NoConvergenceError, match="does not certify"):
+        path = solvers._path
+
+        def flipped(*args, **kwargs):
+            support, sigma, breakpoints, x = path(*args, **kwargs)
+            return support, -sigma, breakpoints, x
+
+        monkeypatch.setattr(solvers, "_path", flipped)
+        with pytest.raises(NoConvergenceError, match="no weighted-LASSO path certifies"):
             weighted_lasso_fista(inst, np.ones(64), 10.0)
-        with pytest.raises(NoConvergenceError, match="does not certify"):
+        with pytest.raises(NoConvergenceError, match="no weighted-LASSO path certifies"):
             constrained_weighted_l1(inst, np.ones(64), inst.eta)
+
+    def test_a_warm_end_that_does_not_certify_is_followed_by_the_cold_path(self, monkeypatch):
+        # the warm path's end, its signs flipped, fails the certificate: the
+        # cold path answers, with the bits of a cold solve, and the solve
+        # counts the breakpoints of both paths
+        inst = gen_noisy(EnsembleSpec(n=64, m=32, s=6, sigma=0.05, seed=1))
+        w = np.random.default_rng(4).uniform(0.5, 2.0, 64)
+        first = weighted_lasso_fista(inst, w, 40.0)
+        w2 = w * np.random.default_rng(5).uniform(0.5, 1.0, 64)
+        cold = weighted_lasso_fista(inst, w2, 60.0)
+        path, walked = solvers._path, []
+
+        def flipped_when_warm(instance, c, warm=None, eta=None):
+            support, sigma, breakpoints, x = path(instance, c, warm, eta)
+            walked.append(breakpoints)
+            return support, -sigma if warm is not None else sigma, breakpoints, x
+
+        monkeypatch.setattr(solvers, "_path", flipped_when_warm)
+        rep = weighted_lasso_fista(inst, w2, 60.0, first.x)
+        assert len(walked) == 2 and walked[1] == cold.iterations
+        assert rep.exit == "certified" and rep.iterations == sum(walked)
+        assert rep.x.tobytes() == cold.x.tobytes() and rep.objective == cold.objective
