@@ -74,13 +74,9 @@ class ProblemInstance:
         m, n = phi.shape
         if m > n:
             raise ValueError(f"phi must not be overdetermined, got {m}x{n}")
-        if not np.all(np.isfinite(phi)):
-            raise ValueError("phi has non-finite entries")
         b = _as_vector(self.b, "b")
         if b.shape[0] != m:
             raise ValueError(f"b has length {b.shape[0]}, expected {m}")
-        if not np.all(np.isfinite(b)):
-            raise ValueError("b has non-finite entries")
         # read-only copies: the per-instance caches (the solvers' operator,
         # the outer loop's start solves) hold only while phi and b cannot move
         phi, b = phi.copy(order="K"), b.copy(order="K")
@@ -92,12 +88,14 @@ class ProblemInstance:
             if xs.shape[0] != n:
                 raise ValueError(f"x_star has length {xs.shape[0]}, expected {n}")
             object.__setattr__(self, "x_star", xs)
-        if self.sigma is not None and not self.sigma >= 0:
-            raise ValueError("sigma must be nonnegative")
-        if self.eta is not None and not self.eta >= 0:
-            raise ValueError("eta must be nonnegative")
-        if self.seed < 0:
-            raise ValueError("seed must be an unsigned integer")
+        for name, arr in (("phi", phi), ("b", b), ("x_star", self.x_star)):
+            if arr is not None and not np.isfinite(arr).all():
+                raise ValueError(f"{name} has non-finite entries")
+        for name, value in (("sigma", self.sigma), ("eta", self.eta)):
+            if value is not None and not (isinstance(value, Real) and value >= 0):
+                raise ValueError(f"{name} must be a number >= 0 or None, got {value!r}")
+        if not (_is_integer(self.seed) and self.seed >= 0):
+            raise ValueError(f"seed must be an unsigned integer, got {self.seed!r}")
         if self.x_star is not None and self.eta is None:
             resid = np.linalg.norm(phi @ self.x_star - b)
             if resid > 1e-10 * (1.0 + np.linalg.norm(b)):
@@ -148,7 +146,7 @@ class ProblemInstance:
             x_star=None if doc.get("x_star") is None else np.asarray(doc["x_star"], dtype=float),
             sigma=doc.get("sigma"),
             eta=doc.get("eta"),
-            seed=int(doc.get("seed", 0)),
+            seed=doc.get("seed", 0),
         )
 
     @classmethod

@@ -9,10 +9,11 @@ update rule: dual ascent along a supergradient of a Lagrange dual with a
 zero-target stepsize and a nonnegative projection (oracle, non-oracle, or
 jointly in the weights and the data-fit multiplier), or the classical
 inverse-magnitude baseline w_i = 1 / (|x_i| + eps). Plain l1 is the loop
-at budget zero. An update rule ends a run early by raising the
+at budget zero. A run ends early when an update rule raises the
 ``ZeroSubgradientError`` or ``ZeroIterateError`` of :mod:`rwsparse.duality`,
-or, for the oracle ascent, on a zero stepsize, which leaves the weights
-where they are.
+or (``"zero_step"``) when an update returns the weights and multiplier of
+the last solve bit for bit: the re-solve would repeat that solve, and
+return its iterate.
 
 The unit-weight start depends only on the instance, the re-solve rule and
 the starting multiplier, so it is solved once per instance and shared: on
@@ -138,19 +139,12 @@ def _constrained(instance, w, lam, warm):
     return constrained_weighted_l1(instance, w, instance.eta)
 
 
-class _ZeroStepError(ArithmeticError):
-    """The stepsize is zero, so the weights cannot move and a re-solve
-    would repeat the last one."""
-
-
 # Update rules (w, lam, x, instance, cfg) -> (alpha, w, lam), x solved at (w, lam);
 # every update uses the same eps, ``cfg.eps_at`` of the rule's default.
 
 
 def _oracle_ascent(w, lam, x, instance, cfg):
     alpha = polyak_step_oracle(w, x, instance.x_star)
-    if alpha == 0.0:
-        raise _ZeroStepError("zero-target stepsize is zero")
     g = subgradient_oracle(x, instance.x_star)
     return alpha, project_nonneg(w + alpha * g), lam
 
@@ -178,7 +172,6 @@ def _inverse_magnitude(w, lam, x, instance, cfg):
 _EARLY_EXITS = {
     ZeroSubgradientError: "zero_subgradient",
     ZeroIterateError: "zero_iterate",
-    _ZeroStepError: "zero_step",
 }
 
 
@@ -205,7 +198,9 @@ def _start(instance, solve, lam):
 
 def _drive(algo, instance, cfg, solve, update, lam=None, alpha=0.0):
     """The outer loop shared by every algorithm. ``alpha`` is the stepsize
-    reported before the first update (NaN for rules that take no step)."""
+    reported before the first update (NaN for rules that take no step).
+    An update that returns the last solve's (w, lam) bit for bit ends the
+    run (``"zero_step"``): the re-solve would repeat that solve."""
     w = np.ones(instance.n)
     start = report = _start(instance, solve, lam)
     x = report.x
@@ -213,10 +208,14 @@ def _drive(algo, instance, cfg, solve, update, lam=None, alpha=0.0):
     reason = "budget"
     for k in range(1, cfg.rw_iter + 1):
         try:
-            alpha, w, lam = update(w, lam, x, instance, cfg)
+            alpha, w_next, lam_next = update(w, lam, x, instance, cfg)
         except tuple(_EARLY_EXITS) as stop:
             reason = _EARLY_EXITS[type(stop)]
             break
+        if lam_next == lam and np.array_equal(w_next, w):
+            reason = "zero_step"
+            break
+        w, lam = w_next, lam_next
         report = solve(instance, w, lam, report)
         x = report.x
         rows.append(_row(k, alpha, report, instance.x_star))
@@ -231,9 +230,9 @@ def rw_l1_oracle(instance: ProblemInstance, cfg: SolverConfig = _DEFAULT_CFG):
     Each iteration takes the supergradient g_i = |x_i| - |x*_i| at the
     current weights, a zero-target stepsize, a nonnegative projection, and
     a warm-restarted weighted basis pursuit re-solve. Stops early when the
-    supergradient vanishes (the iterate magnitudes match the target), or
-    when the stepsize is zero (``"zero_step"``: clamped at zero, the
-    weights would not move and the re-solve would repeat the last one).
+    supergradient vanishes (the iterate magnitudes match the target), or,
+    as every algorithm does, when the weights stop moving (``"zero_step"``),
+    which a stepsize clamped at zero or below the weights' last bits gives.
     """
     if instance.x_star is None:
         raise OracleRequiredError("oracle reweighting requires instance.x_star")

@@ -442,7 +442,7 @@ class TestFinalIterateDigests:
 
     @pytest.mark.parametrize(
         "panel, digest",
-        [(_fig1_panel, "68b908d1d1bd32fe"), (_noisy_panel, "fc616e5ca2c27e85")],
+        [(_fig1_panel, "a3af9bfd0b7de468"), (_noisy_panel, "fc616e5ca2c27e85")],
         ids=["fig1", "noisy"],
     )
     def test_panel_reports_keep_their_bits(self, monkeypatch, panel, digest):

@@ -92,6 +92,24 @@ class TestSolve:
         ProblemInstance(phi=phi, b=np.array([1.0, 1.0])).save(tmp_path / "bad.json")
         assert main(["solve", "--algo", "l1", "--instance", str(tmp_path / "bad.json")]) == 1
 
+    @pytest.mark.parametrize(
+        "field, value",
+        [("seed", None), ("seed", 1.7), ("seed", True), ("sigma", "x"), ("eta", "x"),
+         ("x_star", [1.0, float("nan"), 0.0])],
+        ids=["seed-null", "seed-float", "seed-bool", "sigma-str", "eta-str", "x_star-nan"],
+    )
+    @pytest.mark.parametrize("algo", ["l1", "oracle"])
+    def test_an_instance_field_of_the_wrong_kind_exits_1(self, tmp_path, capsys, field, value, algo):
+        # these once died in a TypeError, ran as seed 1, or ran on a NaN x*
+        # (the oracle exited 2 on NaN weights)
+        phi = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0]])
+        doc = json.loads(ProblemInstance(phi=phi, b=np.array([1.0, 2.0]),
+                                         x_star=np.array([1.0, 2.0, 0.0])).to_json())
+        path = tmp_path / "bad.json"
+        path.write_text(json.dumps({**doc, field: value}))
+        assert main(["solve", "--algo", algo, "--instance", str(path)]) == 1
+        assert capsys.readouterr().err.startswith(f"configuration error: cannot load instance {path}")
+
     def test_traces_do_not_depend_on_the_blas_thread_count(self, tmp_path):
         # solve pins one BLAS thread, as sweeps do: unpinned, the Gram
         # Cholesky factor of this instance (and with it rw-lasso's lambda0)

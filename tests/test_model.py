@@ -138,6 +138,32 @@ class TestProblemInstance:
         with pytest.raises(ValueError):
             ProblemInstance(phi=phi, b=np.ones(1))
 
+    @pytest.mark.parametrize(
+        "field, value, match",
+        [
+            ("x_star", np.array([1.0, np.nan]), "x_star has non-finite entries"),
+            ("x_star", np.array([np.inf, 0.0]), "x_star has non-finite entries"),
+            ("seed", None, "seed must be an unsigned integer"),
+            ("seed", 1.7, "seed must be an unsigned integer"),
+            ("seed", True, "seed must be an unsigned integer"),
+            ("sigma", "x", "sigma must be a number"),
+            ("eta", "x", "eta must be a number"),
+        ],
+        ids=["x_star-nan", "x_star-inf", "seed-null", "seed-float", "seed-bool", "sigma-str",
+             "eta-str"],
+    )
+    def test_fields_of_the_wrong_kind_are_rejected(self, field, value, match):
+        # a NaN in x_star once passed the consistency check (NaN > tol is
+        # false); a sigma, eta or seed of the wrong type once raised a raw
+        # TypeError or was kept as given
+        with pytest.raises(ValueError, match=match):
+            ProblemInstance(phi=np.eye(2), b=np.ones(2), **{field: value})
+
+    def test_numpy_scalars_are_accepted(self):
+        inst = ProblemInstance(phi=np.eye(2), b=np.ones(2), sigma=np.float64(0.1),
+                               eta=np.float32(0.2), seed=np.uint32(3))
+        assert inst.seed == 3
+
     def test_json_roundtrip_exact(self):
         rng = np.random.default_rng(0)
         phi = rng.standard_normal((3, 7))

@@ -99,7 +99,8 @@ class TestOracleAlgorithm:
         # m=8, s=1..3, rw_iter=4), pinned, so that a change that moves a
         # seed names it; the criterion itself counts only the l0 matches,
         # and needs 95. Its three misses (seeds 38, 65, 95) end on an
-        # 8-coordinate vertex of a tied optimal face, and which vertex basis
+        # 8-coordinate vertex of a tied optimal face, where an update returns
+        # the weights bit for bit (exit zero_step), and which vertex basis
         # pursuit returns there depends on rounding (applying the support
         # QR's Q from its reflectors moved seeds 83 and 98 onto x*). Like the final-iterate
         # digests, the pins hold on the BLAS kernels and SIMD paths they were
@@ -419,6 +420,43 @@ class TestBudgetPrefixes:
             assert trace.exit_reason == (full.exit_reason if r >= len(full.rows) else "budget")
 
 
+# an instance on which an update returns its (w, lam) bit for bit, the
+# number k of that update, and the update rule
+_REPEATS = {
+    "rw-cwb": (lambda: gen_noiseless(EnsembleSpec(n=256, m=100, s=20, seed=0)), 2,
+               reweight._inverse_magnitude),
+    "cwb-noisy": (lambda: gen_noisy(EnsembleSpec(n=32, m=16, s=2, sigma=0.05, seed=0)), 2,
+                  reweight._inverse_magnitude),
+    "rw-lasso": (lambda: gen_noisy(EnsembleSpec(n=16, m=8, s=3, sigma=0.2, seed=7)), 1,
+                 reweight._joint_ascent),
+}
+
+
+class TestFixedPointExit:
+    @pytest.mark.parametrize("algo", sorted(_REPEATS))
+    def test_a_run_ends_at_the_first_update_that_repeats(self, algo, inner_solves):
+        # the k-th update returns the multipliers of the last solve, so the
+        # run ends (zero_step) with k solves where its budget allows k + 1,
+        # on the iterate and rows of its run at budget k - 1
+        make, k, update = _REPEATS[algo]
+        inst, cfg = make(), SolverConfig(rw_iter=k)
+        x, trace = run_algorithm(algo, inst, cfg)
+        solves = list(inner_solves)
+        assert trace.exit_reason == "zero_step"
+        assert len(solves) == len(trace.rows) == k
+        for (w, lam, _), (w_next, lam_next, _) in zip(solves, solves[1:]):
+            assert not (lam_next == lam and np.array_equal(w_next, w))
+        _, w_next, lam_next = update(trace.w, trace.lam, x, inst, cfg)
+        assert lam_next == trace.lam and np.array_equal(w_next, trace.w)
+        inner_solves.clear()
+        x_prev, prev = run_algorithm(algo, make(), SolverConfig(rw_iter=k - 1))
+        assert prev.exit_reason == "budget" and len(inner_solves) == k
+        assert x.tobytes() == x_prev.tobytes() and len(trace.rows) == len(prev.rows)
+        for row, ref in zip(trace.rows, prev.rows):
+            assert all(_same(a, b) for a, b in zip(vars(row).values(), vars(ref).values()))
+        assert np.array_equal(trace.w, prev.w) and trace.lam == prev.lam
+
+
 def _small_instance():
     return gen_noiseless(EnsembleSpec(n=64, m=32, s=10, seed=0))
 
@@ -452,10 +490,11 @@ def bp_calls(monkeypatch):
 class TestSharedStart:
     def test_one_start_solve_per_instance(self, bp_calls):
         # l1, rw-sub and rw-cwb on one instance share the unit-weight solve:
-        # 1 + 2 + 2 solves instead of 1 + 3 + 3, with unchanged results
+        # 1 + 2 + 1 solves instead of 1 + 3 + 2, with unchanged results
+        # (rw-cwb's second update returns its weights, which ends its run)
         inst = _small_instance()
         shared = [run_algorithm(a, inst, SolverConfig(rw_iter=r)) for a, r in _FIG1_RUNS]
-        assert len(bp_calls) == 5
+        assert len(bp_calls) == 4
         for (algo, r), run in zip(_FIG1_RUNS, shared):
             _assert_same_run(run, run_algorithm(algo, _small_instance(), SolverConfig(rw_iter=r)))
 
@@ -576,10 +615,12 @@ class TestNoisyStart:
 class TestFig1Counts:
     def test_bp_iterations_on_the_fig1_serial_panel(self, monkeypatch):
         # a count, not a time, over the benchmark's Fig-1 panel: 5 basis
-        # pursuit solves per trial, all certified, and a bound on the path's
-        # breakpoints (5 147 when basis pursuit moved onto the path, plus a
-        # small margin), which a warm re-solve that walks from x = 0 again or
-        # a path that certifies later exceeds. No warm path starts from a
+        # pursuit solves per trial, less one for each of the 7 rw-cwb runs
+        # whose second update returns its weights bit for bit, all
+        # certified, and a bound on the path's breakpoints (5 147 when
+        # basis pursuit moved onto the path, plus a small margin), which a
+        # warm re-solve that walks from x = 0 again or a path that
+        # certifies later exceeds. No warm path starts from a
         # square carried support (|S| = m): each of the 28 such re-solves
         # gave up before its first breakpoint, some after refactoring an
         # m x m Gram matrix, and then walked the cold path anyway
@@ -602,7 +643,7 @@ class TestFig1Counts:
                 inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=s, seed=seed))
                 for algo in ("l1", "rw-sub", "rw-cwb"):
                     run_algorithm(algo, inst, SolverConfig(rw_iter=2))
-        assert len(reports) == 80
+        assert len(reports) == 73
         assert all(rep.exit == "certified" for rep in reports)
         assert sum(rep.iterations for rep in reports) <= 5_250
         assert not square

@@ -636,7 +636,7 @@ class TestWeightedBasisPursuit:
             inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=s, seed=seed))
             for algo in ("l1", "rw-sub", "rw-cwb"):
                 run_algorithm(algo, inst, SolverConfig(rw_iter=2))
-        assert len(calls) == 40
+        assert len(calls) == 37
         assert sum(warm is None for _, _, warm in calls) == 8
         for inst, w, warm in calls:
             rep = weighted_basis_pursuit(inst, w, warm)
