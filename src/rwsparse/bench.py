@@ -199,8 +199,9 @@ def _single_blas_thread():
 @contextlib.contextmanager
 def _one_blas_thread():
     """Every loaded OpenBLAS at one thread inside the block, at its own
-    count after it: the bits of ``solvers._Operator.gram_factor``, and so of
-    the minimum-norm solution and rw-lasso's lambda0, depend on the count."""
+    count after it: the bits of the Cholesky factor of phi phi^T that
+    ``solvers._Operator.x0`` solves from, and so of the minimum-norm
+    solution and rw-lasso's lambda0, depend on the count."""
     controls = _blas_thread_controls()
     previous = [get() for get, _ in controls]
     _single_blas_thread()

@@ -92,7 +92,7 @@ class ProblemInstance:
             if arr is not None and not np.isfinite(arr).all():
                 raise ValueError(f"{name} has non-finite entries")
         for name, value in (("sigma", self.sigma), ("eta", self.eta)):
-            if value is not None and not (isinstance(value, Real) and value >= 0):
+            if value is not None and not (_is_real(value) and value >= 0):
                 raise ValueError(f"{name} must be a number >= 0 or None, got {value!r}")
         if not (_is_integer(self.seed) and self.seed >= 0):
             raise ValueError(f"seed must be an unsigned integer, got {self.seed!r}")
@@ -162,6 +162,13 @@ def _is_integer(value) -> bool:
     return isinstance(value, Integral) and not isinstance(value, bool)
 
 
+def _is_real(value) -> bool:
+    """True for a real number, NumPy's included, but not for a bool, which
+    Python counts as a ``Real`` too: a JSON instance file can give ``true``
+    for ``sigma`` or ``eta``."""
+    return isinstance(value, Real) and not isinstance(value, bool)
+
+
 def as_weight_array(w, n: Optional[int] = None) -> np.ndarray:
     """Coerce array-like weights to a validated float vector: finite,
     nonnegative, and of length n when n is given."""
@@ -197,7 +204,7 @@ class SolverConfig:
     def __post_init__(self):
         if not (_is_integer(self.rw_iter) and self.rw_iter >= 0):
             raise ValueError(f"rw_iter must be an integer >= 0, got {self.rw_iter!r}")
-        if self.eps_k is not None and not (isinstance(self.eps_k, Real) and self.eps_k > 0):
+        if self.eps_k is not None and not (_is_real(self.eps_k) and self.eps_k > 0):
             raise ValueError(f"eps_k must be a number > 0 or None, got {self.eps_k!r}")
 
     def eps_at(self, default: float) -> float:

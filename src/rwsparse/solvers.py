@@ -27,11 +27,14 @@ norm, then toward a second, smaller one). The loop has three exits. The
 first path end that the problem's answer step accepts is the answer,
 certified. A cold path that runs out of breakpoints returns the minimizer
 at the weights it reached, not converged. When no start gives an answer,
-the problem's fallback decides: the fit on the zero-weight coordinates
-answers basis pursuit if it meets phi x = b and the constrained problem
-if it meets the budget, at objective 0, and ``NoConvergenceError`` (or,
-below the constrained problem's least-squares floor, ``ConfigurationError``)
-is raised otherwise. Basis pursuit's answer step is the exact solve on the
+one fallback rule decides for both constrained problems
+(``_zero_weight_answer``): the fit on the zero-weight coordinates answers,
+at objective 0, if its residual norm meets the problem's budget
+(``_INNER_TOL`` (1 + ||b||) for basis pursuit's phi x = b, eta for the
+constrained problem); otherwise a least-squares floor ||b - phi phi^+ b||
+above that budget, which no point meets, raises ``ConfigurationError``,
+and anything else ``NoConvergenceError``. Neither problem needs phi to
+have full row rank. Basis pursuit's answer step is the exact solve on the
 path's support, pruned of rounding-level coordinates and of those that
 cross zero on the way to the limit, with a dual certificate seeded by the
 path's own multiplier.
@@ -49,15 +52,16 @@ start as at an entry: one rank-one update of the inverse Gram matrix of
 the support, under one rank rule.
 
 Each instance has one cached operator, the package's only per-instance
-cache, which builds on first use the Cholesky factor of phi phi^T (the
-rank guard), the minimum-norm solution, phi^T b, ||b|| and the Gram rows
-phi_i^T phi the path enters. It also keeps the path's workspace (the
-support the last path call ended on, with the inverse Gram matrix of its
-columns, which a warm start around that support keeps and borders its
-other columns onto, and the buffers every path call writes) and the
-outer loop's unit-weight starts
-(:mod:`rwsparse.reweight`), and dies with the instance. A phi without
-full row rank, numerically, is rejected with ``RankDeficientError``.
+cache, which builds on first use the minimum-norm solution (from the
+Cholesky factor of phi phi^T, which only it needs), phi^T b, ||b|| and
+the Gram rows phi_i^T phi the path enters. It also keeps the path's
+workspace (the support the last path call ended on, with the inverse Gram
+matrix of its columns, which a warm start around that support keeps and
+borders its other columns onto, and the buffers every path call writes)
+and the outer loop's unit-weight starts (:mod:`rwsparse.reweight`), and
+dies with the instance. Only the minimum-norm solution needs full row
+rank: without it, numerically, ``min_l2_solution`` raises
+``RankDeficientError``.
 
 The BLAS and LAPACK routines are SciPy's f2py wrappers, called directly
 (no higher-level ``scipy.linalg`` function runs). They are taken from the
@@ -159,9 +163,9 @@ class NoConvergenceError(RuntimeError):
 class RankDeficientError(ConfigurationError, np.linalg.LinAlgError):
     """phi does not have full row rank, numerically: phi phi^T has no
     Cholesky factor, or one whose pivot ratio min/max diag(L) is not above
-    ``_GRAM_PIVOT_RATIO``, so the affine projection and the minimum-norm
-    solution are undefined or dominated by rounding. It is also a
-    ``LinAlgError``."""
+    ``_GRAM_PIVOT_RATIO``, so the minimum-norm solution is undefined or
+    dominated by rounding (``min_l2_solution``, and with it rw-lasso's
+    start lambda0). It is also a ``LinAlgError``."""
 
 
 @dataclass(frozen=True, eq=False)
@@ -206,9 +210,8 @@ class InnerSolveReport:
 
 class _Operator:
     """Everything derived from one instance, each piece built on first use:
-    the Cholesky factor of phi phi^T (``gram_factor``, which applies the
-    rank guard; basis pursuit needs nothing else of it), the minimum-norm
-    solution ``x0`` solved from that factor for ``min_l2_solution``,
+    the minimum-norm solution ``x0`` for ``min_l2_solution``, solved from
+    the Cholesky factor of phi phi^T, which nothing else needs,
     phi^T b and its largest magnitude (``corr_b``, ``corr_inf``), ||b||^2
     and ||b|| (``b_sq``, ``norm_b``), the Gram rows
     phi_i^T phi of the coordinates the LASSO path has touched
@@ -243,14 +246,16 @@ class _Operator:
         return math.sqrt(self.b_sq)
 
     @cached_property
-    def gram_factor(self) -> np.ndarray:
-        """The upper Cholesky factor of phi phi^T, the array ``cho_factor``
-        returns (LAPACK potrf on the upper triangle, the call it makes, made
-        directly): the rank guard, which basis pursuit applies on every
-        input. Raises RankDeficientError when the factorization breaks down
-        or its pivot ratio is not above ``_GRAM_PIVOT_RATIO`` (also when it
-        is NaN, as on a phi phi^T that overflows)."""
-        phi = self.phi
+    def x0(self) -> np.ndarray:
+        """phi^T (phi phi^T)^{-1} b by solves with the upper Cholesky factor
+        of phi phi^T (LAPACK potrf, then potrs: the calls ``cho_factor`` and
+        ``cho_solve`` make, made directly) and one step of iterative
+        refinement, which keeps the residual near machine precision for
+        moderately conditioned Gram matrices. Raises RankDeficientError when
+        the factorization breaks down or its pivot ratio is not above
+        ``_GRAM_PIVOT_RATIO`` (also when it is NaN, as on a phi phi^T that
+        overflows)."""
+        phi, b = self.phi, self.b
         m, n = phi.shape
         chol, info = dpotrf(phi @ phi.T, lower=0, clean=0)
         if info > 0:
@@ -265,16 +270,6 @@ class _Operator:
                 f"phi ({m}x{n}) is rank deficient: the Cholesky factor of "
                 f"phi phi^T has pivot ratio {ratio:.3e}, not above {_GRAM_PIVOT_RATIO:.0e}"
             )
-        return chol
-
-    @cached_property
-    def x0(self) -> np.ndarray:
-        """phi^T (phi phi^T)^{-1} b by solves with ``gram_factor`` (LAPACK
-        potrs, the call ``cho_solve`` makes) and one step of iterative
-        refinement, which keeps the residual near machine precision for
-        moderately conditioned Gram matrices."""
-        phi, b = self.phi, self.b
-        chol = self.gram_factor
         y = dpotrs(chol, b, lower=0)[0]
         y += dpotrs(chol, b - phi @ (phi.T @ y), lower=0)[0]
         return phi.T @ y
@@ -550,13 +545,18 @@ def weighted_basis_pursuit(
       when the path held a zero weight at 0, off its support;
     * a cold path that would pass ``_MAX_BREAKPOINTS`` breakpoints: exit
       ``"max_iter"`` and the minimizer at the weights it reached;
-    * no path certifies: the fit on the zero-weight coordinates
-      (``_zero_weight_fit``), certified at objective 0 if it meets
-      phi x = b within ``_INNER_TOL`` (1 + ||b||), flagged degenerate
-      when those columns have a null space, which makes the solution set
-      unbounded; ``NoConvergenceError`` otherwise. A cold path stops at
-      once where that fit meets phi x = b (b = 0, all weights zero, or
-      zero weights on a support of b).
+    * no path certifies: the fallback of both constrained problems
+      (``_zero_weight_answer``) at the budget ``_INNER_TOL`` (1 + ||b||):
+      the fit on the zero-weight coordinates, certified at objective 0 if
+      it meets phi x = b within the budget, flagged degenerate when those
+      columns have a null space, which makes the solution set unbounded;
+      ``ConfigurationError`` if b is not in the range of phi, and
+      ``NoConvergenceError`` otherwise. A cold path stops at once where
+      that fit meets phi x = b (b = 0, all weights zero, or zero weights
+      on a support of b).
+
+    phi need not have full row rank: ``_border`` holds back the columns in
+    the span of the path's support.
 
     ``iterations`` counts the breakpoints of every path walked. ``warm``
     must be None or a report whose x is a finite vector of length n
@@ -580,7 +580,6 @@ def weighted_basis_pursuit(
             np.count_nonzero(carry[0]) < instance.m or float(w @ np.abs(warm.x)) == warm.objective
         ):
             starts.insert(0, (carry[1] * w, *carry, None))
-    op.gram_factor  # the rank guard runs on every input
 
     def answer(support, sigma, t, eta):
         # cold, t is where the closed form on the support meets eta; warm,
@@ -616,9 +615,8 @@ def weighted_basis_pursuit(
         return candidate[2], (x_l, t)
 
     def fallback():
-        x, resid, degenerate = _zero_weight_fit(instance, w)
-        if _norm(resid) > _INNER_TOL * (1.0 + op.norm_b):
-            raise NoConvergenceError("no basis pursuit path certifies, nor the zero-weight fit")
+        budget = _INNER_TOL * (1.0 + op.norm_b)
+        x, _, degenerate = _zero_weight_answer(instance, w, budget, "no basis pursuit path")
         return x, None, degenerate
 
     x, lasso_point, stop, breakpoints, degenerate = _walk(instance, w, starts, answer, fallback)
@@ -984,23 +982,35 @@ def _path(instance, c, warm=None, eta=None):
     return idx[:k][order], sig[:k][order], breakpoints, None
 
 
-def _zero_weight_fit(instance, w):
-    """The fit on the zero-weight coordinates, at weighted l1 norm 0, as
-    (x, b - phi x, degenerate): their exact QR solve when their columns
-    are independent (``_support_fit``), else their least-squares fit, one
-    of an unbounded set (degenerate); x = 0 when no weight is zero. Each
-    caller decides whether the fit answers its problem."""
+def _zero_weight_answer(instance, w, budget, paths):
+    """The one fallback of both constrained problems, when no path
+    certifies: the fit on the zero-weight coordinates, at weighted l1 norm
+    0, as (x, b - phi x, degenerate), when its residual norm meets
+    ``budget``. The fit is their exact QR solve when their columns are
+    independent (``_support_fit``), else their least-squares fit, one of an
+    unbounded set (degenerate); x = 0 when no weight is zero. Otherwise a
+    least-squares residual ||b - phi phi^+ b|| above the budget, which no
+    point meets, raises ``ConfigurationError``, and anything else
+    ``NoConvergenceError``; both name the budget and that floor, after the
+    ``paths`` that failed."""
     phi, b = instance.phi, instance.b
-    x = np.zeros(instance.n)
+    x, resid, degenerate = np.zeros(instance.n), b, False
     free = (w == 0.0).nonzero()[0]
-    if free.size == 0:
-        return x, b, False
-    fit = _support_fit(_operator(instance), free)
-    if fit is None:
-        x[free] = np.linalg.lstsq(phi[:, free], b, rcond=None)[0]
-    else:
-        x[free] = _triangular_solve(fit[1], fit[2])
-    return x, b - phi[:, free] @ x[free], fit is None
+    if free.size:
+        fit = _support_fit(_operator(instance), free)
+        degenerate = fit is None
+        if degenerate:
+            x[free] = np.linalg.lstsq(phi[:, free], b, rcond=None)[0]
+        else:
+            x[free] = _triangular_solve(fit[1], fit[2])
+        resid = b - phi[:, free] @ x[free]
+    if _norm(resid) <= budget:
+        return x, resid, degenerate
+    floor = float(np.linalg.norm(b - phi @ np.linalg.lstsq(phi, b, rcond=None)[0]))
+    raise (ConfigurationError if floor > budget else NoConvergenceError)(
+        f"{paths} certifies at the budget {budget:.3e}, nor the zero-weight fit; "
+        f"the least-squares residual ||b - phi phi^+ b|| is {floor:.3e}"
+    )
 
 
 def weighted_lasso_fista(
@@ -1142,8 +1152,9 @@ def constrained_weighted_l1(
     reached, whose residual norm is still above eta, is returned with exit
     ``"max_iter"`` and multiplier NaN. eta = 0 is weighted basis pursuit.
 
-    When the path gives no answer, the fit on the zero-weight coordinates
-    (``_zero_weight_fit``; x = 0 when there are none) answers if it meets
+    When the path gives no answer, the fallback basis pursuit shares
+    (``_zero_weight_answer``) decides at the budget eta: the fit on the
+    zero-weight coordinates (x = 0 when there are none) answers if it meets
     the budget, with objective 0, multiplier 0 and ``primal_residual`` 0,
     exit ``"certified"``, flagged degenerate when those columns have a
     null space, which makes the solution set unbounded. The cold path stops
@@ -1156,27 +1167,19 @@ def constrained_weighted_l1(
         raise ValueError("eta must be nonnegative")
     if eta == 0.0:
         return weighted_basis_pursuit(instance, w)
-    phi, b = instance.phi, instance.b
 
     def answer(support, sigma, t, eta):
         return _support_answer(instance, w, support, sigma, eta=eta)
 
     def fallback():
-        # the fit on the zero-weight coordinates is a minimizer when it meets
-        # the budget, which then has multiplier 0
-        x, resid, degenerate = _zero_weight_fit(instance, w)
-        if _norm(resid) <= eta:
-            return x, (0.0, resid, None), degenerate
-        floor = float(np.linalg.norm(b - phi @ np.linalg.lstsq(phi, b, rcond=None)[0]))
-        raise (ConfigurationError if floor > eta else NoConvergenceError)(
-            f"no weighted-LASSO path certifies at the budget {eta:.3e}, nor the zero-weight "
-            f"fit; the least-squares residual ||b - phi phi^+ b|| is {floor:.3e}"
-        )
+        # the zero-weight fit is a minimizer at the budget's multiplier 0
+        x, resid, degenerate = _zero_weight_answer(instance, w, eta, "no weighted-LASSO path")
+        return x, (0.0, resid, None), degenerate
 
     x, answered, stop, iterations, degenerate = _walk(
         instance, w, [(w, None, None, eta)], answer, fallback
     )
-    lam, resid, _ = answered or (np.nan, phi @ x - b, None)
+    lam, resid, _ = answered or (np.nan, instance.phi @ x - instance.b, None)
     return InnerSolveReport(
         x=x,
         iterations=iterations,

@@ -86,17 +86,28 @@ class TestSolve:
         ProblemInstance(phi=phi, b=np.zeros(2), eta=0.1).save(tmp_path / "zero.json")
         assert main(["solve", "--algo", "rw-lasso", "--instance", str(tmp_path / "zero.json")]) == 1
 
-    def test_rank_deficient_exit_1(self, tmp_path):
-        # duplicated rows make phi phi^T singular: unusable instance
+    def test_rank_deficient_exit_1(self, tmp_path, capsys):
+        # duplicated rows whose entries of b differ: no x meets phi x = b
         phi = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
-        ProblemInstance(phi=phi, b=np.array([1.0, 1.0])).save(tmp_path / "bad.json")
+        ProblemInstance(phi=phi, b=np.array([1.0, 2.0])).save(tmp_path / "bad.json")
         assert main(["solve", "--algo", "l1", "--instance", str(tmp_path / "bad.json")]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith("configuration error: ") and "least-squares residual" in err
+
+    def test_consistent_rank_deficient_exit_0(self, tmp_path, capsys):
+        # duplicated rows make phi phi^T singular, but b is in the range of
+        # phi: basis pursuit has a minimizer, x = (1, 0, 0)
+        phi = np.array([[1.0, 0.0, 0.0], [1.0, 0.0, 0.0]])
+        ProblemInstance(phi=phi, b=np.array([1.0, 1.0])).save(tmp_path / "dup.json")
+        assert main(["solve", "--algo", "l1", "--instance", str(tmp_path / "dup.json")]) == 0
+        assert "algo=l1 n=3 m=2 l0=1 " in capsys.readouterr().out
 
     @pytest.mark.parametrize(
         "field, value",
         [("seed", None), ("seed", 1.7), ("seed", True), ("sigma", "x"), ("eta", "x"),
-         ("x_star", [1.0, float("nan"), 0.0])],
-        ids=["seed-null", "seed-float", "seed-bool", "sigma-str", "eta-str", "x_star-nan"],
+         ("sigma", True), ("eta", True), ("x_star", [1.0, float("nan"), 0.0])],
+        ids=["seed-null", "seed-float", "seed-bool", "sigma-str", "eta-str", "sigma-bool",
+             "eta-bool", "x_star-nan"],
     )
     @pytest.mark.parametrize("algo", ["l1", "oracle"])
     def test_an_instance_field_of_the_wrong_kind_exits_1(self, tmp_path, capsys, field, value, algo):

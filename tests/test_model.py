@@ -148,9 +148,11 @@ class TestProblemInstance:
             ("seed", True, "seed must be an unsigned integer"),
             ("sigma", "x", "sigma must be a number"),
             ("eta", "x", "eta must be a number"),
+            ("sigma", True, "sigma must be a number"),
+            ("eta", True, "eta must be a number"),
         ],
         ids=["x_star-nan", "x_star-inf", "seed-null", "seed-float", "seed-bool", "sigma-str",
-             "eta-str"],
+             "eta-str", "sigma-bool", "eta-bool"],
     )
     def test_fields_of_the_wrong_kind_are_rejected(self, field, value, match):
         # a NaN in x_star once passed the consistency check (NaN > tol is
@@ -244,7 +246,7 @@ class TestSolverConfig:
         with pytest.raises(ValueError, match="rw_iter must be an integer"):
             SolverConfig(rw_iter=rw_iter)
 
-    @pytest.mark.parametrize("eps_k", [lambda k: 0.5, "0.5"])
+    @pytest.mark.parametrize("eps_k", [lambda k: 0.5, "0.5", True])
     def test_eps_k_must_be_a_number(self, eps_k):
         # one eps for every update: a schedule (a callable) is not one
         with pytest.raises(ValueError, match="eps_k must be a number"):

@@ -8,6 +8,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_solvers import lp_basis_pursuit
 
 import rwsparse.reweight as reweight
 import rwsparse.solvers as solvers
@@ -678,8 +679,31 @@ def _duplicated_row_instance():
 
 
 class TestRankDeficientPhi:
-    @pytest.mark.parametrize("algo", ["l1", "rw-sub"])
-    def test_typed_configuration_error(self, algo):
-        with pytest.raises(RankDeficientError, match="rank deficient") as info:
-            run_algorithm(algo, _duplicated_row_instance(), SolverConfig(rw_iter=2))
-        assert isinstance(info.value, ConfigurationError)
+    @pytest.mark.parametrize("algo", ["l1", "rw-sub", "rw-cwb", "oracle"])
+    def test_basis_pursuit_is_at_the_lp_optimum(self, algo, monkeypatch):
+        # b is in the range of phi, so basis pursuit has a minimizer without
+        # full row rank; recovery is not asserted (l1 ends 0.5 from x* here)
+        solves = []
+        bp = reweight.weighted_basis_pursuit
+
+        def recorded(instance, w, *args, **kwargs):
+            solves.append((np.array(w, dtype=float), bp(instance, w, *args, **kwargs)))
+            return solves[-1][1]
+
+        monkeypatch.setattr(reweight, "weighted_basis_pursuit", recorded)
+        inst = _duplicated_row_instance()
+        x, trace = run_algorithm(algo, inst, SolverConfig(rw_iter=2))
+        assert len(solves) == len(trace.rows) and np.array_equal(x, solves[-1][1].x)
+        for w, rep in solves:
+            optimum = lp_basis_pursuit(inst.phi, inst.b, w)
+            assert rep.exit == "certified" and rep.primal_residual <= solvers._INNER_TOL
+            assert rep.objective == pytest.approx(optimum, rel=1e-9)
+
+    def test_the_minimum_norm_solution_still_raises(self):
+        # it needs phi phi^T invertible, and so does rw-lasso's start lambda0
+        inst = dataclasses.replace(_duplicated_row_instance(), sigma=0.01, eta=0.1)
+        for solve in (lambda: solvers.min_l2_solution(inst),
+                      lambda: run_algorithm("rw-lasso", inst, SolverConfig(rw_iter=2))):
+            with pytest.raises(RankDeficientError, match="rank deficient") as info:
+                solve()
+            assert isinstance(info.value, ConfigurationError)

@@ -167,7 +167,9 @@ class TestMinL2Solution:
 class TestGramPivotRatio:
     def test_duplicated_row_raises_even_when_cholesky_finishes(self):
         # a duplicated row often leaves cho_factor with a rounding-level
-        # pivot instead of a breakdown; both cases are rank deficient
+        # pivot instead of a breakdown; both cases leave the minimum-norm
+        # solution undefined (basis pursuit answers them: tests/test_census.py
+        # and test_reweight.py's TestRankDeficientPhi)
         finished = 0
         for seed in range(2000):
             rng = np.random.default_rng(seed)
@@ -180,8 +182,6 @@ class TestGramPivotRatio:
                 finished += 1
             except np.linalg.LinAlgError:
                 pass
-            with pytest.raises(RankDeficientError, match="rank deficient"):
-                run_algorithm("l1", ProblemInstance(phi=phi, b=phi @ x, x_star=x))
             with pytest.raises(RankDeficientError, match="rank deficient"):
                 min_l2_solution(ProblemInstance(phi=phi, b=phi @ x))
         assert finished >= 500
@@ -388,37 +388,30 @@ class TestSupportFit:
 
 
 class TestOperator:
-    def test_min_norm_solution_is_the_refined_cholesky_formula(self):
-        inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=30, seed=3))
-        phi, b = inst.phi, inst.b
-        chol = cho_factor(phi @ phi.T)
-        y = cho_solve(chol, b)
-        y += cho_solve(chol, b - phi @ (phi.T @ y))
-        assert np.array_equal(min_l2_solution(inst), phi.T @ y)
+    def test_min_norm_solution_is_the_refined_cholesky_formula(self, monkeypatch):
+        # basis pursuit factors no Gram matrix; the minimum-norm solution is
+        # solved only when it is asked for, from the Gram matrix's Cholesky
+        # factor (LAPACK potrf and potrs, called directly): the refined
+        # cho_factor (upper) and cho_solve formula, bit for bit
+        factored = []
+        real_dpotrf = solvers.dpotrf
 
-    def test_basis_pursuit_applies_the_rank_guard_without_the_minimum_norm_solve(self):
-        # the guard is the Gram matrix's Cholesky factor; the minimum-norm
-        # solution is solved from that factor only when it is asked for, and
-        # is then the refined formula above
+        def counted(*args, **kwargs):
+            factored.append(args[0].shape)
+            return real_dpotrf(*args, **kwargs)
+
+        monkeypatch.setattr(solvers, "dpotrf", counted)
         inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=30, seed=3))
         assert weighted_basis_pursuit(inst, np.ones(inst.n)).converged
         op = _operator(inst)
-        assert "gram_factor" in vars(op) and "x0" not in vars(op)
+        assert not factored and "x0" not in vars(op)
         phi, b = inst.phi, inst.b
         chol = cho_factor(phi @ phi.T)
+        assert chol[1] is False
         y = cho_solve(chol, b)
         y += cho_solve(chol, b - phi @ (phi.T @ y))
         assert np.array_equal(min_l2_solution(inst), phi.T @ y)
-        assert "x0" in vars(op)
-
-    def test_gram_factor_is_cho_factor(self):
-        # the rank guard calls LAPACK potrf directly: the factor cho_factor
-        # returns (upper), bit for bit
-        inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=30, seed=3))
-        chol = _operator(inst).gram_factor
-        ref, ref_lower = cho_factor(inst.phi @ inst.phi.T)
-        assert ref_lower is False
-        assert chol.flags.f_contiguous and chol.tobytes("F") == ref.tobytes("F")
+        assert factored == [(100, 100)] and "x0" in vars(op)
 
     def test_lasso_runs_never_build_the_row_basis(self, monkeypatch):
         # noisy runs and basis pursuit never build the QR of phi^T; every QR
