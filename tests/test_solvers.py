@@ -388,11 +388,17 @@ class TestSupportFit:
 
 
 class TestOperator:
-    def test_min_norm_solution_is_the_refined_cholesky_formula(self, monkeypatch):
-        # basis pursuit factors no Gram matrix; the minimum-norm solution is
-        # solved only when it is asked for, from the Gram matrix's Cholesky
-        # factor (LAPACK potrf and potrs, called directly): the refined
-        # cho_factor (upper) and cho_solve formula, bit for bit
+    def test_min_norm_solution_is_the_refined_cholesky_formula(self):
+        inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=30, seed=3))
+        phi, b = inst.phi, inst.b
+        chol = cho_factor(phi @ phi.T)
+        y = cho_solve(chol, b)
+        y += cho_solve(chol, b - phi @ (phi.T @ y))
+        assert np.array_equal(min_l2_solution(inst), phi.T @ y)
+
+    def test_basis_pursuit_leaves_the_minimum_norm_solve_unbuilt(self, monkeypatch):
+        # basis pursuit factors no Gram matrix; the minimum-norm solution
+        # factors phi phi^T once, and only when it is asked for
         factored = []
         real_dpotrf = solvers.dpotrf
 
@@ -405,13 +411,27 @@ class TestOperator:
         assert weighted_basis_pursuit(inst, np.ones(inst.n)).converged
         op = _operator(inst)
         assert not factored and "x0" not in vars(op)
-        phi, b = inst.phi, inst.b
-        chol = cho_factor(phi @ phi.T)
-        assert chol[1] is False
-        y = cho_solve(chol, b)
-        y += cho_solve(chol, b - phi @ (phi.T @ y))
-        assert np.array_equal(min_l2_solution(inst), phi.T @ y)
+        min_l2_solution(inst)
         assert factored == [(100, 100)] and "x0" in vars(op)
+
+    def test_gram_factor_is_cho_factor(self, monkeypatch):
+        # the minimum-norm solve calls LAPACK potrf directly: the factor
+        # cho_factor returns (upper), bit for bit
+        factors = []
+        real_dpotrf = solvers.dpotrf
+
+        def kept(*args, **kwargs):
+            out = real_dpotrf(*args, **kwargs)
+            factors.append(out[0])
+            return out
+
+        monkeypatch.setattr(solvers, "dpotrf", kept)
+        inst = gen_noiseless(EnsembleSpec(n=256, m=100, s=30, seed=3))
+        min_l2_solution(inst)
+        (chol,) = factors
+        ref, ref_lower = cho_factor(inst.phi @ inst.phi.T)
+        assert ref_lower is False
+        assert chol.flags.f_contiguous and chol.tobytes("F") == ref.tobytes("F")
 
     def test_lasso_runs_never_build_the_row_basis(self, monkeypatch):
         # noisy runs and basis pursuit never build the QR of phi^T; every QR
